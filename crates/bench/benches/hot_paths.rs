@@ -20,6 +20,13 @@ fn q(port: u16, prio: u8) -> QueueIndex {
     QueueIndex::new(PortId::new(port), Priority::new(prio))
 }
 
+/// One step of Knuth's 64-bit LCG: cheap in-loop randomness for op
+/// streams (use the high bits).
+fn lcg(x: u64) -> u64 {
+    x.wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407)
+}
+
 /// A 36-port MMU with every (port, priority) ingress queue holding
 /// traffic: 36 × 8 = 288 active queues.
 fn loaded_mmu() -> MmuState {
@@ -113,6 +120,32 @@ fn bench_sojourn() {
         policy.on_dequeue(&m, t, q(9, 3), q(1, 3), Bytes::new(1_048));
         black_box(policy.weight(q(9, 3), t))
     });
+
+    // Congested variant: egress (1,3) carries a ~1 MB backlog fed from
+    // many ingress queues, so every record's zero crossing lies hundreds
+    // of microseconds ahead of the 336 ns packet clock — the regime in
+    // which per-packet expiry-heap entries outlive thousands of packets.
+    let mut m = loaded_mmu();
+    let mut policy = loaded_l2bm(&mut m, SimTime::ZERO);
+    for port in 2..PORTS as u16 {
+        let charge = m.plan_charge(q(port, 3), Bytes::new(30_000), Pool::Shared);
+        m.charge(q(port, 3), q(1, 3), charge);
+        policy.on_enqueue(&m, SimTime::ZERO, q(port, 3), q(1, 3), Bytes::new(30_000));
+    }
+    let mut t = SimTime::ZERO;
+    let mut draw = 1u64;
+    bench("sojourn/enqueue_dequeue_update_288q_congested", || {
+        // Arrivals pick their ingress port at random, as traffic does.
+        draw = lcg(draw);
+        let port = 2 + ((draw >> 33) % (PORTS as u64 - 2)) as u16;
+        let charge = m.plan_charge(q(port, 3), Bytes::new(1_048), Pool::Shared);
+        m.charge(q(port, 3), q(1, 3), charge);
+        policy.on_enqueue(&m, t, q(port, 3), q(1, 3), Bytes::new(1_048));
+        t += dcn_sim::SimDuration::from_nanos(336);
+        m.discharge(t, q(port, 3), q(1, 3), charge);
+        policy.on_dequeue(&m, t, q(port, 3), q(1, 3), Bytes::new(1_048));
+        black_box(policy.weight(q(port, 3), t))
+    });
 }
 
 fn bench_event_queue() {
@@ -127,6 +160,27 @@ fn bench_event_queue() {
         }
         black_box(acc)
     });
+
+    // Hold-model churn at the depths the benchmark workloads run at
+    // (~1.1k pending on the 128-host Clos, ~12k on the k=16 fat-tree):
+    // pop the earliest event, schedule it again a pseudo-random delay
+    // ahead, so sifts travel both ways through a cache-resident heap.
+    for (name, depth) in [
+        ("event_queue/churn_1k", 1_024u64),
+        ("event_queue/churn_12k", 12 * 1_024),
+    ] {
+        let mut queue: EventQueue<u64> = EventQueue::new();
+        for i in 0..depth {
+            queue.schedule_at(SimTime::from_nanos((i * 7919) % 20_000), i);
+        }
+        bench(name, || {
+            let (now, e) = queue.pop().expect("depth stays constant");
+            let next = lcg(e);
+            let delay = dcn_sim::SimDuration::from_nanos(1 + (next >> 33) % 20_000);
+            queue.schedule_at(now + delay, next);
+            black_box(e)
+        });
+    }
 
     // Steady-state churn at paper-scale pending depth (~128k events, the
     // high-water mark of a 128-host hybrid run): pop one, schedule one.

@@ -28,17 +28,17 @@
 //! queue's unclamped contribution is linear in time — value
 //! `t_total/N`, slope `active/N` — so the module keeps the aggregate
 //! `Σ τ` and `Σ active/N` and advances them lazily by elapsed time.
-//! Clamping at zero is handled by an expiry min-heap keyed on each
-//! record's zero-crossing instant (`t_prev + t_total/active`); entries
-//! are invalidated by a per-record generation counter instead of heap
-//! deletion. [`SojournModule::sum_active_tau`] is then O(log k)
+//! Clamping at zero is handled by an *indexed* expiry min-heap keyed on
+//! each record's zero-crossing instant (`t_prev + t_total/active`): a
+//! counted, draining record owns exactly one entry, found through a
+//! back-index and replaced whenever the record is touched, so the heap
+//! is bounded by the ingress-queue count and every pop is a real zero
+//! crossing. [`SojournModule::sum_active_tau`] is then O(log k)
 //! amortized in the number of records that expired since the last call
 //! — O(1) when nothing crossed zero — instead of O(#queues). The
 //! aggregate lives in a `RefCell` because threshold reads take `&self`.
 
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use dcn_net::Priority;
 use dcn_sim::{SimDuration, SimTime};
@@ -80,15 +80,12 @@ impl Record {
     }
 }
 
-/// Aggregate-tracking metadata for one record.
-#[derive(Debug, Clone, Copy, Default)]
-struct RecMeta {
-    /// Bumped whenever the record leaves the aggregate; stale expiry-heap
-    /// entries carry an old generation and are skipped on pop.
-    gen: u64,
-    /// Whether the record is currently included in `sum`/`decay`.
-    counted: bool,
-}
+/// `AggState::pos` value of a record with no expiry-heap entry.
+const UNFILED: u32 = u32::MAX;
+
+/// One expiry-heap entry: `(zero-crossing ns, record)`. Records are
+/// distinct, so the tuple order is total.
+type Expiry = (u64, u32);
 
 /// The lazily-advanced aggregate `C = Σ τ` and its bookkeeping.
 #[derive(Debug, Default)]
@@ -101,54 +98,45 @@ struct AggState {
     t: SimTime,
     /// Number of counted records (for snapping float drift to zero).
     live: usize,
-    /// Per-record aggregate metadata, indexed like `records`.
-    meta: Vec<RecMeta>,
-    /// Zero-crossing events `(t_zero ns, record, generation)`, lazily
-    /// invalidated via the generation counter.
-    expiry: BinaryHeap<Reverse<(u64, usize, u64)>>,
+    /// Whether each record is currently included in `sum`/`decay`.
+    counted: Vec<bool>,
+    /// Each record's position in `expiry`, or [`UNFILED`].
+    pos: Vec<u32>,
+    /// Binary min-heap of zero crossings: one entry per counted record
+    /// with `active > 0`, and `pos[expiry[p].1] == p` for every `p`.
+    expiry: Vec<Expiry>,
 }
 
 impl AggState {
-    fn ensure(&mut self, len: usize) {
-        if self.meta.len() < len {
-            self.meta.resize(len, RecMeta::default());
-        }
-    }
-
     /// Advances `sum` to `now`, retiring every record whose unclamped
     /// contribution crossed zero on the way.
     fn advance(&mut self, records: &[Record], now: SimTime) {
         if now <= self.t {
             return;
         }
-        while let Some(&Reverse((tz_ns, i, gen))) = self.expiry.peek() {
+        while let Some(&(tz_ns, i)) = self.expiry.first() {
             if tz_ns > now.as_nanos() {
                 break;
-            }
-            self.expiry.pop();
-            let m = self.meta[i];
-            if m.gen != gen || !m.counted {
-                continue;
             }
             let tz = SimTime::from_nanos(tz_ns);
             let dt = tz.saturating_since(self.t).as_secs_f64();
             self.sum -= self.decay * dt;
             self.t = self.t.max(tz);
-            self.retire(&records[i], i);
+            self.retire(&records[i as usize], i as usize);
         }
         let dt = now.saturating_since(self.t).as_secs_f64();
         self.sum -= self.decay * dt;
         self.t = now;
     }
 
-    /// Removes a counted record's contribution at the current `t`.
+    /// Removes a counted record's contribution at the current `t`, and
+    /// its expiry entry with it.
     fn retire(&mut self, rec: &Record, i: usize) {
-        let m = &mut self.meta[i];
-        m.gen += 1;
-        if !m.counted {
+        if !self.counted[i] {
             return;
         }
-        m.counted = false;
+        self.counted[i] = false;
+        self.unfile(i);
         let (value, slope) = rec.linear_contribution(self.t);
         self.sum -= value;
         self.decay -= slope;
@@ -169,8 +157,7 @@ impl AggState {
             // until the next enqueue; keep them out of the aggregate.
             return;
         }
-        let m = &mut self.meta[i];
-        m.counted = true;
+        self.counted[i] = true;
         self.live += 1;
         self.sum += rec.total / rec.n as f64;
         let active = rec.n.saturating_sub(rec.paused_n);
@@ -183,8 +170,62 @@ impl AggState {
                 .t_prev
                 .as_nanos()
                 .saturating_add((tz_s * 1e9).ceil() as u64);
-            self.expiry.push(Reverse((tz_ns, i, m.gen)));
+            let entry = (tz_ns, i as u32);
+            self.expiry.push(entry);
+            self.sift_up(self.expiry.len() - 1, entry);
         }
+    }
+
+    /// Removes record `i`'s expiry entry, if it has one.
+    fn unfile(&mut self, i: usize) {
+        let p = std::mem::replace(&mut self.pos[i], UNFILED) as usize;
+        if p == UNFILED as usize {
+            return;
+        }
+        let last = self.expiry.pop().expect("a filed record has an entry");
+        if p == self.expiry.len() {
+            return;
+        }
+        // `last` fills the hole; it may belong above or below it.
+        if p > 0 && last < self.expiry[(p - 1) / 2] {
+            self.sift_up(p, last);
+        } else {
+            self.sift_down(p, last);
+        }
+    }
+
+    /// Settles `e` at or above the hole at `p`.
+    fn sift_up(&mut self, mut p: usize, e: Expiry) {
+        while p > 0 {
+            let parent = (p - 1) / 2;
+            if self.expiry[parent] < e {
+                break;
+            }
+            self.place(p, self.expiry[parent]);
+            p = parent;
+        }
+        self.place(p, e);
+    }
+
+    /// Settles `e` at or below the hole at `p`.
+    fn sift_down(&mut self, mut p: usize, e: Expiry) {
+        while 2 * p + 1 < self.expiry.len() {
+            let (mut child, right) = (2 * p + 1, 2 * p + 2);
+            if right < self.expiry.len() && self.expiry[right] < self.expiry[child] {
+                child = right;
+            }
+            if e < self.expiry[child] {
+                break;
+            }
+            self.place(p, self.expiry[child]);
+            p = child;
+        }
+        self.place(p, e);
+    }
+
+    fn place(&mut self, p: usize, e: Expiry) {
+        self.expiry[p] = e;
+        self.pos[e.1 as usize] = p as u32;
     }
 }
 
@@ -221,16 +262,17 @@ impl SojournModule {
         SojournModule::default()
     }
 
-    fn egress_paused(&self, flat: usize) -> bool {
-        self.egress_paused.get(flat).copied().unwrap_or(false)
-    }
-
-    /// Sizes `records` (and aggregate metadata) to cover flat index `i`.
-    fn ensure_record(&mut self, i: usize) {
-        if self.records.len() <= i {
-            self.records.resize(i + 1, Record::default());
-        }
-        self.agg.get_mut().ensure(self.records.len());
+    /// Sizes every per-queue table for the switch's full radix, so the
+    /// steady-state path neither reallocates nor re-checks lengths.
+    fn size_for(&mut self, nq: usize) {
+        self.records.resize(nq, Record::default());
+        self.by_egress.resize_with(nq, Vec::new);
+        // Pause edges may have arrived (and grown this) before any packet.
+        self.egress_paused
+            .resize(nq.max(self.egress_paused.len()), false);
+        let state = self.agg.get_mut();
+        state.counted.resize(nq, false);
+        state.pos.resize(nq, UNFILED);
     }
 
     /// Records a packet entering via `q_in`, queued at `q_out`. Call
@@ -254,13 +296,12 @@ impl SojournModule {
             wait.as_secs_f64()
         };
 
-        // Size everything for the full radix up front so the steady-state
-        // path never reallocates.
-        let nq = mmu.port_count() * Priority::COUNT;
+        if self.records.is_empty() {
+            self.size_for(mmu.port_count() * Priority::COUNT);
+        }
         let i = q_in.flat();
-        self.ensure_record((nq - 1).max(i));
-
-        let out_paused = self.egress_paused(q_out.flat());
+        let of = q_out.flat();
+        let out_paused = self.egress_paused[of];
         let state = self.agg.get_mut();
         state.advance(&self.records, now);
         let rec = &mut self.records[i];
@@ -273,22 +314,24 @@ impl SojournModule {
         }
         state.enroll(rec, i);
 
-        let of = q_out.flat();
-        if self.by_egress.len() <= of {
-            self.by_egress.resize_with(of + 1, Vec::new);
+        // One row per egress queue actually used, not radix² up front.
+        let row = &mut self.by_egress[of];
+        if row.is_empty() {
+            row.resize(self.records.len(), 0);
         }
-        let inner = &mut self.by_egress[of];
-        if inner.len() < nq.max(i + 1) {
-            inner.resize(nq.max(i + 1), 0);
-        }
-        inner[i] += 1;
+        row[i] += 1;
     }
 
-    /// Records a packet leaving `q_in` through `q_out`.
+    /// Records a packet leaving `q_in` through `q_out`. A dequeue with
+    /// no matching enqueue is ignored.
     pub fn on_dequeue(&mut self, now: SimTime, q_in: QueueIndex, q_out: QueueIndex) {
-        let out_paused = self.egress_paused(q_out.flat());
         let i = q_in.flat();
-        self.ensure_record(i);
+        let of = q_out.flat();
+        let Some(c) = self.by_egress.get_mut(of).and_then(|row| row.get_mut(i)) else {
+            return;
+        };
+        *c = c.saturating_sub(1);
+        let out_paused = self.egress_paused[of];
         let state = self.agg.get_mut();
         state.advance(&self.records, now);
         let rec = &mut self.records[i];
@@ -303,11 +346,6 @@ impl SojournModule {
             rec.paused_n = 0;
         }
         state.enroll(rec, i);
-        if let Some(inner) = self.by_egress.get_mut(q_out.flat()) {
-            if let Some(c) = inner.get_mut(i) {
-                *c = c.saturating_sub(1);
-            }
-        }
     }
 
     /// Records a downstream pause/resume of egress queue `q_out`:
@@ -326,7 +364,6 @@ impl SojournModule {
             return;
         };
         let state = self.agg.get_mut();
-        state.ensure(self.records.len());
         state.advance(&self.records, now);
         for (i, &count) in counts.iter().enumerate() {
             if count == 0 {
@@ -607,5 +644,98 @@ mod tests {
                 "at {us}µs: inc {inc} naive {naive}"
             );
         }
+    }
+
+    /// The indexed expiry heap holds exactly the counted records that
+    /// are still draining, ordered, with the back-index exact both ways.
+    fn check_expiry_index(s: &SojournModule, ctx: &str) {
+        let st = s.agg.borrow();
+        assert!(st.expiry.len() <= st.live, "{ctx}: heap exceeds live");
+        assert_eq!(
+            st.live,
+            st.counted.iter().filter(|&&c| c).count(),
+            "{ctx}: live count"
+        );
+        for (p, &(_, i)) in st.expiry.iter().enumerate() {
+            assert_eq!(st.pos[i as usize], p as u32, "{ctx}: pos of heap[{p}]");
+            if p > 0 {
+                assert!(st.expiry[(p - 1) / 2] < st.expiry[p], "{ctx}: order at {p}");
+            }
+        }
+        for (i, rec) in s.records.iter().enumerate() {
+            let draining = st.counted[i] && rec.n > rec.paused_n;
+            assert_eq!(st.pos[i] != UNFILED, draining, "{ctx}: record {i} filed");
+            if draining {
+                assert_eq!(
+                    st.expiry[st.pos[i] as usize].1, i as u32,
+                    "{ctx}: heap[pos[{i}]]"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn expiry_heap_holds_exactly_the_draining_counted_records() {
+        use dcn_sim::SimRng;
+        for case in 0..64u64 {
+            let mut rng = SimRng::seed_from_u64(0xE000 + case);
+            let mut m = mmu();
+            let mut s = SojournModule::new();
+            let mut queued: Vec<(QueueIndex, QueueIndex, u64)> = Vec::new();
+            let mut t = SimTime::ZERO;
+            for step in 0..300 + rng.below(300) {
+                // 0–20 µs apart, so some records decay to zero untouched.
+                t += SimDuration::from_nanos(rng.below(20_000));
+                let prio = rng.below(Priority::COUNT as u64) as u8;
+                match rng.below(8) {
+                    0..=2 => {
+                        let (qi, qo) = (q(rng.below(4) as u16, prio), q(rng.below(4) as u16, prio));
+                        let bytes = 64 + rng.below(60_000);
+                        enqueue(&mut m, &mut s, t, qi, qo, bytes);
+                        queued.push((qi, qo, bytes));
+                    }
+                    3 | 4 if !queued.is_empty() => {
+                        let ix = rng.below(queued.len() as u64) as usize;
+                        let (qi, qo, bytes) = queued.swap_remove(ix);
+                        dequeue(&mut m, &mut s, t, qi, qo, bytes);
+                    }
+                    5 | 6 => {
+                        let qo = q(rng.below(4) as u16, prio);
+                        let paused = rng.below(2) == 1;
+                        if m.set_egress_paused(qo, paused) {
+                            s.on_pause_changed(t, qo, paused);
+                        }
+                    }
+                    // A bare read also advances the aggregate.
+                    _ => {}
+                }
+                let ctx = format!("case {case} step {step}");
+                let (inc, naive) = (s.sum_active_tau(t), s.sum_active_tau_naive(t));
+                assert!((inc - naive).abs() <= 1e-9, "{ctx}: {inc} vs naive {naive}");
+                check_expiry_index(&s, &ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_enqueues_keep_one_expiry_entry_per_record() {
+        // One ingress queue feeding an ever-deeper egress queue: its zero
+        // crossing moves further out with every packet and is never
+        // reached. The lazily-invalidated heap kept all 10 000 entries.
+        let mut m = mmu();
+        let mut s = SojournModule::new();
+        for k in 0..10_000u64 {
+            enqueue(
+                &mut m,
+                &mut s,
+                SimTime::from_nanos(k),
+                q(0, 3),
+                q(1, 3),
+                100,
+            );
+        }
+        assert_eq!(s.packet_count(q(0, 3)), 10_000);
+        assert_eq!(s.agg.borrow().expiry.len(), 1);
+        check_expiry_index(&s, "after 10 000 enqueues");
     }
 }

@@ -9,11 +9,12 @@
 //! The queue is two structures behind one dispatch order:
 //!
 //! * **Fire-and-forget events** (packets, link completions, samples) go
-//!   to a hand-rolled 4-ary array heap whose entries are 16 bytes — the
-//!   scheduled [`SimTime`] plus a packed `(seq, slot)` key — while the
-//!   event payloads live out-of-line in a generational [`Slab`] with an
-//!   intrusive free-list. Sifts move 16 bytes, not `16 + size_of::<E>()`,
-//!   and steady-state dispatch allocates nothing.
+//!   to a hand-rolled 4-ary array heap whose entries are one 16-byte
+//!   integer — the scheduled [`SimTime`] above a packed `(seq, slot)`
+//!   key — while the event payloads live out-of-line in a generational
+//!   [`Slab`] with an intrusive free-list. Sifts compare and move one
+//!   `u128`, not `16 + size_of::<E>()` bytes, and steady-state dispatch
+//!   allocates nothing.
 //! * **Cancellable timers** (RTO deadlines, DCQCN rate/alpha timers, PFC
 //!   watchdogs) go to a hierarchical timing wheel ([`crate::wheel`]) via
 //!   [`EventQueue::schedule_timer_at`], which returns a [`TimerHandle`]
@@ -29,11 +30,11 @@
 //! events, so the dispatch stream is byte-identical to the old engine's
 //! (golden digests included) — see DESIGN.md §4.8.
 //!
-//! Cancelled timers leave a *ghost* — their `(time, seq)` key — which is
-//! lazily absorbed when dispatch passes that key. Ghost pops are exactly
-//! the pops the tombstoning engine spent on dead entries, so
-//! `processed + ghost_pops` reproduces the legacy `events_processed`
-//! count that the result digests pin.
+//! Cancelled timers leave a *ghost* — their `(time, seq)` key — in an
+//! unsorted log; a ghost counts as popped once dispatch has passed its
+//! key. Ghost pops are exactly the pops the tombstoning engine spent on
+//! dead entries, so `processed + ghost_pops` reproduces the legacy
+//! `events_processed` count that the result digests pin.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -56,30 +57,40 @@ pub trait Simulation {
     fn handle(&mut self, now: SimTime, event: Self::Event, queue: &mut EventQueue<Self::Event>);
 }
 
-/// One heap entry: 16 bytes, ordered by `(at, ord)`.
+/// One dispatch key, packed into 16 bytes as `at << 64 | ord` so that
+/// one integer comparison orders by `(at, ord)`.
 ///
 /// `ord` packs `(seq << 32) | slot`: the high 32 bits are the insertion
 /// sequence number (the FIFO tie-break for equal times), the low 32 bits
-/// address the payload's slab slot. Comparing `ord` as one `u64` compares
-/// `seq` first, and live entries always differ in `seq`, so the total
-/// order is exactly `(at, seq)`.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    at: SimTime,
-    ord: u64,
-}
+/// address the payload's slab slot. Live entries always differ in `seq`,
+/// so the total order is exactly `(at, seq)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry(u128);
 
 impl Entry {
-    #[inline]
-    fn precedes(self, other: Entry) -> bool {
-        (self.at, self.ord) < (other.at, other.ord)
+    fn new(at: SimTime, ord: u64) -> Entry {
+        Entry((u128::from(at.as_nanos()) << 64) | u128::from(ord))
     }
 
-    #[inline]
+    fn at(self) -> SimTime {
+        SimTime::from_nanos((self.0 >> 64) as u64)
+    }
+
+    fn ord(self) -> u64 {
+        self.0 as u64
+    }
+
     fn slot(self) -> u32 {
-        (self.ord & u64::from(u32::MAX)) as u32
+        self.0 as u32
+    }
+
+    fn set_ord(&mut self, ord: u64) {
+        *self = Entry::new(self.at(), ord);
     }
 }
+
+/// Least number of cancels between two sweeps of the ghost log.
+const GHOST_SWEEP_MIN: usize = 1024;
 
 /// A staged wheel entry awaiting dispatch: `(at, ord, node, generation)`.
 /// Ordered by `(at, ord)` — node and generation only validate the entry
@@ -214,16 +225,23 @@ pub struct EventQueue<E> {
     /// Live entries in `due` (cancel-after-staging leaves stale heap
     /// entries that are skipped, not removed).
     due_live: usize,
-    /// `(time, seq)` keys of cancelled timers, absorbed lazily as
-    /// dispatch passes them. See [`QueueStats::ghost_pops`].
-    ghosts: BinaryHeap<Reverse<(SimTime, u64)>>,
+    /// Keys of cancelled timers in cancellation order, not yet folded
+    /// into `ghosts_swept`. See [`QueueStats::ghost_pops`].
+    ghosts: Vec<Entry>,
+    /// Ghosts below this key count as popped: the largest key dispatch
+    /// has reached or window horizon a run driver has closed.
+    passed: Entry,
+    /// `ghosts` length that triggers the next sweep: a quarter above what
+    /// the last one kept — O(1) amortized per cancel, ≤ 25 % dead weight.
+    ghost_sweep_at: usize,
     /// Stamp-mode state; `None` (and untouched) on serial runs.
     stamp: Option<Box<StampState>>,
     /// Next insertion sequence number (the FIFO tie-break).
     seq: u32,
     now: SimTime,
     processed: u64,
-    ghost_pops: u64,
+    /// Ghost pops counted so far, without the passed ghosts still in the log.
+    ghosts_swept: u64,
     timer_cancels: u64,
     stale_timer_pops: u64,
     past_clamps: u64,
@@ -246,12 +264,14 @@ impl<E> EventQueue<E> {
             wheel: Wheel::new(),
             due: BinaryHeap::new(),
             due_live: 0,
-            ghosts: BinaryHeap::new(),
+            ghosts: Vec::new(),
+            passed: Entry(0),
+            ghost_sweep_at: GHOST_SWEEP_MIN,
             stamp: None,
             seq: 0,
             now: SimTime::ZERO,
             processed: 0,
-            ghost_pops: 0,
+            ghosts_swept: 0,
             timer_cancels: 0,
             stale_timer_pops: 0,
             past_clamps: 0,
@@ -327,8 +347,8 @@ impl<E> EventQueue<E> {
         let at = self.clamp_time(at);
         self.assert_future_in_stamp_mode(at);
         let ord = self.admit(event, carried);
-        self.heap.push(Entry { at, ord });
-        self.sift_up(self.heap.len() - 1);
+        self.heap.push(Entry::new(at, ord));
+        sift_up(&mut self.heap);
         self.max_heap = self.max_heap.max(self.heap.len());
         self.max_pending = self.max_pending.max(self.len());
     }
@@ -374,8 +394,8 @@ impl<E> EventQueue<E> {
     /// Cancels an armed timer in O(1), returning its payload. `None` if
     /// the handle is stale (the timer already fired or was cancelled).
     ///
-    /// The cancelled deadline's `(time, seq)` key is kept as a ghost and
-    /// absorbed when dispatch passes it, reproducing the pop the
+    /// The cancelled deadline's `(time, seq)` key is logged as a ghost
+    /// and counted once dispatch passes it, reproducing the pop the
     /// tombstoning engine would have spent on the dead entry.
     pub fn cancel_timer(&mut self, handle: TimerHandle) -> Option<E> {
         let (at, ord) = match self.wheel.cancel(handle) {
@@ -404,9 +424,22 @@ impl<E> EventQueue<E> {
             };
             st.ghost_due.push(Reverse((at, gslot)));
         } else {
-            self.ghosts.push(Reverse((at, ord)));
+            self.ghosts.push(Entry::new(at, ord));
+            if self.ghosts.len() >= self.ghost_sweep_at {
+                self.sweep_ghosts();
+            }
         }
         Some(self.slab.take(slot))
+    }
+
+    /// Folds every passed ghost into `ghosts_swept`, one linear pass.
+    fn sweep_ghosts(&mut self) {
+        let before = self.ghosts.len();
+        let passed = self.passed;
+        self.ghosts.retain(|&g| g >= passed);
+        self.ghosts_swept += (before - self.ghosts.len()) as u64;
+        let kept = self.ghosts.len();
+        self.ghost_sweep_at = kept + (kept / 4).max(GHOST_SWEEP_MIN);
     }
 
     /// Establishes the dispatch invariant: stale due entries are gone
@@ -424,9 +457,9 @@ impl<E> EventQueue<E> {
             if self.wheel.is_empty() {
                 return;
             }
-            let target = match self.next_key() {
-                Some((at, _)) if at < self.wheel.bound() => return,
-                Some((at, _)) => at,
+            let target = match self.next_key().map(|(key, _)| key.at()) {
+                Some(at) if at < self.wheel.bound() => return,
+                Some(at) => at,
                 None => match self.wheel.next_window_end() {
                     Some(end) => end,
                     None => return,
@@ -441,13 +474,15 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The earliest `(at, ord)` key across the heap and the due stage.
-    /// Only meaningful after [`EventQueue::settle`] (due head live).
+    /// The earliest key across the heap and the due stage, and whether
+    /// the heap holds it. Only meaningful after [`EventQueue::settle`]
+    /// (due head live).
     #[inline]
-    fn next_key(&self) -> Option<(SimTime, u64)> {
-        let heap_key = self.heap.first().map(|e| (e.at, e.ord));
-        let due_key = self.due.peek().map(|r| (r.0 .0, r.0 .1));
+    fn next_key(&self) -> Option<(Entry, bool)> {
+        let heap_key = self.heap.first().map(|&e| (e, true));
+        let due_key = self.due.peek().map(|r| (Entry::new(r.0 .0, r.0 .1), false));
         match (heap_key, due_key) {
+            // Keys are distinct, so the flag never decides the minimum.
             (Some(h), Some(d)) => Some(h.min(d)),
             (h, d) => h.or(d),
         }
@@ -455,26 +490,29 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event, advancing the queue's clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_if(|_| true)
+    }
+
+    /// Pops the earliest event if `take` accepts its time — one settle
+    /// for the look and the pop, which is what the run loops need.
+    fn pop_if(&mut self, take: impl FnOnce(SimTime) -> bool) -> Option<(SimTime, E)> {
         self.settle();
-        let heap_key = self.heap.first().map(|e| (e.at, e.ord));
-        let due_key = self.due.peek().map(|r| (r.0 .0, r.0 .1));
-        match (heap_key, due_key) {
-            (None, None) => None,
-            (Some(h), d) if d.is_none_or(|d| h < d) => Some(self.pop_heap_top()),
-            _ => Some(self.pop_due_top()),
+        let (key, from_heap) = self.next_key()?;
+        if !take(key.at()) {
+            return None;
         }
+        Some(if from_heap {
+            self.pop_heap_top()
+        } else {
+            self.pop_due_top()
+        })
     }
 
     fn pop_heap_top(&mut self) -> (SimTime, E) {
-        let root = *self.heap.first().expect("pop_heap_top on non-empty heap");
-        let last = self.heap.pop().expect("peeked heap is non-empty");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.sift_down(0);
-        }
+        let root = self.remove_heap_top();
         let event = self.slab.take(root.slot());
-        self.finish_pop(root.at, root.ord);
-        (root.at, event)
+        self.finish_pop(root.at(), root.ord());
+        (root.at(), event)
     }
 
     fn pop_due_top(&mut self) -> (SimTime, E) {
@@ -494,17 +532,10 @@ impl<E> EventQueue<E> {
         (at, event)
     }
 
-    /// Advances the clock and absorbs every ghost the tombstoning engine
+    /// Advances the clock, passing every ghost the tombstoning engine
     /// would have popped before dispatching this key.
     fn finish_pop(&mut self, at: SimTime, ord: u64) {
-        while let Some(&Reverse(ghost)) = self.ghosts.peek() {
-            if ghost < (at, ord) {
-                self.ghosts.pop();
-                self.ghost_pops += 1;
-            } else {
-                break;
-            }
-        }
+        self.passed = self.passed.max(Entry::new(at, ord));
         self.now = at;
         self.processed += 1;
     }
@@ -515,20 +546,13 @@ impl<E> EventQueue<E> {
     /// window closes so `processed + ghost_pops` stays exactly
     /// comparable across engines.
     pub fn absorb_ghosts_before(&mut self, horizon: SimTime) {
-        while let Some(&Reverse((at, _))) = self.ghosts.peek() {
-            if at < horizon {
-                self.ghosts.pop();
-                self.ghost_pops += 1;
-            } else {
-                break;
-            }
-        }
+        self.passed = self.passed.max(Entry::new(horizon, 0));
     }
 
     /// The time of the earliest pending event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.settle();
-        self.next_key().map(|(at, _)| at)
+        self.next_key().map(|(key, _)| key.at())
     }
 
     /// The current simulated time (time of the last popped event).
@@ -570,7 +594,8 @@ impl<E> EventQueue<E> {
     /// [`EventQueue::processed`] reproduces the event count of the
     /// tombstoning engine, which popped (and discarded) each dead entry.
     pub fn ghost_pops(&self) -> u64 {
-        self.ghost_pops
+        let unswept = self.ghosts.iter().filter(|&&g| g < self.passed).count();
+        self.ghosts_swept + unswept as u64
     }
 
     /// How many times a schedule call was handed a time before `now`
@@ -594,7 +619,7 @@ impl<E> EventQueue<E> {
             past_clamps: self.past_clamps,
             timers_pending: self.wheel.len() + self.due_live,
             timer_cancels: self.timer_cancels,
-            ghost_pops: self.ghost_pops,
+            ghost_pops: self.ghost_pops(),
             stale_timer_pops: self.stale_timer_pops,
         }
     }
@@ -705,7 +730,7 @@ impl<E> EventQueue<E> {
     pub fn begin_group(&mut self, out: &mut Vec<(u32, Stamp)>) -> Option<SimTime> {
         out.clear();
         self.settle();
-        let (t, _) = self.next_key()?;
+        let t = self.next_key()?.0.at();
         let mut group = {
             let st = self.stamp.as_deref_mut().expect("stamp mode required");
             debug_assert_eq!(st.group_live, 0, "previous group fully dispatched");
@@ -713,14 +738,11 @@ impl<E> EventQueue<E> {
             g.clear();
             g
         };
-        while let Some(&e) = self.heap.first() {
-            if e.at != t {
-                break;
-            }
-            self.remove_heap_top();
+        while self.heap.first().is_some_and(|e| e.at() == t) {
+            let e = self.remove_heap_top();
             group.push(GroupMember {
-                at: e.at,
-                ord: e.ord,
+                at: t,
+                ord: e.ord(),
                 src: GroupSrc::Heap,
             });
         }
@@ -805,7 +827,7 @@ impl<E> EventQueue<E> {
             st.ghost_free.push(g);
             folded += 1;
         }
-        self.ghost_pops += folded;
+        self.ghosts_swept += folded;
         folded
     }
 
@@ -822,60 +844,20 @@ impl<E> EventQueue<E> {
     /// Credits `n` ghost pops decided outside the queue (the sharded
     /// executor's end-of-run ghost reconciliation).
     pub fn add_ghost_pops(&mut self, n: u64) {
-        self.ghost_pops += n;
+        self.ghosts_swept += n;
     }
 
-    /// Removes the heap's root entry without touching its slab payload.
-    fn remove_heap_top(&mut self) {
+    /// Removes and returns the heap's root entry without touching its
+    /// slab payload.
+    fn remove_heap_top(&mut self) -> Entry {
         let last = self.heap.pop().expect("remove_heap_top on non-empty heap");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.sift_down(0);
+        match self.heap.first().copied() {
+            Some(root) => {
+                sift_down_root(&mut self.heap, last);
+                root
+            }
+            None => last,
         }
-    }
-
-    // ---- 4-ary heap internals -----------------------------------------
-
-    /// Moves the entry at `i` up until its parent precedes it.
-    fn sift_up(&mut self, mut i: usize) {
-        let e = self.heap[i];
-        while i > 0 {
-            let parent = (i - 1) / 4;
-            if e.precedes(self.heap[parent]) {
-                self.heap[i] = self.heap[parent];
-                i = parent;
-            } else {
-                break;
-            }
-        }
-        self.heap[i] = e;
-    }
-
-    /// Moves the entry at `i` down until it precedes all its children.
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
-        let e = self.heap[i];
-        loop {
-            let first = 4 * i + 1;
-            if first >= n {
-                break;
-            }
-            // Smallest of up to four children.
-            let mut min = first;
-            let last = (first + 4).min(n);
-            for c in first + 1..last {
-                if self.heap[c].precedes(self.heap[min]) {
-                    min = c;
-                }
-            }
-            if self.heap[min].precedes(e) {
-                self.heap[i] = self.heap[min];
-                i = min;
-            } else {
-                break;
-            }
-        }
-        self.heap[i] = e;
     }
 
     /// Compacts the 32-bit sequence counter by reassigning every pending
@@ -895,36 +877,36 @@ impl<E> EventQueue<E> {
             Node(u32),
             Ghost(u32),
         }
-        let mut ghosts: Vec<(SimTime, u64)> = std::mem::take(&mut self.ghosts)
-            .into_iter()
-            .map(|r| r.0)
-            .collect();
-        let mut all: Vec<(u64, Src)> =
-            Vec::with_capacity(self.heap.len() + self.wheel.len() + self.due_live + ghosts.len());
+        // Only unpassed ghosts need new numbers. They, and everything
+        // pending, sort at or after `passed`, so it keeps only its time.
+        self.sweep_ghosts();
+        self.passed.set_ord(0);
+        let mut all: Vec<(u64, Src)> = Vec::with_capacity(
+            self.heap.len() + self.wheel.len() + self.due_live + self.ghosts.len(),
+        );
         for (i, e) in self.heap.iter().enumerate() {
-            all.push((e.ord, Src::Heap(i as u32)));
+            all.push((e.ord(), Src::Heap(i as u32)));
         }
         for (node, ord) in self.wheel.live_nodes() {
             all.push((ord, Src::Node(node)));
         }
-        for (i, g) in ghosts.iter().enumerate() {
-            all.push((g.1, Src::Ghost(i as u32)));
+        for (i, g) in self.ghosts.iter().enumerate() {
+            all.push((g.ord(), Src::Ghost(i as u32)));
         }
         // Distinct live seqs: sorting by ord sorts by insertion order.
         all.sort_unstable_by_key(|&(ord, _)| ord);
         for (i, &(old, src)) in all.iter().enumerate() {
             let new_ord = ((i as u64) << 32) | (old & u64::from(u32::MAX));
             match src {
-                Src::Heap(j) => self.heap[j as usize].ord = new_ord,
+                Src::Heap(j) => self.heap[j as usize].set_ord(new_ord),
                 Src::Node(node) => self.wheel.set_node_ord(node, new_ord),
-                Src::Ghost(j) => ghosts[j as usize].1 = new_ord,
+                Src::Ghost(j) => self.ghosts[j as usize].set_ord(new_ord),
             }
         }
         self.seq = u32::try_from(all.len()).expect("pending fits u32");
         // A monotone ord remap preserves every pairwise ordering, so the
-        // heap property still holds; only the derived heaps that copied
-        // ords need rebuilding.
-        self.ghosts = ghosts.into_iter().map(Reverse).collect();
+        // heap property still holds; only the due stage, which copied
+        // ords, needs rebuilding.
         let due = std::mem::take(&mut self.due);
         self.due = due
             .into_iter()
@@ -942,6 +924,55 @@ impl<E> EventQueue<E> {
     pub fn force_renumber(&mut self) {
         self.renumber();
     }
+}
+
+// ---- 4-ary heap internals ---------------------------------------------
+
+/// Moves the last entry of `heap` up until its parent precedes it.
+fn sift_up(heap: &mut [Entry]) {
+    let Some((&e, rest)) = heap.split_last() else {
+        return;
+    };
+    let mut i = rest.len();
+    while i > 0 {
+        let parent = (i - 1) / 4;
+        if e >= heap[parent] {
+            break;
+        }
+        heap[i] = heap[parent];
+        i = parent;
+    }
+    heap[i] = e;
+}
+
+/// Replaces the root of a non-empty `heap` with `e` and moves it down
+/// until it precedes all its children.
+fn sift_down_root(heap: &mut [Entry], e: Entry) {
+    let mut i = 0;
+    // Full sibling groups, each borrowed once as a `[Entry; 4]`. Which
+    // sibling wins is a coin toss no branch predictor learns, so its
+    // index comes from a two-round tournament of selects, not branches.
+    while let Some(kids) = heap.get(4 * i + 1..).and_then(|s| s.first_chunk::<4>()) {
+        let lo = usize::from(kids[1] < kids[0]);
+        let hi = 2 + usize::from(kids[3] < kids[2]);
+        let k = if kids[hi] < kids[lo] { hi } else { lo };
+        let min = kids[k];
+        if e <= min {
+            heap[i] = e;
+            return;
+        }
+        heap[i] = min;
+        i = 4 * i + 1 + k;
+    }
+    // Below `i` is at most the partial last group, whose members are leaves.
+    let kids = heap.get(4 * i + 1..).unwrap_or_default();
+    if let Some((k, &min)) = kids.iter().enumerate().min_by_key(|&(_, &c)| c) {
+        if min < e {
+            heap[i] = min;
+            i = 4 * i + 1 + k;
+        }
+    }
+    heap[i] = e;
 }
 
 /// Levels of a 4-ary heap holding `n` entries (0 for an empty heap).
@@ -970,11 +1001,7 @@ pub fn run_until<S: Simulation>(
     horizon: SimTime,
 ) -> u64 {
     let mut n = 0;
-    while let Some(at) = queue.peek_time() {
-        if at >= horizon {
-            break;
-        }
-        let (now, ev) = queue.pop().expect("peeked event must pop");
+    while let Some((now, ev)) = queue.pop_if(|at| at < horizon) {
         sim.handle(now, ev, queue);
         n += 1;
     }
@@ -995,11 +1022,7 @@ pub fn run_while<S: Simulation>(
     mut keep_going: impl FnMut(&S, SimTime) -> bool,
 ) -> u64 {
     let mut n = 0;
-    while let Some(at) = queue.peek_time() {
-        if !keep_going(sim, at) {
-            break;
-        }
-        let (now, ev) = queue.pop().expect("peeked event must pop");
+    while let Some((now, ev)) = queue.pop_if(|at| keep_going(sim, at)) {
         sim.handle(now, ev, queue);
         n += 1;
     }

@@ -2,7 +2,9 @@
 //! exactly the `(time, value)` sequence a reference `BinaryHeap`
 //! implementation (the engine's previous internals) produces, on
 //! seeded-random schedules with interleaved push/pop, heavy time ties,
-//! and past-time clamping.
+//! past-time clamping, every small heap size (each shape of the partial
+//! last sibling group), times with the packed key's top bit set, and
+//! sequence renumbering in mid-stream.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -79,13 +81,26 @@ impl<E> ReferenceQueue<E> {
 /// times collide (1 = everything ties), and `past_bias` occasionally
 /// schedules before `now` to exercise the clamp edge.
 fn run_case(seed: u64, tie_span: u64, past_bias: bool) {
+    run_case_from(seed, tie_span, past_bias, 0, 0);
+}
+
+/// [`run_case`] with the clock first moved to `base`, and the real
+/// queue's sequence numbers compacted every `renumber_every` steps
+/// (0 = never; the reference's `u64` sequence never renumbers).
+fn run_case_from(seed: u64, tie_span: u64, past_bias: bool, base: u64, renumber_every: u64) {
     let mut rng = SimRng::seed_from_u64(seed);
     let mut new_q: EventQueue<u64> = EventQueue::new();
     let mut ref_q: ReferenceQueue<u64> = ReferenceQueue::new();
-    let mut next_value = 0u64;
+    let mut next_value = 1u64;
     let mut expected_clamps = 0u64;
+    new_q.schedule_at(SimTime::from_nanos(base), 0);
+    ref_q.schedule_at(SimTime::from_nanos(base), 0);
+    assert_eq!(new_q.pop(), ref_q.pop());
 
-    for _ in 0..600 {
+    for step in 1..=600 {
+        if renumber_every > 0 && step % renumber_every == 0 {
+            new_q.force_renumber();
+        }
         let push = new_q.is_empty() || rng.uniform_f64() < 0.6;
         if push {
             let now = new_q.now().as_nanos();
@@ -144,6 +159,52 @@ fn differential_heavy_ties_64_seeds() {
 fn differential_past_clamp_edge_64_seeds() {
     for seed in 0..64 {
         run_case(0xC1A3_0000 + seed, 500, true);
+    }
+}
+
+#[test]
+fn differential_packed_key_high_bit_64_seeds() {
+    // Times at and above 2^63 set the top bit of the packed 128-bit key;
+    // the order must stay unsigned.
+    for seed in 0..64 {
+        run_case_from(0xB163_0000 + seed, 1_000, true, (1 << 63) - 300, 0);
+    }
+}
+
+#[test]
+fn differential_renumber_mid_stream_64_seeds() {
+    // Compaction between pops, with entries of both numberings pending.
+    for seed in 0..64 {
+        run_case_from(0x5E9_0000 + seed, 20, false, 0, 37);
+    }
+}
+
+#[test]
+fn differential_every_heap_size_up_to_22() {
+    // Sizes 1..=22 cover a root with 1–4 children, then every partial
+    // last sibling group one level down. Hold each size steady (pop one,
+    // push one) so sifts run through that exact shape, with spread-out
+    // times and with all-equal times (sequence-only order).
+    for size in 1..=22u64 {
+        for tie_span in [1, 1_000] {
+            let mut rng = SimRng::seed_from_u64(0x51E_0000 + size);
+            let mut new_q: EventQueue<u64> = EventQueue::new();
+            let mut ref_q: ReferenceQueue<u64> = ReferenceQueue::new();
+            for v in 0..size + 200 {
+                if v >= size {
+                    assert_eq!(new_q.pop(), ref_q.pop(), "size {size} span {tie_span}");
+                    assert_eq!(new_q.len() as u64, size - 1);
+                }
+                let at = SimTime::from_nanos(new_q.now().as_nanos() + rng.below(tie_span));
+                new_q.schedule_at(at, v);
+                ref_q.schedule_at(at, v);
+            }
+            for left in (0..size).rev() {
+                assert_eq!(new_q.pop(), ref_q.pop(), "size {size} drain");
+                assert_eq!(new_q.len() as u64, left);
+            }
+            assert_eq!(new_q.pop(), None);
+        }
     }
 }
 

@@ -241,9 +241,14 @@ impl Harness {
 /// `far_span` occasionally schedules far ahead so keys cross wheel
 /// windows and levels (cascade + wrap coverage).
 fn run_case(seed: u64, tie_span: u64, far_span: u64) {
+    run_case_steps(seed, 800, tie_span, far_span);
+}
+
+/// Returns the number of timers the case cancelled.
+fn run_case_steps(seed: u64, steps: u32, tie_span: u64, far_span: u64) -> u64 {
     let mut rng = SimRng::seed_from_u64(seed);
     let mut h = Harness::new();
-    for step in 0..800 {
+    for step in 0..steps {
         let at = |h: &Harness, rng: &mut SimRng| {
             let span = if far_span > 0 && rng.below(8) == 0 {
                 far_span
@@ -291,6 +296,7 @@ fn run_case(seed: u64, tie_span: u64, far_span: u64) {
         }
     }
     h.drain_and_reconcile(&format!("seed {seed}"));
+    h.real.stats().timer_cancels
 }
 
 #[test]
@@ -316,6 +322,21 @@ fn wheel_differential_cross_window_cascades_64_seeds() {
     // advances; cancels must find them at every residence.
     for seed in 0..64 {
         run_case(0x0EE3_0000 + seed, 500, 40_000_000);
+    }
+}
+
+#[test]
+fn wheel_differential_long_cancel_storm_sweeps_ghost_log() {
+    // Thousands of cancels per case, far-future ones among them, so the
+    // ghost log is swept repeatedly while unpassed ghosts stay behind;
+    // the dead-pop count must agree after every live dispatch all the
+    // same.
+    for seed in 0..4 {
+        let cancels = run_case_steps(0x0EE5_0000 + seed, 30_000, 2_000, 40_000_000);
+        assert!(
+            cancels > 5_000,
+            "only {cancels} cancels: the log never swept"
+        );
     }
 }
 
