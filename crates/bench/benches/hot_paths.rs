@@ -6,7 +6,8 @@ use std::hint::black_box;
 
 use dcn_bench::bench;
 use dcn_net::{
-    ClosConfig, FlowId, NodeId, Packet, PortId, Priority, RoutingTable, Topology, TrafficClass,
+    ClosConfig, FatTreeConfig, FlowId, NodeId, Packet, PortId, Priority, RoutingTable, Topology,
+    TrafficClass,
 };
 use dcn_sim::{BitRate, Bytes, EventQueue, SimTime};
 use dcn_switch::{
@@ -262,6 +263,27 @@ fn bench_routing() {
     });
     bench("routing/build_paper_clos_tables", || {
         black_box(RoutingTable::shortest_paths(&topo))
+    });
+
+    // The one-ToR bench above reads one cache-resident row. A fat-tree
+    // run asks every switch about every destination: draw a random
+    // (switch, dst, flow) per call so the table's footprint shows.
+    let topo = Topology::fat_tree(&FatTreeConfig::new(16));
+    let routes = RoutingTable::shortest_paths(&topo);
+    let hosts: Vec<NodeId> = topo.hosts().collect();
+    let switches: Vec<NodeId> = topo.switches().collect();
+    let mut x = 7u64;
+    bench("routing/ecmp_next_port_fattree_k16", || {
+        x = lcg(x);
+        let sw = switches[(x >> 33) as usize % switches.len()];
+        let dst = hosts[(x >> 13) as usize % hosts.len()];
+        black_box(routes.next_port(sw, dst, FlowId::new(x)))
+    });
+    bench("routing/build_fattree_k16_tables", || {
+        black_box(RoutingTable::shortest_paths(&topo))
+    });
+    bench("topology/build_fattree_k16", || {
+        black_box(Topology::fat_tree(&FatTreeConfig::new(16)))
     });
 }
 

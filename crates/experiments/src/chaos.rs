@@ -132,7 +132,7 @@ pub fn sample_fault_schedule(topo: &Topology, window: SimDuration, seed: u64) ->
                 // the lossless priority, held for two windows: only the
                 // watchdog can unblock it inside the run.
                 let sw = switches[rng.below(switches.len() as u64) as usize];
-                let ports = topo.node(sw).ports.len() as u64;
+                let ports = topo.node(sw).port_count() as u64;
                 let port = rng.below(ports) as u16;
                 let hold = SimDuration::from_nanos(wn * 2);
                 s.pause_stuck(sw.index() as u32, port, RDMA_PRIO.index() as u8, at, hold);

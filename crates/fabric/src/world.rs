@@ -9,8 +9,8 @@ use std::sync::Arc;
 
 use dcn_metrics::{DropCounters, FctRecord, IrnCounters, OccupancySeries, PfcCounters};
 use dcn_net::{
-    FlowId, LinkEnd, LinkId, NodeId, Packet, PacketKind, Partition, PfcFrame, PortId, Priority,
-    RoutingTable, Topology, TrafficClass,
+    FlowId, LinkId, NodeId, Packet, PacketKind, Partition, PfcFrame, PortId, Priority,
+    RoutingTable, Topology, TrafficClass, Wire,
 };
 use dcn_sim::{
     run_while, BitRate, Bytes, EventQueue, FaultEvent, SimDuration, SimRng, SimTime, Simulation,
@@ -172,6 +172,15 @@ struct ShardCtx {
     outbox: Vec<Handoff>,
 }
 
+/// What the fault schedule has done to one link.
+#[derive(Debug, Clone, Copy)]
+struct LinkState {
+    /// Whether the link carries traffic.
+    up: bool,
+    /// Bit-error rate (0.0 = clean).
+    ber: f64,
+}
+
 /// The complete simulated fabric.
 #[derive(Debug)]
 pub struct World {
@@ -189,10 +198,8 @@ pub struct World {
     done_flows: usize,
     counted_done: Vec<bool>,
     trace: TraceHandle,
-    /// Per-link liveness, indexed by `LinkId::index()`.
-    link_up: Vec<bool>,
-    /// Per-link bit-error rate (0.0 = clean), indexed like `link_up`.
-    link_ber: Vec<f64>,
+    /// Per-link fault state, indexed by `LinkId::index()`.
+    link_state: Vec<LinkState>,
     /// Corruption-loss RNG streams, one per `(link, direction)` so each
     /// delivery direction draws from its own stream regardless of how
     /// the fabric is sharded (indexed `link.index() * 2 + dir`, where
@@ -277,8 +284,9 @@ impl World {
             }
             match node.kind {
                 dcn_net::NodeKind::Switch => {
+                    let wires = topo.wires_of(node.id);
                     let rates: Vec<BitRate> =
-                        node.ports.iter().map(|&lid| topo.link(lid).rate).collect();
+                        wires.iter().map(|w| topo.link(w.link).rate).collect();
                     let mut sw = SharedMemorySwitch::new(
                         node.id,
                         cfg.switch.clone(),
@@ -291,8 +299,8 @@ impl World {
                     // bytes over a pause round trip (2 × BDP) plus slack
                     // for the packets serializing at both ends when the
                     // XOFF lands. The configured value acts as a floor.
-                    for (pix, &lid) in node.ports.iter().enumerate() {
-                        let link = topo.link(lid);
+                    for (pix, w) in wires.iter().enumerate() {
+                        let link = topo.link(w.link);
                         let bdp = link.rate.bytes_over(link.propagation);
                         let auto = bdp * 2 + cfg.switch.mtu * 4;
                         let cap = auto.max(cfg.switch.headroom_per_queue);
@@ -301,7 +309,7 @@ impl World {
                     switches[node.id.index()] = Some(sw);
                 }
                 dcn_net::NodeKind::Host => {
-                    let rate = topo.link(node.ports[0]).rate;
+                    let rate = topo.link_at(node.id, PortId::new(0)).rate;
                     hosts[node.id.index()] = Some(Host::new(node.id, rate));
                 }
             }
@@ -310,12 +318,11 @@ impl World {
             .nodes()
             .iter()
             .map(|node| match node.kind {
-                dcn_net::NodeKind::Switch => vec![None; node.ports.len() * Priority::COUNT],
+                dcn_net::NodeKind::Switch => vec![None; node.port_count() * Priority::COUNT],
                 dcn_net::NodeKind::Host => Vec::new(),
             })
             .collect();
-        let link_up = vec![true; topo.links().len()];
-        let link_ber = vec![0.0; topo.links().len()];
+        let link_state = vec![LinkState { up: true, ber: 0.0 }; topo.links().len()];
         // One independent stream per (link, direction): corruption draws
         // then depend only on the receiving link end, never on how many
         // other links are corrupting or how the fabric is sharded.
@@ -350,8 +357,7 @@ impl World {
             done_flows: 0,
             counted_done: Vec::new(),
             trace,
-            link_up,
-            link_ber,
+            link_state,
             fault_rng,
             wire_drops: DropCounters::new(),
             watchdog_timers,
@@ -421,7 +427,7 @@ impl World {
                 receiver: DctcpReceiver::new(spec.id, spec.dst, spec.src, spec.priority, spec.size),
             },
             TrafficClass::Lossless if self.cfg.rdma_transport == RdmaTransport::Dcqcn => {
-                let rate = self.topo.link(self.topo.node(spec.src).ports[0]).rate;
+                let rate = self.topo.link_at(spec.src, PortId::new(0)).rate;
                 FlowRuntime::Rdma {
                     sender: DcqcnSender::new(
                         self.cfg.dcqcn,
@@ -502,10 +508,11 @@ impl World {
                 .routes
                 .next_port(node, spec.dst, spec.id)
                 .expect("flow endpoints must be connected");
-            let link = self.topo.link_at(node, port);
-            fill += link.propagation + link.rate.tx_time(first_wire);
-            bottleneck = bottleneck.min(link.rate);
-            node = link.peer_of(node).expect("port's own link").node;
+            let wire = self.topo.wire(node, port);
+            let rate = self.topo.link(wire.link).rate;
+            fill += wire.propagation + rate.tx_time(first_wire);
+            bottleneck = bottleneck.min(rate);
+            node = wire.peer.node;
             hops += 1;
             assert!(hops <= 64, "routing loop computing ideal FCT");
         }
@@ -575,25 +582,6 @@ impl World {
 
     // ---- scheduling helpers -------------------------------------------
 
-    /// The far end of the link at `(node, port)`, or `None` (after
-    /// recording a `Defect` trace event) on a wiring inconsistency. A
-    /// defect here must not abort the run: under fault injection a
-    /// single bad lookup would otherwise poison a whole sweep worker.
-    fn peer_or_defect(&self, now: SimTime, node: NodeId, port: PortId) -> Option<LinkEnd> {
-        match self.topo.link_at(node, port).peer_of(node) {
-            Ok(end) => Some(end),
-            Err(_) => {
-                let t_node = node.index() as u32;
-                self.trace.record_with(now, || TraceEvent::Defect {
-                    what: "link_peer_not_attached",
-                    node: t_node,
-                    flow: 0,
-                });
-                None
-            }
-        }
-    }
-
     /// Schedules `ev` (destined for `dest`) locally when this world owns
     /// the node, otherwise stamps it with the pop's next emission stamp
     /// and queues a handoff for the owner shard. Drawing the stamp in
@@ -628,9 +616,9 @@ impl World {
         tx: TxStart,
         q: &mut EventQueue<Event>,
     ) {
-        let link = *self.topo.link_at(node, tx.port);
-        // The TxComplete must be scheduled even on a wiring defect, or
-        // the port would stay busy forever.
+        let Wire {
+            peer, propagation, ..
+        } = *self.topo.wire(node, tx.port);
         q.schedule_after(
             now,
             tx.serialize,
@@ -639,11 +627,8 @@ impl World {
                 port: tx.port,
             },
         );
-        let Some(peer) = self.peer_or_defect(now, node, tx.port) else {
-            return;
-        };
         self.schedule_or_handoff(
-            now + tx.serialize + link.propagation,
+            now + tx.serialize + propagation,
             peer.node,
             Event::Deliver {
                 node: peer.node,
@@ -661,17 +646,16 @@ impl World {
         tx: TxStart,
         q: &mut EventQueue<Event>,
     ) {
-        let link = self.topo.link_at(host, PortId::new(0));
+        let Wire {
+            peer, propagation, ..
+        } = *self.topo.wire(host, PortId::new(0));
         q.schedule_after(now, tx.serialize, Event::HostTxComplete { host });
-        let Some(peer) = self.peer_or_defect(now, host, PortId::new(0)) else {
-            return;
-        };
         // A host's only link reaches its ToR, which the partition keeps
         // in the same shard — host transmissions never cross.
         debug_assert!(self.owns(peer.node), "host split from its ToR");
         q.schedule_after(
             now,
-            tx.serialize + link.propagation,
+            tx.serialize + propagation,
             Event::Deliver {
                 node: peer.node,
                 in_port: peer.port,
@@ -681,14 +665,13 @@ impl World {
     }
 
     fn emit_pfc(&mut self, now: SimTime, node: NodeId, emit: PfcEmit, q: &mut EventQueue<Event>) {
-        let link = *self.topo.link_at(node, emit.port);
-        let Some(peer) = self.peer_or_defect(now, node, emit.port) else {
-            return;
-        };
+        let Wire {
+            peer, propagation, ..
+        } = *self.topo.wire(node, emit.port);
         // PFC frames are tiny control frames that bypass data queues:
         // modelled with propagation delay only.
         self.schedule_or_handoff(
-            now + link.propagation,
+            now + propagation,
             peer.node,
             Event::PfcDeliver {
                 node: peer.node,
@@ -737,19 +720,18 @@ impl World {
         let max_burst = self.cfg.train.max_burst;
         let min_queue = self.cfg.train.min_queue;
         let prio = tx.packet.priority;
-        let link = *self.topo.link_at(host, PortId::new(0));
-        let peer = self.peer_or_defect(now, host, PortId::new(0));
+        let Wire {
+            peer,
+            propagation: prop,
+            ..
+        } = *self.topo.wire(host, PortId::new(0));
         let h = self.hosts[host.index()].as_mut().expect("not a host");
-        let eligible = max_burst >= 2
-            && peer.is_some()
-            && h.sole_nonempty() == Some(prio)
-            && h.queued_at(prio) + 1 >= min_queue;
+        let eligible =
+            max_burst >= 2 && h.sole_nonempty() == Some(prio) && h.queued_at(prio) + 1 >= min_queue;
         if !eligible {
             self.schedule_host_tx(now, host, tx, q);
             return;
         }
-        let peer = peer.expect("checked");
-        let prop = link.propagation;
         let mut legs = Vec::with_capacity(max_burst.min(h.queued_at(prio) + 1));
         let mut at = now;
         let mut commit = |leg_packet: Packet, serialize, start, legs: &mut Vec<TrainLeg>| {
@@ -1372,20 +1354,21 @@ impl World {
     /// the check happens at arrival), and a corrupting link discards the
     /// packet with probability `1 - (1-ber)^bits`. Returns why the
     /// packet is lost, or `None` if it survives. The fast path — every
-    /// link up, no corruption — is two `Vec` reads, touches no RNG and
-    /// is byte-identical to a faultless build.
+    /// link up, no corruption — reads the port's wire slot and the
+    /// link's fault record, touches no RNG and is byte-identical to a
+    /// faultless build.
     fn wire_filter(
         &mut self,
         node: NodeId,
         in_port: PortId,
         packet: &Packet,
     ) -> Option<TraceDropCause> {
-        let l = self.topo.link_at(node, in_port);
-        let lid = l.id.index();
-        if !self.link_up[lid] {
+        let wire = self.topo.wire(node, in_port);
+        let lid = wire.link.index();
+        let LinkState { up, ber } = self.link_state[lid];
+        if !up {
             return Some(TraceDropCause::LinkDown);
         }
-        let ber = self.link_ber[lid];
         if ber > 0.0 {
             let bits = (packet.size.as_u64() * 8).min(i32::MAX as u64) as i32;
             let survive = (1.0 - ber).powi(bits);
@@ -1393,8 +1376,7 @@ impl World {
             // sequence each packet sees is then independent of every
             // other link's traffic, so serial and sharded runs corrupt
             // the same packets.
-            let dir = usize::from(l.a.node != node);
-            if self.fault_rng[lid * 2 + dir].uniform_f64() >= survive {
+            if self.fault_rng[lid * 2 + usize::from(wire.dir)].uniform_f64() >= survive {
                 return Some(TraceDropCause::Corrupted);
             }
         }
@@ -1472,7 +1454,7 @@ impl World {
         match fault {
             FaultEvent::LinkDown { link } => {
                 let l = *self.topo.link(LinkId::new(link));
-                self.link_up[l.id.index()] = false;
+                self.link_state[l.id.index()].up = false;
                 self.routes.fail_link(&l);
                 // Each switch endpoint discharges everything queued to
                 // the dead port; freed shared buffer may release
@@ -1502,7 +1484,7 @@ impl World {
             }
             FaultEvent::LinkUp { link } => {
                 let l = *self.topo.link(LinkId::new(link));
-                self.link_up[l.id.index()] = true;
+                self.link_state[l.id.index()].up = true;
                 self.routes.restore_link(&l);
                 // Port renegotiation resets PFC state on both ends
                 // symmetrically: the switch forgets sent and received
@@ -1548,10 +1530,10 @@ impl World {
                 }
             }
             FaultEvent::CorruptionStart { link, ber } => {
-                self.link_ber[LinkId::new(link).index()] = ber.clamp(0.0, 1.0);
+                self.link_state[LinkId::new(link).index()].ber = ber.clamp(0.0, 1.0);
             }
             FaultEvent::CorruptionEnd { link } => {
-                self.link_ber[LinkId::new(link).index()] = 0.0;
+                self.link_state[LinkId::new(link).index()].ber = 0.0;
             }
             FaultEvent::PauseStuck { node, port, prio } => {
                 let target = NodeId::new(node);
@@ -1812,7 +1794,7 @@ impl Simulation for World {
             } => {
                 // Control frames on a dead link are lost like data; they
                 // are counted at the sender, so no drop is recorded.
-                if !self.link_up[self.topo.link_at(node, in_port).id.index()] {
+                if !self.link_state[self.topo.wire(node, in_port).link.index()].up {
                     return;
                 }
                 match self.topo.node(node).kind {
@@ -2440,7 +2422,10 @@ mod tests {
         // DCQCN sender keeps pacing into a black hole; the watchdog is
         // the only thing that notices — exactly one episode.
         let topo = Topology::single_switch(3, BitRate::from_gbps(25), SimDuration::from_micros(1));
-        let link = topo.node(dcn_net::NodeId::new(0)).ports[0].index() as u32;
+        let link = topo
+            .wire(dcn_net::NodeId::new(0), PortId::new(0))
+            .link
+            .index() as u32;
         let mut faults = dcn_sim::FaultSchedule::none();
         faults.push(
             SimTime::from_micros(100),

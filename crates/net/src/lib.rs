@@ -8,8 +8,11 @@
 //! * [`Packet`] — a data/ACK/CNP unit with ECN codepoint and traffic class.
 //! * [`Link`] — full-duplex point-to-point link (rate + propagation delay).
 //! * [`Topology`] — node/link graph with builders for the paper's 3-layer
-//!   clos fabric ([`Topology::clos`]), plus small test topologies.
-//! * [`RoutingTable`] — all-shortest-path next-hop sets with per-flow ECMP.
+//!   clos fabric ([`Topology::clos`]), k-ary fat-trees up to k = 32
+//!   ([`Topology::fat_tree`]) and small test topologies; each port's far
+//!   end is one read of a flat [`Wire`] table.
+//! * [`RoutingTable`] — all-shortest-path next-hop sets with per-flow
+//!   ECMP, stored per (node, destination edge switch).
 //!
 //! # Example
 //!
@@ -43,4 +46,4 @@ pub use packet::{
 };
 pub use partition::Partition;
 pub use routing::RoutingTable;
-pub use topology::{ClosConfig, FatTreeConfig, Node, NodeKind, Topology};
+pub use topology::{ClosConfig, FatTreeConfig, Node, NodeKind, Topology, TopologyBuilder, Wire};

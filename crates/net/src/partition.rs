@@ -55,11 +55,9 @@ impl Partition {
         let tors: Vec<NodeId> = topo
             .switches()
             .filter(|&sw| {
-                topo.node(sw).ports.iter().any(|&lid| {
-                    let l = topo.link(lid);
-                    let peer = l.peer_of(sw).expect("port link attaches its node").node;
-                    topo.node(peer).kind == NodeKind::Host
-                })
+                topo.wires_of(sw)
+                    .iter()
+                    .any(|w| topo.node(w.peer.node).kind == NodeKind::Host)
             })
             .collect();
         let shards = requested.min(tors.len()).max(1);
@@ -68,10 +66,9 @@ impl Partition {
         for (i, &tor) in tors.iter().enumerate() {
             let shard = (i * shards / tors.len()) as u32;
             shard_of[tor.index()] = shard;
-            for &lid in &topo.node(tor).ports {
-                let peer = topo.link(lid).peer_of(tor).expect("attached").node;
-                if topo.node(peer).kind == NodeKind::Host {
-                    shard_of[peer.index()] = shard;
+            for w in topo.wires_of(tor) {
+                if topo.node(w.peer.node).kind == NodeKind::Host {
+                    shard_of[w.peer.node.index()] = shard;
                 }
             }
         }
@@ -86,13 +83,10 @@ impl Partition {
                 if shard_of[node.id.index()] != UNASSIGNED {
                     continue;
                 }
-                let mut candidates: Vec<u32> = node
-                    .ports
+                let mut candidates: Vec<u32> = topo
+                    .wires_of(node.id)
                     .iter()
-                    .map(|&lid| {
-                        let peer = topo.link(lid).peer_of(node.id).expect("attached").node;
-                        shard_of[peer.index()]
-                    })
+                    .map(|w| shard_of[w.peer.node.index()])
                     .filter(|&s| s != UNASSIGNED)
                     .collect();
                 if candidates.is_empty() {

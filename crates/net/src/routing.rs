@@ -1,17 +1,43 @@
 //! All-shortest-path routing with per-flow ECMP.
 //!
-//! For every (switch, destination host) pair we precompute the set of
-//! output ports that lie on some shortest path (by hop count, breaking
-//! distance ties by keeping all minimal next hops). At forwarding time a
-//! flow hashes onto one of the candidates so that all its packets follow
-//! one path — standard per-flow ECMP, which is what the paper's ns-3
-//! setup uses.
+//! For every (node, destination host) pair we know the set of output
+//! ports that lie on some shortest path (by hop count, breaking distance
+//! ties by keeping all minimal next hops). At forwarding time a flow
+//! hashes onto one of the candidates so that all its packets follow one
+//! path — standard per-flow ECMP, which is what the paper's ns-3 setup
+//! uses.
+//!
+//! The sets are stored per (node, *anchor*), not per (node, host). A
+//! host with one port on a switch is a leaf: every shortest path to it
+//! is a shortest path to that switch plus the last link, so all hosts
+//! of one edge switch share its next-hop sets everywhere but at the
+//! switch itself, where the answer is the one port facing the host. The
+//! anchor of such a host is its edge switch; any other host (several
+//! ports, none, or wired to another host) is its own anchor and gets a
+//! BFS of its own. One BFS per anchor, and one `u32` per (node, anchor)
+//! pointing into an arena of interned sets — a node has at most
+//! radix + 1 distinct ones — make a k = 16 fat-tree's table
+//! 1344 × 128 × 4 B = 688 KB where a `Vec` per (node, host) took 77 MB.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::ids::{FlowId, NodeId, PortId};
-use crate::link::Link;
+use crate::link::{Link, LinkEnd};
 use crate::topology::{NodeKind, Topology};
+
+/// How a destination host is reached.
+#[derive(Debug, Clone, Copy)]
+struct Dst {
+    /// The node whose next-hop sets lead to this host: its edge switch,
+    /// or the host itself.
+    anchor: NodeId,
+    /// The anchor's column in `offsets`.
+    rank: u32,
+    /// Where in `arena` the set used *at* the anchor starts: the one
+    /// port facing this host (the empty set when the host is its own
+    /// anchor).
+    at_anchor: u32,
+}
 
 /// Precomputed next-hop sets: for each node and destination host, the
 /// output ports on shortest paths.
@@ -25,101 +51,189 @@ use crate::topology::{NodeKind, Topology};
 /// restores the exact pre-failure selection for every flow.
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
-    /// `ports[node][dst_host_rank]` = candidate output ports.
-    ports: Vec<Vec<Vec<PortId>>>,
-    /// Maps host NodeId -> dense rank used to index `ports`.
-    host_rank: Vec<Option<usize>>,
+    /// `offsets[node * anchors + rank]` = where in `arena` the candidate
+    /// set at `node` toward that anchor starts.
+    offsets: Vec<u32>,
+    /// Interned candidate sets, each stored as `[len, p0, p1, …]` with
+    /// the ports in port order. Offset 0 is the shared empty set.
+    arena: Vec<PortId>,
+    /// Number of anchors (columns of `offsets`).
+    anchors: usize,
+    /// Indexed by `NodeId::index()`; `None` for switches.
+    dst: Vec<Option<Dst>>,
     /// ECMP hash salt (per-topology constant; change to re-roll paths).
     salt: u64,
-    /// Ports whose link is currently down. Empty in a healthy fabric,
-    /// so the forwarding fast path stays byte-identical to a build
-    /// without fault support.
-    down: HashSet<(NodeId, PortId)>,
+    /// `port_base[node] + port` indexes `down`.
+    port_base: Vec<u32>,
+    /// Per-port flag: the port's link is currently down.
+    down: Vec<bool>,
+    /// Number of set flags in `down`. Zero in a healthy fabric, so the
+    /// forwarding fast path stays byte-identical to a build without
+    /// fault support.
+    down_ports: usize,
 }
 
 impl RoutingTable {
     /// Builds shortest-path next-hop sets for every destination host by
-    /// BFS from each host over the topology.
+    /// BFS from each anchor over the topology.
     pub fn shortest_paths(topo: &Topology) -> RoutingTable {
         let n = topo.node_count();
-        let hosts: Vec<NodeId> = topo.hosts().collect();
-        let mut host_rank = vec![None; n];
-        for (rank, h) in hosts.iter().enumerate() {
-            host_rank[h.index()] = Some(rank);
-        }
-        let mut ports = vec![vec![Vec::new(); hosts.len()]; n];
+        let mut arena = vec![PortId::new(0)];
+        // Offsets of the sets interned so far for each node; a linear
+        // scan, since a node has at most radix + 1 of them.
+        let mut sets_of: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut intern = |node: NodeId, set: &[PortId]| {
+            let sets = &mut sets_of[node.index()];
+            let known = sets.iter().copied().find(|&off| {
+                let len = arena[off as usize].index();
+                arena[off as usize + 1..off as usize + 1 + len] == *set
+            });
+            known.unwrap_or_else(|| {
+                let off = u32::try_from(arena.len()).expect("route arena exceeds u32 offsets");
+                arena.push(PortId::new(set.len() as u16));
+                arena.extend_from_slice(set);
+                sets.push(off);
+                off
+            })
+        };
 
-        for (rank, &dst) in hosts.iter().enumerate() {
-            // BFS from dst; dist[v] = hops from v to dst.
-            let mut dist = vec![u32::MAX; n];
-            dist[dst.index()] = 0;
-            let mut q = VecDeque::new();
-            q.push_back(dst);
+        let mut dst = vec![None; n];
+        let mut anchors: Vec<NodeId> = Vec::new();
+        let mut rank_of = vec![u32::MAX; n];
+        for h in topo.hosts() {
+            let (anchor, at_anchor) = match topo.wires_of(h) {
+                [w] if topo.node(w.peer.node).kind == NodeKind::Switch => {
+                    (w.peer.node, intern(w.peer.node, &[w.peer.port]))
+                }
+                _ => (h, 0),
+            };
+            let rank = &mut rank_of[anchor.index()];
+            if *rank == u32::MAX {
+                *rank = anchors.len() as u32;
+                anchors.push(anchor);
+            }
+            dst[h.index()] = Some(Dst {
+                anchor,
+                rank: *rank,
+                at_anchor,
+            });
+        }
+
+        let mut offsets = vec![0u32; n * anchors.len()];
+        let mut dist = vec![u32::MAX; n];
+        let mut q = VecDeque::new();
+        let mut cand = Vec::new();
+        for (rank, &anchor) in anchors.iter().enumerate() {
+            // BFS from the anchor; dist[v] = hops from v to it.
+            dist.fill(u32::MAX);
+            dist[anchor.index()] = 0;
+            q.push_back(anchor);
             while let Some(v) = q.pop_front() {
                 let dv = dist[v.index()];
-                for &lid in &topo.node(v).ports {
-                    let Ok(end) = topo.link(lid).peer_of(v) else {
-                        continue; // wiring defect: skip, don't abort
-                    };
-                    let peer = end.node;
+                for w in topo.wires_of(v) {
+                    let peer = w.peer.node;
                     if dist[peer.index()] == u32::MAX {
                         dist[peer.index()] = dv + 1;
                         q.push_back(peer);
                     }
                 }
             }
-            // Next hops: every port whose peer is strictly closer to dst.
+            // Next hops: every port whose peer is strictly closer.
             for node in topo.nodes() {
-                if dist[node.id.index()] == u32::MAX || node.id == dst {
+                let dn = dist[node.id.index()];
+                if dn == u32::MAX || dn == 0 {
                     continue;
                 }
-                let dn = dist[node.id.index()];
-                for (pix, &lid) in node.ports.iter().enumerate() {
-                    let Ok(end) = topo.link(lid).peer_of(node.id) else {
-                        continue;
-                    };
-                    let peer = end.node;
-                    if dist[peer.index()] != u32::MAX && dist[peer.index()] + 1 == dn {
-                        ports[node.id.index()][rank].push(PortId::new(pix as u16));
+                cand.clear();
+                for (pix, w) in topo.wires_of(node.id).iter().enumerate() {
+                    // A reached node's neighbours are all reached.
+                    if dist[w.peer.node.index()] + 1 == dn {
+                        cand.push(PortId::new(pix as u16));
                     }
                 }
+                offsets[node.id.index() * anchors.len() + rank] = intern(node.id, &cand);
             }
         }
 
+        let port_base = topo.port_base().to_vec();
+        let down = vec![false; *port_base.last().expect("trailing entry") as usize];
         RoutingTable {
-            ports,
-            host_rank,
+            offsets,
+            arena,
+            anchors: anchors.len(),
+            dst,
             salt: 0x005E_ED0F_ECA7,
-            down: HashSet::new(),
+            port_base,
+            down,
+            down_ports: 0,
         }
     }
 
     /// Marks both endpoint ports of `link` dead. O(1); forwarding
     /// excludes them until [`RoutingTable::restore_link`].
     pub fn fail_link(&mut self, link: &Link) {
-        self.down.insert((link.a.node, link.a.port));
-        self.down.insert((link.b.node, link.b.port));
+        self.set_down(link.a, true);
+        self.set_down(link.b, true);
     }
 
     /// Restores both endpoint ports of `link`. Flow-to-port pinning
     /// returns to exactly the pre-failure selection.
     pub fn restore_link(&mut self, link: &Link) {
-        self.down.remove(&(link.a.node, link.a.port));
-        self.down.remove(&(link.b.node, link.b.port));
+        self.set_down(link.a, false);
+        self.set_down(link.b, false);
     }
 
     /// Whether `port` at `node` is currently marked dead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` has no such port.
     pub fn is_port_down(&self, node: NodeId, port: PortId) -> bool {
-        self.down.contains(&(node, port))
+        self.down[self.port_slot(node, port)]
+    }
+
+    /// Index of `(node, port)` in `down`. Checked, because a port past
+    /// the node's last would land in another node's slots.
+    fn port_slot(&self, node: NodeId, port: PortId) -> usize {
+        let slot = self.port_base[node.index()] as usize + port.index();
+        assert!(
+            slot < self.port_base[node.index() + 1] as usize,
+            "{node} has no {port}"
+        );
+        slot
+    }
+
+    fn set_down(&mut self, end: LinkEnd, down: bool) {
+        let slot = self.port_slot(end.node, end.port);
+        if self.down[slot] != down {
+            self.down[slot] = down;
+            if down {
+                self.down_ports += 1;
+            } else {
+                self.down_ports -= 1;
+            }
+        }
     }
 
     /// All candidate output ports at `node` toward `dst`, or an empty
     /// slice if unreachable / `dst` is not a host.
     pub fn candidates(&self, node: NodeId, dst: NodeId) -> &[PortId] {
-        match self.host_rank.get(dst.index()).copied().flatten() {
-            Some(rank) => &self.ports[node.index()][rank],
-            None => &[],
+        let Some(Some(d)) = self.dst.get(dst.index()) else {
+            return &[];
+        };
+        if node == dst {
+            return &[];
         }
+        let shared = self.offsets[node.index() * self.anchors + d.rank as usize];
+        // Both offsets are in hand so that this is a select, not a
+        // branch: at an edge switch, up or down is a coin flip.
+        let off = if node == d.anchor {
+            d.at_anchor
+        } else {
+            shared
+        } as usize;
+        let len = self.arena[off].index();
+        &self.arena[off + 1..off + 1 + len]
     }
 
     /// The ECMP-selected output port for `flow` at `node` toward `dst`,
@@ -138,18 +252,20 @@ impl RoutingTable {
         // Salt with the node id so a flow re-rolls independently per hop.
         let h = flow.ecmp_hash(self.salt ^ (node.index() as u64) << 17);
         let primary = c[(h % c.len() as u64) as usize];
-        if self.down.is_empty() || !self.down.contains(&(node, primary)) {
+        if self.down_ports == 0 {
             return Some(primary);
         }
-        let live: Vec<PortId> = c
-            .iter()
-            .copied()
-            .filter(|&p| !self.down.contains(&(node, p)))
-            .collect();
-        if live.is_empty() {
+        let base = self.port_base[node.index()] as usize;
+        let live = |p: &PortId| !self.down[base + p.index()];
+        if live(&primary) {
+            return Some(primary);
+        }
+        // The `h % live`-th live candidate, in port order.
+        let n_live = c.iter().copied().filter(live).count() as u64;
+        if n_live == 0 {
             return None;
         }
-        Some(live[(h % live.len() as u64) as usize])
+        c.iter().copied().filter(live).nth((h % n_live) as usize)
     }
 
     /// Hop count from `node` to `dst` following shortest paths, or `None`
@@ -162,7 +278,7 @@ impl RoutingTable {
                 return None; // wandered into a wrong host
             }
             let port = self.next_port(node, dst, flow)?;
-            node = topo.link_at(node, port).peer_of(node).ok()?.node;
+            node = topo.wire(node, port).peer.node;
             hops += 1;
             if hops > 64 {
                 return None; // routing loop guard

@@ -20,23 +20,37 @@ pub enum NodeKind {
     Switch,
 }
 
-/// A node in the topology: a host or a switch, with its attached links
-/// indexed by port.
+/// A node in the topology: a host or a switch. What its ports attach
+/// to is in [`Topology::wires_of`].
 #[derive(Debug, Clone)]
 pub struct Node {
     /// This node's id.
     pub id: NodeId,
     /// Host or switch.
     pub kind: NodeKind,
-    /// Attached link per port, in port order.
-    pub ports: Vec<LinkId>,
+    port_count: u16,
 }
 
 impl Node {
     /// Number of ports in use.
     pub fn port_count(&self) -> usize {
-        self.ports.len()
+        self.port_count as usize
     }
+}
+
+/// What one `(node, port)` attachment reaches: everything a hop needs
+/// about its link, in one slot of [`Topology`]'s flat per-port table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Wire {
+    /// The far end of the link.
+    pub peer: LinkEnd,
+    /// The attached link.
+    pub link: LinkId,
+    /// Which end of the link this attachment is: 0 for `link.a`, 1 for
+    /// `link.b`.
+    pub dir: u8,
+    /// The link's one-way propagation delay.
+    pub propagation: SimDuration,
 }
 
 /// An immutable node/link graph.
@@ -44,6 +58,11 @@ impl Node {
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,
+    /// `port_base[node]` = index of the node's port 0 in `wires`; one
+    /// trailing entry holds `wires.len()`.
+    port_base: Vec<u32>,
+    /// One [`Wire`] per `(node, port)`, node-major in port order.
+    wires: Vec<Wire>,
 }
 
 /// Configuration for the 3-layer clos fabric of the paper's Fig. 6.
@@ -166,7 +185,10 @@ impl Topology {
     pub fn clos(cfg: &ClosConfig) -> Topology {
         assert!(cfg.tors > 0 && cfg.aggs > 0 && cfg.cores > 0 && cfg.hosts_per_tor > 0);
         let n_hosts = cfg.host_count();
-        let mut b = Builder::new();
+        let mut b = TopologyBuilder::sized(
+            n_hosts + cfg.tors + cfg.aggs + cfg.cores,
+            n_hosts + cfg.tors * cfg.aggs + cfg.aggs * cfg.cores,
+        );
         let hosts: Vec<NodeId> = (0..n_hosts).map(|_| b.add(NodeKind::Host)).collect();
         let tors: Vec<NodeId> = (0..cfg.tors).map(|_| b.add(NodeKind::Switch)).collect();
         let aggs: Vec<NodeId> = (0..cfg.aggs).map(|_| b.add(NodeKind::Switch)).collect();
@@ -207,7 +229,11 @@ impl Topology {
         );
         let k = cfg.k;
         let half = k / 2;
-        let mut b = Builder::new();
+        // Hosts, edge→agg and agg→core links all number k³/4.
+        let mut b = TopologyBuilder::sized(
+            cfg.host_count() + 2 * cfg.edge_count() + cfg.core_count(),
+            3 * cfg.host_count(),
+        );
         let hosts: Vec<NodeId> = (0..cfg.host_count())
             .map(|_| b.add(NodeKind::Host))
             .collect();
@@ -262,7 +288,7 @@ impl Topology {
     /// Panics if `n` is zero.
     pub fn single_switch(n: usize, host_rate: BitRate, propagation: SimDuration) -> Topology {
         assert!(n > 0);
-        let mut b = Builder::new();
+        let mut b = TopologyBuilder::new();
         let hosts: Vec<NodeId> = (0..n).map(|_| b.add(NodeKind::Host)).collect();
         let sw = b.add(NodeKind::Switch);
         for &h in &hosts {
@@ -285,7 +311,7 @@ impl Topology {
         propagation: SimDuration,
     ) -> Topology {
         assert!(n_left > 0 && n_right > 0);
-        let mut b = Builder::new();
+        let mut b = TopologyBuilder::new();
         let left: Vec<NodeId> = (0..n_left).map(|_| b.add(NodeKind::Host)).collect();
         let right: Vec<NodeId> = (0..n_right).map(|_| b.add(NodeKind::Host)).collect();
         let sl = b.add(NodeKind::Switch);
@@ -334,8 +360,32 @@ impl Topology {
     ///
     /// Panics if the node or port is out of range.
     pub fn link_at(&self, node: NodeId, port: PortId) -> &Link {
-        let lid = self.node(node).ports[port.index()];
-        self.link(lid)
+        self.link(self.wire(node, port).link)
+    }
+
+    /// What `(node, port)` is wired to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node or port is out of range.
+    pub fn wire(&self, node: NodeId, port: PortId) -> &Wire {
+        &self.wires_of(node)[port.index()]
+    }
+
+    /// The wires of all of `node`'s ports, in port order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node is out of range.
+    pub fn wires_of(&self, node: NodeId) -> &[Wire] {
+        let ix = node.index();
+        &self.wires[self.port_base[ix] as usize..self.port_base[ix + 1] as usize]
+    }
+
+    /// `port_base()[node]` is the index of the node's port 0 in a flat
+    /// node-major per-port table; the last entry is the table's length.
+    pub(crate) fn port_base(&self) -> &[u32] {
+        &self.port_base
     }
 
     /// Ids of all hosts, in id order.
@@ -357,12 +407,10 @@ impl Topology {
     /// The switch a host's single port connects to, or `None` for
     /// switches / unattached nodes.
     pub fn host_uplink_switch(&self, host: NodeId) -> Option<NodeId> {
-        let n = self.node(host);
-        if n.kind != NodeKind::Host {
+        if self.node(host).kind != NodeKind::Host {
             return None;
         }
-        let link = self.link(*n.ports.first()?);
-        Some(link.peer_of(host).ok()?.node)
+        Some(self.wires_of(host).first()?.peer.node)
     }
 
     /// Number of nodes.
@@ -371,48 +419,98 @@ impl Topology {
     }
 }
 
-struct Builder {
+/// Builds a [`Topology`] node by node and link by link — what the named
+/// builders ([`Topology::clos`], [`Topology::fat_tree`], …) are made of,
+/// public for fabrics they do not cover.
+#[derive(Debug, Default)]
+pub struct TopologyBuilder {
     nodes: Vec<Node>,
     links: Vec<Link>,
 }
 
-impl Builder {
-    fn new() -> Self {
-        Builder {
-            nodes: Vec::new(),
-            links: Vec::new(),
+impl TopologyBuilder {
+    /// An empty graph.
+    pub fn new() -> Self {
+        TopologyBuilder::default()
+    }
+
+    /// An empty graph with room for a builder's known node and link
+    /// counts, so a large fabric is laid out without regrowing.
+    fn sized(nodes: usize, links: usize) -> Self {
+        TopologyBuilder {
+            nodes: Vec::with_capacity(nodes),
+            links: Vec::with_capacity(links),
         }
     }
 
-    fn add(&mut self, kind: NodeKind) -> NodeId {
+    /// Adds a node with no ports yet; ids are assigned in call order.
+    pub fn add(&mut self, kind: NodeKind) -> NodeId {
         let id = NodeId::new(self.nodes.len() as u32);
         self.nodes.push(Node {
             id,
             kind,
-            ports: Vec::new(),
+            port_count: 0,
         });
         id
     }
 
-    fn connect(&mut self, x: NodeId, y: NodeId, rate: BitRate, propagation: SimDuration) {
+    /// Joins `x` and `y` with a link on the next free port of each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either id was not returned by [`TopologyBuilder::add`],
+    /// or if `x == y` (a link has two distinct ends).
+    pub fn connect(&mut self, x: NodeId, y: NodeId, rate: BitRate, propagation: SimDuration) {
+        assert!(x != y, "self-loop at {x}");
         let id = LinkId::new(self.links.len() as u32);
-        let px = PortId::new(self.nodes[x.index()].ports.len() as u16);
-        let py = PortId::new(self.nodes[y.index()].ports.len() as u16);
-        self.nodes[x.index()].ports.push(id);
-        self.nodes[y.index()].ports.push(id);
+        let mut next_port = |n: NodeId| {
+            let count = &mut self.nodes[n.index()].port_count;
+            let port = PortId::new(*count);
+            *count = count.checked_add(1).expect("port ids are 16 bits");
+            LinkEnd::new(n, port)
+        };
+        let (a, b) = (next_port(x), next_port(y));
         self.links.push(Link {
             id,
-            a: LinkEnd::new(x, px),
-            b: LinkEnd::new(y, py),
+            a,
+            b,
             rate,
             propagation,
         });
     }
 
-    fn build(self) -> Topology {
+    /// Freezes the graph and lays out its flat per-port wire table.
+    pub fn build(self) -> Topology {
+        let mut port_base = Vec::with_capacity(self.nodes.len() + 1);
+        let mut slots = 0u32;
+        for node in &self.nodes {
+            port_base.push(slots);
+            slots += u32::from(node.port_count);
+        }
+        port_base.push(slots);
+        // Every slot is written below: each port is one end of one link.
+        let unwired = Wire {
+            peer: LinkEnd::new(NodeId::new(0), PortId::new(0)),
+            link: LinkId::new(0),
+            dir: 0,
+            propagation: SimDuration::ZERO,
+        };
+        let mut wires = vec![unwired; slots as usize];
+        for l in &self.links {
+            for (dir, here, peer) in [(0, l.a, l.b), (1, l.b, l.a)] {
+                wires[port_base[here.node.index()] as usize + here.port.index()] = Wire {
+                    peer,
+                    link: l.id,
+                    dir,
+                    propagation: l.propagation,
+                };
+            }
+        }
         Topology {
             nodes: self.nodes,
             links: self.links,
+            port_base,
+            wires,
         }
     }
 }
@@ -475,6 +573,40 @@ mod tests {
         assert_eq!(d.hosts().count(), 5);
         assert_eq!(d.switches().count(), 2);
         assert_eq!(d.links().len(), 6);
+    }
+
+    #[test]
+    fn wire_table_agrees_with_the_link_list() {
+        let us = SimDuration::from_micros(1);
+        for t in [
+            Topology::clos(&ClosConfig::paper()),
+            Topology::fat_tree(&FatTreeConfig::new(4)),
+            Topology::dumbbell(3, 2, BitRate::from_gbps(25), BitRate::from_gbps(10), us),
+        ] {
+            let ports: usize = t.nodes().iter().map(Node::port_count).sum();
+            assert_eq!(ports, t.links().len() * 2);
+            for l in t.links() {
+                for (dir, here, peer) in [(0, l.a, l.b), (1, l.b, l.a)] {
+                    let want = Wire {
+                        peer,
+                        link: l.id,
+                        dir,
+                        propagation: l.propagation,
+                    };
+                    assert_eq!(*t.wire(here.node, here.port), want);
+                    assert_eq!(t.wires_of(here.node)[here.port.index()], want);
+                    assert_eq!(t.link_at(here.node, here.port), l);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "self-loop")]
+    fn builder_rejects_self_loops() {
+        let mut b = TopologyBuilder::new();
+        let sw = b.add(NodeKind::Switch);
+        b.connect(sw, sw, BitRate::from_gbps(1), SimDuration::ZERO);
     }
 
     #[test]

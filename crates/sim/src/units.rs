@@ -201,16 +201,20 @@ impl BitRate {
             return SimDuration::MAX;
         }
         let bits = bytes.as_u64().saturating_mul(8);
-        // ns = bits / (bps / 1e9), computed as bits * 1e9 / bps using
-        // u128 to avoid overflow for large byte counts.
-        let ns = (bits as u128 * 1_000_000_000).div_ceil(self.0 as u128);
-        SimDuration::from_nanos(ns.min(u64::MAX as u128) as u64)
+        // ns = bits / (bps / 1e9), computed as bits * 1e9 / bps: in u64
+        // when the product fits (any packet does), else in u128.
+        SimDuration::from_nanos(match bits.checked_mul(1_000_000_000) {
+            Some(bit_ns) => bit_ns.div_ceil(self.0),
+            None => tx_nanos_wide(bits, self.0),
+        })
     }
 
     /// Bytes fully drained over `dur` at this rate (floor).
     pub fn bytes_over(self, dur: SimDuration) -> Bytes {
-        let bits = self.0 as u128 * dur.as_nanos() as u128 / 1_000_000_000;
-        Bytes::new((bits / 8).min(u64::MAX as u128) as u64)
+        Bytes::new(match self.0.checked_mul(dur.as_nanos()) {
+            Some(bit_ns) => bit_ns / 1_000_000_000 / 8,
+            None => drained_bytes_wide(self.0, dur.as_nanos()),
+        })
     }
 
     /// Scales the rate by a non-negative factor (e.g. DCQCN rate cuts),
@@ -267,6 +271,19 @@ impl fmt::Display for BitRate {
     }
 }
 
+/// [`BitRate::tx_time`] in `u128`, for products past `u64` — and the
+/// oracle its `u64` path is tested against.
+fn tx_nanos_wide(bits: u64, bps: u64) -> u64 {
+    let ns = (bits as u128 * 1_000_000_000).div_ceil(bps as u128);
+    ns.min(u64::MAX as u128) as u64
+}
+
+/// [`BitRate::bytes_over`] in `u128`, likewise.
+fn drained_bytes_wide(bps: u64, nanos: u64) -> u64 {
+    let bits = bps as u128 * nanos as u128 / 1_000_000_000;
+    (bits / 8).min(u64::MAX as u128) as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,6 +298,43 @@ mod tests {
     #[test]
     fn tx_time_zero_rate_is_never() {
         assert_eq!(BitRate::ZERO.tx_time(Bytes::new(1)), SimDuration::MAX);
+    }
+
+    #[test]
+    fn u64_fast_paths_equal_the_u128_expressions() {
+        let mut rng = crate::rng::SimRng::seed_from_u64(0x7715);
+        let edges = [0, 1, 7, 8, 1_048, u64::MAX / 8, u64::MAX - 1, u64::MAX];
+        let rates = [1, 3, 1_000_000_000, 25_000_000_000, 400_000_000_000];
+        // Random operands of every magnitude, so both sides of the
+        // overflow boundary are hit.
+        let wide = |rng: &mut crate::rng::SimRng| rng.next_u64() >> rng.below(64);
+        let check = |x: u64, bps: u64| {
+            let rate = BitRate::from_bps(bps);
+            assert_eq!(
+                rate.tx_time(Bytes::new(x)).as_nanos(),
+                tx_nanos_wide(x.saturating_mul(8), bps),
+                "tx_time({x} B) at {bps} bps"
+            );
+            assert_eq!(
+                rate.bytes_over(SimDuration::from_nanos(x)).as_u64(),
+                drained_bytes_wide(bps, x),
+                "bytes_over({x} ns) at {bps} bps"
+            );
+        };
+        for &bps in &rates {
+            for &x in &edges {
+                check(x, bps);
+            }
+        }
+        for _ in 0..20_000 {
+            let bps = 1 + rng.below(400_000_000_000);
+            check(wide(&mut rng), bps);
+            check(
+                wide(&mut rng),
+                rates[rng.below(rates.len() as u64) as usize],
+            );
+        }
+        assert_eq!(BitRate::ZERO.bytes_over(SimDuration::MAX), Bytes::ZERO);
     }
 
     #[test]
