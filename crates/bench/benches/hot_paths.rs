@@ -11,7 +11,8 @@ use dcn_net::{
 };
 use dcn_sim::{BitRate, Bytes, EventQueue, SimTime};
 use dcn_switch::{
-    AbmPolicy, BufferPolicy, DtPolicy, MmuState, Pool, QueueIndex, SharedMemorySwitch, SwitchConfig,
+    AbmPolicy, BufferPolicy, Charge, DtPolicy, EgressPort, MmuState, Pool, QueueIndex,
+    QueuedPacket, SharedMemorySwitch, SwitchConfig, TxStart,
 };
 use l2bm::{L2bmConfig, L2bmPolicy};
 
@@ -317,6 +318,80 @@ fn bench_switch_cycle() {
     });
 }
 
+/// A queue entry as a host NIC files it.
+fn queued(seq: u64) -> QueuedPacket {
+    QueuedPacket {
+        packet: Packet::data(
+            FlowId::new(1),
+            NodeId::new(100),
+            NodeId::new(101),
+            Priority::new(3),
+            TrafficClass::Lossless,
+            seq,
+            Bytes::new(1_000),
+            Bytes::new(48),
+        ),
+        in_port: PortId::new(0),
+        charge: Charge::NONE,
+    }
+}
+
+/// What a queued packet's bytes are moved through, with no switch logic
+/// around it: FIFO slot → `TxStart` → `Event::Deliver` in the event
+/// queue's slab → the handler's stack.
+fn bench_queue() {
+    use dcn_fabric::Event;
+    let rate = BitRate::from_gbps(25);
+    let mut port = EgressPort::new();
+    let mut events: EventQueue<Event> = EventQueue::new();
+    // The slab at the depth a 128-host run keeps pending.
+    for i in 0..1_024u64 {
+        let e = Event::Deliver {
+            node: NodeId::new(1),
+            in_port: PortId::new(0),
+            packet: queued(i).packet,
+        };
+        events.schedule_at(SimTime::from_nanos(i * 336), e);
+    }
+    let mut seq = 0u64;
+    bench("queue/enqueue_start_next_through_slab", || {
+        seq += 1_000;
+        port.enqueue(queued(seq));
+        let packet = port.start_next(|_| false).expect("idle port, one packet");
+        port.finish_tx();
+        let tx = TxStart {
+            port: PortId::new(1),
+            packet,
+            serialize: rate.tx_time(packet.size()),
+        };
+        let (now, _) = events.pop().expect("depth stays constant");
+        let at = now + tx.serialize + dcn_sim::SimDuration::from_micros(350);
+        let deliver = Event::Deliver {
+            node: NodeId::new(1),
+            in_port: tx.port,
+            packet: tx.packet,
+        };
+        events.schedule_at(at, deliver);
+        black_box(now)
+    });
+
+    // One iteration = 2 048 packets through one FIFO, which crosses the
+    // release bound: the drained queue gives its buffer back and the next
+    // burst grows a new one. Divide by 2 048 for the per-packet cost.
+    let mut port = EgressPort::new();
+    bench("queue/burst_2k_fill_drain_cycle", || {
+        for seq in 0..2_048u64 {
+            port.enqueue(queued(seq));
+        }
+        let mut last = 0;
+        while let Some(packet) = port.start_next(|_| false) {
+            last = packet.seq;
+            port.finish_tx();
+        }
+        black_box(last)
+    });
+}
+
 fn main() {
     bench_mmu();
     bench_policies();
@@ -326,4 +401,5 @@ fn main() {
     bench_flow_table();
     bench_routing();
     bench_switch_cycle();
+    bench_queue();
 }

@@ -1,7 +1,8 @@
 //! Fabric-level configuration: which buffer-management policy runs on
 //! the switches, plus transport tunables.
 
-use dcn_sim::{FaultSchedule, SimDuration, TraceConfig};
+use dcn_net::MAX_FRAME;
+use dcn_sim::{Bytes, FaultSchedule, SimDuration, TraceConfig};
 use dcn_switch::{AbmPolicy, BufferPolicy, DtPolicy, OccamyPolicy, SwitchConfig};
 use dcn_transport::{DcqcnConfig, DctcpConfig, IrnConfig};
 use l2bm::{BShareConfig, BSharePolicy, L2bmConfig, L2bmPolicy};
@@ -218,6 +219,41 @@ impl Default for FabricConfig {
             trace: TraceConfig::default(),
             faults: FaultSchedule::none(),
             train: TrainConfig::default(),
+        }
+    }
+}
+
+impl FabricConfig {
+    /// Rejects a configuration whose frames would not fit a
+    /// [`dcn_net::Packet`]'s two-byte size fields, naming the field —
+    /// at construction, not at the first oversized packet mid-run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dctcp.mss + header`, `dcqcn.mtu + header`,
+    /// `irn.mtu + header` or `switch.mtu` exceeds
+    /// [`dcn_net::MAX_FRAME`].
+    pub(crate) fn assert_frames_fit(&self) {
+        let frames = [
+            (
+                "dctcp.mss + dctcp.header",
+                Bytes::new(self.dctcp.mss) + self.dctcp.header,
+            ),
+            (
+                "dcqcn.mtu + dcqcn.header",
+                Bytes::new(self.dcqcn.mtu) + self.dcqcn.header,
+            ),
+            (
+                "irn.mtu + irn.header",
+                Bytes::new(self.irn.mtu) + self.irn.header,
+            ),
+            ("switch.mtu", self.switch.mtu),
+        ];
+        for (field, frame) in frames {
+            assert!(
+                frame <= MAX_FRAME,
+                "{field} = {frame} exceeds the largest frame a packet can describe ({MAX_FRAME})"
+            );
         }
     }
 }

@@ -8,7 +8,7 @@
 
 use dcn_net::{NodeId, Packet, PortId, Priority};
 use dcn_sim::{BitRate, Bytes, SimDuration, SimTime, TimerHandle};
-use dcn_switch::{Charge, EgressPort, InFlight, Pool, QueuedPacket, TxStart};
+use dcn_switch::{Charge, EgressPort, InFlight, QueuedPacket, TxStart};
 
 /// One committed leg of a packet train: a packet whose serialization
 /// slot and `Deliver` event are already booked on the NIC's wire.
@@ -84,11 +84,7 @@ impl Host {
         self.nic.enqueue(QueuedPacket {
             packet,
             in_port: PortId::new(0),
-            charge: Charge {
-                reserved: Bytes::ZERO,
-                pooled: Bytes::ZERO,
-                pool: Pool::Shared,
-            },
+            charge: Charge::NONE,
         });
     }
 
@@ -97,7 +93,7 @@ impl Host {
     pub fn try_start(&mut self) -> Option<TxStart> {
         let paused = self.paused;
         let packet = self.nic.start_next(|p| paused[p.index()])?;
-        let serialize = self.link_rate.tx_time(packet.size);
+        let serialize = self.link_rate.tx_time(packet.size());
         Some(TxStart {
             port: PortId::new(0),
             packet,
@@ -169,11 +165,7 @@ impl Host {
         self.nic.requeue_front(QueuedPacket {
             packet,
             in_port: PortId::new(0),
-            charge: Charge {
-                reserved: Bytes::ZERO,
-                pooled: Bytes::ZERO,
-                pool: Pool::Shared,
-            },
+            charge: Charge::NONE,
         });
     }
 
@@ -181,18 +173,9 @@ impl Host {
     /// reconstruction: the leg currently on the wire takes over from
     /// leg 0).
     pub fn set_in_flight_leg(&mut self, leg: &TrainLeg, prio: Priority) {
-        self.nic.set_in_flight(InFlight {
-            flow: leg.packet.flow,
-            seq: leg.packet.seq,
-            priority: prio,
-            size: leg.packet.size,
-            in_port: PortId::new(0),
-            charge: Charge {
-                reserved: Bytes::ZERO,
-                pooled: Bytes::ZERO,
-                pool: Pool::Shared,
-            },
-        });
+        debug_assert_eq!(leg.packet.priority, prio);
+        self.nic
+            .set_in_flight(InFlight::of(&leg.packet, PortId::new(0), Charge::NONE));
     }
 
     /// Completes the in-flight transmission without starting the next

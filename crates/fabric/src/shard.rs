@@ -119,10 +119,12 @@ impl ShardedFabricSim {
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero, or if `cfg` enables the flight
-    /// recorder or packet trains.
+    /// Panics if `shards` is zero, if `cfg` enables the flight
+    /// recorder or packet trains, or if a configured frame exceeds
+    /// [`dcn_net::MAX_FRAME`].
     pub fn new(topo: Topology, cfg: FabricConfig, shards: usize) -> ShardedFabricSim {
         assert!(shards >= 1, "at least one shard");
+        cfg.assert_frames_fit();
         assert!(
             !cfg.trace.enabled,
             "sharded runs do not support the flight recorder"
@@ -777,6 +779,15 @@ mod tests {
         assert_eq!(serial.rdma_stranded, sharded.rdma_stranded);
         assert_eq!(serial.flow_stalls, sharded.flow_stalls);
         assert!(!sharded.shards.is_empty(), "shard stats surfaced");
+    }
+
+    #[test]
+    #[should_panic(expected = "irn.mtu + irn.header = 70.0KB exceeds")]
+    fn oversized_mtu_is_refused_at_construction() {
+        let topo = Topology::single_switch(2, BitRate::from_gbps(25), SimDuration::from_micros(1));
+        let mut cfg = FabricConfig::default();
+        cfg.irn.mtu = 70_000 - cfg.irn.header.as_u64();
+        let _ = ShardedFabricSim::new(topo, cfg, 1);
     }
 
     #[test]

@@ -405,6 +405,12 @@ impl World {
         &self.trace
     }
 
+    /// Makes room for `additional` more [`World::register_flow`] calls.
+    fn reserve_flows(&mut self, additional: usize) {
+        self.flows.reserve(additional);
+        self.counted_done.reserve(additional);
+    }
+
     pub(crate) fn register_flow(&mut self, spec: FlowSpec) -> usize {
         assert!(
             self.flow_ix.get(spec.id).is_none(),
@@ -740,7 +746,7 @@ impl World {
                 start,
                 serialize,
                 deliver_at,
-                packet: leg_packet.clone(),
+                packet: leg_packet,
             });
             q.schedule_at(
                 deliver_at,
@@ -757,7 +763,7 @@ impl World {
             let Some(qp) = h.pop_front(prio) else {
                 break;
             };
-            let serialize = h.tx_time(qp.packet.size);
+            let serialize = h.tx_time(qp.packet.size());
             commit(qp.packet, serialize, at, &mut legs);
             at += serialize;
         }
@@ -842,7 +848,7 @@ impl World {
             }
             FlowRuntime::Rdma { sender, .. } => {
                 if let Some(p) = sender.emit_next(now) {
-                    let gap = sender.gap_for(p.size);
+                    let gap = sender.gap_for(p.size());
                     q.schedule_after(now, gap, Event::RdmaPace { flow: spec.id });
                     self.host_inject(now, spec.src, p, q);
                 }
@@ -943,17 +949,11 @@ impl World {
 
         match (&mut self.flows[ix].runtime, packet.kind) {
             (FlowRuntime::Tcp { receiver, .. }, PacketKind::Data) => {
-                let ack = receiver.on_data(now, packet.seq, packet.payload, packet.ecn.is_ce());
+                let ack = receiver.on_data(now, packet.seq, packet.payload(), packet.ecn.is_ce());
                 outs.push(ack);
             }
-            (
-                FlowRuntime::Tcp { sender, .. },
-                PacketKind::Ack {
-                    cumulative_ack,
-                    ecn_echo,
-                },
-            ) => {
-                let action = sender.on_ack(now, cumulative_ack, ecn_echo, &mut outs);
+            (FlowRuntime::Tcp { sender, .. }, PacketKind::Ack { ecn_echo }) => {
+                let action = sender.on_ack(now, packet.ack, ecn_echo, &mut outs);
                 let t_flow = packet.flow.as_u64();
                 if let Some(tr) = action.transition {
                     let ev = match tr {
@@ -995,13 +995,13 @@ impl World {
                 }
             }
             (FlowRuntime::Rdma { receiver, .. }, PacketKind::Data) => {
-                if let Some(cnp) = receiver.on_data(now, packet.payload, packet.ecn.is_ce()) {
+                if let Some(cnp) = receiver.on_data(now, packet.payload(), packet.ecn.is_ce()) {
                     outs.push(cnp);
                 }
             }
             (FlowRuntime::Irn { receiver, .. }, PacketKind::Data) => {
-                let fb = receiver.on_data(now, packet.seq, packet.payload, packet.ecn.is_ce());
-                if let PacketKind::Nack { nack_seq, .. } = fb.kind {
+                let fb = receiver.on_data(now, packet.seq, packet.payload(), packet.ecn.is_ce());
+                if fb.kind == PacketKind::Nack {
                     // A new gap at the receiver that no switch on the
                     // path spotted first (e.g. the loss was on the
                     // last hop).
@@ -1010,31 +1010,25 @@ impl World {
                     let t_node = host.index() as u32;
                     self.trace.record_with(now, || TraceEvent::IrnNack {
                         flow: t_flow,
-                        nack_seq,
+                        nack_seq: fb.seq,
                         node: t_node,
                         from_switch: false,
                     });
                 }
                 outs.push(fb);
             }
-            (FlowRuntime::Irn { sender, .. }, PacketKind::Ack { cumulative_ack, .. }) => {
+            (FlowRuntime::Irn { sender, .. }, PacketKind::Ack { .. }) => {
                 irn_watermark = Some(sender.snd_max());
-                let action = sender.on_ack(now, cumulative_ack, &mut outs);
+                let action = sender.on_ack(now, packet.ack, &mut outs);
                 if action.rearm_timer {
                     rearm_rto = Some(sender.rto());
                 } else if action.completed {
                     cancel_rto = true;
                 }
             }
-            (
-                FlowRuntime::Irn { sender, .. },
-                PacketKind::Nack {
-                    nack_seq,
-                    cumulative_ack,
-                },
-            ) => {
+            (FlowRuntime::Irn { sender, .. }, PacketKind::Nack) => {
                 irn_watermark = Some(sender.snd_max());
-                let action = sender.on_nack(now, nack_seq, cumulative_ack, &mut outs);
+                let action = sender.on_nack(now, packet.seq, packet.ack, &mut outs);
                 if action.rearm_timer {
                     rearm_rto = Some(sender.rto());
                 } else if action.completed {
@@ -1134,7 +1128,7 @@ impl World {
         for p in outs {
             if p.is_data() && p.seq < watermark {
                 self.irn.retransmitted_packets += 1;
-                self.irn.retransmitted_bytes += p.payload.as_u64();
+                self.irn.retransmitted_bytes += p.payload().as_u64();
                 let t_flow = p.flow.as_u64();
                 let t_seq = p.seq;
                 self.trace.record_with(now, || TraceEvent::IrnRetransmit {
@@ -1154,7 +1148,7 @@ impl World {
             return;
         };
         if let Some(p) = sender.emit_next(now) {
-            let gap = sender.gap_for(p.size);
+            let gap = sender.gap_for(p.size());
             q.schedule_after(now, gap, Event::RdmaPace { flow });
             self.host_inject(now, spec.src, p, q);
         } else {
@@ -1326,16 +1320,16 @@ impl World {
         cause: TraceDropCause,
     ) {
         match packet.class {
-            TrafficClass::Lossless => self.wire_drops.record_lossless(packet.size),
-            TrafficClass::Lossy => self.wire_drops.record_lossy(packet.size),
-            TrafficClass::LossyRdma => self.wire_drops.record_lossy_rdma(packet.size),
+            TrafficClass::Lossless => self.wire_drops.record_lossless(packet.size()),
+            TrafficClass::Lossy => self.wire_drops.record_lossy(packet.size()),
+            TrafficClass::LossyRdma => self.wire_drops.record_lossy_rdma(packet.size()),
         }
         let t_node = node.index() as u32;
         let t_port = in_port.index() as u16;
         let t_prio = packet.priority.index() as u8;
         let t_flow = packet.flow.as_u64();
         let t_seq = packet.seq;
-        let t_size = packet.size.as_u64();
+        let t_size = packet.size().as_u64();
         let lossless = packet.class == TrafficClass::Lossless;
         self.trace.record_with(now, || TraceEvent::Drop {
             node: t_node,
@@ -1370,7 +1364,7 @@ impl World {
             return Some(TraceDropCause::LinkDown);
         }
         if ber > 0.0 {
-            let bits = (packet.size.as_u64() * 8).min(i32::MAX as u64) as i32;
+            let bits = (packet.size().as_u64() * 8).min(i32::MAX as u64) as i32;
             let survive = (1.0 - ber).powi(bits);
             // Draw from this delivery direction's own stream: the draw
             // sequence each packet sees is then independent of every
@@ -1863,7 +1857,13 @@ pub struct FabricSim {
 impl FabricSim {
     /// Builds the simulator for a topology (the `FabricConfig` selects
     /// the buffer-management policy, transports and sampling).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a configured MSS/MTU plus its header, or the switch
+    /// MTU, exceeds [`dcn_net::MAX_FRAME`].
     pub fn new(topo: Topology, cfg: FabricConfig) -> FabricSim {
+        cfg.assert_frames_fit();
         let sample = cfg.sample_interval;
         let world = World::new(topo, cfg);
         let mut queue = EventQueue::new();
@@ -1886,8 +1886,12 @@ impl FabricSim {
             .schedule_at(spec.start, Event::FlowStart { index: ix });
     }
 
-    /// Registers many flows.
+    /// Registers many flows, sizing the flow storage once from the
+    /// iterator's lower size bound instead of re-copying every
+    /// `FlowState` through each doubling.
     pub fn add_flows(&mut self, specs: impl IntoIterator<Item = FlowSpec>) {
+        let specs = specs.into_iter();
+        self.world.reserve_flows(specs.size_hint().0);
         for s in specs {
             self.add_flow(s);
         }
@@ -2014,6 +2018,56 @@ mod tests {
             ..FabricConfig::default()
         };
         FabricSim::new(topo, cfg)
+    }
+
+    fn two_hosts() -> Topology {
+        Topology::single_switch(2, BitRate::from_gbps(25), SimDuration::from_micros(1))
+    }
+
+    /// An event is a packet plus where it lands; growing it is a
+    /// deliberate edit of this bound (DESIGN.md §3.5).
+    #[test]
+    fn event_fits_48_bytes() {
+        assert!(std::mem::size_of::<Event>() <= 48);
+    }
+
+    #[test]
+    #[should_panic(expected = "dctcp.mss + dctcp.header = 70.0KB exceeds")]
+    fn oversized_mss_is_refused_at_construction() {
+        let topo = two_hosts();
+        let mut cfg = FabricConfig::default();
+        cfg.dctcp.mss = 70_000;
+        let _ = FabricSim::new(topo, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "switch.mtu = 70.0KB exceeds")]
+    fn oversized_switch_mtu_is_refused_at_construction() {
+        let topo = two_hosts();
+        let mut cfg = FabricConfig::default();
+        cfg.switch.mtu = Bytes::new(70_000);
+        let _ = FabricSim::new(topo, cfg);
+    }
+
+    /// Frames of exactly `MAX_FRAME` cross a switch (admission charge,
+    /// in-flight record, delivery) and come out whole on both transports.
+    #[test]
+    fn largest_frame_flows_complete() {
+        let topo = two_hosts();
+        let mut cfg = FabricConfig {
+            sample_interval: None,
+            ..FabricConfig::default()
+        };
+        cfg.dctcp.mss = (dcn_net::MAX_FRAME - cfg.dctcp.header).as_u64();
+        cfg.dcqcn.mtu = (dcn_net::MAX_FRAME - cfg.dcqcn.header).as_u64();
+        let (mss, mtu) = (cfg.dctcp.mss, cfg.dcqcn.mtu);
+        let mut sim = FabricSim::new(topo, cfg);
+        sim.add_flow(spec(1, 0, 1, 3 * mss, TrafficClass::Lossy, 0));
+        sim.add_flow(spec(2, 1, 0, 3 * mtu, TrafficClass::Lossless, 0));
+        assert!(sim.run_until_done(SimTime::from_millis(50)));
+        let r = sim.results();
+        assert_eq!(r.fct.len(), 2);
+        assert_eq!(r.drops.lossy_packets + r.drops.lossless_packets, 0);
     }
 
     #[test]

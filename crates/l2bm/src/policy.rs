@@ -132,8 +132,7 @@ mod tests {
         qo: QueueIndex,
         bytes: u64,
     ) {
-        let c = m.plan_charge(qi, Bytes::new(bytes), Pool::Shared);
-        m.charge(qi, qo, c);
+        m.charge_bulk(qi, qo, Bytes::new(bytes), Pool::Shared);
         p.on_enqueue(m, now, qi, qo, Bytes::new(bytes));
     }
 

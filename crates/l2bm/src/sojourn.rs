@@ -450,8 +450,7 @@ mod tests {
         qo: QueueIndex,
         bytes: u64,
     ) {
-        let c = m.plan_charge(qi, Bytes::new(bytes), Pool::Shared);
-        m.charge(qi, qo, c);
+        m.charge_bulk(qi, qo, Bytes::new(bytes), Pool::Shared);
         s.on_enqueue(m, now, qi, qo);
     }
 
@@ -463,14 +462,14 @@ mod tests {
         qo: QueueIndex,
         bytes: u64,
     ) {
-        let c = m.plan_charge(qi, Bytes::ZERO, Pool::Shared);
-        let _ = c;
-        let charge = dcn_switch::Charge {
-            reserved: Bytes::ZERO,
-            pooled: Bytes::new(bytes),
-            pool: Pool::Shared,
-        };
-        m.discharge(now, qi, qo, charge);
+        // The default config reserves nothing per queue, so planning the
+        // same bytes again names the charges `enqueue` made.
+        let mut left = Bytes::new(bytes);
+        while left > Bytes::ZERO {
+            let c = m.plan_charge(qi, left.min(dcn_net::MAX_FRAME), Pool::Shared);
+            m.discharge(now, qi, qo, c);
+            left -= c.total();
+        }
         s.on_dequeue(now, qi, qo);
     }
 

@@ -42,7 +42,8 @@ mod topology;
 pub use ids::{FlowId, NodeId, PortId, Priority, TrafficClass};
 pub use link::{Link, LinkEnd, LinkId, NotAttached};
 pub use packet::{
-    EcnCodepoint, Packet, PacketKind, PfcFrame, ACK_SIZE, CNP_SIZE, NACK_SIZE, PFC_FRAME_SIZE,
+    EcnCodepoint, Packet, PacketKind, PfcFrame, ACK_SIZE, CNP_SIZE, MAX_FRAME, NACK_SIZE,
+    PFC_FRAME_SIZE,
 };
 pub use partition::Partition;
 pub use routing::RoutingTable;

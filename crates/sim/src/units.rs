@@ -84,6 +84,22 @@ impl Bytes {
     }
 }
 
+/// A frame-sized count stored in two bytes (packets, MMU charges) widens
+/// losslessly.
+impl From<u16> for Bytes {
+    fn from(n: u16) -> Bytes {
+        Bytes(u64::from(n))
+    }
+}
+
+/// The checked way into a two-byte field: fails above `u16::MAX`.
+impl TryFrom<Bytes> for u16 {
+    type Error = std::num::TryFromIntError;
+    fn try_from(b: Bytes) -> Result<u16, Self::Error> {
+        u16::try_from(b.0)
+    }
+}
+
 impl Add for Bytes {
     type Output = Bytes;
     fn add(self, rhs: Bytes) -> Bytes {

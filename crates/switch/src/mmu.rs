@@ -12,7 +12,7 @@
 //! policy's PFC threshold), then — for lossless traffic that arrives
 //! after/above the pause threshold — the queue's *headroom*.
 
-use dcn_net::{PortId, Priority};
+use dcn_net::{PortId, Priority, MAX_FRAME};
 use dcn_sim::{BitRate, Bytes, SimDuration, SimTime};
 
 use crate::config::SwitchConfig;
@@ -50,20 +50,40 @@ pub enum Pool {
 
 /// How one admitted packet's bytes were charged; stored with the packet
 /// and replayed in reverse at departure.
+///
+/// Six bytes: a charge never exceeds one frame ([`MAX_FRAME`]),
+/// and it rides in every queue entry and in-flight record. Built by
+/// [`MmuState::plan_charge`]; read through the [`Bytes`] accessors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Charge {
-    /// Bytes charged to the queue's reserved allotment.
-    pub reserved: Bytes,
-    /// Bytes charged to `pool`.
-    pub pooled: Bytes,
+    reserved: u16,
+    pooled: u16,
     /// Pool the non-reserved bytes went to.
     pub pool: Pool,
 }
 
 impl Charge {
+    /// The empty charge: what a host NIC, which has no MMU, files with
+    /// its queued packets.
+    pub const NONE: Charge = Charge {
+        reserved: 0,
+        pooled: 0,
+        pool: Pool::Shared,
+    };
+
+    /// Bytes charged to the queue's reserved allotment.
+    pub fn reserved(&self) -> Bytes {
+        Bytes::from(self.reserved)
+    }
+
+    /// Bytes charged to `pool`.
+    pub fn pooled(&self) -> Bytes {
+        Bytes::from(self.pooled)
+    }
+
     /// Total bytes of the charge.
     pub fn total(&self) -> Bytes {
-        self.reserved + self.pooled
+        self.reserved() + self.pooled()
     }
 }
 
@@ -359,11 +379,16 @@ impl MmuState {
 
     /// Splits `size` into a charge for ingress queue `q` given the pool
     /// choice for the non-reserved remainder. Does not mutate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either part of the split exceeds [`MAX_FRAME`], which
+    /// only a `size` above it can cause.
     pub fn plan_charge(&self, q: QueueIndex, size: Bytes, pool: Pool) -> Charge {
         let reserved = self.reserved_available(q).min(size);
         Charge {
-            reserved,
-            pooled: size - reserved,
+            reserved: u16::try_from(reserved).expect("charge exceeds one frame"),
+            pooled: u16::try_from(size - reserved).expect("charge exceeds one frame"),
             pool,
         }
     }
@@ -373,16 +398,16 @@ impl MmuState {
     pub fn charge(&mut self, q_in: QueueIndex, q_out: QueueIndex, c: Charge) {
         let i = q_in.flat();
         let before = self.ingress_total(q_in);
-        self.in_reserved[i] += c.reserved;
-        self.reserved_used += c.reserved;
+        self.in_reserved[i] += c.reserved();
+        self.reserved_used += c.reserved();
         match c.pool {
             Pool::Shared => {
-                self.in_shared[i] += c.pooled;
-                self.shared_used += c.pooled;
+                self.in_shared[i] += c.pooled();
+                self.shared_used += c.pooled();
             }
             Pool::Headroom => {
-                self.in_headroom[i] += c.pooled;
-                self.headroom_used += c.pooled;
+                self.in_headroom[i] += c.pooled();
+                self.headroom_used += c.pooled();
             }
         }
         self.ingress_total_changed(q_in, before, self.ingress_total(q_in));
@@ -398,16 +423,16 @@ impl MmuState {
     pub fn discharge(&mut self, now: SimTime, q_in: QueueIndex, q_out: QueueIndex, c: Charge) {
         let i = q_in.flat();
         let before = self.ingress_total(q_in);
-        self.in_reserved[i] -= c.reserved;
-        self.reserved_used -= c.reserved;
+        self.in_reserved[i] -= c.reserved();
+        self.reserved_used -= c.reserved();
         match c.pool {
             Pool::Shared => {
-                self.in_shared[i] -= c.pooled;
-                self.shared_used -= c.pooled;
+                self.in_shared[i] -= c.pooled();
+                self.shared_used -= c.pooled();
             }
             Pool::Headroom => {
-                self.in_headroom[i] -= c.pooled;
-                self.headroom_used -= c.pooled;
+                self.in_headroom[i] -= c.pooled();
+                self.headroom_used -= c.pooled();
             }
         }
         self.ingress_total_changed(q_in, before, self.ingress_total(q_in));
@@ -417,6 +442,28 @@ impl MmuState {
             self.out_active[q_out.port.index()] -= 1;
         }
         self.drain[i].record(now, c.total());
+    }
+
+    /// Charges `size` bytes — any amount — as a run of charges of at
+    /// most one frame each, returned in charge order for a later
+    /// [`MmuState::discharge`]. For tests and benchmarks that fill a
+    /// switch to a level; admission charges one packet at a time.
+    pub fn charge_bulk(
+        &mut self,
+        q_in: QueueIndex,
+        q_out: QueueIndex,
+        size: Bytes,
+        pool: Pool,
+    ) -> Vec<Charge> {
+        let mut charges = Vec::new();
+        let mut left = size;
+        while left > Bytes::ZERO {
+            let c = self.plan_charge(q_in, left.min(MAX_FRAME), pool);
+            self.charge(q_in, q_out, c);
+            left -= c.total();
+            charges.push(c);
+        }
+        charges
     }
 
     /// Sets the downstream pause state of an egress queue. Returns
@@ -495,11 +542,11 @@ mod tests {
     fn charge_uses_reserved_first() {
         let m = mmu();
         let c = m.plan_charge(q(0, 3), Bytes::new(1_500), Pool::Shared);
-        assert_eq!(c.reserved, Bytes::new(1_500));
-        assert_eq!(c.pooled, Bytes::ZERO);
+        assert_eq!(c.reserved(), Bytes::new(1_500));
+        assert_eq!(c.pooled(), Bytes::ZERO);
         let c2 = m.plan_charge(q(0, 3), Bytes::new(3_000), Pool::Shared);
-        assert_eq!(c2.reserved, Bytes::new(2_000));
-        assert_eq!(c2.pooled, Bytes::new(1_000));
+        assert_eq!(c2.reserved(), Bytes::new(2_000));
+        assert_eq!(c2.pooled(), Bytes::new(1_000));
     }
 
     #[test]
@@ -601,5 +648,58 @@ mod tests {
         m.charge(q(0, 3), q(1, 3), c);
         let active: Vec<QueueIndex> = m.active_ingress_queues().collect();
         assert_eq!(active, vec![q(0, 3)]);
+    }
+    #[test]
+    fn charge_is_six_bytes() {
+        assert_eq!(std::mem::size_of::<Charge>(), 6);
+        assert_eq!(Charge::NONE.total(), Bytes::ZERO);
+    }
+
+    /// However the reserve splits a packet, the charge accounts for
+    /// exactly its bytes — up to and including the largest frame.
+    #[test]
+    fn planned_charge_totals_the_packet_size() {
+        let mut rng = dcn_sim::SimRng::seed_from_u64(0xC4A6);
+        for case in 0..64 {
+            let mut m = mmu();
+            let (qi, qo) = (q(0, 3), q(1, 3));
+            // Leave anywhere from none to all of the 2 000-byte reserve.
+            let prefill = m.plan_charge(qi, Bytes::new(rng.below(2_500)), Pool::Shared);
+            m.charge(qi, qo, prefill);
+            let left = m.reserved_available(qi);
+            for size in [0, 1, 1_048, 1 + rng.below(65_535), 65_535] {
+                let size = Bytes::new(size);
+                for pool in [Pool::Shared, Pool::Headroom] {
+                    let c = m.plan_charge(qi, size, pool);
+                    assert_eq!(c.total(), size, "case {case}: {size} into {pool:?}");
+                    assert_eq!(c.reserved(), left.min(size), "case {case}: reserve first");
+                    assert_eq!(c.pool, pool);
+                    m.charge(qi, qo, c);
+                    m.check_conservation().unwrap();
+                    m.discharge(SimTime::ZERO, qi, qo, c);
+                }
+            }
+            assert_eq!(m.ingress_total(qi), prefill.total());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "charge exceeds one frame")]
+    fn charge_above_one_frame_is_refused_not_truncated() {
+        let _ = mmu().plan_charge(q(0, 3), Bytes::new(70_000), Pool::Shared);
+    }
+
+    #[test]
+    fn bulk_charge_fills_to_any_level_frame_by_frame() {
+        let mut m = mmu();
+        let charges = m.charge_bulk(q(0, 3), q(1, 3), Bytes::from_mb(1), Pool::Shared);
+        assert_eq!(charges.len(), 16, "15 whole frames and a remainder");
+        assert_eq!(m.ingress_total(q(0, 3)), Bytes::from_mb(1));
+        assert_eq!(charges[0].reserved(), Bytes::new(2_000));
+        m.check_conservation().unwrap();
+        for c in charges {
+            m.discharge(SimTime::ZERO, q(0, 3), q(1, 3), c);
+        }
+        assert_eq!(m.total_stored(), Bytes::ZERO);
     }
 }

@@ -338,8 +338,7 @@ mod tests {
             Bytes::new(500_000)
         );
         // Fill 2 MB: T halves.
-        let c = m.plan_charge(q(1, 3), Bytes::from_mb(2), Pool::Shared);
-        m.charge(q(1, 3), q(2, 3), c);
+        m.charge_bulk(q(1, 3), q(2, 3), Bytes::from_mb(2), Pool::Shared);
         assert_eq!(
             dt.pfc_threshold(&m, q(0, 3), SimTime::ZERO),
             Bytes::new(250_000)

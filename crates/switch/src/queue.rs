@@ -14,8 +14,9 @@ use dcn_sim::Bytes;
 use crate::mmu::Charge;
 
 /// A packet held in an egress queue together with the bookkeeping needed
-/// to reverse its MMU charge when it departs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// to reverse its MMU charge when it departs. 48 bytes — the unit the
+/// simulator's memory is counted in (DESIGN.md §3.5).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueuedPacket {
     /// The packet itself.
     pub packet: Packet,
@@ -35,15 +36,44 @@ pub struct InFlight {
     pub flow: FlowId,
     /// The packet's sequence number within its flow.
     pub seq: u64,
-    /// The packet's priority (names both queues with the ports).
-    pub priority: Priority,
-    /// The packet's total size on the wire.
-    pub size: Bytes,
+    size: u16,
     /// The ingress port it arrived on.
     pub in_port: PortId,
     /// How its bytes were charged at admission.
     pub charge: Charge,
+    /// The packet's priority (names both queues with the ports).
+    pub priority: Priority,
 }
+
+impl InFlight {
+    /// The departure record of `packet`, which arrived on `in_port` and
+    /// was admitted under `charge`.
+    pub fn of(packet: &Packet, in_port: PortId, charge: Charge) -> InFlight {
+        InFlight {
+            flow: packet.flow,
+            seq: packet.seq,
+            size: u16::try_from(packet.size()).expect("a packet is at most one frame"),
+            in_port,
+            charge,
+            priority: packet.priority,
+        }
+    }
+
+    /// The packet's total size on the wire.
+    pub fn size(&self) -> Bytes {
+        Bytes::from(self.size)
+    }
+}
+
+/// A priority FIFO that drains while holding more than this many slots
+/// gives its buffer back to the allocator. A `VecDeque` never shrinks on
+/// its own, so without this every queue keeps the footprint of the
+/// deepest burst it ever held and the process's peak memory is the sum
+/// of all queues' historical maxima rather than what is queued at once
+/// (a host NIC that once held a flow's whole window, for the rest of the
+/// run). Queues that stay at or below the bound — every steady-state
+/// switch queue — keep their buffer and never reallocate.
+const RELEASE_ABOVE_SLOTS: usize = 1_024;
 
 /// One egress port: eight priority FIFOs, a round-robin pointer, and at
 /// most one packet in flight on the wire.
@@ -69,6 +99,18 @@ impl EgressPort {
         let prio = qp.packet.priority.index();
         self.queues[prio].push_back(qp);
         self.nonempty |= 1 << prio;
+    }
+
+    /// Bookkeeping after a pop from `queues[ix]`: if that emptied it,
+    /// clears its `nonempty` bit and applies [`RELEASE_ABOVE_SLOTS`].
+    fn after_pop(&mut self, ix: usize) {
+        let q = &mut self.queues[ix];
+        if q.is_empty() {
+            self.nonempty &= !(1 << ix);
+            if q.capacity() > RELEASE_ABOVE_SLOTS {
+                *q = VecDeque::new();
+            }
+        }
     }
 
     /// Whether the transmitter is idle (no packet being serialized).
@@ -104,18 +146,9 @@ impl EgressPort {
                 continue;
             }
             let qp = self.queues[ix].pop_front().expect("nonempty bit set");
-            if self.queues[ix].is_empty() {
-                self.nonempty &= !(1 << ix);
-            }
+            self.after_pop(ix);
             self.rr_next = (ix + 1) % Priority::COUNT;
-            self.in_flight = Some(InFlight {
-                flow: qp.packet.flow,
-                seq: qp.packet.seq,
-                priority: qp.packet.priority,
-                size: qp.packet.size,
-                in_port: qp.in_port,
-                charge: qp.charge,
-            });
+            self.in_flight = Some(InFlight::of(&qp.packet, qp.in_port, qp.charge));
             return Some(qp.packet);
         }
         None
@@ -154,9 +187,7 @@ impl EgressPort {
     pub fn pop_front(&mut self, priority: Priority) -> Option<QueuedPacket> {
         let ix = priority.index();
         let qp = self.queues[ix].pop_front()?;
-        if self.queues[ix].is_empty() {
-            self.nonempty &= !(1 << ix);
-        }
+        self.after_pop(ix);
         Some(qp)
     }
 
@@ -169,9 +200,7 @@ impl EgressPort {
     pub fn pop_back(&mut self, priority: Priority) -> Option<QueuedPacket> {
         let ix = priority.index();
         let qp = self.queues[ix].pop_back()?;
-        if self.queues[ix].is_empty() {
-            self.nonempty &= !(1 << ix);
-        }
+        self.after_pop(ix);
         Some(qp)
     }
 
@@ -204,10 +233,10 @@ impl EgressPort {
     /// already started and its `tx_complete` will discharge it normally.
     pub fn drain_all(&mut self) -> Vec<QueuedPacket> {
         let mut out = Vec::with_capacity(self.queued_total());
-        for q in self.queues.iter_mut() {
-            out.extend(q.drain(..));
+        for ix in 0..Priority::COUNT {
+            out.extend(self.queues[ix].drain(..));
+            self.after_pop(ix);
         }
-        self.nonempty = 0;
         out
     }
 }
@@ -215,7 +244,6 @@ impl EgressPort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mmu::{Charge, Pool};
     use dcn_net::{FlowId, NodeId, TrafficClass};
     use dcn_sim::Bytes;
 
@@ -232,11 +260,7 @@ mod tests {
                 Bytes::new(48),
             ),
             in_port: PortId::new(0),
-            charge: Charge {
-                reserved: Bytes::ZERO,
-                pooled: Bytes::new(1_048),
-                pool: Pool::Shared,
-            },
+            charge: Charge::NONE,
         }
     }
 
@@ -404,19 +428,8 @@ mod tests {
         let mut p = EgressPort::new();
         p.enqueue(qp(3, 1));
         p.start_next(|_| false).unwrap();
-        let replacement = InFlight {
-            flow: FlowId::new(9),
-            seq: 9,
-            priority: Priority::new(3),
-            size: Bytes::new(1_000),
-            in_port: PortId::new(0),
-            charge: Charge {
-                reserved: Bytes::ZERO,
-                pooled: Bytes::ZERO,
-                pool: Pool::Shared,
-            },
-        };
-        p.set_in_flight(replacement);
+        let other = qp(3, 9);
+        p.set_in_flight(InFlight::of(&other.packet, other.in_port, other.charge));
         assert_eq!(p.finish_tx().seq, 9);
     }
 
@@ -434,5 +447,224 @@ mod tests {
         assert_eq!(p.queued_total(), 0);
         assert!(!p.is_idle(), "in-flight record untouched");
         assert_eq!(p.finish_tx().seq, 2);
+    }
+    /// Growing a queue entry or an in-flight record is a deliberate edit
+    /// of these bounds (DESIGN.md §3.5, "bytes per packet in flight").
+    #[test]
+    fn queue_entries_stay_small() {
+        assert!(std::mem::size_of::<QueuedPacket>() <= 48);
+        assert!(std::mem::size_of::<InFlight>() <= 32);
+        assert!(std::mem::size_of::<crate::TxStart>() <= 56);
+    }
+
+    /// The scheduler as it was before the release rule, written the slow
+    /// way: queues that never give their buffer back, `nonempty` and
+    /// `sole_nonempty` recomputed from the queues on every question.
+    #[derive(Default)]
+    struct NeverReleasing {
+        queues: [VecDeque<QueuedPacket>; Priority::COUNT],
+        rr_next: usize,
+        in_flight: Option<u64>,
+    }
+
+    impl NeverReleasing {
+        fn nonempty(&self) -> u8 {
+            (0..Priority::COUNT)
+                .filter(|&ix| !self.queues[ix].is_empty())
+                .fold(0, |bits, ix| bits | 1 << ix)
+        }
+
+        fn sole_nonempty(&self) -> Option<Priority> {
+            let mut busy = (0..Priority::COUNT).filter(|&ix| !self.queues[ix].is_empty());
+            match (busy.next(), busy.next()) {
+                (Some(ix), None) => Some(Priority::new(ix as u8)),
+                _ => None,
+            }
+        }
+
+        fn start_next(&mut self, paused: u8) -> Option<Packet> {
+            if self.in_flight.is_some() {
+                return None;
+            }
+            let ix = (0..Priority::COUNT)
+                .map(|off| (self.rr_next + off) % Priority::COUNT)
+                .find(|&ix| !self.queues[ix].is_empty() && paused & (1 << ix) == 0)?;
+            let qp = self.queues[ix].pop_front().unwrap();
+            self.rr_next = (ix + 1) % Priority::COUNT;
+            self.in_flight = Some(qp.packet.seq);
+            Some(qp.packet)
+        }
+    }
+
+    fn assert_same_state(port: &EgressPort, model: &NeverReleasing, ctx: &str) {
+        assert_eq!(port.rr_next, model.rr_next, "{ctx}: rr_next");
+        assert_eq!(port.nonempty, model.nonempty(), "{ctx}: nonempty");
+        assert_eq!(port.sole_nonempty(), model.sole_nonempty(), "{ctx}: sole");
+        assert_eq!(
+            port.in_flight().map(|inf| inf.seq),
+            model.in_flight,
+            "{ctx}: in flight"
+        );
+        for prio in Priority::all() {
+            assert_eq!(
+                port.queued_at(prio),
+                model.queues[prio.index()].len(),
+                "{ctx}: depth of {prio:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn release_rule_is_invisible_to_the_scheduler() {
+        use dcn_sim::SimRng;
+        let mut cases_that_released = 0;
+        for case in 0..64u64 {
+            let mut rng = SimRng::seed_from_u64(0x0E1E_A5E0 + case);
+            let mut port = EgressPort::new();
+            let mut model = NeverReleasing::default();
+            let mut next_seq = 0u64;
+            let mut released = false;
+            for step in 0..40 + rng.below(40) {
+                let ctx = format!("case {case} step {step}");
+                let prio = Priority::new([1, 3, 3, 6][rng.below(4) as usize]);
+                let ix = prio.index();
+                match rng.below(10) {
+                    // A burst: usually a few packets, one time in three
+                    // deep enough to cross the release bound.
+                    0..=2 => {
+                        let burst = match rng.below(3) {
+                            0 => 1 + rng.below(5_000),
+                            _ => 1 + rng.below(30),
+                        };
+                        for _ in 0..burst {
+                            port.enqueue(qp(prio.as_u8(), next_seq));
+                            model.queues[ix].push_back(qp(prio.as_u8(), next_seq));
+                            next_seq += 1;
+                        }
+                    }
+                    // Serve for a while under a random pause mask.
+                    3..=5 => {
+                        let paused = if rng.below(3) == 0 {
+                            rng.below(256) as u8
+                        } else {
+                            0
+                        };
+                        for _ in 0..rng.below(6_000) {
+                            let got = port.start_next(|p| paused & (1 << p.index()) != 0);
+                            assert_eq!(got, model.start_next(paused), "{ctx}: served");
+                            if got.is_none() {
+                                break;
+                            }
+                            assert_eq!(Some(port.finish_tx().seq), model.in_flight.take());
+                        }
+                    }
+                    // Train legs: pop the head, sometimes revoke it.
+                    6 | 7 => {
+                        let legs: Vec<QueuedPacket> = (0..rng.below(4))
+                            .map_while(|_| {
+                                let got = port.pop_front(prio);
+                                assert_eq!(got, model.queues[ix].pop_front(), "{ctx}: leg");
+                                got
+                            })
+                            .collect();
+                        if rng.below(2) == 0 {
+                            for leg in legs.into_iter().rev() {
+                                port.requeue_front(leg);
+                                model.queues[ix].push_front(leg);
+                            }
+                        }
+                    }
+                    // Evictions from the tail.
+                    8 => {
+                        for _ in 0..rng.below(40) {
+                            let got = port.pop_back(prio);
+                            assert_eq!(got, model.queues[ix].pop_back(), "{ctx}: evicted");
+                        }
+                    }
+                    // Port down.
+                    _ => {
+                        let want: Vec<QueuedPacket> =
+                            model.queues.iter_mut().flat_map(|q| q.drain(..)).collect();
+                        assert_eq!(port.drain_all(), want, "{ctx}: drained");
+                    }
+                }
+                assert_same_state(&port, &model, &ctx);
+                released |= (0..Priority::COUNT).any(|ix| {
+                    port.queues[ix].capacity() == 0
+                        && model.queues[ix].capacity() > RELEASE_ABOVE_SLOTS
+                });
+            }
+            cases_that_released += u32::from(released);
+        }
+        // The battery must exercise what it is a test of.
+        assert!(cases_that_released >= 48, "{cases_that_released} of 64");
+    }
+
+    #[test]
+    fn deep_burst_gives_its_buffer_back_once_drained() {
+        for drain in ["start_next", "pop_front", "pop_back", "drain_all"] {
+            let mut p = EgressPort::new();
+            for seq in 0..5_000 {
+                p.enqueue(qp(3, seq));
+            }
+            p.enqueue(qp(1, 9_999));
+            assert!(p.queues[3].capacity() >= 5_000);
+            match drain {
+                "start_next" => {
+                    while p.start_next(|prio| prio == Priority::new(1)).is_some() {
+                        p.finish_tx();
+                    }
+                }
+                "pop_front" => while p.pop_front(Priority::new(3)).is_some() {},
+                "pop_back" => while p.pop_back(Priority::new(3)).is_some() {},
+                _ => assert_eq!(p.drain_all().len(), 5_001),
+            }
+            assert_eq!(p.queues[3].capacity(), 0, "{drain}: buffer returned");
+            if drain != "drain_all" {
+                assert_eq!(
+                    p.queued_at(Priority::new(1)),
+                    1,
+                    "{drain}: others untouched"
+                );
+                assert_eq!(p.sole_nonempty(), Some(Priority::new(1)));
+            }
+            // The released FIFO is an ordinary empty queue.
+            p.enqueue(qp(3, 10_000));
+            assert_eq!(p.pop_back(Priority::new(3)).unwrap().packet.seq, 10_000);
+        }
+    }
+
+    #[test]
+    fn queue_within_the_bound_never_reallocates() {
+        let mut p = EgressPort::new();
+        for seq in 0..RELEASE_ABOVE_SLOTS as u64 {
+            p.enqueue(qp(3, seq));
+        }
+        let (buffer, capacity) = (p.queues[3].as_slices().0.as_ptr(), p.queues[3].capacity());
+        assert_eq!(capacity, RELEASE_ABOVE_SLOTS, "the bound is a power of two");
+        // Fill to the bound and drain to empty, every way there is.
+        for round in 0..8u64 {
+            match round % 4 {
+                0 => {
+                    while p.start_next(|_| false).is_some() {
+                        p.finish_tx();
+                    }
+                }
+                1 => while p.pop_front(Priority::new(3)).is_some() {},
+                2 => while p.pop_back(Priority::new(3)).is_some() {},
+                _ => assert_eq!(p.drain_all().len(), RELEASE_ABOVE_SLOTS),
+            }
+            assert_eq!(p.queued_total(), 0);
+            for seq in 0..RELEASE_ABOVE_SLOTS as u64 {
+                p.enqueue(qp(3, seq));
+            }
+            assert_eq!(p.queues[3].capacity(), capacity, "round {round}");
+            let (head, tail) = p.queues[3].as_slices();
+            let base = if tail.is_empty() { head } else { tail };
+            assert!(
+                base.as_ptr() >= buffer && base.as_ptr() < buffer.wrapping_add(capacity),
+                "round {round}: same buffer"
+            );
+        }
     }
 }

@@ -38,7 +38,7 @@ pub struct PfcEmit {
 
 /// An instruction to the event loop: `packet` starts serializing out of
 /// `port` now and completes after `serialize`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxStart {
     /// The transmitting egress port.
     pub port: PortId,
@@ -218,7 +218,7 @@ impl SharedMemorySwitch {
     ) -> ReceiveResult {
         let q_in = QueueIndex::new(in_port, packet.priority);
         let q_out = QueueIndex::new(out_port, packet.priority);
-        let size = packet.size;
+        let size = packet.size();
         // Copy the identifiers the trace closures need up front, so the
         // closures capture only `Copy` locals and never borrow `self` or
         // the packet (which is mutated and ultimately moved below).
@@ -247,7 +247,7 @@ impl SharedMemorySwitch {
         // the sender. The high-water mark then jumps past the gap so one
         // loss episode produces one NACK from this switch.
         let nack = if packet.class.is_lossy_rdma() && packet.is_data() {
-            let end = packet.seq + packet.payload.as_u64();
+            let end = packet.seq + packet.payload().as_u64();
             let expected = self.irn_expected.entry(packet.flow).or_insert(0);
             let gap = packet.seq > *expected;
             let nack_seq = *expected;
@@ -285,15 +285,15 @@ impl SharedMemorySwitch {
         let charge = loop {
             let threshold = self.policy.pfc_threshold(&self.mmu, q_in, now);
             let plan = self.mmu.plan_charge(q_in, size, Pool::Shared);
-            let fits_shared = plan.pooled == Bytes::ZERO
-                || (self.mmu.ingress_shared(q_in) + plan.pooled <= threshold
-                    && plan.pooled <= self.mmu.shared_remaining());
+            let fits_shared = plan.pooled() == Bytes::ZERO
+                || (self.mmu.ingress_shared(q_in) + plan.pooled() <= threshold
+                    && plan.pooled() <= self.mmu.shared_remaining());
 
             let rejection = match packet.class {
                 TrafficClass::Lossless => {
                     if fits_shared {
                         break plan;
-                    } else if plan.pooled <= self.mmu.headroom_available(q_in) {
+                    } else if plan.pooled() <= self.mmu.headroom_available(q_in) {
                         break self.mmu.plan_charge(q_in, size, Pool::Headroom);
                     } else {
                         DropReason::HeadroomExhausted
@@ -459,7 +459,7 @@ impl SharedMemorySwitch {
             return false;
         }
         let v_in = QueueIndex::new(qp.in_port, qp.packet.priority);
-        let v_size = qp.packet.size;
+        let v_size = qp.packet.size();
         self.mmu.discharge(now, v_in, victim, qp.charge);
         self.policy.on_dequeue(&self.mmu, now, v_in, victim, v_size);
         self.drop_counters.record_evicted(v_size);
@@ -497,7 +497,8 @@ impl SharedMemorySwitch {
         let q_in = QueueIndex::new(qp.in_port, qp.priority);
         let q_out = QueueIndex::new(port, qp.priority);
         self.mmu.discharge(now, q_in, q_out, qp.charge);
-        self.policy.on_dequeue(&self.mmu, now, q_in, q_out, qp.size);
+        self.policy
+            .on_dequeue(&self.mmu, now, q_in, q_out, qp.size());
         let t_node = self.id.index() as u32;
         self.trace.record_with(now, || TraceEvent::Dequeue {
             node: t_node,
@@ -505,7 +506,7 @@ impl SharedMemorySwitch {
             prio: qp.priority.index() as u8,
             flow: qp.flow.as_u64(),
             seq: qp.seq,
-            size: qp.size.as_u64(),
+            size: qp.size().as_u64(),
         });
 
         // --- PFC XON check ----------------------------------------------
@@ -622,7 +623,7 @@ impl SharedMemorySwitch {
         for qp in drained {
             let q_in = QueueIndex::new(qp.in_port, qp.packet.priority);
             let q_out = QueueIndex::new(port, qp.packet.priority);
-            let size = qp.packet.size;
+            let size = qp.packet.size();
             self.mmu.discharge(now, q_in, q_out, qp.charge);
             self.policy.on_dequeue(&self.mmu, now, q_in, q_out, size);
             match qp.packet.class {
@@ -683,15 +684,15 @@ impl SharedMemorySwitch {
         cause: TraceDropCause,
     ) {
         match packet.class {
-            TrafficClass::Lossless => self.drop_counters.record_lossless(packet.size),
-            class => self.record_droppable(class, packet.size),
+            TrafficClass::Lossless => self.drop_counters.record_lossless(packet.size()),
+            class => self.record_droppable(class, packet.size()),
         }
         let t_node = self.id.index() as u32;
         let t_in = in_port.index() as u16;
         let t_prio = packet.priority.index() as u8;
         let t_flow = packet.flow.as_u64();
         let t_seq = packet.seq;
-        let t_size = packet.size.as_u64();
+        let t_size = packet.size().as_u64();
         let t_lossless = packet.class.is_lossless();
         self.trace.record_with(now, || TraceEvent::Drop {
             node: t_node,
@@ -710,7 +711,7 @@ impl SharedMemorySwitch {
         let mmu = &self.mmu;
         let eport = &mut self.ports[port.index()];
         let packet = eport.start_next(|prio| mmu.egress_paused(QueueIndex::new(port, prio)))?;
-        let serialize = mmu.link_rate(port).tx_time(packet.size);
+        let serialize = mmu.link_rate(port).tx_time(packet.size());
         Some(TxStart {
             port,
             packet,
@@ -1423,11 +1424,8 @@ mod tests {
         assert_eq!(nack.src, NodeId::new(101));
         assert_eq!(nack.dst, NodeId::new(100));
         assert_eq!(
-            nack.kind,
-            PacketKind::Nack {
-                nack_seq: 2 * MTU_PAYLOAD,
-                cumulative_ack: 0
-            }
+            (nack.kind, nack.seq, nack.ack),
+            (PacketKind::Nack, 2 * MTU_PAYLOAD, 0)
         );
         // The same episode does not re-NACK on the next in-order packet,
         // and a retransmission filling the hole does not NACK either.

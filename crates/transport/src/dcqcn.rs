@@ -174,7 +174,7 @@ impl DcqcnSender {
         );
         self.snd_nxt += payload;
         // Byte-counter stage events.
-        self.bytes_since_stage += pkt.size.as_u64();
+        self.bytes_since_stage += pkt.size().as_u64();
         if self.ever_cut && self.bytes_since_stage >= self.cfg.byte_counter.as_u64() {
             self.bytes_since_stage = 0;
             self.b_stage += 1;
@@ -330,16 +330,16 @@ mod tests {
         assert_eq!(s.rate(), BitRate::from_gbps(25));
         let p = s.emit_next(SimTime::ZERO).unwrap();
         assert_eq!(p.seq, 0);
-        assert_eq!(p.size, Bytes::new(1_048));
+        assert_eq!(p.size(), Bytes::new(1_048));
         // Gap at 25 Gbps for 1048 B = 336 ns (rounded up).
-        assert_eq!(s.gap_for(p.size).as_nanos(), 336);
+        assert_eq!(s.gap_for(p.size()).as_nanos(), 336);
     }
 
     #[test]
     fn emits_whole_flow_then_stops() {
         let mut s = sender(2_500);
         let sizes: Vec<u64> = std::iter::from_fn(|| s.emit_next(SimTime::ZERO))
-            .map(|p| p.payload.as_u64())
+            .map(|p| p.payload().as_u64())
             .collect();
         assert_eq!(sizes, vec![1_000, 1_000, 500]);
         assert!(!s.has_more());

@@ -217,7 +217,7 @@ impl DctcpSender {
             && self.snd_nxt + self.cfg.mss.min(self.size - self.snd_nxt) <= limit
         {
             let pkt = self.segment(self.snd_nxt);
-            self.snd_nxt += pkt.payload.as_u64();
+            self.snd_nxt += pkt.payload().as_u64();
             out.push(pkt);
         }
         if self.window_end == 0 {
@@ -481,7 +481,7 @@ mod tests {
         let mut s = sender(500);
         let burst = ready(&mut s, SimTime::ZERO);
         assert_eq!(burst.len(), 1);
-        assert_eq!(burst[0].payload, Bytes::new(500));
+        assert_eq!(burst[0].payload(), Bytes::new(500));
         let (a, _) = ack(&mut s, SimTime::from_micros(10), 500, false);
         assert!(a.completed);
         assert!(s.is_completed());
@@ -494,7 +494,7 @@ mod tests {
         let burst = ready(&mut s, SimTime::ZERO);
         let mut t = SimTime::from_micros(10);
         for p in &burst {
-            ack(&mut s, t, p.seq + p.payload.as_u64(), false);
+            ack(&mut s, t, p.seq + p.payload().as_u64(), false);
             t += SimDuration::from_nanos(100);
         }
         assert!(
@@ -516,7 +516,7 @@ mod tests {
         let mut cut_seen = 0;
         let mut last_cwnd = before;
         for p in &burst {
-            ack(&mut s, t, p.seq + p.payload.as_u64(), true);
+            ack(&mut s, t, p.seq + p.payload().as_u64(), true);
             if s.cwnd() < last_cwnd {
                 cut_seen += 1;
             }
@@ -536,7 +536,7 @@ mod tests {
             |s: &mut DctcpSender, inflight: &mut Vec<Packet>, t: &mut SimTime, marked: bool| {
                 let pkts = std::mem::take(inflight);
                 for p in pkts {
-                    s.on_ack(*t, p.seq + p.payload.as_u64(), marked, inflight);
+                    s.on_ack(*t, p.seq + p.payload().as_u64(), marked, inflight);
                     *t += SimDuration::from_nanos(100);
                 }
             };
@@ -655,12 +655,9 @@ mod tests {
             let delivered = std::mem::take(&mut inflight);
             assert!(!delivered.is_empty(), "stalled with nothing in flight");
             for p in delivered {
-                let ack = r.on_data(t, p.seq, p.payload, false);
-                let cum = match ack.kind {
-                    dcn_net::PacketKind::Ack { cumulative_ack, .. } => cumulative_ack,
-                    _ => unreachable!(),
-                };
-                s.on_ack(t, cum, false, &mut inflight);
+                let ack = r.on_data(t, p.seq, p.payload(), false);
+                assert!(matches!(ack.kind, dcn_net::PacketKind::Ack { .. }));
+                s.on_ack(t, ack.ack, false, &mut inflight);
                 t += SimDuration::from_nanos(100);
             }
         }
@@ -705,15 +702,11 @@ mod tests {
         );
         // Segment 1 (1000..2000) arrives before segment 0.
         let a1 = r.on_data(SimTime::from_micros(1), 1_000, Bytes::new(1_000), false);
-        match a1.kind {
-            dcn_net::PacketKind::Ack { cumulative_ack, .. } => assert_eq!(cumulative_ack, 0),
-            _ => panic!("expected ack"),
-        }
+        assert!(matches!(a1.kind, dcn_net::PacketKind::Ack { .. }));
+        assert_eq!(a1.ack, 0);
         let a0 = r.on_data(SimTime::from_micros(2), 0, Bytes::new(1_000), false);
-        match a0.kind {
-            dcn_net::PacketKind::Ack { cumulative_ack, .. } => assert_eq!(cumulative_ack, 2_000),
-            _ => panic!("expected ack"),
-        }
+        assert!(matches!(a0.kind, dcn_net::PacketKind::Ack { .. }));
+        assert_eq!(a0.ack, 2_000);
         assert!(r.finished_at().is_none());
         let _ = r.on_data(SimTime::from_micros(3), 2_000, Bytes::new(1_000), true);
         assert_eq!(r.finished_at(), Some(SimTime::from_micros(3)));
@@ -729,10 +722,7 @@ mod tests {
             Bytes::new(2_000),
         );
         let ack = r.on_data(SimTime::ZERO, 0, Bytes::new(1_000), true);
-        match ack.kind {
-            dcn_net::PacketKind::Ack { ecn_echo, .. } => assert!(ecn_echo),
-            _ => panic!("expected ack"),
-        }
+        assert_eq!(ack.kind, dcn_net::PacketKind::Ack { ecn_echo: true });
     }
 
     #[test]
@@ -746,10 +736,8 @@ mod tests {
         );
         r.on_data(SimTime::ZERO, 0, Bytes::new(1_000), false);
         let again = r.on_data(SimTime::from_micros(1), 0, Bytes::new(1_000), false);
-        match again.kind {
-            dcn_net::PacketKind::Ack { cumulative_ack, .. } => assert_eq!(cumulative_ack, 1_000),
-            _ => panic!("expected ack"),
-        }
+        assert!(matches!(again.kind, dcn_net::PacketKind::Ack { .. }));
+        assert_eq!(again.ack, 1_000);
         assert_eq!(r.received(), 1_000);
     }
 }

@@ -6,7 +6,7 @@
 //! Unlike DCQCN, an IRN flow's packets travel in the droppable
 //! [`TrafficClass::LossyRdma`] class: switches never pause for them and
 //! may drop or evict them under pressure. Recovery is end-to-end:
-//! switches and the receiver generate [`PacketKind::Nack`]s when an
+//! switches and the receiver generate [`dcn_net::PacketKind::Nack`]s when an
 //! out-of-order arrival exposes a sequence gap, and the sender
 //! retransmits. The receiver keeps the out-of-order byte-range set (the
 //! simulator's equivalent of IRN's per-packet sack bitmap); the sender
@@ -14,7 +14,7 @@
 //! NACKs from multiple observers (every switch on the path plus the
 //! receiver) trigger exactly one recovery each.
 
-use dcn_net::{FlowId, NodeId, Packet, PacketKind, Priority, TrafficClass};
+use dcn_net::{FlowId, NodeId, Packet, Priority, TrafficClass};
 use dcn_sim::{Bytes, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -426,21 +426,11 @@ impl IrnReceiver {
     }
 }
 
-/// Extracts the cumulative ack of an IRN feedback packet (test helper
-/// and fabric convenience).
-pub fn irn_feedback_cum(kind: &PacketKind) -> Option<u64> {
-    match kind {
-        PacketKind::Ack { cumulative_ack, .. } | PacketKind::Nack { cumulative_ack, .. } => {
-            Some(*cumulative_ack)
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dctcp::{DctcpConfig, DctcpSender};
+    use dcn_net::PacketKind;
 
     fn sender(size: u64) -> IrnSender {
         sender_with(IrnConfig::default(), size)
@@ -619,39 +609,23 @@ mod tests {
         let t = SimTime::from_micros(1);
         // In-order arrival: plain cumulative ACK.
         let a = r.on_data(t, 0, Bytes::new(1_000), false);
-        assert_eq!(
-            irn_feedback_cum(&a.kind),
-            Some(1_000),
-            "in-order data acks cumulatively"
-        );
+        assert_eq!(a.ack, 1_000, "in-order data acks cumulatively");
         assert!(matches!(a.kind, PacketKind::Ack { .. }));
         assert_eq!(a.class, TrafficClass::LossyRdma);
         // 1000..2000 lost; 2000 arrives: a new gap → NACK(1000).
         let n = r.on_data(t, 2_000, Bytes::new(1_000), false);
-        assert_eq!(
-            n.kind,
-            PacketKind::Nack {
-                nack_seq: 1_000,
-                cumulative_ack: 1_000
-            }
-        );
+        assert_eq!((n.kind, n.seq, n.ack), (PacketKind::Nack, 1_000, 1_000));
         // The next in-sequence arrival beyond the gap is not a new gap.
         let a = r.on_data(t, 3_000, Bytes::new(1_000), false);
         assert!(matches!(a.kind, PacketKind::Ack { .. }));
         // A second hole at 4000: arrival of 5000 NACKs that hole, not
         // the first one (its NACK is already out).
         let n = r.on_data(t, 5_000, Bytes::new(1_000), false);
-        assert_eq!(
-            n.kind,
-            PacketKind::Nack {
-                nack_seq: 4_000,
-                cumulative_ack: 1_000
-            }
-        );
+        assert_eq!((n.kind, n.seq, n.ack), (PacketKind::Nack, 4_000, 1_000));
         // The retransmission filling the first hole merges everything
         // up to the second hole.
         let a = r.on_data(t, 1_000, Bytes::new(1_000), false);
-        assert_eq!(irn_feedback_cum(&a.kind), Some(4_000));
+        assert_eq!(a.ack, 4_000);
         assert!(matches!(a.kind, PacketKind::Ack { .. }));
         assert!(r.finished_at().is_none());
         // Fill the second hole and the tail.
@@ -671,7 +645,7 @@ mod tests {
         let t = SimTime::ZERO;
         let _ = r.on_data(t, 0, Bytes::new(1_000), false);
         let n = r.on_data(t, 2_000, Bytes::new(1_000), false);
-        assert!(matches!(n.kind, PacketKind::Nack { .. }));
+        assert_eq!(n.kind, PacketKind::Nack);
         // A duplicate of the out-of-order block stays below the high
         // water mark: ACK, not another NACK.
         let a = r.on_data(t, 2_000, Bytes::new(1_000), false);
@@ -679,7 +653,7 @@ mod tests {
         // A go-back-N resend of already-delivered data likewise.
         let a = r.on_data(t, 0, Bytes::new(1_000), false);
         assert!(matches!(a.kind, PacketKind::Ack { .. }));
-        assert_eq!(irn_feedback_cum(&a.kind), Some(1_000));
+        assert_eq!(a.ack, 1_000);
     }
 
     #[test]
@@ -700,16 +674,13 @@ mod tests {
             let delivered = std::mem::take(&mut inflight);
             assert!(!delivered.is_empty(), "stalled with nothing in flight");
             for p in delivered {
-                let fb = r.on_data(t, p.seq, p.payload, false);
+                let fb = r.on_data(t, p.seq, p.payload(), false);
                 match fb.kind {
-                    PacketKind::Ack { cumulative_ack, .. } => {
-                        s.on_ack(t, cumulative_ack, &mut inflight);
+                    PacketKind::Ack { .. } => {
+                        s.on_ack(t, fb.ack, &mut inflight);
                     }
-                    PacketKind::Nack {
-                        nack_seq,
-                        cumulative_ack,
-                    } => {
-                        s.on_nack(t, nack_seq, cumulative_ack, &mut inflight);
+                    PacketKind::Nack => {
+                        s.on_nack(t, fb.seq, fb.ack, &mut inflight);
                     }
                     _ => unreachable!(),
                 }

@@ -55,4 +55,4 @@ mod irn;
 
 pub use dcqcn::{DcqcnConfig, DcqcnReceiver, DcqcnSender, RpTimerKind};
 pub use dctcp::{AckAction, DctcpConfig, DctcpReceiver, DctcpSender, TcpEvent};
-pub use irn::{irn_feedback_cum, IrnConfig, IrnReceiver, IrnRecovery, IrnSender};
+pub use irn::{IrnConfig, IrnReceiver, IrnRecovery, IrnSender};

@@ -60,7 +60,7 @@ fn apply_ops(ops: &[Op]) -> (MmuState, Vec<(QueueIndex, QueueIndex, dcn_switch::
             Pool::Shared
         };
         let c = m.plan_charge(qi, Bytes::new(op.size), pool);
-        if c.pool == Pool::Headroom && c.pooled > m.headroom_available(qi) {
+        if c.pool == Pool::Headroom && c.pooled() > m.headroom_available(qi) {
             continue; // switch would have dropped it
         }
         m.charge(qi, qo, c);
@@ -128,7 +128,7 @@ fn congested_ingress_counts_match_naive_recomputation() {
                 Pool::Shared
             };
             let c = m.plan_charge(qi, Bytes::new(op.size), pool);
-            if c.pool == Pool::Headroom && c.pooled > m.headroom_available(qi) {
+            if c.pool == Pool::Headroom && c.pooled() > m.headroom_available(qi) {
                 continue;
             }
             m.charge(qi, qo, c);
@@ -497,8 +497,7 @@ fn l2bm_single_active_queue_degenerates_to_dt() {
     let mut policy = L2bmPolicy::new(L2bmConfig::default());
     let cfg = SwitchConfig::default();
     let mut m = MmuState::new(&cfg, vec![BitRate::from_gbps(25); N_PORTS]);
-    let c = m.plan_charge(qix(0, 3), Bytes::new(100_000), Pool::Shared);
-    m.charge(qix(0, 3), qix(1, 3), c);
+    m.charge_bulk(qix(0, 3), qix(1, 3), Bytes::new(100_000), Pool::Shared);
     policy.on_enqueue(&m, SimTime::ZERO, qix(0, 3), qix(1, 3), Bytes::new(100_000));
     let dt = DtPolicy::new(0.125);
     assert_eq!(

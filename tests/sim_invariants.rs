@@ -8,7 +8,7 @@
 use dcn_metrics::{percentile, Cdf, ErrorBarStats};
 use dcn_net::{FlowId, NodeId, Packet, PortId, Priority, TrafficClass};
 use dcn_sim::{BitRate, Bytes, EmpiricalCdf, EventQueue, SimDuration, SimRng, SimTime};
-use dcn_switch::{Charge, EgressPort, Pool, QueuedPacket};
+use dcn_switch::{Charge, EgressPort, QueuedPacket};
 use dcn_workload::web_search_cdf;
 
 const CASES: u64 = 64;
@@ -192,11 +192,7 @@ fn egress_port_is_work_conserving_and_fifo() {
                     Bytes::new(48),
                 ),
                 in_port: PortId::new(0),
-                charge: Charge {
-                    reserved: Bytes::ZERO,
-                    pooled: Bytes::new(1_048),
-                    pool: Pool::Shared,
-                },
+                charge: Charge::NONE,
             });
         }
         // Drain with nothing paused: must serve every packet exactly
