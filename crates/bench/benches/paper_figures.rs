@@ -4,27 +4,30 @@
 use std::hint::black_box;
 
 use dcn_bench::{bench_n, bench_scale};
-use dcn_experiments::{
-    fig10_with_fanout, fig11_with_fanouts, fig3a, fig7_with_loads, fig8, fig9, table2_with_loads,
-};
+use dcn_experiments::{fig10, fig11, fig3a, fig7, fig8, fig9, table2, SweepOptions};
 
 fn main() {
     let scale = bench_scale();
+    let opts = SweepOptions::default();
     bench_n("fig3/fig3a_occupancy_tcp_vs_rdma", 3, || {
-        black_box(fig3a(&scale))
+        black_box(fig3a(&scale, &opts))
     });
     bench_n("fig7/hybrid_sweep_load_0.4", 3, || {
-        black_box(fig7_with_loads(&scale, &[0.4]))
+        black_box(fig7(&scale, &[0.4], &opts))
     });
     bench_n("table2/pause_frames_loads_0.4_0.8", 3, || {
-        black_box(table2_with_loads(&scale, &[0.4, 0.8]))
+        black_box(table2(&scale, &[0.4, 0.8], &opts))
     });
-    bench_n("fig8/tor_occupancy_cdfs", 3, || black_box(fig8(&scale)));
-    bench_n("fig9/fct_cdfs_high_load", 3, || black_box(fig9(&scale)));
+    bench_n("fig8/tor_occupancy_cdfs", 3, || {
+        black_box(fig8(&scale, &opts))
+    });
+    bench_n("fig9/fct_cdfs_high_load", 3, || {
+        black_box(fig9(&scale, &opts))
+    });
     bench_n("fig10/incast_deep_dive_n3", 3, || {
-        black_box(fig10_with_fanout(&scale, 3))
+        black_box(fig10(&scale, 3, &opts))
     });
     bench_n("fig11/incast_degree_sweep_n2_n3", 3, || {
-        black_box(fig11_with_fanouts(&scale, &[2, 3]))
+        black_box(fig11(&scale, &[2, 3], &opts))
     });
 }

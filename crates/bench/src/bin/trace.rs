@@ -5,25 +5,14 @@
 //! Usage:
 //!   cargo run --release -p dcn-bench --bin trace              # dump TRACE_1.jsonl
 //!   cargo run --release -p dcn-bench --bin trace -- --out t.jsonl
-//!   cargo run --release -p dcn-bench --bin trace -- --check   # CI smoke mode
-//!
-//! `--check` runs the scenario twice and fails (exit 1) unless the trace
-//! is non-empty, both runs record identical event counts (determinism),
-//! the recorder's drop/pause totals reconcile exactly with the
-//! switches' `DropCounters`/`PfcCounters`, and a tiny Fig. 7 sweep
-//! produces identical per-cell `RunResults` digests at `--jobs 1` and
-//! `--jobs 8` (the parallel engine's scheduling-independence contract).
 
-use std::process::ExitCode;
-
-use dcn_fabric::{FabricConfig, FabricSim, PolicyChoice, RunResults};
+use dcn_fabric::{FabricConfig, FabricSim, PolicyChoice};
 use dcn_net::{ClosConfig, Priority, Topology, TrafficClass};
 use dcn_sim::{BitRate, Bytes, SimDuration, SimRng, SimTime, TraceConfig, TraceTotals};
 use dcn_switch::SwitchConfig;
 use dcn_workload::{web_search_cdf, PoissonTraffic};
 
 struct TraceRun {
-    results: RunResults,
     totals: TraceTotals,
     recorded: usize,
     evicted: u64,
@@ -94,7 +83,6 @@ fn run_traced() -> TraceRun {
         })
         .expect("recorder enabled");
     TraceRun {
-        results,
         totals,
         recorded,
         evicted,
@@ -103,37 +91,8 @@ fn run_traced() -> TraceRun {
     }
 }
 
-fn reconcile(run: &TraceRun) -> Result<(), String> {
-    if run.recorded == 0 {
-        return Err("trace is empty".into());
-    }
-    let counted = run.results.drops.lossy_packets + run.results.drops.lossless_packets;
-    if run.totals.drops() != counted {
-        return Err(format!(
-            "trace drops {} != DropCounters {}",
-            run.totals.drops(),
-            counted
-        ));
-    }
-    if run.totals.pfc_pauses != run.results.pause_frames() {
-        return Err(format!(
-            "trace pauses {} != PfcCounters {}",
-            run.totals.pfc_pauses,
-            run.results.pause_frames()
-        ));
-    }
-    if run.totals.rdma_stranded != 0 {
-        return Err(format!(
-            "{} stranded DCQCN sender(s) recorded",
-            run.totals.rdma_stranded
-        ));
-    }
-    Ok(())
-}
-
-fn main() -> ExitCode {
+fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let check = args.iter().any(|a| a == "--check");
     let out = args
         .iter()
         .position(|a| a == "--out")
@@ -156,57 +115,8 @@ fn main() -> ExitCode {
         run.totals.rto_fires,
     );
 
-    if check {
-        if let Err(e) = reconcile(&run) {
-            eprintln!("trace check FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
-        // Determinism: a second run must record the same event stream.
-        let again = run_traced();
-        if again.recorded != run.recorded || again.totals != run.totals {
-            eprintln!(
-                "trace check FAILED: non-deterministic trace ({} vs {} events)",
-                again.recorded, run.recorded
-            );
-            return ExitCode::FAILURE;
-        }
-        if again.jsonl != run.jsonl {
-            eprintln!("trace check FAILED: JSONL dumps differ between identical runs");
-            return ExitCode::FAILURE;
-        }
-        // Parallel-engine regression: the same sweep must digest
-        // identically at any thread count.
-        use dcn_experiments::{fig7_with, ExperimentScale, SweepOptions};
-        let digests = |jobs: usize| -> Vec<u64> {
-            fig7_with(
-                &ExperimentScale::tiny(),
-                &[0.4],
-                &SweepOptions::new(jobs, 1),
-            )
-            .points
-            .iter()
-            .map(|p| p.results.digest())
-            .collect()
-        };
-        let serial = digests(1);
-        let parallel = digests(8);
-        if serial != parallel {
-            eprintln!(
-                "trace check FAILED: fig7 digests differ between --jobs 1 and --jobs 8 \
-                 ({serial:?} vs {parallel:?})"
-            );
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "trace check OK: non-empty, deterministic, reconciles with counters, \
-             and fig7 digests match across --jobs 1/8"
-        );
-        return ExitCode::SUCCESS;
-    }
-
     std::fs::write(out, &run.jsonl).expect("write trace dump");
     println!("wrote {} ({} lines)", out, run.jsonl.lines().count());
     println!("--- slowest TCP flow ---");
     print!("{}", run.slowest_tcp_summary);
-    ExitCode::SUCCESS
 }

@@ -14,13 +14,10 @@
 //!   sojourn-module updates, the event queue, routing lookups, and a
 //!   full switch receive→transmit cycle.
 //!
-//! A third entry point, `cargo run --release -p dcn-bench --bin
-//! throughput`, runs fixed seeded hybrid + incast scenarios (plus a
-//! paper-scale hybrid run) end-to-end, best-of-N per scenario, and
-//! writes `BENCH_3.json` (events/sec, queue-shape counters, digests) —
-//! the tracked perf-trajectory number. Its `--check` flag asserts the
-//! golden event counts and `RunResults` digests in CI instead of
-//! writing JSON.
+//! The one binary, `cargo run --release -p dcn-bench --bin trace`, is
+//! the flight-recorder dump tool (JSONL + slowest-flow summary).
+//! End-to-end wall-clock, memory and per-layer measurement lives in the
+//! stand-alone `perfbench/` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

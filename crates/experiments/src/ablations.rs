@@ -107,22 +107,9 @@ impl AblationReport {
     }
 }
 
-/// Runs the standard ablation sweep at TCP load 0.8.
-pub fn ablations(scale: &ExperimentScale) -> AblationReport {
-    ablations_with(scale, &standard_variants(), 0.8)
-}
-
-/// Runs a custom ablation sweep.
-pub fn ablations_with(
-    scale: &ExperimentScale,
-    variants: &[AblationVariant],
-    tcp_load: f64,
-) -> AblationReport {
-    ablations_opts(scale, variants, tcp_load, &SweepOptions::default())
-}
-
-/// Runs a custom ablation sweep through the parallel engine.
-pub fn ablations_opts(
+/// Runs an ablation sweep (the recorded one is [`standard_variants`]
+/// at TCP load 0.8).
+pub fn ablations(
     scale: &ExperimentScale,
     variants: &[AblationVariant],
     tcp_load: f64,
@@ -174,7 +161,12 @@ mod tests {
                 }),
             },
         ];
-        let r = ablations_with(&ExperimentScale::tiny(), &variants, 0.4);
+        let r = ablations(
+            &ExperimentScale::tiny(),
+            &variants,
+            0.4,
+            &SweepOptions::default(),
+        );
         assert_eq!(r.points.len(), 2);
         let text = r.render();
         assert!(text.contains("no-freeze"));

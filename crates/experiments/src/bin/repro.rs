@@ -2,10 +2,14 @@
 //!
 //! ```text
 //! repro <experiment> [--scale tiny|small|paper] [--seed N] [--window-ms N]
-//!                    [--jobs N] [--seeds N] [--shards N|auto]
+//!                    [--jobs N] [--seeds N] [--shards N|auto] [--check]
 //!
-//! experiments: fig3a fig3b fig7 table2 fig8 fig9 fig10 fig11 all
+//! experiments: fig3a fig3b fig7 table2 fig8 fig9 fig10 fig11 ablations
+//!              chaos irn tournament all
 //! ```
+//!
+//! `--check` exists only for `chaos`, `irn` and `tournament` (below);
+//! on any other experiment it is refused, as is a zero `--window-ms`.
 //!
 //! Scaled-down runs (`--scale small`, the default) finish in about a
 //! minute per figure and preserve the qualitative ordering; `--scale
@@ -48,9 +52,9 @@ use std::env;
 use std::process::ExitCode;
 
 use dcn_experiments::{
-    ablations_opts, chaos, fig10_with, fig11_with, fig3a_with, fig3b_with, fig7_with, fig8_with,
-    fig9_with, irn_grid, irn_resilience, standard_variants, table2_with, tournament,
-    ExperimentScale, SweepOptions, CHAOS_CHECK_SEEDS, FIG11_FANOUTS, TABLE2_LOADS,
+    ablations, chaos, fig10, fig11, fig3a, fig3b, fig7, fig8, fig9, irn_grid, irn_resilience,
+    standard_variants, table2, tournament, ExperimentScale, SweepOptions, CHAOS_CHECK_SEEDS,
+    FIG11_FANOUTS, FIG7_LOADS, TABLE2_LOADS,
 };
 use dcn_sim::SimDuration;
 
@@ -305,6 +309,10 @@ fn main() -> ExitCode {
                 let Some(v) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) else {
                     return usage();
                 };
+                if v == 0 {
+                    eprintln!("--window-ms must be at least 1: a 0 ms window generates no flows");
+                    return usage();
+                }
                 scale = scale.with_window(SimDuration::from_millis(v));
                 i += 2;
             }
@@ -313,6 +321,10 @@ fn main() -> ExitCode {
                 return usage();
             }
         }
+    }
+    if check && !matches!(which.as_str(), "chaos" | "irn" | "tournament") {
+        eprintln!("'{which}' has no --check mode (only chaos, irn and tournament do)");
+        return usage();
     }
     if let Some(n) = shards {
         // Applied last so `--shards` composes with `--scale` in any
@@ -400,15 +412,15 @@ fn main() -> ExitCode {
 
     let run_one = |name: &str, scale: &ExperimentScale| -> Option<String> {
         let out = match name {
-            "fig3a" => fig3a_with(scale, &opts).render(),
-            "fig3b" => fig3b_with(scale, &opts).render(),
-            "fig7" => fig7_with(scale, &[], &opts).render(),
-            "table2" => table2_with(scale, &TABLE2_LOADS, &opts).render(),
-            "fig8" => fig8_with(scale, &opts).render(),
-            "fig9" => fig9_with(scale, &opts).render(),
-            "fig10" => fig10_with(scale, 5, &opts).render(),
-            "fig11" => fig11_with(scale, &FIG11_FANOUTS, &opts).render(),
-            "ablations" => ablations_opts(scale, &standard_variants(), 0.8, &opts).render(),
+            "fig3a" => fig3a(scale, &opts).render(),
+            "fig3b" => fig3b(scale, &opts).render(),
+            "fig7" => fig7(scale, &FIG7_LOADS, &opts).render(),
+            "table2" => table2(scale, &TABLE2_LOADS, &opts).render(),
+            "fig8" => fig8(scale, &opts).render(),
+            "fig9" => fig9(scale, &opts).render(),
+            "fig10" => fig10(scale, 5, &opts).render(),
+            "fig11" => fig11(scale, &FIG11_FANOUTS, &opts).render(),
+            "ablations" => ablations(scale, &standard_variants(), 0.8, &opts).render(),
             _ => return None,
         };
         Some(out)

@@ -184,7 +184,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosPoint {
         sample_interval: None,
         trace: TraceConfig::enabled(),
         faults,
-        train: cfg.scale.train,
         ..FabricConfig::default()
     };
     let mut sim = FabricSim::new(topo, fabric_cfg);

@@ -1,4 +1,8 @@
-//! One entry point per paper figure/table.
+//! One entry point per paper figure/table. Each takes the figure's own
+//! parameter (where it has one) and the [`SweepOptions`] its cells run
+//! under; `SweepOptions::default()` with [`FIG7_LOADS`],
+//! [`TABLE2_LOADS`] and [`FIG11_FANOUTS`] is the paper's sweep, serial
+//! and single-seed.
 
 use dcn_fabric::PolicyChoice;
 use dcn_metrics::OccupancySeries;
@@ -66,12 +70,7 @@ fn first_tor_series(point: &HybridPoint, topo_first_switch: NodeId) -> Occupancy
 }
 
 /// Runs Fig. 3(a): one TCP-only and one RDMA-only run at the same load.
-pub fn fig3a(scale: &ExperimentScale) -> Fig3aReport {
-    fig3a_with(scale, &SweepOptions::default())
-}
-
-/// Runs Fig. 3(a) through the parallel sweep engine.
-pub fn fig3a_with(scale: &ExperimentScale, opts: &SweepOptions) -> Fig3aReport {
+pub fn fig3a(scale: &ExperimentScale, opts: &SweepOptions) -> Fig3aReport {
     let load = 0.6;
     let topo = Topology::clos(&scale.clos);
     let first = topo.switches().next().expect("clos has switches");
@@ -128,12 +127,7 @@ impl Fig3bReport {
 }
 
 /// Runs Fig. 3(b).
-pub fn fig3b(scale: &ExperimentScale) -> Fig3bReport {
-    fig3b_with(scale, &SweepOptions::default())
-}
-
-/// Runs Fig. 3(b) through the parallel sweep engine.
-pub fn fig3b_with(scale: &ExperimentScale, opts: &SweepOptions) -> Fig3bReport {
+pub fn fig3b(scale: &ExperimentScale, opts: &SweepOptions) -> Fig3bReport {
     let mut cells = Vec::new();
     for policy in [PolicyChoice::dt(), PolicyChoice::dt2(), PolicyChoice::abm()] {
         for &load in &FIG7_LOADS {
@@ -249,27 +243,12 @@ fn fig7_cells(scale: &ExperimentScale, loads: &[f64]) -> Vec<HybridConfig> {
     cells
 }
 
-/// Runs the Fig. 7 sweep with the given loads (defaults to
-/// [`FIG7_LOADS`] when `loads` is empty).
-pub fn fig7_with_loads(scale: &ExperimentScale, loads: &[f64]) -> Fig7Report {
-    fig7_with(scale, loads, &SweepOptions::default())
-}
-
-/// Runs the Fig. 7 sweep through the parallel engine.
-pub fn fig7_with(scale: &ExperimentScale, loads: &[f64], opts: &SweepOptions) -> Fig7Report {
-    let loads: Vec<f64> = if loads.is_empty() {
-        FIG7_LOADS.to_vec()
-    } else {
-        loads.to_vec()
-    };
+/// Runs the Fig. 7 sweep over the given TCP loads (the paper's are
+/// [`FIG7_LOADS`]).
+pub fn fig7(scale: &ExperimentScale, loads: &[f64], opts: &SweepOptions) -> Fig7Report {
     Fig7Report {
-        points: run_hybrid_cells(&fig7_cells(scale, &loads), opts),
+        points: run_hybrid_cells(&fig7_cells(scale, loads), opts),
     }
-}
-
-/// Runs Fig. 7 with the paper's load sweep.
-pub fn fig7(scale: &ExperimentScale) -> Fig7Report {
-    fig7_with_loads(scale, &[])
 }
 
 /// Table II: PFC pause-frame counts at loads 0.4–0.8 for all policies.
@@ -299,19 +278,9 @@ impl Table2Report {
     }
 }
 
-/// Runs Table II (the paper's exact load columns 0.4–0.8).
-pub fn table2(scale: &ExperimentScale) -> Table2Report {
-    table2_with_loads(scale, &TABLE2_LOADS)
-}
-
-/// Runs Table II restricted to the given load columns (reduced variants
-/// for benches/tests).
-pub fn table2_with_loads(scale: &ExperimentScale, loads: &[f64]) -> Table2Report {
-    table2_with(scale, loads, &SweepOptions::default())
-}
-
-/// Runs Table II through the parallel engine.
-pub fn table2_with(scale: &ExperimentScale, loads: &[f64], opts: &SweepOptions) -> Table2Report {
+/// Runs Table II over the given load columns (the paper's are
+/// [`TABLE2_LOADS`]).
+pub fn table2(scale: &ExperimentScale, loads: &[f64], opts: &SweepOptions) -> Table2Report {
     Table2Report {
         points: run_hybrid_cells(&fig7_cells(scale, loads), opts),
     }
@@ -351,12 +320,7 @@ impl Fig8Report {
 }
 
 /// Runs Fig. 8.
-pub fn fig8(scale: &ExperimentScale) -> Fig8Report {
-    fig8_with(scale, &SweepOptions::default())
-}
-
-/// Runs Fig. 8 through the parallel engine.
-pub fn fig8_with(scale: &ExperimentScale, opts: &SweepOptions) -> Fig8Report {
+pub fn fig8(scale: &ExperimentScale, opts: &SweepOptions) -> Fig8Report {
     let topo = Topology::clos(&scale.clos);
     let tors: Vec<NodeId> = topo.switches().take(scale.clos.tors).collect();
     let cells = fig7_cells(scale, &[0.8]);
@@ -415,12 +379,7 @@ impl Fig9Report {
 }
 
 /// Runs Fig. 9.
-pub fn fig9(scale: &ExperimentScale) -> Fig9Report {
-    fig9_with(scale, &SweepOptions::default())
-}
-
-/// Runs Fig. 9 through the parallel engine.
-pub fn fig9_with(scale: &ExperimentScale, opts: &SweepOptions) -> Fig9Report {
+pub fn fig9(scale: &ExperimentScale, opts: &SweepOptions) -> Fig9Report {
     Fig9Report {
         points: run_hybrid_cells(&fig7_cells(scale, &[0.8]), opts),
     }
@@ -509,19 +468,9 @@ impl Fig10Report {
     }
 }
 
-/// Runs Fig. 10 (the paper's fanout of 5).
-pub fn fig10(scale: &ExperimentScale) -> Fig10Report {
-    fig10_with_fanout(scale, 5)
-}
-
-/// Runs Fig. 10 at a custom fanout (small fabrics have fewer possible
-/// responders).
-pub fn fig10_with_fanout(scale: &ExperimentScale, fanout: usize) -> Fig10Report {
-    fig10_with(scale, fanout, &SweepOptions::default())
-}
-
-/// Runs Fig. 10 through the parallel engine.
-pub fn fig10_with(scale: &ExperimentScale, fanout: usize, opts: &SweepOptions) -> Fig10Report {
+/// Runs Fig. 10 at the given fanout (the paper's is 5), clamped to
+/// the responders a small fabric has.
+pub fn fig10(scale: &ExperimentScale, fanout: usize, opts: &SweepOptions) -> Fig10Report {
     let fanout = fanout.min(scale.host_count() / 2 - 1);
     let cells: Vec<IncastConfig> = paper_policies()
         .into_iter()
@@ -603,18 +552,9 @@ impl Fig11Report {
     }
 }
 
-/// Runs Fig. 11 with the paper's incast degrees.
-pub fn fig11(scale: &ExperimentScale) -> Fig11Report {
-    fig11_with_fanouts(scale, &FIG11_FANOUTS)
-}
-
-/// Runs Fig. 11 with custom incast degrees.
-pub fn fig11_with_fanouts(scale: &ExperimentScale, fanouts: &[usize]) -> Fig11Report {
-    fig11_with(scale, fanouts, &SweepOptions::default())
-}
-
-/// Runs Fig. 11 through the parallel engine.
-pub fn fig11_with(scale: &ExperimentScale, fanouts: &[usize], opts: &SweepOptions) -> Fig11Report {
+/// Runs Fig. 11 over the given incast degrees (the paper's are
+/// [`FIG11_FANOUTS`]).
+pub fn fig11(scale: &ExperimentScale, fanouts: &[usize], opts: &SweepOptions) -> Fig11Report {
     // Degrees larger than the scaled-down responder pool are clamped to
     // pool − 1 so small fabrics can still run the sweep.
     let pool = scale.host_count() / 2; // the RDMA half of the servers
@@ -637,7 +577,7 @@ mod tests {
 
     #[test]
     fn fig7_tiny_renders_all_cells() {
-        let report = fig7_with_loads(&ExperimentScale::tiny(), &[0.4]);
+        let report = fig7(&ExperimentScale::tiny(), &[0.4], &SweepOptions::default());
         assert_eq!(report.points.len(), 4);
         let text = report.render();
         for label in ["L2BM", "DT", "DT2", "ABM"] {
@@ -649,7 +589,11 @@ mod tests {
 
     #[test]
     fn render_series_orders_loads() {
-        let report = fig7_with_loads(&ExperimentScale::tiny(), &[0.4, 0.2]);
+        let report = fig7(
+            &ExperimentScale::tiny(),
+            &[0.4, 0.2],
+            &SweepOptions::default(),
+        );
         let text = report.render();
         let a = text.find("load=0.2").expect("0.2 column");
         let b = text.find("load=0.4").expect("0.4 column");

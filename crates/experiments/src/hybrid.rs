@@ -122,7 +122,6 @@ pub fn run_hybrid(cfg: &HybridConfig) -> HybridPoint {
         policy: cfg.policy,
         seed: cfg.scale.seed,
         switch: cfg.scale.switch_config(),
-        train: cfg.scale.train,
         ..FabricConfig::default()
     };
     let first_tor = topo.switches().next().expect("clos has switches");

@@ -158,7 +158,6 @@ pub fn run_irn_cell(cfg: &IrnCellConfig) -> IrnPoint {
         sample_interval: None,
         trace: TraceConfig::enabled(),
         faults,
-        train: cfg.scale.train,
         ..FabricConfig::default()
     };
     let mut sim = FabricSim::new(topo, fabric_cfg);

@@ -4,7 +4,7 @@
 //! Each `figN`/`tableN` function runs the corresponding experiment and
 //! returns a structured report whose `render()` prints the same
 //! rows/series the paper plots. The `repro` binary exposes them as
-//! subcommands; `dcn-bench` wraps scaled-down variants in Criterion.
+//! subcommands; `dcn-bench` times scaled-down variants.
 //!
 //! | id | paper artifact | function |
 //! |----|----------------|----------|
@@ -20,8 +20,8 @@
 //! # Example
 //!
 //! ```no_run
-//! use dcn_experiments::{fig7, ExperimentScale};
-//! let report = fig7(&ExperimentScale::small());
+//! use dcn_experiments::{fig7, ExperimentScale, SweepOptions, FIG7_LOADS};
+//! let report = fig7(&ExperimentScale::small(), &FIG7_LOADS, &SweepOptions::default());
 //! println!("{}", report.render());
 //! ```
 
@@ -40,18 +40,15 @@ mod scale;
 mod sweep;
 mod tournament;
 
-pub use ablations::{
-    ablations, ablations_opts, ablations_with, standard_variants, AblationReport, AblationVariant,
-};
+pub use ablations::{ablations, standard_variants, AblationReport, AblationVariant};
 pub use chaos::{
     chaos, run_chaos, run_chaos_cells, sample_fault_schedule, ChaosConfig, ChaosPoint, ChaosReport,
     CHAOS_CHECK_SEEDS, CHAOS_WATCHDOG,
 };
 pub use figures::{
-    fig10, fig10_with, fig10_with_fanout, fig11, fig11_with, fig11_with_fanouts, fig3a, fig3a_with,
-    fig3b, fig3b_with, fig7, fig7_with, fig7_with_loads, fig8, fig8_with, fig9, fig9_with, table2,
-    table2_with, table2_with_loads, Fig10Report, Fig11Report, Fig3aReport, Fig3bReport, Fig7Report,
-    Fig8Report, Fig9Report, Table2Report, FIG11_FANOUTS, FIG7_LOADS, TABLE2_LOADS,
+    fig10, fig11, fig3a, fig3b, fig7, fig8, fig9, table2, Fig10Report, Fig11Report, Fig3aReport,
+    Fig3bReport, Fig7Report, Fig8Report, Fig9Report, Table2Report, FIG11_FANOUTS, FIG7_LOADS,
+    TABLE2_LOADS,
 };
 pub use hybrid::{run_hybrid, HybridConfig, HybridPoint};
 pub use incast::{run_incast, IncastConfig, IncastPoint};

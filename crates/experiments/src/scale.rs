@@ -1,6 +1,5 @@
 //! Experiment scaling knobs.
 
-use dcn_fabric::TrainConfig;
 use dcn_net::ClosConfig;
 use dcn_sim::{Bytes, SimDuration};
 use dcn_switch::SwitchConfig;
@@ -23,10 +22,6 @@ pub struct ExperimentScale {
     /// scaled-down fabrics shrink it proportionally so buffer *pressure*
     /// (and therefore PFC/drop behaviour) is preserved.
     pub total_buffer: Bytes,
-    /// Host-NIC packet-train coalescing. Off by default — trained runs
-    /// are behaviorally equivalent but not byte-identical to the golden
-    /// digests (see [`TrainConfig`]).
-    pub train: TrainConfig,
     /// Worker shards for a single run. `0` (the default) uses the serial
     /// engine; `n ≥ 1` uses the spatially sharded executor with at most
     /// `n` threads (clamped to the ToR count), whose results — including
@@ -46,7 +41,6 @@ impl ExperimentScale {
             drain: SimDuration::from_millis(400),
             seed: 42,
             total_buffer: Bytes::from_mb(4),
-            train: TrainConfig::default(),
             shards: 0,
         }
     }
@@ -60,7 +54,6 @@ impl ExperimentScale {
             drain: SimDuration::from_millis(200),
             seed: 42,
             total_buffer: Bytes::from_kb(500), // 4 MB × 16/128 hosts
-            train: TrainConfig::default(),
             shards: 0,
         }
     }
@@ -74,7 +67,6 @@ impl ExperimentScale {
             drain: SimDuration::from_millis(100),
             seed: 42,
             total_buffer: Bytes::from_kb(250), // 4 MB × 8/128 hosts
-            train: TrainConfig::default(),
             shards: 0,
         }
     }
@@ -105,12 +97,6 @@ impl ExperimentScale {
     /// Replaces the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables host-NIC packet-train coalescing with default limits.
-    pub fn with_trains(mut self) -> Self {
-        self.train = TrainConfig::enabled();
         self
     }
 

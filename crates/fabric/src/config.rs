@@ -87,50 +87,6 @@ impl PolicyChoice {
     }
 }
 
-/// Host-NIC packet-train coalescing: back-to-back serializations on an
-/// uncontended NIC (exactly one non-empty, unpaused priority) collapse
-/// into one train — per-leg deliveries ride cancellable wheel timers
-/// and a single completion replaces N per-packet `HostTxComplete`
-/// events. A mid-train PFC XOFF of the train's priority or a
-/// competing-priority injection splits the train lazily: legs already
-/// on the wire stand, unstarted legs are revoked back into the queue.
-///
-/// Disabled by default: batching moves the *scheduling instants* of
-/// deliveries (not their fire times), which permutes event sequence
-/// numbers and can flip exact-nanosecond ties, so trained runs are
-/// behaviorally equivalent but not byte-identical to the golden
-/// digests. Enable for throughput, not for digest comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrainConfig {
-    /// Master switch; `false` keeps the per-packet event pair.
-    pub enable: bool,
-    /// Most legs one train may commit (bounds split/revocation cost).
-    pub max_burst: usize,
-    /// Minimum packets available at the sole priority (including the
-    /// one starting now) before a train forms.
-    pub min_queue: usize,
-}
-
-impl Default for TrainConfig {
-    fn default() -> Self {
-        TrainConfig {
-            enable: false,
-            max_burst: 32,
-            min_queue: 2,
-        }
-    }
-}
-
-impl TrainConfig {
-    /// Train coalescing with default burst limits.
-    pub fn enabled() -> Self {
-        TrainConfig {
-            enable: true,
-            ..TrainConfig::default()
-        }
-    }
-}
-
 /// Which transport the fabric's RDMA flows run — the two universes of
 /// the lossless-vs-lossy resilience comparison.
 ///
@@ -199,9 +155,6 @@ pub struct FabricConfig {
     /// and draws no random numbers, so healthy runs are byte-identical
     /// to a build without fault support.
     pub faults: FaultSchedule,
-    /// Host-NIC packet-train coalescing (off by default; see
-    /// [`TrainConfig`]).
-    pub train: TrainConfig,
 }
 
 impl Default for FabricConfig {
@@ -218,7 +171,6 @@ impl Default for FabricConfig {
             seed: 1,
             trace: TraceConfig::default(),
             faults: FaultSchedule::none(),
-            train: TrainConfig::default(),
         }
     }
 }

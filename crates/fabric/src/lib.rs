@@ -49,10 +49,10 @@ mod results;
 mod shard;
 mod world;
 
-pub use config::{FabricConfig, PolicyChoice, RdmaTransport, TrainConfig};
+pub use config::{FabricConfig, PolicyChoice, RdmaTransport};
 pub use flows::{FlowRuntime, FlowState, FlowTable};
 pub use host::Host;
-pub use results::{RunResults, TrainStats};
+pub use results::RunResults;
 pub use shard::ShardedFabricSim;
 pub use world::{Event, FabricSim, World};
 

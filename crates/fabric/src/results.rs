@@ -6,20 +6,6 @@ use dcn_metrics::{DropCounters, FctSet, IrnCounters, OccupancySeries, PfcCounter
 use dcn_net::NodeId;
 use dcn_sim::QueueStats;
 
-/// Host-NIC packet-train coalescing counters. Diagnostics only — like
-/// [`QueueStats`], deliberately excluded from [`RunResults::digest`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TrainStats {
-    /// Trains committed (each replaced `legs` per-packet completions
-    /// with one wheel timer).
-    pub trains: u64,
-    /// Total legs across all committed trains.
-    pub legs: u64,
-    /// Trains split mid-flight by a PFC XOFF or a competing-priority
-    /// injection (revoked legs went back to their queue).
-    pub splits: u64,
-}
-
 /// Everything the paper's evaluation reads out of a run.
 #[derive(Debug, Clone, Default)]
 pub struct RunResults {
@@ -42,8 +28,6 @@ pub struct RunResults {
     /// part of [`RunResults::digest`], which fingerprints simulated
     /// behavior, not scheduler internals.
     pub queue: QueueStats,
-    /// Packet-train coalescing counters (zero when trains are off).
-    pub trains: TrainStats,
     /// IRN (lossy RDMA) transport counters. All zero — and excluded
     /// from [`RunResults::digest`] — when no flow ran the IRN
     /// transport, so legacy digests are unchanged by IRN support.
@@ -83,10 +67,9 @@ impl RunResults {
 
     /// [`RunResults::digest`] minus the event count: fingerprints *what
     /// the network did* (per-flow records, PFC, drops, occupancy)
-    /// without *how many events it took*. Packet-train coalescing
-    /// replaces N per-packet completions with one timer, so a trained
-    /// run can match an untrained run's behavior digest while their
-    /// full digests necessarily differ.
+    /// without *how many events it took*, so it can compare runs whose
+    /// event counts legitimately differ (`perfbench` checks its sliced,
+    /// traced rep against the timed ones this way).
     pub fn behavior_digest(&self) -> u64 {
         self.digest_inner(false)
     }

@@ -100,10 +100,10 @@ struct ShardPiece {
 /// digest of [`ShardedFabricSim::results`] is byte-identical at every
 /// shard count *and* to the serial engine's.
 ///
-/// Unsupported (asserted) configurations: the flight recorder and
-/// packet-train coalescing (both entangle state across the whole
-/// fabric), and — beyond one shard — the flow-liveness watchdog on IRN
-/// transports or with an interval below the partition lookahead.
+/// Unsupported (asserted) configurations: the flight recorder (it
+/// entangles state across the whole fabric), and — beyond one shard —
+/// the flow-liveness watchdog on IRN transports or with an interval
+/// below the partition lookahead.
 #[derive(Debug)]
 pub struct ShardedFabricSim {
     topo: Topology,
@@ -120,7 +120,7 @@ impl ShardedFabricSim {
     /// # Panics
     ///
     /// Panics if `shards` is zero, if `cfg` enables the flight
-    /// recorder or packet trains, or if a configured frame exceeds
+    /// recorder, or if a configured frame exceeds
     /// [`dcn_net::MAX_FRAME`].
     pub fn new(topo: Topology, cfg: FabricConfig, shards: usize) -> ShardedFabricSim {
         assert!(shards >= 1, "at least one shard");
@@ -128,10 +128,6 @@ impl ShardedFabricSim {
         assert!(
             !cfg.trace.enabled,
             "sharded runs do not support the flight recorder"
-        );
-        assert!(
-            !cfg.train.enable,
-            "sharded runs do not support packet-train coalescing"
         );
         let part = Arc::new(Partition::new(&topo, shards));
         ShardedFabricSim {

@@ -25,8 +25,8 @@ use dcn_workload::FlowSpec;
 
 use crate::config::{FabricConfig, RdmaTransport};
 use crate::flows::{FlowRuntime, FlowState, FlowTable, FlowTimers};
-use crate::host::{Host, Train, TrainLeg};
-use crate::results::{RunResults, TrainStats};
+use crate::host::Host;
+use crate::results::RunResults;
 
 /// Events dispatched through the fabric's queue.
 #[derive(Debug)]
@@ -63,15 +63,6 @@ pub enum Event {
     },
     /// A host NIC finishes serializing a packet.
     HostTxComplete {
-        /// The host.
-        host: NodeId,
-    },
-    /// A host NIC finishes serializing the last leg of a packet train —
-    /// one wheel-armed completion standing in for N per-packet
-    /// [`Event::HostTxComplete`]s. A mid-train split cancels this timer
-    /// and falls back to a plain `HostTxComplete` for the leg on the
-    /// wire. Only scheduled when [`crate::TrainConfig::enable`] is set.
-    HostTrainDone {
         /// The host.
         host: NodeId,
     },
@@ -219,8 +210,6 @@ pub struct World {
     /// handling one event. Taken (`std::mem::take`), drained, and put
     /// back by each handler, so the per-packet hot path never allocates.
     outs_scratch: Vec<Packet>,
-    /// Packet-train coalescing counters (all zero when trains are off).
-    train_stats: TrainStats,
     /// IRN transport counters (all zero in a DCQCN-only run).
     irn: IrnCounters,
     /// DCQCN senders found stranded (see [`World::handle_rdma_pace`]) —
@@ -230,15 +219,6 @@ pub struct World {
     flow_stalls: u64,
     /// Spatial-sharding context (`None` for the serial engine).
     shard: Option<ShardCtx>,
-    /// Deliveries orphaned by a train split, keyed `(flow, seq,
-    /// fire-time)`. The revoked leg's packet went back to the NIC
-    /// queue, so when its already-scheduled `Deliver` fires it is
-    /// swallowed here instead of duplicating the packet on the wire.
-    /// Exact fire-time matching distinguishes the orphan from any
-    /// later retransmission of the same `(flow, seq)`. Empty except in
-    /// the short window between a split and the orphan's fire time, so
-    /// a linear scan is free on the hot path.
-    suppressed_delivers: Vec<(FlowId, u64, SimTime)>,
 }
 
 impl World {
@@ -362,12 +342,10 @@ impl World {
             wire_drops: DropCounters::new(),
             watchdog_timers,
             outs_scratch: Vec::new(),
-            train_stats: TrainStats::default(),
             irn: IrnCounters::new(),
             rdma_stranded: 0,
             flow_stalls: 0,
             shard,
-            suppressed_delivers: Vec::new(),
         }
     }
 
@@ -689,124 +667,12 @@ impl World {
     }
 
     /// Starts the next host transmission if the NIC is idle and an
-    /// unpaused priority has a packet — as a packet train when enabled
-    /// and eligible, otherwise as the legacy per-packet
-    /// `HostTxComplete`/`Deliver` pair. With trains disabled this makes
-    /// exactly the calls the legacy path made, in the same order, so
-    /// event sequence numbers (and digests) are unchanged.
+    /// unpaused priority has a packet.
     fn host_start(&mut self, now: SimTime, host: NodeId, q: &mut EventQueue<Event>) {
         let h = self.hosts[host.index()].as_mut().expect("not a host");
-        let Some(tx) = h.try_start() else {
-            return;
-        };
-        if self.cfg.train.enable {
-            self.host_start_train(now, host, tx, q);
-        } else {
+        if let Some(tx) = h.try_start() {
             self.schedule_host_tx(now, host, tx, q);
         }
-    }
-
-    /// Commits a packet train if the NIC is uncontended (the started
-    /// packet's priority is the *only* non-empty one) and deep enough,
-    /// else falls back to the per-packet pair. Legs serialize
-    /// back-to-back; each leg's `Deliver` is booked up front as a plain
-    /// heap event at the exact time the per-packet path would have
-    /// fired it — the same per-packet scheduling cost as unbatched —
-    /// and one wheel-armed `HostTrainDone` replaces the N
-    /// `HostTxComplete`s. Only the completion rides the wheel: it is
-    /// the one entry a split must cancel; revoked leg deliveries are
-    /// instead suppressed at dispatch (see [`World::split_train`]).
-    fn host_start_train(
-        &mut self,
-        now: SimTime,
-        host: NodeId,
-        tx: TxStart,
-        q: &mut EventQueue<Event>,
-    ) {
-        let max_burst = self.cfg.train.max_burst;
-        let min_queue = self.cfg.train.min_queue;
-        let prio = tx.packet.priority;
-        let Wire {
-            peer,
-            propagation: prop,
-            ..
-        } = *self.topo.wire(host, PortId::new(0));
-        let h = self.hosts[host.index()].as_mut().expect("not a host");
-        let eligible =
-            max_burst >= 2 && h.sole_nonempty() == Some(prio) && h.queued_at(prio) + 1 >= min_queue;
-        if !eligible {
-            self.schedule_host_tx(now, host, tx, q);
-            return;
-        }
-        let mut legs = Vec::with_capacity(max_burst.min(h.queued_at(prio) + 1));
-        let mut at = now;
-        let mut commit = |leg_packet: Packet, serialize, start, legs: &mut Vec<TrainLeg>| {
-            let deliver_at = start + serialize + prop;
-            legs.push(TrainLeg {
-                start,
-                serialize,
-                deliver_at,
-                packet: leg_packet,
-            });
-            q.schedule_at(
-                deliver_at,
-                Event::Deliver {
-                    node: peer.node,
-                    in_port: peer.port,
-                    packet: leg_packet,
-                },
-            );
-        };
-        commit(tx.packet, tx.serialize, at, &mut legs);
-        at += tx.serialize;
-        while legs.len() < max_burst {
-            let Some(qp) = h.pop_front(prio) else {
-                break;
-            };
-            let serialize = h.tx_time(qp.packet.size());
-            commit(qp.packet, serialize, at, &mut legs);
-            at += serialize;
-        }
-        let n_legs = legs.len() as u64;
-        let done = q.schedule_timer_at(at, Event::HostTrainDone { host });
-        h.set_train(Train { prio, legs, done });
-        self.train_stats.trains += 1;
-        self.train_stats.legs += n_legs;
-    }
-
-    /// Splits the active train at `now`: legs already serializing or
-    /// departed keep their booked `Deliver`s; unstarted legs are
-    /// revoked — their stored packet copies go back to the queue front
-    /// in order and their already-scheduled `Deliver`s are marked for
-    /// suppression at dispatch (matched by flow, sequence *and* exact
-    /// fire time, so a retransmission of the same packet can never be
-    /// eaten in the orphan's place). The leg currently on the wire
-    /// completes through a plain `HostTxComplete`, after which normal
-    /// scheduling sees the pause or the competing priority. A leg whose
-    /// start time equals `now` counts as started — ties go to the wire,
-    /// matching the per-packet path when the completion dispatches
-    /// first.
-    fn split_train(&mut self, now: SimTime, host: NodeId, q: &mut EventQueue<Event>) {
-        let h = self.hosts[host.index()].as_mut().expect("not a host");
-        let Some(mut train) = h.take_train() else {
-            return;
-        };
-        q.cancel_timer(train.done);
-        let cur = train
-            .legs
-            .iter()
-            .rposition(|l| l.start <= now)
-            .expect("leg 0 starts at commit time");
-        let revoked = train.legs.split_off(cur + 1);
-        for leg in revoked.into_iter().rev() {
-            self.suppressed_delivers
-                .push((leg.packet.flow, leg.packet.seq, leg.deliver_at));
-            h.requeue_front(leg.packet);
-        }
-        let cur = &train.legs[cur];
-        h.set_in_flight_leg(cur, train.prio);
-        q.schedule_after(cur.start, cur.serialize, Event::HostTxComplete { host });
-        self.train_stats.splits += 1;
     }
 
     fn host_inject(
@@ -816,15 +682,6 @@ impl World {
         packet: Packet,
         q: &mut EventQueue<Event>,
     ) {
-        let h = self.hosts[host.index()].as_mut().expect("not a host");
-        // A competing-priority arrival breaks the train's "sole
-        // non-empty priority" invariant (round-robin would interleave
-        // it): split before enqueueing so revoked legs land back in
-        // front in FIFO order. Same-priority arrivals just queue behind
-        // the committed legs.
-        if h.train_priority().is_some_and(|p| p != packet.priority) {
-            self.split_train(now, host, q);
-        }
         let h = self.hosts[host.index()].as_mut().expect("not a host");
         h.enqueue(packet);
         self.host_start(now, host, q);
@@ -1432,14 +1289,7 @@ impl World {
     fn host_pfc(&mut self, now: SimTime, node: NodeId, frame: PfcFrame, q: &mut EventQueue<Event>) {
         let h = self.hosts[node.index()].as_mut().expect("host");
         h.set_paused(frame.priority, frame.pause);
-        if frame.pause {
-            // An XOFF of the train's own priority revokes every leg not
-            // yet on the wire; pauses of other priorities cannot affect
-            // a committed train (its legs are all one priority).
-            if h.train_priority() == Some(frame.priority) {
-                self.split_train(now, node, q);
-            }
-        } else {
+        if !frame.pause {
             self.host_start(now, node, q);
         }
     }
@@ -1758,20 +1608,6 @@ impl Simulation for World {
                 in_port,
                 packet,
             } => {
-                // A delivery orphaned by a train split: its packet was
-                // requeued at the NIC, so this event must vanish — and
-                // before `wire_filter`, which would otherwise burn a
-                // corruption-RNG draw the unbatched run never makes.
-                if !self.suppressed_delivers.is_empty() {
-                    if let Some(pos) = self
-                        .suppressed_delivers
-                        .iter()
-                        .position(|&(f, s, at)| f == packet.flow && s == packet.seq && at == now)
-                    {
-                        self.suppressed_delivers.swap_remove(pos);
-                        return;
-                    }
-                }
                 if let Some(cause) = self.wire_filter(node, in_port, &packet) {
                     self.wire_drop(now, node, in_port, &packet, cause);
                     return;
@@ -1808,13 +1644,9 @@ impl Simulation for World {
             }
             Event::HostTxComplete { host } => {
                 let h = self.hosts[host.index()].as_mut().expect("host");
-                h.finish_tx();
-                self.host_start(now, host, q);
-            }
-            Event::HostTrainDone { host } => {
-                let h = self.hosts[host.index()].as_mut().expect("host");
-                h.finish_train();
-                self.host_start(now, host, q);
+                if let Some(tx) = h.tx_complete() {
+                    self.schedule_host_tx(now, host, tx, q);
+                }
             }
             Event::RdmaPace { flow } => self.handle_rdma_pace(now, flow, q),
             Event::Rto { flow } => self.handle_rto(now, flow, q),
@@ -1962,7 +1794,6 @@ impl FabricSim {
             events_processed: self.queue.processed() + self.queue.ghost_pops(),
             unfinished_flows: self.world.flow_count() - self.world.done_flows(),
             queue: self.queue.stats(),
-            trains: self.world.train_stats,
             irn: self.world.irn,
             rdma_stranded: self.world.rdma_stranded,
             flow_stalls: self.world.flow_stalls,

@@ -139,7 +139,7 @@ impl BufferPolicy for DtPolicy {
 /// ABM (Active Buffer Management, SIGCOMM'22) applied to the ingress
 /// pool, as the paper's comparison does:
 ///
-/// `T(q) = α_p / n_p × (B − Q(t)) × d(q)`
+/// `T(q) = α / n_p × (B − Q(t)) × d(q)`
 ///
 /// where `n_p` is the number of congested ingress queues of `q`'s
 /// priority (≥ 1 MTU buffered) and `d(q)` is the queue's measured drain
@@ -149,53 +149,24 @@ impl BufferPolicy for DtPolicy {
 /// flow control (see DESIGN.md interpretation notes).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AbmPolicy {
-    /// Per-priority α (`alpha[p]` for priority p).
-    alpha: [f64; dcn_net::Priority::COUNT],
-    /// Floor on the normalized-drain factor. ABM measures dequeue rates
-    /// at egress queues; transplanted to ingress queues the raw
-    /// measurement is noisy enough to starve queues outright, so the
-    /// factor is clamped to `[drain_floor, 1]`.
-    drain_floor: f64,
+    alpha: f64,
 }
 
+/// Floor on ABM's normalized-drain factor. ABM measures dequeue rates
+/// at egress queues; transplanted to ingress queues the raw measurement
+/// is noisy enough to starve queues outright, so the factor is clamped
+/// to `[ABM_DRAIN_FLOOR, 1]`.
+const ABM_DRAIN_FLOOR: f64 = 0.25;
+
 impl AbmPolicy {
-    /// Creates ABM with the same α for every priority.
+    /// Creates ABM with control factor `alpha` for every priority.
     ///
     /// # Panics
     ///
     /// Panics if `alpha` is not positive and finite.
     pub fn new(alpha: f64) -> Self {
         assert!(alpha > 0.0 && alpha.is_finite(), "alpha must be positive");
-        AbmPolicy {
-            alpha: [alpha; dcn_net::Priority::COUNT],
-            drain_floor: 0.25,
-        }
-    }
-
-    /// Creates ABM with an explicit per-priority α vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any α is not positive and finite.
-    pub fn with_per_priority_alpha(alpha: [f64; dcn_net::Priority::COUNT]) -> Self {
-        for a in alpha {
-            assert!(a > 0.0 && a.is_finite(), "alpha must be positive");
-        }
-        AbmPolicy {
-            alpha,
-            drain_floor: 0.25,
-        }
-    }
-
-    /// Overrides the drain-factor floor (see the struct docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ floor ≤ 1`.
-    pub fn with_drain_floor(mut self, floor: f64) -> Self {
-        assert!((0.0..=1.0).contains(&floor), "floor must be in [0,1]");
-        self.drain_floor = floor;
-        self
+        AbmPolicy { alpha }
     }
 }
 
@@ -206,8 +177,8 @@ impl BufferPolicy for AbmPolicy {
 
     fn pfc_threshold(&self, mmu: &MmuState, q: QueueIndex, _now: SimTime) -> Bytes {
         let n_p = mmu.congested_ingress_count(q.priority).max(1) as f64;
-        let drain = mmu.ingress_normalized_drain(q).max(self.drain_floor);
-        let factor = self.alpha[q.priority.index()] / n_p * drain;
+        let drain = mmu.ingress_normalized_drain(q).max(ABM_DRAIN_FLOOR);
+        let factor = self.alpha / n_p * drain;
         mmu.shared_remaining().scale(factor)
     }
 }
@@ -473,16 +444,5 @@ mod tests {
             abm.plan_eviction(&m, at, q(0, 1), q(2, 1), Bytes::new(1_000)),
             None
         );
-    }
-
-    #[test]
-    fn abm_per_priority_alpha() {
-        let mut alphas = [0.5; 8];
-        alphas[3] = 0.125;
-        let abm = AbmPolicy::with_per_priority_alpha(alphas);
-        let m = mmu();
-        let hi = abm.pfc_threshold(&m, q(0, 1), SimTime::ZERO);
-        let lo = abm.pfc_threshold(&m, q(0, 3), SimTime::ZERO);
-        assert!(hi > lo);
     }
 }

@@ -164,33 +164,6 @@ impl EgressPort {
         self.in_flight.take().expect("tx_complete with idle port")
     }
 
-    /// The single priority with queued packets, if *exactly one* FIFO is
-    /// non-empty. `None` when the port is empty or contended — the
-    /// eligibility test for coalescing back-to-back serializations into
-    /// a packet train (round-robin is a no-op over one priority, so a
-    /// train cannot reorder anything the scheduler would interleave).
-    pub fn sole_nonempty(&self) -> Option<Priority> {
-        if self.nonempty != 0 && self.nonempty & (self.nonempty - 1) == 0 {
-            Some(Priority::new(self.nonempty.trailing_zeros() as u8))
-        } else {
-            None
-        }
-    }
-
-    /// Pops the head of one priority FIFO *without* touching the
-    /// in-flight record or the round-robin pointer: a train commits its
-    /// follow-on legs this way, so after the train the port's scheduler
-    /// state is exactly what serving the same packets one-by-one through
-    /// [`EgressPort::start_next`] would have left (each serve of the
-    /// sole priority `p` sets `rr_next` to `p + 1`, which the first
-    /// leg's `start_next` already did).
-    pub fn pop_front(&mut self, priority: Priority) -> Option<QueuedPacket> {
-        let ix = priority.index();
-        let qp = self.queues[ix].pop_front()?;
-        self.after_pop(ix);
-        Some(qp)
-    }
-
     /// Pops the *tail* of one priority FIFO — the newest queued packet,
     /// the one a preemptive eviction removes. Evicting from the tail
     /// never reorders the survivors and never touches the in-flight
@@ -202,24 +175,6 @@ impl EgressPort {
         let qp = self.queues[ix].pop_back()?;
         self.after_pop(ix);
         Some(qp)
-    }
-
-    /// Pushes a packet back at the *front* of its priority FIFO — the
-    /// inverse of [`EgressPort::pop_front`], used when a split revokes a
-    /// train leg that has not started serializing. Revoking legs in
-    /// reverse commit order restores the original FIFO order.
-    pub fn requeue_front(&mut self, qp: QueuedPacket) {
-        let ix = qp.packet.priority.index();
-        self.queues[ix].push_front(qp);
-        self.nonempty |= 1 << ix;
-    }
-
-    /// Replaces the in-flight record. A train keeps its first leg's
-    /// record in flight; when a split lands mid-train the leg currently
-    /// on the wire takes over, so the eventual `finish_tx` discharges
-    /// the right packet.
-    pub fn set_in_flight(&mut self, inf: InFlight) {
-        self.in_flight = Some(inf);
     }
 
     /// Bookkeeping of the packet currently being serialized, if any.
@@ -324,80 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn sole_nonempty_requires_exactly_one_priority() {
-        let mut p = EgressPort::new();
-        assert_eq!(p.sole_nonempty(), None, "empty port");
-        p.enqueue(qp(3, 1));
-        p.enqueue(qp(3, 2));
-        assert_eq!(p.sole_nonempty(), Some(Priority::new(3)));
-        p.enqueue(qp(1, 3));
-        assert_eq!(p.sole_nonempty(), None, "contended port");
-    }
-
-    #[test]
-    fn pop_front_then_requeue_front_restores_fifo_order() {
-        let mut p = EgressPort::new();
-        for seq in 1..=3 {
-            p.enqueue(qp(3, seq));
-        }
-        let a = p.pop_front(Priority::new(3)).unwrap();
-        let b = p.pop_front(Priority::new(3)).unwrap();
-        assert_eq!((a.packet.seq, b.packet.seq), (1, 2));
-        // Reverse commit order, like a train split revoking legs.
-        p.requeue_front(b);
-        p.requeue_front(a);
-        let served: Vec<u64> = std::iter::from_fn(|| {
-            let s = p.start_next(|_| false)?.seq;
-            p.finish_tx();
-            Some(s)
-        })
-        .collect();
-        assert_eq!(served, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn pop_front_clears_nonempty_bit() {
-        let mut p = EgressPort::new();
-        p.enqueue(qp(3, 1));
-        assert!(p.pop_front(Priority::new(3)).is_some());
-        assert_eq!(p.sole_nonempty(), None);
-        assert!(p.pop_front(Priority::new(3)).is_none());
-        assert!(
-            p.start_next(|_| false).is_none(),
-            "scheduler sees the emptied queue"
-        );
-    }
-
-    #[test]
-    fn pop_front_leaves_rr_pointer_equivalent_to_serial_serves() {
-        // Serve 3 packets of priority 3 one-by-one on one port, and as
-        // leg pops after a single start on another: the next contended
-        // round-robin decision must match.
-        let mut serial = EgressPort::new();
-        let mut train = EgressPort::new();
-        for seq in 1..=3 {
-            serial.enqueue(qp(3, seq));
-            train.enqueue(qp(3, seq));
-        }
-        for _ in 0..3 {
-            serial.start_next(|_| false).unwrap();
-            serial.finish_tx();
-        }
-        train.start_next(|_| false).unwrap();
-        train.pop_front(Priority::new(3)).unwrap();
-        train.pop_front(Priority::new(3)).unwrap();
-        train.finish_tx();
-        for p in [&mut serial, &mut train] {
-            p.enqueue(qp(1, 10));
-            p.enqueue(qp(5, 50));
-        }
-        let s = serial.start_next(|_| false).unwrap().seq;
-        let t = train.start_next(|_| false).unwrap().seq;
-        assert_eq!(s, t, "round-robin resumes identically");
-        assert_eq!(s, 50, "rr_next sits just past the served priority");
-    }
-
-    #[test]
     fn pop_back_evicts_newest_and_clears_bit() {
         let mut p = EgressPort::new();
         for seq in 1..=3 {
@@ -405,9 +286,9 @@ mod tests {
         }
         assert_eq!(p.pop_back(Priority::new(3)).unwrap().packet.seq, 3);
         assert_eq!(p.pop_back(Priority::new(3)).unwrap().packet.seq, 2);
-        assert_eq!(p.sole_nonempty(), Some(Priority::new(3)));
+        assert_eq!(p.nonempty, 1 << 3);
         assert_eq!(p.pop_back(Priority::new(3)).unwrap().packet.seq, 1);
-        assert_eq!(p.sole_nonempty(), None, "nonempty bit cleared");
+        assert_eq!(p.nonempty, 0, "nonempty bit cleared");
         assert!(p.pop_back(Priority::new(3)).is_none());
         assert!(p.start_next(|_| false).is_none());
     }
@@ -421,16 +302,6 @@ mod tests {
         assert_eq!(p.pop_back(Priority::new(3)).unwrap().packet.seq, 2);
         assert!(!p.is_idle(), "serializing packet cannot be evicted");
         assert_eq!(p.finish_tx().seq, 1);
-    }
-
-    #[test]
-    fn set_in_flight_replaces_record() {
-        let mut p = EgressPort::new();
-        p.enqueue(qp(3, 1));
-        p.start_next(|_| false).unwrap();
-        let other = qp(3, 9);
-        p.set_in_flight(InFlight::of(&other.packet, other.in_port, other.charge));
-        assert_eq!(p.finish_tx().seq, 9);
     }
 
     #[test]
@@ -458,8 +329,8 @@ mod tests {
     }
 
     /// The scheduler as it was before the release rule, written the slow
-    /// way: queues that never give their buffer back, `nonempty` and
-    /// `sole_nonempty` recomputed from the queues on every question.
+    /// way: queues that never give their buffer back, `nonempty`
+    /// recomputed from the queues on every question.
     #[derive(Default)]
     struct NeverReleasing {
         queues: [VecDeque<QueuedPacket>; Priority::COUNT],
@@ -472,14 +343,6 @@ mod tests {
             (0..Priority::COUNT)
                 .filter(|&ix| !self.queues[ix].is_empty())
                 .fold(0, |bits, ix| bits | 1 << ix)
-        }
-
-        fn sole_nonempty(&self) -> Option<Priority> {
-            let mut busy = (0..Priority::COUNT).filter(|&ix| !self.queues[ix].is_empty());
-            match (busy.next(), busy.next()) {
-                (Some(ix), None) => Some(Priority::new(ix as u8)),
-                _ => None,
-            }
         }
 
         fn start_next(&mut self, paused: u8) -> Option<Packet> {
@@ -499,7 +362,6 @@ mod tests {
     fn assert_same_state(port: &EgressPort, model: &NeverReleasing, ctx: &str) {
         assert_eq!(port.rr_next, model.rr_next, "{ctx}: rr_next");
         assert_eq!(port.nonempty, model.nonempty(), "{ctx}: nonempty");
-        assert_eq!(port.sole_nonempty(), model.sole_nonempty(), "{ctx}: sole");
         assert_eq!(
             port.in_flight().map(|inf| inf.seq),
             model.in_flight,
@@ -528,7 +390,7 @@ mod tests {
                 let ctx = format!("case {case} step {step}");
                 let prio = Priority::new([1, 3, 3, 6][rng.below(4) as usize]);
                 let ix = prio.index();
-                match rng.below(10) {
+                match rng.below(8) {
                     // A burst: usually a few packets, one time in three
                     // deep enough to cross the release bound.
                     0..=2 => {
@@ -558,24 +420,8 @@ mod tests {
                             assert_eq!(Some(port.finish_tx().seq), model.in_flight.take());
                         }
                     }
-                    // Train legs: pop the head, sometimes revoke it.
-                    6 | 7 => {
-                        let legs: Vec<QueuedPacket> = (0..rng.below(4))
-                            .map_while(|_| {
-                                let got = port.pop_front(prio);
-                                assert_eq!(got, model.queues[ix].pop_front(), "{ctx}: leg");
-                                got
-                            })
-                            .collect();
-                        if rng.below(2) == 0 {
-                            for leg in legs.into_iter().rev() {
-                                port.requeue_front(leg);
-                                model.queues[ix].push_front(leg);
-                            }
-                        }
-                    }
                     // Evictions from the tail.
-                    8 => {
+                    6 => {
                         for _ in 0..rng.below(40) {
                             let got = port.pop_back(prio);
                             assert_eq!(got, model.queues[ix].pop_back(), "{ctx}: evicted");
@@ -602,7 +448,7 @@ mod tests {
 
     #[test]
     fn deep_burst_gives_its_buffer_back_once_drained() {
-        for drain in ["start_next", "pop_front", "pop_back", "drain_all"] {
+        for drain in ["start_next", "pop_back", "drain_all"] {
             let mut p = EgressPort::new();
             for seq in 0..5_000 {
                 p.enqueue(qp(3, seq));
@@ -615,7 +461,6 @@ mod tests {
                         p.finish_tx();
                     }
                 }
-                "pop_front" => while p.pop_front(Priority::new(3)).is_some() {},
                 "pop_back" => while p.pop_back(Priority::new(3)).is_some() {},
                 _ => assert_eq!(p.drain_all().len(), 5_001),
             }
@@ -626,7 +471,7 @@ mod tests {
                     1,
                     "{drain}: others untouched"
                 );
-                assert_eq!(p.sole_nonempty(), Some(Priority::new(1)));
+                assert_eq!(p.nonempty, 1 << 1);
             }
             // The released FIFO is an ordinary empty queue.
             p.enqueue(qp(3, 10_000));
@@ -643,15 +488,14 @@ mod tests {
         let (buffer, capacity) = (p.queues[3].as_slices().0.as_ptr(), p.queues[3].capacity());
         assert_eq!(capacity, RELEASE_ABOVE_SLOTS, "the bound is a power of two");
         // Fill to the bound and drain to empty, every way there is.
-        for round in 0..8u64 {
-            match round % 4 {
+        for round in 0..6u64 {
+            match round % 3 {
                 0 => {
                     while p.start_next(|_| false).is_some() {
                         p.finish_tx();
                     }
                 }
-                1 => while p.pop_front(Priority::new(3)).is_some() {},
-                2 => while p.pop_back(Priority::new(3)).is_some() {},
+                1 => while p.pop_back(Priority::new(3)).is_some() {},
                 _ => assert_eq!(p.drain_all().len(), RELEASE_ABOVE_SLOTS),
             }
             assert_eq!(p.queued_total(), 0);

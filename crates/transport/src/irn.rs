@@ -1,6 +1,6 @@
 //! IRN-style lossy RDMA (Mittal et al., SIGCOMM 2018): a fixed
-//! BDP-bounded window, NACK-driven loss recovery (go-back-N or
-//! selective repeat) and a retransmission timeout with the same
+//! BDP-bounded window, NACK-driven go-back-N loss recovery (IRN's
+//! baseline mode) and a retransmission timeout with the same
 //! exponential backoff/reset discipline as [`crate::DctcpSender`].
 //!
 //! Unlike DCQCN, an IRN flow's packets travel in the droppable
@@ -20,18 +20,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::dctcp::AckAction;
 
-/// How an [`IrnSender`] repairs a NACKed hole.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IrnRecovery {
-    /// Rewind `snd_nxt` to the hole and resend everything from there
-    /// (IRN's baseline mode; simple, but resends delivered data).
-    #[default]
-    GoBackN,
-    /// Resend only the missing segment; later data already delivered
-    /// stays delivered (IRN's optimized mode).
-    SelectiveRepeat,
-}
-
 /// IRN tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IrnConfig {
@@ -49,8 +37,6 @@ pub struct IrnConfig {
     pub rto: SimDuration,
     /// Upper bound on the backed-off RTO.
     pub max_rto: SimDuration,
-    /// Loss-recovery mode.
-    pub recovery: IrnRecovery,
 }
 
 impl Default for IrnConfig {
@@ -62,7 +48,6 @@ impl Default for IrnConfig {
             window: Bytes::new(25_000),
             rto: SimDuration::from_millis(2),
             max_rto: SimDuration::from_millis(64),
-            recovery: IrnRecovery::GoBackN,
         }
     }
 }
@@ -83,13 +68,10 @@ pub struct IrnSender {
     /// with `seq < snd_max` at call entry is a retransmission.
     snd_max: u64,
 
-    /// Holes already rewound to (go-back-N) — duplicate NACKs for the
-    /// same gap from different observers are ignored. Pruned as
-    /// `snd_una` advances past them.
+    /// Holes already rewound to — duplicate NACKs for the same gap from
+    /// different observers are ignored. Pruned as `snd_una` advances
+    /// past them.
     handled_holes: BTreeSet<u64>,
-    /// Holes already re-sent once (selective repeat). Pruned the same
-    /// way.
-    sr_retx: BTreeSet<u64>,
 
     backoff: u32,
     completed: bool,
@@ -121,7 +103,6 @@ impl IrnSender {
             snd_nxt: 0,
             snd_max: 0,
             handled_holes: BTreeSet::new(),
-            sr_retx: BTreeSet::new(),
             backoff: 0,
             completed: false,
         }
@@ -211,7 +192,6 @@ impl IrnSender {
         self.snd_nxt = self.snd_nxt.max(self.snd_una);
         // Holes behind the cumulative point are repaired.
         self.handled_holes = self.handled_holes.split_off(&self.snd_una);
-        self.sr_retx = self.sr_retx.split_off(&self.snd_una);
         if self.snd_una >= self.size {
             self.completed = true;
         }
@@ -246,10 +226,9 @@ impl IrnSender {
     /// Processes a NACK for the gap starting at `nack_seq`, appending
     /// retransmissions (and any newly allowed data) to `out`.
     ///
-    /// Go-back-N rewinds `snd_nxt` to the hole; selective repeat
-    /// resends exactly the missing segment. Either way a given hole is
-    /// acted on once — duplicate NACKs from other path observers are
-    /// ignored until progress proves the repair lost.
+    /// Go-back-N: `snd_nxt` rewinds to the hole. A given hole is acted
+    /// on once — duplicate NACKs from other path observers are ignored
+    /// until progress proves the repair lost.
     pub fn on_nack(
         &mut self,
         now: SimTime,
@@ -268,32 +247,23 @@ impl IrnSender {
             }
             action.rearm_timer = true;
         }
-        if nack_seq >= self.snd_una && nack_seq < self.snd_max {
-            match self.cfg.recovery {
-                IrnRecovery::GoBackN => {
-                    if self.handled_holes.insert(nack_seq) {
-                        // Never move forward: an older hole may already
-                        // have rewound below this one.
-                        self.snd_nxt = self.snd_nxt.min(nack_seq);
-                        action.rearm_timer = true;
-                    }
-                }
-                IrnRecovery::SelectiveRepeat => {
-                    if self.sr_retx.insert(nack_seq) {
-                        out.push(self.segment(nack_seq));
-                        action.rearm_timer = true;
-                    }
-                }
-            }
+        if nack_seq >= self.snd_una
+            && nack_seq < self.snd_max
+            && self.handled_holes.insert(nack_seq)
+        {
+            // Never move forward: an older hole may already have
+            // rewound below this one.
+            self.snd_nxt = self.snd_nxt.min(nack_seq);
+            action.rearm_timer = true;
         }
         self.take_ready(now, out);
         action
     }
 
-    /// Handles a retransmission timeout: go-back-N from `snd_una`
-    /// regardless of recovery mode (the RTO is the last-resort repair
-    /// for lost NACKs/ACKs), with exponential backoff until the next
-    /// forward progress — mirroring [`crate::DctcpSender::on_timeout`].
+    /// Handles a retransmission timeout: go-back-N from `snd_una` (the
+    /// RTO is the last-resort repair for lost NACKs/ACKs), with
+    /// exponential backoff until the next forward progress — mirroring
+    /// [`crate::DctcpSender::on_timeout`].
     pub fn on_timeout(&mut self, now: SimTime, out: &mut Vec<Packet>) -> AckAction {
         let mut action = AckAction::default();
         if self.completed {
@@ -301,7 +271,6 @@ impl IrnSender {
         }
         self.snd_nxt = self.snd_una;
         self.handled_holes.clear();
-        self.sr_retx.clear();
         self.backoff = self.backoff.saturating_add(1);
         self.take_ready(now, out);
         action.rearm_timer = true;
@@ -433,12 +402,8 @@ mod tests {
     use dcn_net::PacketKind;
 
     fn sender(size: u64) -> IrnSender {
-        sender_with(IrnConfig::default(), size)
-    }
-
-    fn sender_with(cfg: IrnConfig, size: u64) -> IrnSender {
         IrnSender::new(
-            cfg,
+            IrnConfig::default(),
             FlowId::new(1),
             NodeId::new(0),
             NodeId::new(1),
@@ -517,7 +482,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_hole_go_back_n_vs_selective_repeat() {
+    fn multi_hole_go_back_n_rewinds_to_each_hole_once() {
         // Two holes at 0 and 5000; the rest of the window delivered.
         let t = SimTime::from_micros(10);
 
@@ -529,23 +494,8 @@ mod tests {
         let (_, second) = nack(&mut gbn, t, 5_000, 0);
         assert_eq!(second.len(), 20, "GBN rewinds again to the second hole");
         assert_eq!(second[0].seq, 5_000);
-
-        let mut sr = sender_with(
-            IrnConfig {
-                recovery: IrnRecovery::SelectiveRepeat,
-                ..IrnConfig::default()
-            },
-            100_000,
-        );
-        let _ = ready(&mut sr, SimTime::ZERO);
-        let (_, first) = nack(&mut sr, t, 0, 0);
-        assert_eq!(first.len(), 1, "SR resends exactly the missing segment");
-        assert_eq!(first[0].seq, 0);
-        let (_, second) = nack(&mut sr, t, 5_000, 0);
-        assert_eq!(second.len(), 1);
-        assert_eq!(second[0].seq, 5_000);
-        let (_, dup) = nack(&mut sr, t, 5_000, 0);
-        assert!(dup.is_empty(), "SR dedups holes too");
+        let (_, dup) = nack(&mut gbn, t, 5_000, 0);
+        assert!(dup.is_empty(), "a hole is rewound to once");
     }
 
     #[test]

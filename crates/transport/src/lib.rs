@@ -16,8 +16,8 @@
 //!   sender (RP) multiplicatively cuts on CNP and recovers through
 //!   fast-recovery / additive-increase / hyper-increase stages.
 //! * [`IrnSender`] / [`IrnReceiver`] — lossy RDMA: a fixed BDP-bounded
-//!   window, NACK-driven go-back-N or selective-repeat recovery and an
-//!   exponentially backed-off RTO; packets ride the droppable
+//!   window, NACK-driven go-back-N recovery and an exponentially
+//!   backed-off RTO; packets ride the droppable
 //!   `LossyRdma` class, so no PFC is ever generated for them.
 //!
 //! All senders are deterministic; all pacing/timers surface as explicit
@@ -55,4 +55,4 @@ mod irn;
 
 pub use dcqcn::{DcqcnConfig, DcqcnReceiver, DcqcnSender, RpTimerKind};
 pub use dctcp::{AckAction, DctcpConfig, DctcpReceiver, DctcpSender, TcpEvent};
-pub use irn::{IrnConfig, IrnReceiver, IrnRecovery, IrnSender};
+pub use irn::{IrnConfig, IrnReceiver, IrnSender};

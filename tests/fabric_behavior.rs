@@ -293,3 +293,36 @@ fn occupancy_sampling_interval_is_respected() {
         );
     }
 }
+
+/// Wheel timers keep the pending-event population of a long-lived flow
+/// bounded: every RTO re-arm cancels its predecessor instead of
+/// tombstoning it, so the queue never accumulates dead deadlines and
+/// never pops a stale one.
+#[test]
+fn long_lived_flow_pending_events_stay_bounded() {
+    let topo = Topology::single_switch(2, BitRate::from_gbps(25), SimDuration::from_micros(1));
+    let mut sim = FabricSim::new(
+        topo,
+        FabricConfig {
+            policy: PolicyChoice::l2bm(),
+            sample_interval: None,
+            ..FabricConfig::default()
+        },
+    );
+    sim.add_flow(flow(1, 0, 1, 5_000_000, TrafficClass::Lossy));
+    assert!(sim.run_until_done(SimTime::from_millis(50)));
+    let r = sim.results();
+    assert_eq!(r.unfinished_flows, 0);
+    assert!(
+        r.fct.len() == 1 && r.events_processed > 10_000,
+        "the transfer must be long-lived ({} events)",
+        r.events_processed
+    );
+    assert!(
+        r.queue.max_pending < 100,
+        "pending events must stay bounded for a single flow, got {}",
+        r.queue.max_pending
+    );
+    assert_eq!(r.queue.stale_timer_pops, 0, "no cancelled timer may pop");
+    assert_eq!(r.queue.past_clamps, 0, "wheel timers never clamp");
+}

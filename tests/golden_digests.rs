@@ -2,16 +2,24 @@
 //! must be *free* for every other policy — zero extra events, zero
 //! extra RNG draws, byte-identical results. These tests pin the exact
 //! event counts and `RunResults` digests captured before the hook
-//! existed (the same goldens `dcn-bench --bin throughput -- --check`
-//! asserts in release CI).
+//! existed, plus a clean event queue: no past-time clamp, no stale
+//! timer pop.
 //!
 //! The two small-scale scenarios run in the plain tier-1 suite; the
 //! paper-scale scenario (~7.5M events) is `#[ignore]`d for debug runs
-//! and exercised by the release-mode CI check instead.
+//! and exercised in release CI with `--include-ignored`.
 
 use dcn_experiments::{run_hybrid, run_incast, ExperimentScale, HybridConfig, IncastConfig};
-use dcn_fabric::PolicyChoice;
+use dcn_fabric::{PolicyChoice, RunResults};
 use dcn_sim::SimDuration;
+
+fn assert_golden(r: &RunResults, events: u64, digest: u64) {
+    assert_eq!(r.events_processed, events, "event count drifted");
+    assert_eq!(r.digest(), digest, "digest drifted");
+    assert_eq!(r.rdma_stranded, 0, "no DCQCN sender may strand");
+    assert_eq!(r.queue.past_clamps, 0, "no event scheduled in the past");
+    assert_eq!(r.queue.stale_timer_pops, 0, "no cancelled timer may pop");
+}
 
 #[test]
 fn hybrid_small_golden_digest_is_unchanged() {
@@ -21,10 +29,8 @@ fn hybrid_small_golden_digest_is_unchanged() {
         rdma_load: 0.4,
         tcp_load: 0.8,
     });
-    assert_eq!(p.results.events_processed, 930_146, "event count drifted");
-    assert_eq!(p.results.digest(), 0x972d_5f4e_f9da_3109, "digest drifted");
+    assert_golden(&p.results, 930_146, 0x972d_5f4e_f9da_3109);
     assert_eq!(p.results.drops.evicted_packets, 0, "no policy evicts here");
-    assert_eq!(p.results.rdma_stranded, 0, "no DCQCN sender may strand");
 }
 
 #[test]
@@ -34,10 +40,8 @@ fn incast_small_golden_digest_is_unchanged() {
         PolicyChoice::l2bm(),
         5,
     ));
-    assert_eq!(p.results.events_processed, 857_321, "event count drifted");
-    assert_eq!(p.results.digest(), 0xfc40_bd96_0ecc_5a10, "digest drifted");
+    assert_golden(&p.results, 857_321, 0xfc40_bd96_0ecc_5a10);
     assert_eq!(p.results.drops.evicted_packets, 0, "no policy evicts here");
-    assert_eq!(p.results.rdma_stranded, 0, "no DCQCN sender may strand");
 }
 
 #[test]
@@ -49,7 +53,5 @@ fn hybrid_paper_golden_digest_is_unchanged() {
         rdma_load: 0.4,
         tcp_load: 0.8,
     });
-    assert_eq!(p.results.events_processed, 7_464_811, "event count drifted");
-    assert_eq!(p.results.digest(), 0x07ab_b15b_a35b_844d, "digest drifted");
-    assert_eq!(p.results.rdma_stranded, 0, "no DCQCN sender may strand");
+    assert_golden(&p.results, 7_464_811, 0x07ab_b15b_a35b_844d);
 }

@@ -1,16 +1,13 @@
 //! Determinism-under-parallelism regression: the sweep engine must
 //! produce bit-identical results at any `--jobs` value. A fixed Fig. 7
-//! cell grid is run serially and on 8 worker threads; every per-cell
-//! [`RunResults`] digest and the rendered report must match exactly.
-//!
-//! The same check runs in CI via `dcn-bench --bin trace -- --check` and
-//! `dcn-bench --bin sweep -- --check`; this test keeps it in the
-//! plain `cargo test` tier-1 suite.
+//! cell grid is run serially and on 2, 4 and 8 worker threads; every
+//! per-cell [`RunResults`] digest and the rendered report must match
+//! exactly.
 
-use dcn_experiments::{fig7_with, table2_with, tournament, ExperimentScale, SweepOptions};
+use dcn_experiments::{fig7, table2, tournament, ExperimentScale, SweepOptions};
 
 fn fig7_digests(jobs: usize, seeds: u64) -> (Vec<u64>, String) {
-    let report = fig7_with(
+    let report = fig7(
         &ExperimentScale::tiny(),
         &[0.4],
         &SweepOptions::new(jobs, seeds),
@@ -22,16 +19,18 @@ fn fig7_digests(jobs: usize, seeds: u64) -> (Vec<u64>, String) {
 #[test]
 fn fig7_cell_digests_match_between_jobs_1_and_8() {
     let (serial, serial_render) = fig7_digests(1, 1);
-    let (parallel, parallel_render) = fig7_digests(8, 1);
     assert_eq!(serial.len(), 4, "one cell per policy");
-    assert_eq!(
-        serial, parallel,
-        "RunResults digests must not depend on the thread count"
-    );
-    assert_eq!(
-        serial_render, parallel_render,
-        "rendered report must be byte-identical across --jobs values"
-    );
+    for jobs in [2, 4, 8] {
+        let (parallel, parallel_render) = fig7_digests(jobs, 1);
+        assert_eq!(
+            serial, parallel,
+            "RunResults digests must not depend on the thread count ({jobs} jobs)"
+        );
+        assert_eq!(
+            serial_render, parallel_render,
+            "rendered report must be byte-identical across --jobs values ({jobs} jobs)"
+        );
+    }
 }
 
 #[test]
@@ -53,8 +52,8 @@ fn table2_render_is_thread_count_invariant() {
     let opts_1 = SweepOptions::new(1, 2);
     let opts_8 = SweepOptions::new(8, 2);
     let loads = [0.4];
-    let a = table2_with(&ExperimentScale::tiny(), &loads, &opts_1).render();
-    let b = table2_with(&ExperimentScale::tiny(), &loads, &opts_8).render();
+    let a = table2(&ExperimentScale::tiny(), &loads, &opts_1).render();
+    let b = table2(&ExperimentScale::tiny(), &loads, &opts_8).render();
     assert_eq!(a, b);
 }
 

@@ -7,7 +7,8 @@
 //! * no lossless-class queue ever drops while its (port, priority) is
 //!   paused — upstream was told to stop, so headroom must absorb the
 //!   in-flight tail;
-//! * the recorder's edge counts reconcile with the PFC counters.
+//! * the recorder's edge counts reconcile with the PFC counters;
+//! * two identical runs dump byte-identical JSONL.
 
 use std::collections::BTreeMap;
 
@@ -20,7 +21,7 @@ use dcn_workload::FlowSpec;
 /// An 8-into-1 lossless incast (which must pause) plus a 2-into-1 lossy
 /// incast on another port (which drops under the small buffer), through
 /// one shared-memory switch with the recorder on.
-fn run_traced(policy: PolicyChoice) -> (Vec<(u64, TraceEvent)>, u64, u64, u64) {
+fn run_traced(policy: PolicyChoice) -> (Vec<(u64, TraceEvent)>, u64, u64, u64, String) {
     let topo = Topology::single_switch(12, BitRate::from_gbps(25), SimDuration::from_micros(1));
     let cfg = FabricConfig {
         policy,
@@ -60,12 +61,13 @@ fn run_traced(policy: PolicyChoice) -> (Vec<(u64, TraceEvent)>, u64, u64, u64) {
     assert!(sim.run_until_done(SimTime::from_secs(2)));
 
     let results = sim.results();
-    let events = sim
+    let (events, jsonl) = sim
         .trace()
         .with(|rec| {
-            rec.records()
-                .map(|r| (r.at.as_nanos(), r.event))
-                .collect::<Vec<_>>()
+            let totals = rec.totals();
+            assert!(!rec.is_empty() && totals.drops() > 0 && totals.pfc_pauses > 0);
+            let events = rec.records().map(|r| (r.at.as_nanos(), r.event)).collect();
+            (events, rec.to_jsonl())
         })
         .expect("recorder enabled");
     assert!(
@@ -77,6 +79,7 @@ fn run_traced(policy: PolicyChoice) -> (Vec<(u64, TraceEvent)>, u64, u64, u64) {
         results.pause_frames(),
         results.pfc.resume_frames(),
         results.drops.lossless_packets,
+        jsonl,
     )
 }
 
@@ -91,7 +94,11 @@ fn pfc_edges_match_and_lossless_never_drops_while_paused() {
         PolicyChoice::bshare(),
     ] {
         let label = policy.label();
-        let (events, pause_frames, resume_frames, lossless_drops) = run_traced(policy);
+        let (events, pause_frames, resume_frames, lossless_drops, jsonl) = run_traced(policy);
+        assert!(
+            jsonl == run_traced(policy).4,
+            "{label}: JSONL dumps differ between identical runs"
+        );
 
         let mut paused: BTreeMap<(u32, u16, u8), bool> = BTreeMap::new();
         let mut pauses = 0u64;
