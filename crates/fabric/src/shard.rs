@@ -25,7 +25,10 @@
 //!   `(time, stamp)` key — the maximum done key of the window — and
 //!   filters everything it speculatively dispatched past it: journaled
 //!   counter deltas are subtracted, tail FCT records and occupancy
-//!   samples dropped, and the event count corrected.
+//!   samples dropped, and the event count corrected. Only the pops a
+//!   shard dispatches after its own last counted completion are
+//!   journaled: one dispatched while the shard still owes a completion
+//!   is at or before that completion's key, hence the stop key.
 //! * **Replicas.** `Sample` and `Fault` events run in every shard
 //!   (occupancy and link state are shard-local and replicated
 //!   respectively); the merge counts them once and asserts the shards
@@ -38,7 +41,7 @@ use dcn_metrics::FctRecord;
 use dcn_net::{Partition, Topology, TrafficClass};
 use dcn_sim::{
     ambiguous_comparisons, EventQueue, QueueStats, ShardStats, SimTime, Simulation, SpinBarrier,
-    Stamp, StampKey,
+    StampKey,
 };
 use dcn_workload::FlowSpec;
 
@@ -58,14 +61,43 @@ enum PopKind {
     Fault,
 }
 
+impl PopKind {
+    fn of(ev: &Event) -> PopKind {
+        match ev {
+            Event::Sample => PopKind::Sample,
+            Event::Fault { .. } => PopKind::Fault,
+            _ => PopKind::Normal,
+        }
+    }
+}
+
+/// Pops known to be at or before the stop key, by how the merge counts
+/// them.
+#[derive(Default)]
+struct Banked {
+    normal: u64,
+    replicated: u64,
+}
+
+impl Banked {
+    fn add(&mut self, kind: PopKind) {
+        match kind {
+            PopKind::Normal => self.normal += 1,
+            PopKind::Sample | PopKind::Fault => self.replicated += 1,
+        }
+    }
+}
+
 /// One shard's slot of barrier-shared state. Field use is phased so a
-/// slow reader can never observe a peer's next-window write: `done_*`
+/// slow reader can never observe a peer's next-window write: `*done*`
 /// are written before barrier A and read after it; `next_time` is
 /// written between barriers A and B and read after B — and a shard only
-/// reaches its next `done_*` write after every peer passed B.
+/// reaches its next `*done*` write after every peer passed B.
 #[derive(Default)]
 struct Slot {
-    done_keys: Vec<StampKey>,
+    /// Key of the shard's last completion in the window just dispatched
+    /// (its greatest: a shard pops in key order).
+    max_done: Option<StampKey>,
     done_total: usize,
     next_time: Option<SimTime>,
 }
@@ -88,8 +120,7 @@ struct ShardPiece {
     fct: Vec<(StampKey, FctRecord)>,
     irn: dcn_metrics::IrnCounters,
     unfinished: usize,
-    normal_events: u64,
-    replicated_events: u64,
+    banked: Banked,
     ghost_credits: u64,
     queue: QueueStats,
     stats: ShardStats,
@@ -190,7 +221,6 @@ impl ShardedFabricSim {
                 );
             }
         }
-        let ambiguous_before = ambiguous_comparisons();
         let shared = Shared {
             barrier: SpinBarrier::new(shards),
             mailboxes: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
@@ -214,14 +244,7 @@ impl ShardedFabricSim {
                 .map(|h| h.join().expect("shard thread panicked"))
                 .collect()
         });
-        let mut r = merge_pieces(pieces);
-        // Stamp-comparison ambiguity is a process-global counter; the
-        // whole run's delta is attributed to shard 0's entry. (Other
-        // concurrently running simulations in the same process can
-        // inflate it — it is a diagnostic, not part of any digest.)
-        if let Some(first) = r.shards.first_mut() {
-            first.stamp_ambiguities = ambiguous_comparisons() - ambiguous_before;
-        }
+        let r = merge_pieces(pieces);
         let done = r.unfinished_flows == 0;
         self.results = Some(r);
         done
@@ -250,6 +273,7 @@ fn run_shard(
 ) -> ShardPiece {
     let shards = part.shards();
     let total_flows = specs.len();
+    let ambiguous_before = ambiguous_comparisons();
     let mut world = World::new_sharded(topo.clone(), cfg.clone(), part.clone(), shard);
     let mut q: EventQueue<Event> = EventQueue::new();
     q.enable_stamps();
@@ -280,42 +304,38 @@ fn run_shard(
             q.schedule_at(spec.start, Event::FlowStart { index: ix });
         }
     }
+    // The completions this shard counts. While it still owes one, every
+    // pop it dispatches is kept (see the dispatch loop).
+    let owed_flows = world.counting_flows();
 
     let lookahead = part.lookahead();
     let mut stats = ShardStats::default();
-    let mut group: Vec<(u32, Stamp)> = Vec::new();
+    let mut inbox: Vec<Handoff> = Vec::new();
 
-    // Window-local journals, cleared at every continuing barrier (the
-    // stop key can only land in the run's final window).
+    // Window-local journals of the pops dispatched once nothing is owed,
+    // cleared at every continuing barrier (the stop key can only land in
+    // the run's final window).
     let mut deltas: Vec<(StampKey, PopDelta)> = Vec::new();
     let mut pops: Vec<(StampKey, PopKind)> = Vec::new();
-    let mut done_keys: Vec<StampKey> = Vec::new();
+    // Key of this window's newest completion — its greatest, since a
+    // shard pops in key order.
+    let mut max_done: Option<StampKey> = None;
     // Run-long journal parallel to the world's FCT records.
     let mut fct_keys: Vec<StampKey> = Vec::new();
 
-    let mut normal_events: u64 = 0;
-    let mut replicated_events: u64 = 0;
+    let mut banked = Banked::default();
     let mut ghost_credits: u64 = 0;
 
     let mut w_start = SimTime::ZERO;
     let mut done = false;
     let mut stop_key: Option<StampKey> = None;
 
-    // A solo run (one shard owns the whole fabric) skips the speculation
-    // journals: with no peers there is nothing to reconcile at a
-    // barrier, so it can stop at the exact completing pop like the
-    // serial engine — journaling every pop of the run-wide single window
-    // would cost gigabytes for nothing.
+    // A solo run (one shard owns the whole fabric) has no peer to wait
+    // for, so it stops at the exact completing pop like the serial
+    // engine instead of speculating on to the deadline.
     let solo = shards == 1;
 
     'windows: loop {
-        if solo && world.done_flows() == total_flows {
-            // Covers the zero-flow run (the serial engine exits before
-            // processing anything); with flows, the in-loop break below
-            // fires first and records the completing pop's key.
-            done = true;
-            break;
-        }
         let w_end = match lookahead {
             Some(l) => deadline.min(w_start + l),
             None => deadline,
@@ -324,76 +344,84 @@ fn run_shard(
         // Dispatch everything strictly inside the window, simultaneous
         // events in stamp order.
         let mut window_events: u64 = 0;
-        while q.peek_time().is_some_and(|t| t < w_end) {
-            if q.begin_group(&mut group).is_none() {
+        loop {
+            let members = q.begin_group(w_end);
+            if members == 0 {
                 break;
             }
-            if group.len() > 1 {
-                group.sort_by(|a, b| a.1.order(&b.1));
-            }
-            for &(member, stamp) in &group {
+            for member in 0..members {
                 let Some((at, ev)) = q.dispatch_member(member) else {
                     continue; // cancelled by an earlier member of its group
                 };
-                let key = StampKey { at, stamp };
-                let kind = match ev {
-                    Event::Sample => PopKind::Sample,
-                    Event::Fault { .. } => PopKind::Fault,
-                    _ => PopKind::Normal,
-                };
-                if solo {
-                    let fct_before = world.fct_records().len();
-                    world.handle(at, ev, &mut q);
-                    if world.fct_records().len() > fct_before {
-                        fct_keys.push(key);
-                    }
-                    match kind {
-                        PopKind::Normal => normal_events += 1,
-                        PopKind::Sample | PopKind::Fault => replicated_events += 1,
-                    }
-                    window_events += 1;
-                    if world.done_flows() == total_flows {
-                        // The serial engine stops right after this pop.
-                        done = true;
-                        stop_key = Some(key);
-                        stats.max_window_events = stats.max_window_events.max(window_events);
-                        break 'windows;
-                    }
+                window_events += 1;
+                let kind = PopKind::of(&ev);
+                let fct_before = world.fct_records().len();
+                let done_before = world.done_flows();
+                // Owed-completion rule: this shard pops in key order, so
+                // while it has a completion still to come, this pop's key
+                // is at or before that completion's, which the stop key —
+                // the greatest done key of the run — can only equal or
+                // exceed. The pop is kept whatever the peers do. Once
+                // nothing is owed, a peer's completion may put the stop
+                // key before the pop: snapshot what reverting it takes.
+                let snap = (done_before == owed_flows).then(|| world.snap(&ev));
+                world.handle(at, ev, &mut q);
+                let records = world.fct_records().len() - fct_before;
+                let completed = world.done_flows() > done_before;
+                if snap.is_none() && records == 0 && !completed {
+                    // The common pop: banked, its stamp never copied.
+                    banked.add(kind);
                     continue;
                 }
-                let snap = world.snap(&ev);
-                world.handle(at, ev, &mut q);
+                let key = StampKey {
+                    at,
+                    stamp: *q.current_stamp(),
+                };
+                fct_keys.extend(std::iter::repeat_n(key, records));
+                let Some(snap) = snap else {
+                    banked.add(kind);
+                    if completed {
+                        max_done = Some(key);
+                        if solo && world.done_flows() == total_flows {
+                            // The serial engine stops right after this pop.
+                            done = true;
+                            stop_key = Some(key);
+                            stats.max_window_events = stats.max_window_events.max(window_events);
+                            break 'windows;
+                        }
+                    }
+                    continue;
+                };
+                stats.journaled_pops += 1;
                 if let Some(d) = world.delta_since(snap) {
-                    if d.fct_grew {
-                        fct_keys.push(key);
-                    }
-                    if d.done_grew {
-                        done_keys.push(key);
-                    }
                     deltas.push((key, d));
                 }
                 pops.push((key, kind));
-                window_events += 1;
             }
         }
         stats.max_window_events = stats.max_window_events.max(window_events);
 
-        // Publish handoffs and this window's completions, then barrier A.
-        let outbox = world.take_outbox();
-        stats.handoffs_out += outbox.len() as u64;
-        for h in outbox {
-            debug_assert!(h.at >= w_end, "handoff fires inside its source window");
-            shared.mailboxes[h.dest as usize]
+        // Publish handoffs (one batch, one lock per destination) and this
+        // window's last completion, then barrier A.
+        for (dest, batch) in world.outbox().iter_mut().enumerate() {
+            if batch.is_empty() {
+                continue;
+            }
+            debug_assert!(
+                batch.iter().all(|h| h.at >= w_end),
+                "handoff fires inside its source window"
+            );
+            stats.handoffs_out += batch.len() as u64;
+            shared.mailboxes[dest]
                 .lock()
                 .expect("shard thread panicked")
-                .push(h);
+                .append(batch);
         }
         {
             let mut slot = shared.slots[shard as usize]
                 .lock()
                 .expect("shard thread panicked");
-            slot.done_keys.clear();
-            slot.done_keys.extend_from_slice(&done_keys);
+            slot.max_done = max_done.take();
             slot.done_total = world.done_flows();
         }
         shared.barrier.wait();
@@ -409,21 +437,16 @@ fn run_shard(
         }
         if global_done == total_flows {
             // The run completes in this window. The serial engine
-            // stopped right after the completing pop — the maximum done
-            // key across all shards' windows (`None` only for a
-            // zero-flow run, which the serial engine exits before
-            // processing anything).
+            // stopped right after the completing pop — the greatest of
+            // the shards' last done keys (`None` only for a zero-flow
+            // run, which the serial engine exits before processing
+            // anything).
             for s in 0..shards {
-                for k in shared.slots[s]
-                    .lock()
-                    .expect("shard thread panicked")
-                    .done_keys
-                    .iter()
-                {
-                    stop_key = Some(match stop_key {
-                        Some(cur) if cur.order(k).is_ge() => cur,
-                        _ => *k,
-                    });
+                let slot = shared.slots[s].lock().expect("shard thread panicked");
+                if let Some(k) = &slot.max_done {
+                    if stop_key.as_ref().is_none_or(|cur| cur.order(k).is_lt()) {
+                        stop_key = Some(*k);
+                    }
                 }
             }
             done = true;
@@ -433,14 +456,10 @@ fn run_shard(
         // Continuing: everything this window dispatched is in the
         // serial run's past for certain — bank it and clear journals.
         for &(_, kind) in &pops {
-            match kind {
-                PopKind::Normal => normal_events += 1,
-                PopKind::Sample | PopKind::Fault => replicated_events += 1,
-            }
+            banked.add(kind);
         }
         pops.clear();
         deltas.clear();
-        done_keys.clear();
         // Timers cancelled with fire times inside the window are pops
         // the serial engine's lazy ghost absorption has counted by now.
         ghost_credits += q.fold_stamped_ghosts_before(w_end);
@@ -452,13 +471,14 @@ fn run_shard(
         }
 
         // Admit the peers' handoffs, then agree on the next window.
-        let handoffs = std::mem::take(
+        std::mem::swap(
+            &mut inbox,
             &mut *shared.mailboxes[shard as usize]
                 .lock()
                 .expect("shard thread panicked"),
         );
-        stats.handoffs_in += handoffs.len() as u64;
-        for h in handoffs {
+        stats.handoffs_in += inbox.len() as u64;
+        for h in inbox.drain(..) {
             world.admit_handoff(h, &mut q);
         }
         let local_next = q.peek_time();
@@ -498,6 +518,7 @@ fn run_shard(
         // Keep exactly what the serial engine processed: keys at or
         // before the stop key. (`stop_key` is `None` only for the
         // zero-flow run, where the serial engine processes nothing.)
+        // Only the final window's journaled pops can fail the test.
         let keep = |k: &StampKey| {
             stop_key
                 .as_ref()
@@ -505,10 +526,7 @@ fn run_shard(
         };
         for &(ref k, kind) in &pops {
             if keep(k) {
-                match kind {
-                    PopKind::Normal => normal_events += 1,
-                    PopKind::Sample | PopKind::Fault => replicated_events += 1,
-                }
+                banked.add(kind);
             } else if kind == PopKind::Sample {
                 dropped_samples += 1;
             }
@@ -518,10 +536,6 @@ fn run_shard(
             .filter(|(k, _)| !keep(k))
             .map(|(_, d)| d)
             .collect();
-        debug_assert!(
-            reverted.iter().all(|d| !d.done_grew),
-            "a flow completed past the stop key"
-        );
         // Per-shard pops happen in key order, so filtered FCT records
         // are exactly a tail.
         while fct_keep > 0 && !keep(&fct_keys[fct_keep - 1]) {
@@ -532,7 +546,9 @@ fn run_shard(
         let tail = match &stop_key {
             Some(sk) => q
                 .stamped_ghosts()
-                .filter(|&(at, stamp)| StampKey { at, stamp }.order(sk) == Ordering::Less)
+                .filter(|&(at, stamp)| {
+                    at.cmp(&sk.at).then_with(|| stamp.order(&sk.stamp)) == Ordering::Less
+                })
                 .count() as u64,
             None => 0,
         };
@@ -568,11 +584,6 @@ fn run_shard(
         world.fct_records().len(),
         "FCT journal out of sync"
     );
-    debug_assert_eq!(
-        fct_keys.len() - fct_keep,
-        reverted.iter().filter(|d| d.fct_grew).count(),
-        "FCT tail drop disagrees with the reverted journal"
-    );
     let fct: Vec<(StampKey, FctRecord)> = fct_keys
         .iter()
         .take(fct_keep)
@@ -580,14 +591,14 @@ fn run_shard(
         .zip(world.fct_records().iter().take(fct_keep).copied())
         .collect();
     stats.events_processed = q.stats().processed;
+    stats.stamp_ambiguities = ambiguous_comparisons() - ambiguous_before;
 
     ShardPiece {
-        unfinished: world.counting_flows() - world.done_flows(),
+        unfinished: owed_flows - world.done_flows(),
         base,
         fct,
         irn,
-        normal_events,
-        replicated_events,
+        banked,
         ghost_credits,
         queue: q.stats(),
         stats,
@@ -603,7 +614,9 @@ fn merge_pieces(pieces: Vec<ShardPiece>) -> RunResults {
     // exact order the serial engine pushed them.
     let mut all_fct: Vec<(StampKey, FctRecord)> =
         pieces.iter().flat_map(|p| p.fct.iter().copied()).collect();
+    let ambiguous_before = ambiguous_comparisons();
     all_fct.sort_by(|a, b| a.0.order(&b.0));
+    let merge_ambiguities = ambiguous_comparisons() - ambiguous_before;
     for (_, rec) in &all_fct {
         r.fct.push(*rec);
     }
@@ -612,13 +625,13 @@ fn merge_pieces(pieces: Vec<ShardPiece>) -> RunResults {
     // pops happened in all of them identically (asserted) and count
     // once; ghost credits are per-timer and every timer is armed in
     // exactly one shard.
-    let replicated = pieces[0].replicated_events;
+    let replicated = pieces[0].banked.replicated;
     for p in &pieces {
         assert_eq!(
-            p.replicated_events, replicated,
+            p.banked.replicated, replicated,
             "replicated event schedules diverged across shards"
         );
-        r.events_processed += p.normal_events + p.ghost_credits;
+        r.events_processed += p.banked.normal + p.ghost_credits;
     }
     r.events_processed += replicated;
 
@@ -660,6 +673,9 @@ fn merge_pieces(pieces: Vec<ShardPiece>) -> RunResults {
         r.queue.stale_timer_pops += p.queue.stale_timer_pops;
         r.shards.push(p.stats);
     }
+    // The merge compared keys on the calling thread, not a shard's: its
+    // count joins the first entry so the sum over `shards` is the run's.
+    r.shards[0].stamp_ambiguities += merge_ambiguities;
     r
 }
 
@@ -668,7 +684,7 @@ mod tests {
     use super::*;
     use crate::{FabricSim, PolicyChoice};
     use dcn_net::{ClosConfig, FlowId, NodeId, Priority};
-    use dcn_sim::{BitRate, Bytes, FaultSchedule, SimDuration};
+    use dcn_sim::{BitRate, Bytes, FaultSchedule, SimDuration, Stamp, STAMP_DEPTH};
 
     fn spec(
         id: u64,
@@ -749,14 +765,15 @@ mod tests {
         (done, sim.results())
     }
 
-    /// Digest equality plus the reconciliations the digest doesn't cover.
+    /// Digest equality plus the reconciliations the digest doesn't
+    /// cover. Returns the serial and the sharded results.
     fn assert_matches_serial(
         topo: &Topology,
         cfg: &FabricConfig,
         flows: &[FlowSpec],
         shards: usize,
         deadline: SimTime,
-    ) {
+    ) -> (RunResults, RunResults) {
         let (serial_done, serial) = run_serial(topo, cfg, flows, deadline);
         let (sharded_done, sharded) = run_sharded(topo, cfg, flows, shards, deadline);
         assert_eq!(serial_done, sharded_done, "{shards}-shard done status");
@@ -775,6 +792,38 @@ mod tests {
         assert_eq!(serial.rdma_stranded, sharded.rdma_stranded);
         assert_eq!(serial.flow_stalls, sharded.flow_stalls);
         assert!(!sharded.shards.is_empty(), "shard stats surfaced");
+        (serial, sharded)
+    }
+
+    /// Four racks of two hosts, so both 2 and 4 shards partition it:
+    /// rack `r` holds hosts `2r` and `2r + 1`, and contiguous racks
+    /// share a shard.
+    fn four_rack_clos() -> (Topology, Vec<NodeId>) {
+        let topo = Topology::clos(&ClosConfig {
+            tors: 4,
+            aggs: 2,
+            hosts_per_tor: 2,
+            ..ClosConfig::paper()
+        });
+        let hosts: Vec<NodeId> = topo.hosts().collect();
+        let part = Partition::new(&topo, 4);
+        let racks: Vec<usize> = hosts.iter().map(|&h| part.shard_of(h)).collect();
+        assert_eq!(racks, [0, 0, 1, 1, 2, 2, 3, 3], "hosts are rack-ordered");
+        (topo, hosts)
+    }
+
+    /// Pops the shards dispatched past the stop key and reverted: what
+    /// they dispatched beyond the serial engine's pops, every shard
+    /// having replayed the serial run's `Sample` pops (the only
+    /// replicated ones in a fault-free run).
+    fn filtered_pops(serial: &RunResults, sharded: &RunResults) -> u64 {
+        let samples = serial.occupancy.values().next().map_or(0, |o| o.len()) as u64;
+        let replays = (sharded.shards.len() as u64 - 1) * samples;
+        sharded.queue.processed - serial.queue.processed - replays
+    }
+
+    fn journaled_share(s: &ShardStats) -> f64 {
+        s.journaled_pops as f64 / s.events_processed as f64
     }
 
     #[test]
@@ -794,7 +843,11 @@ mod tests {
             ..FabricConfig::default()
         };
         let flows = hybrid_flows(&topo, 10);
-        assert_matches_serial(&topo, &cfg, &flows, 1, SimTime::from_millis(100));
+        let (_, solo) = assert_matches_serial(&topo, &cfg, &flows, 1, SimTime::from_millis(100));
+        assert_eq!(
+            solo.shards[0].journaled_pops, 0,
+            "a solo run owes until it stops"
+        );
     }
 
     #[test]
@@ -806,7 +859,108 @@ mod tests {
         };
         let flows = hybrid_flows(&topo, 16);
         for shards in [1, 2] {
-            assert_matches_serial(&topo, &cfg, &flows, shards, SimTime::from_millis(100));
+            let (_, sharded) =
+                assert_matches_serial(&topo, &cfg, &flows, shards, SimTime::from_millis(100));
+            // Both racks carry counted flows to near the end: only the
+            // earlier finisher's last stretch is journaled.
+            for s in &sharded.shards {
+                assert!(journaled_share(s) < 0.05, "{shards} shards: {s:?}");
+            }
+        }
+    }
+
+    /// (i) One shard's counted flows all finish many windows before the
+    /// other's while it keeps forwarding: it journals a long tail, and
+    /// the stop key lands in a window it journaled from its first pop.
+    #[test]
+    fn early_finishing_shard_journals_its_tail() {
+        let (topo, h) = four_rack_clos();
+        let cfg = FabricConfig {
+            policy: PolicyChoice::l2bm(),
+            ..FabricConfig::default()
+        };
+        use TrafficClass::{Lossless, Lossy};
+        let flows = [
+            // Counted where they start: racks 0 and 1 are done early.
+            spec(0, h[0], h[1], 20_000, Lossy, 0),
+            spec(1, h[2], h[3], 20_000, Lossy, 0),
+            // Counted where it ends, in rack 3; rack 0 sends it all along.
+            spec(2, h[0], h[6], 400_000, Lossless, 0),
+            spec(3, h[6], h[7], 30_000, Lossy, 5),
+        ];
+        for shards in [2, 4] {
+            let (_, sharded) =
+                assert_matches_serial(&topo, &cfg, &flows, shards, SimTime::from_millis(100));
+            let (first, last) = (&sharded.shards[0], &sharded.shards[shards - 1]);
+            assert!(journaled_share(first) > 0.5, "{shards} shards: {first:?}");
+            // Journaled pops are a suffix of a shard's pops, so more of
+            // them than any window holds means whole windows of them.
+            assert!(first.journaled_pops > first.max_window_events);
+            assert_eq!(last.journaled_pops, 0, "the last finisher owes throughout");
+        }
+    }
+
+    /// (ii) Both shards' last completions fall in one window, 100 ns
+    /// apart, and sampling ticks on past the stop key: each shard
+    /// journals only its last few pops, and some of them are reverted.
+    #[test]
+    fn same_window_finish_reverts_the_overshoot() {
+        let (topo, h) = four_rack_clos();
+        let cfg = FabricConfig {
+            policy: PolicyChoice::l2bm(),
+            sample_interval: Some(SimDuration::from_nanos(250)),
+            ..FabricConfig::default()
+        };
+        let first = spec(0, h[0], h[1], 40_000, TrafficClass::Lossy, 0);
+        let mut second = spec(1, h[6], h[7], 40_000, TrafficClass::Lossy, 0);
+        second.start = SimTime::from_nanos(100);
+        for shards in [2, 4] {
+            let (serial, sharded) = assert_matches_serial(
+                &topo,
+                &cfg,
+                &[first, second],
+                shards,
+                SimTime::from_millis(100),
+            );
+            let finish: Vec<u64> = serial
+                .fct
+                .records()
+                .iter()
+                .map(|r| r.finish.as_nanos())
+                .collect();
+            assert_eq!(finish[1] - finish[0], 100, "a few pops apart");
+            for s in [&sharded.shards[0], &sharded.shards[shards - 1]] {
+                assert!(s.journaled_pops > 0, "{shards} shards: {s:?}");
+                assert!(s.journaled_pops < s.max_window_events, "final window only");
+            }
+            assert!(filtered_pops(&serial, &sharded) > 0, "overshoot reverted");
+            for (node, series) in &serial.occupancy {
+                assert_eq!(series.samples(), sharded.occupancy[node].samples());
+            }
+        }
+    }
+
+    /// (iii) A shard that counts no flow owes nothing from its first pop
+    /// and journals every one.
+    #[test]
+    fn shard_without_counted_flows_always_journals() {
+        let (topo, h) = four_rack_clos();
+        let cfg = FabricConfig {
+            policy: PolicyChoice::l2bm(),
+            ..FabricConfig::default()
+        };
+        // Lossless flows are counted where they end: rack 3.
+        let flows = [
+            spec(0, h[0], h[6], 100_000, TrafficClass::Lossless, 0),
+            spec(1, h[1], h[7], 60_000, TrafficClass::Lossless, 3),
+        ];
+        for shards in [2, 4] {
+            let (_, sharded) =
+                assert_matches_serial(&topo, &cfg, &flows, shards, SimTime::from_millis(100));
+            let sender = &sharded.shards[0];
+            assert!(sender.events_processed > 0);
+            assert_eq!(sender.journaled_pops, sender.events_processed);
+            assert_eq!(sharded.shards[shards - 1].journaled_pops, 0);
         }
     }
 
@@ -827,7 +981,9 @@ mod tests {
         assert!(!done, "deadline exit exercised");
         assert!(serial.unfinished_flows > 0);
         for shards in [1, 2] {
-            assert_matches_serial(&topo, &cfg, &flows, shards, deadline);
+            let (_, sharded) = assert_matches_serial(&topo, &cfg, &flows, shards, deadline);
+            // Every shard still owes at the deadline.
+            assert!(sharded.shards.iter().all(|s| s.journaled_pops == 0));
         }
     }
 
@@ -885,8 +1041,62 @@ mod tests {
         let topo = Topology::clos(&ClosConfig::small(2));
         let cfg = FabricConfig::default();
         for shards in [1, 2] {
-            assert_matches_serial(&topo, &cfg, &[], shards, SimTime::from_millis(10));
+            let (serial, sharded) =
+                assert_matches_serial(&topo, &cfg, &[], shards, SimTime::from_millis(10));
+            // Nothing is owed, so whatever the first window holds (the
+            // solo run's reaches the deadline: every sampler tick) is
+            // journaled — and reverted: the serial engine pops nothing.
+            assert_eq!(serial.events_processed, 0);
+            assert_eq!(sharded.shards[0].events_processed > 0, shards == 1);
+            for s in &sharded.shards {
+                assert_eq!(s.journaled_pops, s.events_processed);
+            }
         }
+    }
+
+    /// Ambiguities are counted per shard thread: what a neighbouring
+    /// thread compares while the run is in flight is not the run's.
+    #[test]
+    fn a_neighbours_ambiguous_comparisons_are_not_the_runs() {
+        use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+        // Two chains too deep to store whole that differ only in the
+        // part they dropped: every comparison of them is ambiguous.
+        let t = SimTime::from_nanos;
+        let mut a = Stamp::root(0).child(t(5), 0);
+        let mut b = Stamp::root(0).child(t(6), 0);
+        for gen in 1..=2 * STAMP_DEPTH as u64 {
+            a = a.child(t(100 + gen * 10), 1 + (gen % 2) as u32);
+            b = b.child(t(100 + gen * 10), 1 + (gen % 2) as u32);
+        }
+        let topo = Topology::clos(&ClosConfig::small(4));
+        let flows = hybrid_flows(&topo, 16);
+        let stop = AtomicBool::new(false);
+        let (started, has_started) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            // Compares from before the run starts until after it ends.
+            let neighbour = scope.spawn(|| {
+                let before = ambiguous_comparisons();
+                std::hint::black_box(a.order(&b));
+                started.send(()).expect("the test waits for the neighbour");
+                while !stop.load(Relaxed) {
+                    std::hint::black_box(a.order(&b));
+                }
+                ambiguous_comparisons() - before
+            });
+            has_started.recv().expect("neighbour thread panicked");
+            let (done, sharded) = run_sharded(
+                &topo,
+                &FabricConfig::default(),
+                &flows,
+                2,
+                SimTime::from_millis(100),
+            );
+            stop.store(true, Relaxed);
+            assert!(done);
+            assert!(neighbour.join().expect("neighbour thread panicked") > 0);
+            let counted: u64 = sharded.shards.iter().map(|s| s.stamp_ambiguities).sum();
+            assert_eq!(counted, 0, "the run itself compared nothing ambiguous");
+        });
     }
 
     #[test]

@@ -138,29 +138,29 @@ pub(crate) enum HandoffPayload {
 }
 
 /// A stamped cross-shard message, generated during one window and
-/// admitted by `dest` at the next barrier. The stamp was drawn in
-/// emission order at the source, so the destination dispatches it at
-/// exactly the `(time, stamp)` key the serial engine would have used.
+/// admitted by its destination shard at the next barrier. The stamp was
+/// drawn in emission order at the source, so the destination dispatches
+/// it at exactly the `(time, stamp)` key the serial engine would have
+/// used.
 #[derive(Debug)]
 pub(crate) struct Handoff {
     /// Fire time (provably ≥ the next window's start).
     pub(crate) at: SimTime,
     /// Admission stamp carried verbatim across the shard boundary.
     pub(crate) stamp: Stamp,
-    /// Receiving shard.
-    pub(crate) dest: u32,
     /// The message.
     pub(crate) payload: HandoffPayload,
 }
 
 /// Spatial-sharding context: which shard this world is, the global
-/// node→shard map, and the outbox of cross-shard messages generated in
-/// the current window. `None` for the serial engine.
+/// node→shard map, and the cross-shard messages generated in the
+/// current window, one batch per destination shard. `None` for the
+/// serial engine.
 #[derive(Debug)]
 struct ShardCtx {
     part: Arc<Partition>,
     shard: u32,
-    outbox: Vec<Handoff>,
+    outbox: Vec<Vec<Handoff>>,
 }
 
 /// What the fault schedule has done to one link.
@@ -240,9 +240,9 @@ impl World {
             topo,
             cfg,
             Some(ShardCtx {
+                outbox: (0..part.shards()).map(|_| Vec::new()).collect(),
                 part,
                 shard,
-                outbox: Vec::new(),
             }),
         )
     }
@@ -581,16 +581,23 @@ impl World {
     ) {
         if self.owns(dest) {
             q.schedule_at(at, ev);
-            return;
+        } else {
+            self.hand_off(at, dest, HandoffPayload::Event(ev), q);
         }
+    }
+
+    /// Queues `payload` for the shard owning `dest`, stamped as the
+    /// dispatching pop's next emission.
+    fn hand_off(
+        &mut self,
+        at: SimTime,
+        dest: NodeId,
+        payload: HandoffPayload,
+        q: &mut EventQueue<Event>,
+    ) {
         let stamp = q.next_child_stamp();
         let ctx = self.shard.as_mut().expect("unowned node implies sharding");
-        ctx.outbox.push(Handoff {
-            at,
-            stamp,
-            dest: ctx.part.shard_of(dest) as u32,
-            payload: HandoffPayload::Event(ev),
-        });
+        ctx.outbox[ctx.part.shard_of(dest)].push(Handoff { at, stamp, payload });
     }
 
     fn schedule_switch_tx(
@@ -738,14 +745,8 @@ impl World {
                         Event::FlowWatchdog { flow: spec.id },
                     ));
                 } else {
-                    let stamp = q.next_child_stamp();
-                    let ctx = self.shard.as_mut().expect("unowned node implies sharding");
-                    ctx.outbox.push(Handoff {
-                        at: now + interval,
-                        stamp,
-                        dest: ctx.part.shard_of(spec.dst) as u32,
-                        payload: HandoffPayload::WatchdogArm { flow: spec.id },
-                    });
+                    let arm = HandoffPayload::WatchdogArm { flow: spec.id };
+                    self.hand_off(now + interval, spec.dst, arm, q);
                 }
             }
         }
@@ -1412,12 +1413,13 @@ impl World {
 
     // ---- sharded-executor hooks (crate-internal) ----------------------
 
-    /// Drains the cross-shard messages generated since the last drain
-    /// (empty for the serial engine).
-    pub(crate) fn take_outbox(&mut self) -> Vec<Handoff> {
+    /// The cross-shard messages generated since the executor last
+    /// emptied them, indexed by destination shard (no batches for the
+    /// serial engine).
+    pub(crate) fn outbox(&mut self) -> &mut [Vec<Handoff>] {
         match &mut self.shard {
-            Some(ctx) => std::mem::take(&mut ctx.outbox),
-            None => Vec::new(),
+            Some(ctx) => &mut ctx.outbox,
+            None => &mut [],
         }
     }
 
@@ -1425,13 +1427,13 @@ impl World {
     /// source-drawn stamp into this shard's queue verbatim.
     pub(crate) fn admit_handoff(&mut self, h: Handoff, q: &mut EventQueue<Event>) {
         match h.payload {
-            HandoffPayload::Event(ev) => q.schedule_at_stamped(h.at, ev, h.stamp),
+            HandoffPayload::Event(ev) => q.schedule_at_stamped(h.at, ev, &h.stamp),
             HandoffPayload::WatchdogArm { flow } => {
                 let Some(ix) = self.flow_ix.get(flow) else {
                     return;
                 };
                 let handle =
-                    q.schedule_timer_at_stamped(h.at, Event::FlowWatchdog { flow }, h.stamp);
+                    q.schedule_timer_at_stamped(h.at, Event::FlowWatchdog { flow }, &h.stamp);
                 self.flows[ix].timers.flow_watchdog = Some(handle);
             }
         }
@@ -1474,14 +1476,13 @@ impl World {
             nodes,
             wire: self.wire_drops,
             irn: self.irn,
-            done: self.done_flows,
-            fct_len: self.fct.len(),
         }
     }
 
-    /// The digest-relevant mutations since `snap` (one dispatched
-    /// event), or `None` if the event changed nothing the executor
-    /// would have to revert past a stop key.
+    /// The counter growth since `snap` (one dispatched event), or `None`
+    /// if the event changed no counter the executor would have to
+    /// revert past a stop key. (FCT records and completions are not
+    /// counters: the executor watches those itself.)
     pub(crate) fn delta_since(&self, snap: PopSnapshot) -> Option<PopDelta> {
         let mut any = false;
         let nodes = snap.nodes.map(|entry| {
@@ -1499,25 +1500,10 @@ impl World {
         });
         let wire = self.wire_drops.since(&snap.wire);
         let irn = self.irn.since(&snap.irn);
-        let done_grew = self.done_flows > snap.done;
-        let fct_grew = self.fct.len() > snap.fct_len;
-        debug_assert!(self.done_flows - snap.done <= 1, "one completion per event");
-        debug_assert!(self.fct.len() - snap.fct_len <= 1, "one record per event");
-        if !any
-            && wire == DropCounters::new()
-            && irn == IrnCounters::new()
-            && !done_grew
-            && !fct_grew
-        {
+        if !any && wire == DropCounters::new() && irn == IrnCounters::new() {
             return None;
         }
-        Some(PopDelta {
-            nodes,
-            wire,
-            irn,
-            done_grew,
-            fct_grew,
-        })
+        Some(PopDelta { nodes, wire, irn })
     }
 
     /// Folds this world's order-independent counters (PFC, drops,
@@ -1578,12 +1564,10 @@ pub(crate) struct PopSnapshot {
     nodes: [Option<(NodeId, PfcCounters, DropCounters)>; 2],
     wire: DropCounters,
     irn: IrnCounters,
-    done: usize,
-    fct_len: usize,
 }
 
-/// The digest-relevant deltas of one dispatched event, journaled under
-/// its `(time, stamp)` key so a stop-key filter can subtract them.
+/// The counter deltas of one dispatched event, journaled under its
+/// `(time, stamp)` key so a stop-key filter can subtract them.
 pub(crate) struct PopDelta {
     /// Per-switch PFC and drop-counter growth.
     pub(crate) nodes: [Option<(NodeId, PfcCounters, DropCounters)>; 2],
@@ -1591,10 +1575,6 @@ pub(crate) struct PopDelta {
     pub(crate) wire: DropCounters,
     /// IRN counter growth (`flows` always zero).
     pub(crate) irn: IrnCounters,
-    /// Whether the event completed a counted flow.
-    pub(crate) done_grew: bool,
-    /// Whether the event appended an FCT record.
-    pub(crate) fct_grew: bool,
 }
 
 impl Simulation for World {

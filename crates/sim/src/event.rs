@@ -123,42 +123,58 @@ struct GroupMember {
 /// In stamp mode the `(time, seq)` insertion order is replaced by
 /// `(time, `[`Stamp`]`)`: every admission records an admission-lineage
 /// stamp in a side table, [`EventQueue::begin_group`] gathers all events
-/// at the earliest pending time, and the caller dispatches them in stamp
-/// order — an order every shard of a partitioned run computes
-/// identically. Cancelled timers log `(time, stamp)` ghosts instead of
-/// `(time, seq)` ones, since the executor settles ghost accounting at
-/// window barriers rather than at dispatch.
+/// at the earliest pending time in stamp order, and the caller
+/// dispatches them one by one — an order every shard of a partitioned
+/// run computes identically. Cancelled timers log `(time, stamp)` ghosts
+/// instead of `(time, seq)` ones, since the executor settles ghost
+/// accounting at window barriers rather than at dispatch.
 #[derive(Debug)]
 struct StampState {
-    /// Stamp of each pending payload, indexed by slab slot.
+    /// The stamp table: one slot per pending payload, per unfolded ghost
+    /// and for the dispatching pop, recycled through `free`. A stamp
+    /// slot has its own lifetime, not its payload's slab slot's: the
+    /// dispatching pop's stamp outlives `slab.take` (its children are
+    /// written from it in place) and a cancelled timer's stamp becomes
+    /// its ghost's without moving. Each stamp is written once, at
+    /// admission, and read where it lies from then on.
     stamps: Vec<Stamp>,
-    /// Stamp of the pop currently dispatching (children derive from it).
-    current: Stamp,
+    /// Free slots in `stamps`.
+    free: Vec<u32>,
+    /// Stamp slot of each pending payload, indexed by slab slot.
+    of_slot: Vec<u32>,
+    /// Stamp slot of the pop currently dispatching (children derive
+    /// from it), held until the next dispatch. `None` until the first
+    /// one: admissions before it are setup roots.
+    current: Option<u32>,
     /// Emission lane of the current pop (see [`Stamp::lane_k`]).
     lane: u16,
     /// Emissions so far in the current lane of the current pop.
     emit_n: u32,
     /// Root ordinal for the next setup (pre-dispatch) admission.
     next_root: u32,
-    /// Whether any group member has been dispatched yet: admissions
-    /// before that are setup roots, after it children of `current`.
-    dispatching: bool,
-    /// Min-heap of cancelled-timer fire times (`(time, slot)` into
-    /// `ghost_stamps`), folded into `ghost_pops` by the executor at
-    /// window barriers. A heap keyed by fire time makes each fold
-    /// O(folded · log live) — a paper-scale run crosses tens of
-    /// thousands of windows while RTO-style timers keep a large pool of
-    /// far-future ghosts alive, so a scan-the-log fold is quadratic.
+    /// Min-heap of cancelled-timer fire times (`(time, stamp slot)`),
+    /// folded into `ghost_pops` by the executor at window barriers. A
+    /// heap keyed by fire time makes each fold O(folded · log live) — a
+    /// paper-scale run crosses tens of thousands of windows while
+    /// RTO-style timers keep a large pool of far-future ghosts alive, so
+    /// a scan-the-log fold is quadratic.
     ghost_due: BinaryHeap<Reverse<(SimTime, u32)>>,
-    /// Stamps of unfolded ghosts, slab-indexed by `ghost_due` entries.
-    ghost_stamps: Vec<Stamp>,
-    /// Free slots in `ghost_stamps`.
-    ghost_free: Vec<u32>,
-    /// The gathered simultaneous group currently being dispatched.
+    /// The gathered simultaneous group currently being dispatched, in
+    /// stamp order.
     group: Vec<GroupMember>,
     /// Gathered-but-undispatched heap members (kept so `len()` stays
     /// exact mid-group; due members are still counted by `due_live`).
     group_live: usize,
+}
+
+impl StampState {
+    /// Consumes the current pop's next emission index.
+    fn next_k(&mut self) -> u32 {
+        debug_assert!(self.emit_n < 0x10000, "emission lane overflow");
+        let k = Stamp::lane_k(self.lane, self.emit_n);
+        self.emit_n += 1;
+        k
+    }
 }
 
 /// Scheduler counters for perf reporting and model-bug detection.
@@ -298,9 +314,10 @@ impl<E> EventQueue<E> {
     /// In stamp mode (`carried` or an enabled [`StampState`]) the slot's
     /// admission stamp is recorded: `carried` verbatim (cross-shard
     /// handoffs), otherwise a child of the dispatching pop, or a setup
-    /// root before the first dispatch.
+    /// root before the first dispatch. Whichever it is, it is written
+    /// straight into its table slot.
     #[inline]
-    fn admit(&mut self, event: E, carried: Option<Stamp>) -> u64 {
+    fn admit(&mut self, event: E, carried: Option<&Stamp>) -> u64 {
         if self.seq == u32::MAX {
             self.renumber();
         }
@@ -308,25 +325,30 @@ impl<E> EventQueue<E> {
         let ord = (u64::from(self.seq) << 32) | u64::from(handle.slot);
         self.seq += 1;
         if let Some(st) = self.stamp.as_deref_mut() {
-            let stamp = match carried {
-                Some(s) => s,
-                None if st.dispatching => {
-                    debug_assert!(st.emit_n < 0x10000, "emission lane overflow");
-                    let k = Stamp::lane_k(st.lane, st.emit_n);
-                    st.emit_n += 1;
-                    st.current.child(self.now, k)
+            let ix = st.free.pop().unwrap_or_else(|| {
+                st.stamps.push(Stamp::root(0));
+                (st.stamps.len() - 1) as u32
+            });
+            match (carried, st.current) {
+                (Some(s), _) => st.stamps[ix as usize] = *s,
+                (None, Some(cur)) => {
+                    let k = st.next_k();
+                    let [parent, child] = st
+                        .stamps
+                        .get_disjoint_mut([cur as usize, ix as usize])
+                        .expect("the dispatching pop holds its stamp slot");
+                    parent.write_child(child, self.now, k);
                 }
-                None => {
-                    let root = st.next_root;
+                (None, None) => {
+                    st.stamps[ix as usize] = Stamp::root(st.next_root);
                     st.next_root += 1;
-                    Stamp::root(root)
                 }
-            };
-            let slot = handle.slot as usize;
-            if st.stamps.len() <= slot {
-                st.stamps.resize(slot + 1, Stamp::root(0));
             }
-            st.stamps[slot] = stamp;
+            let slot = handle.slot as usize;
+            if st.of_slot.len() <= slot {
+                st.of_slot.resize(slot + 1, 0);
+            }
+            st.of_slot[slot] = ix;
         } else {
             debug_assert!(carried.is_none(), "stamped admission without stamp mode");
         }
@@ -343,7 +365,7 @@ impl<E> EventQueue<E> {
         self.schedule_entry(at, event, None);
     }
 
-    fn schedule_entry(&mut self, at: SimTime, event: E, carried: Option<Stamp>) {
+    fn schedule_entry(&mut self, at: SimTime, event: E, carried: Option<&Stamp>) {
         let at = self.clamp_time(at);
         self.assert_future_in_stamp_mode(at);
         let ord = self.admit(event, carried);
@@ -371,7 +393,7 @@ impl<E> EventQueue<E> {
         &mut self,
         at: SimTime,
         event: E,
-        carried: Option<Stamp>,
+        carried: Option<&Stamp>,
     ) -> TimerHandle {
         let at = self.clamp_time(at);
         self.assert_future_in_stamp_mode(at);
@@ -410,19 +432,9 @@ impl<E> EventQueue<E> {
         let slot = (ord & u64::from(u32::MAX)) as u32;
         if let Some(st) = self.stamp.as_deref_mut() {
             // Stamp mode: the executor folds ghosts at window barriers
-            // keyed by stamp, not lazily at dispatch keyed by seq.
-            let stamp = st.stamps[slot as usize];
-            let gslot = match st.ghost_free.pop() {
-                Some(g) => {
-                    st.ghost_stamps[g as usize] = stamp;
-                    g
-                }
-                None => {
-                    st.ghost_stamps.push(stamp);
-                    (st.ghost_stamps.len() - 1) as u32
-                }
-            };
-            st.ghost_due.push(Reverse((at, gslot)));
+            // keyed by stamp, not lazily at dispatch keyed by seq. The
+            // timer's stamp slot passes to its ghost.
+            st.ghost_due.push(Reverse((at, st.of_slot[slot as usize])));
         } else {
             self.ghosts.push(Entry::new(at, ord));
             if self.ghosts.len() >= self.ghost_sweep_at {
@@ -567,7 +579,7 @@ impl<E> EventQueue<E> {
     fn assert_future_in_stamp_mode(&self, at: SimTime) {
         if let Some(st) = self.stamp.as_deref() {
             debug_assert!(
-                !st.dispatching || at > self.now,
+                st.current.is_none() || at > self.now,
                 "stamp mode forbids zero-delay emissions"
             );
         }
@@ -636,14 +648,13 @@ impl<E> EventQueue<E> {
         );
         self.stamp = Some(Box::new(StampState {
             stamps: Vec::new(),
-            current: Stamp::root(0),
+            free: Vec::new(),
+            of_slot: Vec::new(),
+            current: None,
             lane: 0,
             emit_n: 0,
             next_root: 0,
-            dispatching: false,
             ghost_due: BinaryHeap::new(),
-            ghost_stamps: Vec::new(),
-            ghost_free: Vec::new(),
             group: Vec::new(),
             group_live: 0,
         }));
@@ -660,7 +671,10 @@ impl<E> EventQueue<E> {
     /// their global ordinals.
     pub fn stamp_next_root(&mut self, ordinal: u32) {
         let st = self.stamp.as_deref_mut().expect("stamp mode required");
-        assert!(!st.dispatching, "setup roots only before the first pop");
+        assert!(
+            st.current.is_none(),
+            "setup roots only before the first pop"
+        );
         st.next_root = ordinal;
     }
 
@@ -675,11 +689,13 @@ impl<E> EventQueue<E> {
         st.emit_n = 0;
     }
 
-    /// The stamp of the pop currently dispatching — with
+    /// The stamp of the pop currently dispatching, where it lies (valid
+    /// until the next [`EventQueue::dispatch_member`]) — with
     /// [`EventQueue::now`], the `(time, stamp)` key the executor journals
     /// digest-relevant mutations under.
-    pub fn current_stamp(&self) -> Stamp {
-        self.stamp.as_deref().expect("stamp mode required").current
+    pub fn current_stamp(&self) -> &Stamp {
+        let st = self.stamp.as_deref().expect("stamp mode required");
+        &st.stamps[st.current.expect("handlers run inside a pop") as usize]
     }
 
     /// Consumes the current pop's next emission index and returns the
@@ -690,16 +706,14 @@ impl<E> EventQueue<E> {
     pub fn next_child_stamp(&mut self) -> Stamp {
         let now = self.now;
         let st = self.stamp.as_deref_mut().expect("stamp mode required");
-        debug_assert!(st.dispatching, "handoffs originate from a pop");
-        debug_assert!(st.emit_n < 0x10000, "emission lane overflow");
-        let k = Stamp::lane_k(st.lane, st.emit_n);
-        st.emit_n += 1;
-        st.current.child(now, k)
+        let k = st.next_k();
+        let cur = st.current.expect("handoffs originate from a pop");
+        st.stamps[cur as usize].child(now, k)
     }
 
     /// Schedules `event` carrying an explicit admission stamp (a
     /// cross-shard handoff admitted at a window barrier).
-    pub fn schedule_at_stamped(&mut self, at: SimTime, event: E, stamp: Stamp) {
+    pub fn schedule_at_stamped(&mut self, at: SimTime, event: E, stamp: &Stamp) {
         self.schedule_entry(at, event, Some(stamp));
     }
 
@@ -709,28 +723,33 @@ impl<E> EventQueue<E> {
         &mut self,
         at: SimTime,
         event: E,
-        stamp: Stamp,
+        stamp: &Stamp,
     ) -> TimerHandle {
         self.schedule_timer_entry(at, event, Some(stamp))
     }
 
     /// Gathers every pending event at the earliest pending time into a
-    /// dispatch group and fills `out` with `(member index, stamp)` pairs.
-    /// Returns the group's time, or `None` if the queue is empty.
+    /// dispatch group ordered by [`Stamp::order`], provided that time is
+    /// before `horizon`, and returns how many there are — `0` when the
+    /// queue is empty or its next event is at or past `horizon`. The
+    /// caller feeds `0..n` to [`EventQueue::dispatch_member`] in turn.
     ///
-    /// The caller sorts `out` by [`Stamp::order`] and feeds each index to
-    /// [`EventQueue::dispatch_member`]. Payloads are *not* removed here:
-    /// heap members stay in the slab and wheel members stay staged, so a
-    /// member cancelling a not-yet-dispatched same-time timer goes
-    /// through the ordinary `cancel_timer` path and the cancelled
-    /// member is skipped at dispatch. (The model must not schedule
-    /// zero-delay events, so a member can never *add* to its own group —
-    /// `debug_assert`ed in the schedulers via `past_clamps` plus the
-    /// strict-future check below.)
-    pub fn begin_group(&mut self, out: &mut Vec<(u32, Stamp)>) -> Option<SimTime> {
-        out.clear();
+    /// Payloads are *not* removed here: heap members stay in the slab
+    /// and wheel members stay staged, so a member cancelling a
+    /// not-yet-dispatched same-time timer goes through the ordinary
+    /// `cancel_timer` path and the cancelled member is skipped at
+    /// dispatch. (The model must not schedule zero-delay events, so a
+    /// member can never *add* to its own group — `debug_assert`ed in the
+    /// schedulers via `past_clamps` plus the strict-future check.)
+    pub fn begin_group(&mut self, horizon: SimTime) -> usize {
         self.settle();
-        let t = self.next_key()?.0.at();
+        let Some(t) = self
+            .next_key()
+            .map(|(key, _)| key.at())
+            .filter(|&t| t < horizon)
+        else {
+            return 0;
+        };
         let mut group = {
             let st = self.stamp.as_deref_mut().expect("stamp mode required");
             debug_assert_eq!(st.group_live, 0, "previous group fully dispatched");
@@ -746,6 +765,7 @@ impl<E> EventQueue<E> {
                 src: GroupSrc::Heap,
             });
         }
+        let heap_members = group.len();
         while let Some(&Reverse((at, ord, node, generation))) = self.due.peek() {
             if at != t {
                 break;
@@ -760,28 +780,27 @@ impl<E> EventQueue<E> {
             }
             // Stale (cancelled after staging): already ghosted.
         }
-        let heap_members = group
-            .iter()
-            .filter(|m| matches!(m.src, GroupSrc::Heap))
-            .count();
         let st = self.stamp.as_deref_mut().expect("stamp mode required");
         st.group_live = heap_members;
-        for (i, m) in group.iter().enumerate() {
+        // Borrowed stamps: the sort moves 32-byte members only.
+        let stamp_of = |m: &GroupMember| {
             let slot = (m.ord & u64::from(u32::MAX)) as usize;
-            out.push((i as u32, st.stamps[slot]));
-        }
+            &st.stamps[st.of_slot[slot] as usize]
+        };
+        group.sort_by(|a, b| stamp_of(a).order(stamp_of(b)));
+        let n = group.len();
         st.group = group;
-        Some(t)
+        n
     }
 
     /// Dispatches one gathered group member, advancing the clock to its
     /// time. Returns `None` if the member was a timer cancelled by an
     /// earlier member of the same group (serial order would never have
     /// dispatched it either).
-    pub fn dispatch_member(&mut self, index: u32) -> Option<(SimTime, E)> {
+    pub fn dispatch_member(&mut self, index: usize) -> Option<(SimTime, E)> {
         let m = {
             let st = self.stamp.as_deref().expect("stamp mode required");
-            st.group[index as usize]
+            st.group[index]
         };
         match m.src {
             GroupSrc::Heap => {
@@ -803,8 +822,10 @@ impl<E> EventQueue<E> {
         let slot = (m.ord & u64::from(u32::MAX)) as u32;
         {
             let st = self.stamp.as_deref_mut().expect("stamp mode required");
-            st.dispatching = true;
-            st.current = st.stamps[slot as usize];
+            // The previous pop's stamp can have no more children.
+            if let Some(prev) = st.current.replace(st.of_slot[slot as usize]) {
+                st.free.push(prev);
+            }
             st.lane = 0;
             st.emit_n = 0;
         }
@@ -824,7 +845,7 @@ impl<E> EventQueue<E> {
                 break;
             }
             st.ghost_due.pop();
-            st.ghost_free.push(g);
+            st.free.push(g);
             folded += 1;
         }
         self.ghosts_swept += folded;
@@ -834,11 +855,11 @@ impl<E> EventQueue<E> {
     /// Stamp-mode ghosts not yet folded (unordered). The executor counts
     /// the qualifying tail at run end (ghost keys below the run's stop
     /// key) and credits them via [`EventQueue::add_ghost_pops`].
-    pub fn stamped_ghosts(&self) -> impl Iterator<Item = (SimTime, Stamp)> + '_ {
+    pub fn stamped_ghosts(&self) -> impl Iterator<Item = (SimTime, &Stamp)> + '_ {
         let st = self.stamp.as_deref().expect("stamp mode required");
         st.ghost_due
             .iter()
-            .map(|&Reverse((at, g))| (at, st.ghost_stamps[g as usize]))
+            .map(|&Reverse((at, g))| (at, &st.stamps[g as usize]))
     }
 
     /// Credits `n` ghost pops decided outside the queue (the sharded
@@ -1453,11 +1474,12 @@ mod tests {
         let mut qg = EventQueue::new();
         qg.enable_stamps();
         branchy_roots(&mut qg);
-        let mut scratch: Vec<(u32, crate::stamp::Stamp)> = Vec::new();
-        while qg.begin_group(&mut scratch).is_some() {
-            scratch.sort_by(|a, b| a.1.order(&b.1));
-            let members: Vec<u32> = scratch.iter().map(|&(i, _)| i).collect();
-            for i in members {
+        loop {
+            let n = qg.begin_group(SimTime::MAX);
+            if n == 0 {
+                break;
+            }
+            for i in 0..n {
                 if let Some((now, id)) = qg.dispatch_member(i) {
                     grouped.on_event(now, id, &mut qg);
                 }
@@ -1472,6 +1494,12 @@ mod tests {
         assert_eq!(qg.stats().timer_cancels, qs.stats().timer_cancels);
         assert_eq!(qg.stats().stale_timer_pops, 0);
         assert_eq!(qg.len(), 0);
+        // The stamp table recycled its slots: with the queue drained and
+        // the ghosts folded, only the last pop's is still held.
+        let st = qg.stamp.as_deref().expect("stamp mode");
+        assert_eq!(st.free.len() + 1, st.stamps.len(), "stamp slot leaked");
+        let ghosts = qg.stats().timer_cancels as usize;
+        assert!(st.stamps.len() <= qg.stats().slab_capacity + ghosts + 1);
     }
 
     #[test]
@@ -1482,14 +1510,12 @@ mod tests {
         let mut q = EventQueue::new();
         q.enable_stamps();
         let t = SimTime::from_nanos(9);
-        q.schedule_at_stamped(t, "b", crate::stamp::Stamp::root(7));
-        q.schedule_at_stamped(t, "a", crate::stamp::Stamp::root(2));
-        let mut scratch = Vec::new();
-        q.begin_group(&mut scratch).expect("group at t=9");
-        scratch.sort_by(|x, y| x.1.order(&y.1));
-        let order: Vec<&str> = scratch
-            .iter()
-            .filter_map(|&(i, _)| q.dispatch_member(i).map(|(_, e)| e))
+        q.schedule_at_stamped(t, "b", &Stamp::root(7));
+        q.schedule_at_stamped(t, "a", &Stamp::root(2));
+        assert_eq!(q.begin_group(t), 0, "horizon is exclusive");
+        let n = q.begin_group(SimTime::MAX);
+        let order: Vec<&str> = (0..n)
+            .filter_map(|i| q.dispatch_member(i).map(|(_, e)| e))
             .collect();
         assert_eq!(order, vec!["a", "b"]);
     }
@@ -1504,12 +1530,9 @@ mod tests {
         q.enable_stamps();
         q.schedule_at(SimTime::from_nanos(10), 1u64);
         let h = q.schedule_timer_at(SimTime::from_nanos(10), 2u64);
-        let mut scratch = Vec::new();
-        q.begin_group(&mut scratch).expect("group at t=10");
-        assert_eq!(scratch.len(), 2);
-        scratch.sort_by(|a, b| a.1.order(&b.1));
+        assert_eq!(q.begin_group(SimTime::MAX), 2);
         let mut seen = Vec::new();
-        for &(i, _) in &scratch {
+        for i in 0..2 {
             match q.dispatch_member(i) {
                 Some((_, 1)) => {
                     seen.push(1);
@@ -1538,12 +1561,9 @@ mod tests {
         q.schedule_at(t, "late");
         q.stamp_next_root(1);
         q.schedule_at(t, "early");
-        let mut scratch = Vec::new();
-        q.begin_group(&mut scratch).expect("group");
-        scratch.sort_by(|a, b| a.1.order(&b.1));
-        let order: Vec<&str> = scratch
-            .iter()
-            .filter_map(|&(i, _)| q.dispatch_member(i).map(|(_, e)| e))
+        let n = q.begin_group(SimTime::MAX);
+        let order: Vec<&str> = (0..n)
+            .filter_map(|i| q.dispatch_member(i).map(|(_, e)| e))
             .collect();
         assert_eq!(order, vec!["early", "late"]);
     }

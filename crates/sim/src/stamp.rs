@@ -47,8 +47,8 @@
 //! the serial order) and are counted so tests can assert the fallback
 //! never fired.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use crate::time::SimTime;
 
@@ -58,14 +58,18 @@ use crate::time::SimTime;
 /// admission-time *regimes* before the comparison goes ambiguous.
 pub const STAMP_DEPTH: usize = 8;
 
-/// Ambiguous stamp comparisons (truncated chains that could not be
-/// ordered exactly) across the process. Exposed per run through shard
-/// statistics; asserted zero by the determinism tests.
-static AMBIGUOUS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Ambiguous stamp comparisons (truncated chains that could not be
+    /// ordered exactly) made by this thread. Per thread, so a shard's
+    /// count is its own whatever else the process is running.
+    static AMBIGUOUS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Total ambiguous stamp comparisons observed process-wide so far.
+/// Ambiguous stamp comparisons the calling thread has made so far.
+/// Exposed per shard through [`ShardStats::stamp_ambiguities`]; asserted
+/// zero by the determinism tests.
 pub fn ambiguous_comparisons() -> u64 {
-    AMBIGUOUS.load(AtomicOrdering::Relaxed)
+    AMBIGUOUS.get()
 }
 
 /// One run of admission levels: `n` consecutive admissions with the
@@ -156,13 +160,7 @@ impl Stamp {
         if (s.nruns as usize) == STAMP_DEPTH {
             // Drop the root-most run into the overflow hash.
             let d = s.runs[STAMP_DEPTH - 1];
-            s.overflow = fnv_fold(
-                fnv_fold(
-                    fnv_fold(fnv_fold(s.overflow.max(1), d.t), d.step),
-                    u64::from(d.k),
-                ),
-                u64::from(d.n),
-            );
+            s.overflow = fold_run(s.overflow.max(1), &d);
             s.truncated = true;
             s.len -= d.n;
             s.runs.copy_within(0..STAMP_DEPTH - 1, 1);
@@ -178,6 +176,53 @@ impl Stamp {
         };
         s.len += 1;
         s
+    }
+
+    /// Writes `self.child(at, k)` into `dst`, whatever `dst` held: the
+    /// queue's admission path, where the child's home is a recycled
+    /// table slot and a by-value [`Stamp::child`] would copy the 216
+    /// bytes twice more on their way there.
+    pub fn write_child(&self, dst: &mut Stamp, at: SimTime, k: u32) {
+        let at = at.as_nanos();
+        let leaf = self.runs[0];
+        // Same extension rule as `child`.
+        if self.nruns > 0
+            && leaf.k == k
+            && leaf.n < u32::MAX
+            && at > leaf.t
+            && (leaf.n == 1 || at - leaf.t == leaf.step)
+        {
+            *dst = *self;
+            dst.runs[0] = Run {
+                t: at,
+                step: at - leaf.t,
+                k,
+                n: leaf.n + 1,
+            };
+            dst.len += 1;
+            return;
+        }
+        dst.runs[0] = Run {
+            t: at,
+            step: 0,
+            k,
+            n: 1,
+        };
+        // Dead runs are `EMPTY_RUN`, so shifting all of them keeps them so.
+        dst.runs[1..].copy_from_slice(&self.runs[..STAMP_DEPTH - 1]);
+        dst.root = self.root;
+        if (self.nruns as usize) == STAMP_DEPTH {
+            let d = self.runs[STAMP_DEPTH - 1];
+            dst.overflow = fold_run(self.overflow.max(1), &d);
+            dst.truncated = true;
+            dst.nruns = self.nruns;
+            dst.len = self.len - d.n + 1;
+        } else {
+            dst.overflow = self.overflow;
+            dst.truncated = self.truncated;
+            dst.nruns = self.nruns + 1;
+            dst.len = self.len + 1;
+        }
     }
 
     /// Compares two stamps of *simultaneous* events, reproducing the
@@ -343,10 +388,7 @@ fn beyond_hash(long: &Stamp, beyond: u32) -> Option<u64> {
         if r.n > left {
             return None;
         }
-        h = fnv_fold(
-            fnv_fold(fnv_fold(fnv_fold(h, r.t), r.step), u64::from(r.k)),
-            u64::from(r.n),
-        );
+        h = fold_run(h, &r);
         left -= r.n;
     }
     Some(h)
@@ -406,7 +448,7 @@ fn skip_rootmost(s: &Stamp, mut skip: u32) -> (usize, u32) {
 /// order.
 #[cold]
 fn ambiguous(a: &Stamp, b: &Stamp) -> Ordering {
-    AMBIGUOUS.fetch_add(1, AtomicOrdering::Relaxed);
+    AMBIGUOUS.set(AMBIGUOUS.get() + 1);
     if std::env::var_os("STAMP_DEBUG").is_some() {
         eprintln!("AMBIG a={a:?}\n      b={b:?}");
     }
@@ -414,6 +456,15 @@ fn ambiguous(a: &Stamp, b: &Stamp) -> Ordering {
         .cmp(&b.overflow)
         .then_with(|| a.len.cmp(&b.len))
         .then_with(|| a.root.cmp(&b.root))
+}
+
+/// Folds one dropped run into a lineage hash.
+#[inline]
+fn fold_run(h: u64, r: &Run) -> u64 {
+    fnv_fold(
+        fnv_fold(fnv_fold(fnv_fold(h, r.t), r.step), u64::from(r.k)),
+        u64::from(r.n),
+    )
 }
 
 #[inline]
@@ -460,9 +511,14 @@ pub struct ShardStats {
     pub handoffs_out: u64,
     /// Cross-shard handoffs this shard admitted.
     pub handoffs_in: u64,
-    /// Ambiguous stamp comparisons attributed to this run (must be 0
-    /// for the serial-order guarantee to hold; asserted by tests).
+    /// Ambiguous stamp comparisons this shard's thread made (must be 0
+    /// for the serial-order guarantee to hold; asserted by tests). The
+    /// run's total is the sum over shards.
     pub stamp_ambiguities: u64,
+    /// Pops dispatched after this shard's last owed flow completion,
+    /// which took the snapshot-and-journal path because the stop key
+    /// could still land before them.
+    pub journaled_pops: u64,
 }
 
 #[cfg(test)]
@@ -597,6 +653,53 @@ mod tests {
         assert_ne!(ord, Ordering::Equal);
         assert_eq!(b.order(&a), ord.reverse(), "still antisymmetric");
         assert_eq!(ambiguous_comparisons(), before + 2);
+    }
+
+    #[test]
+    fn write_child_matches_child_on_seeded_chains() {
+        // 64 chains of 2 000 admissions, each admission drawn to either
+        // keep the leaf run's index and step (extension) or break one of
+        // them (a fresh run — which, once the chain is full, truncates
+        // and then folds the overflow hash again and again). The child
+        // is written over stale data every time: the chain's own
+        // grandparent.
+        use crate::rng::SimRng;
+        let (mut extended, mut fresh, mut truncated, mut refolded) = (0u32, 0u32, 0u32, 0u32);
+        for seed in 0..64u64 {
+            let mut rng = SimRng::seed_from_u64(0x57A3 + seed);
+            let mut parent = Stamp::root(seed as u32);
+            let mut stale = Stamp::root(999).child(t(1), 7);
+            let (mut at, mut step, mut k) = (10u64, 8u64, 0u32);
+            for _ in 0..2_000 {
+                match rng.below(4) {
+                    0 => k = rng.below(3) as u32,
+                    1 => step = 1 + rng.below(40),
+                    _ => {}
+                }
+                at += step;
+                let by_value = parent.child(t(at), k);
+                parent.write_child(&mut stale, t(at), k);
+                assert_eq!(stale, by_value, "seed {seed} at {at}");
+                // Against a third stamp — a sibling emission of the
+                // same pop — both must order alike, either way round.
+                let sibling = parent.child(t(at), k + 1);
+                assert_eq!(stale.order(&sibling), by_value.order(&sibling));
+                assert_eq!(sibling.order(&stale), sibling.order(&by_value));
+                if by_value.nruns == parent.nruns && by_value.len == parent.len + 1 {
+                    extended += 1;
+                } else if !by_value.truncated {
+                    fresh += 1;
+                } else if !parent.truncated {
+                    truncated += 1;
+                } else {
+                    refolded += 1;
+                }
+                std::mem::swap(&mut parent, &mut stale);
+            }
+        }
+        assert!(extended > 10_000 && fresh > 100, "{extended} {fresh}");
+        assert_eq!(truncated, 64, "every chain outgrows the stored depth");
+        assert!(refolded > 10_000, "{refolded}");
     }
 
     #[test]
