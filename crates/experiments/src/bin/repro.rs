@@ -8,9 +8,6 @@
 //!              chaos irn tournament all
 //! ```
 //!
-//! `--check` exists only for `chaos`, `irn` and `tournament` (below);
-//! on any other experiment it is refused, as is a zero `--window-ms`.
-//!
 //! Scaled-down runs (`--scale small`, the default) finish in about a
 //! minute per figure and preserve the qualitative ordering; `--scale
 //! paper` uses the full 128-server fabric of the paper's §IV setup.
@@ -29,32 +26,31 @@
 //! `repro chaos` runs the failure-resilience sweep: the hybrid workload
 //! under sampled fault schedules (link flaps, corruption windows, stuck
 //! PFC pauses) for every policy, with the invariant battery asserted
-//! after each run. `repro chaos --check` is the CI mode: tiny scale, the
-//! 8 fixed fault seeds × 6 policies at `--jobs 1` and `--jobs 8`,
-//! failing on any digest divergence or invariant violation.
-//!
-//! `repro irn` runs the lossless-vs-lossy universe comparison: the
-//! six-policy × {DCQCN, IRN} grid on the healthy hybrid mix, then the
-//! fault-resilience table (identical sampled fault schedules in both
-//! universes, counting the flows IRN rescues that DCQCN strands).
-//! `repro irn --check` is the CI gate: tiny scale at `--jobs 1` and
-//! `--jobs 8`, failing on digest divergence, a drifted IRN golden
-//! digest, any battery violation, or zero rescued flows.
-//!
+//! after each run. `repro irn` runs the lossless-vs-lossy universe
+//! comparison: the six-policy × {DCQCN, IRN} grid on the healthy hybrid
+//! mix, then the fault-resilience table (identical sampled fault
+//! schedules in both universes, counting the flows IRN rescues that
+//! DCQCN strands). Both run the 8 fixed fault seeds with every cell
+//! traced, hence serial, and refuse `--seeds` and `--shards`.
 //! `repro tournament` runs the six-policy arena — hybrid, websearch-
-//! heavy, incast and chaos cells, multi-seed — and renders the Pareto
-//! table (p99 slowdown / goodput / pause frames / fault degradation,
-//! `mean±CI` per cell). `repro tournament --check` is the CI gate: tiny
-//! scale, two seeds, run at `--jobs 1` and `--jobs 8`, failing on any
-//! per-run digest divergence or invariant violation.
+//! heavy, incast and chaos cells over 3 seeds unless `--seeds` says
+//! otherwise — and renders the Pareto table (p99 slowdown / goodput /
+//! pause frames / fault degradation, `mean±CI` per cell).
+//!
+//! `--check` exists only for these three (it is refused elsewhere, as
+//! is a zero `--window-ms`): the CI gate runs the sweep at tiny scale (the tournament over 2 seeds
+//! unless `--seeds` says otherwise) at `--jobs 1` and `--jobs 8` and
+//! fails on any digest or report divergence between the two or any
+//! invariant violation; `irn --check` also fails on a drifted IRN golden
+//! digest or zero rescued flows.
 
 use std::env;
 use std::process::ExitCode;
 
 use dcn_experiments::{
     ablations, chaos, fig10, fig11, fig3a, fig3b, fig7, fig8, fig9, irn_grid, irn_resilience,
-    standard_variants, table2, tournament, ExperimentScale, SweepOptions, CHAOS_CHECK_SEEDS,
-    FIG11_FANOUTS, FIG7_LOADS, TABLE2_LOADS,
+    standard_variants, table2, tournament, ExperimentScale, Outcome, SweepOptions,
+    CHAOS_CHECK_SEEDS, FIG11_FANOUTS, FIG7_LOADS, TABLE2_LOADS,
 };
 use dcn_sim::SimDuration;
 
@@ -73,170 +69,98 @@ fn usage() -> ExitCode {
 /// lossless path.
 const IRN_TINY_GOLDEN_DIGEST: u64 = 0xa67c_8a7f_b276_895c;
 
-/// CI lossy-RDMA gate: the healthy six-policy × two-transport grid and
-/// the 8-fault-seed DCQCN↔IRN comparison at tiny scale, run at
-/// `--jobs 1` and `--jobs 8`. Fails on digest divergence, any battery
-/// violation, a drifted IRN golden digest, or a fault set where the
-/// lossy universe rescues nothing (the whole point of IRN).
-fn irn_check() -> ExitCode {
-    let scale = ExperimentScale::tiny();
-    eprintln!(
-        "# irn --check: 6 policies x 2 transports + {} fault seeds, jobs 1 vs 8",
-        CHAOS_CHECK_SEEDS.len()
-    );
-    let mut failed = false;
-
-    let grid_serial = irn_grid(&scale, 1);
-    let grid_parallel = irn_grid(&scale, 8);
-    for (a, b) in grid_serial.points.iter().zip(grid_parallel.points.iter()) {
-        if a.digest != b.digest {
-            eprintln!(
-                "FAIL: grid {}/{}: digest {:#x} (jobs 1) != {:#x} (jobs 8)",
-                a.label, a.transport, a.digest, b.digest
-            );
-            failed = true;
+/// Runs one of the sweeps that have a `--check` mode at `jobs` workers.
+/// With `gates`, also returns the failures of the gates only that sweep
+/// has: IRN's tiny golden digest, and that the lossy universe rescues
+/// at least one flow DCQCN strands (the whole point of IRN).
+fn sweep(
+    which: &str,
+    scale: &ExperimentScale,
+    seeds: u64,
+    jobs: usize,
+    gates: bool,
+) -> (Outcome, Vec<String>) {
+    match which {
+        "chaos" => (chaos(scale, &CHAOS_CHECK_SEEDS, jobs), Vec::new()),
+        "tournament" => (tournament(scale, seeds, jobs).outcome(), Vec::new()),
+        _ => {
+            let grid = irn_grid(scale, jobs);
+            let res = irn_resilience(scale, &CHAOS_CHECK_SEEDS, jobs);
+            let mut failed = Vec::new();
+            if gates {
+                let golden = grid
+                    .digests
+                    .iter()
+                    .find(|(name, _)| name == "L2BM/IRN seed None");
+                let golden = golden.map(|&(_, d)| d);
+                if golden != Some(IRN_TINY_GOLDEN_DIGEST) {
+                    failed.push(format!(
+                        "tiny IRN golden digest drifted: {golden:x?} != {IRN_TINY_GOLDEN_DIGEST:#x}"
+                    ));
+                }
+                if res.rescued().iter().all(|&(_, n)| n == 0) {
+                    failed.push(
+                        "no DCQCN-stranded flow was rescued by IRN across any fault seed".into(),
+                    );
+                }
+            }
+            let res = res.outcome();
+            let mut out = grid;
+            out.text = format!("{}\n{}", out.text, res.text);
+            out.digests.extend(res.digests);
+            out.violations.extend(res.violations);
+            (out, failed)
         }
-    }
-    if let Some(p) = grid_serial
-        .points
-        .iter()
-        .find(|p| p.label == "L2BM" && p.transport == "IRN")
-    {
-        if p.digest != IRN_TINY_GOLDEN_DIGEST {
-            eprintln!(
-                "FAIL: tiny IRN golden digest drifted: {:#x} != {IRN_TINY_GOLDEN_DIGEST:#x}",
-                p.digest
-            );
-            failed = true;
-        }
-    }
-
-    let res_serial = irn_resilience(&scale, &CHAOS_CHECK_SEEDS, 1);
-    let res_parallel = irn_resilience(&scale, &CHAOS_CHECK_SEEDS, 8);
-    for (a, b) in res_serial
-        .dcqcn
-        .iter()
-        .chain(res_serial.irn.iter())
-        .zip(res_parallel.dcqcn.iter().chain(res_parallel.irn.iter()))
-    {
-        if a.digest != b.digest {
-            eprintln!(
-                "FAIL: resilience {}/{} seed {:?}: digest {:#x} (jobs 1) != {:#x} (jobs 8)",
-                a.label, a.transport, a.fault_seed, a.digest, b.digest
-            );
-            failed = true;
-        }
-    }
-    for v in grid_serial
-        .violations()
-        .iter()
-        .chain(grid_parallel.violations().iter())
-        .chain(res_serial.violations().iter())
-        .chain(res_parallel.violations().iter())
-    {
-        eprintln!("FAIL: invariant violation: {v}");
-        failed = true;
-    }
-    let rescued: usize = res_serial.rescued().iter().map(|&(_, n)| n).sum();
-    if rescued == 0 {
-        eprintln!("FAIL: no DCQCN-stranded flow was rescued by IRN across any fault seed");
-        failed = true;
-    }
-
-    println!("{}", grid_serial.render());
-    println!("{}", res_serial.render());
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        eprintln!(
-            "# irn --check passed: digests jobs-invariant, golden pinned, \
-             {rescued} flows rescued, no violations"
-        );
-        ExitCode::SUCCESS
     }
 }
 
-/// CI chaos gate: the fixed fault seeds × every policy at tiny scale,
-/// run serially and in parallel; any digest divergence or invariant
-/// violation fails the process.
-fn chaos_check() -> ExitCode {
-    let scale = ExperimentScale::tiny();
-    eprintln!(
-        "# chaos --check: {} fault seeds x 6 policies, jobs 1 vs 8",
-        CHAOS_CHECK_SEEDS.len()
-    );
-    let serial = chaos(&scale, &CHAOS_CHECK_SEEDS, 1);
-    let parallel = chaos(&scale, &CHAOS_CHECK_SEEDS, 8);
-    let mut failed = false;
-    let points = |r: &dcn_experiments::ChaosReport| -> Vec<(String, Option<u64>, u64)> {
-        r.baselines
-            .iter()
-            .chain(r.points.iter().flatten())
-            .map(|p| (p.label.clone(), p.fault_seed, p.digest))
-            .collect()
-    };
-    for ((label, seed, a), (_, _, b)) in points(&serial).iter().zip(points(&parallel).iter()) {
-        if a != b {
-            eprintln!("FAIL: {label} seed {seed:?}: digest {a:#x} (jobs 1) != {b:#x} (jobs 8)");
-            failed = true;
-        }
-    }
-    for v in serial
-        .violations()
-        .iter()
-        .chain(parallel.violations().iter())
-    {
-        eprintln!("FAIL: invariant violation: {v}");
-        failed = true;
-    }
-    println!("{}", serial.render());
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        eprintln!("# chaos --check passed: all digests jobs-invariant, no violations");
-        ExitCode::SUCCESS
-    }
-}
-
-/// CI tournament gate: tiny scale, two seed replicates, the full
-/// six-policy × four-arena grid at `--jobs 1` and `--jobs 8`; any
-/// digest divergence, report divergence or invariant violation fails
-/// the process.
-fn tournament_check(seeds: u64) -> ExitCode {
-    let scale = ExperimentScale::tiny();
-    let seeds = seeds.max(2);
-    eprintln!("# tournament --check: 6 policies x 4 arenas x {seeds} seeds, jobs 1 vs 8");
-    let serial = tournament(&scale, seeds, 1);
-    let parallel = tournament(&scale, seeds, 8);
-    let mut failed = false;
-    let (a, b) = (serial.digests(), parallel.digests());
-    if a != b {
-        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-            if x != y {
-                eprintln!("FAIL: run {i}: digest {x:#x} (jobs 1) != {y:#x} (jobs 8)");
+/// Runs a sweep and reports it: its table on stdout, every invariant
+/// violation on stderr. With `check`, the sweep runs at `--jobs 1` and
+/// `--jobs 8` and also fails on any digest or report divergence between
+/// the two, and on its own extra gates.
+fn run_sweep(
+    which: &str,
+    scale: &ExperimentScale,
+    seeds: u64,
+    jobs: usize,
+    check: bool,
+) -> ExitCode {
+    let (out, mut failed) = sweep(which, scale, seeds, if check { 1 } else { jobs }, check);
+    if check {
+        let (par, _) = sweep(which, scale, seeds, 8, false);
+        for ((name, a), (_, b)) in out.digests.iter().zip(&par.digests) {
+            if a != b {
+                failed.push(format!("{name}: digest {a:#x} (jobs 1) != {b:#x} (jobs 8)"));
             }
         }
-        failed = true;
+        if out.text != par.text || out.digests.len() != par.digests.len() {
+            failed.push("rendered reports differ between jobs 1 and jobs 8".into());
+        }
+        failed.extend(
+            par.violations
+                .iter()
+                .map(|v| format!("invariant violation: {v}")),
+        );
     }
-    if serial.render() != parallel.render() {
-        eprintln!("FAIL: rendered reports differ between jobs 1 and jobs 8");
-        failed = true;
+    failed.extend(
+        out.violations
+            .iter()
+            .map(|v| format!("invariant violation: {v}")),
+    );
+    println!("{}", out.text);
+    for f in &failed {
+        eprintln!("FAIL: {f}");
     }
-    for v in serial
-        .violations()
-        .iter()
-        .chain(parallel.violations().iter())
-    {
-        eprintln!("FAIL: invariant violation: {v}");
-        failed = true;
+    if !failed.is_empty() {
+        return ExitCode::FAILURE;
     }
-    println!("{}", serial.render());
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        eprintln!("# tournament --check passed: all digests jobs-invariant, no violations");
-        ExitCode::SUCCESS
+    if check {
+        eprintln!(
+            "# {which} --check passed: {} digests jobs-invariant, no violations",
+            out.digests.len()
+        );
     }
+    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
@@ -248,6 +172,7 @@ fn main() -> ExitCode {
     let mut scale = ExperimentScale::small();
     let mut opts = SweepOptions::default();
     let mut check = false;
+    let mut seeds: Option<u64> = None;
     let mut shards: Option<usize> = None;
     let mut i = 1;
     while i < args.len() {
@@ -280,7 +205,7 @@ fn main() -> ExitCode {
                 let Some(v) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) else {
                     return usage();
                 };
-                opts.seeds = v.max(1);
+                seeds = Some(v);
                 i += 2;
             }
             "--scale" => {
@@ -322,83 +247,48 @@ fn main() -> ExitCode {
             }
         }
     }
-    if check && !matches!(which.as_str(), "chaos" | "irn" | "tournament") {
+    let sweep = matches!(which.as_str(), "chaos" | "irn" | "tournament");
+    if check && !sweep {
         eprintln!("'{which}' has no --check mode (only chaos, irn and tournament do)");
         return usage();
     }
+    if matches!(which.as_str(), "chaos" | "irn") && (seeds.is_some() || shards.is_some()) {
+        eprintln!(
+            "'{which}' takes no --seeds or --shards: it runs the fixed fault seeds, \
+             each cell traced and serial"
+        );
+        return usage();
+    }
+    opts.seeds = seeds.unwrap_or(1).max(1);
     if let Some(n) = shards {
         // Applied last so `--shards` composes with `--scale` in any
         // flag order.
         scale = scale.with_shards(n);
     }
 
-    if which == "tournament" {
-        return if check {
-            tournament_check(opts.seeds)
+    if sweep {
+        // `--check` runs at tiny scale; the tournament replicates every
+        // cell over 2 seeds there and 3 otherwise (so every table cell
+        // is mean±CI) unless `--seeds` says otherwise.
+        let (scale, default_seeds) = if check {
+            (ExperimentScale::tiny(), 2)
         } else {
-            // Three seeds by default so every table cell is mean±CI.
-            let seeds = if opts.seeds > 1 { opts.seeds } else { 3 };
-            eprintln!(
-                "# tournament: {} hosts, window {}, seed {}, jobs {}, seeds {seeds}",
-                scale.host_count(),
-                scale.window,
-                scale.seed,
-                opts.jobs,
-            );
-            let report = tournament(&scale, seeds, opts.jobs);
-            println!("{}", report.render());
-            let violations = report.violations();
-            for v in &violations {
-                eprintln!("invariant violation: {v}");
-            }
-            if violations.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
+            (scale, 3)
         };
-    }
-
-    if which == "irn" {
-        return if check {
-            irn_check()
-        } else {
-            let grid = irn_grid(&scale, opts.jobs);
-            println!("{}", grid.render());
-            let res = irn_resilience(&scale, &CHAOS_CHECK_SEEDS, opts.jobs);
-            println!("{}", res.render());
-            let violations: Vec<String> = grid
-                .violations()
-                .into_iter()
-                .chain(res.violations())
-                .collect();
-            for v in &violations {
-                eprintln!("invariant violation: {v}");
-            }
-            if violations.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if which == "chaos" {
-        return if check {
-            chaos_check()
-        } else {
-            let report = chaos(&scale, &CHAOS_CHECK_SEEDS, opts.jobs);
-            println!("{}", report.render());
-            let violations = report.violations();
-            for v in &violations {
-                eprintln!("invariant violation: {v}");
-            }
-            if violations.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        };
+        eprintln!(
+            "# {which}{}: {} hosts, window {}, seed {}",
+            if check { " --check, jobs 1 vs 8" } else { "" },
+            scale.host_count(),
+            scale.window,
+            scale.seed,
+        );
+        return run_sweep(
+            &which,
+            &scale,
+            seeds.unwrap_or(default_seeds),
+            opts.jobs,
+            check,
+        );
     }
 
     eprintln!(

@@ -5,8 +5,8 @@
 
 use dcn_fabric::{FabricConfig, PolicyChoice, RunResults};
 use dcn_net::{NodeId, Priority, Topology, TrafficClass};
-use dcn_sim::{SimRng, SimTime};
-use dcn_workload::{web_search_cdf, PoissonTraffic};
+use dcn_sim::{SimDuration, SimRng, SimTime};
+use dcn_workload::{web_search_cdf, FlowSpec, PoissonTraffic};
 
 use crate::engine::run_engine;
 use crate::scale::ExperimentScale;
@@ -87,16 +87,13 @@ pub(crate) const RDMA_PRIO: Priority = Priority::new(3);
 /// The lossy priority.
 pub(crate) const TCP_PRIO: Priority = Priority::new(1);
 
-/// Runs one hybrid experiment point.
-pub fn run_hybrid(cfg: &HybridConfig) -> HybridPoint {
-    let topo = Topology::clos(&cfg.scale.clos);
-    let (rdma_hosts, tcp_hosts, rack_of) = split_hosts(&topo, cfg.scale.clos.hosts_per_tor);
+/// The hybrid mix's flows on `topo`: RDMA web-search traffic among the
+/// RDMA half of each rack, TCP among the other half. §IV-A: "data is
+/// randomly sent to all other servers" — no rack restriction (the
+/// inter-rack restriction belongs to Fig. 3(a)'s motivation setup).
+pub(crate) fn hybrid_flows(cfg: &HybridConfig, topo: &Topology) -> Vec<FlowSpec> {
+    let (rdma_hosts, tcp_hosts, _) = split_hosts(topo, cfg.scale.clos.hosts_per_tor);
     let mut rng = SimRng::seed_from_u64(cfg.scale.seed);
-
-    // §IV-A: "data is randomly sent to all other servers" — no rack
-    // restriction (the inter-rack restriction belongs to Fig. 3(a)'s
-    // motivation setup).
-    let _ = rack_of;
     let mut flows = Vec::new();
     if cfg.rdma_load > 0.0 {
         let rdma = PoissonTraffic::builder(rdma_hosts.clone(), web_search_cdf())
@@ -117,7 +114,28 @@ pub fn run_hybrid(cfg: &HybridConfig) -> HybridPoint {
             .build();
         flows.extend(tcp.generate(cfg.scale.window, &mut rng.fork(2)));
     }
+    flows
+}
 
+/// p99 FCT slowdown of one class's completed flows (`NaN` if none).
+pub(crate) fn p99_slowdown(results: &RunResults, class: TrafficClass) -> f64 {
+    results
+        .fct
+        .slowdown_percentile(class, 0.99)
+        .unwrap_or(f64::NAN)
+}
+
+/// Delivered goodput in Gbit/s: completed flows' payload over the
+/// traffic window.
+pub(crate) fn goodput_gbps(results: &RunResults, window: SimDuration) -> f64 {
+    let delivered: u64 = results.fct.records().iter().map(|x| x.size.as_u64()).sum();
+    delivered as f64 * 8.0 / window.as_secs_f64() / 1e9
+}
+
+/// Runs one hybrid experiment point.
+pub fn run_hybrid(cfg: &HybridConfig) -> HybridPoint {
+    let topo = Topology::clos(&cfg.scale.clos);
+    let flows = hybrid_flows(cfg, &topo);
     let fabric_cfg = FabricConfig {
         policy: cfg.policy,
         seed: cfg.scale.seed,
@@ -136,14 +154,8 @@ pub fn run_hybrid(cfg: &HybridConfig) -> HybridPoint {
     HybridPoint {
         label: cfg.policy.label(),
         tcp_load: cfg.tcp_load,
-        rdma_p99_slowdown: results
-            .fct
-            .slowdown_percentile(TrafficClass::Lossless, 0.99)
-            .unwrap_or(f64::NAN),
-        tcp_p99_slowdown: results
-            .fct
-            .slowdown_percentile(TrafficClass::Lossy, 0.99)
-            .unwrap_or(f64::NAN),
+        rdma_p99_slowdown: p99_slowdown(&results, TrafficClass::Lossless),
+        tcp_p99_slowdown: p99_slowdown(&results, TrafficClass::Lossy),
         rdma_mean_slowdown: results
             .fct
             .mean_slowdown(TrafficClass::Lossless)

@@ -29,21 +29,20 @@
 #![warn(missing_docs)]
 
 mod ablations;
-mod chaos;
 mod engine;
+mod fault;
 mod figures;
 mod hybrid;
 mod incast;
-mod irn;
 mod report;
 mod scale;
 mod sweep;
 mod tournament;
 
 pub use ablations::{ablations, standard_variants, AblationReport, AblationVariant};
-pub use chaos::{
-    chaos, run_chaos, run_chaos_cells, sample_fault_schedule, ChaosConfig, ChaosPoint, ChaosReport,
-    CHAOS_CHECK_SEEDS, CHAOS_WATCHDOG,
+pub use fault::{
+    chaos, irn_grid, irn_resilience, run_fault_cell, sample_fault_schedule, FaultCell, FaultPoint,
+    IrnResilience, CHAOS_CHECK_SEEDS, CHAOS_WATCHDOG,
 };
 pub use figures::{
     fig10, fig11, fig3a, fig3b, fig7, fig8, fig9, table2, Fig10Report, Fig11Report, Fig3aReport,
@@ -52,10 +51,7 @@ pub use figures::{
 };
 pub use hybrid::{run_hybrid, HybridConfig, HybridPoint};
 pub use incast::{run_incast, IncastConfig, IncastPoint};
-pub use irn::{
-    irn_grid, irn_resilience, run_irn_cell, IrnCellConfig, IrnGrid, IrnPoint, IrnResilience,
-};
-pub use report::{fmt_bytes, fmt_f64, Table};
+pub use report::{fmt_bytes, fmt_f64, Outcome, Table};
 pub use scale::ExperimentScale;
 pub use sweep::{
     fmt_stat, run_hybrid_cells, run_incast_cells, HybridSeedStats, IncastSeedStats, SweepOptions,

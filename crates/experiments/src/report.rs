@@ -85,6 +85,35 @@ pub fn fmt_f64(x: f64) -> String {
     }
 }
 
+/// What a sweep with a `--check` mode reports: its rendered text, one
+/// labelled digest per underlying run, and every invariant violation
+/// (empty = the battery passed). `repro` compares two outcomes of the
+/// same sweep run at different `--jobs` values.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Outcome {
+    /// The rendered report.
+    pub text: String,
+    /// `(run label, RunResults digest)` in run order.
+    pub digests: Vec<(String, u64)>,
+    /// Invariant violations, each prefixed with its run's label.
+    pub violations: Vec<String>,
+}
+
+/// Mean of the finite samples (`NaN` if there are none).
+pub(crate) fn mean_finite(samples: impl IntoIterator<Item = f64>) -> f64 {
+    let finite: Vec<f64> = samples.into_iter().filter(|v| v.is_finite()).collect();
+    if finite.is_empty() {
+        f64::NAN
+    } else {
+        finite.iter().sum::<f64>() / finite.len() as f64
+    }
+}
+
+/// Relative change of `x` against `base`, in percent.
+pub(crate) fn delta_pct(x: f64, base: f64) -> f64 {
+    (x - base) / base * 100.0
+}
+
 /// Formats a byte count for reports.
 pub fn fmt_bytes(x: f64) -> String {
     if x >= 1e6 {

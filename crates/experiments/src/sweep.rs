@@ -122,18 +122,6 @@ where
     out
 }
 
-fn reseed_hybrid(cfg: &HybridConfig, rep: u64) -> HybridConfig {
-    let mut c = cfg.clone();
-    c.scale.seed = c.scale.seed.wrapping_add(rep);
-    c
-}
-
-fn reseed_incast(cfg: &IncastConfig, rep: u64) -> IncastConfig {
-    let mut c = cfg.clone();
-    c.scale.seed = c.scale.seed.wrapping_add(rep);
-    c
-}
-
 /// Folds the seed replicates of one hybrid cell: the base-seed
 /// replicate keeps its full results (CDF post-processing reads them)
 /// and gains the cross-seed [`HybridSeedStats`].
@@ -179,12 +167,20 @@ pub(crate) fn aggregate_incast(mut reps: Vec<IncastPoint>) -> IncastPoint {
 /// Runs a set of hybrid cells through the parallel engine. Output index
 /// `i` is `cells[i]`'s (replicated) point.
 pub fn run_hybrid_cells(cells: &[HybridConfig], opts: &SweepOptions) -> Vec<HybridPoint> {
-    run_replicated(cells, opts, reseed_hybrid, run_hybrid, aggregate_hybrid)
+    let reseed = |c: &HybridConfig, rep: u64| HybridConfig {
+        scale: c.scale.clone().with_seed(c.scale.seed.wrapping_add(rep)),
+        ..c.clone()
+    };
+    run_replicated(cells, opts, reseed, run_hybrid, aggregate_hybrid)
 }
 
 /// Runs a set of incast cells through the parallel engine.
 pub fn run_incast_cells(cells: &[IncastConfig], opts: &SweepOptions) -> Vec<IncastPoint> {
-    run_replicated(cells, opts, reseed_incast, run_incast, aggregate_incast)
+    let reseed = |c: &IncastConfig, rep: u64| IncastConfig {
+        scale: c.scale.clone().with_seed(c.scale.seed.wrapping_add(rep)),
+        ..c.clone()
+    };
+    run_replicated(cells, opts, reseed, run_incast, aggregate_incast)
 }
 
 #[cfg(test)]
@@ -256,7 +252,10 @@ mod tests {
         let agg = run_hybrid_cells(std::slice::from_ref(&cell), &SweepOptions::new(2, 2));
         let base = run_hybrid(&cell);
         assert_eq!(agg[0].results.digest(), base.results.digest());
-        let reseeded = run_hybrid(&reseed_hybrid(&cell, 1));
+        let reseeded = run_hybrid(&HybridConfig {
+            scale: cell.scale.clone().with_seed(cell.scale.seed + 1),
+            ..cell.clone()
+        });
         assert_ne!(
             reseeded.results.digest(),
             base.results.digest(),
@@ -281,7 +280,12 @@ mod tests {
         // bit-identical (SeedStats sorts internally).
         let cell = tiny_cell(PolicyChoice::abm(), 0.4);
         let reps: Vec<HybridPoint> = (0..3u64)
-            .map(|r| run_hybrid(&reseed_hybrid(&cell, r)))
+            .map(|r| {
+                run_hybrid(&HybridConfig {
+                    scale: cell.scale.clone().with_seed(cell.scale.seed + r),
+                    ..cell.clone()
+                })
+            })
             .collect();
         let mut swapped = reps.clone();
         swapped.swap(1, 2);

@@ -6,20 +6,21 @@
 //!
 //! The tournament rides the existing sweep engine: every `(policy,
 //! replicate)` pair is one independent cell fanned through
-//! [`run_hybrid_cells`] / [`run_incast_cells`] / [`run_chaos_cells`],
+//! [`run_hybrid_cells`] / [`run_incast_cells`] / [`run_fault_cell`],
 //! so the jobs-invariance contract carries over verbatim — the same
 //! tournament specification renders a byte-identical report (and the
 //! same per-cell digests) at any `--jobs` value. `repro tournament
 //! --check` pins exactly that.
 
-use dcn_fabric::RunResults;
+use dcn_fabric::{RdmaTransport, RunResults};
 use dcn_metrics::SeedStats;
-use dcn_sim::SimDuration;
+use dcn_net::TrafficClass;
+use dcn_sim::{par_map, SimDuration};
 
-use crate::chaos::{run_chaos_cells, ChaosConfig};
-use crate::hybrid::HybridConfig;
+use crate::fault::{run_fault_cell, FaultCell, FaultPoint};
+use crate::hybrid::{goodput_gbps, HybridConfig};
 use crate::incast::IncastConfig;
-use crate::report::{fmt_f64, Table};
+use crate::report::{delta_pct, fmt_f64, mean_finite, Outcome, Table};
 use crate::scale::ExperimentScale;
 use crate::sweep::{fmt_stat, run_hybrid_cells, run_incast_cells, SweepOptions};
 
@@ -74,14 +75,28 @@ impl TournamentRow {
         }
     }
 
-    /// Mean of a metric's finite replicate samples (`NaN` if none).
-    fn mean(samples: &[f64]) -> f64 {
-        let finite: Vec<f64> = samples.iter().copied().filter(|v| v.is_finite()).collect();
-        if finite.is_empty() {
-            f64::NAN
-        } else {
-            finite.iter().sum::<f64>() / finite.len() as f64
+    /// A fault-free arena's row from one policy's `(p99, results)`
+    /// replicates; any lossless drop is a violation there.
+    fn fault_free<'a>(
+        arena: &'static str,
+        label: String,
+        reps: impl Iterator<Item = (f64, &'a RunResults)>,
+        window: SimDuration,
+    ) -> Self {
+        let mut row = TournamentRow::new(arena, label);
+        for (p99, r) in reps {
+            row.p99_slowdown.push(p99);
+            row.goodput_gbps.push(goodput_gbps(r, window));
+            row.pause_frames.push(r.pause_frames() as f64);
+            row.digests.push(r.digest());
+            if r.drops.lossless_packets != 0 {
+                row.violations.push(format!(
+                    "{} lossless drops in a fault-free run",
+                    r.drops.lossless_packets
+                ));
+            }
         }
+        row
     }
 }
 
@@ -94,13 +109,6 @@ fn cell(samples: &[f64]) -> String {
     }
 }
 
-/// Computes delivered goodput (completed flows' payload over the
-/// traffic window) in Gbit/s.
-fn goodput_gbps(results: &RunResults, window: SimDuration) -> f64 {
-    let delivered: u64 = results.fct.records().iter().map(|x| x.size.as_u64()).sum();
-    delivered as f64 * 8.0 / window.as_secs_f64() / 1e9
-}
-
 /// The tournament result: rows grouped arena-major in policy order.
 #[derive(Debug, Clone)]
 pub struct TournamentReport {
@@ -111,23 +119,6 @@ pub struct TournamentReport {
 }
 
 impl TournamentReport {
-    /// Every invariant violation across all rows (empty = pass).
-    pub fn violations(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for row in &self.rows {
-            for v in &row.violations {
-                out.push(format!("{}/{}: {v}", row.arena, row.label));
-            }
-        }
-        out
-    }
-
-    /// All run digests in row order — compared across `--jobs` values
-    /// by `repro tournament --check`.
-    pub fn digests(&self) -> Vec<u64> {
-        self.rows.iter().flat_map(|r| r.digests.clone()).collect()
-    }
-
     /// Policies on the Pareto front of one arena, judged on replicate
     /// means: lower p99 slowdown, higher goodput, fewer pause frames
     /// (and, in the chaos arena, smaller goodput degradation) — a
@@ -137,13 +128,14 @@ impl TournamentReport {
         let rows: Vec<&TournamentRow> = self.rows.iter().filter(|r| r.arena == arena).collect();
         let axes = |r: &TournamentRow| -> Vec<f64> {
             // All axes oriented "smaller is better".
+            let mean = |s: &[f64]| mean_finite(s.iter().copied());
             let mut v = vec![
-                TournamentRow::mean(&r.p99_slowdown),
-                -TournamentRow::mean(&r.goodput_gbps),
-                TournamentRow::mean(&r.pause_frames),
+                mean(&r.p99_slowdown),
+                -mean(&r.goodput_gbps),
+                mean(&r.pause_frames),
             ];
             if !r.fault_delta_pct.is_empty() {
-                v.push(-TournamentRow::mean(&r.fault_delta_pct));
+                v.push(-mean(&r.fault_delta_pct));
             }
             v
         };
@@ -162,8 +154,9 @@ impl TournamentReport {
             .collect()
     }
 
-    /// Renders the Pareto table plus per-arena front summaries.
-    pub fn render(&self) -> String {
+    /// The Pareto table plus per-arena front summaries, every run's
+    /// digest and every violation.
+    pub fn outcome(&self) -> Outcome {
         let mut t = Table::new(&[
             "arena",
             "policy",
@@ -173,6 +166,7 @@ impl TournamentReport {
             "fault Δ%",
             "violations",
         ]);
+        let mut out = Outcome::default();
         for row in &self.rows {
             t.row(vec![
                 row.arena.to_string(),
@@ -187,8 +181,17 @@ impl TournamentReport {
                 },
                 row.violations.len().to_string(),
             ]);
+            let name = format!("{}/{}", row.arena, row.label);
+            out.digests.extend(
+                row.digests
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &d)| (format!("{name} run {i}"), d)),
+            );
+            out.violations
+                .extend(row.violations.iter().map(|v| format!("{name}: {v}")));
         }
-        let mut out = format!(
+        out.text = format!(
             "tournament: 6 policies x 4 arenas x {} seed(s)\n{}",
             self.seeds,
             t.render()
@@ -200,21 +203,13 @@ impl TournamentReport {
             }
         }
         for arena in arenas {
-            out.push_str(&format!(
+            out.text.push_str(&format!(
                 "pareto front [{arena}]: {}\n",
                 self.pareto_front(arena).join(", ")
             ));
         }
         out
     }
-}
-
-/// Reseeds a scale for replicate `rep` (the sweep engine's convention:
-/// `seed + rep`, so replicate 0 is the historical single-seed run).
-fn reseed(scale: &ExperimentScale, rep: u64) -> ExperimentScale {
-    let mut s = scale.clone();
-    s.seed = s.seed.wrapping_add(rep);
-    s
 }
 
 /// Runs the full tournament: all six policies over the four arenas,
@@ -226,6 +221,11 @@ pub fn tournament(scale: &ExperimentScale, seeds: u64, jobs: usize) -> Tournamen
     let n = seeds as usize;
     let policies = crate::all_policies();
     let opts = SweepOptions::new(jobs, 1);
+    // Replicate `rep` runs at `seed + rep` (the sweep engine's
+    // convention), so replicate 0 is the historical single-seed run.
+    let scales: Vec<ExperimentScale> = (0..seeds)
+        .map(|rep| scale.clone().with_seed(scale.seed.wrapping_add(rep)))
+        .collect();
     let mut rows: Vec<TournamentRow> = Vec::new();
 
     // Hybrid arenas: the fig. 7 mix (RDMA 0.4) at moderate and
@@ -233,9 +233,9 @@ pub fn tournament(scale: &ExperimentScale, seeds: u64, jobs: usize) -> Tournamen
     for (arena, tcp_load) in [("hybrid", 0.4), ("websearch", 0.8)] {
         let mut cells = Vec::new();
         for &policy in &policies {
-            for rep in 0..seeds {
+            for s in &scales {
                 cells.push(HybridConfig {
-                    scale: reseed(scale, rep),
+                    scale: s.clone(),
                     policy,
                     rdma_load: 0.4,
                     tcp_load,
@@ -243,109 +243,72 @@ pub fn tournament(scale: &ExperimentScale, seeds: u64, jobs: usize) -> Tournamen
             }
         }
         let points = run_hybrid_cells(&cells, &opts);
-        for (pi, &policy) in policies.iter().enumerate() {
-            let mut row = TournamentRow::new(arena, policy.label());
-            for p in &points[pi * n..(pi + 1) * n] {
-                row.p99_slowdown.push(p.rdma_p99_slowdown);
-                row.goodput_gbps
-                    .push(goodput_gbps(&p.results, scale.window));
-                row.pause_frames.push(p.pause_frames as f64);
-                row.digests.push(p.results.digest());
-                if p.lossless_drops != 0 {
-                    row.violations.push(format!(
-                        "{} lossless drops in a fault-free run",
-                        p.lossless_drops
-                    ));
-                }
-            }
-            rows.push(row);
+        for (reps, policy) in points.chunks(n).zip(&policies) {
+            let reps = reps.iter().map(|p| (p.rdma_p99_slowdown, &p.results));
+            rows.push(TournamentRow::fault_free(
+                arena,
+                policy.label(),
+                reps,
+                scale.window,
+            ));
         }
     }
 
     // Incast arena: paper §IV-B defaults at the headline fanout,
     // clamped so the fanout fits the scale's RDMA host pool (the
     // workload requires strictly more responder candidates than N).
-    {
-        let fanout = TOURNAMENT_FANOUT.min(scale.host_count() / 2 - 1).max(1);
-        let mut cells = Vec::new();
-        for &policy in &policies {
-            for rep in 0..seeds {
-                cells.push(IncastConfig::paper_defaults(
-                    reseed(scale, rep),
-                    policy,
-                    fanout,
-                ));
-            }
+    let fanout = TOURNAMENT_FANOUT.min(scale.host_count() / 2 - 1).max(1);
+    let mut cells = Vec::new();
+    for &policy in &policies {
+        for s in &scales {
+            cells.push(IncastConfig::paper_defaults(s.clone(), policy, fanout));
         }
-        let points = run_incast_cells(&cells, &opts);
-        for (pi, &policy) in policies.iter().enumerate() {
-            let mut row = TournamentRow::new("incast", policy.label());
-            for p in &points[pi * n..(pi + 1) * n] {
-                row.p99_slowdown.push(p.incast_p99_slowdown);
-                row.goodput_gbps
-                    .push(goodput_gbps(&p.results, scale.window));
-                row.pause_frames.push(p.pause_frames as f64);
-                row.digests.push(p.results.digest());
-                if p.lossless_drops != 0 {
-                    row.violations.push(format!(
-                        "{} lossless drops in a fault-free run",
-                        p.lossless_drops
-                    ));
-                }
-            }
-            rows.push(row);
-        }
+    }
+    let points = run_incast_cells(&cells, &opts);
+    for (reps, policy) in points.chunks(n).zip(&policies) {
+        let reps = reps.iter().map(|p| (p.incast_p99_slowdown, &p.results));
+        rows.push(TournamentRow::fault_free(
+            "incast",
+            policy.label(),
+            reps,
+            scale.window,
+        ));
     }
 
     // Chaos arena: per replicate, a zero-fault baseline plus one cell
     // per fault seed; the reported metrics come from the fault cells,
     // the degradation is relative to the same replicate's baseline.
-    {
-        let block = 1 + TOURNAMENT_FAULT_SEEDS.len();
-        let mut cells = Vec::new();
-        for &policy in &policies {
-            for rep in 0..seeds {
-                let s = reseed(scale, rep);
-                cells.push(ChaosConfig::new(s.clone(), policy, None));
-                for &fault in &TOURNAMENT_FAULT_SEEDS {
-                    cells.push(ChaosConfig::new(s.clone(), policy, Some(fault)));
-                }
-            }
-        }
-        let points = run_chaos_cells(&cells, jobs);
-        for (pi, &policy) in policies.iter().enumerate() {
-            let mut row = TournamentRow::new("chaos", policy.label());
-            for rep in 0..n {
-                let at = (pi * n + rep) * block;
-                let base = &points[at];
-                let faulted = &points[at + 1..at + block];
-                row.p99_slowdown.push(TournamentRow::mean(
-                    &faulted
+    let block = 1 + TOURNAMENT_FAULT_SEEDS.len();
+    let cells = FaultCell::grid(
+        &policies,
+        &scales,
+        &[RdmaTransport::Dcqcn],
+        &TOURNAMENT_FAULT_SEEDS,
+    );
+    let points = par_map(jobs, &cells, run_fault_cell);
+    for (runs, policy) in points.chunks(n * block).zip(&policies) {
+        let mut row = TournamentRow::new("chaos", policy.label());
+        for rep in runs.chunks(block) {
+            let (base, faulted) = (&rep[0], &rep[1..]);
+            let mean = |f: &dyn Fn(&FaultPoint) -> f64| mean_finite(faulted.iter().map(f));
+            let goodput = mean(&FaultPoint::goodput_gbps);
+            row.p99_slowdown
+                .push(mean(&|p| p.p99(TrafficClass::Lossless)));
+            row.goodput_gbps.push(goodput);
+            row.pause_frames
+                .push(mean(&|p| p.results.pause_frames() as f64));
+            row.fault_delta_pct
+                .push(delta_pct(goodput, base.goodput_gbps()));
+            for p in rep {
+                row.digests.push(p.results.digest());
+                row.violations.extend(
+                    p.violations
                         .iter()
-                        .map(|p| p.rdma_p99_slowdown)
-                        .collect::<Vec<f64>>(),
-                ));
-                let chaos_goodput = TournamentRow::mean(
-                    &faulted.iter().map(|p| p.goodput_gbps).collect::<Vec<f64>>(),
+                        .map(|v| format!("seed {:?}: {v}", p.cell.fault_seed)),
                 );
-                row.goodput_gbps.push(chaos_goodput);
-                row.pause_frames.push(TournamentRow::mean(
-                    &faulted
-                        .iter()
-                        .map(|p| p.pause_frames as f64)
-                        .collect::<Vec<f64>>(),
-                ));
-                row.fault_delta_pct
-                    .push((chaos_goodput - base.goodput_gbps) / base.goodput_gbps * 100.0);
-                for p in std::iter::once(base).chain(faulted.iter()) {
-                    row.digests.push(p.digest);
-                    for v in &p.violations {
-                        row.violations.push(format!("seed {:?}: {v}", p.fault_seed));
-                    }
-                }
             }
-            rows.push(row);
         }
+        rows.push(row);
     }
 
     TournamentReport { rows, seeds }
@@ -359,7 +322,8 @@ mod tests {
     fn tiny_tournament_covers_all_cells_and_passes_battery() {
         let r = tournament(&ExperimentScale::tiny(), 1, 4);
         assert_eq!(r.rows.len(), 4 * 6, "4 arenas x 6 policies");
-        assert_eq!(r.violations(), Vec::<String>::new());
+        let out = r.outcome();
+        assert_eq!(out.violations, Vec::<String>::new());
         let labels: Vec<&str> = r.rows[..6].iter().map(|x| x.label.as_str()).collect();
         assert_eq!(labels, ["L2BM", "DT", "ABM", "DT2", "Occamy", "BShare"]);
         // Chaos rows carry a degradation sample per replicate; the
@@ -374,9 +338,8 @@ mod tests {
             .iter()
             .filter(|x| x.arena != "chaos")
             .all(|x| x.fault_delta_pct.is_empty()));
-        let rendered = r.render();
-        assert!(rendered.contains("pareto front [hybrid]"));
-        assert!(rendered.contains("Occamy"));
+        assert!(out.text.contains("pareto front [hybrid]"));
+        assert!(out.text.contains("Occamy"));
     }
 
     #[test]

@@ -64,10 +64,8 @@ fn tournament_is_thread_count_invariant() {
     // rendered Pareto table must be byte-identical at jobs 1 vs 8, and
     // the invariant battery must pass on both.
     let scale = ExperimentScale::tiny();
-    let serial = tournament(&scale, 1, 1);
-    let parallel = tournament(&scale, 1, 8);
-    assert_eq!(serial.digests(), parallel.digests());
-    assert_eq!(serial.render(), parallel.render());
-    assert_eq!(serial.violations(), Vec::<String>::new());
-    assert_eq!(parallel.violations(), Vec::<String>::new());
+    let serial = tournament(&scale, 1, 1).outcome();
+    let parallel = tournament(&scale, 1, 8).outcome();
+    assert_eq!(serial.violations, Vec::<String>::new());
+    assert_eq!(serial, parallel, "digests, render and violations");
 }
