@@ -1,8 +1,8 @@
 //! Fabric-level configuration: which buffer-management policy runs on
 //! the switches, plus transport tunables.
 
-use dcn_net::MAX_FRAME;
-use dcn_sim::{Bytes, FaultSchedule, SimDuration, TraceConfig};
+use dcn_net::{NodeId, Priority, Topology, MAX_FRAME};
+use dcn_sim::{Bytes, FaultEvent, FaultSchedule, SimDuration, TraceConfig};
 use dcn_switch::{AbmPolicy, BufferPolicy, DtPolicy, OccamyPolicy, SwitchConfig};
 use dcn_transport::{DcqcnConfig, DctcpConfig, IrnConfig};
 use l2bm::{BShareConfig, BSharePolicy, L2bmConfig, L2bmPolicy};
@@ -176,16 +176,17 @@ impl Default for FabricConfig {
 }
 
 impl FabricConfig {
-    /// Rejects a configuration whose frames would not fit a
-    /// [`dcn_net::Packet`]'s two-byte size fields, naming the field —
-    /// at construction, not at the first oversized packet mid-run.
+    /// Rejects, at construction rather than mid-run, a configuration
+    /// whose frames would not fit a [`dcn_net::Packet`]'s two-byte size
+    /// fields, or whose fault schedule names a link, node, port or
+    /// priority `topo` lacks or a bit-error rate outside `[0, 1]`.
     ///
     /// # Panics
     ///
-    /// Panics if `dctcp.mss + header`, `dcqcn.mtu + header`,
-    /// `irn.mtu + header` or `switch.mtu` exceeds
-    /// [`dcn_net::MAX_FRAME`].
-    pub(crate) fn assert_frames_fit(&self) {
+    /// Panics naming the offending field: `dctcp.mss + header`,
+    /// `dcqcn.mtu + header`, `irn.mtu + header` or `switch.mtu` above
+    /// [`dcn_net::MAX_FRAME`], or `faults[i].link|node|port|prio|ber`.
+    pub(crate) fn assert_valid(&self, topo: &Topology) {
         let frames = [
             (
                 "dctcp.mss + dctcp.header",
@@ -206,6 +207,41 @@ impl FabricConfig {
                 frame <= MAX_FRAME,
                 "{field} = {frame} exceeds the largest frame a packet can describe ({MAX_FRAME})"
             );
+        }
+        let (links, nodes) = (topo.links().len(), topo.node_count());
+        for (i, sf) in self.faults.events().iter().enumerate() {
+            match sf.fault {
+                FaultEvent::LinkDown { link }
+                | FaultEvent::LinkUp { link }
+                | FaultEvent::CorruptionStart { link, .. }
+                | FaultEvent::CorruptionEnd { link } => assert!(
+                    (link as usize) < links,
+                    "faults[{i}].link = {link} is not a link of the topology ({links} links)"
+                ),
+                FaultEvent::PauseStuck { node, port, prio }
+                | FaultEvent::PauseRelease { node, port, prio } => {
+                    assert!(
+                        (node as usize) < nodes,
+                        "faults[{i}].node = {node} is not a node of the topology ({nodes} nodes)"
+                    );
+                    let ports = topo.node(NodeId::new(node)).port_count();
+                    assert!(
+                        (port as usize) < ports,
+                        "faults[{i}].port = {port} is not a port of node {node} ({ports} ports)"
+                    );
+                    assert!(
+                        (prio as usize) < Priority::COUNT,
+                        "faults[{i}].prio = {prio} is not a priority (0..{})",
+                        Priority::COUNT
+                    );
+                }
+            }
+            if let FaultEvent::CorruptionStart { ber, .. } = sf.fault {
+                assert!(
+                    (0.0..=1.0).contains(&ber),
+                    "faults[{i}].ber = {ber} is not a probability in [0, 1]"
+                );
+            }
         }
     }
 }

@@ -2,16 +2,16 @@
 //! and the dense flow-id → flow-index table the per-packet hot path
 //! uses.
 
-use dcn_net::{FlowId, TrafficClass};
+use dcn_net::FlowId;
 use dcn_sim::{SimDuration, SimTime, TimerHandle};
 use dcn_transport::{
-    DcqcnReceiver, DcqcnSender, DctcpReceiver, DctcpSender, IrnReceiver, IrnSender,
+    DcqcnReceiver, DcqcnSender, DctcpReceiver, DctcpSender, IrnReceiver, IrnSender, RpTimerKind,
 };
 use dcn_workload::FlowSpec;
 
 /// The sender/receiver pair of one flow, typed by transport.
 #[derive(Debug)]
-pub enum FlowRuntime {
+pub(crate) enum FlowRuntime {
     /// A lossy flow: DCTCP endpoints.
     Tcp {
         /// Sender state machine.
@@ -43,61 +43,66 @@ pub enum FlowRuntime {
 /// generation-stamped tombstone in the heap, which is what keeps the
 /// pending-event population bounded for long-lived flows.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FlowTimers {
+pub(crate) struct FlowTimers {
     /// DCTCP/IRN retransmission deadline.
-    pub rto: Option<TimerHandle>,
+    pub(crate) rto: Option<TimerHandle>,
     /// DCQCN α-decay timer.
-    pub alpha: Option<TimerHandle>,
+    pub(crate) alpha: Option<TimerHandle>,
     /// DCQCN rate-increase timer.
-    pub rate: Option<TimerHandle>,
+    pub(crate) rate: Option<TimerHandle>,
     /// Opt-in RDMA liveness-watchdog deadline (see
     /// [`crate::FabricConfig::flow_watchdog`]).
-    pub flow_watchdog: Option<TimerHandle>,
+    pub(crate) flow_watchdog: Option<TimerHandle>,
+}
+
+impl FlowTimers {
+    /// The DCQCN reaction-point timer slot of `kind`.
+    pub(crate) fn rp(&mut self, kind: RpTimerKind) -> &mut Option<TimerHandle> {
+        match kind {
+            RpTimerKind::Alpha => &mut self.alpha,
+            RpTimerKind::Rate => &mut self.rate,
+        }
+    }
 }
 
 /// A flow plus its lifecycle bookkeeping.
 #[derive(Debug)]
-pub struct FlowState {
+pub(crate) struct FlowState {
     /// The immutable flow description.
-    pub spec: FlowSpec,
+    pub(crate) spec: FlowSpec,
     /// The protocol endpoints.
-    pub runtime: FlowRuntime,
+    pub(crate) runtime: FlowRuntime,
     /// Outstanding cancellable timers for this flow.
-    pub timers: FlowTimers,
+    pub(crate) timers: FlowTimers,
     /// Whether the FCT record has been emitted.
-    pub recorded: bool,
+    pub(crate) recorded: bool,
     /// Ideal (empty-network) FCT, computed at registration while every
     /// route is healthy so a mid-run link failure cannot poison the
     /// slowdown denominator of flows that finish after it.
-    pub ideal: SimDuration,
+    pub(crate) ideal: SimDuration,
     /// Receiver progress (in-order bytes) seen at the last liveness-
     /// watchdog fire. Only meaningful while the watchdog is armed.
-    pub watchdog_progress: u64,
+    pub(crate) watchdog_progress: u64,
     /// Whether the current no-progress episode has already been
     /// counted; cleared when progress resumes, so a flow stalling twice
     /// counts two stall episodes, not one per watchdog fire.
-    pub stall_flagged: bool,
+    pub(crate) stall_flagged: bool,
 }
 
 impl FlowState {
     /// Whether both endpoints consider the flow finished (receiver got
     /// every byte; sender has nothing outstanding).
-    pub fn is_done(&self) -> bool {
-        match &self.runtime {
-            FlowRuntime::Tcp { sender, receiver } => {
-                sender.is_completed() && receiver.finished_at().is_some()
-            }
-            FlowRuntime::Rdma { sender, receiver } => {
-                !sender.has_more() && receiver.finished_at().is_some()
-            }
-            FlowRuntime::Irn { sender, receiver } => {
-                sender.is_completed() && receiver.finished_at().is_some()
-            }
-        }
+    pub(crate) fn is_done(&self) -> bool {
+        let sent = match &self.runtime {
+            FlowRuntime::Tcp { sender, .. } => sender.is_completed(),
+            FlowRuntime::Rdma { sender, .. } => !sender.has_more(),
+            FlowRuntime::Irn { sender, .. } => sender.is_completed(),
+        };
+        sent && self.finished_at().is_some()
     }
 
     /// When the receiver got the last byte, if it has.
-    pub fn finished_at(&self) -> Option<SimTime> {
+    pub(crate) fn finished_at(&self) -> Option<SimTime> {
         match &self.runtime {
             FlowRuntime::Tcp { receiver, .. } => receiver.finished_at(),
             FlowRuntime::Rdma { receiver, .. } => receiver.finished_at(),
@@ -107,17 +112,12 @@ impl FlowState {
 
     /// In-order bytes delivered to the receiver so far (the liveness
     /// watchdog's progress measure, comparable across transports).
-    pub fn received(&self) -> u64 {
+    pub(crate) fn received(&self) -> u64 {
         match &self.runtime {
             FlowRuntime::Tcp { receiver, .. } => receiver.received(),
             FlowRuntime::Rdma { receiver, .. } => receiver.received(),
             FlowRuntime::Irn { receiver, .. } => receiver.received(),
         }
-    }
-
-    /// The flow's traffic class.
-    pub fn class(&self) -> TrafficClass {
-        self.spec.class
     }
 }
 

@@ -47,11 +47,12 @@ mod flows;
 mod host;
 mod results;
 mod shard;
+mod switches;
+mod wires;
 mod world;
 
 pub use config::{FabricConfig, PolicyChoice, RdmaTransport};
-pub use flows::{FlowRuntime, FlowState, FlowTable};
-pub use host::Host;
+pub use flows::FlowTable;
 pub use results::RunResults;
 pub use shard::ShardedFabricSim;
 pub use world::{Event, FabricSim, World};

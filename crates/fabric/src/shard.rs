@@ -47,7 +47,8 @@ use dcn_workload::FlowSpec;
 
 use crate::config::{FabricConfig, RdmaTransport};
 use crate::results::RunResults;
-use crate::world::{Event, Handoff, PopDelta, World};
+use crate::wires::Handoff;
+use crate::world::{Event, PopCounters, World};
 
 /// How a dispatched event counts toward the merged event total.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -113,12 +114,11 @@ struct Shared {
 /// `Send` summary first).
 struct ShardPiece {
     /// Stop-key-filtered order-independent counters: PFC, drops,
-    /// occupancy, liveness diagnostics.
+    /// occupancy, IRN counters, liveness diagnostics.
     base: RunResults,
     /// Stop-key-filtered completion records with their dispatch keys,
     /// in this shard's (already key-sorted) completion order.
     fct: Vec<(StampKey, FctRecord)>,
-    irn: dcn_metrics::IrnCounters,
     unfinished: usize,
     banked: Banked,
     ghost_credits: u64,
@@ -151,11 +151,11 @@ impl ShardedFabricSim {
     /// # Panics
     ///
     /// Panics if `shards` is zero, if `cfg` enables the flight
-    /// recorder, or if a configured frame exceeds
-    /// [`dcn_net::MAX_FRAME`].
+    /// recorder, or on any configuration [`crate::FabricSim::new`]
+    /// refuses (an oversized frame, an invalid fault schedule).
     pub fn new(topo: Topology, cfg: FabricConfig, shards: usize) -> ShardedFabricSim {
         assert!(shards >= 1, "at least one shard");
-        cfg.assert_frames_fit();
+        cfg.assert_valid(&topo);
         assert!(
             !cfg.trace.enabled,
             "sharded runs do not support the flight recorder"
@@ -274,7 +274,7 @@ fn run_shard(
     let shards = part.shards();
     let total_flows = specs.len();
     let ambiguous_before = ambiguous_comparisons();
-    let mut world = World::new_sharded(topo.clone(), cfg.clone(), part.clone(), shard);
+    let mut world = World::new(topo.clone(), cfg, Some((part.clone(), shard)));
     let mut q: EventQueue<Event> = EventQueue::new();
     q.enable_stamps();
 
@@ -315,7 +315,7 @@ fn run_shard(
     // Window-local journals of the pops dispatched once nothing is owed,
     // cleared at every continuing barrier (the stop key can only land in
     // the run's final window).
-    let mut deltas: Vec<(StampKey, PopDelta)> = Vec::new();
+    let mut deltas: Vec<(StampKey, PopCounters)> = Vec::new();
     let mut pops: Vec<(StampKey, PopKind)> = Vec::new();
     // Key of this window's newest completion — its greatest, since a
     // shard pops in key order.
@@ -512,7 +512,7 @@ fn run_shard(
     // ---- end-of-run filtering ----------------------------------------
 
     let mut dropped_samples = 0usize;
-    let mut reverted: Vec<PopDelta> = Vec::new();
+    let mut reverted: Vec<PopCounters> = Vec::new();
     let mut fct_keep = fct_keys.len();
     if done {
         // Keep exactly what the serial engine processed: keys at or
@@ -567,7 +567,6 @@ fn run_shard(
 
     let mut base = RunResults::default();
     world.fold_counters_into(&mut base);
-    let mut irn = world.irn_counters();
     for d in &reverted {
         for (node, dpfc, ddrops) in d.nodes.iter().flatten() {
             base.pfc.subtract(dpfc);
@@ -577,7 +576,7 @@ fn run_shard(
             base.drops.subtract(ddrops);
         }
         base.drops.subtract(&d.wire);
-        irn.subtract(&d.irn);
+        base.irn.subtract(&d.irn);
     }
     debug_assert_eq!(
         fct_keys.len(),
@@ -597,7 +596,6 @@ fn run_shard(
         unfinished: owed_flows - world.done_flows(),
         base,
         fct,
-        irn,
         banked,
         ghost_credits,
         queue: q.stats(),
@@ -638,10 +636,10 @@ fn merge_pieces(pieces: Vec<ShardPiece>) -> RunResults {
     // IRN: `flows` is replicated registration state (identical in every
     // shard); the run-time fields were each observed in exactly one
     // shard.
-    r.irn = pieces[0].irn;
+    r.irn = pieces[0].base.irn;
     for p in &pieces[1..] {
-        assert_eq!(p.irn.flows, r.irn.flows, "flow registration diverged");
-        let mut rt = p.irn;
+        assert_eq!(p.base.irn.flows, r.irn.flows, "flow registration diverged");
+        let mut rt = p.base.irn;
         rt.flows = 0;
         r.irn.merge(&rt);
     }
@@ -833,6 +831,22 @@ mod tests {
         let mut cfg = FabricConfig::default();
         cfg.irn.mtu = 70_000 - cfg.irn.header.as_u64();
         let _ = ShardedFabricSim::new(topo, cfg, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "faults[0].link = 99 is not a link of the topology")]
+    fn fault_on_an_unknown_link_is_refused_at_construction() {
+        let topo = Topology::clos(&ClosConfig::small(2));
+        let mut faults = FaultSchedule::none();
+        faults.push(
+            SimTime::from_micros(1),
+            dcn_sim::FaultEvent::LinkDown { link: 99 },
+        );
+        let cfg = FabricConfig {
+            faults,
+            ..FabricConfig::default()
+        };
+        let _ = ShardedFabricSim::new(topo, cfg, 2);
     }
 
     #[test]

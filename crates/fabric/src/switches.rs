@@ -1,0 +1,278 @@
+//! The fabric's shared-memory switches: forwarding and buffer admission,
+//! PFC frames in and out, the PFC storm watchdog, port resets on link
+//! faults, and occupancy sampling.
+
+use dcn_metrics::OccupancySeries;
+use dcn_net::{LinkEnd, NodeId, NodeKind, Packet, PfcFrame, PortId, Priority};
+use dcn_sim::{BitRate, SimDuration, SimTime, TimerHandle, TraceDropCause};
+use dcn_switch::{QueueIndex, SharedMemorySwitch};
+
+use crate::config::FabricConfig;
+use crate::results::RunResults;
+use crate::wires::Wires;
+use crate::world::{Event, Queue};
+
+/// Every switch this world simulates.
+#[derive(Debug)]
+pub(crate) struct Switches {
+    /// Indexed by `NodeId::index()`; `None` for hosts and for switches
+    /// another shard owns.
+    switches: Vec<Option<SharedMemorySwitch>>,
+    /// Outstanding storm-watchdog deadlines, indexed
+    /// `[NodeId::index()][QueueIndex::flat()]` (empty where `switches`
+    /// is `None`). Each
+    /// slot holds the newest armed deadline's handle plus the
+    /// pause-episode generation it was armed for.
+    watchdog_timers: Vec<Vec<Option<(TimerHandle, u64)>>>,
+    /// Per-switch occupancy series, indexed by `NodeId::index()` (empty
+    /// for hosts and for switches never sampled).
+    occupancy: Vec<OccupancySeries>,
+    /// PFC storm-watchdog threshold (`None` = no watchdog).
+    pfc_watchdog: Option<SimDuration>,
+    /// Occupancy sampling period (`None` = no sampling).
+    sample_interval: Option<SimDuration>,
+}
+
+impl Switches {
+    /// Builds the switches `wires` says this world owns.
+    pub fn new(wires: &Wires, cfg: &FabricConfig) -> Switches {
+        let topo = &wires.topo;
+        let (switches, watchdog_timers) = topo
+            .nodes()
+            .iter()
+            .map(|node| {
+                if node.kind != NodeKind::Switch || !wires.owns(node.id) {
+                    return (None, Vec::new());
+                }
+                let ports = topo.wires_of(node.id);
+                let rates: Vec<BitRate> = ports.iter().map(|w| topo.link(w.link).rate).collect();
+                let mut sw = SharedMemorySwitch::new(
+                    node.id,
+                    cfg.switch.clone(),
+                    rates,
+                    cfg.policy.build(),
+                    cfg.seed,
+                );
+                sw.set_trace(wires.trace.clone());
+                // Size each port's headroom from its link: in-flight
+                // bytes over a pause round trip (2 × BDP) plus slack
+                // for the packets serializing at both ends when the
+                // XOFF lands. The configured value acts as a floor.
+                for (pix, w) in ports.iter().enumerate() {
+                    let link = topo.link(w.link);
+                    let bdp = link.rate.bytes_over(link.propagation);
+                    let auto = bdp * 2 + cfg.switch.mtu * 4;
+                    let cap = auto.max(cfg.switch.headroom_per_queue);
+                    sw.set_port_headroom(PortId::new(pix as u16), cap);
+                }
+                (Some(sw), vec![None; ports.len() * Priority::COUNT])
+            })
+            .unzip();
+        Switches {
+            switches,
+            watchdog_timers,
+            occupancy: vec![OccupancySeries::new(); topo.node_count()],
+            pfc_watchdog: cfg.switch.pfc_watchdog,
+            sample_interval: cfg.sample_interval,
+        }
+    }
+
+    /// A switch by node id, if this world simulates it.
+    pub fn get(&self, id: NodeId) -> Option<&SharedMemorySwitch> {
+        self.switches.get(id.index()).and_then(Option::as_ref)
+    }
+
+    fn get_mut(&mut self, id: NodeId) -> &mut SharedMemorySwitch {
+        self.switches[id.index()].as_mut().expect("not a switch")
+    }
+
+    /// Forwards a packet arriving on `in_port`. Returns whether the
+    /// switch generated an IRN NACK toward the packet's sender.
+    pub fn receive(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        in_port: PortId,
+        packet: Packet,
+        wires: &mut Wires,
+        q: &mut Queue,
+    ) -> bool {
+        let sw = self.switches[node.index()].as_mut().expect("not a switch");
+        let Some(out_port) = wires.routes.next_port(node, packet.dst, packet.flow) else {
+            // Every candidate next hop is down (or the destination is
+            // unreachable): a counted drop, not a panic, so the fabric
+            // survives injected failures. TCP retransmits after
+            // recovery; a lossless flow hit here becomes a victim flow.
+            sw.record_forwarding_drop(now, &packet, in_port, TraceDropCause::NoRoute);
+            return false;
+        };
+        let res = sw.receive(now, packet, in_port, out_port);
+        if let Some(e) = res.pfc {
+            wires.emit_pfc(now, node, e, q);
+        }
+        if let Some(tx) = res.tx {
+            wires.schedule_switch_tx(now, node, tx, q);
+        }
+        // Other drops need no action here: lossy transports recover via
+        // dup-ACKs/RTO, and lossless drops are counted as config failures.
+        let Some(nack) = res.nack else {
+            return false;
+        };
+        // An out-of-order lossy-RDMA arrival: the switch generated an
+        // IRN NACK toward the sender. Inject it here as if it entered
+        // on the same port the offending data packet used. Recursion is
+        // depth-1: only Data packets trigger NACK generation.
+        self.receive(now, node, in_port, nack, wires, q);
+        true
+    }
+
+    /// A port finished serializing: start the next packet, and send any
+    /// XON the departure released.
+    pub fn tx_complete(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        port: PortId,
+        wires: &mut Wires,
+        q: &mut Queue,
+    ) {
+        let res = self.get_mut(node).tx_complete(now, port);
+        if let Some(e) = res.pfc {
+            wires.emit_pfc(now, node, e, q);
+        }
+        if let Some(tx) = res.next {
+            wires.schedule_switch_tx(now, node, tx, q);
+        }
+    }
+
+    /// Applies a PFC frame to the egress queue behind `port`, arming the
+    /// storm watchdog on each new pause episode. Real `PfcDeliver`
+    /// frames and injected stuck pauses both come through here.
+    pub fn pfc(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        port: PortId,
+        frame: PfcFrame,
+        wires: &mut Wires,
+        q: &mut Queue,
+    ) {
+        let q_out = QueueIndex::new(port, frame.priority);
+        let sw = self.switches[node.index()].as_mut().expect("not a switch");
+        let was_paused = sw.mmu().egress_paused(q_out);
+        let tx = sw.handle_pfc(now, port, frame);
+        let slot = &mut self.watchdog_timers[node.index()][q_out.flat()];
+        if frame.pause && !was_paused {
+            if let Some(threshold) = self.pfc_watchdog {
+                let generation = sw.pause_generation(q_out);
+                let handle = q.schedule_timer_after(
+                    now,
+                    threshold,
+                    Event::PfcWatchdog {
+                        node,
+                        port,
+                        prio: frame.priority,
+                        generation,
+                    },
+                );
+                // This new episode bumped the generation, so any older
+                // deadline still armed on this queue could only fire as
+                // a stale no-op — cancelling it is behaviour-preserving.
+                if let Some((old, _)) = slot.replace((handle, generation)) {
+                    q.cancel_timer(old);
+                }
+            }
+        } else if !frame.pause && was_paused {
+            // Resumed: a later pause starts a fresh generation, so the
+            // pending deadline can never fire meaningfully again.
+            if let Some((old, _)) = slot.take() {
+                q.cancel_timer(old);
+            }
+        }
+        if let Some(tx) = tx {
+            wires.schedule_switch_tx(now, node, tx, q);
+        }
+    }
+
+    /// A storm-watchdog deadline fired: force-resume `queue` if it is
+    /// still in the pause episode the deadline was armed for.
+    pub fn watchdog_fire(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        queue: QueueIndex,
+        generation: u64,
+        wires: &mut Wires,
+        q: &mut Queue,
+    ) {
+        // If this very deadline is the one on record, firing consumed
+        // its wheel entry — forget the dead handle.
+        let slot = &mut self.watchdog_timers[node.index()][queue.flat()];
+        if slot.is_some_and(|(_, g)| g == generation) {
+            *slot = None;
+        }
+        let sw = self.get_mut(node);
+        if let Some(tx) = sw.pfc_watchdog_fire(now, queue.port, queue.priority, generation) {
+            wires.schedule_switch_tx(now, node, tx, q);
+        }
+    }
+
+    /// The link behind `end` died: discharge everything queued to it.
+    /// Freed shared buffer may release pause thresholds, so any XONs it
+    /// emits are forwarded.
+    pub fn port_down(&mut self, now: SimTime, end: LinkEnd, wires: &mut Wires, q: &mut Queue) {
+        for e in self.get_mut(end.node).port_down(now, end.port) {
+            wires.emit_pfc(now, end.node, e, q);
+        }
+    }
+
+    /// The link behind `end` came back: port renegotiation forgets the
+    /// pauses sent and received on it.
+    pub fn port_up(&mut self, now: SimTime, end: LinkEnd, wires: &mut Wires, q: &mut Queue) {
+        // Any later pause starts a fresh generation, so every pending
+        // storm deadline on the port is now a guaranteed no-op.
+        for prio in Priority::all() {
+            let flat = QueueIndex::new(end.port, prio).flat();
+            if let Some((h, _)) = self.watchdog_timers[end.node.index()][flat].take() {
+                q.cancel_timer(h);
+            }
+        }
+        if let Some(tx) = self.get_mut(end.node).reset_port_pfc(now, end.port) {
+            wires.schedule_switch_tx(now, end.node, tx, q);
+        }
+    }
+
+    /// One occupancy sample per switch, then the next tick.
+    pub fn sample(&mut self, now: SimTime, q: &mut Queue) {
+        for sw in self.switches.iter().flatten() {
+            self.occupancy[sw.id().index()].push(now, sw.occupancy());
+        }
+        if let Some(interval) = self.sample_interval {
+            q.schedule_after(now, interval, Event::Sample);
+        }
+    }
+
+    /// Reverts the newest `n` occupancy samples of every switch.
+    pub fn drop_last_occupancy(&mut self, n: usize) {
+        if n == 0 {
+            return;
+        }
+        for series in &mut self.occupancy {
+            series.drop_last(n);
+        }
+    }
+
+    /// Folds PFC and drop counters and occupancy series into `r`.
+    pub fn fold_into(&self, r: &mut RunResults) {
+        for sw in self.switches.iter().flatten() {
+            r.pfc.merge(sw.pfc_counters());
+            r.pfc_by_switch.insert(sw.id(), sw.pfc_counters().clone());
+            r.drops.merge(sw.drop_counters());
+        }
+        for (i, series) in self.occupancy.iter().enumerate() {
+            if !series.is_empty() {
+                r.occupancy.insert(NodeId::new(i as u32), series.clone());
+            }
+        }
+    }
+}

@@ -1,32 +1,26 @@
-//! The event loop: dispatches deliveries, transmissions, PFC frames and
-//! transport timers across every host and switch.
+//! The event loop: routes deliveries, transmissions, PFC frames, faults
+//! and transport timers to the part of the fabric that owns them.
 //!
 //! The per-packet hot path performs no hashing: flow lookup goes through
-//! the dense banked [`FlowTable`] and occupancy sampling through a
-//! node-indexed `Vec` — see DESIGN.md §3.5.
+//! the dense banked [`crate::FlowTable`] and occupancy sampling through
+//! a node-indexed `Vec` — see DESIGN.md §3.5.
 
 use std::sync::Arc;
 
-use dcn_metrics::{DropCounters, FctRecord, IrnCounters, OccupancySeries, PfcCounters};
+use dcn_metrics::{DropCounters, FctRecord, IrnCounters, PfcCounters};
 use dcn_net::{
-    FlowId, LinkId, NodeId, Packet, PacketKind, Partition, PfcFrame, PortId, Priority,
-    RoutingTable, Topology, TrafficClass, Wire,
+    FlowId, LinkId, NodeId, NodeKind, Packet, Partition, PfcFrame, PortId, Priority, Topology,
 };
-use dcn_sim::{
-    run_while, BitRate, Bytes, EventQueue, FaultEvent, SimDuration, SimRng, SimTime, Simulation,
-    Stamp, TimerHandle, TraceDropCause, TraceEvent, TraceHandle,
-};
-use dcn_switch::{PfcEmit, QueueIndex, SharedMemorySwitch, TxStart};
-use dcn_transport::{
-    DcqcnReceiver, DcqcnSender, DctcpReceiver, DctcpSender, IrnReceiver, IrnSender, RpTimerKind,
-    TcpEvent,
-};
+use dcn_sim::{run_while, EventQueue, FaultEvent, SimTime, Simulation, TraceHandle};
+use dcn_switch::{QueueIndex, SharedMemorySwitch};
+use dcn_transport::RpTimerKind;
 use dcn_workload::FlowSpec;
 
-use crate::config::{FabricConfig, RdmaTransport};
-use crate::flows::{FlowRuntime, FlowState, FlowTable, FlowTimers};
-use crate::host::Host;
+use crate::config::FabricConfig;
+use crate::host::Hosts;
 use crate::results::RunResults;
+use crate::switches::Switches;
+use crate::wires::{Handoff, HandoffPayload, Wires};
 
 /// Events dispatched through the fabric's queue.
 #[derive(Debug)]
@@ -72,7 +66,7 @@ pub enum Event {
         flow: FlowId,
     },
     /// A DCTCP or IRN retransmission timer. Armed on the timing wheel
-    /// through a [`TimerHandle`]; a firing timer is live by
+    /// through a [`dcn_sim::TimerHandle`]; a firing timer is live by
     /// construction because every re-arm cancels the previous deadline.
     Rto {
         /// The flow.
@@ -124,1288 +118,112 @@ pub enum Event {
     },
 }
 
-/// What a shard hands to a peer at a window barrier.
-#[derive(Debug)]
-pub(crate) enum HandoffPayload {
-    /// A fully formed event (a cross-shard `Deliver` or `PfcDeliver`).
-    Event(Event),
-    /// Arm the flow-liveness watchdog in the destination's shard (the
-    /// receiver state the watchdog measures lives there).
-    WatchdogArm {
-        /// The flow to watch.
-        flow: FlowId,
-    },
-}
+/// The fabric's event queue.
+pub(crate) type Queue = EventQueue<Event>;
 
-/// A stamped cross-shard message, generated during one window and
-/// admitted by its destination shard at the next barrier. The stamp was
-/// drawn in emission order at the source, so the destination dispatches
-/// it at exactly the `(time, stamp)` key the serial engine would have
-/// used.
-#[derive(Debug)]
-pub(crate) struct Handoff {
-    /// Fire time (provably ≥ the next window's start).
-    pub(crate) at: SimTime,
-    /// Admission stamp carried verbatim across the shard boundary.
-    pub(crate) stamp: Stamp,
-    /// The message.
-    pub(crate) payload: HandoffPayload,
-}
-
-/// Spatial-sharding context: which shard this world is, the global
-/// node→shard map, and the cross-shard messages generated in the
-/// current window, one batch per destination shard. `None` for the
-/// serial engine.
-#[derive(Debug)]
-struct ShardCtx {
-    part: Arc<Partition>,
-    shard: u32,
-    outbox: Vec<Vec<Handoff>>,
-}
-
-/// What the fault schedule has done to one link.
-#[derive(Debug, Clone, Copy)]
-struct LinkState {
-    /// Whether the link carries traffic.
-    up: bool,
-    /// Bit-error rate (0.0 = clean).
-    ber: f64,
-}
-
-/// The complete simulated fabric.
+/// The complete simulated fabric: a thin router that hands each event
+/// to the part owning the state it touches — the `Wires` between
+/// nodes, the `Switches`, or the `Hosts` and their flows.
 #[derive(Debug)]
 pub struct World {
-    topo: Topology,
-    routes: RoutingTable,
-    cfg: FabricConfig,
-    switches: Vec<Option<SharedMemorySwitch>>,
-    hosts: Vec<Option<Host>>,
-    flows: Vec<FlowState>,
-    flow_ix: FlowTable,
-    fct: Vec<FctRecord>,
-    /// Per-switch occupancy series, indexed by `NodeId::index()` (empty
-    /// for hosts and for switches never sampled).
-    occupancy: Vec<OccupancySeries>,
-    done_flows: usize,
-    counted_done: Vec<bool>,
-    trace: TraceHandle,
-    /// Per-link fault state, indexed by `LinkId::index()`.
-    link_state: Vec<LinkState>,
-    /// Corruption-loss RNG streams, one per `(link, direction)` so each
-    /// delivery direction draws from its own stream regardless of how
-    /// the fabric is sharded (indexed `link.index() * 2 + dir`, where
-    /// dir 0 receives at `link.a`). Only populated when the fault
-    /// schedule contains a corruption window — zero-fault runs make no
-    /// draws and allocate nothing.
-    fault_rng: Vec<SimRng>,
-    /// Packets lost on the wire (dead link or corruption) — charged to
-    /// the fabric, not any switch's admission counters.
-    wire_drops: DropCounters,
-    /// Outstanding storm-watchdog deadlines, indexed
-    /// `[NodeId::index()][QueueIndex::flat()]` (empty for hosts). Each
-    /// slot holds the newest armed deadline's handle plus the
-    /// pause-episode generation it was armed for.
-    watchdog_timers: Vec<Vec<Option<(TimerHandle, u64)>>>,
-    /// Reusable buffer for the packets a transport endpoint emits while
-    /// handling one event. Taken (`std::mem::take`), drained, and put
-    /// back by each handler, so the per-packet hot path never allocates.
-    outs_scratch: Vec<Packet>,
-    /// IRN transport counters (all zero in a DCQCN-only run).
-    irn: IrnCounters,
-    /// DCQCN senders found stranded (see [`World::handle_rdma_pace`]) —
-    /// a liveness defect that must stay zero.
-    rdma_stranded: u64,
-    /// Liveness-watchdog stall episodes across all RDMA flows.
-    flow_stalls: u64,
-    /// Spatial-sharding context (`None` for the serial engine).
-    shard: Option<ShardCtx>,
+    wires: Wires,
+    switches: Switches,
+    hosts: Hosts,
 }
 
 impl World {
-    fn new(topo: Topology, cfg: FabricConfig) -> World {
-        World::build(topo, cfg, None)
-    }
-
-    /// Builds one shard's slice of the fabric: routing, topology and
-    /// link-fault state are replicated (they must mutate identically in
-    /// every shard), while switches and hosts are constructed only for
+    /// Builds the fabric, or one shard's slice of it: topology, routing
+    /// and link-fault state are replicated (they must mutate identically
+    /// in every shard), while switches and hosts are constructed only for
     /// the nodes this shard owns.
-    pub(crate) fn new_sharded(
+    pub(crate) fn new(
         topo: Topology,
-        cfg: FabricConfig,
-        part: Arc<Partition>,
-        shard: u32,
+        cfg: &FabricConfig,
+        shard: Option<(Arc<Partition>, u32)>,
     ) -> World {
-        World::build(
-            topo,
-            cfg,
-            Some(ShardCtx {
-                outbox: (0..part.shards()).map(|_| Vec::new()).collect(),
-                part,
-                shard,
-            }),
-        )
-    }
-
-    fn build(topo: Topology, cfg: FabricConfig, shard: Option<ShardCtx>) -> World {
-        let routes = RoutingTable::shortest_paths(&topo);
-        let n = topo.node_count();
-        let trace = TraceHandle::from_config(&cfg.trace);
-        let owned = |id: NodeId| {
-            shard
-                .as_ref()
-                .is_none_or(|ctx| ctx.part.shard_of(id) == ctx.shard as usize)
-        };
-        let mut switches: Vec<Option<SharedMemorySwitch>> = (0..n).map(|_| None).collect();
-        let mut hosts: Vec<Option<Host>> = (0..n).map(|_| None).collect();
-        for node in topo.nodes() {
-            if !owned(node.id) {
-                continue;
-            }
-            match node.kind {
-                dcn_net::NodeKind::Switch => {
-                    let wires = topo.wires_of(node.id);
-                    let rates: Vec<BitRate> =
-                        wires.iter().map(|w| topo.link(w.link).rate).collect();
-                    let mut sw = SharedMemorySwitch::new(
-                        node.id,
-                        cfg.switch.clone(),
-                        rates,
-                        cfg.policy.build(),
-                        cfg.seed,
-                    );
-                    sw.set_trace(trace.clone());
-                    // Size each port's headroom from its link: in-flight
-                    // bytes over a pause round trip (2 × BDP) plus slack
-                    // for the packets serializing at both ends when the
-                    // XOFF lands. The configured value acts as a floor.
-                    for (pix, w) in wires.iter().enumerate() {
-                        let link = topo.link(w.link);
-                        let bdp = link.rate.bytes_over(link.propagation);
-                        let auto = bdp * 2 + cfg.switch.mtu * 4;
-                        let cap = auto.max(cfg.switch.headroom_per_queue);
-                        sw.set_port_headroom(PortId::new(pix as u16), cap);
-                    }
-                    switches[node.id.index()] = Some(sw);
-                }
-                dcn_net::NodeKind::Host => {
-                    let rate = topo.link_at(node.id, PortId::new(0)).rate;
-                    hosts[node.id.index()] = Some(Host::new(node.id, rate));
-                }
-            }
-        }
-        let watchdog_timers = topo
-            .nodes()
-            .iter()
-            .map(|node| match node.kind {
-                dcn_net::NodeKind::Switch => vec![None; node.port_count() * Priority::COUNT],
-                dcn_net::NodeKind::Host => Vec::new(),
-            })
-            .collect();
-        let link_state = vec![LinkState { up: true, ber: 0.0 }; topo.links().len()];
-        // One independent stream per (link, direction): corruption draws
-        // then depend only on the receiving link end, never on how many
-        // other links are corrupting or how the fabric is sharded.
-        let has_corruption = cfg
-            .faults
-            .events()
-            .iter()
-            .any(|sf| matches!(sf.fault, FaultEvent::CorruptionStart { .. }));
-        let fault_rng = if has_corruption {
-            (0..topo.links().len() * 2)
-                .map(|i| {
-                    SimRng::seed_from_u64(
-                        cfg.seed
-                            ^ 0xFA01_7EC7_ED00_C0DE
-                            ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let wires = Wires::new(topo, cfg, shard);
         World {
-            topo,
-            routes,
-            cfg,
-            switches,
-            hosts,
-            flows: Vec::new(),
-            flow_ix: FlowTable::new(),
-            fct: Vec::new(),
-            occupancy: vec![OccupancySeries::new(); n],
-            done_flows: 0,
-            counted_done: Vec::new(),
-            trace,
-            link_state,
-            fault_rng,
-            wire_drops: DropCounters::new(),
-            watchdog_timers,
-            outs_scratch: Vec::new(),
-            irn: IrnCounters::new(),
-            rdma_stranded: 0,
-            flow_stalls: 0,
-            shard,
+            switches: Switches::new(&wires, cfg),
+            hosts: Hosts::new(&wires, cfg),
+            wires,
         }
-    }
-
-    /// Whether this world simulates `node` (always true for the serial
-    /// engine; sharded worlds own a spatial slice of the topology).
-    fn owns(&self, node: NodeId) -> bool {
-        self.shard
-            .as_ref()
-            .is_none_or(|ctx| ctx.part.shard_of(node) == ctx.shard as usize)
     }
 
     /// The topology being simulated.
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.wires.topo
     }
 
     /// Completed flows so far.
     pub fn done_flows(&self) -> usize {
-        self.done_flows
+        self.hosts.done_flows
     }
 
     /// Registered flows.
     pub fn flow_count(&self) -> usize {
-        self.flows.len()
+        self.hosts.flow_count()
     }
 
     /// A switch by node id, if that node is a switch.
     pub fn switch(&self, id: NodeId) -> Option<&SharedMemorySwitch> {
-        self.switches.get(id.index()).and_then(Option::as_ref)
-    }
-
-    /// The shared flight-recorder handle (disabled unless
-    /// [`FabricConfig::trace`] enabled it).
-    pub fn trace(&self) -> &TraceHandle {
-        &self.trace
-    }
-
-    /// Makes room for `additional` more [`World::register_flow`] calls.
-    fn reserve_flows(&mut self, additional: usize) {
-        self.flows.reserve(additional);
-        self.counted_done.reserve(additional);
+        self.switches.get(id)
     }
 
     pub(crate) fn register_flow(&mut self, spec: FlowSpec) -> usize {
-        assert!(
-            self.flow_ix.get(spec.id).is_none(),
-            "duplicate flow id {}",
-            spec.id
-        );
-        // The spec declares *what* the flow is; `cfg.rdma_transport`
-        // decides *how* RDMA is carried. A `LossyRdma` spec class
-        // requests IRN explicitly, regardless of the fabric default.
-        let runtime = match spec.class {
-            TrafficClass::Lossy => FlowRuntime::Tcp {
-                sender: DctcpSender::new(
-                    self.cfg.dctcp,
-                    spec.id,
-                    spec.src,
-                    spec.dst,
-                    spec.priority,
-                    spec.size,
-                ),
-                receiver: DctcpReceiver::new(spec.id, spec.dst, spec.src, spec.priority, spec.size),
-            },
-            TrafficClass::Lossless if self.cfg.rdma_transport == RdmaTransport::Dcqcn => {
-                let rate = self.topo.link_at(spec.src, PortId::new(0)).rate;
-                FlowRuntime::Rdma {
-                    sender: DcqcnSender::new(
-                        self.cfg.dcqcn,
-                        spec.id,
-                        spec.src,
-                        spec.dst,
-                        spec.priority,
-                        spec.size,
-                        rate,
-                    ),
-                    receiver: DcqcnReceiver::new(
-                        spec.id,
-                        spec.dst,
-                        spec.src,
-                        spec.priority,
-                        spec.size,
-                    ),
-                }
-            }
-            TrafficClass::Lossless | TrafficClass::LossyRdma => FlowRuntime::Irn {
-                sender: IrnSender::new(
-                    self.cfg.irn,
-                    spec.id,
-                    spec.src,
-                    spec.dst,
-                    spec.priority,
-                    spec.size,
-                ),
-                receiver: IrnReceiver::new(spec.id, spec.dst, spec.src, spec.priority, spec.size),
-            },
-        };
-        let is_irn = matches!(runtime, FlowRuntime::Irn { .. });
-        if is_irn {
-            self.irn.flows += 1;
-        }
-        let ix = self.flows.len();
-        let ideal = self.ideal_fct(&spec, is_irn);
-        self.flow_ix.insert(spec.id, ix);
-        self.flows.push(FlowState {
-            spec,
-            runtime,
-            timers: FlowTimers::default(),
-            recorded: false,
-            ideal,
-            watchdog_progress: 0,
-            stall_flagged: false,
-        });
-        self.counted_done.push(false);
-        ix
+        self.hosts.register_flow(spec, &self.wires)
     }
 
-    /// Ideal FCT on an empty network: pipeline fill (per-hop propagation
-    /// plus first-packet serialization) plus draining the remaining bytes
-    /// at the bottleneck link. Evaluated at registration time, while
-    /// every route is healthy; panicking here on a disconnected endpoint
-    /// is a configuration error, not a runtime fault.
-    fn ideal_fct(&self, spec: &FlowSpec, is_irn: bool) -> SimDuration {
-        let (mtu, header) = if is_irn {
-            (self.cfg.irn.mtu, self.cfg.irn.header)
-        } else {
-            match spec.class {
-                TrafficClass::Lossy => (self.cfg.dctcp.mss, self.cfg.dctcp.header),
-                TrafficClass::Lossless | TrafficClass::LossyRdma => {
-                    (self.cfg.dcqcn.mtu, self.cfg.dcqcn.header)
-                }
-            }
-        };
-        let n_pkts = spec.size.div_ceil_by(Bytes::new(mtu));
-        let total_wire = spec.size + header * n_pkts;
-        let first_wire = Bytes::new(spec.size.as_u64().min(mtu)) + header;
-
-        let mut node = spec.src;
-        let mut fill = SimDuration::ZERO;
-        let mut bottleneck = BitRate::from_gbps(100_000);
-        let mut hops = 0;
-        while node != spec.dst {
-            let port = self
-                .routes
-                .next_port(node, spec.dst, spec.id)
-                .expect("flow endpoints must be connected");
-            let wire = self.topo.wire(node, port);
-            let rate = self.topo.link(wire.link).rate;
-            fill += wire.propagation + rate.tx_time(first_wire);
-            bottleneck = bottleneck.min(rate);
-            node = wire.peer.node;
-            hops += 1;
-            assert!(hops <= 64, "routing loop computing ideal FCT");
-        }
-        fill + bottleneck.tx_time(total_wire.saturating_sub(first_wire))
-    }
-
-    /// Whether this world is responsible for counting flow `ix` toward
-    /// the done total. Exactly one shard counts each flow: the one
-    /// owning the endpoint whose local state flips at the same event
-    /// where the serial `is_done()` flips (see [`World::flow_done_proxy`]).
-    fn counts_done_here(&self, ix: usize) -> bool {
-        let Some(ctx) = &self.shard else {
-            return true;
-        };
-        let spec = &self.flows[ix].spec;
-        let counting = match self.flows[ix].runtime {
-            FlowRuntime::Rdma { .. } => spec.dst,
-            FlowRuntime::Tcp { .. } | FlowRuntime::Irn { .. } => spec.src,
-        };
-        ctx.part.shard_of(counting) == ctx.shard as usize
-    }
-
-    /// Completion as observable from the counting endpoint's half of the
-    /// flow. A DCQCN receiver only finishes after the sender drained
-    /// (there is no retransmission on the lossless path), and a DCTCP or
-    /// IRN sender only completes on the final cumulative ACK, which the
-    /// receiver emits after taking the last byte — so each proxy flips
-    /// at the *same event* as the serial two-sided `is_done()`, even
-    /// when the far endpoint is a never-touched replica in another
-    /// shard. The serial engine keeps the exact predicate.
-    fn flow_done_proxy(&self, ix: usize) -> bool {
-        if self.shard.is_none() {
-            return self.flows[ix].is_done();
-        }
-        match &self.flows[ix].runtime {
-            FlowRuntime::Rdma { receiver, .. } => receiver.finished_at().is_some(),
-            FlowRuntime::Tcp { sender, .. } => sender.is_completed(),
-            FlowRuntime::Irn { sender, .. } => sender.is_completed(),
+    /// Routes a PFC frame to the switch or host NIC at `node`. Real
+    /// `PfcDeliver` frames and injected stuck pauses both come here.
+    fn pfc_in(&mut self, now: SimTime, node: NodeId, port: PortId, frame: PfcFrame, q: &mut Queue) {
+        let wires = &mut self.wires;
+        match wires.topo.node(node).kind {
+            NodeKind::Switch => self.switches.pfc(now, node, port, frame, wires, q),
+            NodeKind::Host => self.hosts.pfc(now, node, frame, wires, q),
         }
     }
 
-    fn update_done(&mut self, ix: usize) {
-        if !self.counted_done[ix] && self.counts_done_here(ix) && self.flow_done_proxy(ix) {
-            self.counted_done[ix] = true;
-            self.done_flows += 1;
-        }
-    }
-
-    fn record_if_finished(&mut self, ix: usize) {
-        if self.flows[ix].recorded {
-            return;
-        }
-        if let Some(finish) = self.flows[ix].finished_at() {
-            let spec = self.flows[ix].spec;
-            let ideal = self.flows[ix].ideal;
-            self.fct.push(FctRecord {
-                flow: spec.id,
-                class: spec.class,
-                size: spec.size,
-                start: spec.start,
-                finish,
-                ideal,
-            });
-            self.flows[ix].recorded = true;
-        }
-    }
-
-    // ---- scheduling helpers -------------------------------------------
-
-    /// Schedules `ev` (destined for `dest`) locally when this world owns
-    /// the node, otherwise stamps it with the pop's next emission stamp
-    /// and queues a handoff for the owner shard. Drawing the stamp in
-    /// emission order means the receiving shard admits the event at
-    /// exactly the `(time, stamp)` key the serial engine's `(time, seq)`
-    /// insertion would have produced.
-    fn schedule_or_handoff(
-        &mut self,
-        at: SimTime,
-        dest: NodeId,
-        ev: Event,
-        q: &mut EventQueue<Event>,
-    ) {
-        if self.owns(dest) {
-            q.schedule_at(at, ev);
-        } else {
-            self.hand_off(at, dest, HandoffPayload::Event(ev), q);
-        }
-    }
-
-    /// Queues `payload` for the shard owning `dest`, stamped as the
-    /// dispatching pop's next emission.
-    fn hand_off(
-        &mut self,
-        at: SimTime,
-        dest: NodeId,
-        payload: HandoffPayload,
-        q: &mut EventQueue<Event>,
-    ) {
-        let stamp = q.next_child_stamp();
-        let ctx = self.shard.as_mut().expect("unowned node implies sharding");
-        ctx.outbox[ctx.part.shard_of(dest)].push(Handoff { at, stamp, payload });
-    }
-
-    fn schedule_switch_tx(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        tx: TxStart,
-        q: &mut EventQueue<Event>,
-    ) {
-        let Wire {
-            peer, propagation, ..
-        } = *self.topo.wire(node, tx.port);
-        q.schedule_after(
-            now,
-            tx.serialize,
-            Event::SwitchTxComplete {
-                node,
-                port: tx.port,
-            },
-        );
-        self.schedule_or_handoff(
-            now + tx.serialize + propagation,
-            peer.node,
-            Event::Deliver {
-                node: peer.node,
-                in_port: peer.port,
-                packet: tx.packet,
-            },
-            q,
-        );
-    }
-
-    fn schedule_host_tx(
-        &mut self,
-        now: SimTime,
-        host: NodeId,
-        tx: TxStart,
-        q: &mut EventQueue<Event>,
-    ) {
-        let Wire {
-            peer, propagation, ..
-        } = *self.topo.wire(host, PortId::new(0));
-        q.schedule_after(now, tx.serialize, Event::HostTxComplete { host });
-        // A host's only link reaches its ToR, which the partition keeps
-        // in the same shard — host transmissions never cross.
-        debug_assert!(self.owns(peer.node), "host split from its ToR");
-        q.schedule_after(
-            now,
-            tx.serialize + propagation,
-            Event::Deliver {
-                node: peer.node,
-                in_port: peer.port,
-                packet: tx.packet,
-            },
-        );
-    }
-
-    fn emit_pfc(&mut self, now: SimTime, node: NodeId, emit: PfcEmit, q: &mut EventQueue<Event>) {
-        let Wire {
-            peer, propagation, ..
-        } = *self.topo.wire(node, emit.port);
-        // PFC frames are tiny control frames that bypass data queues:
-        // modelled with propagation delay only.
-        self.schedule_or_handoff(
-            now + propagation,
-            peer.node,
-            Event::PfcDeliver {
-                node: peer.node,
-                in_port: peer.port,
-                frame: emit.frame,
-            },
-            q,
-        );
-    }
-
-    /// Starts the next host transmission if the NIC is idle and an
-    /// unpaused priority has a packet.
-    fn host_start(&mut self, now: SimTime, host: NodeId, q: &mut EventQueue<Event>) {
-        let h = self.hosts[host.index()].as_mut().expect("not a host");
-        if let Some(tx) = h.try_start() {
-            self.schedule_host_tx(now, host, tx, q);
-        }
-    }
-
-    fn host_inject(
-        &mut self,
-        now: SimTime,
-        host: NodeId,
-        packet: Packet,
-        q: &mut EventQueue<Event>,
-    ) {
-        let h = self.hosts[host.index()].as_mut().expect("not a host");
-        h.enqueue(packet);
-        self.host_start(now, host, q);
-    }
-
-    // ---- event handlers ------------------------------------------------
-
-    fn start_flow(&mut self, now: SimTime, ix: usize, q: &mut EventQueue<Event>) {
-        let spec = self.flows[ix].spec;
-        match &mut self.flows[ix].runtime {
-            FlowRuntime::Tcp { sender, .. } => {
-                let mut burst = std::mem::take(&mut self.outs_scratch);
-                sender.take_ready(now, &mut burst);
-                let rto = sender.rto();
-                self.flows[ix].timers.rto =
-                    Some(q.schedule_timer_after(now, rto, Event::Rto { flow: spec.id }));
-                for p in burst.drain(..) {
-                    self.host_inject(now, spec.src, p, q);
-                }
-                self.outs_scratch = burst;
-            }
-            FlowRuntime::Rdma { sender, .. } => {
-                if let Some(p) = sender.emit_next(now) {
-                    let gap = sender.gap_for(p.size());
-                    q.schedule_after(now, gap, Event::RdmaPace { flow: spec.id });
-                    self.host_inject(now, spec.src, p, q);
-                }
-            }
-            FlowRuntime::Irn { sender, .. } => {
-                let mut burst = std::mem::take(&mut self.outs_scratch);
-                sender.take_ready(now, &mut burst);
-                let rto = sender.rto();
-                self.flows[ix].timers.rto =
-                    Some(q.schedule_timer_after(now, rto, Event::Rto { flow: spec.id }));
-                for p in burst.drain(..) {
-                    self.host_inject(now, spec.src, p, q);
-                }
-                self.outs_scratch = burst;
-            }
-        }
-        // Opt-in liveness watchdog covers RDMA flows of both universes
-        // (DCQCN and IRN); DCTCP's own RTO machinery already guarantees
-        // liveness for the lossy class. The watchdog measures receiver
-        // progress, so when the fabric is sharded the timer must live in
-        // the destination's shard — a flow whose endpoints straddle a
-        // boundary hands the arm across (legal because the sharded
-        // executor requires `interval ≥ lookahead`).
-        if let Some(interval) = self.cfg.flow_watchdog {
-            if !matches!(self.flows[ix].runtime, FlowRuntime::Tcp { .. }) {
-                if self.owns(spec.dst) {
-                    self.flows[ix].timers.flow_watchdog = Some(q.schedule_timer_after(
-                        now,
-                        interval,
-                        Event::FlowWatchdog { flow: spec.id },
-                    ));
-                } else {
-                    let arm = HandoffPayload::WatchdogArm { flow: spec.id };
-                    self.hand_off(now + interval, spec.dst, arm, q);
-                }
-            }
-        }
-    }
-
-    fn switch_receive(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        in_port: PortId,
-        packet: Packet,
-        q: &mut EventQueue<Event>,
-    ) {
-        let sw = self.switches[node.index()].as_mut().expect("not a switch");
-        let Some(out_port) = self.routes.next_port(node, packet.dst, packet.flow) else {
-            // Every candidate next hop is down (or the destination is
-            // unreachable): a counted drop, not a panic, so the fabric
-            // survives injected failures. TCP retransmits after
-            // recovery; a lossless flow hit here becomes a victim flow.
-            sw.record_forwarding_drop(now, &packet, in_port, TraceDropCause::NoRoute);
-            return;
-        };
-        let res = sw.receive(now, packet, in_port, out_port);
-        if let Some(e) = res.pfc {
-            self.emit_pfc(now, node, e, q);
-        }
-        if let Some(tx) = res.tx {
-            self.schedule_switch_tx(now, node, tx, q);
-        }
-        if let Some(nack) = res.nack {
-            // An out-of-order lossy-RDMA arrival: the switch generated an
-            // IRN NACK toward the sender. Inject it here as if it entered
-            // on the same port the offending data packet used. Recursion
-            // is depth-1: only Data packets trigger NACK generation.
-            self.irn.nacks_switch += 1;
-            self.switch_receive(now, node, in_port, nack, q);
-        }
-        // Other drops need no action here: lossy transports recover via
-        // dup-ACKs/RTO, and lossless drops are counted as config failures.
-    }
-
-    fn host_receive(
-        &mut self,
-        now: SimTime,
-        host: NodeId,
-        packet: Packet,
-        q: &mut EventQueue<Event>,
-    ) {
-        debug_assert_eq!(packet.dst, host, "misrouted packet");
-        let Some(ix) = self.flow_ix.get(packet.flow) else {
-            return; // stray packet from an unregistered flow
-        };
-        let mut outs = std::mem::take(&mut self.outs_scratch);
-        let mut rearm_rto: Option<SimDuration> = None;
-        let mut cancel_rto = false;
-        let mut arm_rp: Option<(SimDuration, SimDuration)> = None;
-        let mut irn_watermark: Option<u64> = None;
-
-        match (&mut self.flows[ix].runtime, packet.kind) {
-            (FlowRuntime::Tcp { receiver, .. }, PacketKind::Data) => {
-                let ack = receiver.on_data(now, packet.seq, packet.payload(), packet.ecn.is_ce());
-                outs.push(ack);
-            }
-            (FlowRuntime::Tcp { sender, .. }, PacketKind::Ack { ecn_echo }) => {
-                let action = sender.on_ack(now, packet.ack, ecn_echo, &mut outs);
-                let t_flow = packet.flow.as_u64();
-                if let Some(tr) = action.transition {
-                    let ev = match tr {
-                        TcpEvent::EnterRecovery { recover_seq } => TraceEvent::TcpEnterRecovery {
-                            flow: t_flow,
-                            recover_seq,
-                        },
-                        TcpEvent::PartialAckRetransmit { snd_una } => {
-                            TraceEvent::TcpPartialAckRetransmit {
-                                flow: t_flow,
-                                snd_una,
-                            }
-                        }
-                        TcpEvent::ExitRecovery => TraceEvent::TcpExitRecovery { flow: t_flow },
-                    };
-                    self.trace.record_with(now, || ev);
-                }
-                if self.trace.is_enabled() {
-                    let cwnd = sender.cwnd() as u64;
-                    let ssthresh = if sender.ssthresh() == f64::MAX {
-                        u64::MAX
-                    } else {
-                        sender.ssthresh() as u64
-                    };
-                    let in_recovery = sender.in_recovery();
-                    self.trace.record_with(now, || TraceEvent::TcpCwnd {
-                        flow: t_flow,
-                        cwnd,
-                        ssthresh,
-                        in_recovery,
-                    });
-                }
-                if action.rearm_timer {
-                    rearm_rto = Some(sender.rto());
-                } else if action.completed {
-                    // Last byte ACKed: retire the outstanding deadline
-                    // instead of letting it fire as a stale no-op.
-                    cancel_rto = true;
-                }
-            }
-            (FlowRuntime::Rdma { receiver, .. }, PacketKind::Data) => {
-                if let Some(cnp) = receiver.on_data(now, packet.payload(), packet.ecn.is_ce()) {
-                    outs.push(cnp);
-                }
-            }
-            (FlowRuntime::Irn { receiver, .. }, PacketKind::Data) => {
-                let fb = receiver.on_data(now, packet.seq, packet.payload(), packet.ecn.is_ce());
-                if fb.kind == PacketKind::Nack {
-                    // A new gap at the receiver that no switch on the
-                    // path spotted first (e.g. the loss was on the
-                    // last hop).
-                    self.irn.nacks_receiver += 1;
-                    let t_flow = packet.flow.as_u64();
-                    let t_node = host.index() as u32;
-                    self.trace.record_with(now, || TraceEvent::IrnNack {
-                        flow: t_flow,
-                        nack_seq: fb.seq,
-                        node: t_node,
-                        from_switch: false,
-                    });
-                }
-                outs.push(fb);
-            }
-            (FlowRuntime::Irn { sender, .. }, PacketKind::Ack { .. }) => {
-                irn_watermark = Some(sender.snd_max());
-                let action = sender.on_ack(now, packet.ack, &mut outs);
-                if action.rearm_timer {
-                    rearm_rto = Some(sender.rto());
-                } else if action.completed {
-                    cancel_rto = true;
-                }
-            }
-            (FlowRuntime::Irn { sender, .. }, PacketKind::Nack) => {
-                irn_watermark = Some(sender.snd_max());
-                let action = sender.on_nack(now, packet.seq, packet.ack, &mut outs);
-                if action.rearm_timer {
-                    rearm_rto = Some(sender.rto());
-                } else if action.completed {
-                    cancel_rto = true;
-                }
-            }
-            (FlowRuntime::Rdma { sender, .. }, PacketKind::Cnp) => {
-                if sender.on_cnp(now) {
-                    let cfg = sender.config();
-                    arm_rp = Some((cfg.alpha_timer, cfg.rate_timer));
-                }
-                let t_flow = packet.flow.as_u64();
-                let rate_bps = sender.rate().as_bps();
-                self.trace.record_with(now, || TraceEvent::RdmaRate {
-                    flow: t_flow,
-                    rate_bps,
-                });
-            }
-            // Cross-protocol packets (e.g. an ACK for an RDMA flow)
-            // indicate a wiring bug or a corrupted delivery. Recorded
-            // as a Defect and dropped rather than panicking, so one bad
-            // packet cannot abort a whole sweep worker.
-            _ => {
-                let t_flow = packet.flow.as_u64();
-                let t_node = host.index() as u32;
-                self.trace.record_with(now, || TraceEvent::Defect {
-                    what: "unexpected_packet_kind",
-                    node: t_node,
-                    flow: t_flow,
-                });
-                outs.clear();
-                self.outs_scratch = outs;
-                return;
-            }
-        }
-
-        if let Some(watermark) = irn_watermark {
-            self.count_irn_retransmits(now, &outs, watermark);
-        }
-        self.record_if_finished(ix);
-        self.update_done(ix);
-
-        let flow = packet.flow;
-        if let Some(rto) = rearm_rto {
-            // True re-arm: the old deadline is removed from the wheel
-            // (no tombstone left behind) and a fresh one armed at the
-            // exact queue position where a replacement used to be
-            // scheduled, so sequence-number allocation is unchanged.
-            let timers = &mut self.flows[ix].timers;
-            if let Some(h) = timers.rto.take() {
-                q.cancel_timer(h);
-            }
-            timers.rto = Some(q.schedule_timer_after(now, rto, Event::Rto { flow }));
-        } else if cancel_rto {
-            if let Some(h) = self.flows[ix].timers.rto.take() {
-                q.cancel_timer(h);
-            }
-        }
-        if let Some((alpha_after, rate_after)) = arm_rp {
-            let timers = &mut self.flows[ix].timers;
-            if let Some(h) = timers.alpha.take() {
-                q.cancel_timer(h);
-            }
-            if let Some(h) = timers.rate.take() {
-                q.cancel_timer(h);
-            }
-            timers.alpha = Some(q.schedule_timer_after(
-                now,
-                alpha_after,
-                Event::RpTimer {
-                    flow,
-                    kind: RpTimerKind::Alpha,
-                },
-            ));
-            timers.rate = Some(q.schedule_timer_after(
-                now,
-                rate_after,
-                Event::RpTimer {
-                    flow,
-                    kind: RpTimerKind::Rate,
-                },
-            ));
-        }
-        for p in outs.drain(..) {
-            self.host_inject(now, host, p, q);
-        }
-        self.outs_scratch = outs;
-    }
-
-    /// Counts and traces the retransmissions in an IRN sender's output
-    /// burst: any data packet at a sequence below the sender's pre-call
-    /// `snd_max` re-covers previously sent bytes. Called with the burst
-    /// produced by `on_ack`/`on_nack`/`on_timeout`, so every counted
-    /// retransmission is causally downstream of a NACK or RTO event —
-    /// the invariant the flight-recorder causality check verifies.
-    fn count_irn_retransmits(&mut self, now: SimTime, outs: &[Packet], watermark: u64) {
-        for p in outs {
-            if p.is_data() && p.seq < watermark {
-                self.irn.retransmitted_packets += 1;
-                self.irn.retransmitted_bytes += p.payload().as_u64();
-                let t_flow = p.flow.as_u64();
-                let t_seq = p.seq;
-                self.trace.record_with(now, || TraceEvent::IrnRetransmit {
-                    flow: t_flow,
-                    seq: t_seq,
-                });
-            }
-        }
-    }
-
-    fn handle_rdma_pace(&mut self, now: SimTime, flow: FlowId, q: &mut EventQueue<Event>) {
-        let Some(ix) = self.flow_ix.get(flow) else {
-            return;
-        };
-        let spec = self.flows[ix].spec;
-        let FlowRuntime::Rdma { sender, .. } = &mut self.flows[ix].runtime else {
-            return;
-        };
-        if let Some(p) = sender.emit_next(now) {
-            let gap = sender.gap_for(p.size());
-            q.schedule_after(now, gap, Event::RdmaPace { flow });
-            self.host_inject(now, spec.src, p, q);
-        } else {
-            // Dropping the pacing chain is only legal once every payload
-            // byte has been emitted (retransmission is not modelled for
-            // the lossless class; CNPs only modulate the rate). A sender
-            // with bytes still unsent and no future RdmaPace scheduled
-            // would be silently stranded — flag it loudly so a future
-            // sender change can't stall lossless flows undetected.
-            let stranded = sender.has_more();
-            debug_assert!(
-                !stranded,
-                "DCQCN sender of flow {flow} stranded at snd_nxt={} with no pacing event",
-                sender.snd_nxt(),
-            );
-            if stranded {
-                self.rdma_stranded += 1;
-                let t_flow = flow.as_u64();
-                let snd_nxt = sender.snd_nxt();
-                self.trace.record_with(now, || TraceEvent::RdmaStranded {
-                    flow: t_flow,
-                    snd_nxt,
-                });
-            }
-        }
-        self.update_done(ix);
-    }
-
-    fn handle_rto(&mut self, now: SimTime, flow: FlowId, q: &mut EventQueue<Event>) {
-        let Some(ix) = self.flow_ix.get(flow) else {
-            return;
-        };
-        let spec = self.flows[ix].spec;
-        // Firing consumed the wheel entry; the stored handle is dead.
-        self.flows[ix].timers.rto = None;
-        let mut outs = std::mem::take(&mut self.outs_scratch);
-        // A wheel timer only fires while live, so every arrival here is
-        // a real timeout; `fired` records exactly the RTOs that fired.
-        let mut fired: Option<(SimDuration, u32)> = None;
-        let mut irn_watermark: Option<u64> = None;
-        match &mut self.flows[ix].runtime {
-            FlowRuntime::Tcp { sender, .. } => {
-                let action = sender.on_timeout(now, &mut outs);
-                if action.rearm_timer {
-                    fired = Some((sender.rto(), sender.backoff()));
-                }
-            }
-            FlowRuntime::Irn { sender, .. } => {
-                irn_watermark = Some(sender.snd_max());
-                let action = sender.on_timeout(now, &mut outs);
-                if action.rearm_timer {
-                    fired = Some((sender.rto(), sender.backoff()));
-                    self.irn.rto_fires += 1;
-                }
-            }
-            FlowRuntime::Rdma { .. } => {
-                self.outs_scratch = outs;
-                return;
-            }
-        }
-        if let Some((rto, backoff)) = fired {
-            let t_flow = flow.as_u64();
-            self.trace.record_with(now, || TraceEvent::RtoFire {
-                flow: t_flow,
-                backoff,
-                next_rto_ns: rto.as_nanos(),
-            });
-            self.flows[ix].timers.rto = Some(q.schedule_timer_after(now, rto, Event::Rto { flow }));
-        }
-        if let Some(watermark) = irn_watermark {
-            self.count_irn_retransmits(now, &outs, watermark);
-        }
-        for p in outs.drain(..) {
-            self.host_inject(now, spec.src, p, q);
-        }
-        self.outs_scratch = outs;
-    }
-
-    /// Opt-in RDMA liveness watchdog: fires every `flow_watchdog`
-    /// interval per unfinished RDMA flow, comparing receiver progress
-    /// against the previous fire. A whole interval with zero new
-    /// in-order bytes is one stall *episode* — counted once, and again
-    /// only after progress resumes and stalls anew.
-    fn handle_flow_watchdog(&mut self, now: SimTime, flow: FlowId, q: &mut EventQueue<Event>) {
-        let Some(ix) = self.flow_ix.get(flow) else {
-            return;
-        };
-        // Firing consumed the wheel entry; the stored handle is dead.
-        self.flows[ix].timers.flow_watchdog = None;
-        // The proxy, not `is_done()`: in a sharded world the far half of
-        // a straddling flow is an untouched replica (e.g. a never-sending
-        // sender) that would keep the exact predicate false forever and
-        // turn every finished flow into a phantom stall.
-        if self.flow_done_proxy(ix) {
-            return;
-        }
-        let received = self.flows[ix].received();
-        if received > self.flows[ix].watchdog_progress {
-            self.flows[ix].watchdog_progress = received;
-            self.flows[ix].stall_flagged = false;
-        } else if !self.flows[ix].stall_flagged {
-            self.flows[ix].stall_flagged = true;
-            self.flow_stalls += 1;
-            let t_flow = flow.as_u64();
-            self.trace.record_with(now, || TraceEvent::FlowStalled {
-                flow: t_flow,
-                received,
-            });
-        }
-        let interval = self
-            .cfg
-            .flow_watchdog
-            .expect("watchdog fired while disabled");
-        self.flows[ix].timers.flow_watchdog =
-            Some(q.schedule_timer_after(now, interval, Event::FlowWatchdog { flow }));
-    }
-
-    fn handle_rp_timer(
-        &mut self,
-        now: SimTime,
-        flow: FlowId,
-        kind: RpTimerKind,
-        q: &mut EventQueue<Event>,
-    ) {
-        let Some(ix) = self.flow_ix.get(flow) else {
-            return;
-        };
-        // Firing consumed the wheel entry; the stored handle is dead.
-        match kind {
-            RpTimerKind::Alpha => self.flows[ix].timers.alpha = None,
-            RpTimerKind::Rate => self.flows[ix].timers.rate = None,
-        }
-        let FlowRuntime::Rdma { sender, .. } = &mut self.flows[ix].runtime else {
-            return;
-        };
-        if sender.on_timer(kind) {
-            let period = match kind {
-                RpTimerKind::Alpha => sender.config().alpha_timer,
-                RpTimerKind::Rate => sender.config().rate_timer,
-            };
-            let h = q.schedule_timer_after(now, period, Event::RpTimer { flow, kind });
-            match kind {
-                RpTimerKind::Alpha => self.flows[ix].timers.alpha = Some(h),
-                RpTimerKind::Rate => self.flows[ix].timers.rate = Some(h),
-            }
-        }
-    }
-
-    fn handle_sample(&mut self, now: SimTime, q: &mut EventQueue<Event>) {
-        for sw in self.switches.iter().flatten() {
-            let occ = sw.occupancy();
-            self.occupancy[sw.id().index()].push(now, occ);
-        }
-        if let Some(interval) = self.cfg.sample_interval {
-            q.schedule_after(now, interval, Event::Sample);
-        }
-    }
-
-    // ---- fault injection ----------------------------------------------
-
-    /// Counts a packet lost on the wire (dead link or corruption) and
-    /// records the drop in the trace against the receiving node.
-    fn wire_drop(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        in_port: PortId,
-        packet: &Packet,
-        cause: TraceDropCause,
-    ) {
-        match packet.class {
-            TrafficClass::Lossless => self.wire_drops.record_lossless(packet.size()),
-            TrafficClass::Lossy => self.wire_drops.record_lossy(packet.size()),
-            TrafficClass::LossyRdma => self.wire_drops.record_lossy_rdma(packet.size()),
-        }
-        let t_node = node.index() as u32;
-        let t_port = in_port.index() as u16;
-        let t_prio = packet.priority.index() as u8;
-        let t_flow = packet.flow.as_u64();
-        let t_seq = packet.seq;
-        let t_size = packet.size().as_u64();
-        let lossless = packet.class == TrafficClass::Lossless;
-        self.trace.record_with(now, || TraceEvent::Drop {
-            node: t_node,
-            in_port: t_port,
-            prio: t_prio,
-            flow: t_flow,
-            seq: t_seq,
-            size: t_size,
-            lossless,
-            cause,
-        });
-    }
-
-    /// Applies link faults to an arriving packet: delivery over a dead
-    /// link is lost (events already on the wire cannot be retracted, so
-    /// the check happens at arrival), and a corrupting link discards the
-    /// packet with probability `1 - (1-ber)^bits`. Returns why the
-    /// packet is lost, or `None` if it survives. The fast path — every
-    /// link up, no corruption — reads the port's wire slot and the
-    /// link's fault record, touches no RNG and is byte-identical to a
-    /// faultless build.
-    fn wire_filter(
-        &mut self,
-        node: NodeId,
-        in_port: PortId,
-        packet: &Packet,
-    ) -> Option<TraceDropCause> {
-        let wire = self.topo.wire(node, in_port);
-        let lid = wire.link.index();
-        let LinkState { up, ber } = self.link_state[lid];
-        if !up {
-            return Some(TraceDropCause::LinkDown);
-        }
-        if ber > 0.0 {
-            let bits = (packet.size().as_u64() * 8).min(i32::MAX as u64) as i32;
-            let survive = (1.0 - ber).powi(bits);
-            // Draw from this delivery direction's own stream: the draw
-            // sequence each packet sees is then independent of every
-            // other link's traffic, so serial and sharded runs corrupt
-            // the same packets.
-            if self.fault_rng[lid * 2 + usize::from(wire.dir)].uniform_f64() >= survive {
-                return Some(TraceDropCause::Corrupted);
-            }
-        }
-        None
-    }
-
-    /// Routes a PFC frame into a switch, arming the storm watchdog on
-    /// each new pause episode. Shared by real `PfcDeliver` events and
-    /// injected stuck-pause faults so both follow identical semantics.
-    fn switch_pfc(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        port: PortId,
-        frame: PfcFrame,
-        q: &mut EventQueue<Event>,
-    ) {
-        let watchdog = self.cfg.switch.pfc_watchdog;
-        let q_out = QueueIndex::new(port, frame.priority);
-        let sw = self.switches[node.index()].as_mut().expect("switch");
-        let was_paused = sw.mmu().egress_paused(q_out);
-        let tx = sw.handle_pfc(now, port, frame);
-        if frame.pause && !was_paused {
-            if let Some(threshold) = watchdog {
-                let generation = sw.pause_generation(q_out);
-                let handle = q.schedule_timer_after(
-                    now,
-                    threshold,
-                    Event::PfcWatchdog {
-                        node,
-                        port,
-                        prio: frame.priority,
-                        generation,
-                    },
-                );
-                // This new episode bumped the generation, so any older
-                // deadline still armed on this queue could only fire as
-                // a stale no-op — cancelling it is behaviour-preserving.
-                let slot = &mut self.watchdog_timers[node.index()][q_out.flat()];
-                if let Some((old, _)) = slot.replace((handle, generation)) {
-                    q.cancel_timer(old);
-                }
-            }
-        } else if !frame.pause && was_paused {
-            // Resumed: a later pause starts a fresh generation, so the
-            // pending deadline can never fire meaningfully again.
-            if let Some((old, _)) = self.watchdog_timers[node.index()][q_out.flat()].take() {
-                q.cancel_timer(old);
-            }
-        }
-        if let Some(tx) = tx {
-            self.schedule_switch_tx(now, node, tx, q);
-        }
-    }
-
-    /// Applies a PFC frame to a host NIC (all host pauses come from its
-    /// single uplink port). Hosts have no storm watchdog — their ToR
-    /// protects them.
-    fn host_pfc(&mut self, now: SimTime, node: NodeId, frame: PfcFrame, q: &mut EventQueue<Event>) {
-        let h = self.hosts[node.index()].as_mut().expect("host");
-        h.set_paused(frame.priority, frame.pause);
-        if !frame.pause {
-            self.host_start(now, node, q);
-        }
-    }
-
-    fn apply_fault(&mut self, now: SimTime, fault: FaultEvent, q: &mut EventQueue<Event>) {
+    fn apply_fault(&mut self, now: SimTime, fault: FaultEvent, q: &mut Queue) {
         match fault {
-            FaultEvent::LinkDown { link } => {
-                let l = *self.topo.link(LinkId::new(link));
-                self.link_state[l.id.index()].up = false;
-                self.routes.fail_link(&l);
-                // Each switch endpoint discharges everything queued to
-                // the dead port; freed shared buffer may release
-                // pause thresholds, so forward any XONs it emits.
-                // Host endpoints need nothing: their transmissions are
-                // lost at delivery and transports recover via RTO.
-                // Faults are replicated into every shard but each shard
-                // discharges only the endpoints it owns; giving each
-                // endpoint its own emission lane keeps the stamps of
-                // endpoint-b's emissions ordered after endpoint-a's no
-                // matter which subset a shard emits.
+            FaultEvent::LinkDown { link } | FaultEvent::LinkUp { link } => {
+                let up = matches!(fault, FaultEvent::LinkUp { .. });
+                let l = self.wires.set_up(link, up);
+                // Switch ends of a dead link discharge its queue; host
+                // ends need nothing (their packets die at delivery). A
+                // revived link resets PFC state at both ends. Each shard
+                // handles only the ends it owns, each on its own emission
+                // lane, so end b's stamps order after end a's whichever
+                // subset a shard emits.
                 for (lane, end) in [l.a, l.b].into_iter().enumerate() {
                     if q.stamps_enabled() {
                         q.set_stamp_lane(lane as u16);
                     }
-                    if !self.owns(end.node) {
+                    if !self.wires.owns(end.node) {
                         continue;
                     }
-                    let emits = match self.switches[end.node.index()].as_mut() {
-                        Some(sw) => sw.port_down(now, end.port),
-                        None => Vec::new(),
+                    let wires = &mut self.wires;
+                    match (wires.topo.node(end.node).kind, up) {
+                        (NodeKind::Switch, false) => self.switches.port_down(now, end, wires, q),
+                        (NodeKind::Switch, true) => self.switches.port_up(now, end, wires, q),
+                        (NodeKind::Host, true) => self.hosts.port_up(now, end.node, wires, q),
+                        (NodeKind::Host, false) => {}
+                    }
+                }
+            }
+            FaultEvent::CorruptionStart { link, ber } => self.wires.set_ber(link, ber),
+            FaultEvent::CorruptionEnd { link } => self.wires.set_ber(link, 0.0),
+            FaultEvent::PauseStuck { node, port, prio }
+            | FaultEvent::PauseRelease { node, port, prio } => {
+                // The shard owning the node injects it. A release after
+                // the storm watchdog force-resumed is a no-op pause-wise
+                // but may still start a blocked transmission.
+                let node = NodeId::new(node);
+                if self.wires.owns(node) {
+                    let frame = PfcFrame {
+                        priority: Priority::new(prio),
+                        pause: matches!(fault, FaultEvent::PauseStuck { .. }),
                     };
-                    for e in emits {
-                        self.emit_pfc(now, end.node, e, q);
-                    }
-                }
-            }
-            FaultEvent::LinkUp { link } => {
-                let l = *self.topo.link(LinkId::new(link));
-                self.link_state[l.id.index()].up = true;
-                self.routes.restore_link(&l);
-                // Port renegotiation resets PFC state on both ends
-                // symmetrically: the switch forgets sent and received
-                // pauses on that port; a host clears all its pauses
-                // (they can only have come from this uplink). Lanes per
-                // endpoint for the same reason as the link-down arm.
-                for (lane, end) in [l.a, l.b].into_iter().enumerate() {
-                    if q.stamps_enabled() {
-                        q.set_stamp_lane(lane as u16);
-                    }
-                    if !self.owns(end.node) {
-                        continue;
-                    }
-                    if self.switches[end.node.index()].is_some() {
-                        // The reset forgets the port's pause state and any
-                        // later pause starts a fresh generation, so every
-                        // pending storm deadline on it is now a guaranteed
-                        // no-op — cancel them all.
-                        for prio in Priority::all() {
-                            let flat = QueueIndex::new(end.port, prio).flat();
-                            if let Some((h, _)) =
-                                self.watchdog_timers[end.node.index()][flat].take()
-                            {
-                                q.cancel_timer(h);
-                            }
-                        }
-                        let tx = self.switches[end.node.index()]
-                            .as_mut()
-                            .expect("checked")
-                            .reset_port_pfc(now, end.port);
-                        if let Some(tx) = tx {
-                            self.schedule_switch_tx(now, end.node, tx, q);
-                        }
-                    } else if self.hosts[end.node.index()].is_some() {
-                        for prio in Priority::all() {
-                            self.hosts[end.node.index()]
-                                .as_mut()
-                                .expect("checked")
-                                .set_paused(prio, false);
-                        }
-                        self.host_start(now, end.node, q);
-                    }
-                }
-            }
-            FaultEvent::CorruptionStart { link, ber } => {
-                self.link_state[LinkId::new(link).index()].ber = ber.clamp(0.0, 1.0);
-            }
-            FaultEvent::CorruptionEnd { link } => {
-                self.link_state[LinkId::new(link).index()].ber = 0.0;
-            }
-            FaultEvent::PauseStuck { node, port, prio } => {
-                let target = NodeId::new(node);
-                if !self.owns(target) {
-                    return; // another shard injects this pause
-                }
-                let frame = PfcFrame::pause(Priority::new(prio));
-                match self.topo.node(target).kind {
-                    dcn_net::NodeKind::Switch => {
-                        self.switch_pfc(now, target, PortId::new(port), frame, q);
-                    }
-                    dcn_net::NodeKind::Host => self.host_pfc(now, target, frame, q),
-                }
-            }
-            FaultEvent::PauseRelease { node, port, prio } => {
-                let target = NodeId::new(node);
-                if !self.owns(target) {
-                    return;
-                }
-                let frame = PfcFrame::resume(Priority::new(prio));
-                match self.topo.node(target).kind {
-                    dcn_net::NodeKind::Switch => {
-                        // No-op pause-wise if the watchdog already
-                        // force-resumed; may still start a blocked tx.
-                        self.switch_pfc(now, target, PortId::new(port), frame, q);
-                    }
-                    dcn_net::NodeKind::Host => self.host_pfc(now, target, frame, q),
+                    self.pfc_in(now, node, PortId::new(port), frame, q);
                 }
             }
         }
@@ -1414,27 +232,18 @@ impl World {
     // ---- sharded-executor hooks (crate-internal) ----------------------
 
     /// The cross-shard messages generated since the executor last
-    /// emptied them, indexed by destination shard (no batches for the
-    /// serial engine).
+    /// emptied them, indexed by destination shard.
     pub(crate) fn outbox(&mut self) -> &mut [Vec<Handoff>] {
-        match &mut self.shard {
-            Some(ctx) => &mut ctx.outbox,
-            None => &mut [],
-        }
+        self.wires.outbox()
     }
 
     /// Admits a handoff received at a window barrier, carrying its
     /// source-drawn stamp into this shard's queue verbatim.
-    pub(crate) fn admit_handoff(&mut self, h: Handoff, q: &mut EventQueue<Event>) {
+    pub(crate) fn admit_handoff(&mut self, h: Handoff, q: &mut Queue) {
         match h.payload {
             HandoffPayload::Event(ev) => q.schedule_at_stamped(h.at, ev, &h.stamp),
             HandoffPayload::WatchdogArm { flow } => {
-                let Some(ix) = self.flow_ix.get(flow) else {
-                    return;
-                };
-                let handle =
-                    q.schedule_timer_at_stamped(h.at, Event::FlowWatchdog { flow }, &h.stamp);
-                self.flows[ix].timers.flow_watchdog = Some(handle);
+                self.hosts.admit_watchdog(h.at, flow, &h.stamp, q);
             }
         }
     }
@@ -1443,7 +252,7 @@ impl World {
     /// whose counters `ev`'s dispatch may mutate, restricted to the ones
     /// this shard owns.
     fn touched_switches(&self, ev: &Event) -> [Option<NodeId>; 2] {
-        let own_switch = |n: NodeId| self.switches[n.index()].is_some().then_some(n);
+        let own_switch = |n: NodeId| self.switches.get(n).is_some().then_some(n);
         match ev {
             Event::Deliver { node, .. }
             | Event::PfcDeliver { node, .. }
@@ -1451,7 +260,7 @@ impl World {
             | Event::PfcWatchdog { node, .. } => [own_switch(*node), None],
             Event::Fault { fault } => match *fault {
                 FaultEvent::LinkDown { link } | FaultEvent::LinkUp { link } => {
-                    let l = self.topo.link(LinkId::new(link));
+                    let l = self.wires.topo.link(LinkId::new(link));
                     [own_switch(l.a.node), own_switch(l.b.node)]
                 }
                 FaultEvent::PauseStuck { node, .. } | FaultEvent::PauseRelease { node, .. } => {
@@ -1465,17 +274,17 @@ impl World {
 
     /// Captures every digest-relevant counter `ev` may mutate, taken by
     /// the sharded executor immediately before dispatching it.
-    pub(crate) fn snap(&self, ev: &Event) -> PopSnapshot {
+    pub(crate) fn snap(&self, ev: &Event) -> PopCounters {
         let nodes = self.touched_switches(ev).map(|n| {
             n.map(|node| {
-                let sw = self.switches[node.index()].as_ref().expect("owned switch");
+                let sw = self.switches.get(node).expect("owned switch");
                 (node, sw.pfc_counters().clone(), *sw.drop_counters())
             })
         });
-        PopSnapshot {
+        PopCounters {
             nodes,
-            wire: self.wire_drops,
-            irn: self.irn,
+            wire: self.wires.wire_drops,
+            irn: self.hosts.irn,
         }
     }
 
@@ -1483,118 +292,87 @@ impl World {
     /// if the event changed no counter the executor would have to
     /// revert past a stop key. (FCT records and completions are not
     /// counters: the executor watches those itself.)
-    pub(crate) fn delta_since(&self, snap: PopSnapshot) -> Option<PopDelta> {
-        let mut any = false;
+    pub(crate) fn delta_since(&self, snap: PopCounters) -> Option<PopCounters> {
         let nodes = snap.nodes.map(|entry| {
             entry.and_then(|(node, pfc0, drops0)| {
-                let sw = self.switches[node.index()].as_ref().expect("owned switch");
-                let dpfc = sw.pfc_counters().since(&pfc0);
-                let ddrops = sw.drop_counters().since(&drops0);
-                if dpfc == PfcCounters::new() && ddrops == DropCounters::new() {
-                    None
-                } else {
-                    any = true;
-                    Some((node, dpfc, ddrops))
-                }
+                let sw = self.switches.get(node).expect("owned switch");
+                let d = (
+                    node,
+                    sw.pfc_counters().since(&pfc0),
+                    sw.drop_counters().since(&drops0),
+                );
+                (d.1 != PfcCounters::new() || d.2 != DropCounters::new()).then_some(d)
             })
         });
-        let wire = self.wire_drops.since(&snap.wire);
-        let irn = self.irn.since(&snap.irn);
-        if !any && wire == DropCounters::new() && irn == IrnCounters::new() {
-            return None;
-        }
-        Some(PopDelta { nodes, wire, irn })
+        let delta = PopCounters {
+            nodes,
+            wire: self.wires.wire_drops.since(&snap.wire),
+            irn: self.hosts.irn.since(&snap.irn),
+        };
+        let changed = delta.nodes != [None, None]
+            || delta.wire != DropCounters::new()
+            || delta.irn != IrnCounters::new();
+        changed.then_some(delta)
     }
 
     /// Folds this world's order-independent counters (PFC, drops,
-    /// occupancy, liveness diagnostics) into `r`. Shared by the serial
-    /// result collection and the sharded merge.
+    /// occupancy, IRN counters, liveness diagnostics) into `r`. Shared
+    /// by the serial result collection and the sharded merge.
     pub(crate) fn fold_counters_into(&self, r: &mut RunResults) {
-        for sw in self.switches.iter().flatten() {
-            r.pfc.merge(sw.pfc_counters());
-            r.pfc_by_switch.insert(sw.id(), sw.pfc_counters().clone());
-            r.drops.merge(sw.drop_counters());
-        }
-        r.drops.merge(&self.wire_drops);
-        for (i, series) in self.occupancy.iter().enumerate() {
-            if !series.is_empty() {
-                r.occupancy.insert(NodeId::new(i as u32), series.clone());
-            }
-        }
-        r.rdma_stranded += self.rdma_stranded;
-        r.flow_stalls += self.flow_stalls;
+        self.switches.fold_into(r);
+        r.drops.merge(&self.wires.wire_drops);
+        self.hosts.fold_into(r);
     }
 
-    /// FCT records in completion order (the order `record_if_finished`
-    /// pushed them).
+    /// FCT records in completion order.
     pub(crate) fn fct_records(&self) -> &[FctRecord] {
-        &self.fct
-    }
-
-    /// This world's IRN counters (in a sharded run, `flows` counts every
-    /// registered IRN flow — registration is replicated — while the
-    /// run-time fields count only locally observed activity).
-    pub(crate) fn irn_counters(&self) -> IrnCounters {
-        self.irn
+        &self.hosts.fct
     }
 
     /// Reverts the newest `n` occupancy samples of every owned switch
     /// (stop-key filtering of replicated `Sample` pops past the
     /// completing event).
     pub(crate) fn drop_last_occupancy(&mut self, n: usize) {
-        if n == 0 {
-            return;
-        }
-        for series in &mut self.occupancy {
-            series.drop_last(n);
-        }
+        self.switches.drop_last_occupancy(n);
     }
 
     /// How many registered flows this world counts toward the global
     /// done total (all of them for the serial engine).
     pub(crate) fn counting_flows(&self) -> usize {
-        (0..self.flows.len())
-            .filter(|&ix| self.counts_done_here(ix))
-            .count()
+        self.hosts.counting_flows(&self.wires)
     }
 }
 
-/// Counter state captured by [`World::snap`] before one dispatch.
-pub(crate) struct PopSnapshot {
-    nodes: [Option<(NodeId, PfcCounters, DropCounters)>; 2],
-    wire: DropCounters,
-    irn: IrnCounters,
-}
-
-/// The counter deltas of one dispatched event, journaled under its
-/// `(time, stamp)` key so a stop-key filter can subtract them.
-pub(crate) struct PopDelta {
-    /// Per-switch PFC and drop-counter growth.
+/// The digest-relevant counters one dispatch may touch: their values
+/// before it ([`World::snap`]), or their growth across it
+/// ([`World::delta_since`]), which a stop-key filter subtracts.
+pub(crate) struct PopCounters {
+    /// Per-switch PFC and drop counters.
     pub(crate) nodes: [Option<(NodeId, PfcCounters, DropCounters)>; 2],
-    /// Wire (link-fault) drop growth.
+    /// Wire (link-fault) drops.
     pub(crate) wire: DropCounters,
-    /// IRN counter growth (`flows` always zero).
+    /// IRN counters (`flows` always zero in a delta).
     pub(crate) irn: IrnCounters,
 }
 
 impl Simulation for World {
     type Event = Event;
 
-    fn handle(&mut self, now: SimTime, event: Event, q: &mut EventQueue<Event>) {
+    fn handle(&mut self, now: SimTime, event: Event, q: &mut Queue) {
+        let wires = &mut self.wires;
         match event {
-            Event::FlowStart { index } => self.start_flow(now, index, q),
+            Event::FlowStart { index } => self.hosts.start_flow(now, index, wires, q),
             Event::Deliver {
                 node,
                 in_port,
                 packet,
             } => {
-                if let Some(cause) = self.wire_filter(node, in_port, &packet) {
-                    self.wire_drop(now, node, in_port, &packet, cause);
-                    return;
-                }
-                match self.topo.node(node).kind {
-                    dcn_net::NodeKind::Switch => self.switch_receive(now, node, in_port, packet, q),
-                    dcn_net::NodeKind::Host => self.host_receive(now, node, packet, q),
+                if let Some(cause) = wires.wire_filter(node, in_port, &packet) {
+                    wires.wire_drop(now, node, in_port, &packet, cause);
+                } else if wires.topo.node(node).kind == NodeKind::Host {
+                    self.hosts.receive(now, node, packet, wires, q);
+                } else if self.switches.receive(now, node, in_port, packet, wires, q) {
+                    self.hosts.irn.nacks_switch += 1;
                 }
             }
             Event::PfcDeliver {
@@ -1604,35 +382,19 @@ impl Simulation for World {
             } => {
                 // Control frames on a dead link are lost like data; they
                 // are counted at the sender, so no drop is recorded.
-                if !self.link_state[self.topo.wire(node, in_port).link.index()].up {
-                    return;
-                }
-                match self.topo.node(node).kind {
-                    dcn_net::NodeKind::Switch => self.switch_pfc(now, node, in_port, frame, q),
-                    dcn_net::NodeKind::Host => self.host_pfc(now, node, frame, q),
+                if wires.is_up(node, in_port) {
+                    self.pfc_in(now, node, in_port, frame, q);
                 }
             }
             Event::SwitchTxComplete { node, port } => {
-                let sw = self.switches[node.index()].as_mut().expect("switch");
-                let res = sw.tx_complete(now, port);
-                if let Some(e) = res.pfc {
-                    self.emit_pfc(now, node, e, q);
-                }
-                if let Some(tx) = res.next {
-                    self.schedule_switch_tx(now, node, tx, q);
-                }
+                self.switches.tx_complete(now, node, port, wires, q);
             }
-            Event::HostTxComplete { host } => {
-                let h = self.hosts[host.index()].as_mut().expect("host");
-                if let Some(tx) = h.tx_complete() {
-                    self.schedule_host_tx(now, host, tx, q);
-                }
-            }
-            Event::RdmaPace { flow } => self.handle_rdma_pace(now, flow, q),
-            Event::Rto { flow } => self.handle_rto(now, flow, q),
-            Event::FlowWatchdog { flow } => self.handle_flow_watchdog(now, flow, q),
-            Event::RpTimer { flow, kind } => self.handle_rp_timer(now, flow, kind, q),
-            Event::Sample => self.handle_sample(now, q),
+            Event::HostTxComplete { host } => self.hosts.tx_complete(now, host, wires, q),
+            Event::RdmaPace { flow } => self.hosts.rdma_pace(now, flow, wires, q),
+            Event::Rto { flow } => self.hosts.rto(now, flow, wires, q),
+            Event::FlowWatchdog { flow } => self.hosts.flow_watchdog(now, flow, wires, q),
+            Event::RpTimer { flow, kind } => self.hosts.rp_timer(now, flow, kind, q),
+            Event::Sample => self.switches.sample(now, q),
             Event::Fault { fault } => self.apply_fault(now, fault, q),
             Event::PfcWatchdog {
                 node,
@@ -1640,20 +402,9 @@ impl Simulation for World {
                 prio,
                 generation,
             } => {
-                // If this very deadline is the one on record, firing
-                // consumed its wheel entry — forget the dead handle.
-                let slot =
-                    &mut self.watchdog_timers[node.index()][QueueIndex::new(port, prio).flat()];
-                if slot.is_some_and(|(_, g)| g == generation) {
-                    *slot = None;
-                }
-                let tx = self.switches[node.index()]
-                    .as_mut()
-                    .expect("switch")
-                    .pfc_watchdog_fire(now, port, prio, generation);
-                if let Some(tx) = tx {
-                    self.schedule_switch_tx(now, node, tx, q);
-                }
+                let queue = QueueIndex::new(port, prio);
+                self.switches
+                    .watchdog_fire(now, node, queue, generation, wires, q);
             }
         }
     }
@@ -1673,19 +424,20 @@ impl FabricSim {
     /// # Panics
     ///
     /// Panics if a configured MSS/MTU plus its header, or the switch
-    /// MTU, exceeds [`dcn_net::MAX_FRAME`].
+    /// MTU, exceeds [`dcn_net::MAX_FRAME`], or if a scheduled fault
+    /// names a link, node, port or priority the topology lacks or a
+    /// bit-error rate outside `[0, 1]`.
     pub fn new(topo: Topology, cfg: FabricConfig) -> FabricSim {
-        cfg.assert_frames_fit();
-        let sample = cfg.sample_interval;
-        let world = World::new(topo, cfg);
+        cfg.assert_valid(&topo);
+        let world = World::new(topo, &cfg, None);
         let mut queue = EventQueue::new();
-        if let Some(interval) = sample {
+        if let Some(interval) = cfg.sample_interval {
             queue.schedule_at(SimTime::ZERO + interval, Event::Sample);
         }
         // Compile the fault schedule into ordinary queue entries up
         // front: arrival order then follows the deterministic
         // `(time, seq)` tie-break, and an empty schedule adds nothing.
-        for sf in world.cfg.faults.events() {
+        for sf in cfg.faults.events() {
             queue.schedule_at(sf.at, Event::Fault { fault: sf.fault });
         }
         FabricSim { world, queue }
@@ -1700,10 +452,10 @@ impl FabricSim {
 
     /// Registers many flows, sizing the flow storage once from the
     /// iterator's lower size bound instead of re-copying every
-    /// `FlowState` through each doubling.
+    /// flow's state through each doubling.
     pub fn add_flows(&mut self, specs: impl IntoIterator<Item = FlowSpec>) {
         let specs = specs.into_iter();
-        self.world.reserve_flows(specs.size_hint().0);
+        self.world.hosts.reserve_flows(specs.size_hint().0);
         for s in specs {
             self.add_flow(s);
         }
@@ -1743,7 +495,7 @@ impl FabricSim {
     /// The shared flight-recorder handle (disabled unless
     /// [`FabricConfig::trace`] enabled it).
     pub fn trace(&self) -> &TraceHandle {
-        self.world.trace()
+        &self.world.wires.trace
     }
 
     /// Current simulated time.
@@ -1774,19 +526,11 @@ impl FabricSim {
             events_processed: self.queue.processed() + self.queue.ghost_pops(),
             unfinished_flows: self.world.flow_count() - self.world.done_flows(),
             queue: self.queue.stats(),
-            irn: self.world.irn,
-            rdma_stranded: self.world.rdma_stranded,
-            flow_stalls: self.world.flow_stalls,
             ..RunResults::default()
         };
-        for rec in &self.world.fct {
+        for rec in self.world.fct_records() {
             r.fct.push(*rec);
         }
-        // `fold_counters_into` also folds `rdma_stranded`/`flow_stalls`,
-        // which the struct literal above already copied — zero them
-        // first so the serial path doesn't double-count.
-        r.rdma_stranded = 0;
-        r.flow_stalls = 0;
         self.world.fold_counters_into(&mut r);
         r
     }
@@ -1795,8 +539,9 @@ impl FabricSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PolicyChoice;
-    use dcn_net::Priority;
+    use crate::config::{PolicyChoice, RdmaTransport};
+    use dcn_net::TrafficClass;
+    use dcn_sim::{BitRate, Bytes, SimDuration, TraceEvent};
 
     fn spec(
         id: u64,
@@ -1858,6 +603,73 @@ mod tests {
         let mut cfg = FabricConfig::default();
         cfg.switch.mtu = Bytes::new(70_000);
         let _ = FabricSim::new(topo, cfg);
+    }
+
+    /// Two hosts (nodes 0–1, one port each) on a two-port switch (node
+    /// 2) over links 0–1, with a valid fault ahead of `fault`.
+    fn with_fault(fault: FaultEvent) -> FabricSim {
+        let mut faults = dcn_sim::FaultSchedule::none();
+        faults.push(
+            SimTime::from_micros(1),
+            FaultEvent::CorruptionEnd { link: 1 },
+        );
+        faults.push(SimTime::from_micros(2), fault);
+        let cfg = FabricConfig {
+            faults,
+            ..FabricConfig::default()
+        };
+        FabricSim::new(two_hosts(), cfg)
+    }
+
+    #[test]
+    #[should_panic(expected = "faults[1].link = 2 is not a link of the topology")]
+    fn fault_on_an_unknown_link_is_refused_at_construction() {
+        with_fault(FaultEvent::LinkDown { link: 2 });
+    }
+
+    #[test]
+    #[should_panic(expected = "faults[1].node = 3 is not a node of the topology")]
+    fn fault_on_an_unknown_node_is_refused_at_construction() {
+        with_fault(FaultEvent::PauseStuck {
+            node: 3,
+            port: 0,
+            prio: 3,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "faults[1].port = 1 is not a port of node 0")]
+    fn fault_on_a_port_the_node_lacks_is_refused_at_construction() {
+        with_fault(FaultEvent::PauseStuck {
+            node: 0,
+            port: 1,
+            prio: 3,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "faults[1].prio = 8 is not a priority")]
+    fn fault_on_priority_eight_is_refused_at_construction() {
+        with_fault(FaultEvent::PauseRelease {
+            node: 2,
+            port: 1,
+            prio: 8,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "faults[1].ber = NaN is not a probability in [0, 1]")]
+    fn nan_bit_error_rate_is_refused_at_construction() {
+        with_fault(FaultEvent::CorruptionStart {
+            link: 0,
+            ber: f64::NAN,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "faults[1].ber = 1.5 is not a probability in [0, 1]")]
+    fn bit_error_rate_above_one_is_refused_at_construction() {
+        with_fault(FaultEvent::CorruptionStart { link: 0, ber: 1.5 });
     }
 
     /// Frames of exactly `MAX_FRAME` cross a switch (admission charge,

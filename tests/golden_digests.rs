@@ -5,13 +5,22 @@
 //! existed, plus a clean event queue: no past-time clamp, no stale
 //! timer pop.
 //!
-//! The two small-scale scenarios run in the plain tier-1 suite; the
+//! The two faulted scenarios pin every `FaultEvent` kind, both
+//! watchdogs and the eviction path, in each RDMA universe.
+//!
+//! The small-scale scenarios run in the plain tier-1 suite; the
 //! paper-scale scenario (~7.5M events) is `#[ignore]`d for debug runs
 //! and exercised in release CI with `--include-ignored`.
 
 use dcn_experiments::{run_hybrid, run_incast, ExperimentScale, HybridConfig, IncastConfig};
-use dcn_fabric::{PolicyChoice, RunResults};
-use dcn_sim::SimDuration;
+use dcn_fabric::{FabricConfig, FabricSim, PolicyChoice, RdmaTransport, RunResults};
+use dcn_net::{ClosConfig, FlowId, NodeId, PortId, Priority, Topology, TrafficClass};
+use dcn_sim::{
+    BitRate, Bytes, FaultEvent, FaultSchedule, SimDuration, SimRng, SimTime, TraceConfig,
+    TraceTotals,
+};
+use dcn_switch::SwitchConfig;
+use dcn_workload::{web_search_cdf, FlowSpec, PoissonTraffic};
 
 fn assert_golden(r: &RunResults, events: u64, digest: u64) {
     assert_eq!(r.events_processed, events, "event count drifted");
@@ -42,6 +51,139 @@ fn incast_small_golden_digest_is_unchanged() {
     ));
     assert_golden(&p.results, 857_321, 0xfc40_bd96_0ecc_5a10);
     assert_eq!(p.results.drops.evicted_packets, 0, "no policy evicts here");
+}
+
+/// A small clos (hosts 0–7, ToRs 8–9, aggs 10–11, cores 12–13) under a
+/// hand-written schedule holding every `FaultEvent` kind, with both
+/// watchdogs armed, sampling on, a TCP + RDMA Poisson mix and Occamy
+/// over a 96 KB buffer so the eviction path runs. Returns the results
+/// and the flight recorder's totals.
+fn run_faulted(transport: RdmaTransport) -> (RunResults, TraceTotals) {
+    let topo = Topology::clos(&ClosConfig::small(4));
+    let link =
+        |node: u32, port: u16| topo.wire(NodeId::new(node), PortId::new(port)).link.index() as u32;
+    let us = SimTime::from_micros;
+    let mut faults = FaultSchedule::none();
+    // A ToR uplink and a host link flap (switch and host port resets).
+    faults.link_flap(link(8, 4), us(300), SimDuration::from_micros(400));
+    faults.link_flap(link(4, 0), us(150), SimDuration::from_micros(300));
+    faults.corruption_window(link(8, 5), us(200), SimDuration::from_millis(1), 2e-5);
+    // Stuck XOFFs against ToR egresses toward hosts (the storm watchdog
+    // clears them long before the release) and against a host NIC. The
+    // lossy one lets the TCP incast into host 2 pile up.
+    faults.pause_stuck(9, 2, 3, us(400), SimDuration::from_millis(3));
+    faults.pause_stuck(8, 2, 1, us(200), SimDuration::from_millis(3));
+    faults.push(
+        us(600),
+        FaultEvent::PauseStuck {
+            node: 2,
+            port: 0,
+            prio: 3,
+        },
+    );
+    faults.push(
+        us(900),
+        FaultEvent::PauseRelease {
+            node: 2,
+            port: 0,
+            prio: 3,
+        },
+    );
+
+    let hosts: Vec<NodeId> = topo.hosts().collect();
+    let (rdma_hosts, tcp_hosts): (Vec<NodeId>, Vec<NodeId>) =
+        hosts.iter().partition(|h| h.index() % 2 == 0);
+    let mut rng = SimRng::seed_from_u64(7);
+    let window = SimDuration::from_millis(2);
+    let rdma = PoissonTraffic::builder(rdma_hosts.clone(), web_search_cdf())
+        .load(0.4)
+        .link_rate(BitRate::from_gbps(25))
+        .class(TrafficClass::Lossless, Priority::new(3))
+        .dests(rdma_hosts)
+        .build();
+    let tcp = PoissonTraffic::builder(tcp_hosts.clone(), web_search_cdf())
+        .load(0.8)
+        .link_rate(BitRate::from_gbps(25))
+        .class(TrafficClass::Lossy, Priority::new(1))
+        .dests(tcp_hosts)
+        .first_flow_id(1 << 40)
+        .build();
+
+    let cfg = FabricConfig {
+        policy: PolicyChoice::occamy(),
+        rdma_transport: transport,
+        seed: 7,
+        switch: SwitchConfig {
+            total_buffer: Bytes::from_kb(96),
+            pfc_watchdog: Some(SimDuration::from_micros(500)),
+            ..SwitchConfig::default()
+        },
+        flow_watchdog: Some(SimDuration::from_micros(500)),
+        sample_interval: Some(SimDuration::from_micros(250)),
+        trace: TraceConfig::enabled(),
+        faults,
+        ..FabricConfig::default()
+    };
+    // On top of the Poisson mix, a TCP incast into host 2 across both
+    // ToR uplinks (one sender is the flapped host 4, which also starts
+    // an RDMA transfer into the flap), and an RDMA transfer into the
+    // stuck ToR egress toward host 6.
+    let burst = |i: u64, src: u32, dst: u32, kb: u64, class: TrafficClass| FlowSpec {
+        id: FlowId::new((1 << 20) + i),
+        src: NodeId::new(src),
+        dst: NodeId::new(dst),
+        size: Bytes::from_kb(kb),
+        start: us(100),
+        class,
+        priority: Priority::new(if class == TrafficClass::Lossy { 1 } else { 3 }),
+    };
+    let mut flows = vec![
+        burst(0, 0, 6, 800, TrafficClass::Lossless),
+        burst(1, 4, 1, 600, TrafficClass::Lossless),
+    ];
+    for (i, src) in [1, 3, 5, 7, 4, 6].into_iter().enumerate() {
+        flows.push(burst(2 + i as u64, src, 2, 400, TrafficClass::Lossy));
+    }
+    // A shallower lossy queue, started once the incast queue is deep:
+    // its rejected arrivals evict from the deeper one.
+    for (i, src) in [0, 7, 1].into_iter().enumerate() {
+        let mut f = burst(8 + i as u64, src, 3, 300, TrafficClass::Lossy);
+        f.start = us(250);
+        flows.push(f);
+    }
+    let mut sim = FabricSim::new(topo, cfg);
+    sim.add_flows(rdma.generate(window, &mut rng.fork(1)));
+    sim.add_flows(tcp.generate(window, &mut rng.fork(2)));
+    sim.add_flows(flows);
+    sim.run_until_done(SimTime::ZERO + window + SimDuration::from_millis(10));
+    let totals = sim.trace().with(|rec| rec.totals()).expect("trace enabled");
+    (sim.results(), totals)
+}
+
+/// The paths only a faulted run reaches: the storm watchdog, both wire
+/// drop causes, eviction and timer cancellation.
+fn assert_fault_paths_reached(r: &RunResults, t: &TraceTotals) {
+    assert!(r.pfc.watchdog_fires() > 0, "storm watchdog fired");
+    assert!(t.drops_link_down > 0, "a packet died on a dead link");
+    assert!(t.drops_corrupted > 0, "a packet was corrupted");
+    assert!(r.drops.evicted_packets > 0, "Occamy evicted");
+    assert!(r.queue.timer_cancels > 0, "a timer was cancelled");
+    assert!(r.flow_stalls > 0, "the flow watchdog saw a stall");
+}
+
+#[test]
+fn faulted_small_golden_digest_is_unchanged() {
+    let (r, t) = run_faulted(RdmaTransport::Dcqcn);
+    assert_fault_paths_reached(&r, &t);
+    assert_golden(&r, 77_152, 0x1b28_9883_67c6_10fc);
+}
+
+#[test]
+fn faulted_small_irn_golden_digest_is_unchanged() {
+    let (r, t) = run_faulted(RdmaTransport::Irn);
+    assert_fault_paths_reached(&r, &t);
+    assert!(r.irn.retransmitted_packets > 0, "IRN repaired losses");
+    assert_golden(&r, 95_650, 0xd810_63fa_74d1_d97f);
 }
 
 #[test]
