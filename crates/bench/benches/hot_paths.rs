@@ -79,9 +79,23 @@ fn bench_policies() {
     bench("policy_threshold/dt_288q", || {
         black_box(dt.pfc_threshold(&m, q(0, 3), now))
     });
-    let abm = AbmPolicy::new(0.5);
+    // ABM fed through its hooks, so all 288 queues count as congested
+    // and the drain table is sized.
+    let mut m_abm = MmuState::new(
+        &SwitchConfig::default(),
+        vec![BitRate::from_gbps(25); PORTS],
+    );
+    let mut abm = AbmPolicy::new(0.5);
+    for port in 0..PORTS as u16 {
+        for prio in 0..Priority::COUNT as u8 {
+            let (qi, qo) = (q(port, prio), q((port + 1) % PORTS as u16, prio));
+            let c = m_abm.plan_charge(qi, Bytes::new(20_000), Pool::Shared);
+            m_abm.charge(qi, qo, c);
+            abm.on_enqueue(&m_abm, SimTime::ZERO, qi, qo, c.total());
+        }
+    }
     bench("policy_threshold/abm_288q", || {
-        black_box(abm.pfc_threshold(&m, q(0, 3), now))
+        black_box(abm.pfc_threshold(&m_abm, q(0, 3), now))
     });
     // L2BM with all 288 queues holding sojourn state (the realistic
     // loaded case for the incremental Σ τ aggregate).

@@ -103,7 +103,7 @@ impl Switches {
             // unreachable): a counted drop, not a panic, so the fabric
             // survives injected failures. TCP retransmits after
             // recovery; a lossless flow hit here becomes a victim flow.
-            sw.record_forwarding_drop(now, &packet, in_port, TraceDropCause::NoRoute);
+            sw.record_drop(now, &packet, in_port, TraceDropCause::NoRoute);
             return false;
         };
         let res = sw.receive(now, packet, in_port, out_port);

@@ -21,7 +21,8 @@
 //!
 //! The crate provides:
 //!
-//! * [`L2bmPolicy`] — a drop-in [`dcn_switch::BufferPolicy`].
+//! * [`L2bmPolicy`] — a drop-in [`dcn_switch::BufferPolicy`], which
+//!   also runs BShare ([`L2bmPolicy::bshare`]) on the same module.
 //! * [`SojournModule`] — the per-queue residence-time recorder, usable
 //!   on its own.
 //! * [`analysis`] — closed-form steady-state occupancy/threshold
@@ -42,19 +43,17 @@
 //!     Box::new(L2bmPolicy::new(L2bmConfig::default())),
 //!     7,
 //! );
-//! assert_eq!(sw.policy().name(), "L2BM");
+//! assert_eq!(sw.mmu().port_count(), 8);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;
-mod bshare;
 mod config;
 mod policy;
 mod sojourn;
 
-pub use bshare::{BShareConfig, BSharePolicy};
 pub use config::{L2bmConfig, Normalization};
 pub use policy::L2bmPolicy;
 pub use sojourn::SojournModule;

@@ -1,10 +1,37 @@
-//! The L2BM buffer-management policy (paper §III-C).
+//! The L2BM buffer-management policy (paper §III-C), and BShare, which
+//! reads the same sojourn signal through a different weight.
 
 use dcn_sim::{Bytes, SimTime};
 use dcn_switch::{BufferPolicy, MmuState, QueueIndex};
 
 use crate::config::{L2bmConfig, Normalization};
 use crate::sojourn::SojournModule;
+
+/// BShare's control factor for queues that miss the delay target.
+const BSHARE_ALPHA: f64 = 0.5;
+/// BShare's absolute queueing-delay target, in seconds.
+const BSHARE_DELAY_TARGET: f64 = 50e-6;
+/// BShare's weight floor, so even the worst hog keeps a trickle of
+/// admission.
+const BSHARE_MIN_WEIGHT: f64 = 1.0 / 64.0;
+/// BShare's weight for queues meeting the delay target: at most the
+/// whole remaining buffer.
+const BSHARE_MAX_WEIGHT: f64 = 1.0;
+
+/// How the sojourn signal becomes a control weight.
+#[derive(Debug, Clone, Copy)]
+enum Rule {
+    /// L2BM (Eq. 4): `w(q) = min(α · C / τ(q), w_max)`.
+    L2bm(L2bmConfig),
+    /// BShare (PAPERS.md), adapted to the ingress pool: a queue whose
+    /// average sojourn `τ(q)` meets the delay target keeps `w_max`;
+    /// otherwise `w(q) = max(w_min, α · (1 − τ(q)/C))`. Where L2BM
+    /// scales by *relative* drain speed, BShare enforces an *absolute*
+    /// target: a queue meeting it is never penalized however slow its
+    /// peers are, and the sole violator on a switch is squeezed to the
+    /// floor (`τ/C → 1`). Paused time is always excluded.
+    BShare,
+}
 
 /// L2BM: Dynamic Threshold with a congestion-perception factor.
 ///
@@ -15,9 +42,12 @@ use crate::sojourn::SojournModule;
 /// letting it absorb bursts with the whole remaining buffer, while a
 /// queue whose packets linger behind congested output ports is squeezed
 /// below the plain-DT allotment.
+///
+/// [`L2bmPolicy::bshare`] builds BShare on the same module: same
+/// threshold shape, same hooks, a delay-target weight.
 #[derive(Debug)]
 pub struct L2bmPolicy {
-    cfg: L2bmConfig,
+    rule: Rule,
     sojourn: SojournModule,
 }
 
@@ -30,14 +60,17 @@ impl L2bmPolicy {
     pub fn new(cfg: L2bmConfig) -> Self {
         cfg.validate().expect("invalid L2BM config");
         L2bmPolicy {
-            cfg,
+            rule: Rule::L2bm(cfg),
             sojourn: SojournModule::new(),
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &L2bmConfig {
-        &self.cfg
+    /// BShare: queueing-delay-target-driven sharing with a 50 µs target.
+    pub fn bshare() -> Self {
+        L2bmPolicy {
+            rule: Rule::BShare,
+            sojourn: SojournModule::new(),
+        }
     }
 
     /// Read access to the sojourn module (for introspection/tests).
@@ -45,17 +78,49 @@ impl L2bmPolicy {
         &self.sojourn
     }
 
-    /// The adaptive control weight `w(q) = min(α·C/τ, w_max)` (Eq. 4).
+    /// The control weight `w(q)` at `now` (Eq. 4 for L2BM).
     pub fn weight(&self, q: QueueIndex, now: SimTime) -> f64 {
+        self.weight_with(q, now, SojournModule::sum_active_tau)
+    }
+
+    /// Reference recomputation of [`L2bmPolicy::weight`] using the
+    /// sojourn module's full-scan `C` instead of the incremental one.
+    /// Kept for differential testing — not for the admission path.
+    pub fn weight_naive(&self, q: QueueIndex, now: SimTime) -> f64 {
+        self.weight_with(q, now, SojournModule::sum_active_tau_naive)
+    }
+
+    fn weight_with(
+        &self,
+        q: QueueIndex,
+        now: SimTime,
+        sum_tau: fn(&SojournModule, SimTime) -> f64,
+    ) -> f64 {
         let tau = self.sojourn.tau(q, now);
-        let c = match self.cfg.normalization {
-            Normalization::SumActiveTau => self.sojourn.sum_active_tau(now),
-            Normalization::Fixed(c) => c,
-        };
-        if tau <= f64::EPSILON || c <= f64::EPSILON {
-            return self.cfg.max_weight;
+        match self.rule {
+            Rule::L2bm(cfg) => {
+                let c = match cfg.normalization {
+                    Normalization::SumActiveTau => sum_tau(&self.sojourn, now),
+                    Normalization::Fixed(c) => c,
+                };
+                if tau <= f64::EPSILON || c <= f64::EPSILON {
+                    return cfg.max_weight;
+                }
+                (cfg.alpha * c / tau).min(cfg.max_weight)
+            }
+            Rule::BShare => {
+                // Read C even when the target is met: each read advances
+                // the aggregate, and a skipped advance rounds differently.
+                let c = sum_tau(&self.sojourn, now);
+                if tau <= BSHARE_DELAY_TARGET {
+                    return BSHARE_MAX_WEIGHT;
+                }
+                // The queue's share of the aggregate delay: 1 when it *is*
+                // the aggregate (sole violator), small when peers dominate.
+                let share = if c <= tau { 1.0 } else { tau / c };
+                (BSHARE_ALPHA * (1.0 - share)).max(BSHARE_MIN_WEIGHT)
+            }
         }
-        (self.cfg.alpha * c / tau).min(self.cfg.max_weight)
     }
 }
 
@@ -66,10 +131,6 @@ impl Default for L2bmPolicy {
 }
 
 impl BufferPolicy for L2bmPolicy {
-    fn name(&self) -> &str {
-        "L2BM"
-    }
-
     fn pfc_threshold(&self, mmu: &MmuState, q: QueueIndex, now: SimTime) -> Bytes {
         mmu.shared_remaining().scale(self.weight(q, now))
     }
@@ -96,14 +157,12 @@ impl BufferPolicy for L2bmPolicy {
         self.sojourn.on_dequeue(now, q_in, q_out);
     }
 
-    fn on_egress_pause_changed(
-        &mut self,
-        _mmu: &MmuState,
-        now: SimTime,
-        q_out: QueueIndex,
-        paused: bool,
-    ) {
-        if self.cfg.pause_freeze {
+    fn on_egress_pause_changed(&mut self, now: SimTime, q_out: QueueIndex, paused: bool) {
+        let freeze = match self.rule {
+            Rule::L2bm(cfg) => cfg.pause_freeze,
+            Rule::BShare => true,
+        };
+        if freeze {
             self.sojourn.on_pause_changed(now, q_out, paused);
         }
     }
@@ -225,5 +284,61 @@ mod tests {
         enqueue(&mut m, &mut p, SimTime::ZERO, q(2, 3), q(3, 3), 2_000_000);
         let t2 = p.pfc_threshold(&m, q(0, 3), SimTime::ZERO);
         assert!(t2 < t1, "remaining buffer shrank, threshold must too");
+    }
+
+    #[test]
+    fn bshare_queue_under_target_gets_full_weight() {
+        let p = L2bmPolicy::bshare();
+        let m = mmu();
+        // Idle queue: τ = 0 ≤ target -> the whole remaining pool.
+        assert_eq!(
+            p.pfc_threshold(&m, q(0, 3), SimTime::ZERO),
+            m.shared_remaining()
+        );
+    }
+
+    #[test]
+    fn bshare_sole_violator_is_squeezed_to_floor() {
+        let mut p = L2bmPolicy::bshare();
+        let mut m = mmu();
+        // 1 MB behind a 25 Gbps port: τ ≈ 320 µs >> 50 µs target, and
+        // this queue is the whole aggregate.
+        enqueue(&mut m, &mut p, SimTime::ZERO, q(0, 3), q(1, 3), 1_000_000);
+        let w = p.weight(q(0, 3), SimTime::ZERO);
+        assert!(
+            (w - BSHARE_MIN_WEIGHT).abs() < 1e-12,
+            "sole violator floors: {w}"
+        );
+    }
+
+    #[test]
+    fn bshare_violator_among_busy_peers_keeps_more() {
+        let mut p = L2bmPolicy::bshare();
+        let mut m = mmu();
+        enqueue(&mut m, &mut p, SimTime::ZERO, q(0, 3), q(1, 3), 1_000_000);
+        // A peer with an even larger backlog on a different egress port.
+        enqueue(&mut m, &mut p, SimTime::ZERO, q(2, 3), q(3, 3), 2_000_000);
+        let w = p.weight(q(0, 3), SimTime::ZERO);
+        assert!(
+            w > BSHARE_MIN_WEIGHT + 1e-9,
+            "peer delay dilutes the share: {w}"
+        );
+        assert!(w < BSHARE_MAX_WEIGHT);
+    }
+
+    #[test]
+    fn weight_matches_naive_reference_for_both_rules() {
+        for mut p in [L2bmPolicy::default(), L2bmPolicy::bshare()] {
+            let mut m = mmu();
+            enqueue(&mut m, &mut p, SimTime::ZERO, q(0, 3), q(1, 3), 500_000);
+            let t3 = SimTime::from_micros(3);
+            enqueue(&mut m, &mut p, t3, q(2, 3), q(3, 3), 125_000);
+            for us in [3u64, 10, 42, 200, 1_000] {
+                let t = SimTime::from_micros(us);
+                let a = p.weight(q(0, 3), t);
+                let b = p.weight_naive(q(0, 3), t);
+                assert!((a - b).abs() <= 1e-9, "{:?} at {us}µs: {a} vs {b}", p.rule);
+            }
+        }
     }
 }

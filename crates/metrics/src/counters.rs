@@ -152,21 +152,18 @@ impl DropCounters {
         self.lossless_bytes += size.as_u64();
     }
 
-    /// Records a preemptive eviction. The evicted packet is lossy by
-    /// construction, so this *also* counts it as a lossy drop — the
-    /// eviction counters are a refinement, not a parallel total, which
-    /// keeps `lossy + lossless == trace drops()` reconciliation exact.
+    /// Refines a drop already recorded as lossy as a preemptive
+    /// eviction. The eviction counters are a refinement, not a parallel
+    /// total, which keeps `lossy + lossless == trace drops()`
+    /// reconciliation exact.
     pub fn record_evicted(&mut self, size: Bytes) {
-        self.record_lossy(size);
         self.evicted_packets += 1;
         self.evicted_bytes += size.as_u64();
     }
 
-    /// Records a lossy-RDMA (IRN) drop. Like [`record_evicted`], this is
-    /// a refinement of the lossy totals: the packet also counts as a
-    /// lossy drop, so `lossy + lossless == trace drops()` stays exact.
-    ///
-    /// [`record_evicted`]: DropCounters::record_evicted
+    /// Records a lossy-RDMA (IRN) drop. The packet also counts as a
+    /// lossy drop: the lossy-RDMA counters are a refinement of the lossy
+    /// totals, so `lossy + lossless == trace drops()` stays exact.
     pub fn record_lossy_rdma(&mut self, size: Bytes) {
         self.record_lossy(size);
         self.lossy_rdma_packets += 1;
@@ -414,10 +411,11 @@ mod tests {
     #[test]
     fn eviction_refines_lossy_total() {
         let mut d = DropCounters::new();
+        d.record_lossy(Bytes::new(1_000));
         d.record_evicted(Bytes::new(1_000));
         assert_eq!(d.evicted_packets, 1);
         assert_eq!(d.evicted_bytes, 1_000);
-        assert_eq!(d.lossy_packets, 1, "eviction is also a lossy drop");
+        assert_eq!(d.lossy_packets, 1, "eviction refines, not adds to, lossy");
         assert_eq!(d.lossy_bytes, 1_000);
         let mut e = DropCounters::new();
         e.merge(&d);
@@ -499,6 +497,7 @@ mod tests {
         base.record_lossy(Bytes::new(1_000));
         let snap = base;
         base.record_lossless(Bytes::new(500));
+        base.record_lossy(Bytes::new(200));
         base.record_evicted(Bytes::new(200));
         let delta = base.since(&snap);
         assert_eq!(delta.lossless_packets, 1);

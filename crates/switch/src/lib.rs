@@ -9,13 +9,14 @@
 //! when the packet departs.
 //!
 //! * [`MmuState`] — the counter pools: per-(port, priority) ingress
-//!   shared/reserved/headroom charges, egress queue bytes, drain-rate
-//!   estimation, pause bookkeeping.
+//!   shared/reserved/headroom charges, egress queue bytes, pause
+//!   bookkeeping. It counts bytes only; policy state lives in policies.
 //! * [`BufferPolicy`] — the pluggable PFC-threshold algorithm evaluated
 //!   by the paper: [`DtPolicy`] (classic Dynamic Threshold, the
-//!   paper's DT with α = 0.125 and DT2 with α = 0.5) and [`AbmPolicy`]
-//!   (ABM, SIGCOMM'22, applied to the ingress pool). The L2BM policy
-//!   itself lives in the `l2bm` crate.
+//!   paper's DT with α = 0.125 and DT2 with α = 0.5, and Occamy when
+//!   built with preemption) and [`AbmPolicy`] (ABM, SIGCOMM'22, applied
+//!   to the ingress pool). The L2BM policy itself lives in the `l2bm`
+//!   crate.
 //! * [`SharedMemorySwitch`] — ties the MMU, the eight-priority egress
 //!   queues with round-robin scheduling, the PFC pause/resume state
 //!   machine, and ECN marking together. It is a passive component: the
@@ -52,15 +53,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod abm;
 mod config;
 mod mmu;
 mod policy;
 mod queue;
 mod switch;
 
+pub use abm::AbmPolicy;
 pub use config::{EcnConfig, SwitchConfig};
 pub use mmu::{Charge, MmuState, Pool, QueueIndex};
-pub use policy::{AbmPolicy, BufferPolicy, DtPolicy, OccamyPolicy};
+pub use policy::{BufferPolicy, DtPolicy};
 pub use queue::{EgressPort, InFlight, QueuedPacket};
 pub use switch::{
     DropReason, PfcEmit, ReceiveOutcome, ReceiveResult, SharedMemorySwitch, TxCompleteResult,

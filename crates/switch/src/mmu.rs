@@ -13,7 +13,7 @@
 //! after/above the pause threshold — the queue's *headroom*.
 
 use dcn_net::{PortId, Priority, MAX_FRAME};
-use dcn_sim::{BitRate, Bytes, SimDuration, SimTime};
+use dcn_sim::{BitRate, Bytes, SimTime};
 
 use crate::config::SwitchConfig;
 
@@ -87,31 +87,6 @@ impl Charge {
     }
 }
 
-/// Drain-rate estimator state for one ingress queue (used by ABM's
-/// normalized-dequeue-rate factor).
-#[derive(Debug, Clone, Copy, Default)]
-struct DrainEstimator {
-    window_start: SimTime,
-    acc: u64,
-    rate_bps: f64,
-    measured: bool,
-}
-
-const DRAIN_WINDOW: SimDuration = SimDuration::from_micros(50);
-
-impl DrainEstimator {
-    fn record(&mut self, now: SimTime, size: Bytes) {
-        self.acc += size.as_u64();
-        let elapsed = now.saturating_since(self.window_start);
-        if elapsed >= DRAIN_WINDOW {
-            self.rate_bps = self.acc as f64 * 8.0 / elapsed.as_secs_f64();
-            self.acc = 0;
-            self.window_start = now;
-            self.measured = true;
-        }
-    }
-}
-
 /// The MMU counter state of one switch.
 ///
 /// All mutation goes through [`MmuState::charge`] / [`MmuState::discharge`]
@@ -132,7 +107,6 @@ pub struct MmuState {
     in_reserved: Vec<Bytes>,
     in_shared: Vec<Bytes>,
     in_headroom: Vec<Bytes>,
-    drain: Vec<DrainEstimator>,
 
     // Egress side, indexed by QueueIndex::flat.
     out_bytes: Vec<Bytes>,
@@ -145,13 +119,6 @@ pub struct MmuState {
     shared_used: Bytes,
     headroom_used: Bytes,
     reserved_used: Bytes,
-
-    /// Ingress queues of each priority whose occupancy is ≥ 1 MTU,
-    /// maintained incrementally by `charge`/`discharge` so ABM's
-    /// per-packet threshold never scans the port list.
-    congested_ingress: [usize; Priority::COUNT],
-    /// Ingress queues with non-zero occupancy, maintained incrementally.
-    active_ingress: usize,
 }
 
 impl MmuState {
@@ -174,15 +141,12 @@ impl MmuState {
             in_reserved: vec![Bytes::ZERO; nq],
             in_shared: vec![Bytes::ZERO; nq],
             in_headroom: vec![Bytes::ZERO; nq],
-            drain: vec![DrainEstimator::default(); nq],
             out_bytes: vec![Bytes::ZERO; nq],
             out_active: vec![0; n_ports],
             out_paused: vec![false; nq],
             shared_used: Bytes::ZERO,
             headroom_used: Bytes::ZERO,
             reserved_used: Bytes::ZERO,
-            congested_ingress: [0; Priority::COUNT],
-            active_ingress: 0,
         }
     }
 
@@ -283,96 +247,14 @@ impl MmuState {
         self.out_paused[q.flat()]
     }
 
-    /// Estimated drain rate of an egress queue under round-robin: the
-    /// port rate divided by the number of non-empty priority queues
-    /// (at least 1). Zero if the queue is paused.
-    pub fn egress_drain_rate(&self, q: QueueIndex) -> BitRate {
-        if self.out_paused[q.flat()] {
-            return BitRate::ZERO;
-        }
-        let active = self.out_active[q.port.index()].max(1);
-        self.link_rate[q.port.index()] / active as u64
-    }
-
-    /// Like [`MmuState::egress_drain_rate`] but ignoring any downstream
-    /// pause — the drain the queue *would* have. L2BM's sojourn estimator
-    /// uses this so that PFC back-pressure is not mistaken for congestion
+    /// Estimated drain rate of an egress queue under round-robin, ignoring
+    /// any downstream pause: the port rate divided by the number of
+    /// non-empty priority queues (at least 1). L2BM's sojourn estimator
+    /// uses it so that PFC back-pressure is not mistaken for congestion
     /// (the paper's "mitigate PFC diffusion" rule).
     pub fn egress_drain_rate_ignoring_pause(&self, q: QueueIndex) -> BitRate {
         let active = self.out_active[q.port.index()].max(1);
         self.link_rate[q.port.index()] / active as u64
-    }
-
-    /// Measured drain rate of an *ingress* queue, normalized by its
-    /// port's link rate and capped at 1. Optimistically 1.0 until the
-    /// first measurement window completes (ABM's behaviour for fresh
-    /// queues).
-    pub fn ingress_normalized_drain(&self, q: QueueIndex) -> f64 {
-        let d = &self.drain[q.flat()];
-        // A (nearly) empty queue has nothing meaningful to measure; a
-        // stale low estimate from an old burst must not throttle the
-        // next one, so report the optimistic default.
-        if !d.measured || self.ingress_total(q) < self.mtu {
-            return 1.0;
-        }
-        let cap = self.link_rate[q.port.index()].as_f64();
-        if cap == 0.0 {
-            return 1.0;
-        }
-        (d.rate_bps / cap).min(1.0)
-    }
-
-    /// Number of ingress queues of `priority` whose occupancy is at
-    /// least one MTU — ABM's "congested queues of this priority" count.
-    ///
-    /// O(1): the count is maintained incrementally by
-    /// [`MmuState::charge`] / [`MmuState::discharge`].
-    pub fn congested_ingress_count(&self, priority: Priority) -> usize {
-        self.congested_ingress[priority.index()]
-    }
-
-    /// Number of ingress queues with non-zero occupancy. O(1): maintained
-    /// incrementally by [`MmuState::charge`] / [`MmuState::discharge`].
-    pub fn active_ingress_count(&self) -> usize {
-        self.active_ingress
-    }
-
-    /// Reference implementation of [`MmuState::congested_ingress_count`]
-    /// by full scan. Kept for differential testing of the incremental
-    /// counters — not for the admission path.
-    pub fn congested_ingress_count_naive(&self, priority: Priority) -> usize {
-        (0..self.n_ports)
-            .filter(|&p| {
-                let q = QueueIndex::new(PortId::new(p as u16), priority);
-                self.ingress_total(q) >= self.mtu
-            })
-            .count()
-    }
-
-    /// Iterates over all ingress queues with non-zero occupancy (full
-    /// scan — for reporting and tests, not the admission path; use
-    /// [`MmuState::active_ingress_count`] for the count).
-    pub fn active_ingress_queues(&self) -> impl Iterator<Item = QueueIndex> + '_ {
-        (0..self.n_ports)
-            .flat_map(move |p| {
-                Priority::all().map(move |prio| QueueIndex::new(PortId::new(p as u16), prio))
-            })
-            .filter(|&q| self.ingress_total(q) > Bytes::ZERO)
-    }
-
-    /// Adjusts the incremental congested/active counters for ingress
-    /// queue `q` whose total went from `before` to `after`.
-    fn ingress_total_changed(&mut self, q: QueueIndex, before: Bytes, after: Bytes) {
-        if before < self.mtu && after >= self.mtu {
-            self.congested_ingress[q.priority.index()] += 1;
-        } else if before >= self.mtu && after < self.mtu {
-            self.congested_ingress[q.priority.index()] -= 1;
-        }
-        if before == Bytes::ZERO && after > Bytes::ZERO {
-            self.active_ingress += 1;
-        } else if before > Bytes::ZERO && after == Bytes::ZERO {
-            self.active_ingress -= 1;
-        }
     }
 
     // ---- mutation -----------------------------------------------------
@@ -397,7 +279,6 @@ impl MmuState {
     /// queued at egress `q_out`.
     pub fn charge(&mut self, q_in: QueueIndex, q_out: QueueIndex, c: Charge) {
         let i = q_in.flat();
-        let before = self.ingress_total(q_in);
         self.in_reserved[i] += c.reserved();
         self.reserved_used += c.reserved();
         match c.pool {
@@ -410,7 +291,6 @@ impl MmuState {
                 self.headroom_used += c.pooled();
             }
         }
-        self.ingress_total_changed(q_in, before, self.ingress_total(q_in));
         let o = q_out.flat();
         if self.out_bytes[o] == Bytes::ZERO && c.total() > Bytes::ZERO {
             self.out_active[q_out.port.index()] += 1;
@@ -418,11 +298,9 @@ impl MmuState {
         self.out_bytes[o] += c.total();
     }
 
-    /// Reverses a charge when the packet departs; records the dequeue in
-    /// the ingress drain estimator.
-    pub fn discharge(&mut self, now: SimTime, q_in: QueueIndex, q_out: QueueIndex, c: Charge) {
+    /// Reverses a charge when the packet departs.
+    pub fn discharge(&mut self, _now: SimTime, q_in: QueueIndex, q_out: QueueIndex, c: Charge) {
         let i = q_in.flat();
-        let before = self.ingress_total(q_in);
         self.in_reserved[i] -= c.reserved();
         self.reserved_used -= c.reserved();
         match c.pool {
@@ -435,13 +313,11 @@ impl MmuState {
                 self.headroom_used -= c.pooled();
             }
         }
-        self.ingress_total_changed(q_in, before, self.ingress_total(q_in));
         let o = q_out.flat();
         self.out_bytes[o] -= c.total();
         if self.out_bytes[o] == Bytes::ZERO && c.total() > Bytes::ZERO {
             self.out_active[q_out.port.index()] -= 1;
         }
-        self.drain[i].record(now, c.total());
     }
 
     /// Charges `size` bytes — any amount — as a run of charges of at
@@ -498,23 +374,6 @@ impl MmuState {
         if total_in != sum_out {
             return Err(format!(
                 "ingress total {total_in} != egress total {sum_out}"
-            ));
-        }
-        for prio in Priority::all() {
-            let naive = self.congested_ingress_count_naive(prio);
-            let inc = self.congested_ingress[prio.index()];
-            if naive != inc {
-                return Err(format!(
-                    "congested[{}] incremental {inc} != naive {naive}",
-                    prio.index()
-                ));
-            }
-        }
-        let naive_active = self.active_ingress_queues().count();
-        if naive_active != self.active_ingress {
-            return Err(format!(
-                "active ingress incremental {} != naive {naive_active}",
-                self.active_ingress
             ));
         }
         Ok(())
@@ -586,69 +445,24 @@ mod tests {
         let mut m = mmu();
         let qo3 = q(3, 3);
         let qo1 = q(3, 1);
-        assert_eq!(m.egress_drain_rate(qo3), BitRate::from_gbps(25));
+        assert_eq!(
+            m.egress_drain_rate_ignoring_pause(qo3),
+            BitRate::from_gbps(25)
+        );
         let c = m.plan_charge(q(0, 3), Bytes::new(3_000), Pool::Shared);
         m.charge(q(0, 3), qo3, c);
         let c2 = m.plan_charge(q(1, 1), Bytes::new(3_000), Pool::Shared);
         m.charge(q(1, 1), qo1, c2);
-        // Two active priorities share the port under round-robin.
+        // Two active priorities share the port under round-robin; a
+        // downstream pause does not change the estimate.
+        assert!(m.set_egress_paused(qo3, true));
+        assert!(!m.set_egress_paused(qo3, true), "no change");
         assert_eq!(
-            m.egress_drain_rate(qo3).as_bps(),
+            m.egress_drain_rate_ignoring_pause(qo3).as_bps(),
             BitRate::from_gbps(25).as_bps() / 2
         );
     }
 
-    #[test]
-    fn paused_egress_has_zero_drain() {
-        let mut m = mmu();
-        let qo = q(3, 3);
-        assert!(m.set_egress_paused(qo, true));
-        assert!(!m.set_egress_paused(qo, true), "no change");
-        assert_eq!(m.egress_drain_rate(qo), BitRate::ZERO);
-        assert!(m.set_egress_paused(qo, false));
-    }
-
-    #[test]
-    fn congested_count_uses_mtu() {
-        let mut m = mmu();
-        assert_eq!(m.congested_ingress_count(Priority::new(3)), 0);
-        let c = m.plan_charge(q(0, 3), Bytes::new(1_048), Pool::Shared);
-        m.charge(q(0, 3), q(2, 3), c);
-        assert_eq!(m.congested_ingress_count(Priority::new(3)), 1);
-        assert_eq!(m.congested_ingress_count(Priority::new(1)), 0);
-    }
-
-    #[test]
-    fn drain_estimator_measures_rate() {
-        let mut m = mmu();
-        let qi = q(0, 3);
-        let qo = q(2, 3);
-        assert_eq!(m.ingress_normalized_drain(qi), 1.0);
-        // Dequeue 125 KB over 100 µs = 10 Gbps on a 25 Gbps port -> 0.4.
-        let mut t = SimTime::ZERO;
-        for _ in 0..100 {
-            let c = m.plan_charge(qi, Bytes::new(1_250), Pool::Shared);
-            m.charge(qi, qo, c);
-            t += SimDuration::from_micros(1);
-            m.discharge(t, qi, qo, c);
-        }
-        // Keep the queue non-empty: an empty queue reports the
-        // optimistic 1.0 regardless of history.
-        let c = m.plan_charge(qi, Bytes::new(2_000), Pool::Shared);
-        m.charge(qi, qo, c);
-        let nd = m.ingress_normalized_drain(qi);
-        assert!((nd - 0.4).abs() < 0.05, "normalized drain {nd}");
-    }
-
-    #[test]
-    fn active_ingress_queue_iteration() {
-        let mut m = mmu();
-        assert_eq!(m.active_ingress_queues().count(), 0);
-        let c = m.plan_charge(q(0, 3), Bytes::new(500), Pool::Shared);
-        m.charge(q(0, 3), q(1, 3), c);
-        let active: Vec<QueueIndex> = m.active_ingress_queues().collect();
-        assert_eq!(active, vec![q(0, 3)]);
-    }
     #[test]
     fn charge_is_six_bytes() {
         assert_eq!(std::mem::size_of::<Charge>(), 6);

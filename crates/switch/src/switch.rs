@@ -10,7 +10,7 @@ use dcn_sim::{
 use dcn_metrics::{DropCounters, PfcCounters};
 
 use crate::config::SwitchConfig;
-use crate::mmu::{MmuState, Pool, QueueIndex};
+use crate::mmu::{Charge, MmuState, Pool, QueueIndex};
 use crate::policy::BufferPolicy;
 use crate::queue::{EgressPort, InFlight, QueuedPacket};
 
@@ -187,11 +187,6 @@ impl SharedMemorySwitch {
         self.mmu.set_headroom_cap(port, cap);
     }
 
-    /// The active buffer-management policy.
-    pub fn policy(&self) -> &dyn BufferPolicy {
-        self.policy.as_ref()
-    }
-
     /// Total bytes currently stored (the paper's "buffer occupancy").
     pub fn occupancy(&self) -> Bytes {
         self.mmu.total_stored()
@@ -228,17 +223,6 @@ impl SharedMemorySwitch {
         let t_prio = packet.priority.index() as u8;
         let t_flow = packet.flow.as_u64();
         let t_seq = packet.seq;
-        let t_lossless = packet.class.is_lossless();
-        let trace_drop = move |cause: TraceDropCause| TraceEvent::Drop {
-            node: t_node,
-            in_port: t_in,
-            prio: t_prio,
-            flow: t_flow,
-            seq: t_seq,
-            size: size.as_u64(),
-            lossless: t_lossless,
-            cause,
-        };
 
         // --- IRN gap detection (lossy RDMA only) ------------------------
         // Runs before admission, on every arrival: a drop at an upstream
@@ -317,22 +301,13 @@ impl SharedMemorySwitch {
             };
 
             // Rejected: let a preemptive policy make room, then re-test.
-            if evictions >= MAX_EVICTIONS_PER_ARRIVAL || !self.try_evict(now, q_in, q_out, size) {
+            if evictions >= MAX_EVICTIONS_PER_ARRIVAL || !self.try_evict(now, q_out) {
                 let cause = match rejection {
-                    DropReason::HeadroomExhausted => {
-                        self.drop_counters.record_lossless(size);
-                        TraceDropCause::HeadroomExhausted
-                    }
-                    DropReason::IngressLossy => {
-                        self.record_droppable(packet.class, size);
-                        TraceDropCause::AdmissionDeniedIngress
-                    }
-                    DropReason::EgressLossy => {
-                        self.record_droppable(packet.class, size);
-                        TraceDropCause::AdmissionDeniedEgress
-                    }
+                    DropReason::HeadroomExhausted => TraceDropCause::HeadroomExhausted,
+                    DropReason::IngressLossy => TraceDropCause::AdmissionDeniedIngress,
+                    DropReason::EgressLossy => TraceDropCause::AdmissionDeniedEgress,
                 };
-                self.trace.record_with(now, || trace_drop(cause));
+                self.record_drop(now, &packet, in_port, cause);
                 return ReceiveResult {
                     outcome: ReceiveOutcome::Dropped(rejection),
                     pfc: None,
@@ -345,6 +320,7 @@ impl SharedMemorySwitch {
 
         // --- commit -----------------------------------------------------
         self.mmu.charge(q_in, q_out, charge);
+        self.policy.on_enqueue(&self.mmu, now, q_in, q_out, size);
 
         // ECN marking on the egress queue depth after enqueue.
         let ecn_marked = if packet.is_data() {
@@ -370,8 +346,6 @@ impl SharedMemorySwitch {
                 queue_depth: depth,
             });
         }
-
-        self.policy.on_enqueue(&self.mmu, now, q_in, q_out, size);
 
         // --- PFC XOFF check (lossless only) ----------------------------
         let mut pfc = None;
@@ -418,35 +392,19 @@ impl SharedMemorySwitch {
         }
     }
 
-    /// Records a drop of a droppable-class packet, splitting lossy-RDMA
-    /// drops out as a refinement of the lossy totals.
-    fn record_droppable(&mut self, class: TrafficClass, size: Bytes) {
-        if class.is_lossy_rdma() {
-            self.drop_counters.record_lossy_rdma(size);
-        } else {
-            self.drop_counters.record_lossy(size);
-        }
-    }
-
     /// Attempts one policy-planned preemptive eviction to make room for
-    /// a rejected arrival (`q_in`/`q_out`/`size`): asks the policy for a
-    /// victim egress queue, pops that queue's *newest* packet, reverses
-    /// its MMU charge and records an `Evicted` drop. Returns whether a
-    /// packet was actually evicted.
+    /// a rejected arrival bound for `q_out`: asks the policy for a victim
+    /// egress queue, pops that queue's *newest* packet, reverses its MMU
+    /// charge and records an `Evicted` drop. Returns whether a packet was
+    /// actually evicted.
     ///
     /// Only lossy packets may be evicted; a victim whose tail is
     /// lossless is restored untouched and the attempt aborts. Because
     /// `pause_sent` is only ever set by lossless arrivals, an evicted
     /// (lossy) packet's ingress queue never holds an outstanding XOFF,
     /// so eviction never needs to emit XON.
-    fn try_evict(
-        &mut self,
-        now: SimTime,
-        q_in: QueueIndex,
-        q_out: QueueIndex,
-        size: Bytes,
-    ) -> bool {
-        let Some(victim) = self.policy.plan_eviction(&self.mmu, now, q_in, q_out, size) else {
+    fn try_evict(&mut self, now: SimTime, q_out: QueueIndex) -> bool {
+        let Some(victim) = self.policy.plan_eviction(&self.mmu, q_out) else {
             return false;
         };
         let Some(qp) = self.ports[victim.port.index()].pop_back(victim.priority) else {
@@ -459,31 +417,16 @@ impl SharedMemorySwitch {
             return false;
         }
         let v_in = QueueIndex::new(qp.in_port, qp.packet.priority);
-        let v_size = qp.packet.size();
-        self.mmu.discharge(now, v_in, victim, qp.charge);
-        self.policy.on_dequeue(&self.mmu, now, v_in, victim, v_size);
-        self.drop_counters.record_evicted(v_size);
-        if qp.packet.class.is_lossy_rdma() {
-            // Refine the eviction (already a lossy drop) by class too.
-            self.drop_counters.lossy_rdma_packets += 1;
-            self.drop_counters.lossy_rdma_bytes += v_size.as_u64();
-        }
-        let t_node = self.id.index() as u32;
-        let t_in = qp.in_port.index() as u16;
-        let t_prio = qp.packet.priority.index() as u8;
-        let t_flow = qp.packet.flow.as_u64();
-        let t_seq = qp.packet.seq;
-        self.trace.record_with(now, || TraceEvent::Drop {
-            node: t_node,
-            in_port: t_in,
-            prio: t_prio,
-            flow: t_flow,
-            seq: t_seq,
-            size: v_size.as_u64(),
-            lossless: false,
-            cause: TraceDropCause::Evicted,
-        });
+        self.depart(now, v_in, victim, qp.charge);
+        self.record_drop(now, &qp.packet, qp.in_port, TraceDropCause::Evicted);
         true
+    }
+
+    /// Reverses a departing packet's charge and tells the policy.
+    fn depart(&mut self, now: SimTime, q_in: QueueIndex, q_out: QueueIndex, charge: Charge) {
+        self.mmu.discharge(now, q_in, q_out, charge);
+        self.policy
+            .on_dequeue(&self.mmu, now, q_in, q_out, charge.total());
     }
 
     /// Completes the in-flight transmission on `port`: discharges the
@@ -495,10 +438,7 @@ impl SharedMemorySwitch {
     pub fn tx_complete(&mut self, now: SimTime, port: PortId) -> TxCompleteResult {
         let qp = self.ports[port.index()].finish_tx();
         let q_in = QueueIndex::new(qp.in_port, qp.priority);
-        let q_out = QueueIndex::new(port, qp.priority);
-        self.mmu.discharge(now, q_in, q_out, qp.charge);
-        self.policy
-            .on_dequeue(&self.mmu, now, q_in, q_out, qp.size());
+        self.depart(now, q_in, QueueIndex::new(port, qp.priority), qp.charge);
         let t_node = self.id.index() as u32;
         self.trace.record_with(now, || TraceEvent::Dequeue {
             node: t_node,
@@ -555,14 +495,10 @@ impl SharedMemorySwitch {
     /// immediately start a transmission.
     pub fn handle_pfc(&mut self, now: SimTime, port: PortId, frame: PfcFrame) -> Option<TxStart> {
         let q_out = QueueIndex::new(port, frame.priority);
-        if self.mmu.set_egress_paused(q_out, frame.pause) {
-            if frame.pause {
-                // A new pause episode begins; stale watchdog deadlines
-                // armed for earlier episodes must not fire into it.
-                self.pause_generation[q_out.flat()] += 1;
-            }
-            self.policy
-                .on_egress_pause_changed(&self.mmu, now, q_out, frame.pause);
+        if self.set_egress_paused(now, q_out, frame.pause) && frame.pause {
+            // A new pause episode begins; stale watchdog deadlines
+            // armed for earlier episodes must not fire into it.
+            self.pause_generation[q_out.flat()] += 1;
         }
         if frame.pause {
             None
@@ -595,9 +531,7 @@ impl SharedMemorySwitch {
         if !self.mmu.egress_paused(q_out) || self.pause_generation[q_out.flat()] != generation {
             return None;
         }
-        self.mmu.set_egress_paused(q_out, false);
-        self.policy
-            .on_egress_pause_changed(&self.mmu, now, q_out, false);
+        self.set_egress_paused(now, q_out, false);
         self.pfc_counters.record_watchdog();
         let t_node = self.id.index() as u32;
         self.trace
@@ -618,33 +552,12 @@ impl SharedMemorySwitch {
     /// `tx_complete`; the wire itself drops it at the dead link.
     pub fn port_down(&mut self, now: SimTime, port: PortId) -> Vec<PfcEmit> {
         let drained = self.ports[port.index()].drain_all();
-        let t_node = self.id.index() as u32;
         let mut affected: Vec<QueueIndex> = Vec::new();
         for qp in drained {
             let q_in = QueueIndex::new(qp.in_port, qp.packet.priority);
             let q_out = QueueIndex::new(port, qp.packet.priority);
-            let size = qp.packet.size();
-            self.mmu.discharge(now, q_in, q_out, qp.charge);
-            self.policy.on_dequeue(&self.mmu, now, q_in, q_out, size);
-            match qp.packet.class {
-                TrafficClass::Lossless => self.drop_counters.record_lossless(size),
-                class => self.record_droppable(class, size),
-            }
-            let t_in = qp.in_port.index() as u16;
-            let t_prio = qp.packet.priority.index() as u8;
-            let t_flow = qp.packet.flow.as_u64();
-            let t_seq = qp.packet.seq;
-            let t_lossless = qp.packet.class.is_lossless();
-            self.trace.record_with(now, || TraceEvent::Drop {
-                node: t_node,
-                in_port: t_in,
-                prio: t_prio,
-                flow: t_flow,
-                seq: t_seq,
-                size: size.as_u64(),
-                lossless: t_lossless,
-                cause: TraceDropCause::LinkDown,
-            });
+            self.depart(now, q_in, q_out, qp.charge);
+            self.record_drop(now, &qp.packet, qp.in_port, TraceDropCause::LinkDown);
             if !affected.contains(&q_in) {
                 affected.push(q_in);
             }
@@ -664,35 +577,50 @@ impl SharedMemorySwitch {
     pub fn reset_port_pfc(&mut self, now: SimTime, port: PortId) -> Option<TxStart> {
         for prio in dcn_net::Priority::all() {
             let q = QueueIndex::new(port, prio);
-            if self.mmu.set_egress_paused(q, false) {
-                self.policy
-                    .on_egress_pause_changed(&self.mmu, now, q, false);
-            }
+            self.set_egress_paused(now, q, false);
             self.pause_sent[q.flat()] = false;
         }
         self.try_start(port)
     }
 
-    /// Counts a packet the event loop had to discard while forwarding
-    /// on this switch's behalf (no live route, dead link) so the drop
-    /// reconciles with both [`DropCounters`] and the trace totals.
-    pub fn record_forwarding_drop(
+    /// Sets the downstream pause state of an egress queue and tells the
+    /// policy on an edge. Returns whether the state changed.
+    fn set_egress_paused(&mut self, now: SimTime, q_out: QueueIndex, paused: bool) -> bool {
+        let changed = self.mmu.set_egress_paused(q_out, paused);
+        if changed {
+            self.policy.on_egress_pause_changed(now, q_out, paused);
+        }
+        changed
+    }
+
+    /// Counts and traces a dropped packet that arrived on `in_port`: the
+    /// switch's own admission drops, evictions and link-down drains, and
+    /// packets the event loop had to discard while forwarding on this
+    /// switch's behalf (no live route), so every drop reconciles with
+    /// both [`DropCounters`] and the trace totals. A lossy-RDMA drop
+    /// refines the lossy totals, and an eviction refines those again.
+    pub fn record_drop(
         &mut self,
         now: SimTime,
         packet: &Packet,
         in_port: PortId,
         cause: TraceDropCause,
     ) {
+        let size = packet.size();
+        let counters = &mut self.drop_counters;
         match packet.class {
-            TrafficClass::Lossless => self.drop_counters.record_lossless(packet.size()),
-            class => self.record_droppable(class, packet.size()),
+            TrafficClass::Lossless => counters.record_lossless(size),
+            TrafficClass::Lossy => counters.record_lossy(size),
+            TrafficClass::LossyRdma => counters.record_lossy_rdma(size),
+        }
+        if cause == TraceDropCause::Evicted {
+            counters.record_evicted(size);
         }
         let t_node = self.id.index() as u32;
         let t_in = in_port.index() as u16;
         let t_prio = packet.priority.index() as u8;
         let t_flow = packet.flow.as_u64();
         let t_seq = packet.seq;
-        let t_size = packet.size().as_u64();
         let t_lossless = packet.class.is_lossless();
         self.trace.record_with(now, || TraceEvent::Drop {
             node: t_node,
@@ -700,7 +628,7 @@ impl SharedMemorySwitch {
             prio: t_prio,
             flow: t_flow,
             seq: t_seq,
-            size: t_size,
+            size: size.as_u64(),
             lossless: t_lossless,
             cause,
         });
@@ -1226,7 +1154,7 @@ mod tests {
         let trace = TraceHandle::from_config(&TraceConfig::enabled());
         sw.set_trace(trace.clone());
         let pkt = lossy_pkt(0);
-        sw.record_forwarding_drop(SimTime::ZERO, &pkt, PortId::new(2), TraceDropCause::NoRoute);
+        sw.record_drop(SimTime::ZERO, &pkt, PortId::new(2), TraceDropCause::NoRoute);
         assert_eq!(sw.drop_counters().lossy_packets, 1);
         let totals = trace.with(|r| r.totals()).unwrap();
         assert_eq!(totals.drops_no_route, 1);
@@ -1243,10 +1171,7 @@ mod tests {
             NodeId::new(0),
             cfg,
             vec![BitRate::from_gbps(25); 4],
-            Box::new(
-                crate::policy::OccamyPolicy::new(0.5)
-                    .with_protected_priorities(&[Priority::new(3)]),
-            ),
+            Box::new(DtPolicy::new(0.5).preempting(&[Priority::new(3)])),
             42,
         )
     }
@@ -1342,7 +1267,7 @@ mod tests {
             NodeId::new(0),
             cfg,
             vec![BitRate::from_gbps(25); 4],
-            Box::new(crate::policy::OccamyPolicy::new(0.125)),
+            Box::new(DtPolicy::new(0.125).preempting(&[])),
             42,
         );
         // Only lossless backlog exists; lossy arrivals that get rejected

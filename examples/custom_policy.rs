@@ -20,10 +20,6 @@ use l2bm::L2bmPolicy;
 struct StaticThreshold;
 
 impl BufferPolicy for StaticThreshold {
-    fn name(&self) -> &str {
-        "STATIC"
-    }
-
     fn pfc_threshold(&self, mmu: &MmuState, _q: QueueIndex, _now: SimTime) -> Bytes {
         mmu.shared_capacity() / 16
     }
@@ -31,8 +27,7 @@ impl BufferPolicy for StaticThreshold {
 
 /// Drives a burst of `n` back-to-back lossless packets from 4 ingress
 /// ports into one egress port and reports pause frames + peak occupancy.
-fn drive(policy: Box<dyn BufferPolicy>, n: u64) -> (String, u64, Bytes) {
-    let name = policy.name().to_string();
+fn drive(policy: Box<dyn BufferPolicy>, n: u64) -> (u64, Bytes) {
     let mut sw = SharedMemorySwitch::new(
         NodeId::new(0),
         SwitchConfig {
@@ -68,17 +63,18 @@ fn drive(policy: Box<dyn BufferPolicy>, n: u64) -> (String, u64, Bytes) {
             t += SimDuration::from_nanos(84);
         }
     }
-    (name, sw.pfc_counters().pause_frames(), peak)
+    (sw.pfc_counters().pause_frames(), peak)
 }
 
 fn main() {
     println!("4-into-1 burst of 2000 packets through a 256 KB switch\n");
     println!("policy  pause_frames  peak_occupancy");
     println!("-------------------------------------");
-    for (name, pauses, peak) in [
-        drive(Box::new(StaticThreshold), 2_000),
-        drive(Box::<L2bmPolicy>::default(), 2_000),
+    for (name, policy) in [
+        ("STATIC", Box::new(StaticThreshold) as Box<dyn BufferPolicy>),
+        ("L2BM", Box::<L2bmPolicy>::default()),
     ] {
+        let (pauses, peak) = drive(policy, 2_000);
         println!("{name:<7} {pauses:<13} {peak}");
     }
     println!();

@@ -8,39 +8,14 @@
 //! 6 policies × 16 seeded cases; each failure message carries the
 //! policy and case seed for replay.
 
+use dcn_experiments::all_policies;
+use dcn_fabric::PolicyChoice;
 use dcn_net::{FlowId, NodeId, Packet, PortId, Priority, TrafficClass};
 use dcn_sim::{BitRate, Bytes, SimDuration, SimRng, SimTime};
-use dcn_switch::{
-    AbmPolicy, BufferPolicy, DtPolicy, OccamyPolicy, QueueIndex, SharedMemorySwitch, SwitchConfig,
-};
-use l2bm::{BShareConfig, BSharePolicy, L2bmConfig, L2bmPolicy};
+use dcn_switch::{BufferPolicy, QueueIndex, SharedMemorySwitch, SwitchConfig};
 
 const N_PORTS: u16 = 4;
 const CASES_PER_POLICY: u64 = 16;
-
-type PolicyFactory = Box<dyn Fn() -> Box<dyn BufferPolicy>>;
-
-fn policies() -> Vec<(&'static str, PolicyFactory)> {
-    vec![
-        ("DT", Box::new(|| Box::new(DtPolicy::new(0.125)) as _)),
-        ("DT2", Box::new(|| Box::new(DtPolicy::new(0.5)) as _)),
-        ("ABM", Box::new(|| Box::new(AbmPolicy::new(0.5)) as _)),
-        (
-            "L2BM",
-            Box::new(|| Box::new(L2bmPolicy::new(L2bmConfig::default())) as _),
-        ),
-        (
-            "Occamy",
-            Box::new(|| {
-                Box::new(OccamyPolicy::new(0.5).with_protected_priorities(&[Priority::new(3)])) as _
-            }),
-        ),
-        (
-            "BShare",
-            Box::new(|| Box::new(BSharePolicy::new(BShareConfig::default())) as _),
-        ),
-    ]
-}
 
 fn random_packet(rng: &mut SimRng, seq: u64) -> Packet {
     let lossless = rng.below(2) == 0;
@@ -157,9 +132,9 @@ fn run_case(label: &str, policy: Box<dyn BufferPolicy>, seed: u64) {
 
 #[test]
 fn conservation_holds_for_all_policies_under_random_traffic() {
-    for (label, make) in policies() {
+    for choice in all_policies() {
         for case in 0..CASES_PER_POLICY {
-            run_case(label, make(), 0x5EED_0000 + case);
+            run_case(&choice.label(), choice.build(), 0x5EED_0000 + case);
         }
     }
 }
@@ -180,7 +155,7 @@ fn conservation_holds_across_evict_then_admit_sequences() {
         NodeId::new(0),
         cfg,
         vec![BitRate::from_gbps(25); N_PORTS as usize],
-        Box::new(OccamyPolicy::new(0.5).with_protected_priorities(&[Priority::new(3)])),
+        PolicyChoice::occamy().build(),
         7,
     );
     let mut t = SimTime::ZERO;

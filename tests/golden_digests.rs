@@ -6,7 +6,9 @@
 //! timer pop.
 //!
 //! The two faulted scenarios pin every `FaultEvent` kind, both
-//! watchdogs and the eviction path, in each RDMA universe.
+//! watchdogs and the eviction path, in each RDMA universe. The same
+//! faulted DCQCN run also pins every other policy, and two L2BM
+//! ablations, so a policy's digest cannot move unnoticed.
 //!
 //! The small-scale scenarios run in the plain tier-1 suite; the
 //! paper-scale scenario (~7.5M events) is `#[ignore]`d for debug runs
@@ -21,6 +23,7 @@ use dcn_sim::{
 };
 use dcn_switch::SwitchConfig;
 use dcn_workload::{web_search_cdf, FlowSpec, PoissonTraffic};
+use l2bm::{L2bmConfig, Normalization};
 
 fn assert_golden(r: &RunResults, events: u64, digest: u64) {
     assert_eq!(r.events_processed, events, "event count drifted");
@@ -55,10 +58,14 @@ fn incast_small_golden_digest_is_unchanged() {
 
 /// A small clos (hosts 0–7, ToRs 8–9, aggs 10–11, cores 12–13) under a
 /// hand-written schedule holding every `FaultEvent` kind, with both
-/// watchdogs armed, sampling on, a TCP + RDMA Poisson mix and Occamy
-/// over a 96 KB buffer so the eviction path runs. Returns the results
-/// and the flight recorder's totals.
-fn run_faulted(transport: RdmaTransport) -> (RunResults, TraceTotals) {
+/// watchdogs armed, sampling on, a TCP + RDMA Poisson mix and `policy`
+/// over a 96 KB buffer (Occamy's eviction path runs there), plus the
+/// `extra` flows. Returns the results and the flight recorder's totals.
+fn run_faulted(
+    policy: PolicyChoice,
+    transport: RdmaTransport,
+    extra: Vec<FlowSpec>,
+) -> (RunResults, TraceTotals) {
     let topo = Topology::clos(&ClosConfig::small(4));
     let link =
         |node: u32, port: u16| topo.wire(NodeId::new(node), PortId::new(port)).link.index() as u32;
@@ -110,7 +117,7 @@ fn run_faulted(transport: RdmaTransport) -> (RunResults, TraceTotals) {
         .build();
 
     let cfg = FabricConfig {
-        policy: PolicyChoice::occamy(),
+        policy,
         rdma_transport: transport,
         seed: 7,
         switch: SwitchConfig {
@@ -155,6 +162,7 @@ fn run_faulted(transport: RdmaTransport) -> (RunResults, TraceTotals) {
     sim.add_flows(rdma.generate(window, &mut rng.fork(1)));
     sim.add_flows(tcp.generate(window, &mut rng.fork(2)));
     sim.add_flows(flows);
+    sim.add_flows(extra);
     sim.run_until_done(SimTime::ZERO + window + SimDuration::from_millis(10));
     let totals = sim.trace().with(|rec| rec.totals()).expect("trace enabled");
     (sim.results(), totals)
@@ -173,17 +181,84 @@ fn assert_fault_paths_reached(r: &RunResults, t: &TraceTotals) {
 
 #[test]
 fn faulted_small_golden_digest_is_unchanged() {
-    let (r, t) = run_faulted(RdmaTransport::Dcqcn);
+    let (r, t) = run_faulted(PolicyChoice::occamy(), RdmaTransport::Dcqcn, vec![]);
     assert_fault_paths_reached(&r, &t);
     assert_golden(&r, 77_152, 0x1b28_9883_67c6_10fc);
 }
 
 #[test]
 fn faulted_small_irn_golden_digest_is_unchanged() {
-    let (r, t) = run_faulted(RdmaTransport::Irn);
+    let (r, t) = run_faulted(PolicyChoice::occamy(), RdmaTransport::Irn, vec![]);
     assert_fault_paths_reached(&r, &t);
     assert!(r.irn.retransmitted_packets > 0, "IRN repaired losses");
     assert_golden(&r, 95_650, 0xd810_63fa_74d1_d97f);
+}
+
+/// The faulted DCQCN run under a policy other than Occamy: the link
+/// flaps drain queues through `port_down` and the stuck pauses drive the
+/// pause-edge hook. An RDMA incast into host 0 during the uplink flap
+/// (hosts 1, 2, 3 and 5, 200 KB each) makes every policy's threshold
+/// pause a queue, which the Poisson mix alone does not.
+fn assert_faulted_policy_golden(policy: PolicyChoice, events: u64, digest: u64) {
+    let incast = [1, 2, 3, 5]
+        .into_iter()
+        .enumerate()
+        .map(|(i, src)| FlowSpec {
+            id: FlowId::new((1 << 21) + i as u64),
+            src: NodeId::new(src),
+            dst: NodeId::new(0),
+            size: Bytes::from_kb(200),
+            start: SimTime::from_micros(500),
+            class: TrafficClass::Lossless,
+            priority: Priority::new(3),
+        })
+        .collect();
+    let (r, _) = run_faulted(policy, RdmaTransport::Dcqcn, incast);
+    assert!(r.pfc.pause_frames() > 0, "the threshold paused a queue");
+    assert_golden(&r, events, digest);
+}
+
+#[test]
+fn faulted_small_dt_golden_digest_is_unchanged() {
+    assert_faulted_policy_golden(PolicyChoice::dt(), 80_453, 0x7503_cd46_1f74_c76a);
+}
+
+#[test]
+fn faulted_small_dt2_golden_digest_is_unchanged() {
+    assert_faulted_policy_golden(PolicyChoice::dt2(), 81_766, 0x42e3_e2b1_fb0d_4c47);
+}
+
+#[test]
+fn faulted_small_abm_golden_digest_is_unchanged() {
+    assert_faulted_policy_golden(PolicyChoice::abm(), 80_419, 0xbcad_ba32_82c3_884b);
+}
+
+#[test]
+fn faulted_small_l2bm_golden_digest_is_unchanged() {
+    assert_faulted_policy_golden(PolicyChoice::l2bm(), 80_396, 0x157e_1a1e_c601_037c);
+}
+
+#[test]
+fn faulted_small_bshare_golden_digest_is_unchanged() {
+    assert_faulted_policy_golden(PolicyChoice::bshare(), 82_090, 0xebe3_523e_9dbb_07ba);
+}
+
+#[test]
+fn faulted_small_l2bm_no_pause_freeze_golden_digest_is_unchanged() {
+    let cfg = L2bmConfig {
+        pause_freeze: false,
+        ..L2bmConfig::default()
+    };
+    assert_faulted_policy_golden(PolicyChoice::L2bm(cfg), 80_645, 0xd859_d8f9_551f_694e);
+}
+
+#[test]
+fn faulted_small_l2bm_fixed_c_golden_digest_is_unchanged() {
+    let cfg = L2bmConfig {
+        normalization: Normalization::Fixed(1e-4),
+        ..L2bmConfig::default()
+    };
+    assert_faulted_policy_golden(PolicyChoice::L2bm(cfg), 82_149, 0x6117_2045_0699_4d99);
 }
 
 #[test]

@@ -4,13 +4,12 @@
 //! proptest). Each property replays many independent random cases; a
 //! failure message carries the case seed for replay.
 
+use dcn_experiments::all_policies;
 use dcn_net::{PortId, Priority};
 use dcn_sim::{BitRate, Bytes, SimDuration, SimRng, SimTime};
-use dcn_switch::{
-    AbmPolicy, BufferPolicy, DtPolicy, MmuState, OccamyPolicy, Pool, QueueIndex, SwitchConfig,
-};
+use dcn_switch::{AbmPolicy, BufferPolicy, DtPolicy, MmuState, Pool, QueueIndex, SwitchConfig};
 use l2bm::analysis::{steady_state_occupancy, steady_state_thresholds};
-use l2bm::{BShareConfig, BSharePolicy, L2bmConfig, L2bmPolicy, SojournModule};
+use l2bm::{L2bmConfig, L2bmPolicy, SojournModule};
 
 const N_PORTS: usize = 8;
 const CASES: u64 = 64;
@@ -43,7 +42,12 @@ fn random_ops(rng: &mut SimRng, max_len: u64) -> Vec<Op> {
         .collect()
 }
 
-fn apply_ops(ops: &[Op]) -> (MmuState, Vec<(QueueIndex, QueueIndex, dcn_switch::Charge)>) {
+/// Charges every op the switch would admit, telling each of `policies`
+/// after each charge, as the switch does.
+fn apply_ops(
+    ops: &[Op],
+    policies: &mut [Box<dyn BufferPolicy>],
+) -> (MmuState, Vec<(QueueIndex, QueueIndex, dcn_switch::Charge)>) {
     let cfg = SwitchConfig {
         reserved_per_queue: Bytes::new(1_000),
         headroom_per_queue: Bytes::from_kb(50),
@@ -64,6 +68,9 @@ fn apply_ops(ops: &[Op]) -> (MmuState, Vec<(QueueIndex, QueueIndex, dcn_switch::
             continue; // switch would have dropped it
         }
         m.charge(qi, qo, c);
+        for p in policies.iter_mut() {
+            p.on_enqueue(&m, SimTime::ZERO, qi, qo, c.total());
+        }
         charged.push((qi, qo, c));
     }
     (m, charged)
@@ -74,7 +81,7 @@ fn mmu_conservation_holds_through_any_schedule() {
     for case in 0..CASES {
         let mut rng = SimRng::seed_from_u64(0x1000 + case);
         let ops = random_ops(&mut rng, 200);
-        let (mut m, charged) = apply_ops(&ops);
+        let (mut m, charged) = apply_ops(&ops, &mut []);
         m.check_conservation()
             .unwrap_or_else(|e| panic!("case {case}: conservation after charges: {e}"));
         // Drain everything in FIFO order.
@@ -90,10 +97,18 @@ fn mmu_conservation_holds_through_any_schedule() {
     }
 }
 
+/// Reference for ABM's `n_p`: ingress queues of `prio` holding at
+/// least one MTU, by full scan of the MMU.
+fn congested_count_naive(m: &MmuState, prio: Priority) -> usize {
+    (0..m.port_count())
+        .filter(|&p| m.ingress_total(QueueIndex::new(PortId::new(p as u16), prio)) >= m.mtu())
+        .count()
+}
+
 #[test]
 fn congested_ingress_counts_match_naive_recomputation() {
-    // The incremental per-priority congested counts and the active-queue
-    // count must equal a full scan after every charge and discharge.
+    // ABM's per-priority congested counts, kept by its enqueue/dequeue
+    // hooks, must equal a full scan after every charge and discharge.
     for case in 0..CASES {
         let mut rng = SimRng::seed_from_u64(0x2000 + case);
         let ops = random_ops(&mut rng, 150);
@@ -103,21 +118,17 @@ fn congested_ingress_counts_match_naive_recomputation() {
             ..SwitchConfig::default()
         };
         let mut m = MmuState::new(&cfg, vec![BitRate::from_gbps(25); N_PORTS]);
+        let mut abm = AbmPolicy::new(0.5);
         let mut charged = Vec::new();
         let mut t = SimTime::ZERO;
-        let check = |m: &MmuState, what: &str| {
+        let check = |m: &MmuState, abm: &AbmPolicy, what: &str| {
             for prio in Priority::all() {
                 assert_eq!(
-                    m.congested_ingress_count(prio),
-                    m.congested_ingress_count_naive(prio),
+                    abm.congested_count(prio),
+                    congested_count_naive(m, prio),
                     "case {case} {what}: congested count diverged at {prio:?}"
                 );
             }
-            assert_eq!(
-                m.active_ingress_count(),
-                m.active_ingress_queues().count(),
-                "case {case} {what}: active count diverged"
-            );
         };
         for op in &ops {
             let qi = qix(op.in_port, op.prio);
@@ -132,20 +143,23 @@ fn congested_ingress_counts_match_naive_recomputation() {
                 continue;
             }
             m.charge(qi, qo, c);
+            abm.on_enqueue(&m, t, qi, qo, c.total());
             charged.push((qi, qo, c));
-            check(&m, "after charge");
+            check(&m, &abm, "after charge");
             // Randomly interleave some dequeues.
             if rng.below(3) == 0 && !charged.is_empty() {
                 let (qi, qo, c) = charged.remove(0);
                 t += SimDuration::from_nanos(100);
                 m.discharge(t, qi, qo, c);
-                check(&m, "after discharge");
+                abm.on_dequeue(&m, t, qi, qo, c.total());
+                check(&m, &abm, "after discharge");
             }
         }
         for (qi, qo, c) in charged {
             t += SimDuration::from_nanos(100);
             m.discharge(t, qi, qo, c);
-            check(&m, "during drain");
+            abm.on_dequeue(&m, t, qi, qo, c.total());
+            check(&m, &abm, "during drain");
         }
     }
 }
@@ -223,10 +237,11 @@ fn thresholds_are_bounded_by_remaining_buffer() {
         let mut rng = SimRng::seed_from_u64(0x4000 + case);
         let ops = random_ops(&mut rng, 150);
         let alpha = 0.01 + rng.uniform_f64() * 0.98;
-        let (m, _) = apply_ops(&ops);
+        let mut abm: [Box<dyn BufferPolicy>; 1] = [Box::new(AbmPolicy::new(alpha))];
+        let (m, _) = apply_ops(&ops, &mut abm);
+        let abm = &abm[0];
         let now = SimTime::from_micros(50);
         let dt = DtPolicy::new(alpha);
-        let abm = AbmPolicy::new(alpha);
         let l2bm = L2bmPolicy::new(L2bmConfig::default());
         for port in 0..N_PORTS as u16 {
             for prio in 0..8u8 {
@@ -256,7 +271,7 @@ fn l2bm_weight_respects_cap_and_positivity() {
             ..L2bmConfig::default()
         };
         let mut policy = L2bmPolicy::new(cfg);
-        let (m, charged) = apply_ops(&ops);
+        let (m, charged) = apply_ops(&ops, &mut []);
         // Feed the policy the same enqueue history.
         let mut t = SimTime::ZERO;
         for (qi, qo, c) in &charged {
@@ -345,24 +360,18 @@ fn all_six_policy_thresholds_are_bounded() {
     for case in 0..CASES {
         let mut rng = SimRng::seed_from_u64(0x9000 + case);
         let ops = random_ops(&mut rng, 150);
-        let (m, _) = apply_ops(&ops);
+        let choices = all_policies();
+        let mut policies: Vec<Box<dyn BufferPolicy>> = choices.iter().map(|c| c.build()).collect();
+        let (m, _) = apply_ops(&ops, &mut policies);
         let now = SimTime::from_micros(50);
-        let policies: Vec<Box<dyn BufferPolicy>> = vec![
-            Box::new(DtPolicy::new(0.125)),
-            Box::new(DtPolicy::new(0.5)),
-            Box::new(AbmPolicy::new(0.5)),
-            Box::new(L2bmPolicy::new(L2bmConfig::default())),
-            Box::new(OccamyPolicy::new(0.5).with_protected_priorities(&[Priority::new(3)])),
-            Box::new(BSharePolicy::new(BShareConfig::default())),
-        ];
-        for p in &policies {
+        for (choice, p) in choices.iter().zip(&policies) {
             for port in 0..N_PORTS as u16 {
                 for prio in 0..8u8 {
                     let t = p.pfc_threshold(&m, qix(port, prio), now);
                     assert!(
                         t <= m.shared_remaining(),
                         "case {case}: {} grants {t:?} above remaining {:?}",
-                        p.name(),
+                        choice.label(),
                         m.shared_remaining()
                     );
                 }
@@ -373,19 +382,24 @@ fn all_six_policy_thresholds_are_bounded() {
 
 #[test]
 fn bshare_incremental_weight_matches_naive_recomputation() {
-    // BShare's admission-path weight reads the incrementally-maintained
-    // aggregate delay; the reference reads the full rescan. Arbitrary
-    // interleavings of enqueue / dequeue / pause / resume with time
-    // advancing between steps must keep them within float tolerance.
-    for case in 0..CASES {
-        let mut rng = SimRng::seed_from_u64(0xA000 + case);
+    // Both sojourn rules' admission-path weights (BShare's and L2BM's)
+    // read the incrementally-maintained aggregate delay; the reference
+    // reads the full rescan. Arbitrary interleavings of enqueue /
+    // dequeue / pause / resume with time advancing between steps must
+    // keep them within float tolerance.
+    for case in 0..2 * CASES {
+        let mut rng = SimRng::seed_from_u64(0xA000 + case / 2);
         let cfg = SwitchConfig {
             reserved_per_queue: Bytes::new(1_000),
             headroom_per_queue: Bytes::from_kb(50),
             ..SwitchConfig::default()
         };
         let mut m = MmuState::new(&cfg, vec![BitRate::from_gbps(25); N_PORTS]);
-        let mut policy = BSharePolicy::new(BShareConfig::default());
+        let mut policy = if case % 2 == 0 {
+            L2bmPolicy::bshare()
+        } else {
+            L2bmPolicy::default()
+        };
         let mut queued: Vec<(QueueIndex, QueueIndex, dcn_switch::Charge)> = Vec::new();
         let mut t = SimTime::ZERO;
         let steps = 80 + rng.below(80);
@@ -413,7 +427,7 @@ fn bshare_incremental_weight_matches_naive_recomputation() {
                     let qo = qix(rng.below(N_PORTS as u64) as u16, rng.below(8) as u8);
                     let paused = rng.below(2) == 1;
                     if m.set_egress_paused(qo, paused) {
-                        policy.on_egress_pause_changed(&m, t, qo, paused);
+                        policy.on_egress_pause_changed(t, qo, paused);
                     }
                 }
             }
@@ -437,10 +451,10 @@ fn bshare_incremental_weight_matches_naive_recomputation() {
 /// packet's own (unprotected) egress queue; first-seen wins ties.
 fn occamy_reference_victim(
     m: &MmuState,
-    policy: &OccamyPolicy,
+    protected: &[Priority],
     q_out: QueueIndex,
 ) -> Option<QueueIndex> {
-    let own = if policy.is_protected(q_out.priority) {
+    let own = if protected.contains(&q_out.priority) {
         Bytes::ZERO
     } else {
         m.egress_bytes(q_out)
@@ -448,7 +462,7 @@ fn occamy_reference_victim(
     let mut best: Option<(Bytes, QueueIndex)> = None;
     for port in 0..m.port_count() {
         for prio in Priority::all() {
-            if policy.is_protected(prio) {
+            if protected.contains(&prio) {
                 continue;
             }
             let q = QueueIndex::new(PortId::new(port as u16), prio);
@@ -466,7 +480,7 @@ fn occamy_victim_matches_reference_scan() {
     for case in 0..CASES {
         let mut rng = SimRng::seed_from_u64(0xB000 + case);
         let ops = random_ops(&mut rng, 150);
-        let (m, _) = apply_ops(&ops);
+        let (m, _) = apply_ops(&ops, &mut []);
         // Random protection mask: none, the RDMA priority, or two.
         let protected: Vec<Priority> = match rng.below(3) {
             0 => vec![],
@@ -476,15 +490,12 @@ fn occamy_victim_matches_reference_scan() {
                 Priority::new(rng.below(8) as u8),
             ],
         };
-        let policy = OccamyPolicy::new(0.5).with_protected_priorities(&protected);
-        let now = SimTime::from_micros(10);
+        let policy = DtPolicy::new(0.5).preempting(&protected);
         for _ in 0..16 {
-            let q_in = qix(rng.below(N_PORTS as u64) as u16, rng.below(8) as u8);
             let q_out = qix(rng.below(N_PORTS as u64) as u16, rng.below(8) as u8);
-            let size = Bytes::new(64 + rng.below(1_936));
             assert_eq!(
-                policy.plan_eviction(&m, now, q_in, q_out, size),
-                occamy_reference_victim(&m, &policy, q_out),
+                policy.plan_eviction(&m, q_out),
+                occamy_reference_victim(&m, &protected, q_out),
                 "case {case}: victim diverged for q_out {q_out:?} protected {protected:?}"
             );
         }
