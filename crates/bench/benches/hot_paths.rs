@@ -165,7 +165,10 @@ fn bench_sojourn() {
 }
 
 fn bench_event_queue() {
-    bench("event_queue/schedule_pop_1k", || {
+    // Everything scheduled before the first pop is filed in the timing
+    // wheel: this is the set-up path (flow starts, samplers), then a
+    // drain through the wheel's due stage.
+    bench("event_queue/bulk_load_pop_1k", || {
         let mut queue: EventQueue<u64> = EventQueue::new();
         for i in 0..1_000u64 {
             queue.schedule_at(SimTime::from_nanos((i * 7919) % 10_000), i);
@@ -180,36 +183,43 @@ fn bench_event_queue() {
     // Hold-model churn at the depths the benchmark workloads run at
     // (~1.1k pending on the 128-host Clos, ~12k on the k=16 fat-tree):
     // pop the earliest event, schedule it again a pseudo-random delay
-    // ahead, so sifts travel both ways through a cache-resident heap.
-    for (name, depth) in [
-        ("event_queue/churn_1k", 1_024u64),
-        ("event_queue/churn_12k", 12 * 1_024),
+    // ahead. Delays of 1–2 000 ns are the calendar path (a link
+    // serialization plus propagation); delays up to 20 µs send ~60 % of
+    // the events past the calendar's 8 192 ns horizon into the wheel.
+    for (name, depth, max_delay) in [
+        ("event_queue/churn_1k_near_2us", 1_024u64, 2_000u64),
+        ("event_queue/churn_1k_mixed_20us", 1_024, 20_000),
+        ("event_queue/churn_12k_mixed_20us", 12 * 1_024, 20_000),
     ] {
         let mut queue: EventQueue<u64> = EventQueue::new();
+        queue.schedule_at(SimTime::ZERO, 0);
+        queue.pop();
         for i in 0..depth {
-            queue.schedule_at(SimTime::from_nanos((i * 7919) % 20_000), i);
+            queue.schedule_at(SimTime::from_nanos((i * 7919) % max_delay), i);
         }
         bench(name, || {
             let (now, e) = queue.pop().expect("depth stays constant");
             let next = lcg(e);
-            let delay = dcn_sim::SimDuration::from_nanos(1 + (next >> 33) % 20_000);
+            let delay = dcn_sim::SimDuration::from_nanos(1 + (next >> 33) % max_delay);
             queue.schedule_at(now + delay, next);
             black_box(e)
         });
     }
 
     // Steady-state churn at paper-scale pending depth (~128k events, the
-    // high-water mark of a 128-host hybrid run): pop one, schedule one.
-    // The reference is what the engine used before the indexed-heap
-    // rewrite — `BinaryHeap` over (time, seq, payload) triples, i.e. the
-    // sift path moves the whole event, not a 16-byte index entry.
+    // high-water mark of a 128-host hybrid run): pop one, schedule one
+    // 997 ns after the last. The newest event lies ~130 ms ahead, so
+    // this is the far path: wheel arm, level-1 staging, due pop. The
+    // reference is the engine before the indexed-heap rewrite —
+    // `BinaryHeap` over (time, seq, payload) triples, i.e. the sift path
+    // moves the whole event.
     const DEPTH: u64 = 128 * 1024;
     let mut queue: EventQueue<u64> = EventQueue::new();
     for i in 0..DEPTH {
         queue.schedule_at(SimTime::from_nanos((i * 7919) % 1_000_000), i);
     }
     let mut t = 1_000_000u64;
-    bench("event_queue/churn_128k_indexed_4ary", || {
+    bench("event_queue/churn_128k_far", || {
         let (_, e) = queue.pop().expect("depth stays constant");
         t += 997;
         queue.schedule_at(SimTime::from_nanos(t), e);

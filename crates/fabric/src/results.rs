@@ -23,8 +23,8 @@ pub struct RunResults {
     pub unfinished_flows: usize,
     /// Total events processed (simulator throughput diagnostics).
     pub events_processed: u64,
-    /// Event-queue counters: pending high-water mark, heap depth, entry
-    /// size, past-time clamps. Diagnostics only — deliberately **not**
+    /// Event-queue counters: pending high-water mark, slab capacity,
+    /// past-time clamps. Diagnostics only — deliberately **not**
     /// part of [`RunResults::digest`], which fingerprints simulated
     /// behavior, not scheduler internals.
     pub queue: QueueStats,

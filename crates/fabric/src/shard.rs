@@ -656,12 +656,9 @@ fn merge_pieces(pieces: Vec<ShardPiece>) -> RunResults {
         r.unfinished_flows += p.unfinished;
         r.rdma_stranded += p.base.rdma_stranded;
         r.flow_stalls += p.base.flow_stalls;
-        // Queue stats fold: sums for counters and populations, max for
-        // depth (entry size is identical by construction).
+        // Queue stats fold: sums for counters and populations.
         r.queue.pending += p.queue.pending;
         r.queue.max_pending += p.queue.max_pending;
-        r.queue.max_depth = r.queue.max_depth.max(p.queue.max_depth);
-        r.queue.entry_bytes = p.queue.entry_bytes;
         r.queue.slab_capacity += p.queue.slab_capacity;
         r.queue.processed += p.queue.processed;
         r.queue.past_clamps += p.queue.past_clamps;

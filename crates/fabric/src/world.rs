@@ -510,8 +510,8 @@ impl FabricSim {
         self.queue.past_clamps()
     }
 
-    /// Event-queue counters (high-water mark, heap depth, entry size,
-    /// clamps) for the current state of this simulator.
+    /// Event-queue counters (high-water mark, slab capacity, clamps) for
+    /// the current state of this simulator.
     pub fn queue_stats(&self) -> dcn_sim::QueueStats {
         self.queue.stats()
     }

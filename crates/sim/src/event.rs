@@ -2,29 +2,31 @@
 //!
 //! Events are an application-defined type `E`; the queue orders them by
 //! scheduled time, breaking ties by insertion order so that runs are fully
-//! deterministic regardless of heap internals.
+//! deterministic regardless of queue internals.
 //!
-//! # Internals: indexed 4-ary heap + timing wheel + event slab
+//! # Internals: nanosecond calendar + timing wheel + event slab
 //!
 //! The queue is two structures behind one dispatch order:
 //!
-//! * **Fire-and-forget events** (packets, link completions, samples) go
-//!   to a hand-rolled 4-ary array heap whose entries are one 16-byte
-//!   integer — the scheduled [`SimTime`] above a packed `(seq, slot)`
-//!   key — while the event payloads live out-of-line in a generational
-//!   [`Slab`] with an intrusive free-list. Sifts compare and move one
-//!   `u128`, not `16 + size_of::<E>()` bytes, and steady-state dispatch
-//!   allocates nothing.
+//! * **Near events** — scheduled less than `SPAN` = 8 192 ns ahead:
+//!   packets, link completions, line-rate paces — go to a calendar of
+//!   one-nanosecond buckets covering `[now, now + SPAN)`. A bucket is a
+//!   FIFO of slab slots, and a two-level occupancy bitmap finds the next
+//!   non-empty one, so schedule and pop are O(1). Every entry of a bucket
+//!   has the same time and joined it in `seq` order, so FIFO order *is*
+//!   `(time, seq)` order: nothing is sorted. The FIFO link and the
+//!   sequence number sit beside the payload in its [`Slab`] slot, so a
+//!   pop touches one line.
 //! * **Cancellable timers** (RTO deadlines, DCQCN rate/alpha timers, PFC
 //!   watchdogs) go to a hierarchical timing wheel ([`crate::wheel`]) via
 //!   [`EventQueue::schedule_timer_at`], which returns a [`TimerHandle`]
-//!   for true O(1) cancel/re-arm. Re-arming a timer *removes* the old
-//!   entry instead of leaving a tombstone in the heap, so the pending
-//!   population no longer grows with every ACK on a live flow.
+//!   for true O(1) cancel/re-arm. Far events (flow starts, samples,
+//!   faults, slow paces) and everything scheduled before the first
+//!   dispatch ride the wheel too, their handles dropped.
 //!
 //! The dispatcher merges the two sources deterministically: wheel entries
-//! that come due are staged into a small `due` min-heap keyed by the same
-//! `(time, seq)` order the main heap uses, and [`EventQueue::pop`] always
+//! that come due are staged into a small `due` stage sorted by the same
+//! `(time, seq)` order the calendar keeps, and [`EventQueue::pop`] always
 //! returns the global minimum. Timer arms consume insertion sequence
 //! numbers exactly where the tombstoning engine scheduled replacement
 //! events, so the dispatch stream is byte-identical to the old engine's
@@ -89,19 +91,116 @@ impl Entry {
     }
 }
 
+/// Packs an insertion sequence number and a slab slot into an `ord`.
+fn ord_of(seq: u32, slot: u32) -> u64 {
+    (u64::from(seq) << 32) | u64::from(slot)
+}
+
 /// Least number of cancels between two sweeps of the ghost log.
 const GHOST_SWEEP_MIN: usize = 1024;
 
-/// A staged wheel entry awaiting dispatch: `(at, ord, node, generation)`.
-/// Ordered by `(at, ord)` — node and generation only validate the entry
-/// against cancel-after-staging at pop time.
-type DueEntry = (SimTime, u64, u32, u32);
+/// Calendar buckets, one per nanosecond of `[now, now + SPAN)`. A
+/// constant: 8 192 ns covers the longest near delay, 5 µs core
+/// propagation plus a 1 048 B frame at 25 Gbps.
+const SPAN: usize = 1 << 13;
+/// Occupancy words, one bit per bucket.
+const WORDS: usize = SPAN / 64;
+/// End of a bucket's FIFO.
+const NIL: u32 = u32::MAX;
+
+/// A pending event in its slab slot: the payload, its insertion
+/// sequence number, and the next slot of its calendar bucket.
+#[derive(Debug)]
+struct Pending<E> {
+    seq: u32,
+    /// [`NIL`] at a bucket's tail; unused while the event is in the wheel.
+    next: u32,
+    event: E,
+}
+
+/// The near-future calendar. Bucket `b` holds the entries at the one
+/// time `t ∈ [now, now + SPAN)` with `t % SPAN == b`, oldest first.
+#[derive(Debug)]
+struct Calendar {
+    /// `[head, tail]` slab slot of each bucket; stale while its bit is clear.
+    fifo: Box<[[u32; 2]; SPAN]>,
+    /// Bit `b % 64` of `words[b / 64]` set ⇔ bucket `b` is non-empty.
+    words: Box<[u64; WORDS]>,
+    /// Bit `w` set ⇔ `words[w] != 0`.
+    summary: u128,
+}
+
+impl Calendar {
+    /// Built on the heap (a 64 KB value would take as much stack) and
+    /// out of line, away from the pop path that calls it once.
+    #[cold]
+    #[inline(never)]
+    fn new() -> Calendar {
+        Calendar {
+            fifo: vec![[NIL; 2]; SPAN].try_into().expect("SPAN buckets"),
+            words: vec![0; WORDS].try_into().expect("WORDS words"),
+            summary: 0,
+        }
+    }
+
+    fn is_set(&self, b: usize) -> bool {
+        self.words[b / 64] & (1 << (b % 64)) != 0
+    }
+
+    /// Appends `slot` to bucket `b`, returning the old tail to link from.
+    fn push(&mut self, b: usize, slot: u32) -> Option<u32> {
+        if self.is_set(b) {
+            return Some(std::mem::replace(&mut self.fifo[b][1], slot));
+        }
+        self.fifo[b] = [slot, slot];
+        self.words[b / 64] |= 1 << (b % 64);
+        self.summary |= 1 << (b / 64);
+        None
+    }
+
+    /// Makes `next` bucket `b`'s head; [`NIL`] empties the bucket.
+    fn advance(&mut self, b: usize, next: u32) {
+        if next != NIL {
+            self.fifo[b][0] = next;
+            return;
+        }
+        self.words[b / 64] &= !(1 << (b % 64));
+        if self.words[b / 64] == 0 {
+            self.summary &= !(1 << (b / 64));
+        }
+    }
+
+    /// The first non-empty bucket at or after `from`, wrapping around.
+    fn first_from(&self, from: usize) -> Option<usize> {
+        let w = from / 64;
+        let here = self.words[w] & (u64::MAX << (from % 64));
+        if here != 0 {
+            return Some(w * 64 + here.trailing_zeros() as usize);
+        }
+        let later = self.summary & (u128::MAX << w << 1);
+        let w = match (later, self.summary) {
+            (_, 0) => return None,
+            (0, all) => all.trailing_zeros(),
+            (later, _) => later.trailing_zeros(),
+        } as usize;
+        Some(w * 64 + self.words[w].trailing_zeros() as usize)
+    }
+}
+
+/// A staged wheel entry awaiting dispatch. Node and generation only
+/// validate it against cancel-after-staging at pop time.
+#[derive(Debug, Clone, Copy)]
+struct Due {
+    key: Entry,
+    node: u32,
+    generation: u32,
+}
 
 /// Where a gathered group member's payload still lives.
 #[derive(Debug, Clone, Copy)]
 enum GroupSrc {
-    /// Removed from the heap array; payload in the slab.
-    Heap,
+    /// Removed from its calendar bucket; payload in the slab.
+    Calendar,
     /// Removed from the `due` stage but still *staged* in the wheel, so
     /// a mid-group `cancel_timer` takes the normal `Staged` path and
     /// dispatch detects the cancellation via `release_staged → None`.
@@ -162,7 +261,7 @@ struct StampState {
     /// The gathered simultaneous group currently being dispatched, in
     /// stamp order.
     group: Vec<GroupMember>,
-    /// Gathered-but-undispatched heap members (kept so `len()` stays
+    /// Gathered-but-undispatched calendar members (kept so `len()` stays
     /// exact mid-group; due members are still counted by `due_live`).
     group_live: usize,
 }
@@ -183,28 +282,24 @@ impl StampState {
 /// it across threads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Events currently pending (heap + wheel + staged timers).
+    /// Events currently pending (calendar + wheel + staged).
     pub pending: usize,
     /// High-water mark of pending events over the queue's lifetime.
     pub max_pending: usize,
-    /// Heap levels at the *heap's* high-water mark (sift work is bounded
-    /// by this; wheel timers never sift).
-    pub max_depth: u32,
-    /// Bytes moved per sift step: the size of one heap entry.
-    pub entry_bytes: usize,
     /// Slots ever allocated in the event slab (its high-water mark).
     pub slab_capacity: usize,
     /// Events dispatched to the model.
     pub processed: u64,
     /// Times a schedule call clamped a past timestamp up to `now`.
     /// Always zero in a correct model; see [`EventQueue::past_clamps`].
-    /// Wheel-routed timers count here identically to heap events.
+    /// Timers count here identically to other events.
     pub past_clamps: u64,
-    /// Timers currently armed (filed in the wheel or staged for
-    /// dispatch).
+    /// Entries filed in the wheel or staged for dispatch: armed timers
+    /// plus events scheduled beyond the calendar's horizon or before the
+    /// first dispatch.
     pub timers_pending: usize,
     /// Timers cancelled or re-armed before firing. Each one the
-    /// tombstoning engine would have left to rot in the heap.
+    /// tombstoning engine would have left to rot in its heap.
     pub timer_cancels: u64,
     /// Cancelled-timer keys lazily absorbed at dispatch: exactly the
     /// pops the tombstoning engine spent discarding dead entries, kept
@@ -232,14 +327,19 @@ pub struct QueueStats {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: Vec<Entry>,
-    slab: Slab<E>,
+    /// Allocated at the first dispatch; until then everything is filed
+    /// in the wheel, so building a queue costs no calendar.
+    cal: Option<Calendar>,
+    /// Entries in the calendar.
+    cal_len: usize,
+    slab: Slab<Pending<E>>,
     wheel: Wheel,
-    /// Wheel entries that have come due, merged with heap pops in
-    /// `(time, seq)` order. Usually a handful of entries.
-    due: BinaryHeap<Reverse<DueEntry>>,
-    /// Live entries in `due` (cancel-after-staging leaves stale heap
-    /// entries that are skipped, not removed).
+    /// Wheel entries that have come due, merged with calendar pops in
+    /// `(time, seq)` order: sorted by key, earliest *last*. Usually a
+    /// handful of entries.
+    due: Vec<Due>,
+    /// Live entries in `due` (cancel-after-staging leaves stale entries
+    /// that are skipped, not removed).
     due_live: usize,
     /// Keys of cancelled timers in cancellation order, not yet folded
     /// into `ghosts_swept`. See [`QueueStats::ghost_pops`].
@@ -262,7 +362,6 @@ pub struct EventQueue<E> {
     stale_timer_pops: u64,
     past_clamps: u64,
     max_pending: usize,
-    max_heap: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -275,10 +374,11 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: Vec::new(),
+            cal: None,
+            cal_len: 0,
             slab: Slab::new(),
             wheel: Wheel::new(),
-            due: BinaryHeap::new(),
+            due: Vec::new(),
             due_live: 0,
             ghosts: Vec::new(),
             passed: Entry(0),
@@ -292,7 +392,6 @@ impl<E> EventQueue<E> {
             stale_timer_pops: 0,
             past_clamps: 0,
             max_pending: 0,
-            max_heap: 0,
         }
     }
 
@@ -308,8 +407,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Allocates the payload slot and packed `(seq, slot)` key for one
-    /// scheduled entry — shared by heap events and wheel timers so both
-    /// consume insertion numbers from the same sequence.
+    /// scheduled entry — shared by events and timers so both consume
+    /// insertion numbers from the same sequence.
     ///
     /// In stamp mode (`carried` or an enabled [`StampState`]) the slot's
     /// admission stamp is recorded: `carried` verbatim (cross-shard
@@ -321,8 +420,12 @@ impl<E> EventQueue<E> {
         if self.seq == u32::MAX {
             self.renumber();
         }
-        let handle = self.slab.insert(event);
-        let ord = (u64::from(self.seq) << 32) | u64::from(handle.slot);
+        let handle = self.slab.insert(Pending {
+            seq: self.seq,
+            next: NIL,
+            event,
+        });
+        let ord = ord_of(self.seq, handle.slot);
         self.seq += 1;
         if let Some(st) = self.stamp.as_deref_mut() {
             let ix = st.free.pop().unwrap_or_else(|| {
@@ -369,9 +472,20 @@ impl<E> EventQueue<E> {
         let at = self.clamp_time(at);
         self.assert_future_in_stamp_mode(at);
         let ord = self.admit(event, carried);
-        self.heap.push(Entry::new(at, ord));
-        sift_up(&mut self.heap);
-        self.max_heap = self.max_heap.max(self.heap.len());
+        match self.cal.as_mut() {
+            Some(cal) if at.as_nanos() - self.now.as_nanos() < SPAN as u64 => {
+                let slot = ord as u32;
+                if let Some(tail) = cal.push(at.as_nanos() as usize % SPAN, slot) {
+                    self.slab.get_mut(tail).next = slot;
+                }
+                self.cal_len += 1;
+            }
+            // Beyond the horizon or before the first dispatch: filed in
+            // the wheel and never cancelled, so the handle is dropped.
+            _ => {
+                self.wheel.insert(at, ord);
+            }
+        }
         self.max_pending = self.max_pending.max(self.len());
     }
 
@@ -382,7 +496,7 @@ impl<E> EventQueue<E> {
 
     /// Arms a cancellable timer at absolute time `at`, returning a handle
     /// for [`EventQueue::cancel_timer`]. Timers dispatch through
-    /// [`EventQueue::pop`] in the same `(time, seq)` order as heap
+    /// [`EventQueue::pop`] in the same `(time, seq)` order as other
     /// events; past times are clamped and counted exactly like
     /// [`EventQueue::schedule_at`].
     pub fn schedule_timer_at(&mut self, at: SimTime, event: E) -> TimerHandle {
@@ -441,7 +555,7 @@ impl<E> EventQueue<E> {
                 self.sweep_ghosts();
             }
         }
-        Some(self.slab.take(slot))
+        Some(self.slab.take(slot).event)
     }
 
     /// Folds every passed ghost into `ghosts_swept`, one linear pass.
@@ -454,50 +568,71 @@ impl<E> EventQueue<E> {
         self.ghost_sweep_at = kept + (kept / 4).max(GHOST_SWEEP_MIN);
     }
 
-    /// Establishes the dispatch invariant: stale due entries are gone
-    /// and the earliest pending key (heap or due) precedes everything
-    /// still filed in the wheel — or all three are empty.
-    fn settle(&mut self) {
+    /// Establishes the dispatch invariant and returns the earliest
+    /// pending key, and whether the calendar holds it: stale due entries
+    /// are gone and that key (calendar or due) precedes everything still
+    /// filed in the wheel — or all three are empty.
+    fn settle(&mut self) -> Option<(Entry, bool)> {
         loop {
-            while let Some(&Reverse((_, _, node, generation))) = self.due.peek() {
-                if self.wheel.is_staged_live(node, generation) {
+            while let Some(d) = self.due.last() {
+                if self.wheel.is_staged_live(d.node, d.generation) {
                     break;
                 }
                 // Cancelled after staging; already ghosted by the cancel.
                 self.due.pop();
             }
-            if self.wheel.is_empty() {
-                return;
-            }
-            let target = match self.next_key().map(|(key, _)| key.at()) {
-                Some(at) if at < self.wheel.bound() => return,
-                Some(at) => at,
-                None => match self.wheel.next_window_end() {
-                    Some(end) => end,
-                    None => return,
-                },
+            let next = self.next_key();
+            let target = match next {
+                _ if self.wheel.is_empty() => return next,
+                Some((key, _)) if key.at() < self.wheel.bound() => return next,
+                next => next.map(|(key, _)| key.at()),
             };
             let due = &mut self.due;
             let due_live = &mut self.due_live;
-            self.wheel.drain_to(target, |at, ord, node, generation| {
-                due.push(Reverse((at, ord, node, generation)));
+            let stage = |at, ord, node, generation| {
+                due.push(Due {
+                    key: Entry::new(at, ord),
+                    node,
+                    generation,
+                });
                 *due_live += 1;
-            });
+            };
+            match target {
+                Some(target) => self.wheel.drain_to(target, stage),
+                None => self.wheel.drain_next(stage),
+            }
+            // Staged in slot-list order, which is often sorted or
+            // reversed already: both take one pass.
+            self.due.sort_unstable_by_key(|d| Reverse(d.key));
         }
     }
 
-    /// The earliest key across the heap and the due stage, and whether
-    /// the heap holds it. Only meaningful after [`EventQueue::settle`]
-    /// (due head live).
+    /// The earliest key across the calendar and the due stage, and
+    /// whether the calendar holds it. Only meaningful with the due head
+    /// live (see [`EventQueue::settle`]).
     #[inline]
     fn next_key(&self) -> Option<(Entry, bool)> {
-        let heap_key = self.heap.first().map(|&e| (e, true));
-        let due_key = self.due.peek().map(|r| (Entry::new(r.0 .0, r.0 .1), false));
-        match (heap_key, due_key) {
+        let cal_key = self.cal_front().map(|e| (e, true));
+        let due_key = self.due.last().map(|d| (d.key, false));
+        match (cal_key, due_key) {
             // Keys are distinct, so the flag never decides the minimum.
-            (Some(h), Some(d)) => Some(h.min(d)),
-            (h, d) => h.or(d),
+            (Some(c), Some(d)) => Some(c.min(d)),
+            (c, d) => c.or(d),
         }
+    }
+
+    /// The calendar's earliest key: the head of the first non-empty
+    /// bucket at or after `now`'s. Its entries all lie in
+    /// `[now, now + SPAN)`, so bucket order from there is time order.
+    #[inline]
+    fn cal_front(&self) -> Option<Entry> {
+        let cal = self.cal.as_ref().filter(|_| self.cal_len > 0)?;
+        let now = self.now.as_nanos();
+        let b = cal.first_from(now as usize % SPAN)?;
+        let at = now + (b.wrapping_sub(now as usize) % SPAN) as u64;
+        let head = cal.fifo[b][0];
+        let ord = ord_of(self.slab.get(head).seq, head);
+        Some(Entry::new(SimTime::from_nanos(at), ord))
     }
 
     /// Pops the earliest event, advancing the queue's clock to its time.
@@ -508,28 +643,30 @@ impl<E> EventQueue<E> {
     /// Pops the earliest event if `take` accepts its time — one settle
     /// for the look and the pop, which is what the run loops need.
     fn pop_if(&mut self, take: impl FnOnce(SimTime) -> bool) -> Option<(SimTime, E)> {
-        self.settle();
-        let (key, from_heap) = self.next_key()?;
+        let (key, from_cal) = self.settle()?;
         if !take(key.at()) {
             return None;
         }
-        Some(if from_heap {
-            self.pop_heap_top()
+        Some(if from_cal {
+            self.pop_cal_front(key)
         } else {
             self.pop_due_top()
         })
     }
 
-    fn pop_heap_top(&mut self) -> (SimTime, E) {
-        let root = self.remove_heap_top();
-        let event = self.slab.take(root.slot());
-        self.finish_pop(root.at(), root.ord());
-        (root.at(), event)
+    fn pop_cal_front(&mut self, key: Entry) -> (SimTime, E) {
+        let p = self.slab.take(key.slot());
+        let cal = self.cal.as_mut().expect("calendar front");
+        cal.advance(key.at().as_nanos() as usize % SPAN, p.next);
+        self.cal_len -= 1;
+        self.finish_pop(key.at(), key.ord());
+        (key.at(), p.event)
     }
 
     fn pop_due_top(&mut self) -> (SimTime, E) {
-        let Reverse((at, ord, node, generation)) = self.due.pop().expect("settled due top");
-        match self.wheel.release_staged(node, generation) {
+        let d = self.due.pop().expect("settled due top");
+        let (at, ord) = (d.key.at(), d.key.ord());
+        match self.wheel.release_staged(d.node, d.generation) {
             Some(released) => debug_assert_eq!(released, ord),
             None => {
                 // Unreachable by construction: settle() just validated
@@ -539,17 +676,21 @@ impl<E> EventQueue<E> {
             }
         }
         self.due_live -= 1;
-        let event = self.slab.take((ord & u64::from(u32::MAX)) as u32);
+        let event = self.slab.take(ord as u32).event;
         self.finish_pop(at, ord);
         (at, event)
     }
 
     /// Advances the clock, passing every ghost the tombstoning engine
-    /// would have popped before dispatching this key.
+    /// would have popped before dispatching this key. The first dispatch
+    /// allocates the calendar.
     fn finish_pop(&mut self, at: SimTime, ord: u64) {
         self.passed = self.passed.max(Entry::new(at, ord));
         self.now = at;
         self.processed += 1;
+        if self.cal.is_none() {
+            self.cal = Some(Calendar::new());
+        }
     }
 
     /// Absorbs every ghost strictly before `horizon`, mirroring the pops
@@ -563,8 +704,7 @@ impl<E> EventQueue<E> {
 
     /// The time of the earliest pending event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.settle();
-        self.next_key().map(|(key, _)| key.at())
+        self.settle().map(|(key, _)| key.at())
     }
 
     /// The current simulated time (time of the last popped event).
@@ -586,10 +726,10 @@ impl<E> EventQueue<E> {
         let _ = at;
     }
 
-    /// Number of pending events (heap events plus armed timers).
+    /// Number of pending events, armed timers included.
     pub fn len(&self) -> usize {
         let in_group = self.stamp.as_deref().map_or(0, |st| st.group_live);
-        self.heap.len() + self.wheel.len() + self.due_live + in_group
+        self.cal_len + self.wheel.len() + self.due_live + in_group
     }
 
     /// Whether no events are pending.
@@ -617,15 +757,12 @@ impl<E> EventQueue<E> {
         self.past_clamps
     }
 
-    /// Scheduler counters: pending high-water mark, heap depth, entry
-    /// size, slab capacity, dispatch/ghost/cancel counts and past-time
-    /// clamps.
+    /// Scheduler counters: pending high-water mark, slab capacity,
+    /// dispatch/ghost/cancel counts and past-time clamps.
     pub fn stats(&self) -> QueueStats {
         QueueStats {
             pending: self.len(),
             max_pending: self.max_pending,
-            max_depth: depth_4ary(self.max_heap),
-            entry_bytes: std::mem::size_of::<Entry>(),
             slab_capacity: self.slab.capacity(),
             processed: self.processed,
             past_clamps: self.past_clamps,
@@ -734,17 +871,16 @@ impl<E> EventQueue<E> {
     /// queue is empty or its next event is at or past `horizon`. The
     /// caller feeds `0..n` to [`EventQueue::dispatch_member`] in turn.
     ///
-    /// Payloads are *not* removed here: heap members stay in the slab
-    /// and wheel members stay staged, so a member cancelling a
+    /// Payloads are *not* removed here: calendar members stay in the
+    /// slab and wheel members stay staged, so a member cancelling a
     /// not-yet-dispatched same-time timer goes through the ordinary
     /// `cancel_timer` path and the cancelled member is skipped at
     /// dispatch. (The model must not schedule zero-delay events, so a
     /// member can never *add* to its own group — `debug_assert`ed in the
     /// schedulers via `past_clamps` plus the strict-future check.)
     pub fn begin_group(&mut self, horizon: SimTime) -> usize {
-        self.settle();
         let Some(t) = self
-            .next_key()
+            .settle()
             .map(|(key, _)| key.at())
             .filter(|&t| t < horizon)
         else {
@@ -757,31 +893,43 @@ impl<E> EventQueue<E> {
             g.clear();
             g
         };
-        while self.heap.first().is_some_and(|e| e.at() == t) {
-            let e = self.remove_heap_top();
-            group.push(GroupMember {
-                at: t,
-                ord: e.ord(),
-                src: GroupSrc::Heap,
-            });
+        // `t` is the earliest pending time, so a non-empty bucket at
+        // `t % SPAN` holds entries at `t` only, in `seq` order.
+        let b = t.as_nanos() as usize % SPAN;
+        if let Some(cal) = self.cal.as_mut().filter(|cal| cal.is_set(b)) {
+            let mut slot = cal.fifo[b][0];
+            cal.advance(b, NIL);
+            while slot != NIL {
+                let p = self.slab.get(slot);
+                group.push(GroupMember {
+                    at: t,
+                    ord: ord_of(p.seq, slot),
+                    src: GroupSrc::Calendar,
+                });
+                slot = p.next;
+            }
+            self.cal_len -= group.len();
         }
-        let heap_members = group.len();
-        while let Some(&Reverse((at, ord, node, generation))) = self.due.peek() {
-            if at != t {
+        let cal_members = group.len();
+        while let Some(&d) = self.due.last() {
+            if d.key.at() != t {
                 break;
             }
             self.due.pop();
-            if self.wheel.is_staged_live(node, generation) {
+            if self.wheel.is_staged_live(d.node, d.generation) {
                 group.push(GroupMember {
-                    at,
-                    ord,
-                    src: GroupSrc::Due { node, generation },
+                    at: t,
+                    ord: d.key.ord(),
+                    src: GroupSrc::Due {
+                        node: d.node,
+                        generation: d.generation,
+                    },
                 });
             }
             // Stale (cancelled after staging): already ghosted.
         }
         let st = self.stamp.as_deref_mut().expect("stamp mode required");
-        st.group_live = heap_members;
+        st.group_live = cal_members;
         // Borrowed stamps: the sort moves 32-byte members only.
         let stamp_of = |m: &GroupMember| {
             let slot = (m.ord & u64::from(u32::MAX)) as usize;
@@ -803,7 +951,7 @@ impl<E> EventQueue<E> {
             st.group[index]
         };
         match m.src {
-            GroupSrc::Heap => {
+            GroupSrc::Calendar => {
                 let st = self.stamp.as_deref_mut().expect("stamp mode required");
                 st.group_live -= 1;
             }
@@ -819,7 +967,7 @@ impl<E> EventQueue<E> {
                 }
             }
         }
-        let slot = (m.ord & u64::from(u32::MAX)) as u32;
+        let slot = m.ord as u32;
         {
             let st = self.stamp.as_deref_mut().expect("stamp mode required");
             // The previous pop's stamp can have no more children.
@@ -829,7 +977,7 @@ impl<E> EventQueue<E> {
             st.lane = 0;
             st.emit_n = 0;
         }
-        let event = self.slab.take(slot);
+        let event = self.slab.take(slot).event;
         self.finish_pop(m.at, m.ord);
         Some((m.at, event))
     }
@@ -868,33 +1016,20 @@ impl<E> EventQueue<E> {
         self.ghosts_swept += n;
     }
 
-    /// Removes and returns the heap's root entry without touching its
-    /// slab payload.
-    fn remove_heap_top(&mut self) -> Entry {
-        let last = self.heap.pop().expect("remove_heap_top on non-empty heap");
-        match self.heap.first().copied() {
-            Some(root) => {
-                sift_down_root(&mut self.heap, last);
-                root
-            }
-            None => last,
-        }
-    }
-
     /// Compacts the 32-bit sequence counter by reassigning every pending
-    /// key — heap entries, wheel timers, staged timers, and ghosts — the
-    /// numbers `0..n` in their existing order.
+    /// key — calendar entries, wheel entries, staged entries, and ghosts
+    /// — the numbers `0..n` in their existing order.
     ///
     /// Triggered once per 2³² insertions — in practice never for the
     /// workloads in this repository, but it makes the u32 tie-break safe
     /// at any run length. The reassignment is monotone in `seq`, so every
-    /// pairwise `(time, seq)` comparison (and thus pop order, heap shape
-    /// and ghost absorption) is unchanged; covered by `force_renumber`
-    /// tests and the wheel differential oracle.
+    /// pairwise `(time, seq)` comparison (and thus pop order, bucket FIFO
+    /// order and ghost absorption) is unchanged; covered by
+    /// `force_renumber` tests and both differential oracles.
     fn renumber(&mut self) {
         #[derive(Clone, Copy)]
         enum Src {
-            Heap(u32),
+            Slot(u32),
             Node(u32),
             Ghost(u32),
         }
@@ -902,11 +1037,17 @@ impl<E> EventQueue<E> {
         // pending, sort at or after `passed`, so it keeps only its time.
         self.sweep_ghosts();
         self.passed.set_ord(0);
-        let mut all: Vec<(u64, Src)> = Vec::with_capacity(
-            self.heap.len() + self.wheel.len() + self.due_live + self.ghosts.len(),
-        );
-        for (i, e) in self.heap.iter().enumerate() {
-            all.push((e.ord(), Src::Heap(i as u32)));
+        let mut all: Vec<(u64, Src)> =
+            Vec::with_capacity(self.cal_len + self.wheel.len() + self.due_live + self.ghosts.len());
+        if let Some(cal) = &self.cal {
+            for b in (0..SPAN).filter(|&b| cal.is_set(b)) {
+                let mut slot = cal.fifo[b][0];
+                while slot != NIL {
+                    let p = self.slab.get(slot);
+                    all.push((ord_of(p.seq, slot), Src::Slot(slot)));
+                    slot = p.next;
+                }
+            }
         }
         for (node, ord) in self.wheel.live_nodes() {
             all.push((ord, Src::Node(node)));
@@ -917,27 +1058,22 @@ impl<E> EventQueue<E> {
         // Distinct live seqs: sorting by ord sorts by insertion order.
         all.sort_unstable_by_key(|&(ord, _)| ord);
         for (i, &(old, src)) in all.iter().enumerate() {
-            let new_ord = ((i as u64) << 32) | (old & u64::from(u32::MAX));
+            let new_ord = ord_of(i as u32, old as u32);
             match src {
-                Src::Heap(j) => self.heap[j as usize].set_ord(new_ord),
+                Src::Slot(slot) => self.slab.get_mut(slot).seq = i as u32,
                 Src::Node(node) => self.wheel.set_node_ord(node, new_ord),
                 Src::Ghost(j) => self.ghosts[j as usize].set_ord(new_ord),
             }
         }
         self.seq = u32::try_from(all.len()).expect("pending fits u32");
         // A monotone ord remap preserves every pairwise ordering, so the
-        // heap property still holds; only the due stage, which copied
+        // bucket FIFOs stay in order; only the due stage, which copied
         // ords, needs rebuilding.
-        let due = std::mem::take(&mut self.due);
-        self.due = due
-            .into_iter()
-            .filter(|&Reverse((_, _, node, generation))| {
-                self.wheel.is_staged_live(node, generation)
-            })
-            .map(|Reverse((at, _old, node, generation))| {
-                Reverse((at, self.wheel.node_ord(node), node, generation))
-            })
-            .collect();
+        self.due
+            .retain(|d| self.wheel.is_staged_live(d.node, d.generation));
+        for d in &mut self.due {
+            d.key.set_ord(self.wheel.node_ord(d.node));
+        }
     }
 
     /// Test hook: forces the rare sequence-renumber path.
@@ -945,68 +1081,6 @@ impl<E> EventQueue<E> {
     pub fn force_renumber(&mut self) {
         self.renumber();
     }
-}
-
-// ---- 4-ary heap internals ---------------------------------------------
-
-/// Moves the last entry of `heap` up until its parent precedes it.
-fn sift_up(heap: &mut [Entry]) {
-    let Some((&e, rest)) = heap.split_last() else {
-        return;
-    };
-    let mut i = rest.len();
-    while i > 0 {
-        let parent = (i - 1) / 4;
-        if e >= heap[parent] {
-            break;
-        }
-        heap[i] = heap[parent];
-        i = parent;
-    }
-    heap[i] = e;
-}
-
-/// Replaces the root of a non-empty `heap` with `e` and moves it down
-/// until it precedes all its children.
-fn sift_down_root(heap: &mut [Entry], e: Entry) {
-    let mut i = 0;
-    // Full sibling groups, each borrowed once as a `[Entry; 4]`. Which
-    // sibling wins is a coin toss no branch predictor learns, so its
-    // index comes from a two-round tournament of selects, not branches.
-    while let Some(kids) = heap.get(4 * i + 1..).and_then(|s| s.first_chunk::<4>()) {
-        let lo = usize::from(kids[1] < kids[0]);
-        let hi = 2 + usize::from(kids[3] < kids[2]);
-        let k = if kids[hi] < kids[lo] { hi } else { lo };
-        let min = kids[k];
-        if e <= min {
-            heap[i] = e;
-            return;
-        }
-        heap[i] = min;
-        i = 4 * i + 1 + k;
-    }
-    // Below `i` is at most the partial last group, whose members are leaves.
-    let kids = heap.get(4 * i + 1..).unwrap_or_default();
-    if let Some((k, &min)) = kids.iter().enumerate().min_by_key(|&(_, &c)| c) {
-        if min < e {
-            heap[i] = min;
-            i = 4 * i + 1 + k;
-        }
-    }
-    heap[i] = e;
-}
-
-/// Levels of a 4-ary heap holding `n` entries (0 for an empty heap).
-fn depth_4ary(n: usize) -> u32 {
-    let mut depth = 0;
-    let mut level_first = 0usize; // index of the first node at `depth`
-    let mut level_size = 1usize;
-    while level_first < n {
-        depth += 1;
-        level_first += level_size;
-        level_size *= 4;
-    }
-    depth
 }
 
 /// Runs `sim` until the queue drains or the next event is at or past
@@ -1057,6 +1131,51 @@ mod tests {
     #[test]
     fn entry_is_16_bytes() {
         assert_eq!(std::mem::size_of::<Entry>(), 16);
+    }
+
+    #[test]
+    fn calendar_is_allocated_at_the_first_dispatch() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_nanos(10), 1);
+        q.schedule_at(SimTime::from_nanos(20), 2);
+        // Set-up schedules ride the wheel; building a queue costs no calendar.
+        assert!(q.cal.is_none());
+        assert_eq!(q.stats().timers_pending, 2);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 1)));
+        assert!(q.cal.is_some());
+        // Now near events take the calendar and far ones the wheel; the
+        // horizon is `now + SPAN`, exclusive.
+        q.schedule_at(SimTime::from_nanos(10 + SPAN as u64 - 1), 3);
+        q.schedule_at(SimTime::from_nanos(10 + SPAN as u64), 4);
+        assert_eq!((q.cal_len, q.stats().timers_pending), (1, 2));
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn first_from_scans_words_and_wraps() {
+        let mut cal = Calendar::new();
+        assert_eq!(cal.first_from(0), None);
+        for b in [5, 63, 64, 4_000, SPAN - 1] {
+            assert_eq!(cal.push(b, b as u32), None);
+        }
+        assert_eq!(
+            cal.push(64, 7),
+            Some(64),
+            "second entry links from the tail"
+        );
+        let cases = [(0, 5), (6, 63), (64, 64), (65, 4_000), (4_001, SPAN - 1)];
+        for (from, first) in cases {
+            assert_eq!(cal.first_from(from), Some(first), "from {from}");
+        }
+        cal.advance(SPAN - 1, NIL);
+        assert_eq!(cal.first_from(4_001), Some(5), "wraps to the lowest bucket");
+        cal.advance(64, 7);
+        assert_eq!((cal.is_set(64), cal.fifo[64][0]), (true, 7));
+        for b in [5, 63, 64, 4_000] {
+            cal.advance(b, NIL);
+        }
+        assert_eq!((cal.first_from(0), cal.summary), (None, 0));
     }
 
     #[test]
@@ -1176,7 +1295,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_report_high_water_mark_and_entry_size() {
+    fn stats_report_high_water_marks() {
         let mut q = EventQueue::new();
         for i in 0..21u64 {
             q.schedule_at(SimTime::from_nanos(i), i);
@@ -1187,22 +1306,10 @@ mod tests {
         let s = q.stats();
         assert_eq!(s.pending, 0);
         assert_eq!(s.max_pending, 21);
-        // 21 entries: level sizes 1 + 4 + 16 = 21 → 3 levels.
-        assert_eq!(s.max_depth, 3);
-        assert_eq!(s.entry_bytes, 16);
         assert_eq!(s.slab_capacity, 21);
         assert_eq!(s.processed, 21);
         assert_eq!(s.past_clamps, 0);
         assert_eq!(s.stale_timer_pops, 0);
-    }
-
-    #[test]
-    fn depth_4ary_levels() {
-        assert_eq!(depth_4ary(0), 0);
-        assert_eq!(depth_4ary(1), 1);
-        assert_eq!(depth_4ary(5), 2);
-        assert_eq!(depth_4ary(21), 3);
-        assert_eq!(depth_4ary(22), 4);
     }
 
     #[test]
@@ -1249,10 +1356,10 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_dispatch_reuses_heap_and_slab_storage() {
+    fn steady_state_dispatch_reuses_slab_storage() {
         // A self-rescheduling workload with bounded pending events: after
-        // warm-up, neither the heap nor the slab may grow — steady-state
-        // dispatch is allocation-free.
+        // warm-up the slab may not grow — steady-state dispatch is
+        // allocation-free.
         let mut q = EventQueue::new();
         for i in 0..64u64 {
             q.schedule_at(SimTime::from_nanos(i), i);
@@ -1272,7 +1379,7 @@ mod tests {
     }
 
     #[test]
-    fn timers_merge_with_heap_events_in_key_order() {
+    fn timers_merge_with_calendar_events_in_key_order() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_micros(5), 1);
         q.schedule_timer_at(SimTime::from_micros(3), 2);
@@ -1401,7 +1508,7 @@ mod tests {
 
     /// A deterministic branching workload driven identically through the
     /// serial `(time, seq)` pop path and the stamp-mode group path: every
-    /// event is a pure function of its id, children go to the heap or
+    /// event is a pure function of its id, children go to the calendar or
     /// the wheel by id, and some events cancel the oldest armed timer.
     struct Branchy {
         order: Vec<u64>,

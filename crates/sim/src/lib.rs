@@ -3,9 +3,9 @@
 //!
 //! This crate is the foundation of the L2BM reproduction: a nanosecond-
 //! resolution clock ([`SimTime`]), typed quantities ([`Bytes`], [`BitRate`]),
-//! an indexed 4-ary-heap [`EventQueue`] (16-byte heap entries over a
+//! an [`EventQueue`] (a calendar of one-nanosecond buckets over a
 //! generational event [`Slab`]) with deterministic FIFO tie-breaking, a
-//! hierarchical timing wheel for cancellable timers (armed with
+//! hierarchical timing wheel for cancellable timers and far events (armed with
 //! [`EventQueue::schedule_timer_at`], cancelled in O(1) via
 //! [`TimerHandle`]), a [`Simulation`] driver trait, and seeded
 //! random-number helpers ([`SimRng`]) with the distributions the

@@ -1,8 +1,8 @@
 //! Generational slab storage for in-flight events.
 //!
-//! The event queue's heap keeps only compact 16-byte `(time, key)`
-//! entries; the event payloads themselves live here, addressed by slot
-//! index. Freed slots are chained through an intrusive free-list (the
+//! The event queue's calendar and wheel keep only slot indices and
+//! `(time, key)` pairs; the payloads live here. Freed slots are chained
+//! through an intrusive free-list (the
 //! `next` pointer lives inside the vacant slot itself), so steady-state
 //! insert/remove cycles perform **zero heap allocations**: a run only
 //! allocates while growing to its high-water mark of pending events.
@@ -89,6 +89,7 @@ impl<E> Slab<E> {
 
     /// Stores `event`, reusing the most recently freed slot if one
     /// exists (LIFO keeps the hot slots cache-resident).
+    #[inline]
     pub fn insert(&mut self, event: E) -> SlotHandle {
         self.len += 1;
         if self.free_head != NIL {
@@ -130,14 +131,15 @@ impl<E> Slab<E> {
 
     /// Removes and returns the event in `slot`, which must be occupied.
     ///
-    /// This is the event queue's pop path: the queue holds exactly one
-    /// heap entry per occupied slot, so liveness is guaranteed by
-    /// construction and no generation needs to travel through the heap.
+    /// This is the event queue's pop path: the queue files exactly one
+    /// entry per occupied slot, so liveness is guaranteed by
+    /// construction and no generation needs to travel with the entry.
     ///
     /// # Panics
     ///
     /// Panics if `slot` is vacant or out of bounds — either indicates
-    /// heap/slab desynchronization, which must not be ignored.
+    /// queue/slab desynchronization, which must not be ignored.
+    #[inline]
     pub fn take(&mut self, slot: u32) -> E {
         assert!(
             matches!(
@@ -150,6 +152,23 @@ impl<E> Slab<E> {
             "slab slot {slot} is not occupied"
         );
         self.free_slot(slot)
+    }
+
+    /// The event in `slot`, which must be occupied (as for [`Slab::take`]).
+    #[inline]
+    pub fn get(&self, slot: u32) -> &E {
+        match &self.slots[slot as usize].state {
+            SlotState::Occupied(event) => event,
+            SlotState::Free { .. } => panic!("slab slot {slot} is not occupied"),
+        }
+    }
+
+    /// Mutable access to the event in `slot`, which must be occupied.
+    pub fn get_mut(&mut self, slot: u32) -> &mut E {
+        match &mut self.slots[slot as usize].state {
+            SlotState::Occupied(event) => event,
+            SlotState::Free { .. } => panic!("slab slot {slot} is not occupied"),
+        }
     }
 
     fn free_slot(&mut self, slot: u32) -> E {
@@ -252,7 +271,7 @@ mod tests {
         let mut slab = Slab::new();
         let a = slab.insert(7i32);
         slab.take(a.slot);
-        slab.take(a.slot); // vacant now: heap/slab desync must be loud
+        slab.take(a.slot); // vacant now: queue/slab desync must be loud
     }
 
     #[test]

@@ -595,7 +595,7 @@ mod tests {
         // depth: their dropped histories stay identical, so the order
         // must remain the exact serial order — root 0 before root 1 —
         // with no ambiguity, and must not collapse to Equal (distinct
-        // events must never tie, or dispatch order falls back to heap
+        // events must never tie, or dispatch order falls back to queue
         // internals).
         let before = ambiguous_comparisons();
         let mut a = Stamp::root(0);

@@ -1,37 +1,36 @@
-//! Hierarchical timing wheel for the cancellable-timer population.
+//! Hierarchical timing wheel for cancellable timers and far events.
 //!
-//! The 4-ary heap in [`crate::EventQueue`] is the right structure for
-//! packet and link events, which are scheduled once and always fire. The
-//! protocol timers riding on top of it — TCP retransmission deadlines,
-//! DCQCN alpha-decay and rate-increase timers, PFC storm-watchdog
-//! deadlines — have the opposite life cycle: almost every one is
-//! *cancelled or re-armed* before it fires (every ACK on a live TCP flow
-//! pushes its RTO 2 ms further out). A heap cannot remove an interior
-//! entry cheaply, so the previous engine tombstoned the stale entry and
-//! filtered it at pop time, paying sifts and a pop per dead timer and
-//! inflating the pending population by O(acks).
+//! The near-future calendar in [`crate::EventQueue`] takes events a few
+//! microseconds ahead, which are scheduled once and always fire. The
+//! protocol timers — TCP retransmission deadlines, DCQCN alpha-decay and
+//! rate-increase timers, PFC storm-watchdog deadlines — have the opposite
+//! life cycle: almost every one is *cancelled or re-armed* before it
+//! fires (every ACK on a live TCP flow pushes its RTO 2 ms further out).
+//! They, and events beyond the calendar's horizon, live here.
 //!
-//! This module provides the classic alternative (Varghese & Lauck's
+//! This module is the classic structure (Varghese & Lauck's
 //! hierarchical timing wheel): six levels of 64 slots, each slot an
 //! intrusive doubly-linked list of timer nodes, with per-level occupancy
 //! bitmaps. Level 0 slots are one 1.024 µs tick wide; each higher level
 //! is 64× coarser, so the hierarchy spans ~19.5 hours before any entry
 //! needs to revolve. Arming is O(1) (compute level + slot from the delta
 //! to the cursor, push onto the list), cancelling is O(1) (unlink via the
-//! node's links), and advancing the cursor cascades coarse slots into
-//! finer ones a node at a time, so total cascade work per node is bounded
-//! by the number of levels it descends.
+//! node's links). Advancing the cursor stages a level-1 window whole
+//! when it enters it and cascades coarser slots into finer ones a node
+//! at a time, so total work per node is bounded by the number of levels
+//! it descends.
 //!
 //! # Determinism contract
 //!
-//! The wheel stores the same `(time, ord)` key the heap uses and never
-//! *orders* anything itself: entries that come due are staged into the
-//! dispatcher's `due` min-heap (see `EventQueue::settle`) and merged with
-//! heap pops in exact `(time, seq)` order. Slot-list order is therefore
-//! irrelevant to dispatch order — the wheel only needs to deliver every
-//! entry with `at <= target` when asked to advance to `target`, which the
-//! cascade structure guarantees because a node is always re-filed by its
-//! absolute tick. DESIGN.md §4.8 spells out the full argument.
+//! The wheel stores the same `(time, ord)` key the calendar orders by and
+//! never *orders* anything itself: entries that come due are staged into
+//! the dispatcher's sorted `due` stage (see `EventQueue::settle`) and
+//! merged with calendar pops in exact `(time, seq)` order. Slot-list
+//! order is therefore irrelevant to dispatch order — the wheel only needs
+//! to deliver every entry with `at <= target` when asked to advance to
+//! `target` (delivering more is harmless), which the cascade structure
+//! guarantees because a node is always re-filed by its absolute tick.
+//! DESIGN.md §4.8 spells out the full argument.
 
 use crate::time::SimTime;
 
@@ -50,7 +49,7 @@ const LEVELS: usize = 6;
 
 /// Null link / list terminator.
 const NIL: u32 = u32::MAX;
-/// `home` value for nodes staged into the dispatcher's due heap.
+/// `home` value for nodes staged into the dispatcher's due stage.
 const HOME_DUE: u32 = u32::MAX - 1;
 /// `home` value for free-list nodes.
 const HOME_FREE: u32 = u32::MAX - 2;
@@ -89,14 +88,13 @@ pub(crate) enum Cancelled {
     Invalid,
     /// Timer was still filed in the wheel; its dispatch key is returned.
     Filed { at: SimTime, ord: u64 },
-    /// Timer had already been staged into the due heap; the stale due
-    /// entry will be skipped at pop via the generation check.
+    /// Timer had already been staged for dispatch; the stale due entry
+    /// will be skipped at pop via the generation check.
     Staged { at: SimTime, ord: u64 },
 }
 
 /// The hierarchical wheel. Owns timer nodes; payloads stay in the
-/// dispatcher's slab, addressed by the low 32 bits of `ord` exactly as
-/// heap entries are.
+/// dispatcher's slab, addressed by the low 32 bits of `ord`.
 #[derive(Debug)]
 pub(crate) struct Wheel {
     nodes: Vec<Node>,
@@ -113,7 +111,7 @@ pub(crate) struct Wheel {
     len: usize,
     /// Lower bound on the earliest filed entry's time; `SimTime::MAX`
     /// when no entries are filed. Lets the dispatcher's fast path pop the
-    /// heap without touching the wheel at all.
+    /// calendar without touching the wheel at all.
     bound: SimTime,
 }
 
@@ -152,8 +150,8 @@ impl Wheel {
 
     /// Files a timer with dispatch key `(at, ord)`. `at` must not precede
     /// the dispatcher's clock (the caller clamps); times before the
-    /// cursor's tick are tolerated and fire at the correct key anyway via
-    /// the current-slot rescan.
+    /// cursor's tick are tolerated: they file into the cursor's slot and
+    /// lower the bound, so the next drain stages them at their own key.
     pub(crate) fn insert(&mut self, at: SimTime, ord: u64) -> TimerHandle {
         let idx = self.alloc();
         let t_ticks = at.as_nanos() >> GRAIN_BITS;
@@ -194,7 +192,7 @@ impl Wheel {
         Cancelled::Filed { at, ord }
     }
 
-    /// Whether a due-heap entry `(node, generation)` still refers to a
+    /// Whether a due entry `(node, generation)` still refers to a
     /// live staged timer (false once cancelled or recycled).
     pub(crate) fn is_staged_live(&self, node: u32, generation: u32) -> bool {
         self.nodes
@@ -234,11 +232,13 @@ impl Wheel {
             .map(|(i, n)| (i as u32, n.ord))
     }
 
-    /// Advances the cursor to `target`, staging every filed entry with
-    /// `at <= target` via `sink(at, ord, node, generation)`. Afterwards
-    /// [`Wheel::bound`] strictly exceeds `target`, so the dispatcher can
-    /// pop any event at or before `target` without consulting the wheel
-    /// again.
+    /// Advances the cursor to `target`'s tick, staging every filed entry
+    /// up to that tick's end via `sink(at, ord, node, generation)` — and
+    /// every entry of a level-1 window the cursor enters. Whole ticks, so
+    /// a crowded tick is walked once, not once per target inside it.
+    /// Afterwards [`Wheel::bound`] strictly exceeds `target`, so the
+    /// dispatcher can pop any event at or before `target` without
+    /// consulting the wheel again.
     pub(crate) fn drain_to(
         &mut self,
         target: SimTime,
@@ -246,46 +246,65 @@ impl Wheel {
     ) {
         let target_ticks = target.as_nanos() >> GRAIN_BITS;
         loop {
-            self.drain_level0_slot(target, &mut sink);
+            self.stage_slot((self.cursor & (SLOTS as u64 - 1)) as usize, &mut sink);
             if self.cursor >= target_ticks {
                 break;
             }
-            // Jump straight to the next tick where anything can happen —
-            // an occupied level-0 slot or an occupied coarse slot's
-            // cascade boundary — instead of walking empty ticks.
-            self.cursor = self.next_interesting_tick(target_ticks);
-            // Entering a new slot window at a coarser level cascades that
-            // window's entries down toward level 0. Boundaries skipped by
-            // the jump had empty slots, so skipping their (no-op)
-            // cascades is sound.
-            for level in 1..LEVELS {
-                if self.cursor & ((1u64 << (SLOT_BITS * level as u32)) - 1) != 0 {
-                    break;
-                }
-                let slot =
-                    ((self.cursor >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
+            let next = self.next_interesting_tick().unwrap_or(target_ticks);
+            self.advance(next.min(target_ticks), &mut sink);
+        }
+        // The cursor's slot is empty now, so every filed entry lies at or
+        // after the next interesting tick (slot starts: the bound can
+        // undershoot within a window but never overshoot).
+        self.bound = self.next_interesting_tick().map_or(SimTime::MAX, |t| {
+            SimTime::from_nanos(t.saturating_mul(1 << GRAIN_BITS))
+        });
+    }
+
+    /// Advances the cursor to the next tick where entries come due or
+    /// cascade and drains that tick, which guarantees progress when only
+    /// wheel entries remain; a tick (or a level-1 window) at a time keeps
+    /// the dispatcher's due stage small. No-op on an empty wheel.
+    pub(crate) fn drain_next(&mut self, mut sink: impl FnMut(SimTime, u64, u32, u32)) {
+        if self.occupancy[0] & (1 << (self.cursor & (SLOTS as u64 - 1))) == 0 {
+            let Some(tick) = self.next_interesting_tick() else {
+                return;
+            };
+            self.advance(tick, &mut sink);
+        }
+        self.drain_to(SimTime::from_nanos(self.cursor << GRAIN_BITS), sink);
+    }
+
+    /// Moves the cursor forward to `tick`. Entering a level-1 window
+    /// stages all of it; entering a coarser window cascades its entries
+    /// down toward level 0. Boundaries the jump skipped had empty slots,
+    /// so skipping their (no-op) cascades is sound.
+    fn advance(&mut self, tick: u64, sink: &mut impl FnMut(SimTime, u64, u32, u32)) {
+        self.cursor = tick;
+        for level in 1..LEVELS {
+            if self.cursor & ((1u64 << (SLOT_BITS * level as u32)) - 1) != 0 {
+                break;
+            }
+            let slot = ((self.cursor >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
+            if level == 1 {
+                self.stage_slot(SLOTS + slot, sink);
+            } else {
                 self.cascade(level, slot);
             }
         }
-        let floor = SimTime::from_nanos(target.as_nanos().saturating_add(1));
-        self.bound = self.refreshed_bound().max(floor);
-        if self.len == 0 {
-            self.bound = SimTime::MAX;
-        }
     }
 
-    /// End (inclusive) of the earliest slot window that will stage or
-    /// cascade entries, used by the dispatcher to pick a drain target
-    /// that guarantees progress when only wheel entries remain. `None`
-    /// if the wheel is empty.
-    pub(crate) fn next_window_end(&self) -> Option<SimTime> {
-        let mut best: Option<(u64, u64)> = None; // (start_ticks, end_ticks)
-        if self.occupancy[0] != 0 {
-            let rot = self.occupancy[0].rotate_right((self.cursor & 63) as u32);
-            let start = self.cursor + u64::from(rot.trailing_zeros());
-            if best.is_none_or(|(s, _)| start < s) {
-                best = Some((start, start + 1));
-            }
+    /// The next tick after the cursor where an occupied level-0 slot
+    /// comes up or an occupied coarse slot cascades; `None` if nothing is
+    /// filed outside the cursor's own level-0 slot.
+    fn next_interesting_tick(&self) -> Option<u64> {
+        // Skip bit 0: the cursor's own slot.
+        let rot = self.occupancy[0].rotate_right((self.cursor & 63) as u32) & !1;
+        let mut next = (rot != 0).then(|| self.cursor + u64::from(rot.trailing_zeros()));
+        // Coarse windows start on multiples of 64 ticks, after the cursor:
+        // a level-0 slot in the cursor's own 64-tick window comes first.
+        if next.is_some_and(|t| t <= self.cursor | 63) {
+            return next;
         }
         for level in 1..LEVELS {
             if self.occupancy[level] == 0 {
@@ -294,50 +313,17 @@ impl Wheel {
             let shift = SLOT_BITS * level as u32;
             let cur = self.cursor >> shift;
             let rot = self.occupancy[level].rotate_right((cur & 63) as u32);
-            // The current coarse slot only re-cascades a full revolution
-            // from now (entries parked there lie beyond the wheel span).
             let ahead = if rot & !1 != 0 {
                 u64::from((rot & !1).trailing_zeros())
             } else {
+                // Only the current coarse slot is occupied: its entries
+                // lie a full revolution ahead and cascade then.
                 SLOTS as u64
             };
             let start = (cur + ahead) << shift;
-            if best.is_none_or(|(s, _)| start < s) {
-                best = Some((start, start + (1 << shift)));
-            }
+            next = Some(next.map_or(start, |t| t.min(start)));
         }
-        best.map(|(_, end)| SimTime::from_nanos((end << GRAIN_BITS).saturating_sub(1)))
-    }
-
-    /// The next cursor tick (capped at `target_ticks`) where an occupied
-    /// level-0 slot comes up or an occupied coarse slot cascades.
-    fn next_interesting_tick(&self, target_ticks: u64) -> u64 {
-        let mut jump = target_ticks;
-        if self.occupancy[0] != 0 {
-            // Skip bit 0: the current slot was just drained (anything
-            // left in it is past the target).
-            let rot = self.occupancy[0].rotate_right((self.cursor & 63) as u32) & !1;
-            if rot != 0 {
-                jump = jump.min(self.cursor + u64::from(rot.trailing_zeros()));
-            }
-        }
-        for level in 1..LEVELS {
-            if self.occupancy[level] == 0 {
-                continue;
-            }
-            let shift = SLOT_BITS * level as u32;
-            let cur = self.cursor >> shift;
-            let rot = self.occupancy[level].rotate_right((cur & 63) as u32);
-            let ahead = if rot & !1 != 0 {
-                u64::from((rot & !1).trailing_zeros())
-            } else {
-                // Only the current coarse slot is occupied: it next
-                // cascades a full revolution from now.
-                SLOTS as u64
-            };
-            jump = jump.min((cur + ahead) << shift);
-        }
-        jump.max(self.cursor + 1)
+        next
     }
 
     // ---- internals ----------------------------------------------------
@@ -356,27 +342,20 @@ impl Wheel {
         (level * SLOTS + slot) as u32
     }
 
-    /// Stages every entry in the cursor's level-0 slot with `at <= target`.
-    fn drain_level0_slot(
-        &mut self,
-        target: SimTime,
-        sink: &mut impl FnMut(SimTime, u64, u32, u32),
-    ) {
-        let slot = (self.cursor & (SLOTS as u64 - 1)) as usize;
-        if self.occupancy[0] & (1 << slot) == 0 {
+    /// Stages every entry of slot `home`. The list is detached whole, so
+    /// staging a node never touches its neighbours.
+    fn stage_slot(&mut self, home: usize, sink: &mut impl FnMut(SimTime, u64, u32, u32)) {
+        if self.occupancy[home / SLOTS] & (1 << (home % SLOTS)) == 0 {
             return;
         }
-        let mut idx = self.heads[slot];
+        let mut idx = std::mem::replace(&mut self.heads[home], NIL);
+        self.occupancy[home / SLOTS] &= !(1 << (home % SLOTS));
         while idx != NIL {
             let node = self.nodes[idx as usize];
-            let next = node.next;
-            if node.at <= target {
-                self.unlink(idx, node.home);
-                self.len -= 1;
-                self.nodes[idx as usize].home = HOME_DUE;
-                sink(node.at, node.ord, idx, node.generation);
-            }
-            idx = next;
+            self.len -= 1;
+            self.nodes[idx as usize].home = HOME_DUE;
+            sink(node.at, node.ord, idx, node.generation);
+            idx = node.next;
         }
     }
 
@@ -397,45 +376,6 @@ impl Wheel {
             self.link(idx, new_home);
             idx = next;
         }
-    }
-
-    /// Conservative lower bound on the earliest filed entry, from the
-    /// occupancy bitmaps (slot starts, so it can undershoot within a
-    /// window but never overshoot).
-    ///
-    /// The cursor's own level-0 slot is the one exception to the
-    /// slot-start argument: the past-tick rescan path in
-    /// [`Wheel::insert`] parks entries there whose times *precede* the
-    /// slot's window, so its bound comes from scanning the (short)
-    /// remaining list for the actual minimum key instead.
-    fn refreshed_bound(&self) -> SimTime {
-        let mut best = u64::MAX;
-        let cur_slot = (self.cursor & (SLOTS as u64 - 1)) as usize;
-        if self.occupancy[0] & (1 << cur_slot) != 0 {
-            let mut idx = self.heads[cur_slot];
-            while idx != NIL {
-                let node = &self.nodes[idx as usize];
-                best = best.min(node.at.as_nanos());
-                idx = node.next;
-            }
-        }
-        for level in 0..LEVELS {
-            let occ = if level == 0 {
-                self.occupancy[0] & !(1 << cur_slot)
-            } else {
-                self.occupancy[level]
-            };
-            if occ == 0 {
-                continue;
-            }
-            let shift = SLOT_BITS * level as u32;
-            let cur = self.cursor >> shift;
-            let rot = occ.rotate_right((cur & 63) as u32);
-            let ahead = u64::from(rot.trailing_zeros());
-            let start = ((cur + ahead) << shift) << GRAIN_BITS;
-            best = best.min(start);
-        }
-        SimTime::from_nanos(best)
     }
 
     fn alloc(&mut self) -> u32 {
@@ -627,22 +567,24 @@ mod tests {
     }
 
     #[test]
-    fn next_window_end_guarantees_progress() {
+    fn drain_next_progresses_with_a_valid_bound() {
         let mut w = Wheel::new();
-        let t = SimTime::from_millis(7);
-        w.insert(t, 1 << 32);
-        let mut guard = 0;
-        loop {
-            guard += 1;
-            assert!(guard < 32, "window-end stepping must converge");
-            let end = w.next_window_end().expect("non-empty");
-            assert!(end >= w.bound());
-            let mut fired = Vec::new();
-            w.drain_to(end, |at, ord, _, _| fired.push((at, ord)));
-            if !fired.is_empty() {
-                assert_eq!(fired, vec![(t, 1 << 32)]);
-                break;
-            }
+        // Two entries in one tick, one a tick later in the same level-1
+        // window, one two levels out and one three levels out.
+        let times = [7_000_000, 7_000_005, 7_001_024, 9_000_000, 300_000_000];
+        for (i, &t) in times.iter().enumerate() {
+            w.insert(SimTime::from_nanos(t), (i as u64) << 32);
         }
+        let mut fired = Vec::new();
+        for _ in 0..16 {
+            w.drain_next(|at, _, _, _| fired.push(at.as_nanos()));
+            // The bound never overshoots an entry still filed.
+            let mut filed = times.iter().filter(|t| !fired.contains(t));
+            assert!(filed.all(|&t| w.bound() <= SimTime::from_nanos(t)));
+        }
+        fired.sort();
+        assert_eq!(fired, times);
+        assert!(w.is_empty());
+        w.drain_next(|_, _, _, _| unreachable!("empty wheel stages nothing"));
     }
 }

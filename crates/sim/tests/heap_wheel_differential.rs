@@ -1,8 +1,10 @@
 //! Differential oracle for the timing wheel: an [`EventQueue`] mixing
-//! plain heap events with wheel timers under cancel/re-arm storms must
-//! pop exactly the `(time, value)` sequence of a reference tombstoning
-//! `BinaryHeap` engine — the engine the wheel replaced — on seeded
-//! random interleavings.
+//! plain events (calendar buckets, or the wheel beyond the calendar's
+//! horizon) with wheel timers under cancel/re-arm storms must pop exactly
+//! the `(time, value)` sequence of a reference tombstoning `BinaryHeap`
+//! engine — the engine the wheel replaced — on seeded random
+//! interleavings, including same-nanosecond ties between a calendar
+//! entry and a timer already staged for dispatch.
 //!
 //! The reference models cancellation the way the old engine did: the
 //! dead entry stays in the heap and is popped (and discarded) when its
@@ -130,6 +132,7 @@ impl ReferenceQueue {
 struct Armed {
     handle: TimerHandle,
     value: u64,
+    at: SimTime,
 }
 
 struct Harness {
@@ -170,13 +173,17 @@ impl Harness {
         self.next_value += 1;
         let handle = self.real.schedule_timer_at(at, v);
         self.oracle.schedule_at(at, v);
-        self.armed.push(Armed { handle, value: v });
+        self.armed.push(Armed {
+            handle,
+            value: v,
+            at,
+        });
     }
 
     /// Cancels the pending timer at `ix` on both engines, asserting the
     /// real queue surrenders the right payload. Returns its old value.
     fn cancel_at(&mut self, ix: usize) -> u64 {
-        let Armed { handle, value } = self.armed.swap_remove(ix);
+        let Armed { handle, value, .. } = self.armed.swap_remove(ix);
         if self.fired.contains(&value) {
             // Raced: the timer fired since we recorded it. The handle
             // is stale and cancellation must be a no-op.
@@ -241,11 +248,14 @@ impl Harness {
 /// `far_span` occasionally schedules far ahead so keys cross wheel
 /// windows and levels (cascade + wrap coverage).
 fn run_case(seed: u64, tie_span: u64, far_span: u64) {
-    run_case_steps(seed, 800, tie_span, far_span);
+    run_case_steps(seed, 800, tie_span, far_span, false);
 }
 
-/// Returns the number of timers the case cancelled.
-fn run_case_steps(seed: u64, steps: u32, tie_span: u64, far_span: u64) -> u64 {
+/// Returns the number of timers the case cancelled. With `tie_timers`,
+/// half the event pushes land on a pending timer's exact nanosecond, and
+/// a peek first stages due timers, so calendar entries tie with staged
+/// wheel entries.
+fn run_case_steps(seed: u64, steps: u32, tie_span: u64, far_span: u64, tie_timers: bool) -> u64 {
     let mut rng = SimRng::seed_from_u64(seed);
     let mut h = Harness::new();
     for step in 0..steps {
@@ -258,6 +268,11 @@ fn run_case_steps(seed: u64, steps: u32, tie_span: u64, far_span: u64) -> u64 {
             SimTime::from_nanos(h.real.now().as_nanos() + rng.below(span))
         };
         match rng.below(10) {
+            0..=2 if tie_timers && !h.armed.is_empty() && rng.below(2) == 0 => {
+                h.real.peek_time();
+                let t = h.armed[rng.below(h.armed.len() as u64) as usize].at;
+                h.push_event(t.max(h.real.now()));
+            }
             0..=2 => {
                 let t = at(&h, &mut rng);
                 h.push_event(t);
@@ -326,13 +341,50 @@ fn wheel_differential_cross_window_cascades_64_seeds() {
 }
 
 #[test]
+fn wheel_differential_calendar_ties_staged_timers_64_seeds() {
+    // Events pushed onto a pending timer's nanosecond after a peek has
+    // staged it: the calendar entry and the staged entry tie on time, and
+    // insertion order alone decides. Spans inside and across the
+    // calendar's 8 192 ns horizon.
+    for (i, tie_span) in [40, 9_000].into_iter().enumerate() {
+        for seed in 0..64 {
+            run_case_steps(
+                0x0EE6_0000 + ((i as u64) << 8) + seed,
+                800,
+                tie_span,
+                20_000,
+                true,
+            );
+        }
+    }
+}
+
+#[test]
+fn wheel_differential_calendar_tie_with_a_staged_timer() {
+    // One pinned instance: a timer staged by a peek, then an event on its
+    // nanosecond, a second timer, a cancel, and another event.
+    let mut h = Harness::new();
+    h.push_event(SimTime::ZERO);
+    h.pop_both("first dispatch");
+    let t = SimTime::from_nanos(300);
+    h.arm_timer(t);
+    assert_eq!(h.real.peek_time(), Some(t));
+    h.push_event(t);
+    h.arm_timer(t);
+    h.push_event(t);
+    h.cancel_at(1);
+    h.push_event(t);
+    h.drain_and_reconcile("pinned tie");
+}
+
+#[test]
 fn wheel_differential_long_cancel_storm_sweeps_ghost_log() {
     // Thousands of cancels per case, far-future ones among them, so the
     // ghost log is swept repeatedly while unpassed ghosts stay behind;
     // the dead-pop count must agree after every live dispatch all the
     // same.
     for seed in 0..4 {
-        let cancels = run_case_steps(0x0EE5_0000 + seed, 30_000, 2_000, 40_000_000);
+        let cancels = run_case_steps(0x0EE5_0000 + seed, 30_000, 2_000, 40_000_000, false);
         assert!(
             cancels > 5_000,
             "only {cancels} cancels: the log never swept"
@@ -342,9 +394,9 @@ fn wheel_differential_long_cancel_storm_sweeps_ghost_log() {
 
 #[test]
 fn wheel_differential_survives_renumber() {
-    // The u32-seq compaction renumbers heap entries, filed and staged
-    // timers, and ghosts in one monotone pass; pop order and ghost
-    // accounting must be unaffected even mid-storm.
+    // The u32-seq compaction renumbers calendar entries, filed and
+    // staged wheel entries, and ghosts in one monotone pass; pop order
+    // and ghost accounting must be unaffected even mid-storm.
     for seed in 0..16 {
         let mut rng = SimRng::seed_from_u64(0x0EE4_0000 + seed);
         let mut h = Harness::new();
