@@ -6,6 +6,7 @@
 //!
 //! experiments: fig3a fig3b fig7 table2 fig8 fig9 fig10 fig11 ablations
 //!              chaos irn tournament all
+//! repro trace
 //! ```
 //!
 //! Scaled-down runs (`--scale small`, the default) finish in about a
@@ -43,8 +44,15 @@
 //! fails on any digest or report divergence between the two or any
 //! invariant violation; `irn --check` also fails on a drifted IRN golden
 //! digest or zero rescued flows.
+//!
+//! `repro trace` is the flight-recorder dump: one fixed-seed hybrid run
+//! with the recorder on, every lifecycle event as JSON Lines on stdout,
+//! and the totals plus a causal summary of the slowest TCP flow on
+//! stderr. It takes no flags and is not part of `all` (the dump is
+//! about 26 MB).
 
 use std::env;
+use std::io::Write;
 use std::process::ExitCode;
 
 use dcn_experiments::{
@@ -52,15 +60,95 @@ use dcn_experiments::{
     standard_variants, table2, tournament, ExperimentScale, Outcome, SweepOptions,
     CHAOS_CHECK_SEEDS, FIG11_FANOUTS, FIG7_LOADS, TABLE2_LOADS,
 };
-use dcn_sim::SimDuration;
+use dcn_fabric::{FabricConfig, FabricSim, PolicyChoice};
+use dcn_net::{ClosConfig, Priority, Topology, TrafficClass};
+use dcn_sim::{BitRate, Bytes, SimDuration, SimRng, SimTime, TraceConfig};
+use dcn_switch::SwitchConfig;
+use dcn_workload::{web_search_cdf, PoissonTraffic};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: repro <fig3a|fig3b|fig7|table2|fig8|fig9|fig10|fig11|ablations|chaos|irn|tournament|all> \
          [--scale tiny|small|paper] [--seed N] [--window-ms N] [--jobs N] [--seeds N] \
-         [--shards N|auto] [--check]"
+         [--shards N|auto] [--check]\n       repro trace"
     );
     ExitCode::FAILURE
+}
+
+/// The flight-recorder dump: one fixed-seed hybrid run on a small Clos
+/// under L2BM with a buffer small enough to exercise drops, recovery
+/// and PFC (the golden-digest scenario's shape). Writes every recorded
+/// event as JSON Lines to stdout; the totals and the slowest TCP flow's
+/// causal summary go to stderr.
+fn trace() -> ExitCode {
+    let topo = Topology::clos(&ClosConfig::small(4));
+    let (rdma_hosts, tcp_hosts): (Vec<_>, Vec<_>) = topo.hosts().partition(|h| h.index() % 2 == 0);
+    let mut rng = SimRng::seed_from_u64(42);
+    let window = SimDuration::from_millis(2);
+    let rdma = PoissonTraffic::builder(rdma_hosts.clone(), web_search_cdf())
+        .load(0.4)
+        .link_rate(BitRate::from_gbps(25))
+        .class(TrafficClass::Lossless, Priority::new(3))
+        .dests(rdma_hosts)
+        .build();
+    let tcp = PoissonTraffic::builder(tcp_hosts.clone(), web_search_cdf())
+        .load(0.8)
+        .link_rate(BitRate::from_gbps(25))
+        .class(TrafficClass::Lossy, Priority::new(1))
+        .dests(tcp_hosts)
+        .first_flow_id(1 << 40)
+        .build();
+    let cfg = FabricConfig {
+        policy: PolicyChoice::l2bm(),
+        seed: 42,
+        switch: SwitchConfig {
+            total_buffer: Bytes::from_kb(96),
+            ..SwitchConfig::default()
+        },
+        sample_interval: None,
+        trace: TraceConfig::enabled(),
+        ..FabricConfig::default()
+    };
+    let mut sim = FabricSim::new(topo, cfg);
+    sim.add_flows(rdma.generate(window, &mut rng.fork(1)));
+    sim.add_flows(tcp.generate(window, &mut rng.fork(2)));
+    sim.run_until_done(SimTime::ZERO + window + SimDuration::from_millis(60));
+
+    let slowest_tcp = sim
+        .results()
+        .fct
+        .records()
+        .iter()
+        .filter(|r| r.class == TrafficClass::Lossy)
+        .max_by(|a, b| a.slowdown().total_cmp(&b.slowdown()))
+        .map(|r| r.flow.as_u64());
+    sim.trace()
+        .with(|rec| {
+            let t = rec.totals();
+            eprintln!(
+                "recorded {} events ({} evicted): {} drops ({} ingress, {} egress, {} headroom), \
+                 {} pauses, {} resumes, {} RTO fires",
+                rec.len(),
+                rec.evicted(),
+                t.drops(),
+                t.drops_ingress,
+                t.drops_egress,
+                t.drops_headroom,
+                t.pfc_pauses,
+                t.pfc_resumes,
+                t.rto_fires,
+            );
+            eprintln!("--- slowest TCP flow ---");
+            eprint!(
+                "{}",
+                slowest_tcp
+                    .map(|f| rec.summarize_flow(f))
+                    .unwrap_or_else(|| "no completed TCP flows\n".into())
+            );
+            std::io::stdout().write_all(rec.to_jsonl().as_bytes())
+        })
+        .expect("recorder enabled")
+        .map_or(ExitCode::FAILURE, |()| ExitCode::SUCCESS)
 }
 
 /// Golden digest of the tiny-scale IRN universe cell (L2BM policy,
@@ -168,6 +256,13 @@ fn main() -> ExitCode {
     let Some(which) = args.first().cloned() else {
         return usage();
     };
+    if which == "trace" {
+        if args.len() > 1 {
+            eprintln!("'trace' takes no flags: it replays one fixed scenario");
+            return usage();
+        }
+        return trace();
+    }
 
     let mut scale = ExperimentScale::small();
     let mut opts = SweepOptions::default();

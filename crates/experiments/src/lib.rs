@@ -4,7 +4,7 @@
 //! Each `figN`/`tableN` function runs the corresponding experiment and
 //! returns a structured report whose `render()` prints the same
 //! rows/series the paper plots. The `repro` binary exposes them as
-//! subcommands; `dcn-bench` times scaled-down variants.
+//! subcommands; `perfbench/` times them.
 //!
 //! | id | paper artifact | function |
 //! |----|----------------|----------|

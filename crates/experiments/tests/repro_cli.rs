@@ -41,6 +41,7 @@ fn meaningless_arguments_exit_1_with_a_message() {
             &["irn", "--scale", "tiny", "--shards", "auto"][..],
             "takes no --seeds or --shards",
         ),
+        (&["trace", "--scale", "tiny"][..], "'trace' takes no flags"),
     ] {
         let out = repro(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

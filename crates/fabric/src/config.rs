@@ -137,7 +137,8 @@ pub struct FabricConfig {
     /// interval, a `FlowStalled` trace event is recorded and the run's
     /// `flow_stalls` defect counter bumped — once per stall episode.
     /// `None` (the default) arms no timers and adds no events, keeping
-    /// legacy digests byte-identical.
+    /// legacy digests byte-identical. Serial engine only:
+    /// [`crate::ShardedFabricSim::new`] refuses it.
     pub flow_watchdog: Option<SimDuration>,
     /// Buffer-occupancy sampling period (paper: 1 ms). `None` disables
     /// sampling.

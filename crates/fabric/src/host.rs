@@ -11,7 +11,7 @@ use dcn_metrics::{FctRecord, IrnCounters};
 use dcn_net::{
     FlowId, NodeId, NodeKind, Packet, PacketKind, PfcFrame, PortId, Priority, TrafficClass,
 };
-use dcn_sim::{BitRate, Bytes, SimDuration, SimTime, Stamp, TraceEvent, TraceHandle};
+use dcn_sim::{BitRate, Bytes, SimDuration, SimTime, TraceEvent, TraceHandle};
 use dcn_switch::{Charge, EgressPort, QueuedPacket, TxStart};
 use dcn_transport::{
     AckAction, DcqcnConfig, DcqcnReceiver, DcqcnSender, DctcpConfig, DctcpReceiver, DctcpSender,
@@ -22,7 +22,7 @@ use dcn_workload::FlowSpec;
 use crate::config::{FabricConfig, RdmaTransport};
 use crate::flows::{FlowRuntime, FlowState, FlowTable, FlowTimers};
 use crate::results::RunResults;
-use crate::wires::{HandoffPayload, Wires};
+use crate::wires::Wires;
 use crate::world::{Event, Queue};
 
 /// One end host's transmit path.
@@ -339,34 +339,16 @@ impl Hosts {
         self.inject_all(now, spec.src, burst, wires, q);
         // Opt-in liveness watchdog covers RDMA flows of both universes
         // (DCQCN and IRN); DCTCP's own RTO machinery already guarantees
-        // liveness for the lossy class. The watchdog measures receiver
-        // progress, so when the fabric is sharded the timer must live in
-        // the destination's shard — a flow whose endpoints straddle a
-        // boundary hands the arm across (legal because the sharded
-        // executor requires `interval ≥ lookahead`).
+        // liveness for the lossy class. Serial runs only: the sharded
+        // executor refuses it.
         let Some(interval) = self.flow_watchdog else {
             return;
         };
         if matches!(self.flows[ix].runtime, FlowRuntime::Tcp { .. }) {
             return;
         }
-        if wires.owns(spec.dst) {
-            self.flows[ix].timers.flow_watchdog =
-                Some(q.schedule_timer_after(now, interval, Event::FlowWatchdog { flow: spec.id }));
-        } else {
-            let arm = HandoffPayload::WatchdogArm { flow: spec.id };
-            wires.hand_off(now + interval, spec.dst, arm, q);
-        }
-    }
-
-    /// Arms a flow watchdog handed over from the shard owning the flow's
-    /// source, at the source-drawn stamp.
-    pub fn admit_watchdog(&mut self, at: SimTime, flow: FlowId, stamp: &Stamp, q: &mut Queue) {
-        let Some(ix) = self.flow_ix.get(flow) else {
-            return;
-        };
-        let handle = q.schedule_timer_at_stamped(at, Event::FlowWatchdog { flow }, stamp);
-        self.flows[ix].timers.flow_watchdog = Some(handle);
+        self.flows[ix].timers.flow_watchdog =
+            Some(q.schedule_timer_after(now, interval, Event::FlowWatchdog { flow: spec.id }));
     }
 
     /// A packet reaches its destination host's transport endpoint.
@@ -628,20 +610,16 @@ impl Hosts {
     /// against the previous fire. A whole interval with zero new
     /// in-order bytes is one stall *episode* — counted once, and again
     /// only after progress resumes and stalls anew.
-    pub fn flow_watchdog(&mut self, now: SimTime, flow: FlowId, wires: &Wires, q: &mut Queue) {
+    pub fn flow_watchdog(&mut self, now: SimTime, flow: FlowId, q: &mut Queue) {
         let Some(ix) = self.flow_ix.get(flow) else {
             return;
         };
+        let f = &mut self.flows[ix];
         // Firing consumed the wheel entry; the stored handle is dead.
-        self.flows[ix].timers.flow_watchdog = None;
-        // The proxy, not `is_done()`: in a sharded world the far half of
-        // a straddling flow is an untouched replica (e.g. a never-sending
-        // sender) that would keep the exact predicate false forever and
-        // turn every finished flow into a phantom stall.
-        if self.flow_done_proxy(ix, wires) {
+        f.timers.flow_watchdog = None;
+        if f.is_done() {
             return;
         }
-        let f = &mut self.flows[ix];
         let received = f.received();
         if received > f.watchdog_progress {
             f.watchdog_progress = received;

@@ -38,14 +38,14 @@ use std::cmp::Ordering;
 use std::sync::{Arc, Mutex};
 
 use dcn_metrics::FctRecord;
-use dcn_net::{Partition, Topology, TrafficClass};
+use dcn_net::{Partition, Topology};
 use dcn_sim::{
     ambiguous_comparisons, EventQueue, QueueStats, ShardStats, SimTime, Simulation, SpinBarrier,
     StampKey,
 };
 use dcn_workload::FlowSpec;
 
-use crate::config::{FabricConfig, RdmaTransport};
+use crate::config::FabricConfig;
 use crate::results::RunResults;
 use crate::wires::Handoff;
 use crate::world::{Event, PopCounters, World};
@@ -132,9 +132,9 @@ struct ShardPiece {
 /// shard count *and* to the serial engine's.
 ///
 /// Unsupported (asserted) configurations: the flight recorder (it
-/// entangles state across the whole fabric), and — beyond one shard —
-/// the flow-liveness watchdog on IRN transports or with an interval
-/// below the partition lookahead.
+/// entangles state across the whole fabric) and the flow-liveness
+/// watchdog (its timer and the receiver progress it reads can sit in
+/// different shards).
 #[derive(Debug)]
 pub struct ShardedFabricSim {
     topo: Topology,
@@ -150,15 +150,20 @@ impl ShardedFabricSim {
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero, if `cfg` enables the flight
-    /// recorder, or on any configuration [`crate::FabricSim::new`]
-    /// refuses (an oversized frame, an invalid fault schedule).
+    /// Panics if `shards` is zero, if `cfg` enables the flight recorder
+    /// or the flow watchdog, or on any configuration
+    /// [`crate::FabricSim::new`] refuses (an oversized frame, an invalid
+    /// fault schedule).
     pub fn new(topo: Topology, cfg: FabricConfig, shards: usize) -> ShardedFabricSim {
         assert!(shards >= 1, "at least one shard");
         cfg.assert_valid(&topo);
         assert!(
             !cfg.trace.enabled,
             "sharded runs do not support the flight recorder"
+        );
+        assert!(
+            cfg.flow_watchdog.is_none(),
+            "sharded runs do not support the flow watchdog"
         );
         let part = Arc::new(Partition::new(&topo, shards));
         ShardedFabricSim {
@@ -189,38 +194,8 @@ impl ShardedFabricSim {
     /// Runs until every registered flow has completed or `deadline`
     /// passes, whichever the serial engine would have hit first.
     /// Returns whether all flows completed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a multi-shard run enables the flow watchdog on an IRN
-    /// configuration (the watchdog measures receiver progress but IRN
-    /// completion is source-observed, so the timer cannot be placed in
-    /// one shard) or with an interval below the partition lookahead
-    /// (the cross-shard arm could fire inside its source window).
     pub fn run_until_done(&mut self, deadline: SimTime) -> bool {
         let shards = self.part.shards();
-        if shards > 1 {
-            if let Some(interval) = self.cfg.flow_watchdog {
-                assert!(
-                    self.cfg.rdma_transport == RdmaTransport::Dcqcn,
-                    "flow watchdog cannot shard with the IRN transport"
-                );
-                assert!(
-                    self.specs
-                        .iter()
-                        .all(|s| s.class != TrafficClass::LossyRdma),
-                    "flow watchdog cannot shard with LossyRdma flows"
-                );
-                let lookahead = self
-                    .part
-                    .lookahead()
-                    .expect("multi-shard implies cross links");
-                assert!(
-                    interval >= lookahead,
-                    "flow-watchdog interval shorter than the partition lookahead"
-                );
-            }
-        }
         let shared = Shared {
             barrier: SpinBarrier::new(shards),
             mailboxes: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
@@ -678,7 +653,7 @@ fn merge_pieces(pieces: Vec<ShardPiece>) -> RunResults {
 mod tests {
     use super::*;
     use crate::{FabricSim, PolicyChoice};
-    use dcn_net::{ClosConfig, FlowId, NodeId, Priority};
+    use dcn_net::{ClosConfig, FlowId, NodeId, Priority, TrafficClass};
     use dcn_sim::{BitRate, Bytes, FaultSchedule, SimDuration, Stamp, STAMP_DEPTH};
 
     fn spec(
@@ -1035,16 +1010,13 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_run_matches_serial() {
-        let topo = Topology::clos(&ClosConfig::small(4));
+    #[should_panic(expected = "do not support the flow watchdog")]
+    fn watchdog_is_refused() {
         let cfg = FabricConfig {
             flow_watchdog: Some(SimDuration::from_micros(500)),
             ..FabricConfig::default()
         };
-        let flows = hybrid_flows(&topo, 16);
-        for shards in [1, 2] {
-            assert_matches_serial(&topo, &cfg, &flows, shards, SimTime::from_millis(100));
-        }
+        ShardedFabricSim::new(Topology::clos(&ClosConfig::small(4)), cfg, 2);
     }
 
     #[test]

@@ -14,32 +14,19 @@ use dcn_switch::{PfcEmit, TxStart};
 use crate::config::FabricConfig;
 use crate::world::{Event, Queue};
 
-/// What a shard hands to a peer at a window barrier.
-#[derive(Debug)]
-pub(crate) enum HandoffPayload {
-    /// A fully formed event (a cross-shard `Deliver` or `PfcDeliver`).
-    Event(Event),
-    /// Arm the flow-liveness watchdog in the destination's shard (the
-    /// receiver state the watchdog measures lives there).
-    WatchdogArm {
-        /// The flow to watch.
-        flow: dcn_net::FlowId,
-    },
-}
-
-/// A stamped cross-shard message, generated during one window and
-/// admitted by its destination shard at the next barrier. The stamp was
-/// drawn in emission order at the source, so the destination dispatches
-/// it at exactly the `(time, stamp)` key the serial engine would have
-/// used.
+/// A stamped cross-shard event (a `Deliver` or `PfcDeliver`), generated
+/// during one window and admitted by its destination shard at the next
+/// barrier. The stamp was drawn in emission order at the source, so the
+/// destination dispatches it at exactly the `(time, stamp)` key the
+/// serial engine would have used.
 #[derive(Debug)]
 pub(crate) struct Handoff {
     /// Fire time (provably ≥ the next window's start).
     pub(crate) at: SimTime,
     /// Admission stamp carried verbatim across the shard boundary.
     pub(crate) stamp: Stamp,
-    /// The message.
-    pub(crate) payload: HandoffPayload,
+    /// The event.
+    pub(crate) event: Event,
 }
 
 /// Spatial-sharding context: which shard this world is, the global
@@ -151,16 +138,14 @@ impl Wires {
         if self.owns(dest) {
             q.schedule_at(at, ev);
         } else {
-            self.hand_off(at, dest, HandoffPayload::Event(ev), q);
+            let stamp = q.next_child_stamp();
+            let ctx = self.shard.as_mut().expect("unowned node implies sharding");
+            ctx.outbox[ctx.part.shard_of(dest)].push(Handoff {
+                at,
+                stamp,
+                event: ev,
+            });
         }
-    }
-
-    /// Queues `payload` for the shard owning `dest`, stamped as the
-    /// dispatching pop's next emission.
-    pub fn hand_off(&mut self, at: SimTime, dest: NodeId, payload: HandoffPayload, q: &mut Queue) {
-        let stamp = q.next_child_stamp();
-        let ctx = self.shard.as_mut().expect("unowned node implies sharding");
-        ctx.outbox[ctx.part.shard_of(dest)].push(Handoff { at, stamp, payload });
     }
 
     /// A switch started serializing `tx` (see [`Wires::schedule_tx`]).

@@ -20,7 +20,7 @@ use crate::config::FabricConfig;
 use crate::host::Hosts;
 use crate::results::RunResults;
 use crate::switches::Switches;
-use crate::wires::{Handoff, HandoffPayload, Wires};
+use crate::wires::{Handoff, Wires};
 
 /// Events dispatched through the fabric's queue.
 #[derive(Debug)]
@@ -240,12 +240,7 @@ impl World {
     /// Admits a handoff received at a window barrier, carrying its
     /// source-drawn stamp into this shard's queue verbatim.
     pub(crate) fn admit_handoff(&mut self, h: Handoff, q: &mut Queue) {
-        match h.payload {
-            HandoffPayload::Event(ev) => q.schedule_at_stamped(h.at, ev, &h.stamp),
-            HandoffPayload::WatchdogArm { flow } => {
-                self.hosts.admit_watchdog(h.at, flow, &h.stamp, q);
-            }
-        }
+        q.schedule_at_stamped(h.at, h.event, &h.stamp);
     }
 
     /// The switches (at most two — only a link fault touches a pair)
@@ -392,7 +387,7 @@ impl Simulation for World {
             Event::HostTxComplete { host } => self.hosts.tx_complete(now, host, wires, q),
             Event::RdmaPace { flow } => self.hosts.rdma_pace(now, flow, wires, q),
             Event::Rto { flow } => self.hosts.rto(now, flow, wires, q),
-            Event::FlowWatchdog { flow } => self.hosts.flow_watchdog(now, flow, wires, q),
+            Event::FlowWatchdog { flow } => self.hosts.flow_watchdog(now, flow, q),
             Event::RpTimer { flow, kind } => self.hosts.rp_timer(now, flow, kind, q),
             Event::Sample => self.switches.sample(now, q),
             Event::Fault { fault } => self.apply_fault(now, fault, q),
@@ -508,12 +503,6 @@ impl FabricSim {
     /// test so a latent scheduling bug cannot hide behind the clamp.
     pub fn past_clamps(&self) -> u64 {
         self.queue.past_clamps()
-    }
-
-    /// Event-queue counters (high-water mark, slab capacity, clamps) for
-    /// the current state of this simulator.
-    pub fn queue_stats(&self) -> dcn_sim::QueueStats {
-        self.queue.stats()
     }
 
     /// Collects the run's results (clones the accumulated metrics; the

@@ -332,16 +332,6 @@ impl SeedStats {
             max: v[n - 1],
         })
     }
-
-    /// Lower edge of the 95% CI.
-    pub fn ci_lo(&self) -> f64 {
-        self.mean - self.ci95_half
-    }
-
-    /// Upper edge of the 95% CI.
-    pub fn ci_hi(&self) -> f64 {
-        self.mean + self.ci95_half
-    }
 }
 
 #[cfg(test)]

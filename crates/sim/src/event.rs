@@ -15,7 +15,7 @@
 //!   non-empty one, so schedule and pop are O(1). Every entry of a bucket
 //!   has the same time and joined it in `seq` order, so FIFO order *is*
 //!   `(time, seq)` order: nothing is sorted. The FIFO link and the
-//!   sequence number sit beside the payload in its [`Slab`] slot, so a
+//!   sequence number sit beside the payload in its slab slot, so a
 //!   pop touches one line.
 //! * **Cancellable timers** (RTO deadlines, DCQCN rate/alpha timers, PFC
 //!   watchdogs) go to a hierarchical timing wheel ([`crate::wheel`]) via
@@ -420,12 +420,12 @@ impl<E> EventQueue<E> {
         if self.seq == u32::MAX {
             self.renumber();
         }
-        let handle = self.slab.insert(Pending {
+        let slot = self.slab.insert(Pending {
             seq: self.seq,
             next: NIL,
             event,
         });
-        let ord = ord_of(self.seq, handle.slot);
+        let ord = ord_of(self.seq, slot);
         self.seq += 1;
         if let Some(st) = self.stamp.as_deref_mut() {
             let ix = st.free.pop().unwrap_or_else(|| {
@@ -447,7 +447,7 @@ impl<E> EventQueue<E> {
                     st.next_root += 1;
                 }
             }
-            let slot = handle.slot as usize;
+            let slot = slot as usize;
             if st.of_slot.len() <= slot {
                 st.of_slot.resize(slot + 1, 0);
             }
@@ -500,18 +500,9 @@ impl<E> EventQueue<E> {
     /// events; past times are clamped and counted exactly like
     /// [`EventQueue::schedule_at`].
     pub fn schedule_timer_at(&mut self, at: SimTime, event: E) -> TimerHandle {
-        self.schedule_timer_entry(at, event, None)
-    }
-
-    fn schedule_timer_entry(
-        &mut self,
-        at: SimTime,
-        event: E,
-        carried: Option<&Stamp>,
-    ) -> TimerHandle {
         let at = self.clamp_time(at);
         self.assert_future_in_stamp_mode(at);
-        let ord = self.admit(event, carried);
+        let ord = self.admit(event, None);
         let handle = self.wheel.insert(at, ord);
         self.max_pending = self.max_pending.max(self.len());
         handle
@@ -837,9 +828,9 @@ impl<E> EventQueue<E> {
 
     /// Consumes the current pop's next emission index and returns the
     /// stamp its child would get if it were admitted locally. Used to
-    /// stamp a cross-shard handoff: the remote shard admits the payload
-    /// with this exact stamp via the `*_stamped` schedulers, so the
-    /// dispatch order is as if the event had stayed local.
+    /// stamp a cross-shard handoff: the remote shard admits the event
+    /// with this exact stamp via [`EventQueue::schedule_at_stamped`], so
+    /// the dispatch order is as if the event had stayed local.
     pub fn next_child_stamp(&mut self) -> Stamp {
         let now = self.now;
         let st = self.stamp.as_deref_mut().expect("stamp mode required");
@@ -852,17 +843,6 @@ impl<E> EventQueue<E> {
     /// cross-shard handoff admitted at a window barrier).
     pub fn schedule_at_stamped(&mut self, at: SimTime, event: E, stamp: &Stamp) {
         self.schedule_entry(at, event, Some(stamp));
-    }
-
-    /// Arms a cancellable timer carrying an explicit admission stamp (a
-    /// cross-shard watchdog-arm handoff).
-    pub fn schedule_timer_at_stamped(
-        &mut self,
-        at: SimTime,
-        event: E,
-        stamp: &Stamp,
-    ) -> TimerHandle {
-        self.schedule_timer_entry(at, event, Some(stamp))
     }
 
     /// Gathers every pending event at the earliest pending time into a

@@ -3,8 +3,8 @@
 //!
 //! This crate is the foundation of the L2BM reproduction: a nanosecond-
 //! resolution clock ([`SimTime`]), typed quantities ([`Bytes`], [`BitRate`]),
-//! an [`EventQueue`] (a calendar of one-nanosecond buckets over a
-//! generational event [`Slab`]) with deterministic FIFO tie-breaking, a
+//! an [`EventQueue`] (a calendar of one-nanosecond buckets over an
+//! event slab) with deterministic FIFO tie-breaking, a
 //! hierarchical timing wheel for cancellable timers and far events (armed with
 //! [`EventQueue::schedule_timer_at`], cancelled in O(1) via
 //! [`TimerHandle`]), a [`Simulation`] driver trait, and seeded
@@ -61,7 +61,6 @@ pub use event::{run_until, run_while, EventQueue, QueueStats, Simulation};
 pub use fault::{FaultEvent, FaultSchedule, ScheduledFault};
 pub use par::{default_jobs, effective_jobs, par_map};
 pub use rng::{EmpiricalCdf, SimRng};
-pub use slab::{Slab, SlotHandle};
 pub use stamp::{ambiguous_comparisons, ShardStats, Stamp, StampKey, STAMP_DEPTH};
 pub use time::{SimDuration, SimTime};
 pub use trace::{

@@ -58,7 +58,7 @@ const HOME_FREE: u32 = u32::MAX - 2;
 /// [`crate::EventQueue::schedule_timer_at`] and consumed by
 /// [`crate::EventQueue::cancel_timer`].
 ///
-/// Generational like [`crate::SlotHandle`]: a handle to a timer that has
+/// Generational: a handle to a timer that has
 /// already fired, been cancelled, or been re-armed is detected and
 /// rejected rather than corrupting a newer timer in the recycled node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

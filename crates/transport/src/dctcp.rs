@@ -3,7 +3,8 @@
 
 use dcn_net::{FlowId, NodeId, Packet, Priority, TrafficClass};
 use dcn_sim::{Bytes, SimDuration, SimTime};
-use std::collections::BTreeMap;
+
+use crate::recovery::{Reassembly, RtoBackoff};
 
 /// DCTCP tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,7 +101,7 @@ pub struct DctcpSender {
     dup_acks: u32,
     in_recovery: bool,
     recover_seq: u64,
-    backoff: u32,
+    backoff: RtoBackoff,
 
     completed: bool,
 }
@@ -142,7 +143,7 @@ impl DctcpSender {
             dup_acks: 0,
             in_recovery: false,
             recover_seq: 0,
-            backoff: 0,
+            backoff: RtoBackoff::default(),
             completed: false,
         }
     }
@@ -179,17 +180,13 @@ impl DctcpSender {
 
     /// Consecutive timeouts since the last forward progress.
     pub fn backoff(&self) -> u32 {
-        self.backoff
+        self.backoff.count()
     }
 
     /// The RTO to arm next: the base RTO doubled once per consecutive
     /// timeout, capped at [`DctcpConfig::max_rto`].
     pub fn rto(&self) -> SimDuration {
-        let shift = self.backoff.min(32);
-        self.cfg
-            .rto
-            .saturating_mul(1u64 << shift)
-            .min(self.cfg.max_rto)
+        self.backoff.rto(self.cfg.rto, self.cfg.max_rto)
     }
 
     fn segment(&self, seq: u64) -> Packet {
@@ -244,7 +241,7 @@ impl DctcpSender {
             let newly = cumulative_ack - self.snd_una;
             self.snd_una = cumulative_ack;
             self.dup_acks = 0;
-            self.backoff = 0;
+            self.backoff.reset();
             self.acked_bytes += newly;
             if ecn_echo {
                 self.marked_bytes += newly;
@@ -337,9 +334,7 @@ impl DctcpSender {
         self.in_recovery = false;
         self.dup_acks = 0;
         self.snd_nxt = self.snd_una;
-        // Consecutive timeouts with no forward progress back the RTO
-        // off exponentially (Karn); reset on the next new ACK.
-        self.backoff = self.backoff.saturating_add(1);
+        self.backoff.timed_out();
         self.take_ready(now, out);
         action.rearm_timer = true;
         action
@@ -355,11 +350,7 @@ pub struct DctcpReceiver {
     host: NodeId,
     peer: NodeId,
     priority: Priority,
-    size: u64,
-    rcv_nxt: u64,
-    /// Out-of-order segments: start → end (exclusive).
-    ooo: BTreeMap<u64, u64>,
-    finished_at: Option<SimTime>,
+    stream: Reassembly,
 }
 
 impl DctcpReceiver {
@@ -371,58 +362,30 @@ impl DctcpReceiver {
             host,
             peer,
             priority,
-            size: size.as_u64(),
-            rcv_nxt: 0,
-            ooo: BTreeMap::new(),
-            finished_at: None,
+            stream: Reassembly::new(size.as_u64()),
         }
     }
 
     /// Bytes received in order so far.
     pub fn received(&self) -> u64 {
-        self.rcv_nxt
+        self.stream.rcv_nxt()
     }
 
     /// When the last payload byte arrived, if the flow is complete.
     pub fn finished_at(&self) -> Option<SimTime> {
-        self.finished_at
+        self.stream.finished_at()
     }
 
     /// Processes a data segment; returns the ACK to send back.
     pub fn on_data(&mut self, now: SimTime, seq: u64, payload: Bytes, ce: bool) -> Packet {
-        let end = seq + payload.as_u64();
-        if end > self.rcv_nxt {
-            if seq <= self.rcv_nxt {
-                self.rcv_nxt = end;
-            } else {
-                // Store and merge later.
-                let e = self.ooo.entry(seq).or_insert(end);
-                if *e < end {
-                    *e = end;
-                }
-            }
-            // Pull any now-contiguous segments.
-            while let Some((&s, &e)) = self.ooo.first_key_value() {
-                if s <= self.rcv_nxt {
-                    self.ooo.remove(&s);
-                    if e > self.rcv_nxt {
-                        self.rcv_nxt = e;
-                    }
-                } else {
-                    break;
-                }
-            }
-        }
-        if self.rcv_nxt >= self.size && self.finished_at.is_none() {
-            self.finished_at = Some(now);
-        }
+        self.stream.insert(now, seq, seq + payload.as_u64());
         Packet::ack(
             self.flow,
             self.host,
             self.peer,
             self.priority,
             TrafficClass::Lossy,
-            self.rcv_nxt,
+            self.stream.rcv_nxt(),
             ce,
         )
     }

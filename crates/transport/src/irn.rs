@@ -16,9 +16,10 @@
 
 use dcn_net::{FlowId, NodeId, Packet, Priority, TrafficClass};
 use dcn_sim::{Bytes, SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::dctcp::AckAction;
+use crate::recovery::{Reassembly, RtoBackoff};
 
 /// IRN tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,7 +74,7 @@ pub struct IrnSender {
     /// past them.
     handled_holes: BTreeSet<u64>,
 
-    backoff: u32,
+    backoff: RtoBackoff,
     completed: bool,
 }
 
@@ -103,7 +104,7 @@ impl IrnSender {
             snd_nxt: 0,
             snd_max: 0,
             handled_holes: BTreeSet::new(),
-            backoff: 0,
+            backoff: RtoBackoff::default(),
             completed: false,
         }
     }
@@ -131,18 +132,14 @@ impl IrnSender {
 
     /// Consecutive timeouts since the last forward progress.
     pub fn backoff(&self) -> u32 {
-        self.backoff
+        self.backoff.count()
     }
 
     /// The RTO to arm next: the base RTO doubled once per consecutive
-    /// timeout, capped at [`IrnConfig::max_rto`] — byte-for-byte the
+    /// timeout, capped at [`IrnConfig::max_rto`] — the
     /// [`crate::DctcpSender::rto`] discipline.
     pub fn rto(&self) -> SimDuration {
-        let shift = self.backoff.min(32);
-        self.cfg
-            .rto
-            .saturating_mul(1u64 << shift)
-            .min(self.cfg.max_rto)
+        self.backoff.rto(self.cfg.rto, self.cfg.max_rto)
     }
 
     fn segment(&self, seq: u64) -> Packet {
@@ -187,7 +184,7 @@ impl IrnSender {
             return false;
         }
         self.snd_una = cumulative_ack.min(self.size);
-        self.backoff = 0;
+        self.backoff.reset();
         // A cumulative ack may cover a rewound snd_nxt.
         self.snd_nxt = self.snd_nxt.max(self.snd_una);
         // Holes behind the cumulative point are repaired.
@@ -271,7 +268,7 @@ impl IrnSender {
         }
         self.snd_nxt = self.snd_una;
         self.handled_holes.clear();
-        self.backoff = self.backoff.saturating_add(1);
+        self.backoff.timed_out();
         self.take_ready(now, out);
         action.rearm_timer = true;
         action
@@ -287,15 +284,11 @@ pub struct IrnReceiver {
     host: NodeId,
     peer: NodeId,
     priority: Priority,
-    size: u64,
-    rcv_nxt: u64,
-    /// Out-of-order segments: start → end (exclusive).
-    ooo: BTreeMap<u64, u64>,
+    stream: Reassembly,
     /// Highest byte end ever seen; an arrival starting beyond it is the
     /// first evidence of a new gap (retransmissions and duplicates stay
     /// below it and must not re-NACK).
     high_water: u64,
-    finished_at: Option<SimTime>,
 }
 
 impl IrnReceiver {
@@ -307,22 +300,19 @@ impl IrnReceiver {
             host,
             peer,
             priority,
-            size: size.as_u64(),
-            rcv_nxt: 0,
-            ooo: BTreeMap::new(),
+            stream: Reassembly::new(size.as_u64()),
             high_water: 0,
-            finished_at: None,
         }
     }
 
     /// Bytes received in order so far.
     pub fn received(&self) -> u64 {
-        self.rcv_nxt
+        self.stream.rcv_nxt()
     }
 
     /// When the last payload byte arrived, if the flow is complete.
     pub fn finished_at(&self) -> Option<SimTime> {
-        self.finished_at
+        self.stream.finished_at()
     }
 
     /// Processes a data segment; returns the feedback packet to send:
@@ -330,57 +320,34 @@ impl IrnReceiver {
     /// gap, a cumulative ACK otherwise.
     pub fn on_data(&mut self, now: SimTime, seq: u64, payload: Bytes, ce: bool) -> Packet {
         let end = seq + payload.as_u64();
-        let new_gap = seq > self.rcv_nxt && seq > self.high_water;
+        let new_gap = seq > self.stream.rcv_nxt() && seq > self.high_water;
         self.high_water = self.high_water.max(end);
-        if end > self.rcv_nxt {
-            if seq <= self.rcv_nxt {
-                self.rcv_nxt = end;
-            } else {
-                let e = self.ooo.entry(seq).or_insert(end);
-                if *e < end {
-                    *e = end;
-                }
-            }
-            // Pull any now-contiguous segments.
-            while let Some((&s, &e)) = self.ooo.first_key_value() {
-                if s <= self.rcv_nxt {
-                    self.ooo.remove(&s);
-                    if e > self.rcv_nxt {
-                        self.rcv_nxt = e;
-                    }
-                } else {
-                    break;
-                }
-            }
-        }
-        if self.rcv_nxt >= self.size && self.finished_at.is_none() {
-            self.finished_at = Some(now);
-        }
+        self.stream.insert(now, seq, end);
+        let rcv_nxt = self.stream.rcv_nxt();
         if new_gap {
             // NACK the hole immediately before the block this arrival
             // landed in: its start is the end of the previous
             // out-of-order block, or the cumulative point if there is
             // none. (Earlier holes were NACKed when they appeared.)
-            let block_start = self
-                .ooo
+            let ooo = self.stream.ooo();
+            let block_start = ooo
                 .range(..=seq)
                 .next_back()
                 .map(|(&s, _)| s)
-                .unwrap_or(self.rcv_nxt);
-            let nack_seq = self
-                .ooo
+                .unwrap_or(rcv_nxt);
+            let nack_seq = ooo
                 .range(..block_start)
                 .next_back()
                 .map(|(_, &e)| e)
-                .unwrap_or(self.rcv_nxt)
-                .max(self.rcv_nxt);
+                .unwrap_or(rcv_nxt)
+                .max(rcv_nxt);
             return Packet::nack(
                 self.flow,
                 self.host,
                 self.peer,
                 self.priority,
                 nack_seq,
-                self.rcv_nxt,
+                rcv_nxt,
             );
         }
         Packet::ack(
@@ -389,7 +356,7 @@ impl IrnReceiver {
             self.peer,
             self.priority,
             TrafficClass::LossyRdma,
-            self.rcv_nxt,
+            rcv_nxt,
             ce,
         )
     }

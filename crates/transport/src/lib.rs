@@ -52,6 +52,7 @@
 mod dcqcn;
 mod dctcp;
 mod irn;
+mod recovery;
 
 pub use dcqcn::{DcqcnConfig, DcqcnReceiver, DcqcnSender, RpTimerKind};
 pub use dctcp::{AckAction, DctcpConfig, DctcpReceiver, DctcpSender, TcpEvent};
