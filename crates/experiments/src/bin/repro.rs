@@ -155,7 +155,7 @@ fn trace() -> ExitCode {
 /// zero faults) asserted by `repro irn --check`: pins the IRN
 /// transport's behavior the same way the DCQCN goldens pin the
 /// lossless path.
-const IRN_TINY_GOLDEN_DIGEST: u64 = 0xa67c_8a7f_b276_895c;
+const IRN_TINY_GOLDEN_DIGEST: u64 = 0x3e04_2bb5_1e4d_279f;
 
 /// Runs one of the sweeps that have a `--check` mode at `jobs` workers.
 /// With `gates`, also returns the failures of the gates only that sweep

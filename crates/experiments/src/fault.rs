@@ -743,7 +743,7 @@ mod tests {
         );
         only(
             fires(&irn, &|p, ev| {
-                p.results.pfc.record_pause(RDMA_PRIO);
+                p.results.pfc.record_pause();
                 ev.totals.pfc_pauses += 1;
             }),
             "IRN universe emitted 1 PFC pause frames",

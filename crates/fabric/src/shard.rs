@@ -121,7 +121,6 @@ struct ShardPiece {
     fct: Vec<(StampKey, FctRecord)>,
     unfinished: usize,
     banked: Banked,
-    ghost_credits: u64,
     queue: QueueStats,
     stats: ShardStats,
 }
@@ -299,7 +298,6 @@ fn run_shard(
     let mut fct_keys: Vec<StampKey> = Vec::new();
 
     let mut banked = Banked::default();
-    let mut ghost_credits: u64 = 0;
 
     let mut w_start = SimTime::ZERO;
     let mut done = false;
@@ -435,9 +433,6 @@ fn run_shard(
         }
         pops.clear();
         deltas.clear();
-        // Timers cancelled with fire times inside the window are pops
-        // the serial engine's lazy ghost absorption has counted by now.
-        ghost_credits += q.fold_stamped_ghosts_before(w_end);
 
         if w_end >= deadline {
             // Deadline exit. Pending handoffs fire at ≥ deadline — the
@@ -516,25 +511,6 @@ fn run_shard(
         while fct_keep > 0 && !keep(&fct_keys[fct_keep - 1]) {
             fct_keep -= 1;
         }
-        // Ghosts the serial run absorbed before stopping: every logged
-        // cancellation strictly before the stop key.
-        let tail = match &stop_key {
-            Some(sk) => q
-                .stamped_ghosts()
-                .filter(|&(at, stamp)| {
-                    at.cmp(&sk.at).then_with(|| stamp.order(&sk.stamp)) == Ordering::Less
-                })
-                .count() as u64,
-            None => 0,
-        };
-        q.add_ghost_pops(tail);
-        ghost_credits += tail;
-    } else {
-        // Deadline or drained exit: the serial engine absorbs every
-        // remaining ghost before the deadline.
-        let tail = q.stamped_ghosts().filter(|&(at, _)| at < deadline).count() as u64;
-        q.add_ghost_pops(tail);
-        ghost_credits += tail;
     }
     world.drop_last_occupancy(dropped_samples);
 
@@ -572,7 +548,6 @@ fn run_shard(
         base,
         fct,
         banked,
-        ghost_credits,
         queue: q.stats(),
         stats,
     }
@@ -596,15 +571,14 @@ fn merge_pieces(pieces: Vec<ShardPiece>) -> RunResults {
 
     // Events: each normal pop happened in exactly one shard; replicated
     // pops happened in all of them identically (asserted) and count
-    // once; ghost credits are per-timer and every timer is armed in
-    // exactly one shard.
+    // once.
     let replicated = pieces[0].banked.replicated;
     for p in &pieces {
         assert_eq!(
             p.banked.replicated, replicated,
             "replicated event schedules diverged across shards"
         );
-        r.events_processed += p.banked.normal + p.ghost_credits;
+        r.events_processed += p.banked.normal;
     }
     r.events_processed += replicated;
 
@@ -639,7 +613,6 @@ fn merge_pieces(pieces: Vec<ShardPiece>) -> RunResults {
         r.queue.past_clamps += p.queue.past_clamps;
         r.queue.timers_pending += p.queue.timers_pending;
         r.queue.timer_cancels += p.queue.timer_cancels;
-        r.queue.ghost_pops += p.queue.ghost_pops;
         r.queue.stale_timer_pops += p.queue.stale_timer_pops;
         r.shards.push(p.stats);
     }

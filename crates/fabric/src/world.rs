@@ -469,17 +469,7 @@ impl FabricSim {
         run_while(&mut self.world, &mut self.queue, |w, t| {
             t < deadline && w.done_flows() < total
         });
-        let done = self.world.done_flows() == total;
-        if !done {
-            // Deadline exit: account for the cancelled timers a
-            // tombstoning queue would have popped as stale no-ops
-            // inside the window. On the done exit the loop stopped at
-            // the completing event's key, which `finish_pop` already
-            // absorbed up to — exactly where a tombstoning pop loop
-            // would have stopped.
-            self.queue.absorb_ghosts_before(deadline);
-        }
-        done
+        self.world.done_flows() == total
     }
 
     /// The world (for inspection).
@@ -509,10 +499,7 @@ impl FabricSim {
     /// simulator stays usable).
     pub fn results(&self) -> RunResults {
         let mut r = RunResults {
-            // Dispatched events plus absorbed ghosts: byte-identical to
-            // what a tombstoning queue would have popped, so the golden
-            // digests survive the wheel migration unchanged.
-            events_processed: self.queue.processed() + self.queue.ghost_pops(),
+            events_processed: self.queue.processed(),
             unfinished_flows: self.world.flow_count() - self.world.done_flows(),
             queue: self.queue.stats(),
             ..RunResults::default()

@@ -1,11 +1,10 @@
 //! PFC / drop counters and buffer-occupancy time series.
 
-use dcn_net::Priority;
 use dcn_sim::{Bytes, SimTime};
 
 use crate::stats::Cdf;
 
-/// Counts PFC pause and resume frames, total and per priority.
+/// Counts PFC pause and resume frames over a whole run.
 ///
 /// The paper's Fig. 7(d), Table II and Fig. 11(c) report the number of
 /// pause frames generated over a whole run.
@@ -14,7 +13,6 @@ pub struct PfcCounters {
     pause_total: u64,
     resume_total: u64,
     watchdog_total: u64,
-    pause_by_priority: [u64; Priority::COUNT],
 }
 
 impl PfcCounters {
@@ -24,13 +22,12 @@ impl PfcCounters {
     }
 
     /// Records one pause (XOFF) frame.
-    pub fn record_pause(&mut self, priority: Priority) {
+    pub fn record_pause(&mut self) {
         self.pause_total += 1;
-        self.pause_by_priority[priority.index()] += 1;
     }
 
     /// Records one resume (XON) frame.
-    pub fn record_resume(&mut self, _priority: Priority) {
+    pub fn record_resume(&mut self) {
         self.resume_total += 1;
     }
 
@@ -54,23 +51,11 @@ impl PfcCounters {
         self.watchdog_total
     }
 
-    /// Pause frames for one priority.
-    pub fn pause_frames_for(&self, priority: Priority) -> u64 {
-        self.pause_by_priority[priority.index()]
-    }
-
     /// Adds another counter set into this one.
     pub fn merge(&mut self, other: &PfcCounters) {
         self.pause_total += other.pause_total;
         self.resume_total += other.resume_total;
         self.watchdog_total += other.watchdog_total;
-        for (a, b) in self
-            .pause_by_priority
-            .iter_mut()
-            .zip(other.pause_by_priority.iter())
-        {
-            *a += b;
-        }
     }
 
     /// The counters accumulated since the `earlier` snapshot (which must
@@ -98,13 +83,6 @@ impl PfcCounters {
         self.pause_total -= delta.pause_total;
         self.resume_total -= delta.resume_total;
         self.watchdog_total -= delta.watchdog_total;
-        for (a, b) in self
-            .pause_by_priority
-            .iter_mut()
-            .zip(delta.pause_by_priority.iter())
-        {
-            *a -= b;
-        }
     }
 }
 
@@ -372,23 +350,21 @@ mod tests {
     #[test]
     fn pfc_counting() {
         let mut c = PfcCounters::new();
-        c.record_pause(Priority::new(3));
-        c.record_pause(Priority::new(3));
-        c.record_pause(Priority::new(1));
-        c.record_resume(Priority::new(3));
+        c.record_pause();
+        c.record_pause();
+        c.record_pause();
+        c.record_resume();
         assert_eq!(c.pause_frames(), 3);
         assert_eq!(c.resume_frames(), 1);
-        assert_eq!(c.pause_frames_for(Priority::new(3)), 2);
-        assert_eq!(c.pause_frames_for(Priority::new(0)), 0);
     }
 
     #[test]
     fn pfc_merge() {
         let mut a = PfcCounters::new();
-        a.record_pause(Priority::new(1));
+        a.record_pause();
         let mut b = PfcCounters::new();
-        b.record_pause(Priority::new(1));
-        b.record_resume(Priority::new(1));
+        b.record_pause();
+        b.record_resume();
         a.merge(&b);
         assert_eq!(a.pause_frames(), 2);
         assert_eq!(a.resume_frames(), 1);
@@ -477,14 +453,13 @@ mod tests {
     #[test]
     fn pfc_since_and_subtract_roundtrip() {
         let mut base = PfcCounters::new();
-        base.record_pause(Priority::new(3));
+        base.record_pause();
         let snap = base.clone();
-        base.record_pause(Priority::new(1));
-        base.record_resume(Priority::new(3));
+        base.record_pause();
+        base.record_resume();
         base.record_watchdog();
         let delta = base.since(&snap);
         assert_eq!(delta.pause_frames(), 1);
-        assert_eq!(delta.pause_frames_for(Priority::new(1)), 1);
         assert_eq!(delta.resume_frames(), 1);
         assert_eq!(delta.watchdog_fires(), 1);
         base.subtract(&delta);

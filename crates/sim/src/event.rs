@@ -29,17 +29,10 @@
 //! `(time, seq)` order the calendar keeps, and [`EventQueue::pop`] always
 //! returns the global minimum. Timer arms consume insertion sequence
 //! numbers exactly where the tombstoning engine scheduled replacement
-//! events, so the dispatch stream is byte-identical to the old engine's
-//! (golden digests included) — see DESIGN.md §4.8.
-//!
-//! Cancelled timers leave a *ghost* — their `(time, seq)` key — in an
-//! unsorted log; a ghost counts as popped once dispatch has passed its
-//! key. Ghost pops are exactly the pops the tombstoning engine spent on
-//! dead entries, so `processed + ghost_pops` reproduces the legacy
-//! `events_processed` count that the result digests pin.
+//! events, so the dispatch order is the old engine's — see DESIGN.md
+//! §4.8. A cancelled timer leaves nothing behind and is never counted.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::slab::Slab;
 use crate::stamp::Stamp;
@@ -95,9 +88,6 @@ impl Entry {
 fn ord_of(seq: u32, slot: u32) -> u64 {
     (u64::from(seq) << 32) | u64::from(slot)
 }
-
-/// Least number of cancels between two sweeps of the ghost log.
-const GHOST_SWEEP_MIN: usize = 1024;
 
 /// Calendar buckets, one per nanosecond of `[now, now + SPAN)`. A
 /// constant: 8 192 ns covers the longest near delay, 5 µs core
@@ -224,18 +214,15 @@ struct GroupMember {
 /// stamp in a side table, [`EventQueue::begin_group`] gathers all events
 /// at the earliest pending time in stamp order, and the caller
 /// dispatches them one by one — an order every shard of a partitioned
-/// run computes identically. Cancelled timers log `(time, stamp)` ghosts
-/// instead of `(time, seq)` ones, since the executor settles ghost
-/// accounting at window barriers rather than at dispatch.
+/// run computes identically.
 #[derive(Debug)]
 struct StampState {
-    /// The stamp table: one slot per pending payload, per unfolded ghost
-    /// and for the dispatching pop, recycled through `free`. A stamp
-    /// slot has its own lifetime, not its payload's slab slot's: the
-    /// dispatching pop's stamp outlives `slab.take` (its children are
-    /// written from it in place) and a cancelled timer's stamp becomes
-    /// its ghost's without moving. Each stamp is written once, at
-    /// admission, and read where it lies from then on.
+    /// The stamp table: one slot per pending payload and for the
+    /// dispatching pop, recycled through `free` (a cancelled timer's at
+    /// once). A stamp slot has its own lifetime, not its payload's slab
+    /// slot's: the dispatching pop's stamp outlives `slab.take` (its
+    /// children are written from it in place). Each stamp is written
+    /// once, at admission, and read where it lies from then on.
     stamps: Vec<Stamp>,
     /// Free slots in `stamps`.
     free: Vec<u32>,
@@ -251,13 +238,6 @@ struct StampState {
     emit_n: u32,
     /// Root ordinal for the next setup (pre-dispatch) admission.
     next_root: u32,
-    /// Min-heap of cancelled-timer fire times (`(time, stamp slot)`),
-    /// folded into `ghost_pops` by the executor at window barriers. A
-    /// heap keyed by fire time makes each fold O(folded · log live) — a
-    /// paper-scale run crosses tens of thousands of windows while
-    /// RTO-style timers keep a large pool of far-future ghosts alive, so
-    /// a scan-the-log fold is quadratic.
-    ghost_due: BinaryHeap<Reverse<(SimTime, u32)>>,
     /// The gathered simultaneous group currently being dispatched, in
     /// stamp order.
     group: Vec<GroupMember>,
@@ -301,9 +281,8 @@ pub struct QueueStats {
     /// Timers cancelled or re-armed before firing. Each one the
     /// tombstoning engine would have left to rot in its heap.
     pub timer_cancels: u64,
-    /// Cancelled-timer keys lazily absorbed at dispatch: exactly the
-    /// pops the tombstoning engine spent discarding dead entries, kept
-    /// so `processed + ghost_pops` matches its `events_processed`.
+    /// Always 0: cancelled timers are not counted as pops. Kept only
+    /// for the benchmark's report row, which ROADMAP item 1 retires.
     pub ghost_pops: u64,
     /// Timer events dispatched to the model after their handle was
     /// cancelled. Structurally zero with the wheel (cancellation removes
@@ -341,23 +320,12 @@ pub struct EventQueue<E> {
     /// Live entries in `due` (cancel-after-staging leaves stale entries
     /// that are skipped, not removed).
     due_live: usize,
-    /// Keys of cancelled timers in cancellation order, not yet folded
-    /// into `ghosts_swept`. See [`QueueStats::ghost_pops`].
-    ghosts: Vec<Entry>,
-    /// Ghosts below this key count as popped: the largest key dispatch
-    /// has reached or window horizon a run driver has closed.
-    passed: Entry,
-    /// `ghosts` length that triggers the next sweep: a quarter above what
-    /// the last one kept — O(1) amortized per cancel, ≤ 25 % dead weight.
-    ghost_sweep_at: usize,
     /// Stamp-mode state; `None` (and untouched) on serial runs.
     stamp: Option<Box<StampState>>,
     /// Next insertion sequence number (the FIFO tie-break).
     seq: u32,
     now: SimTime,
     processed: u64,
-    /// Ghost pops counted so far, without the passed ghosts still in the log.
-    ghosts_swept: u64,
     timer_cancels: u64,
     stale_timer_pops: u64,
     past_clamps: u64,
@@ -380,14 +348,10 @@ impl<E> EventQueue<E> {
             wheel: Wheel::new(),
             due: Vec::new(),
             due_live: 0,
-            ghosts: Vec::new(),
-            passed: Entry(0),
-            ghost_sweep_at: GHOST_SWEEP_MIN,
             stamp: None,
             seq: 0,
             now: SimTime::ZERO,
             processed: 0,
-            ghosts_swept: 0,
             timer_cancels: 0,
             stale_timer_pops: 0,
             past_clamps: 0,
@@ -520,43 +484,22 @@ impl<E> EventQueue<E> {
 
     /// Cancels an armed timer in O(1), returning its payload. `None` if
     /// the handle is stale (the timer already fired or was cancelled).
-    ///
-    /// The cancelled deadline's `(time, seq)` key is logged as a ghost
-    /// and counted once dispatch passes it, reproducing the pop the
-    /// tombstoning engine would have spent on the dead entry.
+    /// In stamp mode the timer's stamp slot is freed at once.
     pub fn cancel_timer(&mut self, handle: TimerHandle) -> Option<E> {
-        let (at, ord) = match self.wheel.cancel(handle) {
+        let ord = match self.wheel.cancel(handle) {
             Cancelled::Invalid => return None,
-            Cancelled::Filed { at, ord } => (at, ord),
-            Cancelled::Staged { at, ord } => {
+            Cancelled::Filed { ord } => ord,
+            Cancelled::Staged { ord } => {
                 self.due_live -= 1;
-                (at, ord)
+                ord
             }
         };
         self.timer_cancels += 1;
-        let slot = (ord & u64::from(u32::MAX)) as u32;
+        let slot = ord as u32;
         if let Some(st) = self.stamp.as_deref_mut() {
-            // Stamp mode: the executor folds ghosts at window barriers
-            // keyed by stamp, not lazily at dispatch keyed by seq. The
-            // timer's stamp slot passes to its ghost.
-            st.ghost_due.push(Reverse((at, st.of_slot[slot as usize])));
-        } else {
-            self.ghosts.push(Entry::new(at, ord));
-            if self.ghosts.len() >= self.ghost_sweep_at {
-                self.sweep_ghosts();
-            }
+            st.free.push(st.of_slot[slot as usize]);
         }
         Some(self.slab.take(slot).event)
-    }
-
-    /// Folds every passed ghost into `ghosts_swept`, one linear pass.
-    fn sweep_ghosts(&mut self) {
-        let before = self.ghosts.len();
-        let passed = self.passed;
-        self.ghosts.retain(|&g| g >= passed);
-        self.ghosts_swept += (before - self.ghosts.len()) as u64;
-        let kept = self.ghosts.len();
-        self.ghost_sweep_at = kept + (kept / 4).max(GHOST_SWEEP_MIN);
     }
 
     /// Establishes the dispatch invariant and returns the earliest
@@ -569,7 +512,7 @@ impl<E> EventQueue<E> {
                 if self.wheel.is_staged_live(d.node, d.generation) {
                     break;
                 }
-                // Cancelled after staging; already ghosted by the cancel.
+                // Cancelled after staging; the cancel took its payload.
                 self.due.pop();
             }
             let next = self.next_key();
@@ -650,7 +593,7 @@ impl<E> EventQueue<E> {
         let cal = self.cal.as_mut().expect("calendar front");
         cal.advance(key.at().as_nanos() as usize % SPAN, p.next);
         self.cal_len -= 1;
-        self.finish_pop(key.at(), key.ord());
+        self.finish_pop(key.at());
         (key.at(), p.event)
     }
 
@@ -668,29 +611,18 @@ impl<E> EventQueue<E> {
         }
         self.due_live -= 1;
         let event = self.slab.take(ord as u32).event;
-        self.finish_pop(at, ord);
+        self.finish_pop(at);
         (at, event)
     }
 
-    /// Advances the clock, passing every ghost the tombstoning engine
-    /// would have popped before dispatching this key. The first dispatch
+    /// Advances the clock and counts the dispatch. The first dispatch
     /// allocates the calendar.
-    fn finish_pop(&mut self, at: SimTime, ord: u64) {
-        self.passed = self.passed.max(Entry::new(at, ord));
+    fn finish_pop(&mut self, at: SimTime) {
         self.now = at;
         self.processed += 1;
         if self.cal.is_none() {
             self.cal = Some(Calendar::new());
         }
-    }
-
-    /// Absorbs every ghost strictly before `horizon`, mirroring the pops
-    /// a tombstoning engine would have spent draining dead entries up to
-    /// (but excluding) that time. The run drivers call this when a run
-    /// window closes so `processed + ghost_pops` stays exactly
-    /// comparable across engines.
-    pub fn absorb_ghosts_before(&mut self, horizon: SimTime) {
-        self.passed = self.passed.max(Entry::new(horizon, 0));
     }
 
     /// The time of the earliest pending event, if any.
@@ -733,14 +665,6 @@ impl<E> EventQueue<E> {
         self.processed
     }
 
-    /// Cancelled-timer keys absorbed at dispatch. Adding this to
-    /// [`EventQueue::processed`] reproduces the event count of the
-    /// tombstoning engine, which popped (and discarded) each dead entry.
-    pub fn ghost_pops(&self) -> u64 {
-        let unswept = self.ghosts.iter().filter(|&&g| g < self.passed).count();
-        self.ghosts_swept + unswept as u64
-    }
-
     /// How many times a schedule call was handed a time before `now`
     /// and clamped it. A correct model never schedules into the past, so
     /// this is asserted zero by the golden-digest and chaos checks.
@@ -749,7 +673,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Scheduler counters: pending high-water mark, slab capacity,
-    /// dispatch/ghost/cancel counts and past-time clamps.
+    /// dispatch/cancel counts and past-time clamps.
     pub fn stats(&self) -> QueueStats {
         QueueStats {
             pending: self.len(),
@@ -759,19 +683,20 @@ impl<E> EventQueue<E> {
             past_clamps: self.past_clamps,
             timers_pending: self.wheel.len() + self.due_live,
             timer_cancels: self.timer_cancels,
-            ghost_pops: self.ghost_pops(),
             stale_timer_pops: self.stale_timer_pops,
+            ..QueueStats::default()
         }
     }
 
     // ---- stamp mode (sharded executor) --------------------------------
 
-    /// Switches the queue into stamp mode (see [`StampState`]). Must be
-    /// called on a fresh queue, before anything is scheduled; serial
-    /// queues that never call this pay only dead `Option` checks.
+    /// Switches the queue into stamp mode: simultaneous events dispatch
+    /// in [`Stamp`] order via [`EventQueue::begin_group`]. Must be called
+    /// on a fresh queue, before anything is scheduled; serial queues
+    /// that never call this pay only dead `Option` checks.
     pub fn enable_stamps(&mut self) {
         assert!(
-            self.is_empty() && self.processed == 0 && self.ghosts.is_empty(),
+            self.is_empty() && self.processed == 0,
             "enable_stamps requires a fresh queue"
         );
         self.stamp = Some(Box::new(StampState {
@@ -782,7 +707,6 @@ impl<E> EventQueue<E> {
             lane: 0,
             emit_n: 0,
             next_root: 0,
-            ghost_due: BinaryHeap::new(),
             group: Vec::new(),
             group_live: 0,
         }));
@@ -906,7 +830,7 @@ impl<E> EventQueue<E> {
                     },
                 });
             }
-            // Stale (cancelled after staging): already ghosted.
+            // Stale (cancelled after staging): the cancel took its payload.
         }
         let st = self.stamp.as_deref_mut().expect("stamp mode required");
         st.group_live = cal_members;
@@ -942,7 +866,7 @@ impl<E> EventQueue<E> {
                         self.due_live -= 1;
                     }
                     // Cancelled mid-group; cancel_timer already took the
-                    // payload, ghosted the key and adjusted `due_live`.
+                    // payload, freed the stamp and adjusted `due_live`.
                     None => return None,
                 }
             }
@@ -958,67 +882,28 @@ impl<E> EventQueue<E> {
             st.emit_n = 0;
         }
         let event = self.slab.take(slot).event;
-        self.finish_pop(m.at, m.ord);
+        self.finish_pop(m.at);
         Some((m.at, event))
     }
 
-    /// Removes and counts stamp-mode ghosts strictly before `horizon`
-    /// into [`QueueStats::ghost_pops`] — the barrier-time equivalent of
-    /// the serial engine's lazy absorption. Returns the count folded.
-    pub fn fold_stamped_ghosts_before(&mut self, horizon: SimTime) -> u64 {
-        let st = self.stamp.as_deref_mut().expect("stamp mode required");
-        let mut folded = 0u64;
-        while let Some(&Reverse((at, g))) = st.ghost_due.peek() {
-            if at >= horizon {
-                break;
-            }
-            st.ghost_due.pop();
-            st.free.push(g);
-            folded += 1;
-        }
-        self.ghosts_swept += folded;
-        folded
-    }
-
-    /// Stamp-mode ghosts not yet folded (unordered). The executor counts
-    /// the qualifying tail at run end (ghost keys below the run's stop
-    /// key) and credits them via [`EventQueue::add_ghost_pops`].
-    pub fn stamped_ghosts(&self) -> impl Iterator<Item = (SimTime, &Stamp)> + '_ {
-        let st = self.stamp.as_deref().expect("stamp mode required");
-        st.ghost_due
-            .iter()
-            .map(|&Reverse((at, g))| (at, &st.stamps[g as usize]))
-    }
-
-    /// Credits `n` ghost pops decided outside the queue (the sharded
-    /// executor's end-of-run ghost reconciliation).
-    pub fn add_ghost_pops(&mut self, n: u64) {
-        self.ghosts_swept += n;
-    }
-
     /// Compacts the 32-bit sequence counter by reassigning every pending
-    /// key — calendar entries, wheel entries, staged entries, and ghosts
-    /// — the numbers `0..n` in their existing order.
+    /// key — calendar entries, wheel entries and staged entries — the
+    /// numbers `0..n` in their existing order.
     ///
     /// Triggered once per 2³² insertions — in practice never for the
     /// workloads in this repository, but it makes the u32 tie-break safe
     /// at any run length. The reassignment is monotone in `seq`, so every
-    /// pairwise `(time, seq)` comparison (and thus pop order, bucket FIFO
-    /// order and ghost absorption) is unchanged; covered by
+    /// pairwise `(time, seq)` comparison (and thus pop order and bucket
+    /// FIFO order) is unchanged; covered by
     /// `force_renumber` tests and both differential oracles.
     fn renumber(&mut self) {
         #[derive(Clone, Copy)]
         enum Src {
             Slot(u32),
             Node(u32),
-            Ghost(u32),
         }
-        // Only unpassed ghosts need new numbers. They, and everything
-        // pending, sort at or after `passed`, so it keeps only its time.
-        self.sweep_ghosts();
-        self.passed.set_ord(0);
         let mut all: Vec<(u64, Src)> =
-            Vec::with_capacity(self.cal_len + self.wheel.len() + self.due_live + self.ghosts.len());
+            Vec::with_capacity(self.cal_len + self.wheel.len() + self.due_live);
         if let Some(cal) = &self.cal {
             for b in (0..SPAN).filter(|&b| cal.is_set(b)) {
                 let mut slot = cal.fifo[b][0];
@@ -1032,9 +917,6 @@ impl<E> EventQueue<E> {
         for (node, ord) in self.wheel.live_nodes() {
             all.push((ord, Src::Node(node)));
         }
-        for (i, g) in self.ghosts.iter().enumerate() {
-            all.push((g.ord(), Src::Ghost(i as u32)));
-        }
         // Distinct live seqs: sorting by ord sorts by insertion order.
         all.sort_unstable_by_key(|&(ord, _)| ord);
         for (i, &(old, src)) in all.iter().enumerate() {
@@ -1042,7 +924,6 @@ impl<E> EventQueue<E> {
             match src {
                 Src::Slot(slot) => self.slab.get_mut(slot).seq = i as u32,
                 Src::Node(node) => self.wheel.set_node_ord(node, new_ord),
-                Src::Ghost(j) => self.ghosts[j as usize].set_ord(new_ord),
             }
         }
         self.seq = u32::try_from(all.len()).expect("pending fits u32");
@@ -1067,9 +948,7 @@ impl<E> EventQueue<E> {
 /// `horizon`. Returns the number of events dispatched.
 ///
 /// Events scheduled exactly at `horizon` are *not* processed, so
-/// `run_until(.., t)` covers the half-open interval `[start, t)`. Ghosts
-/// of timers cancelled before `horizon` are absorbed when the window
-/// closes (a tombstoning engine would have popped them within it).
+/// `run_until(.., t)` covers the half-open interval `[start, t)`.
 pub fn run_until<S: Simulation>(
     sim: &mut S,
     queue: &mut EventQueue<S::Event>,
@@ -1080,17 +959,11 @@ pub fn run_until<S: Simulation>(
         sim.handle(now, ev, queue);
         n += 1;
     }
-    queue.absorb_ghosts_before(horizon);
     n
 }
 
 /// Runs `sim` until the queue drains or `keep_going` returns false
 /// (checked before each event). Returns the number of events dispatched.
-///
-/// Callers that compare event counts against a deadline-bounded engine
-/// should call [`EventQueue::absorb_ghosts_before`] with their own
-/// stopping time afterwards; `run_while` cannot see inside the
-/// predicate.
 pub fn run_while<S: Simulation>(
     sim: &mut S,
     queue: &mut EventQueue<S::Event>,
@@ -1419,27 +1292,6 @@ mod tests {
     }
 
     #[test]
-    fn ghost_pops_reproduce_tombstone_counting() {
-        // Legacy engine: cancel = leave a dead entry that still pops.
-        // New engine: processed + ghost_pops must equal the legacy pop
-        // count for the same schedule.
-        let mut q = EventQueue::new();
-        let h = q.schedule_timer_at(SimTime::from_micros(1), 1);
-        q.schedule_at(SimTime::from_micros(2), 2);
-        q.cancel_timer(h); // ghost at 1 µs
-        assert_eq!(q.pop(), Some((SimTime::from_micros(2), 2)));
-        assert_eq!(q.processed(), 1);
-        assert_eq!(q.ghost_pops(), 1, "ghost absorbed before the 2 µs pop");
-        // A ghost beyond the last dispatch is absorbed by the window
-        // close, exactly where the legacy drain would have popped it.
-        let h2 = q.schedule_timer_at(SimTime::from_micros(5), 3);
-        q.cancel_timer(h2);
-        assert_eq!(q.ghost_pops(), 1);
-        q.absorb_ghosts_before(SimTime::from_micros(10));
-        assert_eq!(q.ghost_pops(), 2);
-    }
-
-    #[test]
     fn peek_time_sees_wheel_timers() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_millis(5), 1);
@@ -1463,7 +1315,7 @@ mod tests {
     }
 
     #[test]
-    fn renumber_covers_timers_and_ghosts() {
+    fn renumber_covers_timers_and_cancels() {
         let mut q = EventQueue::new();
         let t = SimTime::from_micros(3);
         let mut handles = Vec::new();
@@ -1475,7 +1327,7 @@ mod tests {
                 handles.push(None);
             }
         }
-        // Cancel a few timers (ghosts), then force the renumber.
+        // Cancel a few timers, then force the renumber.
         assert_eq!(q.cancel_timer(handles[4].unwrap()), Some(4));
         assert_eq!(q.cancel_timer(handles[10].unwrap()), Some(10));
         q.force_renumber();
@@ -1483,7 +1335,6 @@ mod tests {
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         let expect: Vec<i32> = (0..21).filter(|&i| i != 4 && i != 10).collect();
         assert_eq!(order, expect, "FIFO ties survive renumber across sources");
-        assert_eq!(q.ghost_pops() + q.processed(), 21, "ghosts renumbered too");
     }
 
     /// A deterministic branching workload driven identically through the
@@ -1554,7 +1405,6 @@ mod tests {
         while let Some((now, id)) = qs.pop() {
             serial.on_event(now, id, &mut qs);
         }
-        qs.absorb_ghosts_before(SimTime::from_nanos(u64::MAX));
 
         // Stamp-mode group dispatch of the same workload.
         let mut grouped = Branchy::new(4000);
@@ -1572,21 +1422,19 @@ mod tests {
                 }
             }
         }
-        qg.fold_stamped_ghosts_before(SimTime::from_nanos(u64::MAX));
 
         assert!(serial.order.len() > 1000, "workload actually branched");
         assert_eq!(grouped.order, serial.order, "dispatch order diverged");
         assert_eq!(qg.processed(), qs.processed());
-        assert_eq!(qg.ghost_pops(), qs.ghost_pops(), "ghost accounting");
+        assert!(qs.stats().timer_cancels > 0, "workload cancelled timers");
         assert_eq!(qg.stats().timer_cancels, qs.stats().timer_cancels);
         assert_eq!(qg.stats().stale_timer_pops, 0);
         assert_eq!(qg.len(), 0);
-        // The stamp table recycled its slots: with the queue drained and
-        // the ghosts folded, only the last pop's is still held.
+        // The stamp table recycled its slots, cancelled timers' at the
+        // cancel: with the queue drained only the last pop's is held.
         let st = qg.stamp.as_deref().expect("stamp mode");
         assert_eq!(st.free.len() + 1, st.stamps.len(), "stamp slot leaked");
-        let ghosts = qg.stats().timer_cancels as usize;
-        assert!(st.stamps.len() <= qg.stats().slab_capacity + ghosts + 1);
+        assert!(st.stamps.len() <= qg.stats().slab_capacity + 1);
     }
 
     #[test]
@@ -1611,7 +1459,7 @@ mod tests {
     fn mid_group_cancel_skips_member() {
         // An event and a timer share t=10; the event (earlier stamp)
         // cancels the timer from inside the group. The timer member must
-        // dispatch as None, its ghost logged, exactly one event
+        // dispatch as None, its stamp slot freed, exactly one event
         // processed — matching what the serial engine would do.
         let mut q = EventQueue::new();
         q.enable_stamps();
@@ -1631,10 +1479,13 @@ mod tests {
         }
         assert_eq!(seen, vec![1, 0], "timer skipped after mid-group cancel");
         assert_eq!(q.processed(), 1);
-        assert_eq!(q.stamped_ghosts().count(), 1);
-        assert_eq!(q.fold_stamped_ghosts_before(SimTime::from_nanos(11)), 1);
-        assert_eq!(q.ghost_pops(), 1);
         assert_eq!(q.len(), 0);
+        let st = q.stamp.as_deref().expect("stamp mode");
+        assert_eq!(
+            (st.free.len(), st.stamps.len()),
+            (1, 2),
+            "timer's stamp freed"
+        );
     }
 
     #[test]
@@ -1653,28 +1504,5 @@ mod tests {
             .filter_map(|i| q.dispatch_member(i).map(|(_, e)| e))
             .collect();
         assert_eq!(order, vec!["early", "late"]);
-    }
-
-    #[test]
-    fn run_until_absorbs_ghosts_in_window() {
-        struct Noop;
-        impl Simulation for Noop {
-            type Event = u8;
-            fn handle(&mut self, _: SimTime, _: u8, _: &mut EventQueue<u8>) {}
-        }
-        let mut q = EventQueue::new();
-        let h = q.schedule_timer_at(SimTime::from_micros(50), 1);
-        q.cancel_timer(h);
-        // Nothing dispatches, but the ghost lies inside the window: a
-        // tombstoning engine would have popped it.
-        let n = run_until(&mut Noop, &mut q, SimTime::from_millis(1));
-        assert_eq!(n, 0);
-        assert_eq!(q.ghost_pops(), 1);
-        // Ghost at/after the horizon stays (legacy would not have
-        // popped it inside this window either).
-        let h2 = q.schedule_timer_at(SimTime::from_millis(2), 2);
-        q.cancel_timer(h2);
-        run_until(&mut Noop, &mut q, SimTime::from_millis(2));
-        assert_eq!(q.ghost_pops(), 1);
     }
 }

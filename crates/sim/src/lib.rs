@@ -64,8 +64,7 @@ pub use rng::{EmpiricalCdf, SimRng};
 pub use stamp::{ambiguous_comparisons, ShardStats, Stamp, StampKey, STAMP_DEPTH};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    summarize_flow, FlightRecorder, TraceConfig, TraceDropCause, TraceEvent, TraceHandle,
-    TraceRecord, TraceTotals,
+    FlightRecorder, TraceConfig, TraceDropCause, TraceEvent, TraceHandle, TraceRecord, TraceTotals,
 };
 pub use units::{BitRate, Bytes};
 pub use wheel::TimerHandle;

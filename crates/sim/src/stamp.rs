@@ -481,7 +481,7 @@ fn fnv_fold(mut h: u64, x: u64) -> u64 {
 /// of the serial engine's `(time, seq)`.
 #[derive(Debug, Clone, Copy)]
 pub struct StampKey {
-    /// The event's fire (or ghost) time.
+    /// The event's fire time.
     pub at: SimTime,
     /// Its admission stamp.
     pub stamp: Stamp,

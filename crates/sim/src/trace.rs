@@ -696,108 +696,101 @@ impl FlightRecorder {
     /// the "why did flow X stall" answer used to debug the Fig. 7(b)
     /// multi-loss recovery stall.
     pub fn summarize_flow(&self, flow: u64) -> String {
-        summarize_flow(self.ring.iter().copied(), flow)
-    }
-}
+        let mut first: Option<SimTime> = None;
+        let mut last: Option<SimTime> = None;
+        let mut enq = 0u64;
+        let mut deq = 0u64;
+        let mut marks = 0u64;
+        let mut drops: Vec<(SimTime, TraceDropCause, u64)> = Vec::new();
+        let mut recoveries = 0u64;
+        let mut partial_rtx = 0u64;
+        let mut rto_fires: Vec<(SimTime, u32)> = Vec::new();
+        let mut stranded = 0u64;
+        let mut recovery_open: Option<SimTime> = None;
+        let mut episodes: Vec<(SimTime, Option<SimTime>, u64)> = Vec::new();
 
-/// Summarizes the lifecycle of `flow` from any record stream (oldest
-/// first). Exposed separately so offline tools can run it over a parsed
-/// JSONL dump as well as over a live recorder.
-pub fn summarize_flow(records: impl Iterator<Item = TraceRecord>, flow: u64) -> String {
-    let mut first: Option<SimTime> = None;
-    let mut last: Option<SimTime> = None;
-    let mut enq = 0u64;
-    let mut deq = 0u64;
-    let mut marks = 0u64;
-    let mut drops: Vec<(SimTime, TraceDropCause, u64)> = Vec::new();
-    let mut recoveries = 0u64;
-    let mut partial_rtx = 0u64;
-    let mut rto_fires: Vec<(SimTime, u32)> = Vec::new();
-    let mut stranded = 0u64;
-    let mut recovery_open: Option<SimTime> = None;
-    let mut episodes: Vec<(SimTime, Option<SimTime>, u64)> = Vec::new();
-
-    for r in records {
-        if r.event.flow() != Some(flow) {
-            continue;
-        }
-        first.get_or_insert(r.at);
-        last = Some(r.at);
-        match r.event {
-            TraceEvent::Enqueue { .. } => enq += 1,
-            TraceEvent::Dequeue { .. } => deq += 1,
-            TraceEvent::EcnMark { .. } => marks += 1,
-            TraceEvent::Drop { cause, seq, .. } => drops.push((r.at, cause, seq)),
-            TraceEvent::TcpEnterRecovery { .. } => {
-                recoveries += 1;
-                recovery_open = Some(r.at);
-                episodes.push((r.at, None, 0));
+        for r in &self.ring {
+            if r.event.flow() != Some(flow) {
+                continue;
             }
-            TraceEvent::TcpPartialAckRetransmit { .. } => {
-                partial_rtx += 1;
-                if let Some(e) = episodes.last_mut() {
-                    e.2 += 1;
+            first.get_or_insert(r.at);
+            last = Some(r.at);
+            match r.event {
+                TraceEvent::Enqueue { .. } => enq += 1,
+                TraceEvent::Dequeue { .. } => deq += 1,
+                TraceEvent::EcnMark { .. } => marks += 1,
+                TraceEvent::Drop { cause, seq, .. } => drops.push((r.at, cause, seq)),
+                TraceEvent::TcpEnterRecovery { .. } => {
+                    recoveries += 1;
+                    recovery_open = Some(r.at);
+                    episodes.push((r.at, None, 0));
                 }
-            }
-            TraceEvent::TcpExitRecovery { .. } => {
-                recovery_open = None;
-                if let Some(e) = episodes.last_mut() {
-                    e.1 = Some(r.at);
+                TraceEvent::TcpPartialAckRetransmit { .. } => {
+                    partial_rtx += 1;
+                    if let Some(e) = episodes.last_mut() {
+                        e.2 += 1;
+                    }
                 }
+                TraceEvent::TcpExitRecovery { .. } => {
+                    recovery_open = None;
+                    if let Some(e) = episodes.last_mut() {
+                        e.1 = Some(r.at);
+                    }
+                }
+                TraceEvent::RtoFire { backoff, .. } => rto_fires.push((r.at, backoff)),
+                TraceEvent::RdmaStranded { .. } => stranded += 1,
+                _ => {}
             }
-            TraceEvent::RtoFire { backoff, .. } => rto_fires.push((r.at, backoff)),
-            TraceEvent::RdmaStranded { .. } => stranded += 1,
-            _ => {}
         }
-    }
 
-    let mut out = String::new();
-    let Some(first) = first else {
-        out.push_str(&format!("flow {flow}: no recorded events\n"));
-        return out;
-    };
-    out.push_str(&format!(
-        "flow {flow}: {enq} enqueues, {deq} dequeues, {marks} ECN marks, {} drops, \
+        let mut out = String::new();
+        let Some(first) = first else {
+            out.push_str(&format!("flow {flow}: no recorded events\n"));
+            return out;
+        };
+        out.push_str(&format!(
+            "flow {flow}: {enq} enqueues, {deq} dequeues, {marks} ECN marks, {} drops, \
          {recoveries} fast-recovery episodes ({partial_rtx} partial-ACK retransmits), \
          {} RTO fires over [{first}, {}]\n",
-        drops.len(),
-        rto_fires.len(),
-        last.unwrap_or(first),
-    ));
-    for (at, cause, seq) in &drops {
-        out.push_str(&format!("  {at} drop seq={seq} cause={}\n", cause.name()));
-    }
-    for (start, end, rtx) in &episodes {
-        match end {
-            Some(end) => out.push_str(&format!(
+            drops.len(),
+            rto_fires.len(),
+            last.unwrap_or(first),
+        ));
+        for (at, cause, seq) in &drops {
+            out.push_str(&format!("  {at} drop seq={seq} cause={}\n", cause.name()));
+        }
+        for (start, end, rtx) in &episodes {
+            match end {
+                Some(end) => out.push_str(&format!(
                 "  {start} fast recovery → exited {end} after {rtx} partial-ACK retransmit(s)\n"
             )),
-            None => out.push_str(&format!(
-                "  {start} fast recovery → never exited (stall candidate), \
+                None => out.push_str(&format!(
+                    "  {start} fast recovery → never exited (stall candidate), \
                  {rtx} partial-ACK retransmit(s)\n"
-            )),
+                )),
+            }
         }
-    }
-    for (at, backoff) in &rto_fires {
-        out.push_str(&format!("  {at} RTO fired (consecutive #{backoff})\n"));
-    }
-    if recovery_open.is_some() && !rto_fires.is_empty() {
-        out.push_str(
-            "  verdict: flow stalled in recovery and needed an RTO — multi-loss window \
+        for (at, backoff) in &rto_fires {
+            out.push_str(&format!("  {at} RTO fired (consecutive #{backoff})\n"));
+        }
+        if recovery_open.is_some() && !rto_fires.is_empty() {
+            out.push_str(
+                "  verdict: flow stalled in recovery and needed an RTO — multi-loss window \
              not repaired by fast retransmit\n",
-        );
-    } else if stranded > 0 {
-        out.push_str("  verdict: RDMA sender stranded without a pacing event\n");
-    } else if !rto_fires.is_empty() {
-        out.push_str("  verdict: progress required RTO(s) — window too small or tail loss\n");
-    } else if recoveries > 0 {
-        out.push_str("  verdict: all losses repaired by fast retransmit/partial ACKs\n");
-    } else if !drops.is_empty() {
-        out.push_str("  verdict: drops present but repaired without entering recovery\n");
-    } else {
-        out.push_str("  verdict: clean run (no drops, no timeouts)\n");
+            );
+        } else if stranded > 0 {
+            out.push_str("  verdict: RDMA sender stranded without a pacing event\n");
+        } else if !rto_fires.is_empty() {
+            out.push_str("  verdict: progress required RTO(s) — window too small or tail loss\n");
+        } else if recoveries > 0 {
+            out.push_str("  verdict: all losses repaired by fast retransmit/partial ACKs\n");
+        } else if !drops.is_empty() {
+            out.push_str("  verdict: drops present but repaired without entering recovery\n");
+        } else {
+            out.push_str("  verdict: clean run (no drops, no timeouts)\n");
+        }
+        out
     }
-    out
 }
 
 /// A cheaply cloneable, possibly-disabled reference to a shared

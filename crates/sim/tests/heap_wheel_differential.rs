@@ -7,13 +7,10 @@
 //! entry and a timer already staged for dispatch.
 //!
 //! The reference models cancellation the way the old engine did: the
-//! dead entry stays in the heap and is popped (and discarded) when its
-//! `(time, seq)` key surfaces. The wheel engine instead absorbs a
-//! "ghost" per cancelled key at dispatch, so after every live pop the
-//! two engines must agree not only on the popped event but on the
-//! cumulative dead-pop count (`ghost_pops`). That equality is what
-//! keeps `events_processed` — and therefore the golden digests —
-//! byte-identical across the engine swap.
+//! dead entry stays in the heap and is discarded when its `(time, seq)`
+//! key surfaces. The wheel engine removes it at cancel time instead; a
+//! timer arm still consumes a sequence number, so both engines break
+//! ties identically and pop the same live sequence.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -28,7 +25,6 @@ struct ReferenceQueue {
     tombstones: HashSet<u64>,
     seq: u64,
     now: SimTime,
-    dead_pops: u64,
 }
 
 struct Scheduled {
@@ -68,7 +64,6 @@ impl ReferenceQueue {
             tombstones: HashSet::new(),
             seq: 0,
             now: SimTime::ZERO,
-            dead_pops: 0,
         }
     }
 
@@ -90,40 +85,17 @@ impl ReferenceQueue {
         self.tombstones.insert(value);
     }
 
-    /// Pops the next *live* entry, spending a dead pop on every
-    /// tombstoned entry passed on the way. When only dead entries
-    /// remain they are left queued — the wheel engine likewise absorbs
-    /// a cancelled key only when a live dispatch passes it (trailing
-    /// ghosts wait for the window-close absorb).
+    /// Pops the next *live* entry, discarding every tombstoned entry
+    /// passed on the way.
     fn pop(&mut self) -> Option<(SimTime, u64)> {
-        if !self
-            .heap
-            .iter()
-            .any(|s| !self.tombstones.contains(&s.value))
-        {
-            return None;
-        }
         while let Some(s) = self.heap.pop() {
-            self.now = s.at;
             if self.tombstones.remove(&s.value) {
-                self.dead_pops += 1;
                 continue;
             }
+            self.now = s.at;
             return Some((s.at, s.value));
         }
-        unreachable!("a live entry was present");
-    }
-
-    /// Window close: spends the dead pops of everything still queued,
-    /// mirroring [`EventQueue::absorb_ghosts_before`] at the horizon.
-    fn drain_dead(&mut self) {
-        while let Some(s) = self.heap.pop() {
-            assert!(
-                self.tombstones.remove(&s.value),
-                "only dead entries remain after a live drain"
-            );
-            self.dead_pops += 1;
-        }
+        None
     }
 }
 
@@ -201,8 +173,8 @@ impl Harness {
         value
     }
 
-    /// Pops one event from both engines and asserts full agreement:
-    /// payload, time, and cumulative dead-pop accounting.
+    /// Pops one event from both engines and asserts they agree on its
+    /// payload and time.
     fn pop_both(&mut self, context: &str) -> Option<(SimTime, u64)> {
         let a = self.real.pop();
         let b = self.oracle.pop();
@@ -211,32 +183,18 @@ impl Harness {
             self.fired.insert(v);
             self.armed.retain(|t| t.value != v);
         }
-        assert_eq!(
-            self.real.ghost_pops(),
-            self.oracle.dead_pops,
-            "ghost accounting diverged ({context})"
-        );
         a
     }
 
-    /// Drains both queues, then absorbs the ghosts of cancellations
-    /// later than the last live event — the run-window close the fabric
-    /// drivers perform — and asserts the engines spent the same total
-    /// event budget.
-    fn drain_and_reconcile(&mut self, context: &str) {
+    /// Drains both queues and asserts every admission was either
+    /// dispatched or cancelled, exactly once.
+    fn drain_and_check(&mut self, context: &str) {
         while self.pop_both(context).is_some() {}
-        self.real
-            .absorb_ghosts_before(SimTime::from_nanos(u64::MAX));
-        self.oracle.drain_dead();
+        assert!(self.oracle.tombstones.is_empty(), "({context})");
         assert_eq!(
-            self.real.ghost_pops(),
-            self.oracle.dead_pops,
-            "window-close ghost absorption must cover every cancel ({context})"
-        );
-        assert_eq!(
-            self.real.processed() + self.real.ghost_pops(),
+            self.real.processed() + self.real.stats().timer_cancels,
             self.oracle.seq,
-            "total event budget must match the tombstoning engine ({context})"
+            "dispatched + cancelled must cover every admission ({context})"
         );
         assert_eq!(self.real.stats().stale_timer_pops, 0, "({context})");
         assert_eq!(self.real.past_clamps(), 0, "({context})");
@@ -310,7 +268,7 @@ fn run_case_steps(seed: u64, steps: u32, tie_span: u64, far_span: u64, tie_timer
             }
         }
     }
-    h.drain_and_reconcile(&format!("seed {seed}"));
+    h.drain_and_check(&format!("seed {seed}"));
     h.real.stats().timer_cancels
 }
 
@@ -374,29 +332,25 @@ fn wheel_differential_calendar_tie_with_a_staged_timer() {
     h.push_event(t);
     h.cancel_at(1);
     h.push_event(t);
-    h.drain_and_reconcile("pinned tie");
+    h.drain_and_check("pinned tie");
 }
 
 #[test]
-fn wheel_differential_long_cancel_storm_sweeps_ghost_log() {
+fn wheel_differential_long_cancel_storm() {
     // Thousands of cancels per case, far-future ones among them, so the
-    // ghost log is swept repeatedly while unpassed ghosts stay behind;
-    // the dead-pop count must agree after every live dispatch all the
-    // same.
+    // reference heap carries many tombstones while the wheel carries
+    // none; the live pops must agree all the same.
     for seed in 0..4 {
         let cancels = run_case_steps(0x0EE5_0000 + seed, 30_000, 2_000, 40_000_000, false);
-        assert!(
-            cancels > 5_000,
-            "only {cancels} cancels: the log never swept"
-        );
+        assert!(cancels > 5_000, "only {cancels} cancels: no storm");
     }
 }
 
 #[test]
 fn wheel_differential_survives_renumber() {
     // The u32-seq compaction renumbers calendar entries, filed and
-    // staged wheel entries, and ghosts in one monotone pass; pop order
-    // and ghost accounting must be unaffected even mid-storm.
+    // staged wheel entries in one monotone pass; pop order must be
+    // unaffected even mid-storm.
     for seed in 0..16 {
         let mut rng = SimRng::seed_from_u64(0x0EE4_0000 + seed);
         let mut h = Harness::new();
@@ -417,6 +371,6 @@ fn wheel_differential_survives_renumber() {
                 h.real.force_renumber();
             }
         }
-        h.drain_and_reconcile(&format!("renumber seed {seed}"));
+        h.drain_and_check(&format!("renumber seed {seed}"));
     }
 }

@@ -354,7 +354,7 @@ impl SharedMemorySwitch {
             let over = charge.pool == Pool::Headroom || self.mmu.ingress_shared(q_in) >= t_now;
             if over {
                 self.pause_sent[q_in.flat()] = true;
-                self.pfc_counters.record_pause(packet.priority);
+                self.pfc_counters.record_pause();
                 self.trace.record_with(now, || TraceEvent::PfcPause {
                     node: t_node,
                     port: t_in,
@@ -477,7 +477,7 @@ impl SharedMemorySwitch {
             return None;
         }
         self.pause_sent[q_in.flat()] = false;
-        self.pfc_counters.record_resume(q_in.priority);
+        self.pfc_counters.record_resume();
         let t_node = self.id.index() as u32;
         self.trace.record_with(now, || TraceEvent::PfcResume {
             node: t_node,
