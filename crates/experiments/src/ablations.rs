@@ -15,10 +15,10 @@
 use dcn_fabric::PolicyChoice;
 use l2bm::{L2bmConfig, Normalization};
 
-use crate::hybrid::{HybridConfig, HybridPoint};
-use crate::report::{fmt_bytes, fmt_f64, Table};
+use crate::hybrid::HybridConfig;
+use crate::report::{fmt_bytes, fmt_f64, Outcome, Table};
 use crate::scale::ExperimentScale;
-use crate::sweep::{run_hybrid_cells, SweepOptions};
+use crate::sweep::{run_hybrid_cells, sweep_outcome, SweepOptions};
 
 /// One ablation variant: a labelled policy configuration.
 #[derive(Debug, Clone)]
@@ -69,52 +69,15 @@ pub fn standard_variants() -> Vec<AblationVariant> {
     v
 }
 
-/// Results of the ablation sweep.
-#[derive(Debug)]
-pub struct AblationReport {
-    /// One hybrid point per variant, all at the same loads.
-    pub points: Vec<(String, HybridPoint)>,
-    /// The TCP load used.
-    pub tcp_load: f64,
-}
-
-impl AblationReport {
-    /// Renders the comparison table.
-    pub fn render(&self) -> String {
-        let mut t = Table::new(&[
-            "variant",
-            "rdma p99",
-            "tcp p99",
-            "occ p99",
-            "pauses",
-            "lossy drops",
-        ]);
-        for (name, p) in &self.points {
-            t.row(vec![
-                name.clone(),
-                fmt_f64(p.rdma_p99_slowdown),
-                fmt_f64(p.tcp_p99_slowdown),
-                fmt_bytes(p.tor_occupancy_p99),
-                p.pause_frames.to_string(),
-                p.lossy_drops.to_string(),
-            ]);
-        }
-        format!(
-            "Ablations: hybrid web search, RDMA load 0.4, TCP load {}\n{}",
-            self.tcp_load,
-            t.render()
-        )
-    }
-}
-
 /// Runs an ablation sweep (the recorded one is [`standard_variants`]
-/// at TCP load 0.8).
+/// at TCP load 0.8) and renders the comparison table, one row per
+/// variant from its base-seed replicate.
 pub fn ablations(
     scale: &ExperimentScale,
     variants: &[AblationVariant],
     tcp_load: f64,
     opts: &SweepOptions,
-) -> AblationReport {
+) -> Outcome {
     let cells: Vec<HybridConfig> = variants
         .iter()
         .map(|v| HybridConfig {
@@ -124,12 +87,36 @@ pub fn ablations(
             tcp_load,
         })
         .collect();
-    let points = variants
-        .iter()
-        .map(|v| v.name.clone())
-        .zip(run_hybrid_cells(&cells, opts))
-        .collect();
-    AblationReport { points, tcp_load }
+    let mut cells = run_hybrid_cells(&cells, opts);
+    let mut t = Table::new(&[
+        "variant",
+        "rdma p99",
+        "tcp p99",
+        "occ p99",
+        "pauses",
+        "lossy drops",
+    ]);
+    for (reps, v) in cells.iter_mut().zip(variants) {
+        // Variants share policy labels; each run is filed under its
+        // variant's name instead.
+        for p in reps.iter_mut() {
+            p.label.clone_from(&v.name);
+        }
+        let p = &reps[0];
+        t.row(vec![
+            v.name.clone(),
+            fmt_f64(p.rdma_p99_slowdown),
+            fmt_f64(p.tcp_p99_slowdown),
+            fmt_bytes(p.tor_occupancy_p99),
+            p.pause_frames.to_string(),
+            p.lossy_drops.to_string(),
+        ]);
+    }
+    let text = format!(
+        "Ablations: hybrid web search, RDMA load 0.4, TCP load {tcp_load}\n{}",
+        t.render()
+    );
+    sweep_outcome(text, &cells, scale.seed)
 }
 
 #[cfg(test)]
@@ -167,8 +154,8 @@ mod tests {
             0.4,
             &SweepOptions::default(),
         );
-        assert_eq!(r.points.len(), 2);
-        let text = r.render();
-        assert!(text.contains("no-freeze"));
+        assert_eq!(r.digests.len(), 2);
+        assert!(r.text.contains("no-freeze"));
+        assert_eq!(r.digests[1].0, "L2BM no-freeze load=0.4 seed 42");
     }
 }

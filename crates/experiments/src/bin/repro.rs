@@ -56,9 +56,8 @@ use std::io::Write;
 use std::process::ExitCode;
 
 use dcn_experiments::{
-    ablations, chaos, fig10, fig11, fig3a, fig3b, fig7, fig8, fig9, irn_grid, irn_resilience,
-    standard_variants, table2, tournament, ExperimentScale, Outcome, SweepOptions,
-    CHAOS_CHECK_SEEDS, FIG11_FANOUTS, FIG7_LOADS, TABLE2_LOADS,
+    chaos, irn_grid, irn_resilience, tournament, ExperimentScale, Outcome, SweepOptions,
+    CHAOS_CHECK_SEEDS, FIGURES,
 };
 use dcn_fabric::{FabricConfig, FabricSim, PolicyChoice};
 use dcn_net::{ClosConfig, Priority, Topology, TrafficClass};
@@ -395,43 +394,17 @@ fn main() -> ExitCode {
         opts.effective_seeds()
     );
 
-    let run_one = |name: &str, scale: &ExperimentScale| -> Option<String> {
-        let out = match name {
-            "fig3a" => fig3a(scale, &opts).render(),
-            "fig3b" => fig3b(scale, &opts).render(),
-            "fig7" => fig7(scale, &FIG7_LOADS, &opts).render(),
-            "table2" => table2(scale, &TABLE2_LOADS, &opts).render(),
-            "fig8" => fig8(scale, &opts).render(),
-            "fig9" => fig9(scale, &opts).render(),
-            "fig10" => fig10(scale, 5, &opts).render(),
-            "fig11" => fig11(scale, &FIG11_FANOUTS, &opts).render(),
-            "ablations" => ablations(scale, &standard_variants(), 0.8, &opts).render(),
-            _ => return None,
-        };
-        Some(out)
-    };
-
     if which == "all" {
-        for name in [
-            "fig3a",
-            "fig3b",
-            "fig7",
-            "table2",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "ablations",
-        ] {
+        for (name, run) in FIGURES {
             eprintln!("# running {name} ...");
-            println!("{}", run_one(name, &scale).expect("known name"));
+            println!("{}", run(&scale, &opts).text);
         }
         return ExitCode::SUCCESS;
     }
 
-    match run_one(&which, &scale) {
-        Some(out) => {
-            println!("{out}");
+    match FIGURES.iter().find(|(name, _)| *name == which) {
+        Some((_, run)) => {
+            println!("{}", run(&scale, &opts).text);
             ExitCode::SUCCESS
         }
         None => {

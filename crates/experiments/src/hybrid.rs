@@ -28,7 +28,8 @@ pub struct HybridConfig {
 /// cell column of Table II.
 #[derive(Debug, Clone)]
 pub struct HybridPoint {
-    /// Policy label (DT / DT2 / ABM / L2BM).
+    /// Policy label (DT / DT2 / ABM / L2BM); an ablation files its runs
+    /// under the variant's name instead.
     pub label: String,
     /// TCP load of this run.
     pub tcp_load: f64,
@@ -53,10 +54,6 @@ pub struct HybridPoint {
     pub unfinished: usize,
     /// Full results for figure-specific post-processing (CDFs etc.).
     pub results: RunResults,
-    /// Cross-seed replication statistics, attached by the sweep engine
-    /// when the cell ran with `--seeds N > 1`. The scalar fields above
-    /// always hold the base-seed replicate's values.
-    pub stats: Option<crate::sweep::HybridSeedStats>,
 }
 
 /// Splits the hosts of each rack into an (RDMA, TCP) half, and returns
@@ -170,7 +167,6 @@ pub fn run_hybrid(cfg: &HybridConfig) -> HybridPoint {
         lossless_drops: results.drops.lossless_packets,
         unfinished: results.unfinished_flows,
         results,
-        stats: None,
     }
 }
 

@@ -77,11 +77,9 @@ pub struct IncastPoint {
     pub results: RunResults,
     /// Raw per-query response times in seconds (completed queries only).
     pub query_delays_s: Vec<f64>,
-    /// Raw slowdowns of all completed incast flows.
+    /// Raw slowdowns of all completed incast flows, in FCT-record
+    /// order.
     pub incast_slowdowns: Vec<f64>,
-    /// Cross-seed replication statistics, attached by the sweep engine
-    /// when the cell ran with `--seeds N > 1`.
-    pub stats: Option<crate::sweep::IncastSeedStats>,
 }
 
 /// Runs one incast experiment point.
@@ -124,15 +122,17 @@ pub fn run_incast(cfg: &IncastConfig) -> IncastPoint {
     let deadline = SimTime::ZERO + cfg.scale.window + cfg.scale.drain;
     let results = run_engine(topo, fabric_cfg, flows, deadline, cfg.scale.shards);
 
-    // Per-flow records of incast flows.
-    let mut fct_by_flow: HashMap<dcn_net::FlowId, &dcn_metrics::FctRecord> =
-        HashMap::with_capacity(incast_flows.len());
-    for r in results.fct.records() {
-        if incast_flows.contains(&r.flow) {
-            fct_by_flow.insert(r.flow, r);
-        }
-    }
-    let incast_slowdowns: Vec<f64> = fct_by_flow.values().map(|r| r.slowdown()).collect();
+    // Per-flow records of incast flows, in record order (the map is
+    // only looked up, never iterated).
+    let incast_records: Vec<&dcn_metrics::FctRecord> = results
+        .fct
+        .records()
+        .iter()
+        .filter(|r| incast_flows.contains(&r.flow))
+        .collect();
+    let incast_slowdowns: Vec<f64> = incast_records.iter().map(|r| r.slowdown()).collect();
+    let fct_by_flow: HashMap<dcn_net::FlowId, &dcn_metrics::FctRecord> =
+        incast_records.iter().map(|r| (r.flow, *r)).collect();
 
     // Query response time = max FCT among its flows (completed only).
     let mut query_delays_s = Vec::new();
@@ -185,7 +185,6 @@ pub fn run_incast(cfg: &IncastConfig) -> IncastPoint {
         results,
         query_delays_s,
         incast_slowdowns,
-        stats: None,
     }
 }
 
@@ -193,18 +192,22 @@ pub fn run_incast(cfg: &IncastConfig) -> IncastPoint {
 mod tests {
     use super::*;
 
-    #[test]
-    fn tiny_incast_run_completes_queries() {
+    /// 1 MB queries over 25G hosts in a tiny fabric: shrunk to keep the
+    /// tests fast, with the query gap tightened so several queries land
+    /// inside the 2 ms window regardless of the seed's first
+    /// inter-arrival draw.
+    fn tiny_cell() -> IncastConfig {
         let mut cfg =
             IncastConfig::paper_defaults(ExperimentScale::tiny(), PolicyChoice::l2bm(), 3);
-        // 1 MB queries over 25G hosts in a tiny fabric: shrink to keep
-        // the test fast, and tighten the query gap so several queries
-        // land inside the 2 ms window regardless of the seed's first
-        // inter-arrival draw.
         cfg.request_size = Bytes::from_kb(300);
         cfg.query_gap = SimDuration::from_micros(400);
         cfg.tcp_load = 0.4;
-        let p = run_incast(&cfg);
+        cfg
+    }
+
+    #[test]
+    fn tiny_incast_run_completes_queries() {
+        let p = run_incast(&tiny_cell());
         assert!(p.queries > 0);
         assert!(p.completed_queries > 0);
         assert_eq!(p.lossless_drops, 0);
@@ -212,5 +215,17 @@ mod tests {
         assert!(eb.mean > 0.0);
         assert!(eb.max >= eb.mean);
         assert_eq!(p.query_delays_s.len(), p.completed_queries);
+    }
+
+    #[test]
+    fn incast_slowdowns_follow_record_order() {
+        // Two runs of one cell in one process: a `HashMap`-ordered
+        // field would come back permuted (each map has its own hasher
+        // seed) at equal digests.
+        let cfg = tiny_cell();
+        let (a, b) = (run_incast(&cfg), run_incast(&cfg));
+        assert_eq!(a.results.digest(), b.results.digest());
+        assert!(a.incast_slowdowns.len() > 2, "{:?}", a.incast_slowdowns);
+        assert_eq!(a.incast_slowdowns, b.incast_slowdowns);
     }
 }

@@ -2,9 +2,9 @@
 //! paper's evaluation (§IV).
 //!
 //! Each `figN`/`tableN` function runs the corresponding experiment and
-//! returns a structured report whose `render()` prints the same
-//! rows/series the paper plots. The `repro` binary exposes them as
-//! subcommands; `perfbench/` times them.
+//! returns an [`Outcome`]: the same rows/series the paper plots, plus
+//! one labelled digest per run. [`FIGURES`] binds each to the paper's
+//! grid; the `repro` binary dispatches its subcommands from it.
 //!
 //! | id | paper artifact | function |
 //! |----|----------------|----------|
@@ -17,12 +17,19 @@
 //! | fig10 | incast: slowdown CDF, query-delay error bars, occupancy CDF | [`fig10`] |
 //! | fig11 | incast degree sweep N ∈ {5,10,15} | [`fig11`] |
 //!
+//! A sweep keeps every seed replicate ([`run_hybrid_cells`],
+//! [`run_incast_cells`]); `mean±CI` is computed where a table cell is
+//! rendered.
+//!
 //! # Example
 //!
 //! ```no_run
 //! use dcn_experiments::{fig7, ExperimentScale, SweepOptions, FIG7_LOADS};
-//! let report = fig7(&ExperimentScale::small(), &FIG7_LOADS, &SweepOptions::default());
-//! println!("{}", report.render());
+//! let out = fig7(&ExperimentScale::small(), &FIG7_LOADS, &SweepOptions::new(2, 3));
+//! println!("{}", out.text);
+//! for (run, digest) in &out.digests {
+//!     eprintln!("{run}: {digest:#x}");
+//! }
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,23 +46,20 @@ mod scale;
 mod sweep;
 mod tournament;
 
-pub use ablations::{ablations, standard_variants, AblationReport, AblationVariant};
+pub use ablations::{ablations, standard_variants, AblationVariant};
 pub use fault::{
     chaos, irn_grid, irn_resilience, run_fault_cell, sample_fault_schedule, FaultCell, FaultPoint,
     IrnResilience, CHAOS_CHECK_SEEDS, CHAOS_WATCHDOG,
 };
 pub use figures::{
-    fig10, fig11, fig3a, fig3b, fig7, fig8, fig9, table2, Fig10Report, Fig11Report, Fig3aReport,
-    Fig3bReport, Fig7Report, Fig8Report, Fig9Report, Table2Report, FIG11_FANOUTS, FIG7_LOADS,
+    fig10, fig11, fig3a, fig3b, fig7, fig8, fig9, table2, FIG11_FANOUTS, FIG7_LOADS, FIGURES,
     TABLE2_LOADS,
 };
 pub use hybrid::{run_hybrid, HybridConfig, HybridPoint};
 pub use incast::{run_incast, IncastConfig, IncastPoint};
 pub use report::{fmt_bytes, fmt_f64, Outcome, Table};
 pub use scale::ExperimentScale;
-pub use sweep::{
-    fmt_stat, run_hybrid_cells, run_incast_cells, HybridSeedStats, IncastSeedStats, SweepOptions,
-};
+pub use sweep::{run_hybrid_cells, run_incast_cells, SweepOptions};
 pub use tournament::{
     tournament, TournamentReport, TournamentRow, TOURNAMENT_FANOUT, TOURNAMENT_FAULT_SEEDS,
 };

@@ -85,10 +85,11 @@ pub fn fmt_f64(x: f64) -> String {
     }
 }
 
-/// What a sweep with a `--check` mode reports: its rendered text, one
-/// labelled digest per underlying run, and every invariant violation
-/// (empty = the battery passed). `repro` compares two outcomes of the
-/// same sweep run at different `--jobs` values.
+/// What every experiment reports: its rendered text, one labelled
+/// digest per underlying run, and every invariant violation (empty =
+/// the battery passed, or the experiment has none). `repro --check`
+/// compares two outcomes of the same sweep run at different `--jobs`
+/// values.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Outcome {
     /// The rendered report.

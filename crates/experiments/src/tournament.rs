@@ -4,16 +4,16 @@
 //! replicated over multiple seeds, reported as a Pareto table of
 //! p99 slowdown vs goodput vs pause frames vs fault degradation.
 //!
-//! The tournament rides the existing sweep engine: every `(policy,
-//! replicate)` pair is one independent cell fanned through
-//! [`run_hybrid_cells`] / [`run_incast_cells`] / [`run_fault_cell`],
-//! so the jobs-invariance contract carries over verbatim — the same
-//! tournament specification renders a byte-identical report (and the
-//! same per-cell digests) at any `--jobs` value. `repro tournament
-//! --check` pins exactly that.
+//! The tournament rides the existing sweep engine: its hybrid and
+//! incast arenas are one cell per policy, replicated by
+//! [`run_hybrid_cells`] / [`run_incast_cells`]; the chaos arena fans
+//! every `(policy, replicate, fault seed)` cell through
+//! [`run_fault_cell`]. So the jobs-invariance contract carries over
+//! verbatim — the same tournament specification renders a
+//! byte-identical report (and the same per-cell digests) at any
+//! `--jobs` value. `repro tournament --check` pins exactly that.
 
 use dcn_fabric::{RdmaTransport, RunResults};
-use dcn_metrics::SeedStats;
 use dcn_net::TrafficClass;
 use dcn_sim::{par_map, SimDuration};
 
@@ -22,7 +22,7 @@ use crate::hybrid::{goodput_gbps, HybridConfig};
 use crate::incast::IncastConfig;
 use crate::report::{delta_pct, fmt_f64, mean_finite, Outcome, Table};
 use crate::scale::ExperimentScale;
-use crate::sweep::{fmt_stat, run_hybrid_cells, run_incast_cells, SweepOptions};
+use crate::sweep::{run_hybrid_cells, run_incast_cells, seed_cell, SweepOptions};
 
 /// Fault seeds the tournament's chaos arena injects (a prefix of
 /// [`crate::CHAOS_CHECK_SEEDS`], kept short: the full battery is
@@ -100,15 +100,6 @@ impl TournamentRow {
     }
 }
 
-/// Renders one metric column cell: `mean±CI` over the replicates, the
-/// bare mean with a single replicate, `-` with no finite sample.
-fn cell(samples: &[f64]) -> String {
-    match SeedStats::from_samples(samples) {
-        Some(s) => fmt_stat(Some(&s), fmt_f64(s.mean)),
-        None => "-".into(),
-    }
-}
-
 /// The tournament result: rows grouped arena-major in policy order.
 #[derive(Debug, Clone)]
 pub struct TournamentReport {
@@ -167,6 +158,12 @@ impl TournamentReport {
             "violations",
         ]);
         let mut out = Outcome::default();
+        // A cell summarizes the finite replicates, as the front judges
+        // them: a replicate with no completed flow has no p99.
+        let cell = |samples: &[f64]| {
+            let finite: Vec<f64> = samples.iter().copied().filter(|v| v.is_finite()).collect();
+            seed_cell(&finite, |&v| v, fmt_f64, fmt_f64)
+        };
         for row in &self.rows {
             t.row(vec![
                 row.arena.to_string(),
@@ -174,11 +171,7 @@ impl TournamentReport {
                 cell(&row.p99_slowdown),
                 cell(&row.goodput_gbps),
                 cell(&row.pause_frames),
-                if row.fault_delta_pct.is_empty() {
-                    "-".into()
-                } else {
-                    cell(&row.fault_delta_pct)
-                },
+                cell(&row.fault_delta_pct),
                 row.violations.len().to_string(),
             ]);
             let name = format!("{}/{}", row.arena, row.label);
@@ -218,37 +211,27 @@ impl TournamentReport {
 /// the digest vector) depends only on the specification.
 pub fn tournament(scale: &ExperimentScale, seeds: u64, jobs: usize) -> TournamentReport {
     let seeds = seeds.max(1);
-    let n = seeds as usize;
     let policies = crate::all_policies();
-    let opts = SweepOptions::new(jobs, 1);
-    // Replicate `rep` runs at `seed + rep` (the sweep engine's
-    // convention), so replicate 0 is the historical single-seed run.
-    let scales: Vec<ExperimentScale> = (0..seeds)
-        .map(|rep| scale.clone().with_seed(scale.seed.wrapping_add(rep)))
-        .collect();
+    let opts = SweepOptions::new(jobs, seeds);
     let mut rows: Vec<TournamentRow> = Vec::new();
 
     // Hybrid arenas: the fig. 7 mix (RDMA 0.4) at moderate and
     // websearch-heavy TCP load.
     for (arena, tcp_load) in [("hybrid", 0.4), ("websearch", 0.8)] {
-        let mut cells = Vec::new();
-        for &policy in &policies {
-            for s in &scales {
-                cells.push(HybridConfig {
-                    scale: s.clone(),
-                    policy,
-                    rdma_load: 0.4,
-                    tcp_load,
-                });
-            }
-        }
-        let points = run_hybrid_cells(&cells, &opts);
-        for (reps, policy) in points.chunks(n).zip(&policies) {
-            let reps = reps.iter().map(|p| (p.rdma_p99_slowdown, &p.results));
+        let cells: Vec<HybridConfig> = policies
+            .iter()
+            .map(|&policy| HybridConfig {
+                scale: scale.clone(),
+                policy,
+                rdma_load: 0.4,
+                tcp_load,
+            })
+            .collect();
+        for reps in run_hybrid_cells(&cells, &opts) {
             rows.push(TournamentRow::fault_free(
                 arena,
-                policy.label(),
-                reps,
+                reps[0].label.clone(),
+                reps.iter().map(|p| (p.rdma_p99_slowdown, &p.results)),
                 scale.window,
             ));
         }
@@ -258,19 +241,15 @@ pub fn tournament(scale: &ExperimentScale, seeds: u64, jobs: usize) -> Tournamen
     // clamped so the fanout fits the scale's RDMA host pool (the
     // workload requires strictly more responder candidates than N).
     let fanout = TOURNAMENT_FANOUT.min(scale.host_count() / 2 - 1).max(1);
-    let mut cells = Vec::new();
-    for &policy in &policies {
-        for s in &scales {
-            cells.push(IncastConfig::paper_defaults(s.clone(), policy, fanout));
-        }
-    }
-    let points = run_incast_cells(&cells, &opts);
-    for (reps, policy) in points.chunks(n).zip(&policies) {
-        let reps = reps.iter().map(|p| (p.incast_p99_slowdown, &p.results));
+    let cells: Vec<IncastConfig> = policies
+        .iter()
+        .map(|&policy| IncastConfig::paper_defaults(scale.clone(), policy, fanout))
+        .collect();
+    for reps in run_incast_cells(&cells, &opts) {
         rows.push(TournamentRow::fault_free(
             "incast",
-            policy.label(),
-            reps,
+            reps[0].label.clone(),
+            reps.iter().map(|p| (p.incast_p99_slowdown, &p.results)),
             scale.window,
         ));
     }
@@ -278,6 +257,10 @@ pub fn tournament(scale: &ExperimentScale, seeds: u64, jobs: usize) -> Tournamen
     // Chaos arena: per replicate, a zero-fault baseline plus one cell
     // per fault seed; the reported metrics come from the fault cells,
     // the degradation is relative to the same replicate's baseline.
+    // Replicate `rep` runs at `seed + rep`, as in the sweep engine.
+    let scales: Vec<ExperimentScale> = (0..seeds)
+        .map(|rep| scale.clone().with_seed(scale.seed.wrapping_add(rep)))
+        .collect();
     let block = 1 + TOURNAMENT_FAULT_SEEDS.len();
     let cells = FaultCell::grid(
         &policies,
@@ -286,7 +269,7 @@ pub fn tournament(scale: &ExperimentScale, seeds: u64, jobs: usize) -> Tournamen
         &TOURNAMENT_FAULT_SEEDS,
     );
     let points = par_map(jobs, &cells, run_fault_cell);
-    for (runs, policy) in points.chunks(n * block).zip(&policies) {
+    for (runs, policy) in points.chunks(seeds as usize * block).zip(&policies) {
         let mut row = TournamentRow::new("chaos", policy.label());
         for rep in runs.chunks(block) {
             let (base, faulted) = (&rep[0], &rep[1..]);

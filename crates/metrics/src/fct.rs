@@ -106,11 +106,6 @@ impl FctSet {
             .collect()
     }
 
-    /// CDF over slowdowns of a class — Fig. 10(a)'s series.
-    pub fn slowdown_cdf(&self, class: TrafficClass) -> Cdf {
-        self.slowdowns(class).into_iter().collect()
-    }
-
     /// Merges another set into this one.
     pub fn merge(&mut self, other: FctSet) {
         self.records.extend(other.records);
@@ -194,7 +189,7 @@ mod tests {
         .into_iter()
         .collect();
         assert_eq!(set.fct_cdf(TrafficClass::Lossless).len(), 1);
-        assert_eq!(set.slowdown_cdf(TrafficClass::Lossy).len(), 1);
+        assert_eq!(set.fct_cdf(TrafficClass::Lossy).len(), 1);
     }
 
     #[test]

@@ -138,21 +138,6 @@ impl Cdf {
         self.samples.last().copied()
     }
 
-    /// `(value, cumulative_fraction)` points at `n` evenly spaced
-    /// quantiles — the series a CDF plot draws.
-    pub fn curve(&mut self, n: usize) -> Vec<(f64, f64)> {
-        if self.samples.is_empty() || n == 0 {
-            return Vec::new();
-        }
-        self.ensure_sorted();
-        (0..=n)
-            .map(|i| {
-                let p = i as f64 / n as f64;
-                (percentile_sorted(&self.samples, p), p)
-            })
-            .collect()
-    }
-
     /// A view of the raw samples (unsorted order not guaranteed).
     pub fn samples(&self) -> &[f64] {
         &self.samples
@@ -362,17 +347,6 @@ mod tests {
         assert_eq!(c.fraction_below(0.5), 0.0);
         assert_eq!(c.fraction_below(2.0), 0.5);
         assert_eq!(c.fraction_below(10.0), 1.0);
-    }
-
-    #[test]
-    fn cdf_curve_is_monotonic() {
-        let mut c: Cdf = (0..100).map(|i| ((i * 7919) % 100) as f64).collect();
-        let curve = c.curve(20);
-        assert_eq!(curve.len(), 21);
-        for w in curve.windows(2) {
-            assert!(w[1].0 >= w[0].0);
-            assert!(w[1].1 >= w[0].1);
-        }
     }
 
     #[test]

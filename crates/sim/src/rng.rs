@@ -92,23 +92,6 @@ impl SimRng {
         }
     }
 
-    /// A uniform index in `[0, n)`, excluding `skip` (used for "send to a
-    /// random *other* server").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` or `skip >= n`.
-    pub fn below_excluding(&mut self, n: u64, skip: u64) -> u64 {
-        assert!(n >= 2, "need at least two choices");
-        assert!(skip < n, "skip index out of range");
-        let v = self.below(n - 1);
-        if v >= skip {
-            v + 1
-        } else {
-            v
-        }
-    }
-
     /// An exponentially-distributed duration with the given mean (Poisson
     /// process inter-arrival time).
     ///
@@ -225,11 +208,6 @@ impl EmpiricalCdf {
         self.mean
     }
 
-    /// The largest possible sample.
-    pub fn max_value(&self) -> u64 {
-        self.knots[self.knots.len() - 1].0
-    }
-
     /// Draws a sample by inverse transform with linear interpolation.
     pub fn sample(&self, rng: &mut SimRng) -> u64 {
         let u = rng.uniform_f64();
@@ -250,7 +228,7 @@ impl EmpiricalCdf {
                 return v0 + ((v1 - v0) as f64 * frac).round() as u64;
             }
         }
-        self.max_value()
+        self.knots[self.knots.len() - 1].0
     }
 }
 
@@ -273,14 +251,6 @@ mod tests {
         let mut a = root.fork(0);
         let mut b = root.fork(1);
         assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn below_excluding_never_returns_skip() {
-        let mut rng = SimRng::seed_from_u64(3);
-        for _ in 0..1_000 {
-            assert_ne!(rng.below_excluding(8, 5), 5);
-        }
     }
 
     #[test]

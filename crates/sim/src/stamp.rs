@@ -142,39 +142,7 @@ impl Stamp {
     /// the pop whose own stamp is `self`.
     pub fn child(&self, at: SimTime, k: u32) -> Stamp {
         let mut s = *self;
-        let at = at.as_nanos();
-        if s.nruns > 0 {
-            let r = &mut s.runs[0];
-            // Extend the leaf run when the emission index matches and
-            // the admission keeps (or establishes) its arithmetic step.
-            // The model schedules no zero-delay events, so `at` is
-            // strictly past the previous admission.
-            if r.k == k && r.n < u32::MAX && at > r.t && (r.n == 1 || at - r.t == r.step) {
-                r.step = at - r.t;
-                r.t = at;
-                r.n += 1;
-                s.len += 1;
-                return s;
-            }
-        }
-        if (s.nruns as usize) == STAMP_DEPTH {
-            // Drop the root-most run into the overflow hash.
-            let d = s.runs[STAMP_DEPTH - 1];
-            s.overflow = fold_run(s.overflow.max(1), &d);
-            s.truncated = true;
-            s.len -= d.n;
-            s.runs.copy_within(0..STAMP_DEPTH - 1, 1);
-        } else {
-            s.runs.copy_within(0..s.nruns as usize, 1);
-            s.nruns += 1;
-        }
-        s.runs[0] = Run {
-            t: at,
-            step: 0,
-            k,
-            n: 1,
-        };
-        s.len += 1;
+        self.write_child(&mut s, at, k);
         s
     }
 
@@ -185,7 +153,10 @@ impl Stamp {
     pub fn write_child(&self, dst: &mut Stamp, at: SimTime, k: u32) {
         let at = at.as_nanos();
         let leaf = self.runs[0];
-        // Same extension rule as `child`.
+        // Extend the leaf run when the emission index matches and the
+        // admission keeps (or establishes) its arithmetic step. The
+        // model schedules no zero-delay events, so `at` is strictly past
+        // the previous admission.
         if self.nruns > 0
             && leaf.k == k
             && leaf.n < u32::MAX

@@ -304,40 +304,11 @@ impl TraceEvent {
             | TraceEvent::IrnRetransmit { flow, .. }
             | TraceEvent::FlowStalled { flow, .. } => Some(flow),
             // PFC edges, watchdog fires and defects are diagnostics, not
-            // flow-scoped — they always pass flow filters.
+            // flow-scoped.
             TraceEvent::PfcPause { .. }
             | TraceEvent::PfcResume { .. }
             | TraceEvent::PfcWatchdogFired { .. }
             | TraceEvent::Defect { .. } => None,
-        }
-    }
-
-    /// The `(node, port, prio)` queue this event touches, if any. For
-    /// [`TraceEvent::Enqueue`] this is the *egress* queue.
-    pub const fn queue(&self) -> Option<(u32, u16, u8)> {
-        match *self {
-            TraceEvent::Enqueue {
-                node,
-                out_port,
-                prio,
-                ..
-            } => Some((node, out_port, prio)),
-            TraceEvent::Dequeue {
-                node, port, prio, ..
-            }
-            | TraceEvent::EcnMark {
-                node, port, prio, ..
-            }
-            | TraceEvent::PfcPause { node, port, prio }
-            | TraceEvent::PfcResume { node, port, prio }
-            | TraceEvent::PfcWatchdogFired { node, port, prio } => Some((node, port, prio)),
-            TraceEvent::Drop {
-                node,
-                in_port,
-                prio,
-                ..
-            } => Some((node, in_port, prio)),
-            _ => None,
         }
     }
 
@@ -477,12 +448,6 @@ pub struct TraceConfig {
     /// Ring-buffer bound (records). Oldest records are evicted first;
     /// aggregate counters are unaffected by eviction.
     pub capacity: usize,
-    /// Record only these flows (`None` = all). Queue-scoped events with
-    /// no flow (PFC edges) always pass this filter.
-    pub flows: Option<Vec<u64>>,
-    /// Record only these `(node, port, prio)` queues (`None` = all).
-    /// Flow-scoped transport events always pass this filter.
-    pub queues: Option<Vec<(u32, u16, u8)>>,
 }
 
 impl Default for TraceConfig {
@@ -490,14 +455,12 @@ impl Default for TraceConfig {
         TraceConfig {
             enabled: false,
             capacity: 1 << 20,
-            flows: None,
-            queues: None,
         }
     }
 }
 
 impl TraceConfig {
-    /// An enabled recorder with default capacity and no filters.
+    /// An enabled recorder with default capacity.
     pub fn enabled() -> Self {
         TraceConfig {
             enabled: true,
@@ -559,7 +522,7 @@ impl TraceTotals {
 /// The bounded ring of [`TraceRecord`]s plus aggregate totals.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    cfg: TraceConfig,
+    capacity: usize,
     ring: VecDeque<TraceRecord>,
     evicted: u64,
     totals: TraceTotals,
@@ -571,39 +534,18 @@ impl FlightRecorder {
     /// a disabled config still records if driven directly — gating is
     /// the [`TraceHandle`]'s job).
     pub fn new(cfg: TraceConfig) -> FlightRecorder {
-        let cap = cfg.capacity.max(1);
+        let capacity = cfg.capacity.max(1);
         FlightRecorder {
-            cfg,
-            ring: VecDeque::with_capacity(cap.min(1 << 16)),
+            capacity,
+            ring: VecDeque::with_capacity(capacity.min(1 << 16)),
             evicted: 0,
             totals: TraceTotals::default(),
             lossless_victims: std::collections::BTreeSet::new(),
         }
     }
 
-    fn passes_filters(&self, event: &TraceEvent) -> bool {
-        if let Some(flows) = &self.cfg.flows {
-            if let Some(f) = event.flow() {
-                if !flows.contains(&f) {
-                    return false;
-                }
-            }
-        }
-        if let Some(queues) = &self.cfg.queues {
-            if let Some(q) = event.queue() {
-                if !queues.contains(&q) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Records one event (applying filters and the ring bound).
+    /// Records one event (applying the ring bound).
     pub fn record(&mut self, at: SimTime, event: TraceEvent) {
-        if !self.passes_filters(&event) {
-            return;
-        }
         match event {
             TraceEvent::Drop {
                 cause,
@@ -635,7 +577,7 @@ impl FlightRecorder {
             TraceEvent::Defect { .. } => self.totals.defects += 1,
             _ => {}
         }
-        if self.ring.len() == self.cfg.capacity.max(1) {
+        if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.evicted += 1;
         }
@@ -674,11 +616,6 @@ impl FlightRecorder {
     /// regardless of run length.
     pub fn lossless_victims(&self) -> &std::collections::BTreeSet<u64> {
         &self.lossless_victims
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &TraceConfig {
-        &self.cfg
     }
 
     /// Dumps every retained record as JSON Lines.
@@ -816,12 +753,6 @@ impl TraceHandle {
         }
     }
 
-    /// Whether a recorder is attached.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Records the event produced by `f`. When disabled this is a
     /// single branch and `f` is never called, so event construction
     /// costs nothing on the hot path.
@@ -868,8 +799,9 @@ mod tests {
 
     #[test]
     fn from_config_respects_enabled_flag() {
-        assert!(!TraceHandle::from_config(&TraceConfig::default()).is_enabled());
-        assert!(TraceHandle::from_config(&TraceConfig::enabled()).is_enabled());
+        let attached = |cfg: &TraceConfig| TraceHandle::from_config(cfg).with(|_| ()).is_some();
+        assert!(!attached(&TraceConfig::default()));
+        assert!(attached(&TraceConfig::enabled()));
     }
 
     #[test]
@@ -877,8 +809,6 @@ mod tests {
         let mut rec = FlightRecorder::new(TraceConfig {
             enabled: true,
             capacity: 2,
-            flows: None,
-            queues: None,
         });
         for i in 0..5 {
             rec.record(
@@ -898,50 +828,10 @@ mod tests {
     }
 
     #[test]
-    fn flow_filter_drops_other_flows_but_keeps_queue_events() {
-        let mut rec = FlightRecorder::new(TraceConfig {
-            enabled: true,
-            capacity: 100,
-            flows: Some(vec![7]),
-            queues: None,
-        });
-        rec.record(SimTime::ZERO, enq(7, 0));
-        rec.record(SimTime::ZERO, enq(8, 0));
-        rec.record(
-            SimTime::ZERO,
-            TraceEvent::PfcPause {
-                node: 0,
-                port: 0,
-                prio: 3,
-            },
-        );
-        assert_eq!(rec.len(), 2, "flow 8 filtered; PFC edge passes");
-    }
-
-    #[test]
-    fn queue_filter_matches_tuple() {
-        let mut rec = FlightRecorder::new(TraceConfig {
-            enabled: true,
-            capacity: 100,
-            flows: None,
-            queues: Some(vec![(0, 1, 3)]),
-        });
-        rec.record(SimTime::ZERO, enq(1, 0)); // egress queue (0,1,3) — kept
-        rec.record(SimTime::ZERO, enq(1, 9)); // node 9 — filtered
-        rec.record(
-            SimTime::ZERO,
-            TraceEvent::TcpExitRecovery { flow: 1 }, // no queue — kept
-        );
-        assert_eq!(rec.len(), 2);
-    }
-
-    #[test]
     fn lossless_victim_set_survives_ring_wrap() {
         let mut rec = FlightRecorder::new(TraceConfig {
             enabled: true,
             capacity: 4,
-            flows: None,
-            queues: None,
         });
         rec.record(
             SimTime::ZERO,
@@ -1066,12 +956,7 @@ mod tests {
 
     #[test]
     fn fault_events_count_into_totals_and_serialize() {
-        let mut rec = FlightRecorder::new(TraceConfig {
-            enabled: true,
-            capacity: 100,
-            flows: Some(vec![7]), // diagnostics must pass flow filters
-            queues: None,
-        });
+        let mut rec = FlightRecorder::new(TraceConfig::enabled());
         for cause in [
             TraceDropCause::LinkDown,
             TraceDropCause::NoRoute,
@@ -1126,8 +1011,9 @@ mod tests {
                 port: 1,
                 prio: 3
             }
-            .queue(),
-            Some((3, 1, 3))
+            .flow(),
+            None,
+            "watchdog fires are not flow-scoped"
         );
     }
 

@@ -1,60 +1,72 @@
 //! Determinism-under-parallelism regression: the sweep engine must
-//! produce bit-identical results at any `--jobs` value. A fixed Fig. 7
-//! cell grid is run serially and on 2, 4 and 8 worker threads; every
-//! per-cell [`RunResults`] digest and the rendered report must match
-//! exactly.
+//! produce bit-identical outcomes at any `--jobs` value. Every figure
+//! is run serially and on worker threads; every labelled
+//! [`RunResults`](dcn_fabric::RunResults) digest and the rendered
+//! report must match exactly.
 
-use dcn_experiments::{fig7, table2, tournament, ExperimentScale, SweepOptions};
-
-fn fig7_digests(jobs: usize, seeds: u64) -> (Vec<u64>, String) {
-    let report = fig7(
-        &ExperimentScale::tiny(),
-        &[0.4],
-        &SweepOptions::new(jobs, seeds),
-    );
-    let digests = report.points.iter().map(|p| p.results.digest()).collect();
-    (digests, report.render())
-}
+use dcn_experiments::{fig7, table2, tournament, ExperimentScale, SweepOptions, FIGURES};
+use dcn_sim::SimDuration;
 
 #[test]
 fn fig7_cell_digests_match_between_jobs_1_and_8() {
-    let (serial, serial_render) = fig7_digests(1, 1);
-    assert_eq!(serial.len(), 4, "one cell per policy");
+    let run = |jobs| {
+        fig7(
+            &ExperimentScale::tiny(),
+            &[0.4],
+            &SweepOptions::new(jobs, 1),
+        )
+    };
+    let serial = run(1);
+    assert_eq!(serial.digests.len(), 4, "one run per policy");
     for jobs in [2, 4, 8] {
-        let (parallel, parallel_render) = fig7_digests(jobs, 1);
         assert_eq!(
-            serial, parallel,
-            "RunResults digests must not depend on the thread count ({jobs} jobs)"
-        );
-        assert_eq!(
-            serial_render, parallel_render,
-            "rendered report must be byte-identical across --jobs values ({jobs} jobs)"
+            serial,
+            run(jobs),
+            "labelled digests and rendered report must not depend on the thread count \
+             ({jobs} jobs)"
         );
     }
 }
 
 #[test]
 fn multi_seed_aggregation_is_thread_count_invariant() {
-    let (serial, serial_render) = fig7_digests(1, 3);
-    let (parallel, parallel_render) = fig7_digests(8, 3);
-    // The base replicate's full results survive aggregation unchanged…
-    assert_eq!(serial, parallel);
+    let run = |jobs| {
+        fig7(
+            &ExperimentScale::tiny(),
+            &[0.4],
+            &SweepOptions::new(jobs, 3),
+        )
+    };
+    let serial = run(1);
+    // Every replicate's digest is kept, in seed order…
+    assert_eq!(serial.digests.len(), 4 * 3);
+    assert_eq!(serial.digests[2].0, "L2BM load=0.4 seed 44");
     // …and the mean ± CI columns (computed across seeds) agree too.
-    assert_eq!(serial_render, parallel_render);
+    assert_eq!(serial, run(8));
     assert!(
-        serial_render.contains('±'),
+        serial.text.contains('±'),
         "multi-seed report must carry CI columns"
     );
 }
 
 #[test]
 fn table2_render_is_thread_count_invariant() {
-    let opts_1 = SweepOptions::new(1, 2);
-    let opts_8 = SweepOptions::new(8, 2);
     let loads = [0.4];
-    let a = table2(&ExperimentScale::tiny(), &loads, &opts_1).render();
-    let b = table2(&ExperimentScale::tiny(), &loads, &opts_8).render();
+    let a = table2(&ExperimentScale::tiny(), &loads, &SweepOptions::new(1, 2));
+    let b = table2(&ExperimentScale::tiny(), &loads, &SweepOptions::new(8, 2));
     assert_eq!(a, b);
+}
+
+#[test]
+fn every_figure_outcome_is_jobs_invariant() {
+    // Every row `repro all` runs, two seeds each, serial vs four
+    // workers: the text and every replicate's labelled digest.
+    let scale = ExperimentScale::tiny().with_window(SimDuration::from_millis(1));
+    for (name, run) in FIGURES {
+        let serial = run(&scale, &SweepOptions::new(1, 2));
+        assert!(!serial.digests.is_empty(), "{name} ran no cell");
+        assert_eq!(serial, run(&scale, &SweepOptions::new(4, 2)), "{name}");
+    }
 }
 
 #[test]
@@ -64,8 +76,13 @@ fn tournament_is_thread_count_invariant() {
     // rendered Pareto table must be byte-identical at jobs 1 vs 8, and
     // the invariant battery must pass on both.
     let scale = ExperimentScale::tiny();
-    let serial = tournament(&scale, 1, 1).outcome();
-    let parallel = tournament(&scale, 1, 8).outcome();
+    let serial = tournament(&scale, 2, 1);
+    let parallel = tournament(&scale, 2, 8);
+    assert!(
+        serial.rows.iter().all(|r| r.digests.len() >= 2),
+        "every row keeps both replicates"
+    );
+    let (serial, parallel) = (serial.outcome(), parallel.outcome());
     assert_eq!(serial.violations, Vec::<String>::new());
     assert_eq!(serial, parallel, "digests, render and violations");
 }
