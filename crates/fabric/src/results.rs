@@ -13,8 +13,6 @@ pub struct RunResults {
     pub fct: FctSet,
     /// PFC pause/resume frames summed over all switches.
     pub pfc: PfcCounters,
-    /// PFC counters per switch.
-    pub pfc_by_switch: BTreeMap<NodeId, PfcCounters>,
     /// Drops summed over all switches.
     pub drops: DropCounters,
     /// Buffer-occupancy traces per switch (if sampling was enabled).

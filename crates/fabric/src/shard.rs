@@ -3,12 +3,13 @@
 //! [`ShardedFabricSim`] splits one run across `N` worker threads, each
 //! owning a spatial slice of the fabric (a [`Partition`]): its switches,
 //! hosts, flow endpoints and an independent [`EventQueue`] in admission-
-//! stamp mode. Shards advance through lockstep windows `[w, w + L)`
-//! whose width `L` is the partition's lookahead — the minimum
-//! propagation delay over cross-shard links — so an event dispatched
-//! inside a window can only influence a peer shard at or after the
-//! window's end. Cross-shard messages are generated as stamped
-//! [`Handoff`]s and admitted by their destination at the next barrier.
+//! stamp mode. Shards advance through lockstep windows `[w, w + L)`,
+//! cut at grid lines (below), whose width `L` is the partition's
+//! lookahead — the minimum propagation delay over cross-shard links —
+//! so an event dispatched inside a window can only influence a peer
+//! shard at or after the window's end. Cross-shard messages are
+//! generated as stamped [`Handoff`]s and admitted by their destination
+//! at the next barrier.
 //!
 //! # Determinism
 //!
@@ -19,22 +20,18 @@
 //!   the serial `(time, seq)` insertion order; simultaneous events are
 //!   dispatched in stamp order, so each shard pops its slice of the
 //!   serial sequence in the serial sequence's order.
-//! * **Stop key.** The serial run stops right after the pop that
-//!   completes the last flow. At the barrier where the done totals
-//!   reach the flow count, every shard computes the completing pop's
-//!   `(time, stamp)` key — the maximum done key of the window — and
-//!   filters everything it speculatively dispatched past it: journaled
-//!   counter deltas are subtracted, tail FCT records and occupancy
-//!   samples dropped, and the event count corrected. Only the pops a
-//!   shard dispatches after its own last counted completion are
-//!   journaled: one dispatched while the shard still owes a completion
-//!   is at or before that completion's key, hence the stop key.
+//! * **Grid stop.** A finished run ends at the end of the 10 µs grid
+//!   cell holding the last completion (`END_GRID` in `world.rs`), in
+//!   both engines. Windows never cross a grid line, so the window in
+//!   which the done totals reach the flow count lies inside that cell:
+//!   every shard then dispatches on to the cell's end and stops there,
+//!   having dispatched exactly what the serial engine did. Nothing is
+//!   speculative, so nothing is reverted.
 //! * **Replicas.** `Sample` and `Fault` events run in every shard
 //!   (occupancy and link state are shard-local and replicated
 //!   respectively); the merge counts them once and asserts the shards
 //!   agree.
 
-use std::cmp::Ordering;
 use std::sync::{Arc, Mutex};
 
 use dcn_metrics::FctRecord;
@@ -48,57 +45,16 @@ use dcn_workload::FlowSpec;
 use crate::config::FabricConfig;
 use crate::results::RunResults;
 use crate::wires::Handoff;
-use crate::world::{Event, PopCounters, World};
-
-/// How a dispatched event counts toward the merged event total.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PopKind {
-    /// Dispatched by exactly one shard.
-    Normal,
-    /// A replicated occupancy-sampling tick (also reverts one occupancy
-    /// sample per owned switch when filtered).
-    Sample,
-    /// A replicated fault application.
-    Fault,
-}
-
-impl PopKind {
-    fn of(ev: &Event) -> PopKind {
-        match ev {
-            Event::Sample => PopKind::Sample,
-            Event::Fault { .. } => PopKind::Fault,
-            _ => PopKind::Normal,
-        }
-    }
-}
-
-/// Pops known to be at or before the stop key, by how the merge counts
-/// them.
-#[derive(Default)]
-struct Banked {
-    normal: u64,
-    replicated: u64,
-}
-
-impl Banked {
-    fn add(&mut self, kind: PopKind) {
-        match kind {
-            PopKind::Normal => self.normal += 1,
-            PopKind::Sample | PopKind::Fault => self.replicated += 1,
-        }
-    }
-}
+use crate::world::{end_of_cell, Event, World};
 
 /// One shard's slot of barrier-shared state. Field use is phased so a
-/// slow reader can never observe a peer's next-window write: `*done*`
-/// are written before barrier A and read after it; `next_time` is
-/// written between barriers A and B and read after B — and a shard only
-/// reaches its next `*done*` write after every peer passed B.
+/// slow reader can never observe a peer's next-window write:
+/// `done_total` is written before barrier A and read after it;
+/// `next_time` is written between barriers A and B and read after B —
+/// and a shard only reaches its next `done_total` write after every
+/// peer passed B.
 #[derive(Default)]
 struct Slot {
-    /// Key of the shard's last completion in the window just dispatched
-    /// (its greatest: a shard pops in key order).
-    max_done: Option<StampKey>,
     done_total: usize,
     next_time: Option<SimTime>,
 }
@@ -113,14 +69,15 @@ struct Shared {
 /// handle and cannot cross the join, so the thread reduces it to this
 /// `Send` summary first).
 struct ShardPiece {
-    /// Stop-key-filtered order-independent counters: PFC, drops,
-    /// occupancy, IRN counters, liveness diagnostics.
+    /// Order-independent counters: PFC, drops, occupancy, IRN counters,
+    /// liveness diagnostics.
     base: RunResults,
-    /// Stop-key-filtered completion records with their dispatch keys,
-    /// in this shard's (already key-sorted) completion order.
+    /// Completion records with their dispatch keys, in this shard's
+    /// (already key-sorted) completion order.
     fct: Vec<(StampKey, FctRecord)>,
     unfinished: usize,
-    banked: Banked,
+    /// Replicated pops (`Sample` and `Fault`, run by every shard).
+    replicated: u64,
     queue: QueueStats,
     stats: ShardStats,
 }
@@ -190,9 +147,10 @@ impl ShardedFabricSim {
         self.specs.extend(specs);
     }
 
-    /// Runs until every registered flow has completed or `deadline`
-    /// passes, whichever the serial engine would have hit first.
-    /// Returns whether all flows completed.
+    /// Runs until `deadline`, or until the end of the 10 µs grid cell
+    /// holding the last flow's completion, whichever comes first —
+    /// the stop of [`crate::FabricSim::run_until_done`]. Returns whether
+    /// all flows completed.
     pub fn run_until_done(&mut self, deadline: SimTime) -> bool {
         let shards = self.part.shards();
         let shared = Shared {
@@ -278,41 +236,31 @@ fn run_shard(
             q.schedule_at(spec.start, Event::FlowStart { index: ix });
         }
     }
-    // The completions this shard counts. While it still owes one, every
-    // pop it dispatches is kept (see the dispatch loop).
-    let owed_flows = world.counting_flows();
+    // The completions this shard counts toward the global done total.
+    let counted_flows = world.counting_flows();
 
     let lookahead = part.lookahead();
     let mut stats = ShardStats::default();
     let mut inbox: Vec<Handoff> = Vec::new();
-
-    // Window-local journals of the pops dispatched once nothing is owed,
-    // cleared at every continuing barrier (the stop key can only land in
-    // the run's final window).
-    let mut deltas: Vec<(StampKey, PopCounters)> = Vec::new();
-    let mut pops: Vec<(StampKey, PopKind)> = Vec::new();
-    // Key of this window's newest completion — its greatest, since a
-    // shard pops in key order.
-    let mut max_done: Option<StampKey> = None;
-    // Run-long journal parallel to the world's FCT records.
+    let mut replicated: u64 = 0;
+    // The dispatch key of each of the world's FCT records.
     let mut fct_keys: Vec<StampKey> = Vec::new();
 
-    let mut banked = Banked::default();
-
+    // A run without flows is done before it starts and, as in the
+    // serial engine, stops at time zero.
+    let mut stop = if total_flows == 0 {
+        SimTime::ZERO
+    } else {
+        deadline
+    };
     let mut w_start = SimTime::ZERO;
-    let mut done = false;
-    let mut stop_key: Option<StampKey> = None;
 
-    // A solo run (one shard owns the whole fabric) has no peer to wait
-    // for, so it stops at the exact completing pop like the serial
-    // engine instead of speculating on to the deadline.
-    let solo = shards == 1;
-
-    'windows: loop {
-        let w_end = match lookahead {
-            Some(l) => deadline.min(w_start + l),
-            None => deadline,
-        };
+    loop {
+        // Windows never cross a grid line (see the module doc).
+        let mut w_end = stop.min(end_of_cell(w_start));
+        if let Some(l) = lookahead {
+            w_end = w_end.min(w_start + l);
+        }
 
         // Dispatch everything strictly inside the window, simultaneous
         // events in stamp order.
@@ -327,55 +275,25 @@ fn run_shard(
                     continue; // cancelled by an earlier member of its group
                 };
                 window_events += 1;
-                let kind = PopKind::of(&ev);
+                if matches!(ev, Event::Sample | Event::Fault { .. }) {
+                    replicated += 1;
+                }
                 let fct_before = world.fct_records().len();
-                let done_before = world.done_flows();
-                // Owed-completion rule: this shard pops in key order, so
-                // while it has a completion still to come, this pop's key
-                // is at or before that completion's, which the stop key —
-                // the greatest done key of the run — can only equal or
-                // exceed. The pop is kept whatever the peers do. Once
-                // nothing is owed, a peer's completion may put the stop
-                // key before the pop: snapshot what reverting it takes.
-                let snap = (done_before == owed_flows).then(|| world.snap(&ev));
                 world.handle(at, ev, &mut q);
                 let records = world.fct_records().len() - fct_before;
-                let completed = world.done_flows() > done_before;
-                if snap.is_none() && records == 0 && !completed {
-                    // The common pop: banked, its stamp never copied.
-                    banked.add(kind);
-                    continue;
+                if records > 0 {
+                    let key = StampKey {
+                        at,
+                        stamp: *q.current_stamp(),
+                    };
+                    fct_keys.extend(std::iter::repeat_n(key, records));
                 }
-                let key = StampKey {
-                    at,
-                    stamp: *q.current_stamp(),
-                };
-                fct_keys.extend(std::iter::repeat_n(key, records));
-                let Some(snap) = snap else {
-                    banked.add(kind);
-                    if completed {
-                        max_done = Some(key);
-                        if solo && world.done_flows() == total_flows {
-                            // The serial engine stops right after this pop.
-                            done = true;
-                            stop_key = Some(key);
-                            stats.max_window_events = stats.max_window_events.max(window_events);
-                            break 'windows;
-                        }
-                    }
-                    continue;
-                };
-                stats.journaled_pops += 1;
-                if let Some(d) = world.delta_since(snap) {
-                    deltas.push((key, d));
-                }
-                pops.push((key, kind));
             }
         }
         stats.max_window_events = stats.max_window_events.max(window_events);
 
         // Publish handoffs (one batch, one lock per destination) and this
-        // window's last completion, then barrier A.
+        // shard's done total, then barrier A.
         for (dest, batch) in world.outbox().iter_mut().enumerate() {
             if batch.is_empty() {
                 continue;
@@ -390,13 +308,10 @@ fn run_shard(
                 .expect("shard thread panicked")
                 .append(batch);
         }
-        {
-            let mut slot = shared.slots[shard as usize]
-                .lock()
-                .expect("shard thread panicked");
-            slot.max_done = max_done.take();
-            slot.done_total = world.done_flows();
-        }
+        shared.slots[shard as usize]
+            .lock()
+            .expect("shard thread panicked")
+            .done_total = world.done_flows();
         shared.barrier.wait();
         stats.barriers += 1;
 
@@ -409,35 +324,14 @@ fn run_shard(
                 .done_total;
         }
         if global_done == total_flows {
-            // The run completes in this window. The serial engine
-            // stopped right after the completing pop — the greatest of
-            // the shards' last done keys (`None` only for a zero-flow
-            // run, which the serial engine exits before processing
-            // anything).
-            for s in 0..shards {
-                let slot = shared.slots[s].lock().expect("shard thread panicked");
-                if let Some(k) = &slot.max_done {
-                    if stop_key.as_ref().is_none_or(|cur| cur.order(k).is_lt()) {
-                        stop_key = Some(*k);
-                    }
-                }
-            }
-            done = true;
-            break 'windows;
+            // The last completion lies in this window, hence in
+            // `w_start`'s grid cell: the serial engine stops at its end.
+            stop = stop.min(end_of_cell(w_start));
         }
-
-        // Continuing: everything this window dispatched is in the
-        // serial run's past for certain — bank it and clear journals.
-        for &(_, kind) in &pops {
-            banked.add(kind);
-        }
-        pops.clear();
-        deltas.clear();
-
-        if w_end >= deadline {
-            // Deadline exit. Pending handoffs fire at ≥ deadline — the
-            // serial engine would never have dispatched them either.
-            break 'windows;
+        if w_end >= stop {
+            // Pending events and handoffs fire at or past the stop — the
+            // serial engine never dispatched them either.
+            break;
         }
 
         // Admit the peers' handoffs, then agree on the next window.
@@ -471,7 +365,7 @@ fn run_shard(
             };
         }
         let Some(next) = global_next else {
-            break 'windows; // every queue drained — nothing can happen again
+            break; // every queue drained — nothing can happen again
         };
         // A YAWNS-style jump: windows with no events anywhere are
         // skipped in one hop instead of barriered through one lookahead
@@ -479,75 +373,25 @@ fn run_shard(
         w_start = w_end.max(next);
     }
 
-    // ---- end-of-run filtering ----------------------------------------
-
-    let mut dropped_samples = 0usize;
-    let mut reverted: Vec<PopCounters> = Vec::new();
-    let mut fct_keep = fct_keys.len();
-    if done {
-        // Keep exactly what the serial engine processed: keys at or
-        // before the stop key. (`stop_key` is `None` only for the
-        // zero-flow run, where the serial engine processes nothing.)
-        // Only the final window's journaled pops can fail the test.
-        let keep = |k: &StampKey| {
-            stop_key
-                .as_ref()
-                .is_some_and(|sk| k.order(sk) != Ordering::Greater)
-        };
-        for &(ref k, kind) in &pops {
-            if keep(k) {
-                banked.add(kind);
-            } else if kind == PopKind::Sample {
-                dropped_samples += 1;
-            }
-        }
-        reverted = deltas
-            .into_iter()
-            .filter(|(k, _)| !keep(k))
-            .map(|(_, d)| d)
-            .collect();
-        // Per-shard pops happen in key order, so filtered FCT records
-        // are exactly a tail.
-        while fct_keep > 0 && !keep(&fct_keys[fct_keep - 1]) {
-            fct_keep -= 1;
-        }
-    }
-    world.drop_last_occupancy(dropped_samples);
-
-    // ---- piece assembly ----------------------------------------------
-
     let mut base = RunResults::default();
     world.fold_counters_into(&mut base);
-    for d in &reverted {
-        for (node, dpfc, ddrops) in d.nodes.iter().flatten() {
-            base.pfc.subtract(dpfc);
-            if let Some(per) = base.pfc_by_switch.get_mut(node) {
-                per.subtract(dpfc);
-            }
-            base.drops.subtract(ddrops);
-        }
-        base.drops.subtract(&d.wire);
-        base.irn.subtract(&d.irn);
-    }
     debug_assert_eq!(
         fct_keys.len(),
         world.fct_records().len(),
-        "FCT journal out of sync"
+        "FCT keys out of sync"
     );
     let fct: Vec<(StampKey, FctRecord)> = fct_keys
-        .iter()
-        .take(fct_keep)
-        .copied()
-        .zip(world.fct_records().iter().take(fct_keep).copied())
+        .into_iter()
+        .zip(world.fct_records().iter().copied())
         .collect();
     stats.events_processed = q.stats().processed;
     stats.stamp_ambiguities = ambiguous_comparisons() - ambiguous_before;
 
     ShardPiece {
-        unfinished: owed_flows - world.done_flows(),
+        unfinished: counted_flows - world.done_flows(),
         base,
         fct,
-        banked,
+        replicated,
         queue: q.stats(),
         stats,
     }
@@ -572,13 +416,13 @@ fn merge_pieces(pieces: Vec<ShardPiece>) -> RunResults {
     // Events: each normal pop happened in exactly one shard; replicated
     // pops happened in all of them identically (asserted) and count
     // once.
-    let replicated = pieces[0].banked.replicated;
+    let replicated = pieces[0].replicated;
     for p in &pieces {
         assert_eq!(
-            p.banked.replicated, replicated,
+            p.replicated, replicated,
             "replicated event schedules diverged across shards"
         );
-        r.events_processed += p.banked.normal;
+        r.events_processed += p.queue.processed - replicated;
     }
     r.events_processed += replicated;
 
@@ -595,9 +439,6 @@ fn merge_pieces(pieces: Vec<ShardPiece>) -> RunResults {
 
     for p in pieces {
         r.pfc.merge(&p.base.pfc);
-        for (node, c) in p.base.pfc_by_switch {
-            r.pfc_by_switch.insert(node, c); // switch ownership is disjoint
-        }
         r.drops.merge(&p.base.drops);
         for (node, series) in p.base.occupancy {
             r.occupancy.insert(node, series);
@@ -731,7 +572,6 @@ mod tests {
         );
         assert_eq!(serial.fct.records(), sharded.fct.records());
         assert_eq!(serial.events_processed, sharded.events_processed);
-        assert_eq!(serial.pfc_by_switch, sharded.pfc_by_switch);
         assert_eq!(serial.rdma_stranded, sharded.rdma_stranded);
         assert_eq!(serial.flow_stalls, sharded.flow_stalls);
         assert!(!sharded.shards.is_empty(), "shard stats surfaced");
@@ -753,20 +593,6 @@ mod tests {
         let racks: Vec<usize> = hosts.iter().map(|&h| part.shard_of(h)).collect();
         assert_eq!(racks, [0, 0, 1, 1, 2, 2, 3, 3], "hosts are rack-ordered");
         (topo, hosts)
-    }
-
-    /// Pops the shards dispatched past the stop key and reverted: what
-    /// they dispatched beyond the serial engine's pops, every shard
-    /// having replayed the serial run's `Sample` pops (the only
-    /// replicated ones in a fault-free run).
-    fn filtered_pops(serial: &RunResults, sharded: &RunResults) -> u64 {
-        let samples = serial.occupancy.values().next().map_or(0, |o| o.len()) as u64;
-        let replays = (sharded.shards.len() as u64 - 1) * samples;
-        sharded.queue.processed - serial.queue.processed - replays
-    }
-
-    fn journaled_share(s: &ShardStats) -> f64 {
-        s.journaled_pops as f64 / s.events_processed as f64
     }
 
     #[test]
@@ -802,11 +628,7 @@ mod tests {
             ..FabricConfig::default()
         };
         let flows = hybrid_flows(&topo, 10);
-        let (_, solo) = assert_matches_serial(&topo, &cfg, &flows, 1, SimTime::from_millis(100));
-        assert_eq!(
-            solo.shards[0].journaled_pops, 0,
-            "a solo run owes until it stops"
-        );
+        assert_matches_serial(&topo, &cfg, &flows, 1, SimTime::from_millis(100));
     }
 
     #[test]
@@ -818,21 +640,14 @@ mod tests {
         };
         let flows = hybrid_flows(&topo, 16);
         for shards in [1, 2] {
-            let (_, sharded) =
-                assert_matches_serial(&topo, &cfg, &flows, shards, SimTime::from_millis(100));
-            // Both racks carry counted flows to near the end: only the
-            // earlier finisher's last stretch is journaled.
-            for s in &sharded.shards {
-                assert!(journaled_share(s) < 0.05, "{shards} shards: {s:?}");
-            }
+            assert_matches_serial(&topo, &cfg, &flows, shards, SimTime::from_millis(100));
         }
     }
 
-    /// (i) One shard's counted flows all finish many windows before the
-    /// other's while it keeps forwarding: it journals a long tail, and
-    /// the stop key lands in a window it journaled from its first pop.
+    /// One shard's counted flows all finish many windows before the
+    /// other's while it keeps forwarding.
     #[test]
-    fn early_finishing_shard_journals_its_tail() {
+    fn early_finishing_shard_matches_serial() {
         let (topo, h) = four_rack_clos();
         let cfg = FabricConfig {
             policy: PolicyChoice::l2bm(),
@@ -848,26 +663,20 @@ mod tests {
             spec(3, h[6], h[7], 30_000, Lossy, 5),
         ];
         for shards in [2, 4] {
-            let (_, sharded) =
-                assert_matches_serial(&topo, &cfg, &flows, shards, SimTime::from_millis(100));
-            let (first, last) = (&sharded.shards[0], &sharded.shards[shards - 1]);
-            assert!(journaled_share(first) > 0.5, "{shards} shards: {first:?}");
-            // Journaled pops are a suffix of a shard's pops, so more of
-            // them than any window holds means whole windows of them.
-            assert!(first.journaled_pops > first.max_window_events);
-            assert_eq!(last.journaled_pops, 0, "the last finisher owes throughout");
+            assert_matches_serial(&topo, &cfg, &flows, shards, SimTime::from_millis(100));
         }
     }
 
-    /// (ii) Both shards' last completions fall in one window, 100 ns
-    /// apart, and sampling ticks on past the stop key: each shard
-    /// journals only its last few pops, and some of them are reverted.
+    /// Both shards' last completions fall in one window, 100 ns apart,
+    /// and a 250 ns sampler ticks on after them: every engine samples to
+    /// the end of the last completion's grid cell and stops there.
     #[test]
-    fn same_window_finish_reverts_the_overshoot() {
+    fn both_engines_end_on_the_grid_line() {
         let (topo, h) = four_rack_clos();
+        let tick = SimDuration::from_nanos(250);
         let cfg = FabricConfig {
             policy: PolicyChoice::l2bm(),
-            sample_interval: Some(SimDuration::from_nanos(250)),
+            sample_interval: Some(tick),
             ..FabricConfig::default()
         };
         let first = spec(0, h[0], h[1], 40_000, TrafficClass::Lossy, 0);
@@ -888,21 +697,21 @@ mod tests {
                 .map(|r| r.finish.as_nanos())
                 .collect();
             assert_eq!(finish[1] - finish[0], 100, "a few pops apart");
-            for s in [&sharded.shards[0], &sharded.shards[shards - 1]] {
-                assert!(s.journaled_pops > 0, "{shards} shards: {s:?}");
-                assert!(s.journaled_pops < s.max_window_events, "final window only");
-            }
-            assert!(filtered_pops(&serial, &sharded) > 0, "overshoot reverted");
+            let cell_end = end_of_cell(SimTime::from_nanos(finish[1]));
             for (node, series) in &serial.occupancy {
                 assert_eq!(series.samples(), sharded.occupancy[node].samples());
+                let (last, _) = *series.samples().last().expect("sampled");
+                assert!(
+                    last < cell_end && last + tick >= cell_end,
+                    "last sample {last:?}, cell end {cell_end:?}"
+                );
             }
         }
     }
 
-    /// (iii) A shard that counts no flow owes nothing from its first pop
-    /// and journals every one.
+    /// A shard that counts no flow forwards until the run ends.
     #[test]
-    fn shard_without_counted_flows_always_journals() {
+    fn shard_without_counted_flows_matches_serial() {
         let (topo, h) = four_rack_clos();
         let cfg = FabricConfig {
             policy: PolicyChoice::l2bm(),
@@ -916,10 +725,10 @@ mod tests {
         for shards in [2, 4] {
             let (_, sharded) =
                 assert_matches_serial(&topo, &cfg, &flows, shards, SimTime::from_millis(100));
-            let sender = &sharded.shards[0];
-            assert!(sender.events_processed > 0);
-            assert_eq!(sender.journaled_pops, sender.events_processed);
-            assert_eq!(sharded.shards[shards - 1].journaled_pops, 0);
+            assert!(
+                sharded.shards[0].events_processed > 0,
+                "the sender forwards"
+            );
         }
     }
 
@@ -940,9 +749,7 @@ mod tests {
         assert!(!done, "deadline exit exercised");
         assert!(serial.unfinished_flows > 0);
         for shards in [1, 2] {
-            let (_, sharded) = assert_matches_serial(&topo, &cfg, &flows, shards, deadline);
-            // Every shard still owes at the deadline.
-            assert!(sharded.shards.iter().all(|s| s.journaled_pops == 0));
+            assert_matches_serial(&topo, &cfg, &flows, shards, deadline);
         }
     }
 
@@ -999,14 +806,9 @@ mod tests {
         for shards in [1, 2] {
             let (serial, sharded) =
                 assert_matches_serial(&topo, &cfg, &[], shards, SimTime::from_millis(10));
-            // Nothing is owed, so whatever the first window holds (the
-            // solo run's reaches the deadline: every sampler tick) is
-            // journaled — and reverted: the serial engine pops nothing.
+            // Done before it starts: no engine dispatches anything.
             assert_eq!(serial.events_processed, 0);
-            assert_eq!(sharded.shards[0].events_processed > 0, shards == 1);
-            for s in &sharded.shards {
-                assert_eq!(s.journaled_pops, s.events_processed);
-            }
+            assert!(sharded.shards.iter().all(|s| s.events_processed == 0));
         }
     }
 

@@ -252,21 +252,10 @@ impl Switches {
         }
     }
 
-    /// Reverts the newest `n` occupancy samples of every switch.
-    pub fn drop_last_occupancy(&mut self, n: usize) {
-        if n == 0 {
-            return;
-        }
-        for series in &mut self.occupancy {
-            series.drop_last(n);
-        }
-    }
-
     /// Folds PFC and drop counters and occupancy series into `r`.
     pub fn fold_into(&self, r: &mut RunResults) {
         for sw in self.switches.iter().flatten() {
             r.pfc.merge(sw.pfc_counters());
-            r.pfc_by_switch.insert(sw.id(), sw.pfc_counters().clone());
             r.drops.merge(sw.drop_counters());
         }
         for (i, series) in self.occupancy.iter().enumerate() {

@@ -7,11 +7,9 @@
 
 use std::sync::Arc;
 
-use dcn_metrics::{DropCounters, FctRecord, IrnCounters, PfcCounters};
-use dcn_net::{
-    FlowId, LinkId, NodeId, NodeKind, Packet, Partition, PfcFrame, PortId, Priority, Topology,
-};
-use dcn_sim::{run_while, EventQueue, FaultEvent, SimTime, Simulation, TraceHandle};
+use dcn_metrics::FctRecord;
+use dcn_net::{FlowId, NodeId, NodeKind, Packet, Partition, PfcFrame, PortId, Priority, Topology};
+use dcn_sim::{run_while, EventQueue, FaultEvent, SimDuration, SimTime, Simulation, TraceHandle};
 use dcn_switch::{QueueIndex, SharedMemorySwitch};
 use dcn_transport::RpTimerKind;
 use dcn_workload::FlowSpec;
@@ -120,6 +118,20 @@ pub enum Event {
 
 /// The fabric's event queue.
 pub(crate) type Queue = EventQueue<Event>;
+
+/// The grid a finished run ends on. Once every flow is done, both
+/// engines dispatch to the end of the grid cell holding the last
+/// completion and no further, so the sharded executor — whose windows
+/// never cross a grid line — stops where the serial engine does
+/// without dispatching past it (DESIGN.md §4.10). It is at least every
+/// shipped lookahead, so few windows split on it.
+pub(crate) const END_GRID: SimDuration = SimDuration::from_micros(10);
+
+/// The end of the (half-open) [`END_GRID`] cell holding `t`.
+pub(crate) fn end_of_cell(t: SimTime) -> SimTime {
+    let g = END_GRID.as_nanos();
+    SimTime::from_nanos((t.as_nanos() / g + 1) * g)
+}
 
 /// The complete simulated fabric: a thin router that hands each event
 /// to the part owning the state it touches — the `Wires` between
@@ -243,73 +255,6 @@ impl World {
         q.schedule_at_stamped(h.at, h.event, &h.stamp);
     }
 
-    /// The switches (at most two — only a link fault touches a pair)
-    /// whose counters `ev`'s dispatch may mutate, restricted to the ones
-    /// this shard owns.
-    fn touched_switches(&self, ev: &Event) -> [Option<NodeId>; 2] {
-        let own_switch = |n: NodeId| self.switches.get(n).is_some().then_some(n);
-        match ev {
-            Event::Deliver { node, .. }
-            | Event::PfcDeliver { node, .. }
-            | Event::SwitchTxComplete { node, .. }
-            | Event::PfcWatchdog { node, .. } => [own_switch(*node), None],
-            Event::Fault { fault } => match *fault {
-                FaultEvent::LinkDown { link } | FaultEvent::LinkUp { link } => {
-                    let l = self.wires.topo.link(LinkId::new(link));
-                    [own_switch(l.a.node), own_switch(l.b.node)]
-                }
-                FaultEvent::PauseStuck { node, .. } | FaultEvent::PauseRelease { node, .. } => {
-                    [own_switch(NodeId::new(node)), None]
-                }
-                _ => [None; 2],
-            },
-            _ => [None; 2],
-        }
-    }
-
-    /// Captures every digest-relevant counter `ev` may mutate, taken by
-    /// the sharded executor immediately before dispatching it.
-    pub(crate) fn snap(&self, ev: &Event) -> PopCounters {
-        let nodes = self.touched_switches(ev).map(|n| {
-            n.map(|node| {
-                let sw = self.switches.get(node).expect("owned switch");
-                (node, sw.pfc_counters().clone(), *sw.drop_counters())
-            })
-        });
-        PopCounters {
-            nodes,
-            wire: self.wires.wire_drops,
-            irn: self.hosts.irn,
-        }
-    }
-
-    /// The counter growth since `snap` (one dispatched event), or `None`
-    /// if the event changed no counter the executor would have to
-    /// revert past a stop key. (FCT records and completions are not
-    /// counters: the executor watches those itself.)
-    pub(crate) fn delta_since(&self, snap: PopCounters) -> Option<PopCounters> {
-        let nodes = snap.nodes.map(|entry| {
-            entry.and_then(|(node, pfc0, drops0)| {
-                let sw = self.switches.get(node).expect("owned switch");
-                let d = (
-                    node,
-                    sw.pfc_counters().since(&pfc0),
-                    sw.drop_counters().since(&drops0),
-                );
-                (d.1 != PfcCounters::new() || d.2 != DropCounters::new()).then_some(d)
-            })
-        });
-        let delta = PopCounters {
-            nodes,
-            wire: self.wires.wire_drops.since(&snap.wire),
-            irn: self.hosts.irn.since(&snap.irn),
-        };
-        let changed = delta.nodes != [None, None]
-            || delta.wire != DropCounters::new()
-            || delta.irn != IrnCounters::new();
-        changed.then_some(delta)
-    }
-
     /// Folds this world's order-independent counters (PFC, drops,
     /// occupancy, IRN counters, liveness diagnostics) into `r`. Shared
     /// by the serial result collection and the sharded merge.
@@ -324,30 +269,11 @@ impl World {
         &self.hosts.fct
     }
 
-    /// Reverts the newest `n` occupancy samples of every owned switch
-    /// (stop-key filtering of replicated `Sample` pops past the
-    /// completing event).
-    pub(crate) fn drop_last_occupancy(&mut self, n: usize) {
-        self.switches.drop_last_occupancy(n);
-    }
-
     /// How many registered flows this world counts toward the global
     /// done total (all of them for the serial engine).
     pub(crate) fn counting_flows(&self) -> usize {
         self.hosts.counting_flows(&self.wires)
     }
-}
-
-/// The digest-relevant counters one dispatch may touch: their values
-/// before it ([`World::snap`]), or their growth across it
-/// ([`World::delta_since`]), which a stop-key filter subtracts.
-pub(crate) struct PopCounters {
-    /// Per-switch PFC and drop counters.
-    pub(crate) nodes: [Option<(NodeId, PfcCounters, DropCounters)>; 2],
-    /// Wire (link-fault) drops.
-    pub(crate) wire: DropCounters,
-    /// IRN counters (`flows` always zero in a delta).
-    pub(crate) irn: IrnCounters,
 }
 
 impl Simulation for World {
@@ -462,12 +388,23 @@ impl FabricSim {
         dcn_sim::run_until(&mut self.world, &mut self.queue, horizon)
     }
 
-    /// Runs until every registered flow has completed or `deadline`
-    /// passes. Returns whether all flows completed.
+    /// Runs until `deadline`, or until the end of the 10 µs grid cell
+    /// holding the last flow's completion, whichever comes first:
+    /// events at or past that stop stay queued. A run without flows
+    /// dispatches nothing. Returns whether all flows completed.
     pub fn run_until_done(&mut self, deadline: SimTime) -> bool {
         let total = self.world.flow_count();
+        let mut stop = deadline;
+        // The time of the last dispatched pop.
+        let mut last: Option<SimTime> = None;
         run_while(&mut self.world, &mut self.queue, |w, t| {
-            t < deadline && w.done_flows() < total
+            if w.done_flows() == total {
+                // Pops after the completing one lie in its cell, so
+                // re-capping leaves `stop` unchanged.
+                stop = stop.min(last.map_or(SimTime::ZERO, end_of_cell));
+            }
+            last = Some(t);
+            t < stop
         });
         self.world.done_flows() == total
     }
@@ -789,6 +726,28 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    /// A finished run ends on the grid: the sampler ticks on to the end
+    /// of the grid cell holding the last completion, and not past it.
+    #[test]
+    fn finished_run_samples_to_the_end_of_the_completions_grid_cell() {
+        let tick = SimDuration::from_nanos(250);
+        let cfg = FabricConfig {
+            sample_interval: Some(tick),
+            ..FabricConfig::default()
+        };
+        let mut sim = FabricSim::new(two_hosts(), cfg);
+        sim.add_flow(spec(1, 0, 1, 40_000, TrafficClass::Lossless, 0));
+        assert!(sim.run_until_done(SimTime::from_millis(10)));
+        let r = sim.results();
+        let cell_end = end_of_cell(r.fct.records()[0].finish);
+        let series = r.occupancy.values().next().expect("one switch sampled");
+        let (last, _) = *series.samples().last().expect("sampled");
+        assert!(
+            last < cell_end && last + tick >= cell_end,
+            "last sample {last:?}, cell end {cell_end:?}"
+        );
     }
 
     #[test]

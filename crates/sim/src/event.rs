@@ -743,8 +743,8 @@ impl<E> EventQueue<E> {
 
     /// The stamp of the pop currently dispatching, where it lies (valid
     /// until the next [`EventQueue::dispatch_member`]) — with
-    /// [`EventQueue::now`], the `(time, stamp)` key the executor journals
-    /// digest-relevant mutations under.
+    /// [`EventQueue::now`], the `(time, stamp)` key the executor orders
+    /// FCT records by.
     pub fn current_stamp(&self) -> &Stamp {
         let st = self.stamp.as_deref().expect("stamp mode required");
         &st.stamps[st.current.expect("handlers run inside a pop") as usize]

@@ -486,10 +486,6 @@ pub struct ShardStats {
     /// for the serial-order guarantee to hold; asserted by tests). The
     /// run's total is the sum over shards.
     pub stamp_ambiguities: u64,
-    /// Pops dispatched after this shard's last owed flow completion,
-    /// which took the snapshot-and-journal path because the stop key
-    /// could still land before them.
-    pub journaled_pops: u64,
 }
 
 #[cfg(test)]

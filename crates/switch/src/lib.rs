@@ -66,6 +66,5 @@ pub use mmu::{Charge, MmuState, Pool, QueueIndex};
 pub use policy::{BufferPolicy, DtPolicy};
 pub use queue::{EgressPort, InFlight, QueuedPacket};
 pub use switch::{
-    DropReason, PfcEmit, ReceiveOutcome, ReceiveResult, SharedMemorySwitch, TxCompleteResult,
-    TxStart,
+    PfcEmit, ReceiveOutcome, ReceiveResult, SharedMemorySwitch, TxCompleteResult, TxStart,
 };

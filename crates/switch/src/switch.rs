@@ -14,18 +14,6 @@ use crate::mmu::{Charge, MmuState, Pool, QueueIndex};
 use crate::policy::BufferPolicy;
 use crate::queue::{EgressPort, InFlight, QueuedPacket};
 
-/// Why a packet was rejected at admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropReason {
-    /// A lossy packet exceeded its ingress-queue PFC/drop threshold.
-    IngressLossy,
-    /// A lossy packet exceeded its egress-queue dynamic threshold.
-    EgressLossy,
-    /// A lossless packet arrived with both shared space and headroom
-    /// exhausted — a configuration failure in a healthy network.
-    HeadroomExhausted,
-}
-
 /// A PFC frame the switch wants transmitted out of `port` (to the
 /// upstream device attached there).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,8 +44,9 @@ pub enum ReceiveOutcome {
         /// Whether the switch set the CE mark on it.
         ecn_marked: bool,
     },
-    /// The packet was dropped.
-    Dropped(DropReason),
+    /// The packet was dropped at admission (`AdmissionDeniedIngress`,
+    /// `AdmissionDeniedEgress` or `HeadroomExhausted`).
+    Dropped(TraceDropCause),
 }
 
 /// Full result of processing one arriving packet.
@@ -280,19 +269,19 @@ impl SharedMemorySwitch {
                     } else if plan.pooled() <= self.mmu.headroom_available(q_in) {
                         break self.mmu.plan_charge(q_in, size, Pool::Headroom);
                     } else {
-                        DropReason::HeadroomExhausted
+                        TraceDropCause::HeadroomExhausted
                     }
                 }
                 TrafficClass::Lossy | TrafficClass::LossyRdma => {
                     if !fits_shared {
-                        DropReason::IngressLossy
+                        TraceDropCause::AdmissionDeniedIngress
                     } else {
                         let t_egress = self
                             .mmu
                             .shared_remaining()
                             .scale(self.cfg.egress_alpha_lossy);
                         if self.mmu.egress_bytes(q_out) + size > t_egress {
-                            DropReason::EgressLossy
+                            TraceDropCause::AdmissionDeniedEgress
                         } else {
                             break plan;
                         }
@@ -302,12 +291,7 @@ impl SharedMemorySwitch {
 
             // Rejected: let a preemptive policy make room, then re-test.
             if evictions >= MAX_EVICTIONS_PER_ARRIVAL || !self.try_evict(now, q_out) {
-                let cause = match rejection {
-                    DropReason::HeadroomExhausted => TraceDropCause::HeadroomExhausted,
-                    DropReason::IngressLossy => TraceDropCause::AdmissionDeniedIngress,
-                    DropReason::EgressLossy => TraceDropCause::AdmissionDeniedEgress,
-                };
-                self.record_drop(now, &packet, in_port, cause);
+                self.record_drop(now, &packet, in_port, rejection);
                 return ReceiveResult {
                     outcome: ReceiveOutcome::Dropped(rejection),
                     pfc: None,
@@ -804,7 +788,7 @@ mod tests {
             if !r.admitted() {
                 assert_eq!(
                     r.outcome,
-                    ReceiveOutcome::Dropped(DropReason::HeadroomExhausted)
+                    ReceiveOutcome::Dropped(TraceDropCause::HeadroomExhausted)
                 );
                 dropped += 1;
             }
@@ -915,7 +899,7 @@ mod tests {
         let mut egress_drops = 0;
         for i in 0..10 {
             let r = sw.receive(SimTime::ZERO, lossy_pkt(i), PortId::new(0), PortId::new(1));
-            if r.outcome == ReceiveOutcome::Dropped(DropReason::EgressLossy) {
+            if r.outcome == ReceiveOutcome::Dropped(TraceDropCause::AdmissionDeniedEgress) {
                 egress_drops += 1;
             }
         }
