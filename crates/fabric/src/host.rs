@@ -3,7 +3,8 @@
 //!
 //! The NIC reuses the switch crate's [`EgressPort`] (eight priority
 //! FIFOs, round-robin, one packet in flight) but has no buffer limits —
-//! host memory is not the bottleneck the paper studies. It honours PFC
+//! host memory is not the bottleneck the paper studies. Every NIC of a
+//! world queues into the one [`PacketPool`] [`Hosts`] owns. It honours PFC
 //! pause frames from its ToR per priority, which is how switch-side
 //! back-pressure reaches DCQCN/DCTCP senders.
 
@@ -12,7 +13,7 @@ use dcn_net::{
     FlowId, NodeId, NodeKind, Packet, PacketKind, PfcFrame, PortId, Priority, TrafficClass,
 };
 use dcn_sim::{BitRate, Bytes, SimDuration, SimTime, TraceEvent, TraceHandle};
-use dcn_switch::{Charge, EgressPort, QueuedPacket, TxStart};
+use dcn_switch::{Charge, EgressPort, PacketPool, QueuedPacket, TxStart};
 use dcn_transport::{
     AckAction, DcqcnConfig, DcqcnReceiver, DcqcnSender, DctcpConfig, DctcpReceiver, DctcpSender,
     IrnConfig, IrnReceiver, IrnSender, RpTimerKind, TcpEvent,
@@ -48,20 +49,21 @@ impl Host {
         self.paused[priority.index()] = paused;
     }
 
-    /// Queues a packet for transmission.
-    pub fn enqueue(&mut self, packet: Packet) {
-        self.nic.enqueue(QueuedPacket {
+    /// Queues a packet for transmission in `pool`.
+    pub fn enqueue(&mut self, pool: &mut PacketPool, packet: Packet) {
+        let qp = QueuedPacket {
             packet,
             in_port: PortId::new(0),
             charge: Charge::NONE,
-        });
+        };
+        self.nic.enqueue(pool, qp);
     }
 
     /// Starts the next transmission if the NIC is idle and an unpaused
     /// priority has a packet. Mirrors the switch's [`TxStart`] protocol.
-    pub fn try_start(&mut self) -> Option<TxStart> {
+    pub fn try_start(&mut self, pool: &mut PacketPool) -> Option<TxStart> {
         let paused = self.paused;
-        let packet = self.nic.start_next(|p| paused[p.index()])?;
+        let packet = self.nic.start_next(pool, |p| paused[p.index()])?;
         let serialize = self.link_rate.tx_time(packet.size());
         Some(TxStart {
             port: PortId::new(0),
@@ -86,6 +88,8 @@ pub(crate) struct Hosts {
     /// Indexed by `NodeId::index()`; `None` for switches and for hosts
     /// another shard owns.
     nics: Vec<Option<Host>>,
+    /// The packets queued at every NIC in `nics`.
+    pool: PacketPool,
     flows: Vec<FlowState>,
     flow_ix: FlowTable,
     /// FCT records in completion order.
@@ -126,6 +130,7 @@ impl Hosts {
             .collect();
         Hosts {
             nics,
+            pool: PacketPool::default(),
             flows: Vec::new(),
             flow_ix: FlowTable::new(),
             fct: Vec::new(),
@@ -280,7 +285,7 @@ impl Hosts {
     /// unpaused priority has a packet.
     fn start(&mut self, now: SimTime, host: NodeId, wires: &mut Wires, q: &mut Queue) {
         let nic = self.nics[host.index()].as_mut().expect("not a host");
-        if let Some(tx) = nic.try_start() {
+        if let Some(tx) = nic.try_start(&mut self.pool) {
             wires.schedule_host_tx(now, host, tx, q);
         }
     }
@@ -288,7 +293,7 @@ impl Hosts {
     /// Hands `p` to `host`'s NIC.
     fn inject(&mut self, now: SimTime, host: NodeId, p: Packet, wires: &mut Wires, q: &mut Queue) {
         let nic = self.nics[host.index()].as_mut().expect("not a host");
-        nic.enqueue(p);
+        nic.enqueue(&mut self.pool, p);
         self.start(now, host, wires, q);
     }
 
@@ -741,33 +746,55 @@ mod tests {
 
     #[test]
     fn sends_in_order_when_unpaused() {
-        let mut h = Host::new(BitRate::from_gbps(25));
-        h.enqueue(pkt(3, 0));
-        h.enqueue(pkt(3, 1));
-        let t0 = h.try_start().expect("idle NIC starts");
+        let (mut pool, mut h) = (PacketPool::default(), Host::new(BitRate::from_gbps(25)));
+        h.enqueue(&mut pool, pkt(3, 0));
+        h.enqueue(&mut pool, pkt(3, 1));
+        let t0 = h.try_start(&mut pool).expect("idle NIC starts");
         assert_eq!(t0.packet.seq, 0);
         assert_eq!(t0.serialize.as_nanos(), 336);
-        assert!(h.try_start().is_none(), "busy");
+        assert!(h.try_start(&mut pool).is_none(), "busy");
         h.finish_tx();
-        let t1 = h.try_start().expect("next starts");
+        let t1 = h.try_start(&mut pool).expect("next starts");
         assert_eq!(t1.packet.seq, 1);
         h.finish_tx();
-        assert!(h.try_start().is_none());
+        assert!(h.try_start(&mut pool).is_none());
     }
 
     #[test]
     fn pause_blocks_only_that_priority() {
-        let mut h = Host::new(BitRate::from_gbps(25));
+        let (mut pool, mut h) = (PacketPool::default(), Host::new(BitRate::from_gbps(25)));
         h.set_paused(Priority::new(3), true);
-        h.enqueue(pkt(3, 0));
-        h.enqueue(pkt(1, 1));
-        let t = h.try_start().expect("lossy priority unaffected");
+        h.enqueue(&mut pool, pkt(3, 0));
+        h.enqueue(&mut pool, pkt(1, 1));
+        let t = h.try_start(&mut pool).expect("lossy priority unaffected");
         assert_eq!(t.packet.priority, Priority::new(1));
         // Priority 3 stays queued.
         h.finish_tx();
-        assert!(h.try_start().is_none(), "only paused traffic remains");
+        assert!(
+            h.try_start(&mut pool).is_none(),
+            "only paused traffic remains"
+        );
         h.set_paused(Priority::new(3), false);
-        let t = h.try_start().expect("resume releases it");
+        let t = h.try_start(&mut pool).expect("resume releases it");
         assert_eq!(t.packet.seq, 0);
+    }
+
+    #[test]
+    fn nics_share_one_pool_in_their_own_order() {
+        let mut pool = PacketPool::default();
+        let mut hosts: Vec<Host> = (0..2).map(|_| Host::new(BitRate::from_gbps(25))).collect();
+        // Interleave two NICs' windows so their chunks alternate in the pool.
+        for seq in 0..100 {
+            hosts[(seq % 2) as usize].enqueue(&mut pool, pkt(3, seq));
+        }
+        for (i, h) in hosts.iter_mut().enumerate() {
+            let mut sent = Vec::new();
+            while let Some(t) = h.try_start(&mut pool) {
+                sent.push(t.packet.seq);
+                h.finish_tx();
+            }
+            let want: Vec<u64> = (0..100).filter(|s| s % 2 == i as u64).collect();
+            assert_eq!(sent, want, "NIC {i}");
+        }
     }
 }

@@ -83,6 +83,14 @@ impl Record {
 /// `AggState::pos` value of a record with no expiry-heap entry.
 const UNFILED: u32 = u32::MAX;
 
+/// `x.ceil() as u64` for every `f64` (NaN and negatives give 0, values
+/// past `u64::MAX` saturate) without the libm `ceil` call that baseline
+/// x86-64 compiles `f64::ceil` to.
+fn ceil_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from((t as f64) < x))
+}
+
 /// One expiry-heap entry: `(zero-crossing ns, record)`. Records are
 /// distinct, so the tuple order is total.
 type Expiry = (u64, u32);
@@ -166,10 +174,7 @@ impl AggState {
             // Ceil so the heap never fires before the true crossing; the
             // ≤ 1 ns overshoot is absorbed by `retire`'s exact subtraction.
             let tz_s = rec.total / active as f64;
-            let tz_ns = rec
-                .t_prev
-                .as_nanos()
-                .saturating_add((tz_s * 1e9).ceil() as u64);
+            let tz_ns = rec.t_prev.as_nanos().saturating_add(ceil_u64(tz_s * 1e9));
             let entry = (tz_ns, i as u32);
             self.expiry.push(entry);
             self.sift_up(self.expiry.len() - 1, entry);
@@ -736,5 +741,40 @@ mod tests {
         assert_eq!(s.packet_count(q(0, 3)), 10_000);
         assert_eq!(s.agg.borrow().expiry.len(), 1);
         check_expiry_index(&s, "after 10 000 enqueues");
+    }
+
+    #[test]
+    fn integer_ceiling_matches_f64_ceil() {
+        let two53 = 9_007_199_254_740_992.0;
+        let two64 = 18_446_744_073_709_551_616.0;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            -0.5,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            two53 - 1.0,
+            two53 - 0.5,
+            two53,
+            two53 + 2.0,
+            two64,
+            two64 * 2.0,
+            f64::MAX,
+        ];
+        let mut rng = dcn_sim::SimRng::seed_from_u64(0xCE11);
+        for _ in 0..100_000 {
+            // Every magnitude from 2^-20 to 2^70, and its integer neighbours.
+            let x = rng.uniform_f64() * 2f64.powi(rng.below(90) as i32 - 20);
+            xs.extend([x, x.floor(), x.ceil(), x.floor() + 0.5]);
+        }
+        for x in xs {
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "x = {x:e}");
+        }
     }
 }

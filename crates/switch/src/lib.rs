@@ -64,7 +64,7 @@ pub use abm::AbmPolicy;
 pub use config::{EcnConfig, SwitchConfig};
 pub use mmu::{Charge, MmuState, Pool, QueueIndex};
 pub use policy::{BufferPolicy, DtPolicy};
-pub use queue::{EgressPort, InFlight, QueuedPacket};
+pub use queue::{EgressPort, InFlight, PacketPool, QueuedPacket};
 pub use switch::{
     PfcEmit, ReceiveOutcome, ReceiveResult, SharedMemorySwitch, TxCompleteResult, TxStart,
 };

@@ -12,7 +12,7 @@ use dcn_metrics::{DropCounters, PfcCounters};
 use crate::config::SwitchConfig;
 use crate::mmu::{Charge, MmuState, Pool, QueueIndex};
 use crate::policy::BufferPolicy;
-use crate::queue::{EgressPort, InFlight, QueuedPacket};
+use crate::queue::{EgressPort, InFlight, PacketPool, QueuedPacket};
 
 /// A PFC frame the switch wants transmitted out of `port` (to the
 /// upstream device attached there).
@@ -98,6 +98,8 @@ pub struct SharedMemorySwitch {
     cfg: SwitchConfig,
     mmu: MmuState,
     ports: Vec<EgressPort>,
+    /// The packets queued at every port (the shared buffer itself).
+    pool: PacketPool,
     policy: Box<dyn BufferPolicy>,
     /// Ingress queues that have an outstanding XOFF, by flat queue index.
     pause_sent: Vec<bool>,
@@ -143,6 +145,7 @@ impl SharedMemorySwitch {
             cfg,
             mmu,
             ports: (0..n).map(|_| EgressPort::new()).collect(),
+            pool: PacketPool::default(),
             policy,
             pause_sent: vec![false; n * dcn_net::Priority::COUNT],
             pause_generation: vec![0; n * dcn_net::Priority::COUNT],
@@ -361,11 +364,12 @@ impl SharedMemorySwitch {
             seq: t_seq,
             size: size.as_u64(),
         });
-        self.ports[out_port.index()].enqueue(QueuedPacket {
+        let qp = QueuedPacket {
             packet,
             in_port,
             charge,
-        });
+        };
+        self.ports[out_port.index()].enqueue(&mut self.pool, qp);
         let tx = self.try_start(out_port);
 
         ReceiveResult {
@@ -391,13 +395,14 @@ impl SharedMemorySwitch {
         let Some(victim) = self.policy.plan_eviction(&self.mmu, q_out) else {
             return false;
         };
-        let Some(qp) = self.ports[victim.port.index()].pop_back(victim.priority) else {
+        let eport = &mut self.ports[victim.port.index()];
+        let Some(qp) = eport.pop_back(&mut self.pool, victim.priority) else {
             // The victim queue's remaining MMU bytes belong to a packet
             // already serializing, which cannot be recalled.
             return false;
         };
         if qp.packet.class.is_lossless() {
-            self.ports[victim.port.index()].enqueue(qp);
+            eport.enqueue(&mut self.pool, qp);
             return false;
         }
         let v_in = QueueIndex::new(qp.in_port, qp.packet.priority);
@@ -535,7 +540,7 @@ impl SharedMemorySwitch {
     /// Any packet already serializing is left to its pending
     /// `tx_complete`; the wire itself drops it at the dead link.
     pub fn port_down(&mut self, now: SimTime, port: PortId) -> Vec<PfcEmit> {
-        let drained = self.ports[port.index()].drain_all();
+        let drained = self.ports[port.index()].drain_all(&mut self.pool);
         let mut affected: Vec<QueueIndex> = Vec::new();
         for qp in drained {
             let q_in = QueueIndex::new(qp.in_port, qp.packet.priority);
@@ -622,7 +627,8 @@ impl SharedMemorySwitch {
     fn try_start(&mut self, port: PortId) -> Option<TxStart> {
         let mmu = &self.mmu;
         let eport = &mut self.ports[port.index()];
-        let packet = eport.start_next(|prio| mmu.egress_paused(QueueIndex::new(port, prio)))?;
+        let paused = |prio| mmu.egress_paused(QueueIndex::new(port, prio));
+        let packet = eport.start_next(&mut self.pool, paused)?;
         let serialize = mmu.link_rate(port).tx_time(packet.size());
         Some(TxStart {
             port,

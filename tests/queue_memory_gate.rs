@@ -1,9 +1,10 @@
 //! Queue-memory gate: one small hybrid cell must fit in what its queued
-//! packets need at once. With 104-byte queue entries and FIFOs that kept
-//! the buffer of their deepest burst for the rest of the run, this test
-//! peaked at 9.2–9.3 MB, test harness included; with 48-byte entries
-//! and drained FIFOs giving their buffer back it peaks at 6.0–6.2 MB.
-//! The bound is 0.75 × the former.
+//! packets need at once. With one `VecDeque` per priority FIFO, each
+//! giving its buffer back only after draining from above 1 024 slots,
+//! this test peaked at 5.4–5.7 MB, test harness included; with every
+//! FIFO a chain of 16-packet chunks from its switch's (or the hosts')
+//! one packet pool it peaks at 4.1–4.3 MB. The bound is 0.8 × the
+//! former.
 //!
 //! Alone in its file on purpose: `VmHWM` is the process's high-water
 //! mark, so any other test in this binary would be charged to it.
@@ -32,8 +33,8 @@ fn vm_hwm_mb() -> f64 {
     any(debug_assertions, not(target_os = "linux")),
     ignore = "measures an optimized build and reads /proc/self/status"
 )]
-fn small_hybrid_cell_peaks_under_three_quarters_of_the_104_byte_layout() {
-    const BOUND_MB: f64 = 6.9;
+fn small_hybrid_cell_peaks_under_four_fifths_of_per_fifo_buffers() {
+    const BOUND_MB: f64 = 4.6;
     let point = run_hybrid(&HybridConfig {
         scale: ExperimentScale::small().with_window(SimDuration::from_millis(10)),
         policy: PolicyChoice::l2bm(),

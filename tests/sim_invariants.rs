@@ -8,7 +8,7 @@
 use dcn_metrics::{percentile, Cdf, ErrorBarStats};
 use dcn_net::{FlowId, NodeId, Packet, PortId, Priority, TrafficClass};
 use dcn_sim::{BitRate, Bytes, EmpiricalCdf, EventQueue, SimDuration, SimRng, SimTime};
-use dcn_switch::{Charge, EgressPort, QueuedPacket};
+use dcn_switch::{Charge, EgressPort, PacketPool, QueuedPacket};
 use dcn_workload::web_search_cdf;
 
 const CASES: u64 = 64;
@@ -178,9 +178,9 @@ fn egress_port_is_work_conserving_and_fifo() {
         let mut rng = SimRng::seed_from_u64(0x2_0000 + case);
         let n = 1 + rng.below(100) as usize;
         let prios: Vec<u8> = (0..n).map(|_| rng.below(8) as u8).collect();
-        let mut port = EgressPort::new();
+        let (mut pool, mut port) = (PacketPool::default(), EgressPort::new());
         for (i, &p) in prios.iter().enumerate() {
-            port.enqueue(QueuedPacket {
+            let qp = QueuedPacket {
                 packet: Packet::data(
                     FlowId::new(i as u64),
                     NodeId::new(0),
@@ -193,12 +193,13 @@ fn egress_port_is_work_conserving_and_fifo() {
                 ),
                 in_port: PortId::new(0),
                 charge: Charge::NONE,
-            });
+            };
+            port.enqueue(&mut pool, qp);
         }
         // Drain with nothing paused: must serve every packet exactly
         // once, FIFO within each priority.
         let mut served: Vec<(u8, u64)> = Vec::new();
-        while port.start_next(|_| false).is_some() {
+        while port.start_next(&mut pool, |_| false).is_some() {
             let departed = port.finish_tx();
             served.push((departed.priority.as_u8(), departed.seq));
         }
