@@ -20,69 +20,51 @@ use crate::report::{fmt_bytes, fmt_f64, Outcome, Table};
 use crate::scale::ExperimentScale;
 use crate::sweep::{run_hybrid_cells, sweep_outcome, SweepOptions};
 
-/// One ablation variant: a labelled policy configuration.
-#[derive(Debug, Clone)]
-pub struct AblationVariant {
-    /// Row label in the report.
-    pub name: String,
-    /// The policy to run.
-    pub policy: PolicyChoice,
-}
-
-/// The standard variant set: L2BM default, weight-cap sweep, fixed
-/// normalization, no pause-freeze, and the DT α family.
-pub fn standard_variants() -> Vec<AblationVariant> {
-    let mut v = Vec::new();
-    v.push(AblationVariant {
-        name: "L2BM (paper defaults)".into(),
-        policy: PolicyChoice::L2bm(L2bmConfig::default()),
-    });
+/// The recorded variant set, one labelled policy each: L2BM default,
+/// weight-cap sweep, fixed normalization, no pause-freeze, and the DT
+/// α family.
+fn variants() -> Vec<(String, PolicyChoice)> {
+    let l2bm = |name: String, cfg: L2bmConfig| (name, PolicyChoice::L2bm(cfg));
+    let mut v = vec![l2bm("L2BM (paper defaults)".into(), L2bmConfig::default())];
     for cap in [0.25, 0.5] {
-        v.push(AblationVariant {
-            name: format!("L2BM w_max={cap}"),
-            policy: PolicyChoice::L2bm(L2bmConfig {
+        v.push(l2bm(
+            format!("L2BM w_max={cap}"),
+            L2bmConfig {
                 max_weight: cap,
                 ..L2bmConfig::default()
-            }),
-        });
+            },
+        ));
     }
-    v.push(AblationVariant {
-        name: "L2BM C=100us fixed".into(),
-        policy: PolicyChoice::L2bm(L2bmConfig {
+    v.push(l2bm(
+        "L2BM C=100us fixed".into(),
+        L2bmConfig {
             normalization: Normalization::Fixed(1e-4),
             ..L2bmConfig::default()
-        }),
-    });
-    v.push(AblationVariant {
-        name: "L2BM no pause-freeze".into(),
-        policy: PolicyChoice::L2bm(L2bmConfig {
+        },
+    ));
+    v.push(l2bm(
+        "L2BM no pause-freeze".into(),
+        L2bmConfig {
             pause_freeze: false,
             ..L2bmConfig::default()
-        }),
-    });
+        },
+    ));
     for alpha in [0.125, 0.5, 1.0] {
-        v.push(AblationVariant {
-            name: format!("DT a={alpha}"),
-            policy: PolicyChoice::Dt(alpha),
-        });
+        v.push((format!("DT a={alpha}"), PolicyChoice::Dt(alpha)));
     }
     v
 }
 
-/// Runs an ablation sweep (the recorded one is [`standard_variants`]
-/// at TCP load 0.8) and renders the comparison table, one row per
+/// The ablation sweep at RDMA load 0.4 / TCP load 0.8: one row per
 /// variant from its base-seed replicate.
-pub fn ablations(
-    scale: &ExperimentScale,
-    variants: &[AblationVariant],
-    tcp_load: f64,
-    opts: &SweepOptions,
-) -> Outcome {
+pub fn ablations(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
+    let tcp_load = 0.8;
+    let variants = variants();
     let cells: Vec<HybridConfig> = variants
         .iter()
-        .map(|v| HybridConfig {
+        .map(|&(_, policy)| HybridConfig {
             scale: scale.clone(),
-            policy: v.policy,
+            policy,
             rdma_load: 0.4,
             tcp_load,
         })
@@ -96,15 +78,15 @@ pub fn ablations(
         "pauses",
         "lossy drops",
     ]);
-    for (reps, v) in cells.iter_mut().zip(variants) {
+    for (reps, (name, _)) in cells.iter_mut().zip(variants) {
         // Variants share policy labels; each run is filed under its
         // variant's name instead.
         for p in reps.iter_mut() {
-            p.label.clone_from(&v.name);
+            p.label.clone_from(&name);
         }
         let p = &reps[0];
         t.row(vec![
-            v.name.clone(),
+            name,
             fmt_f64(p.rdma_p99_slowdown),
             fmt_f64(p.tcp_p99_slowdown),
             fmt_bytes(p.tor_occupancy_p99),
@@ -125,9 +107,10 @@ mod tests {
 
     #[test]
     fn variant_set_is_labelled_uniquely() {
-        let v = standard_variants();
-        let mut names: Vec<&String> = v.iter().map(|x| &x.name).collect();
+        let v = variants();
+        let mut names: Vec<&String> = v.iter().map(|(name, _)| name).collect();
         let before = names.len();
+        names.sort();
         names.dedup();
         assert_eq!(names.len(), before);
         assert!(before >= 7);
@@ -135,27 +118,9 @@ mod tests {
 
     #[test]
     fn tiny_ablation_runs_and_renders() {
-        let variants = vec![
-            AblationVariant {
-                name: "L2BM".into(),
-                policy: PolicyChoice::l2bm(),
-            },
-            AblationVariant {
-                name: "L2BM no-freeze".into(),
-                policy: PolicyChoice::L2bm(L2bmConfig {
-                    pause_freeze: false,
-                    ..L2bmConfig::default()
-                }),
-            },
-        ];
-        let r = ablations(
-            &ExperimentScale::tiny(),
-            &variants,
-            0.4,
-            &SweepOptions::default(),
-        );
-        assert_eq!(r.digests.len(), 2);
-        assert!(r.text.contains("no-freeze"));
-        assert_eq!(r.digests[1].0, "L2BM no-freeze load=0.4 seed 42");
+        let r = ablations(&ExperimentScale::tiny(), &SweepOptions::default());
+        assert_eq!(r.digests.len(), variants().len());
+        assert!(r.text.contains("no pause-freeze"));
+        assert_eq!(r.digests[4].0, "L2BM no pause-freeze load=0.8 seed 42");
     }
 }

@@ -9,9 +9,11 @@
 //! repro trace
 //! ```
 //!
-//! Scaled-down runs (`--scale small`, the default) finish in about a
-//! minute per figure and preserve the qualitative ordering; `--scale
-//! paper` uses the full 128-server fabric of the paper's §IV setup.
+//! Scaled-down runs (`--scale small`, the default) preserve the
+//! qualitative ordering: `repro all --scale small` takes about 9 s on
+//! one core of a 2-core host. `--scale paper` uses the full 128-server
+//! fabric of the paper's §IV setup: `repro fig7 --scale paper --jobs 2`
+//! took 71–97 s (136 s CPU) on the same host.
 //!
 //! `--jobs N` fans the independent sweep cells across N worker threads
 //! (`--jobs 0` = all available cores); the output is bit-identical at
@@ -24,26 +26,18 @@
 //! serial engine at every shard count. Composes with `--jobs`: jobs
 //! parallelize across sweep cells, shards within each cell.
 //!
-//! `repro chaos` runs the failure-resilience sweep: the hybrid workload
-//! under sampled fault schedules (link flaps, corruption windows, stuck
-//! PFC pauses) for every policy, with the invariant battery asserted
-//! after each run. `repro irn` runs the lossless-vs-lossy universe
-//! comparison: the six-policy × {DCQCN, IRN} grid on the healthy hybrid
-//! mix, then the fault-resilience table (identical sampled fault
-//! schedules in both universes, counting the flows IRN rescues that
-//! DCQCN strands). Both run the 8 fixed fault seeds with every cell
-//! traced, hence serial, and refuse `--seeds` and `--shards`.
-//! `repro tournament` runs the six-policy arena — hybrid, websearch-
-//! heavy, incast and chaos cells over 3 seeds unless `--seeds` says
-//! otherwise — and renders the Pareto table (p99 slowdown / goodput /
-//! pause frames / fault degradation, `mean±CI` per cell).
+//! Every experiment is a row of `dcn_experiments::FIGURES` (the paper's
+//! figures, all of which `all` runs) or `SWEEPS` (`chaos`, `irn`,
+//! `tournament`: the beyond-paper sweeps, each with an invariant
+//! battery). `chaos` and `irn` run fixed fault seeds with every cell
+//! traced, so they refuse `--seeds` and `--shards`; the tournament
+//! replicates over 3 seeds unless `--seeds` says otherwise.
 //!
-//! `--check` exists only for these three (it is refused elsewhere, as
-//! is a zero `--window-ms`): the CI gate runs the sweep at tiny scale (the tournament over 2 seeds
-//! unless `--seeds` says otherwise) at `--jobs 1` and `--jobs 8` and
-//! fails on any digest or report divergence between the two or any
-//! invariant violation; `irn --check` also fails on a drifted IRN golden
-//! digest or zero rescued flows.
+//! `--check` exists only for the `SWEEPS` rows: it runs the row at tiny
+//! scale (2 seeds unless `--seeds` says otherwise) at `--jobs 1` and
+//! `--jobs 8`, and fails unless both outcomes are equal and carry no
+//! invariant violation. It refuses every flag that picks a scale or a
+//! worker count, as `repro` refuses a zero `--window-ms`.
 //!
 //! `repro trace` is the flight-recorder dump: one fixed-seed hybrid run
 //! with the recorder on, every lifecycle event as JSON Lines on stdout,
@@ -55,10 +49,7 @@ use std::env;
 use std::io::Write;
 use std::process::ExitCode;
 
-use dcn_experiments::{
-    chaos, irn_grid, irn_resilience, tournament, ExperimentScale, Outcome, SweepOptions,
-    CHAOS_CHECK_SEEDS, FIGURES,
-};
+use dcn_experiments::{ExperimentScale, SweepOptions, FIGURES, SWEEPS};
 use dcn_fabric::{FabricConfig, FabricSim, PolicyChoice};
 use dcn_net::{ClosConfig, Priority, Topology, TrafficClass};
 use dcn_sim::{BitRate, Bytes, SimDuration, SimRng, SimTime, TraceConfig};
@@ -150,106 +141,6 @@ fn trace() -> ExitCode {
         .map_or(ExitCode::FAILURE, |()| ExitCode::SUCCESS)
 }
 
-/// Golden digest of the tiny-scale IRN universe cell (L2BM policy,
-/// zero faults) asserted by `repro irn --check`: pins the IRN
-/// transport's behavior the same way the DCQCN goldens pin the
-/// lossless path.
-const IRN_TINY_GOLDEN_DIGEST: u64 = 0x3e04_2bb5_1e4d_279f;
-
-/// Runs one of the sweeps that have a `--check` mode at `jobs` workers.
-/// With `gates`, also returns the failures of the gates only that sweep
-/// has: IRN's tiny golden digest, and that the lossy universe rescues
-/// at least one flow DCQCN strands (the whole point of IRN).
-fn sweep(
-    which: &str,
-    scale: &ExperimentScale,
-    seeds: u64,
-    jobs: usize,
-    gates: bool,
-) -> (Outcome, Vec<String>) {
-    match which {
-        "chaos" => (chaos(scale, &CHAOS_CHECK_SEEDS, jobs), Vec::new()),
-        "tournament" => (tournament(scale, seeds, jobs).outcome(), Vec::new()),
-        _ => {
-            let grid = irn_grid(scale, jobs);
-            let res = irn_resilience(scale, &CHAOS_CHECK_SEEDS, jobs);
-            let mut failed = Vec::new();
-            if gates {
-                let golden = grid
-                    .digests
-                    .iter()
-                    .find(|(name, _)| name == "L2BM/IRN seed None");
-                let golden = golden.map(|&(_, d)| d);
-                if golden != Some(IRN_TINY_GOLDEN_DIGEST) {
-                    failed.push(format!(
-                        "tiny IRN golden digest drifted: {golden:x?} != {IRN_TINY_GOLDEN_DIGEST:#x}"
-                    ));
-                }
-                if res.rescued().iter().all(|&(_, n)| n == 0) {
-                    failed.push(
-                        "no DCQCN-stranded flow was rescued by IRN across any fault seed".into(),
-                    );
-                }
-            }
-            let res = res.outcome();
-            let mut out = grid;
-            out.text = format!("{}\n{}", out.text, res.text);
-            out.digests.extend(res.digests);
-            out.violations.extend(res.violations);
-            (out, failed)
-        }
-    }
-}
-
-/// Runs a sweep and reports it: its table on stdout, every invariant
-/// violation on stderr. With `check`, the sweep runs at `--jobs 1` and
-/// `--jobs 8` and also fails on any digest or report divergence between
-/// the two, and on its own extra gates.
-fn run_sweep(
-    which: &str,
-    scale: &ExperimentScale,
-    seeds: u64,
-    jobs: usize,
-    check: bool,
-) -> ExitCode {
-    let (out, mut failed) = sweep(which, scale, seeds, if check { 1 } else { jobs }, check);
-    if check {
-        let (par, _) = sweep(which, scale, seeds, 8, false);
-        for ((name, a), (_, b)) in out.digests.iter().zip(&par.digests) {
-            if a != b {
-                failed.push(format!("{name}: digest {a:#x} (jobs 1) != {b:#x} (jobs 8)"));
-            }
-        }
-        if out.text != par.text || out.digests.len() != par.digests.len() {
-            failed.push("rendered reports differ between jobs 1 and jobs 8".into());
-        }
-        failed.extend(
-            par.violations
-                .iter()
-                .map(|v| format!("invariant violation: {v}")),
-        );
-    }
-    failed.extend(
-        out.violations
-            .iter()
-            .map(|v| format!("invariant violation: {v}")),
-    );
-    println!("{}", out.text);
-    for f in &failed {
-        eprintln!("FAIL: {f}");
-    }
-    if !failed.is_empty() {
-        return ExitCode::FAILURE;
-    }
-    if check {
-        eprintln!(
-            "# {which} --check passed: {} digests jobs-invariant, no violations",
-            out.digests.len()
-        );
-    }
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     let Some(which) = args.first().cloned() else {
@@ -264,49 +155,46 @@ fn main() -> ExitCode {
     }
 
     let mut scale = ExperimentScale::small();
-    let mut opts = SweepOptions::default();
+    let mut jobs = 1;
     let mut check = false;
     let mut seeds: Option<u64> = None;
     let mut shards: Option<usize> = None;
+    // The first flag `--check` fixes itself: it runs at tiny scale, jobs 1 vs 8.
+    let mut fixed: Option<&str> = None;
     let mut i = 1;
     while i < args.len() {
-        match args[i].as_str() {
-            "--check" => {
-                check = true;
-                i += 1;
-            }
+        let flag = args[i].as_str();
+        if flag == "--check" {
+            check = true;
+            i += 1;
+            continue;
+        }
+        // A missing value reads as "", which every flag refuses.
+        let v = args.get(i + 1).map_or("", String::as_str);
+        match flag {
             "--shards" => {
-                let Some(v) = args.get(i + 1) else {
-                    return usage();
-                };
-                shards = match v.as_str() {
+                shards = match v {
                     "auto" => Some(dcn_sim::effective_jobs(0)),
                     n => match n.parse::<usize>() {
                         Ok(n) if n >= 1 => Some(n),
                         _ => return usage(),
                     },
                 };
-                i += 2;
             }
             "--jobs" => {
-                let Some(v) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) else {
+                let Ok(v) = v.parse::<usize>() else {
                     return usage();
                 };
-                opts.jobs = if v == 0 { dcn_sim::default_jobs() } else { v };
-                i += 2;
+                jobs = if v == 0 { dcn_sim::default_jobs() } else { v };
             }
             "--seeds" => {
-                let Some(v) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) else {
+                let Ok(v) = v.parse::<u64>() else {
                     return usage();
                 };
                 seeds = Some(v);
-                i += 2;
             }
             "--scale" => {
-                let Some(v) = args.get(i + 1) else {
-                    return usage();
-                };
-                scale = match v.as_str() {
+                scale = match v {
                     "tiny" => ExperimentScale::tiny(),
                     "small" => ExperimentScale::small(),
                     "paper" => ExperimentScale::paper(),
@@ -315,17 +203,15 @@ fn main() -> ExitCode {
                         return usage();
                     }
                 };
-                i += 2;
             }
             "--seed" => {
-                let Some(v) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) else {
+                let Ok(v) = v.parse::<u64>() else {
                     return usage();
                 };
                 scale = scale.with_seed(v);
-                i += 2;
             }
             "--window-ms" => {
-                let Some(v) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) else {
+                let Ok(v) = v.parse::<u64>() else {
                     return usage();
                 };
                 if v == 0 {
@@ -333,17 +219,39 @@ fn main() -> ExitCode {
                     return usage();
                 }
                 scale = scale.with_window(SimDuration::from_millis(v));
-                i += 2;
             }
             other => {
                 eprintln!("unknown flag '{other}'");
                 return usage();
             }
         }
+        if flag != "--seeds" {
+            fixed.get_or_insert(flag);
+        }
+        i += 2;
     }
-    let sweep = matches!(which.as_str(), "chaos" | "irn" | "tournament");
-    if check && !sweep {
-        eprintln!("'{which}' has no --check mode (only chaos, irn and tournament do)");
+
+    let rows = if which == "all" {
+        FIGURES.to_vec()
+    } else {
+        match FIGURES
+            .iter()
+            .chain(SWEEPS)
+            .find(|(name, _)| *name == which)
+        {
+            Some(&row) => vec![row],
+            None => {
+                eprintln!("unknown experiment '{which}'");
+                return usage();
+            }
+        }
+    };
+    if check && !SWEEPS.iter().any(|(name, _)| *name == which) {
+        let names: Vec<&str> = SWEEPS.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "'{which}' has no --check mode (only {} do)",
+            names.join(", ")
+        );
         return usage();
     }
     if matches!(which.as_str(), "chaos" | "irn") && (seeds.is_some() || shards.is_some()) {
@@ -353,63 +261,62 @@ fn main() -> ExitCode {
         );
         return usage();
     }
-    opts.seeds = seeds.unwrap_or(1).max(1);
-    if let Some(n) = shards {
+    if let (true, Some(flag)) = (check, fixed) {
+        eprintln!(
+            "'{which} --check' takes no {flag}: it runs at tiny scale at --jobs 1 and --jobs 8"
+        );
+        return usage();
+    }
+    // Two replicates under `--check`, else the experiment's own default
+    // (`SweepOptions::seeds == 0`), unless `--seeds` says otherwise.
+    let opts = SweepOptions::new(jobs, seeds.map_or(if check { 2 } else { 0 }, |n| n.max(1)));
+    if check {
+        scale = ExperimentScale::tiny();
+    } else if let Some(n) = shards {
         // Applied last so `--shards` composes with `--scale` in any
         // flag order.
         scale = scale.with_shards(n);
     }
 
-    if sweep {
-        // `--check` runs at tiny scale; the tournament replicates every
-        // cell over 2 seeds there and 3 otherwise (so every table cell
-        // is mean±CI) unless `--seeds` says otherwise.
-        let (scale, default_seeds) = if check {
-            (ExperimentScale::tiny(), 2)
-        } else {
-            (scale, 3)
-        };
-        eprintln!(
-            "# {which}{}: {} hosts, window {}, seed {}",
-            if check { " --check, jobs 1 vs 8" } else { "" },
-            scale.host_count(),
-            scale.window,
-            scale.seed,
-        );
-        return run_sweep(
-            &which,
-            &scale,
-            seeds.unwrap_or(default_seeds),
-            opts.jobs,
-            check,
-        );
-    }
-
     eprintln!(
-        "# scale: {} hosts, window {}, seed {}, jobs {}, seeds {}",
+        "# {which}: {} hosts, window {}, seed {}, jobs {jobs}{}",
         scale.host_count(),
         scale.window,
         scale.seed,
-        opts.jobs,
-        opts.effective_seeds()
+        if check { " vs 8 (--check)" } else { "" },
     );
-
-    if which == "all" {
-        for (name, run) in FIGURES {
+    let mut failed = Vec::new();
+    for (name, run) in rows {
+        if which == "all" {
             eprintln!("# running {name} ...");
-            println!("{}", run(&scale, &opts).text);
         }
-        return ExitCode::SUCCESS;
+        let out = run(&scale, &opts);
+        if check {
+            let par = run(&scale, &SweepOptions { jobs: 8, ..opts });
+            let diverged = out.digests.iter().zip(&par.digests).find(|(a, b)| a != b);
+            match (out == par, diverged) {
+                (true, _) => eprintln!("# {name} --check: {} digests", out.digests.len()),
+                (false, Some(((label, _), _))) => failed.push(format!(
+                    "{name}: the digest of {label} differs at --jobs 1 and 8"
+                )),
+                (false, None) => failed.push(format!(
+                    "{name}: the digest count, report text or violations differ at --jobs 1 and 8"
+                )),
+            }
+        }
+        failed.extend(
+            out.violations
+                .iter()
+                .map(|v| format!("invariant violation: {v}")),
+        );
+        println!("{}", out.text);
     }
-
-    match FIGURES.iter().find(|(name, _)| *name == which) {
-        Some((_, run)) => {
-            println!("{}", run(&scale, &opts).text);
-            ExitCode::SUCCESS
-        }
-        None => {
-            eprintln!("unknown experiment '{which}'");
-            usage()
-        }
+    for f in &failed {
+        eprintln!("FAIL: {f}");
+    }
+    if failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

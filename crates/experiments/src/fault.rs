@@ -2,19 +2,20 @@
 //! carried by either RDMA universe, with one invariant battery asserted
 //! after every run.
 //!
-//! A [`FaultCell`] samples its fault schedule (link flaps, corruption
+//! A `FaultCell` samples its fault schedule (link flaps, corruption
 //! windows, stuck PFC pauses) from a dedicated seed *before* the run,
 //! arms the PFC storm watchdog and the flow liveness watchdog (which
-//! only observes), and runs with the flight recorder on. Three sweeps
-//! are lists of such cells:
+//! only observes), and runs with the flight recorder on. Two `repro`
+//! experiments, and the tournament's chaos arena, are lists of such
+//! cells:
 //!
 //! * [`chaos`] — every arena policy under DCQCN, each against its own
 //!   zero-fault baseline: does buffer management survive faults?
-//! * [`irn_grid`] — every arena policy × {DCQCN, IRN} on a healthy
+//! * [`irn`] — first every arena policy × {DCQCN, IRN} on a healthy
 //!   fabric: does L2BM's lead survive once RDMA stops needing PFC?
-//! * [`irn_resilience`] — identical schedules in both universes. DCQCN
-//!   has no retransmission, so one lossless wire loss strands a flow;
-//!   IRN repairs it. "Rescued" flows are unfinished under DCQCN but
+//!   Then identical schedules in both universes. DCQCN has no
+//!   retransmission, so one lossless wire loss strands a flow; IRN
+//!   repairs it. "Rescued" flows are unfinished under DCQCN but
 //!   completed by IRN on the same schedule.
 //!
 //! The battery checks buffer conservation, trace ↔ counter
@@ -36,20 +37,21 @@ use dcn_sim::{
 use crate::hybrid::{goodput_gbps, hybrid_flows, p99_slowdown, HybridConfig, RDMA_PRIO};
 use crate::report::{delta_pct, fmt_f64, mean_finite, Outcome, Table};
 use crate::scale::ExperimentScale;
+use crate::sweep::SweepOptions;
 
 /// Threshold of both watchdogs every fault cell arms. Long enough that
 /// legitimate congestion pauses at these scales resolve first; short
 /// enough to demonstrably bound an injected stuck XOFF within a run.
-pub const CHAOS_WATCHDOG: SimDuration = SimDuration::from_millis(1);
+const WATCHDOG: SimDuration = SimDuration::from_millis(1);
 
 /// The fixed fault-schedule seeds `repro chaos` and `repro irn` run.
-pub const CHAOS_CHECK_SEEDS: [u64; 8] = [11, 23, 37, 41, 53, 67, 79, 97];
+pub(crate) const CHAOS_CHECK_SEEDS: [u64; 8] = [11, 23, 37, 41, 53, 67, 79, 97];
 
 /// One fault cell: a hybrid mix, the universe carrying its RDMA half,
 /// and the seed its fault schedule is sampled from (`None` = the
 /// zero-fault baseline).
 #[derive(Debug, Clone)]
-pub struct FaultCell {
+pub(crate) struct FaultCell {
     /// Scale, policy and the two loads.
     pub hybrid: HybridConfig,
     /// Which universe carries the RDMA half.
@@ -62,7 +64,7 @@ impl FaultCell {
     /// Every cell of a sweep at RDMA 0.4 / TCP 0.4, in the order policy,
     /// scale, transport, then the zero-fault baseline followed by one
     /// cell per fault seed.
-    pub fn grid(
+    pub(crate) fn grid(
         policies: &[PolicyChoice],
         scales: &[ExperimentScale],
         transports: &[RdmaTransport],
@@ -97,7 +99,7 @@ impl FaultCell {
 /// Everything one fault cell reports. Plain data (`Send`): the trace is
 /// interrogated inside the worker, never shipped across threads.
 #[derive(Debug, Clone)]
-pub struct FaultPoint {
+pub(crate) struct FaultPoint {
     /// The cell that ran.
     pub cell: FaultCell,
     /// Scheduled fault events.
@@ -318,6 +320,13 @@ fn battery(p: &FaultPoint, ev: &Evidence) -> Vec<String> {
             ));
         }
     }
+    // The sampled schedule reached the fabric: faults iff a fault seed.
+    if (p.fault_events > 0) != p.cell.fault_seed.is_some() {
+        let (n, seed) = (p.fault_events, p.cell.fault_seed);
+        v.push(format!(
+            "{n} scheduled fault events under fault seed {seed:?}"
+        ));
+    }
     if p.cell.fault_seed.is_none() {
         // The baseline must be entirely healthy.
         if !p.unfinished.is_empty() {
@@ -351,13 +360,13 @@ fn simulate(cell: &FaultCell) -> (FaultPoint, Evidence) {
     };
     let fault_events = faults.len();
     let mut switch = scale.switch_config();
-    switch.pfc_watchdog = Some(CHAOS_WATCHDOG);
+    switch.pfc_watchdog = Some(WATCHDOG);
     let fabric_cfg = FabricConfig {
         policy: cell.hybrid.policy,
         rdma_transport: cell.transport,
         seed: scale.seed,
         switch,
-        flow_watchdog: Some(CHAOS_WATCHDOG),
+        flow_watchdog: Some(WATCHDOG),
         sample_interval: None,
         trace: TraceConfig::enabled(),
         faults,
@@ -390,7 +399,7 @@ fn simulate(cell: &FaultCell) -> (FaultPoint, Evidence) {
 }
 
 /// Runs one fault cell and asserts the invariant battery.
-pub fn run_fault_cell(cell: &FaultCell) -> FaultPoint {
+pub(crate) fn run_fault_cell(cell: &FaultCell) -> FaultPoint {
     let (mut point, evidence) = simulate(cell);
     point.violations = battery(&point, &evidence);
     point
@@ -418,17 +427,18 @@ fn fault_outcome<'a>(
     }
 }
 
-/// The chaos sweep: every arena policy under DCQCN, a zero-fault
-/// baseline plus one cell per fault seed, rendered as goodput and tail
-/// FCT under chaos relative to each policy's own baseline.
-pub fn chaos(scale: &ExperimentScale, fault_seeds: &[u64], jobs: usize) -> Outcome {
+/// `repro chaos`: every arena policy under DCQCN, a zero-fault baseline
+/// plus one cell per fixed fault seed, rendered as goodput and tail FCT
+/// under chaos relative to each policy's own baseline. The fault seeds
+/// are fixed and every cell is traced, so only `opts.jobs` is read.
+pub fn chaos(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
     let cells = FaultCell::grid(
         &crate::all_policies(),
         std::slice::from_ref(scale),
         &[RdmaTransport::Dcqcn],
-        fault_seeds,
+        &CHAOS_CHECK_SEEDS,
     );
-    let points = par_map(jobs, &cells, run_fault_cell);
+    let points = par_map(opts.jobs, &cells, run_fault_cell);
     let mut t = Table::new(&[
         "policy",
         "goodput base",
@@ -442,7 +452,7 @@ pub fn chaos(scale: &ExperimentScale, fault_seeds: &[u64], jobs: usize) -> Outco
         "watchdog",
         "violations",
     ]);
-    for group in points.chunks(1 + fault_seeds.len()) {
+    for group in points.chunks(1 + CHAOS_CHECK_SEEDS.len()) {
         let (base, runs) = (&group[0], &group[1..]);
         let mean = |f: &dyn Fn(&FaultPoint) -> f64| mean_finite(runs.iter().map(f));
         let goodput = mean(&FaultPoint::goodput_gbps);
@@ -469,22 +479,53 @@ pub fn chaos(scale: &ExperimentScale, fault_seeds: &[u64], jobs: usize) -> Outco
     }
     let text = format!(
         "chaos: hybrid workload under {} sampled fault schedules per policy\n{}",
-        fault_seeds.len(),
+        CHAOS_CHECK_SEEDS.len(),
         t.render()
     );
     fault_outcome(text, points.iter())
 }
 
-/// The healthy grid: every arena policy × both universes, no faults.
-pub fn irn_grid(scale: &ExperimentScale, jobs: usize) -> Outcome {
+/// The fault comparison's cells: L2BM under DCQCN, then under IRN,
+/// each a zero-fault baseline followed by one cell per fixed fault seed.
+fn resilience_cells(scale: &ExperimentScale) -> Vec<FaultCell> {
+    FaultCell::grid(
+        &[PolicyChoice::l2bm()],
+        std::slice::from_ref(scale),
+        &[RdmaTransport::Dcqcn, RdmaTransport::Irn],
+        &CHAOS_CHECK_SEEDS,
+    )
+}
+
+/// `repro irn`, the lossless-vs-lossy universe comparison, as two
+/// tables. The healthy grid runs every arena policy × both universes
+/// with no faults. The fault comparison runs L2BM in both universes on
+/// the *same* sampled schedule per fixed fault seed, plus one zero-fault
+/// baseline per universe, and counts the flows IRN rescues. Every cell
+/// is traced, so only `opts.jobs` is read.
+pub fn irn(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
     let policies = crate::all_policies();
-    let cells = FaultCell::grid(
+    let mut cells = FaultCell::grid(
         &policies,
         std::slice::from_ref(scale),
         &[RdmaTransport::Dcqcn, RdmaTransport::Irn],
         &[],
     );
-    let points = par_map(jobs, &cells, run_fault_cell);
+    let healthy = cells.len();
+    cells.extend(resilience_cells(scale));
+    let points = par_map(opts.jobs, &cells, run_fault_cell);
+    let (grid, faulted) = points.split_at(healthy);
+    let (dcqcn, irn) = faulted.split_at(faulted.len() / 2);
+    let text = format!(
+        "lossless-vs-lossy grid: hybrid mix, {} policies x DCQCN/IRN\n{}\n{}",
+        policies.len(),
+        grid_table(grid),
+        resilience_table(dcqcn, irn)
+    );
+    fault_outcome(text, points.iter())
+}
+
+/// The healthy grid's table, one row per cell.
+fn grid_table(points: &[FaultPoint]) -> String {
     let mut t = Table::new(&[
         "policy",
         "transport",
@@ -498,7 +539,7 @@ pub fn irn_grid(scale: &ExperimentScale, jobs: usize) -> Outcome {
         "rto",
         "unfinished",
     ]);
-    for p in &points {
+    for p in points {
         let r = &p.results;
         let rdma_drops = match p.cell.transport {
             RdmaTransport::Irn => r.drops.lossy_rdma_packets,
@@ -518,100 +559,66 @@ pub fn irn_grid(scale: &ExperimentScale, jobs: usize) -> Outcome {
             p.unfinished.len().to_string(),
         ]);
     }
-    let text = format!(
-        "lossless-vs-lossy grid: hybrid mix, {} policies x DCQCN/IRN\n{}",
-        policies.len(),
-        t.render()
-    );
-    fault_outcome(text, points.iter())
+    t.render()
 }
 
-/// The fault comparison: per fault seed, both universes on the *same*
-/// sampled schedule, plus one zero-fault baseline per universe.
-#[derive(Debug, Clone)]
-pub struct IrnResilience {
-    /// DCQCN points: baseline first, then one per fault seed.
-    pub dcqcn: Vec<FaultPoint>,
-    /// IRN points in the same order.
-    pub irn: Vec<FaultPoint>,
+/// Flows rescued per fault seed: unfinished under DCQCN, completed by
+/// IRN on the identical schedule (both universes register the exact
+/// same flow specs). Each side holds its baseline first, then one point
+/// per fault seed.
+fn rescued(dcqcn: &[FaultPoint], irn: &[FaultPoint]) -> Vec<(u64, usize)> {
+    dcqcn
+        .iter()
+        .zip(irn)
+        .filter_map(|(d, i)| {
+            let seed = d.cell.fault_seed?;
+            let rescued = d
+                .unfinished
+                .iter()
+                .filter(|u| !i.unfinished.contains(u))
+                .count();
+            Some((seed, rescued))
+        })
+        .collect()
 }
 
-impl IrnResilience {
-    /// Flows rescued per fault seed: unfinished under DCQCN, completed
-    /// by IRN on the identical schedule (both universes register the
-    /// exact same flow specs).
-    pub fn rescued(&self) -> Vec<(u64, usize)> {
-        self.dcqcn
-            .iter()
-            .zip(&self.irn)
-            .filter_map(|(d, i)| {
-                let seed = d.cell.fault_seed?;
-                let rescued = d
-                    .unfinished
-                    .iter()
-                    .filter(|u| !i.unfinished.contains(u))
-                    .count();
-                Some((seed, rescued))
-            })
-            .collect()
-    }
-
-    /// The side-by-side degradation table, digests and violations.
-    pub fn outcome(&self) -> Outcome {
-        let mut t = Table::new(&[
-            "fault seed",
-            "dcqcn goodput Δ%",
-            "dcqcn unfinished",
-            "victims",
-            "stalls",
-            "irn goodput Δ%",
-            "irn nacks",
-            "irn rtx",
-            "irn rto",
-            "rescued",
+/// The fault comparison's side-by-side degradation table.
+fn resilience_table(dcqcn: &[FaultPoint], irn: &[FaultPoint]) -> String {
+    let mut t = Table::new(&[
+        "fault seed",
+        "dcqcn goodput Δ%",
+        "dcqcn unfinished",
+        "victims",
+        "stalls",
+        "irn goodput Δ%",
+        "irn nacks",
+        "irn rtx",
+        "irn rto",
+        "rescued",
+    ]);
+    let base_d = dcqcn.first().map_or(f64::NAN, FaultPoint::goodput_gbps);
+    let base_i = irn.first().map_or(f64::NAN, FaultPoint::goodput_gbps);
+    let rescued = rescued(dcqcn, irn);
+    for ((d, i), &(seed, resc)) in dcqcn.iter().zip(irn).skip(1).zip(&rescued) {
+        t.row(vec![
+            seed.to_string(),
+            fmt_f64(delta_pct(d.goodput_gbps(), base_d)),
+            d.unfinished.len().to_string(),
+            d.victims.to_string(),
+            d.results.flow_stalls.to_string(),
+            fmt_f64(delta_pct(i.goodput_gbps(), base_i)),
+            i.results.irn.nacks().to_string(),
+            i.results.irn.retransmitted_packets.to_string(),
+            i.results.irn.rto_fires.to_string(),
+            resc.to_string(),
         ]);
-        let base_d = self
-            .dcqcn
-            .first()
-            .map_or(f64::NAN, FaultPoint::goodput_gbps);
-        let base_i = self.irn.first().map_or(f64::NAN, FaultPoint::goodput_gbps);
-        let rescued = self.rescued();
-        for ((d, i), &(seed, resc)) in self.dcqcn.iter().zip(&self.irn).skip(1).zip(&rescued) {
-            t.row(vec![
-                seed.to_string(),
-                fmt_f64(delta_pct(d.goodput_gbps(), base_d)),
-                d.unfinished.len().to_string(),
-                d.victims.to_string(),
-                d.results.flow_stalls.to_string(),
-                fmt_f64(delta_pct(i.goodput_gbps(), base_i)),
-                i.results.irn.nacks().to_string(),
-                i.results.irn.retransmitted_packets.to_string(),
-                i.results.irn.rto_fires.to_string(),
-                resc.to_string(),
-            ]);
-        }
-        let total_rescued: usize = rescued.iter().map(|&(_, n)| n).sum();
-        let text = format!(
-            "fault resilience: DCQCN vs IRN on identical sampled schedules (L2BM policy)\n\
-             {}\ntotal flows rescued by the lossy universe: {total_rescued}",
-            t.render()
-        );
-        let points: Vec<FaultPoint> = self.dcqcn.iter().chain(&self.irn).cloned().collect();
-        fault_outcome(text, points.iter())
     }
-}
-
-/// Runs the fault comparison with the L2BM policy over `fault_seeds`.
-pub fn irn_resilience(scale: &ExperimentScale, fault_seeds: &[u64], jobs: usize) -> IrnResilience {
-    let cells = FaultCell::grid(
-        &[PolicyChoice::l2bm()],
-        std::slice::from_ref(scale),
-        &[RdmaTransport::Dcqcn, RdmaTransport::Irn],
-        fault_seeds,
-    );
-    let mut dcqcn = par_map(jobs, &cells, run_fault_cell);
-    let irn = dcqcn.split_off(1 + fault_seeds.len());
-    IrnResilience { dcqcn, irn }
+    let total_rescued: usize = rescued.iter().map(|&(_, n)| n).sum();
+    format!(
+        "fault resilience: DCQCN vs IRN on identical sampled schedules (L2BM policy)\n\
+         {}\ntotal flows rescued by the lossy universe: {total_rescued}",
+        t.render()
+    )
 }
 
 #[cfg(test)]
@@ -687,16 +694,42 @@ mod tests {
         }
     }
 
+    /// Golden digest of the tiny-scale IRN universe cell (L2BM, zero
+    /// faults), the `L2BM/IRN seed None` row of `repro irn --scale
+    /// tiny`: pins the IRN transport's behavior the way the DCQCN
+    /// goldens pin the lossless path.
+    const TINY_IRN_GOLDEN_DIGEST: u64 = 0x3e04_2bb5_1e4d_279f;
+
     #[test]
-    fn resilience_comparison_rescues_dcqcn_victims() {
-        // Two seeds are enough for the unit tier; the full 8-seed sweep
-        // runs in `repro irn --check`.
-        let r = irn_resilience(&ExperimentScale::tiny(), &[11, 23], 2);
-        assert_eq!((r.dcqcn.len(), r.irn.len()), (3, 3));
-        let out = r.outcome();
-        assert_eq!(out.violations, Vec::<String>::new());
-        assert_eq!(out.digests.len(), 6);
-        assert!(out.text.contains("rescued"));
+    fn tiny_irn_cell_matches_its_golden_digest() {
+        let p = run_fault_cell(&cell(RdmaTransport::Irn, None));
+        assert_eq!(
+            p.results.digest(),
+            TINY_IRN_GOLDEN_DIGEST,
+            "tiny IRN golden digest drifted: {:#x}",
+            p.results.digest()
+        );
+    }
+
+    #[test]
+    fn irn_rescues_a_dcqcn_stranded_flow() {
+        // The whole point of IRN: on the eight fixed fault seeds at tiny
+        // scale, the lossy universe completes at least one flow DCQCN
+        // strands on the identical schedule.
+        let points = par_map(
+            2,
+            &resilience_cells(&ExperimentScale::tiny()),
+            run_fault_cell,
+        );
+        let (dcqcn, irn) = points.split_at(1 + CHAOS_CHECK_SEEDS.len());
+        for p in &points {
+            assert_eq!(p.violations, Vec::<String>::new(), "{}", p.name());
+        }
+        let rescued: usize = rescued(dcqcn, irn).iter().map(|&(_, n)| n).sum();
+        assert!(
+            rescued > 0,
+            "no DCQCN-stranded flow was rescued by IRN across any fault seed"
+        );
     }
 
     #[test]
@@ -751,6 +784,10 @@ mod tests {
         only(
             fires(&dcqcn, &|p, _| p.results.queue.past_clamps = 1),
             "1 past-time clamps",
+        );
+        only(
+            fires(&irn, &|p, _| p.fault_events = 0),
+            "0 scheduled fault events under fault seed Some(11)",
         );
     }
 }

@@ -1,19 +1,22 @@
 //! One entry point per paper figure/table. Each takes the figure's own
 //! parameter (where it has one) and the [`SweepOptions`] its cells run
 //! under, and returns an [`Outcome`]: the rendered panels plus every
-//! replicate's digest. [`FIGURES`] binds each to the paper's grid.
+//! replicate's digest. [`FIGURES`] binds each to the paper's grid, and
+//! [`SWEEPS`] lists the three beyond-paper experiments.
 
 use dcn_fabric::PolicyChoice;
 use dcn_metrics::OccupancySeries;
 use dcn_net::{NodeId, Topology, TrafficClass};
 
-use crate::ablations::{ablations, standard_variants};
+use crate::ablations::ablations;
+use crate::fault::{chaos, irn};
 use crate::hybrid::{HybridConfig, HybridPoint};
 use crate::incast::{IncastConfig, IncastPoint};
 use crate::paper_policies;
 use crate::report::{fmt_bytes, fmt_f64, Outcome, Table};
 use crate::scale::ExperimentScale;
 use crate::sweep::{run_hybrid_cells, run_incast_cells, seed_cell, sweep_outcome, SweepOptions};
+use crate::tournament::tournament;
 
 /// The TCP loads the paper sweeps in Fig. 7 (x-axis 0.1 → 0.8).
 pub const FIG7_LOADS: [f64; 4] = [0.2, 0.4, 0.6, 0.8];
@@ -37,10 +40,15 @@ pub const FIGURES: &[(&str, Experiment)] = &[
     ("fig9", fig9),
     ("fig10", |s, o| fig10(s, 5, o)),
     ("fig11", |s, o| fig11(s, &FIG11_FANOUTS, o)),
-    ("ablations", |s, o| {
-        ablations(s, &standard_variants(), 0.8, o)
-    }),
+    ("ablations", ablations),
 ];
+
+/// The beyond-paper experiments: the fault battery, the lossless-vs-lossy
+/// universe comparison and the six-policy tournament. Each asserts an
+/// invariant battery, so its [`Outcome`] carries violations, and each
+/// has a `repro <name> --check` gate. `repro all` does not run them.
+pub const SWEEPS: &[(&str, Experiment)] =
+    &[("chaos", chaos), ("irn", irn), ("tournament", tournament)];
 
 /// A grid panel's columns: the header prefix, and each point's `(row
 /// label, column key)`.

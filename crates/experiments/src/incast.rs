@@ -37,7 +37,7 @@ impl IncastConfig {
     /// paper), which keeps the burst-to-buffer pressure constant across
     /// scales.
     pub fn paper_defaults(scale: ExperimentScale, policy: PolicyChoice, fanout: usize) -> Self {
-        let request_size = (scale.total_buffer / 4).max(Bytes::from_kb(100));
+        let request_size = (scale.total_buffer() / 4).max(Bytes::from_kb(100));
         IncastConfig {
             scale,
             policy,

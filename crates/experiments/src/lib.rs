@@ -4,7 +4,9 @@
 //! Each `figN`/`tableN` function runs the corresponding experiment and
 //! returns an [`Outcome`]: the same rows/series the paper plots, plus
 //! one labelled digest per run. [`FIGURES`] binds each to the paper's
-//! grid; the `repro` binary dispatches its subcommands from it.
+//! grid and [`SWEEPS`] lists the three beyond-paper experiments
+//! ([`chaos`], [`irn`], [`tournament`]); every row has one shape, and
+//! the `repro` binary dispatches its subcommands from the two tables.
 //!
 //! | id | paper artifact | function |
 //! |----|----------------|----------|
@@ -16,6 +18,7 @@
 //! | fig9  | FCT CDFs of RDMA and TCP flows @ 0.8 | [`fig9`] |
 //! | fig10 | incast: slowdown CDF, query-delay error bars, occupancy CDF | [`fig10`] |
 //! | fig11 | incast degree sweep N ∈ {5,10,15} | [`fig11`] |
+//! | ablations | L2BM knobs and the DT α family | [`ablations`] |
 //!
 //! A sweep keeps every seed replicate ([`run_hybrid_cells`],
 //! [`run_incast_cells`]); `mean±CI` is computed where a table cell is
@@ -46,23 +49,18 @@ mod scale;
 mod sweep;
 mod tournament;
 
-pub use ablations::{ablations, standard_variants, AblationVariant};
-pub use fault::{
-    chaos, irn_grid, irn_resilience, run_fault_cell, sample_fault_schedule, FaultCell, FaultPoint,
-    IrnResilience, CHAOS_CHECK_SEEDS, CHAOS_WATCHDOG,
-};
+pub use ablations::ablations;
+pub use fault::{chaos, irn, sample_fault_schedule};
 pub use figures::{
     fig10, fig11, fig3a, fig3b, fig7, fig8, fig9, table2, FIG11_FANOUTS, FIG7_LOADS, FIGURES,
-    TABLE2_LOADS,
+    SWEEPS, TABLE2_LOADS,
 };
 pub use hybrid::{run_hybrid, HybridConfig, HybridPoint};
 pub use incast::{run_incast, IncastConfig, IncastPoint};
 pub use report::{fmt_bytes, fmt_f64, Outcome, Table};
 pub use scale::ExperimentScale;
 pub use sweep::{run_hybrid_cells, run_incast_cells, SweepOptions};
-pub use tournament::{
-    tournament, TournamentReport, TournamentRow, TOURNAMENT_FANOUT, TOURNAMENT_FAULT_SEEDS,
-};
+pub use tournament::tournament;
 
 /// The four policies every comparison sweeps, in the paper's order.
 pub fn paper_policies() -> Vec<dcn_fabric::PolicyChoice> {

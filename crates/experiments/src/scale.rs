@@ -18,10 +18,6 @@ pub struct ExperimentScale {
     pub drain: SimDuration,
     /// Base RNG seed (workloads fork per-experiment streams from it).
     pub seed: u64,
-    /// Shared buffer per switch. The paper uses 4 MB for 128 hosts;
-    /// scaled-down fabrics shrink it proportionally so buffer *pressure*
-    /// (and therefore PFC/drop behaviour) is preserved.
-    pub total_buffer: Bytes,
     /// Worker shards for a single run. `0` (the default) uses the serial
     /// engine; `n ≥ 1` uses the spatially sharded executor with at most
     /// `n` threads (clamped to the ToR count), whose results — including
@@ -40,7 +36,6 @@ impl ExperimentScale {
             window: SimDuration::from_millis(20),
             drain: SimDuration::from_millis(400),
             seed: 42,
-            total_buffer: Bytes::from_mb(4),
             shards: 0,
         }
     }
@@ -53,7 +48,6 @@ impl ExperimentScale {
             window: SimDuration::from_millis(5),
             drain: SimDuration::from_millis(200),
             seed: 42,
-            total_buffer: Bytes::from_kb(500), // 4 MB × 16/128 hosts
             shards: 0,
         }
     }
@@ -66,7 +60,6 @@ impl ExperimentScale {
             window: SimDuration::from_millis(2),
             drain: SimDuration::from_millis(100),
             seed: 42,
-            total_buffer: Bytes::from_kb(250), // 4 MB × 8/128 hosts
             shards: 0,
         }
     }
@@ -78,9 +71,17 @@ impl ExperimentScale {
     /// footprint-to-buffer pressure ratio is preserved.
     pub fn switch_config(&self) -> SwitchConfig {
         SwitchConfig {
-            total_buffer: self.total_buffer,
+            total_buffer: self.total_buffer(),
             ..SwitchConfig::default()
         }
+    }
+
+    /// Shared buffer per switch. The paper uses 4 MB for 128 hosts;
+    /// scaled-down fabrics shrink it proportionally (small 500 KB, tiny
+    /// 250 KB) so buffer *pressure* (and therefore PFC/drop behaviour)
+    /// is preserved.
+    pub fn total_buffer(&self) -> Bytes {
+        Bytes::from_mb(4) * self.host_count() as u64 / 128
     }
 
     /// Hosts in the fabric.
@@ -117,6 +118,9 @@ mod tests {
         assert_eq!(ExperimentScale::paper().host_count(), 128);
         assert_eq!(ExperimentScale::small().host_count(), 16);
         assert_eq!(ExperimentScale::tiny().host_count(), 8);
+        assert_eq!(ExperimentScale::paper().total_buffer(), Bytes::from_mb(4));
+        assert_eq!(ExperimentScale::small().total_buffer(), Bytes::from_kb(500));
+        assert_eq!(ExperimentScale::tiny().total_buffer(), Bytes::from_kb(250));
     }
 
     #[test]

@@ -33,9 +33,10 @@ use crate::report::Outcome;
 pub struct SweepOptions {
     /// Worker threads the cells are fanned across (0 is treated as 1).
     pub jobs: usize,
-    /// Seed replicates per cell (0 is treated as 1). With more than one
-    /// replicate each swept table cell reads `mean ± 95% CI` over the
-    /// replicates.
+    /// Seed replicates per cell; 0 asks for the experiment's own
+    /// default (one for a paper figure, three for the tournament). With
+    /// more than one replicate each swept table cell reads `mean ± 95%
+    /// CI` over the replicates.
     pub seeds: u64,
 }
 
@@ -51,9 +52,13 @@ impl SweepOptions {
         SweepOptions { jobs, seeds }
     }
 
-    /// The effective replicate count (at least 1).
-    pub fn effective_seeds(&self) -> u64 {
-        self.seeds.max(1)
+    /// The replicate count, `default` if none was asked for.
+    pub fn seeds_or(&self, default: u64) -> u64 {
+        if self.seeds == 0 {
+            default
+        } else {
+            self.seeds
+        }
     }
 }
 
@@ -133,7 +138,7 @@ where
     C: Sync,
     P: Send,
 {
-    let seeds = opts.effective_seeds();
+    let seeds = opts.seeds_or(1);
     let work: Vec<C> = cells
         .iter()
         .flat_map(|cell| (0..seeds).map(|rep| reseed(cell, rep)))

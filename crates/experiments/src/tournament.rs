@@ -11,54 +11,52 @@
 //! [`run_fault_cell`]. So the jobs-invariance contract carries over
 //! verbatim — the same tournament specification renders a
 //! byte-identical report (and the same per-cell digests) at any
-//! `--jobs` value. `repro tournament --check` pins exactly that.
+//! `--jobs` value.
 
 use dcn_fabric::{RdmaTransport, RunResults};
 use dcn_net::TrafficClass;
 use dcn_sim::{par_map, SimDuration};
 
-use crate::fault::{run_fault_cell, FaultCell, FaultPoint};
+use crate::fault::{run_fault_cell, FaultCell, FaultPoint, CHAOS_CHECK_SEEDS};
 use crate::hybrid::{goodput_gbps, HybridConfig};
 use crate::incast::IncastConfig;
 use crate::report::{delta_pct, fmt_f64, mean_finite, Outcome, Table};
 use crate::scale::ExperimentScale;
 use crate::sweep::{run_hybrid_cells, run_incast_cells, seed_cell, SweepOptions};
 
-/// Fault seeds the tournament's chaos arena injects (a prefix of
-/// [`crate::CHAOS_CHECK_SEEDS`], kept short: the full battery is
-/// `repro chaos`'s job).
-pub const TOURNAMENT_FAULT_SEEDS: [u64; 2] = [11, 23];
-
 /// Responders per incast query in the incast arena (the paper's
 /// headline fanout).
-pub const TOURNAMENT_FANOUT: usize = 5;
+const FANOUT: usize = 5;
+
+/// Seed replicates per cell unless the options ask for a count.
+const DEFAULT_SEEDS: u64 = 3;
 
 /// One `(arena, policy)` row: per-replicate samples of every reported
 /// metric, the digests of all underlying runs, and any invariant
 /// violations the battery collected.
 #[derive(Debug, Clone)]
-pub struct TournamentRow {
+struct TournamentRow {
     /// Arena name (`hybrid` / `websearch` / `incast` / `chaos`).
-    pub arena: &'static str,
+    arena: &'static str,
     /// Policy label (DT / DT2 / ABM / L2BM / Occamy / BShare).
-    pub label: String,
+    label: String,
     /// Lossless-class p99 FCT slowdown per replicate (incast arena:
     /// p99 over the incast flows; chaos arena: mean over fault cells).
-    pub p99_slowdown: Vec<f64>,
+    p99_slowdown: Vec<f64>,
     /// Delivered goodput in Gbit/s per replicate.
-    pub goodput_gbps: Vec<f64>,
+    goodput_gbps: Vec<f64>,
     /// PFC pause frames per replicate (chaos arena: mean over fault
     /// cells).
-    pub pause_frames: Vec<f64>,
+    pause_frames: Vec<f64>,
     /// Chaos arena only: goodput delta under faults relative to the
     /// same replicate's zero-fault baseline, in percent (≤ 0 is a
     /// degradation). Empty for the other arenas.
-    pub fault_delta_pct: Vec<f64>,
+    fault_delta_pct: Vec<f64>,
     /// Digests of every underlying run, in cell order — the byte-level
     /// jobs-invariance witness.
-    pub digests: Vec<u64>,
+    digests: Vec<u64>,
     /// Invariant violations (empty = the battery passed).
-    pub violations: Vec<String>,
+    violations: Vec<String>,
 }
 
 impl TournamentRow {
@@ -100,119 +98,107 @@ impl TournamentRow {
     }
 }
 
-/// The tournament result: rows grouped arena-major in policy order.
-#[derive(Debug, Clone)]
-pub struct TournamentReport {
-    /// All `(arena, policy)` rows.
-    pub rows: Vec<TournamentRow>,
-    /// Seed replicates each cell ran.
-    pub seeds: u64,
-}
-
-impl TournamentReport {
-    /// Policies on the Pareto front of one arena, judged on replicate
-    /// means: lower p99 slowdown, higher goodput, fewer pause frames
-    /// (and, in the chaos arena, smaller goodput degradation) — a
-    /// policy is dropped only if another is at least as good on every
-    /// axis and strictly better on one.
-    pub fn pareto_front(&self, arena: &str) -> Vec<String> {
-        let rows: Vec<&TournamentRow> = self.rows.iter().filter(|r| r.arena == arena).collect();
-        let axes = |r: &TournamentRow| -> Vec<f64> {
-            // All axes oriented "smaller is better".
-            let mean = |s: &[f64]| mean_finite(s.iter().copied());
-            let mut v = vec![
-                mean(&r.p99_slowdown),
-                -mean(&r.goodput_gbps),
-                mean(&r.pause_frames),
-            ];
-            if !r.fault_delta_pct.is_empty() {
-                v.push(-mean(&r.fault_delta_pct));
-            }
-            v
-        };
-        let dominates = |a: &[f64], b: &[f64]| -> bool {
-            a.iter().zip(b).all(|(x, y)| x <= y) && a.iter().zip(b).any(|(x, y)| x < y)
-        };
-        rows.iter()
-            .filter(|r| {
-                let mine = axes(r);
-                mine.iter().all(|v| v.is_finite())
-                    && !rows
-                        .iter()
-                        .any(|other| other.label != r.label && dominates(&axes(other), &mine))
-            })
-            .map(|r| r.label.clone())
-            .collect()
-    }
-
-    /// The Pareto table plus per-arena front summaries, every run's
-    /// digest and every violation.
-    pub fn outcome(&self) -> Outcome {
-        let mut t = Table::new(&[
-            "arena",
-            "policy",
-            "p99 slowdown",
-            "goodput Gbps",
-            "pause frames",
-            "fault Δ%",
-            "violations",
-        ]);
-        let mut out = Outcome::default();
-        // A cell summarizes the finite replicates, as the front judges
-        // them: a replicate with no completed flow has no p99.
-        let cell = |samples: &[f64]| {
-            let finite: Vec<f64> = samples.iter().copied().filter(|v| v.is_finite()).collect();
-            seed_cell(&finite, |&v| v, fmt_f64, fmt_f64)
-        };
-        for row in &self.rows {
-            t.row(vec![
-                row.arena.to_string(),
-                row.label.clone(),
-                cell(&row.p99_slowdown),
-                cell(&row.goodput_gbps),
-                cell(&row.pause_frames),
-                cell(&row.fault_delta_pct),
-                row.violations.len().to_string(),
-            ]);
-            let name = format!("{}/{}", row.arena, row.label);
-            out.digests.extend(
-                row.digests
+/// Policies on the Pareto front of one arena's `rows`, judged on
+/// replicate means: lower p99 slowdown, higher goodput, fewer pause
+/// frames (and, in the chaos arena, smaller goodput degradation) — a
+/// policy is dropped only if another is at least as good on every axis
+/// and strictly better on one.
+fn pareto_front(rows: &[TournamentRow]) -> Vec<String> {
+    let axes = |r: &TournamentRow| -> Vec<f64> {
+        // All axes oriented "smaller is better".
+        let mean = |s: &[f64]| mean_finite(s.iter().copied());
+        let mut v = vec![
+            mean(&r.p99_slowdown),
+            -mean(&r.goodput_gbps),
+            mean(&r.pause_frames),
+        ];
+        if !r.fault_delta_pct.is_empty() {
+            v.push(-mean(&r.fault_delta_pct));
+        }
+        v
+    };
+    let dominates = |a: &[f64], b: &[f64]| -> bool {
+        a.iter().zip(b).all(|(x, y)| x <= y) && a.iter().zip(b).any(|(x, y)| x < y)
+    };
+    rows.iter()
+        .filter(|r| {
+            let mine = axes(r);
+            mine.iter().all(|v| v.is_finite())
+                && !rows
                     .iter()
-                    .enumerate()
-                    .map(|(i, &d)| (format!("{name} run {i}"), d)),
-            );
-            out.violations
-                .extend(row.violations.iter().map(|v| format!("{name}: {v}")));
-        }
-        out.text = format!(
-            "tournament: 6 policies x 4 arenas x {} seed(s)\n{}",
-            self.seeds,
-            t.render()
-        );
-        let mut arenas: Vec<&'static str> = Vec::new();
-        for row in &self.rows {
-            if !arenas.contains(&row.arena) {
-                arenas.push(row.arena);
-            }
-        }
-        for arena in arenas {
-            out.text.push_str(&format!(
-                "pareto front [{arena}]: {}\n",
-                self.pareto_front(arena).join(", ")
-            ));
-        }
-        out
-    }
+                    .any(|other| other.label != r.label && dominates(&axes(other), &mine))
+        })
+        .map(|r| r.label.clone())
+        .collect()
 }
 
-/// Runs the full tournament: all six policies over the four arenas,
-/// each `(policy, arena)` cell replicated `seeds` times, fanned over
-/// `jobs` workers. Row order (and therefore the rendered report and
-/// the digest vector) depends only on the specification.
-pub fn tournament(scale: &ExperimentScale, seeds: u64, jobs: usize) -> TournamentReport {
-    let seeds = seeds.max(1);
+/// The Pareto table plus per-arena front summaries, every run's digest
+/// and every violation. `rows` are grouped arena-major in policy order.
+fn render(rows: &[TournamentRow], seeds: u64) -> Outcome {
+    let mut t = Table::new(&[
+        "arena",
+        "policy",
+        "p99 slowdown",
+        "goodput Gbps",
+        "pause frames",
+        "fault Δ%",
+        "violations",
+    ]);
+    let mut out = Outcome::default();
+    // A cell summarizes the finite replicates, as the front judges
+    // them: a replicate with no completed flow has no p99.
+    let cell = |samples: &[f64]| {
+        let finite: Vec<f64> = samples.iter().copied().filter(|v| v.is_finite()).collect();
+        seed_cell(&finite, |&v| v, fmt_f64, fmt_f64)
+    };
+    for row in rows {
+        t.row(vec![
+            row.arena.to_string(),
+            row.label.clone(),
+            cell(&row.p99_slowdown),
+            cell(&row.goodput_gbps),
+            cell(&row.pause_frames),
+            cell(&row.fault_delta_pct),
+            row.violations.len().to_string(),
+        ]);
+        let name = format!("{}/{}", row.arena, row.label);
+        out.digests.extend(
+            row.digests
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| (format!("{name} run {i}"), d)),
+        );
+        out.violations
+            .extend(row.violations.iter().map(|v| format!("{name}: {v}")));
+    }
+    out.text = format!(
+        "tournament: 6 policies x 4 arenas x {seeds} seed(s)\n{}",
+        t.render()
+    );
+    for arena in rows.chunk_by(|a, b| a.arena == b.arena) {
+        out.text.push_str(&format!(
+            "pareto front [{}]: {}\n",
+            arena[0].arena,
+            pareto_front(arena).join(", ")
+        ));
+    }
+    out
+}
+
+/// `repro tournament`: all six policies over the four arenas, each
+/// `(policy, arena)` cell replicated `opts.seeds` times (three unless
+/// asked), fanned over `opts.jobs` workers, rendered as the Pareto
+/// table. Row order (and therefore the rendered report and the digest
+/// vector) depends only on the specification.
+pub fn tournament(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
+    let opts = SweepOptions::new(opts.jobs, opts.seeds_or(DEFAULT_SEEDS));
+    render(&play(scale, &opts), opts.seeds)
+}
+
+/// Runs every tournament cell, `opts.seeds` replicates each, and folds the
+/// runs into `(arena, policy)` rows.
+fn play(scale: &ExperimentScale, opts: &SweepOptions) -> Vec<TournamentRow> {
     let policies = crate::all_policies();
-    let opts = SweepOptions::new(jobs, seeds);
     let mut rows: Vec<TournamentRow> = Vec::new();
 
     // Hybrid arenas: the fig. 7 mix (RDMA 0.4) at moderate and
@@ -227,7 +213,7 @@ pub fn tournament(scale: &ExperimentScale, seeds: u64, jobs: usize) -> Tournamen
                 tcp_load,
             })
             .collect();
-        for reps in run_hybrid_cells(&cells, &opts) {
+        for reps in run_hybrid_cells(&cells, opts) {
             rows.push(TournamentRow::fault_free(
                 arena,
                 reps[0].label.clone(),
@@ -240,12 +226,12 @@ pub fn tournament(scale: &ExperimentScale, seeds: u64, jobs: usize) -> Tournamen
     // Incast arena: paper §IV-B defaults at the headline fanout,
     // clamped so the fanout fits the scale's RDMA host pool (the
     // workload requires strictly more responder candidates than N).
-    let fanout = TOURNAMENT_FANOUT.min(scale.host_count() / 2 - 1).max(1);
+    let fanout = FANOUT.min(scale.host_count() / 2 - 1).max(1);
     let cells: Vec<IncastConfig> = policies
         .iter()
         .map(|&policy| IncastConfig::paper_defaults(scale.clone(), policy, fanout))
         .collect();
-    for reps in run_incast_cells(&cells, &opts) {
+    for reps in run_incast_cells(&cells, opts) {
         rows.push(TournamentRow::fault_free(
             "incast",
             reps[0].label.clone(),
@@ -257,19 +243,17 @@ pub fn tournament(scale: &ExperimentScale, seeds: u64, jobs: usize) -> Tournamen
     // Chaos arena: per replicate, a zero-fault baseline plus one cell
     // per fault seed; the reported metrics come from the fault cells,
     // the degradation is relative to the same replicate's baseline.
-    // Replicate `rep` runs at `seed + rep`, as in the sweep engine.
-    let scales: Vec<ExperimentScale> = (0..seeds)
+    // Replicate `rep` runs at `seed + rep`, as in the sweep engine. The
+    // arena injects the first two of `repro chaos`'s fault seeds (the
+    // full battery is its job).
+    let scales: Vec<ExperimentScale> = (0..opts.seeds)
         .map(|rep| scale.clone().with_seed(scale.seed.wrapping_add(rep)))
         .collect();
-    let block = 1 + TOURNAMENT_FAULT_SEEDS.len();
-    let cells = FaultCell::grid(
-        &policies,
-        &scales,
-        &[RdmaTransport::Dcqcn],
-        &TOURNAMENT_FAULT_SEEDS,
-    );
-    let points = par_map(jobs, &cells, run_fault_cell);
-    for (runs, policy) in points.chunks(seeds as usize * block).zip(&policies) {
+    let fault_seeds = &CHAOS_CHECK_SEEDS[..2];
+    let block = 1 + fault_seeds.len();
+    let cells = FaultCell::grid(&policies, &scales, &[RdmaTransport::Dcqcn], fault_seeds);
+    let points = par_map(opts.jobs, &cells, run_fault_cell);
+    for (runs, policy) in points.chunks(opts.seeds as usize * block).zip(&policies) {
         let mut row = TournamentRow::new("chaos", policy.label());
         for rep in runs.chunks(block) {
             let (base, faulted) = (&rep[0], &rep[1..]);
@@ -293,8 +277,7 @@ pub fn tournament(scale: &ExperimentScale, seeds: u64, jobs: usize) -> Tournamen
         }
         rows.push(row);
     }
-
-    TournamentReport { rows, seeds }
+    rows
 }
 
 #[cfg(test)]
@@ -303,21 +286,19 @@ mod tests {
 
     #[test]
     fn tiny_tournament_covers_all_cells_and_passes_battery() {
-        let r = tournament(&ExperimentScale::tiny(), 1, 4);
-        assert_eq!(r.rows.len(), 4 * 6, "4 arenas x 6 policies");
-        let out = r.outcome();
+        let rows = play(&ExperimentScale::tiny(), &SweepOptions::new(4, 1));
+        assert_eq!(rows.len(), 4 * 6, "4 arenas x 6 policies");
+        let out = render(&rows, 1);
         assert_eq!(out.violations, Vec::<String>::new());
-        let labels: Vec<&str> = r.rows[..6].iter().map(|x| x.label.as_str()).collect();
+        let labels: Vec<&str> = rows[..6].iter().map(|x| x.label.as_str()).collect();
         assert_eq!(labels, ["L2BM", "DT", "ABM", "DT2", "Occamy", "BShare"]);
         // Chaos rows carry a degradation sample per replicate; the
         // others do not.
-        assert!(r
-            .rows
+        assert!(rows
             .iter()
             .filter(|x| x.arena == "chaos")
             .all(|x| x.fault_delta_pct.len() == 1));
-        assert!(r
-            .rows
+        assert!(rows
             .iter()
             .filter(|x| x.arena != "chaos")
             .all(|x| x.fault_delta_pct.is_empty()));
@@ -334,14 +315,11 @@ mod tests {
             row.pause_frames.push(pause);
             row
         };
-        let r = TournamentReport {
-            rows: vec![
-                mk("A", 2.0, 10.0, 5.0),
-                mk("B", 3.0, 9.0, 6.0), // dominated by A
-                mk("C", 1.5, 8.0, 7.0), // better p99, worse elsewhere
-            ],
-            seeds: 1,
-        };
-        assert_eq!(r.pareto_front("hybrid"), ["A", "C"]);
+        let rows = [
+            mk("A", 2.0, 10.0, 5.0),
+            mk("B", 3.0, 9.0, 6.0), // dominated by A
+            mk("C", 1.5, 8.0, 7.0), // better p99, worse elsewhere
+        ];
+        assert_eq!(pareto_front(&rows), ["A", "C"]);
     }
 }

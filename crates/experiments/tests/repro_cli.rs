@@ -1,9 +1,11 @@
 //! `repro` refuses arguments it would otherwise silently ignore: a
 //! `--check` on an experiment that has no check mode used to run the
 //! plain sweep and exit 0 (a gate that gates nothing), a zero
-//! `--window-ms` used to print an all-zero table, and `chaos`/`irn`
-//! used to run their fixed fault seeds serially whatever `--seeds` or
-//! `--shards` asked for. An explicit `--seeds 1` is honoured.
+//! `--window-ms` used to print an all-zero table, `chaos`/`irn` used to
+//! run their fixed fault seeds serially whatever `--seeds` or
+//! `--shards` asked for, and `--check` used to run at tiny scale at
+//! jobs 1 and 8 whatever `--scale`, `--seed`, `--window-ms`, `--jobs`
+//! or `--shards` asked for. An explicit `--seeds 1` is honoured.
 
 use std::process::{Command, Output};
 
@@ -42,6 +44,30 @@ fn meaningless_arguments_exit_1_with_a_message() {
             "takes no --seeds or --shards",
         ),
         (&["trace", "--scale", "tiny"][..], "'trace' takes no flags"),
+        (
+            &["irn", "--check", "--scale", "paper"][..],
+            "'irn --check' takes no --scale",
+        ),
+        (
+            &["irn", "--check", "--seed", "7"][..],
+            "'irn --check' takes no --seed",
+        ),
+        (
+            &["irn", "--check", "--window-ms", "9"][..],
+            "'irn --check' takes no --window-ms",
+        ),
+        (
+            &["irn", "--check", "--jobs", "3"][..],
+            "'irn --check' takes no --jobs",
+        ),
+        (
+            &["tournament", "--check", "--shards", "2"][..],
+            "'tournament --check' takes no --shards",
+        ),
+        (
+            &["chaos", "--scale", "small", "--check"][..],
+            "'chaos --check' takes no --scale",
+        ),
     ] {
         let out = repro(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -4,7 +4,7 @@
 //! [`RunResults`](dcn_fabric::RunResults) digest and the rendered
 //! report must match exactly.
 
-use dcn_experiments::{fig7, table2, tournament, ExperimentScale, SweepOptions, FIGURES};
+use dcn_experiments::{fig7, table2, tournament, ExperimentScale, SweepOptions, FIGURES, SWEEPS};
 use dcn_sim::SimDuration;
 
 #[test]
@@ -59,12 +59,14 @@ fn table2_render_is_thread_count_invariant() {
 
 #[test]
 fn every_figure_outcome_is_jobs_invariant() {
-    // Every row `repro all` runs, two seeds each, serial vs four
-    // workers: the text and every replicate's labelled digest.
+    // Every row `repro` runs, the beyond-paper sweeps included, two
+    // seeds each, serial vs four workers: the text, every replicate's
+    // labelled digest and the (empty) violations.
     let scale = ExperimentScale::tiny().with_window(SimDuration::from_millis(1));
-    for (name, run) in FIGURES {
+    for (name, run) in FIGURES.iter().chain(SWEEPS) {
         let serial = run(&scale, &SweepOptions::new(1, 2));
         assert!(!serial.digests.is_empty(), "{name} ran no cell");
+        assert_eq!(serial.violations, Vec::<String>::new(), "{name}");
         assert_eq!(serial, run(&scale, &SweepOptions::new(4, 2)), "{name}");
     }
 }
@@ -76,13 +78,11 @@ fn tournament_is_thread_count_invariant() {
     // rendered Pareto table must be byte-identical at jobs 1 vs 8, and
     // the invariant battery must pass on both.
     let scale = ExperimentScale::tiny();
-    let serial = tournament(&scale, 2, 1);
-    let parallel = tournament(&scale, 2, 8);
-    assert!(
-        serial.rows.iter().all(|r| r.digests.len() >= 2),
-        "every row keeps both replicates"
-    );
-    let (serial, parallel) = (serial.outcome(), parallel.outcome());
+    let serial = tournament(&scale, &SweepOptions::new(1, 2));
+    let parallel = tournament(&scale, &SweepOptions::new(8, 2));
+    // Every (arena, policy) row keeps both replicates.
+    let second = serial.digests.iter().filter(|(l, _)| l.ends_with(" run 1"));
+    assert_eq!(second.count(), 4 * 6, "every row keeps both replicates");
     assert_eq!(serial.violations, Vec::<String>::new());
     assert_eq!(serial, parallel, "digests, render and violations");
 }
