@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro <experiment> [--scale tiny|small|paper] [--seed N] [--window-ms N]
-//!                    [--jobs N] [--seeds N] [--shards N|auto] [--check]
+//!                    [--jobs N] [--seeds N] [--check]
 //!
 //! experiments: fig3a fig3b fig7 table2 fig8 fig9 fig10 fig11 ablations
 //!              chaos irn tournament all
@@ -18,19 +18,15 @@
 //! `--jobs N` fans the independent sweep cells across N worker threads
 //! (`--jobs 0` = all available cores); the output is bit-identical at
 //! any thread count. `--seeds N` replicates every cell over N seeds and
-//! reports `mean ± 95% CI` per table cell.
-//!
-//! `--shards N` parallelizes each *single run* on the spatially sharded
-//! executor with up to N threads (clamped to the fabric's ToR count;
-//! `auto` = all available cores). Results stay byte-identical to the
-//! serial engine at every shard count. Composes with `--jobs`: jobs
-//! parallelize across sweep cells, shards within each cell.
+//! reports `mean ± 95% CI` per table cell. `--scale` picks the base
+//! scale; `--seed` and `--window-ms` replace its seed and window in any
+//! flag order.
 //!
 //! Every experiment is a row of `dcn_experiments::FIGURES` (the paper's
 //! figures, all of which `all` runs) or `SWEEPS` (`chaos`, `irn`,
 //! `tournament`: the beyond-paper sweeps, each with an invariant
 //! battery). `chaos` and `irn` run fixed fault seeds with every cell
-//! traced, so they refuse `--seeds` and `--shards`; the tournament
+//! traced, so they refuse `--seeds`; the tournament
 //! replicates over 3 seeds unless `--seeds` says otherwise.
 //!
 //! `--check` exists only for the `SWEEPS` rows: it runs the row at tiny
@@ -60,7 +56,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: repro <fig3a|fig3b|fig7|table2|fig8|fig9|fig10|fig11|ablations|chaos|irn|tournament|all> \
          [--scale tiny|small|paper] [--seed N] [--window-ms N] [--jobs N] [--seeds N] \
-         [--shards N|auto] [--check]\n       repro trace"
+         [--check]\n       repro trace"
     );
     ExitCode::FAILURE
 }
@@ -155,10 +151,11 @@ fn main() -> ExitCode {
     }
 
     let mut scale = ExperimentScale::small();
+    let mut seed: Option<u64> = None;
+    let mut window: Option<SimDuration> = None;
     let mut jobs = 1;
     let mut check = false;
     let mut seeds: Option<u64> = None;
-    let mut shards: Option<usize> = None;
     // The first flag `--check` fixes itself: it runs at tiny scale, jobs 1 vs 8.
     let mut fixed: Option<&str> = None;
     let mut i = 1;
@@ -172,15 +169,6 @@ fn main() -> ExitCode {
         // A missing value reads as "", which every flag refuses.
         let v = args.get(i + 1).map_or("", String::as_str);
         match flag {
-            "--shards" => {
-                shards = match v {
-                    "auto" => Some(dcn_sim::effective_jobs(0)),
-                    n => match n.parse::<usize>() {
-                        Ok(n) if n >= 1 => Some(n),
-                        _ => return usage(),
-                    },
-                };
-            }
             "--jobs" => {
                 let Ok(v) = v.parse::<usize>() else {
                     return usage();
@@ -208,7 +196,7 @@ fn main() -> ExitCode {
                 let Ok(v) = v.parse::<u64>() else {
                     return usage();
                 };
-                scale = scale.with_seed(v);
+                seed = Some(v);
             }
             "--window-ms" => {
                 let Ok(v) = v.parse::<u64>() else {
@@ -218,7 +206,7 @@ fn main() -> ExitCode {
                     eprintln!("--window-ms must be at least 1: a 0 ms window generates no flows");
                     return usage();
                 }
-                scale = scale.with_window(SimDuration::from_millis(v));
+                window = Some(SimDuration::from_millis(v));
             }
             other => {
                 eprintln!("unknown flag '{other}'");
@@ -254,11 +242,8 @@ fn main() -> ExitCode {
         );
         return usage();
     }
-    if matches!(which.as_str(), "chaos" | "irn") && (seeds.is_some() || shards.is_some()) {
-        eprintln!(
-            "'{which}' takes no --seeds or --shards: it runs the fixed fault seeds, \
-             each cell traced and serial"
-        );
+    if matches!(which.as_str(), "chaos" | "irn") && seeds.is_some() {
+        eprintln!("'{which}' takes no --seeds: it runs the fixed fault seeds, each cell traced");
         return usage();
     }
     if let (true, Some(flag)) = (check, fixed) {
@@ -272,10 +257,13 @@ fn main() -> ExitCode {
     let opts = SweepOptions::new(jobs, seeds.map_or(if check { 2 } else { 0 }, |n| n.max(1)));
     if check {
         scale = ExperimentScale::tiny();
-    } else if let Some(n) = shards {
-        // Applied last so `--shards` composes with `--scale` in any
-        // flag order.
-        scale = scale.with_shards(n);
+    }
+    // Applied after the loop, so `--scale` never resets them.
+    if let Some(seed) = seed {
+        scale = scale.with_seed(seed);
+    }
+    if let Some(window) = window {
+        scale = scale.with_window(window);
     }
 
     eprintln!(

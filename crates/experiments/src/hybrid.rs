@@ -3,12 +3,11 @@
 //! traffic at a swept load, all inter-rack, and the four policies
 //! compete on RDMA/TCP tail FCT, buffer occupancy and PFC pause frames.
 
-use dcn_fabric::{FabricConfig, PolicyChoice, RunResults};
+use dcn_fabric::{FabricConfig, FabricSim, PolicyChoice, RunResults};
 use dcn_net::{NodeId, Priority, Topology, TrafficClass};
 use dcn_sim::{SimDuration, SimRng, SimTime};
 use dcn_workload::{web_search_cdf, FlowSpec, PoissonTraffic};
 
-use crate::engine::run_engine;
 use crate::scale::ExperimentScale;
 
 /// One hybrid run's parameters.
@@ -54,6 +53,46 @@ pub struct HybridPoint {
     pub unfinished: usize,
     /// Full results for figure-specific post-processing (CDFs etc.).
     pub results: RunResults,
+}
+
+/// What one hybrid or incast run hands the engine: the fabric, its
+/// configuration, the flows and the deadline.
+pub(crate) struct RunInputs {
+    pub(crate) topo: Topology,
+    pub(crate) cfg: FabricConfig,
+    pub(crate) flows: Vec<FlowSpec>,
+    pub(crate) deadline: SimTime,
+}
+
+impl RunInputs {
+    /// `flows` on `topo` under `policy`, with `scale`'s seed and buffer,
+    /// until the end of `scale`'s window and drain.
+    pub(crate) fn new(
+        scale: &ExperimentScale,
+        policy: PolicyChoice,
+        topo: Topology,
+        flows: Vec<FlowSpec>,
+    ) -> RunInputs {
+        RunInputs {
+            cfg: FabricConfig {
+                policy,
+                seed: scale.seed,
+                switch: scale.switch_config(),
+                ..FabricConfig::default()
+            },
+            deadline: SimTime::ZERO + scale.window + scale.drain,
+            topo,
+            flows,
+        }
+    }
+
+    /// Runs the inputs on the serial engine.
+    pub(crate) fn run(self) -> RunResults {
+        let mut sim = FabricSim::new(self.topo, self.cfg);
+        sim.add_flows(self.flows);
+        sim.run_until_done(self.deadline);
+        sim.results()
+    }
 }
 
 /// Splits the hosts of each rack into an (RDMA, TCP) half, and returns
@@ -129,19 +168,18 @@ pub(crate) fn goodput_gbps(results: &RunResults, window: SimDuration) -> f64 {
     delivered as f64 * 8.0 / window.as_secs_f64() / 1e9
 }
 
-/// Runs one hybrid experiment point.
-pub fn run_hybrid(cfg: &HybridConfig) -> HybridPoint {
+/// The inputs of one hybrid run.
+pub(crate) fn hybrid_inputs(cfg: &HybridConfig) -> RunInputs {
     let topo = Topology::clos(&cfg.scale.clos);
     let flows = hybrid_flows(cfg, &topo);
-    let fabric_cfg = FabricConfig {
-        policy: cfg.policy,
-        seed: cfg.scale.seed,
-        switch: cfg.scale.switch_config(),
-        ..FabricConfig::default()
-    };
-    let first_tor = topo.switches().next().expect("clos has switches");
-    let deadline = SimTime::ZERO + cfg.scale.window + cfg.scale.drain;
-    let results = run_engine(topo, fabric_cfg, flows, deadline, cfg.scale.shards);
+    RunInputs::new(&cfg.scale, cfg.policy, topo, flows)
+}
+
+/// Runs one hybrid experiment point.
+pub fn run_hybrid(cfg: &HybridConfig) -> HybridPoint {
+    let inputs = hybrid_inputs(cfg);
+    let first_tor = inputs.topo.switches().next().expect("clos has switches");
+    let results = inputs.run();
     let tor_occupancy_p99 = results
         .occupancy
         .get(&first_tor)
@@ -173,6 +211,89 @@ pub fn run_hybrid(cfg: &HybridConfig) -> HybridPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcn_fabric::ShardedFabricSim;
+
+    impl RunInputs {
+        /// Runs the inputs on the sharded executor with up to `shards`
+        /// threads: every digest must equal the serial engine's.
+        pub(crate) fn run_sharded(&self, shards: usize) -> RunResults {
+            let mut sim = ShardedFabricSim::new(self.topo.clone(), self.cfg.clone(), shards);
+            sim.add_flows(self.flows.iter().copied());
+            sim.run_until_done(self.deadline);
+            sim.results()
+        }
+    }
+
+    /// Fig. 7 cells on the sharded executor: the sharded oracle (one
+    /// shard, full stamp machinery), a real split and more shards than
+    /// ToRs (clamped) match the serial run. The small cell is the golden
+    /// one (`golden_digests`), reached with no ambiguous comparison.
+    #[test]
+    fn fig7_cell_digest_is_shard_invariant() {
+        let cells = [
+            (ExperimentScale::tiny(), None),
+            (ExperimentScale::tiny().with_seed(7), None),
+            (
+                ExperimentScale::small(),
+                Some((876_393, 0x51a4_082e_0ecc_b7db)),
+            ),
+        ];
+        for (scale, golden) in cells {
+            let cfg = HybridConfig {
+                scale,
+                policy: PolicyChoice::l2bm(),
+                rdma_load: 0.4,
+                tcp_load: 0.8,
+            };
+            let seed = cfg.scale.seed;
+            let serial = run_hybrid(&cfg).results;
+            assert!(!serial.fct.is_empty(), "cell carried traffic");
+            let inputs = hybrid_inputs(&cfg);
+            for shards in [1, 2, 8] {
+                let sharded = inputs.run_sharded(shards);
+                assert_eq!(
+                    serial.digest(),
+                    sharded.digest(),
+                    "fig7 cell seed {seed}: serial vs {shards} shards \
+                     (fct {} vs {}, events {} vs {})",
+                    serial.fct.len(),
+                    sharded.fct.len(),
+                    serial.events_processed,
+                    sharded.events_processed,
+                );
+                assert!(!sharded.shards.is_empty(), "ShardStats surfaced");
+                if let Some((events, digest)) = golden {
+                    assert_eq!(sharded.events_processed, events, "{shards} shards");
+                    assert_eq!(sharded.digest(), digest, "{shards} shards");
+                    let ambiguous: u64 = sharded.shards.iter().map(|s| s.stamp_ambiguities).sum();
+                    assert_eq!(ambiguous, 0, "{shards} shards: ambiguous stamp comparisons");
+                }
+            }
+        }
+    }
+
+    /// One load column of Table II across the four paper policies.
+    #[test]
+    fn table2_cells_digest_is_shard_invariant() {
+        for policy in crate::paper_policies() {
+            let cfg = HybridConfig {
+                scale: ExperimentScale::tiny(),
+                policy,
+                rdma_load: 0.4,
+                tcp_load: 0.6,
+            };
+            let serial = run_hybrid(&cfg).results.digest();
+            let inputs = hybrid_inputs(&cfg);
+            for shards in [1, 2] {
+                assert_eq!(
+                    serial,
+                    inputs.run_sharded(shards).digest(),
+                    "table2 cell {}: serial vs {shards} shards",
+                    policy.label()
+                );
+            }
+        }
+    }
 
     #[test]
     fn tiny_hybrid_run_produces_both_classes() {

@@ -4,14 +4,13 @@
 
 use std::collections::{HashMap, HashSet};
 
-use dcn_fabric::{FabricConfig, PolicyChoice, RunResults};
+use dcn_fabric::{PolicyChoice, RunResults};
 use dcn_metrics::ErrorBarStats;
 use dcn_net::{Topology, TrafficClass};
-use dcn_sim::{Bytes, SimDuration, SimRng, SimTime};
-use dcn_workload::{web_search_cdf, IncastWorkload, PoissonTraffic};
+use dcn_sim::{Bytes, SimDuration, SimRng};
+use dcn_workload::{web_search_cdf, IncastQuery, IncastWorkload, PoissonTraffic};
 
-use crate::engine::run_engine;
-use crate::hybrid::{split_hosts, RDMA_PRIO, TCP_PRIO};
+use crate::hybrid::{split_hosts, RunInputs, RDMA_PRIO, TCP_PRIO};
 use crate::scale::ExperimentScale;
 
 /// One incast run's parameters.
@@ -82,8 +81,8 @@ pub struct IncastPoint {
     pub incast_slowdowns: Vec<f64>,
 }
 
-/// Runs one incast experiment point.
-pub fn run_incast(cfg: &IncastConfig) -> IncastPoint {
+/// The inputs of one incast run, and the queries its flows make up.
+pub(crate) fn incast_inputs(cfg: &IncastConfig) -> (RunInputs, Vec<IncastQuery>) {
     let topo = Topology::clos(&cfg.scale.clos);
     let (rdma_hosts, tcp_hosts, rack_of) = split_hosts(&topo, cfg.scale.clos.hosts_per_tor);
     let mut rng = SimRng::seed_from_u64(cfg.scale.seed);
@@ -106,21 +105,19 @@ pub fn run_incast(cfg: &IncastConfig) -> IncastPoint {
     let incast = IncastWorkload::new(rdma_hosts, cfg.fanout, cfg.request_size, cfg.query_gap)
         .class(TrafficClass::Lossless, RDMA_PRIO);
     let queries = incast.generate(cfg.scale.window, &mut rng.fork(3));
-    let incast_flows: HashSet<dcn_net::FlowId> =
-        queries.iter().flat_map(|q| q.flow_ids()).collect();
     for q in &queries {
         flows.extend(q.flows.iter().copied());
     }
+    (RunInputs::new(&cfg.scale, cfg.policy, topo, flows), queries)
+}
 
-    let fabric_cfg = FabricConfig {
-        policy: cfg.policy,
-        seed: cfg.scale.seed,
-        switch: cfg.scale.switch_config(),
-        ..FabricConfig::default()
-    };
-    let first_tor = topo.switches().next().expect("clos has switches");
-    let deadline = SimTime::ZERO + cfg.scale.window + cfg.scale.drain;
-    let results = run_engine(topo, fabric_cfg, flows, deadline, cfg.scale.shards);
+/// Runs one incast experiment point.
+pub fn run_incast(cfg: &IncastConfig) -> IncastPoint {
+    let (inputs, queries) = incast_inputs(cfg);
+    let incast_flows: HashSet<dcn_net::FlowId> =
+        queries.iter().flat_map(|q| q.flow_ids()).collect();
+    let first_tor = inputs.topo.switches().next().expect("clos has switches");
+    let results = inputs.run();
 
     // Per-flow records of incast flows, in record order (the map is
     // only looked up, never iterated).
@@ -227,5 +224,22 @@ mod tests {
         assert_eq!(a.results.digest(), b.results.digest());
         assert!(a.incast_slowdowns.len() > 2, "{:?}", a.incast_slowdowns);
         assert_eq!(a.incast_slowdowns, b.incast_slowdowns);
+    }
+
+    /// The incast cell on the sharded executor, at the shard counts of
+    /// `hybrid`'s fig. 7 cells, matches the serial run.
+    #[test]
+    fn incast_cell_digest_is_shard_invariant() {
+        let cfg = tiny_cell();
+        let serial = run_incast(&cfg);
+        assert!(serial.completed_queries > 0, "cell carried queries");
+        let (inputs, _) = incast_inputs(&cfg);
+        for shards in [1, 2, 8] {
+            assert_eq!(
+                serial.results.digest(),
+                inputs.run_sharded(shards).digest(),
+                "incast cell: serial vs {shards} shards"
+            );
+        }
     }
 }

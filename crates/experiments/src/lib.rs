@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 mod ablations;
-mod engine;
 mod fault;
 mod figures;
 mod hybrid;

@@ -18,13 +18,6 @@ pub struct ExperimentScale {
     pub drain: SimDuration,
     /// Base RNG seed (workloads fork per-experiment streams from it).
     pub seed: u64,
-    /// Worker shards for a single run. `0` (the default) uses the serial
-    /// engine; `n ≥ 1` uses the spatially sharded executor with at most
-    /// `n` threads (clamped to the ToR count), whose results — including
-    /// the golden digests — are byte-identical to the serial engine at
-    /// every shard count. `1` is the sharded oracle: the full stamp
-    /// machinery with no real parallelism.
-    pub shards: usize,
 }
 
 impl ExperimentScale {
@@ -36,7 +29,6 @@ impl ExperimentScale {
             window: SimDuration::from_millis(20),
             drain: SimDuration::from_millis(400),
             seed: 42,
-            shards: 0,
         }
     }
 
@@ -48,7 +40,6 @@ impl ExperimentScale {
             window: SimDuration::from_millis(5),
             drain: SimDuration::from_millis(200),
             seed: 42,
-            shards: 0,
         }
     }
 
@@ -60,7 +51,6 @@ impl ExperimentScale {
             window: SimDuration::from_millis(2),
             drain: SimDuration::from_millis(100),
             seed: 42,
-            shards: 0,
         }
     }
 
@@ -98,13 +88,6 @@ impl ExperimentScale {
     /// Replaces the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Selects the sharded executor with up to `shards` worker threads
-    /// (`0` restores the serial engine).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 }

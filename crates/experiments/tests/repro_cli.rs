@@ -2,10 +2,11 @@
 //! `--check` on an experiment that has no check mode used to run the
 //! plain sweep and exit 0 (a gate that gates nothing), a zero
 //! `--window-ms` used to print an all-zero table, `chaos`/`irn` used to
-//! run their fixed fault seeds serially whatever `--seeds` or
-//! `--shards` asked for, and `--check` used to run at tiny scale at
-//! jobs 1 and 8 whatever `--scale`, `--seed`, `--window-ms`, `--jobs`
-//! or `--shards` asked for. An explicit `--seeds 1` is honoured.
+//! run their fixed fault seeds whatever `--seeds` asked for, and
+//! `--check` used to run at tiny scale at jobs 1 and 8 whatever
+//! `--scale`, `--seed`, `--window-ms` or `--jobs` asked for. An
+//! explicit `--seeds 1` is honoured, and `--seed` and `--window-ms`
+//! hold whether they come before or after `--scale`.
 
 use std::process::{Command, Output};
 
@@ -29,19 +30,19 @@ fn meaningless_arguments_exit_1_with_a_message() {
         ),
         (
             &["chaos", "--scale", "tiny", "--seeds", "2"][..],
-            "takes no --seeds or --shards",
+            "'chaos' takes no --seeds",
         ),
         (
             &["chaos", "--check", "--shards", "2"][..],
-            "takes no --seeds or --shards",
+            "unknown flag '--shards'",
         ),
         (
             &["irn", "--scale", "tiny", "--seeds", "1"][..],
-            "takes no --seeds or --shards",
+            "'irn' takes no --seeds",
         ),
         (
             &["irn", "--scale", "tiny", "--shards", "auto"][..],
-            "takes no --seeds or --shards",
+            "unknown flag '--shards'",
         ),
         (&["trace", "--scale", "tiny"][..], "'trace' takes no flags"),
         (
@@ -62,7 +63,7 @@ fn meaningless_arguments_exit_1_with_a_message() {
         ),
         (
             &["tournament", "--check", "--shards", "2"][..],
-            "'tournament --check' takes no --shards",
+            "unknown flag '--shards'",
         ),
         (
             &["chaos", "--scale", "small", "--check"][..],
@@ -101,4 +102,20 @@ fn tournament_honours_an_explicit_single_seed() {
         !stdout.contains('±'),
         "one replicate renders bare means: {stdout}"
     );
+}
+
+#[test]
+fn seed_and_window_survive_a_later_scale() {
+    let out = repro(&[
+        "fig3a",
+        "--seed",
+        "7",
+        "--window-ms",
+        "1",
+        "--scale",
+        "tiny",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("window 1.000ms, seed 7"), "{stderr}");
 }

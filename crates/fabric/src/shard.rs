@@ -27,10 +27,9 @@
 //!   every shard then dispatches on to the cell's end and stops there,
 //!   having dispatched exactly what the serial engine did. Nothing is
 //!   speculative, so nothing is reverted.
-//! * **Replicas.** `Sample` and `Fault` events run in every shard
-//!   (occupancy and link state are shard-local and replicated
-//!   respectively); the merge counts them once and asserts the shards
-//!   agree.
+//! * **Replicas.** `Sample` events run in every shard (each samples
+//!   the switches it owns); the merge counts them once and asserts the
+//!   shards agree.
 
 use std::sync::{Arc, Mutex};
 
@@ -42,7 +41,7 @@ use dcn_sim::{
 };
 use dcn_workload::FlowSpec;
 
-use crate::config::FabricConfig;
+use crate::config::{FabricConfig, RdmaTransport};
 use crate::results::RunResults;
 use crate::wires::Handoff;
 use crate::world::{end_of_cell, Event, World};
@@ -76,7 +75,7 @@ struct ShardPiece {
     /// (already key-sorted) completion order.
     fct: Vec<(StampKey, FctRecord)>,
     unfinished: usize,
-    /// Replicated pops (`Sample` and `Fault`, run by every shard).
+    /// Replicated pops (`Sample`, run by every shard).
     replicated: u64,
     queue: QueueStats,
     stats: ShardStats,
@@ -88,9 +87,10 @@ struct ShardPiece {
 /// shard count *and* to the serial engine's.
 ///
 /// Unsupported (asserted) configurations: the flight recorder (it
-/// entangles state across the whole fabric) and the flow-liveness
+/// entangles state across the whole fabric), the flow-liveness
 /// watchdog (its timer and the receiver progress it reads can sit in
-/// different shards).
+/// different shards), fault schedules and the IRN transport (no caller
+/// runs either sharded).
 #[derive(Debug)]
 pub struct ShardedFabricSim {
     topo: Topology,
@@ -107,7 +107,8 @@ impl ShardedFabricSim {
     /// # Panics
     ///
     /// Panics if `shards` is zero, if `cfg` enables the flight recorder
-    /// or the flow watchdog, or on any configuration
+    /// or the flow watchdog, schedules a fault or selects
+    /// [`crate::RdmaTransport::Irn`], or on any configuration
     /// [`crate::FabricSim::new`] refuses (an oversized frame, an invalid
     /// fault schedule).
     pub fn new(topo: Topology, cfg: FabricConfig, shards: usize) -> ShardedFabricSim {
@@ -121,6 +122,14 @@ impl ShardedFabricSim {
             cfg.flow_watchdog.is_none(),
             "sharded runs do not support the flow watchdog"
         );
+        assert!(
+            cfg.faults.is_empty(),
+            "sharded runs do not support fault schedules"
+        );
+        assert!(
+            cfg.rdma_transport != RdmaTransport::Irn,
+            "sharded runs do not support the IRN transport"
+        );
         let part = Arc::new(Partition::new(&topo, shards));
         ShardedFabricSim {
             topo,
@@ -131,18 +140,8 @@ impl ShardedFabricSim {
         }
     }
 
-    /// Effective shard count (≤ requested; at most one shard per ToR).
-    pub fn shards(&self) -> usize {
-        self.part.shards()
-    }
-
-    /// Registers a flow (started at `spec.start` by the shard owning
+    /// Registers flows (each started at `spec.start` by the shard owning
     /// its source).
-    pub fn add_flow(&mut self, spec: FlowSpec) {
-        self.specs.push(spec);
-    }
-
-    /// Registers many flows.
     pub fn add_flows(&mut self, specs: impl IntoIterator<Item = FlowSpec>) {
         self.specs.extend(specs);
     }
@@ -211,28 +210,22 @@ fn run_shard(
     q.enable_stamps();
 
     // Setup roots mirror the serial engine's admission order exactly:
-    // the sample chain first, then the fault schedule, then each flow's
-    // start in registration order. Ordinal 0 stays reserved for the
-    // sampler even when sampling is off, and every flow keeps its
-    // global ordinal even though only its source's shard schedules it —
-    // replicated and local setup events then agree on stamps in every
-    // shard.
+    // the sample chain first, then each flow's start in registration
+    // order. Ordinal 0 stays reserved for the sampler even when sampling
+    // is off, and every flow keeps its global ordinal even though only
+    // its source's shard schedules it — replicated and local setup
+    // events then agree on stamps in every shard.
     if let Some(interval) = cfg.sample_interval {
         q.stamp_next_root(0);
         q.schedule_at(SimTime::ZERO + interval, Event::Sample);
     }
-    for (i, sf) in cfg.faults.events().iter().enumerate() {
-        q.stamp_next_root(1 + i as u32);
-        q.schedule_at(sf.at, Event::Fault { fault: sf.fault });
-    }
-    let flow_root_base = 1 + cfg.faults.events().len() as u32;
     for (gi, spec) in specs.iter().enumerate() {
         // Registration is replicated (every shard needs the flow's
         // runtime state for whichever endpoints it owns); the start
         // event belongs to the source's shard alone.
         let ix = world.register_flow(*spec);
         if part.shard_of(spec.src) == shard as usize {
-            q.stamp_next_root(flow_root_base + gi as u32);
+            q.stamp_next_root(1 + gi as u32);
             q.schedule_at(spec.start, Event::FlowStart { index: ix });
         }
     }
@@ -275,7 +268,7 @@ fn run_shard(
                     continue; // cancelled by an earlier member of its group
                 };
                 window_events += 1;
-                if matches!(ev, Event::Sample | Event::Fault { .. }) {
+                if matches!(ev, Event::Sample) {
                     replicated += 1;
                 }
                 let fct_before = world.fct_records().len();
@@ -426,20 +419,10 @@ fn merge_pieces(pieces: Vec<ShardPiece>) -> RunResults {
     }
     r.events_processed += replicated;
 
-    // IRN: `flows` is replicated registration state (identical in every
-    // shard); the run-time fields were each observed in exactly one
-    // shard.
-    r.irn = pieces[0].base.irn;
-    for p in &pieces[1..] {
-        assert_eq!(p.base.irn.flows, r.irn.flows, "flow registration diverged");
-        let mut rt = p.base.irn;
-        rt.flows = 0;
-        r.irn.merge(&rt);
-    }
-
     for p in pieces {
         r.pfc.merge(&p.base.pfc);
         r.drops.merge(&p.base.drops);
+        r.irn.merge(&p.base.irn);
         for (node, series) in p.base.occupancy {
             r.occupancy.insert(node, series);
         }
@@ -542,9 +525,7 @@ mod tests {
         deadline: SimTime,
     ) -> (bool, RunResults) {
         let mut sim = ShardedFabricSim::new(topo.clone(), cfg.clone(), shards);
-        for f in flows {
-            sim.add_flow(*f);
-        }
+        sim.add_flows(flows.iter().copied());
         let done = sim.run_until_done(deadline);
         (done, sim.results())
     }
@@ -754,46 +735,33 @@ mod tests {
     }
 
     #[test]
-    fn faulted_run_matches_serial() {
-        let topo = Topology::clos(&ClosConfig::small(4));
-        // Flap a fabric link mid-run and corrupt another: fault events
-        // replicate across shards, endpoint work stays owner-local.
-        let mut faults = FaultSchedule::none();
-        let fabric_link = topo
-            .links()
-            .iter()
-            .find(|l| {
-                topo.host_uplink_switch(l.a.node).is_none()
-                    && topo.host_uplink_switch(l.b.node).is_none()
-            })
-            .expect("clos has fabric links");
-        faults.link_flap(
-            fabric_link.id.index() as u32,
-            SimTime::from_micros(30),
-            SimDuration::from_micros(200),
-        );
-        faults.corruption_window(
-            fabric_link.id.index() as u32,
-            SimTime::from_micros(400),
-            SimDuration::from_micros(300),
-            1e-6,
-        );
-        let cfg = FabricConfig {
-            policy: PolicyChoice::l2bm(),
-            faults,
-            ..FabricConfig::default()
-        };
-        let flows = hybrid_flows(&topo, 16);
-        for shards in [1, 2] {
-            assert_matches_serial(&topo, &cfg, &flows, shards, SimTime::from_millis(100));
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "do not support the flow watchdog")]
     fn watchdog_is_refused() {
         let cfg = FabricConfig {
             flow_watchdog: Some(SimDuration::from_micros(500)),
+            ..FabricConfig::default()
+        };
+        ShardedFabricSim::new(Topology::clos(&ClosConfig::small(4)), cfg, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not support fault schedules")]
+    fn fault_schedule_is_refused() {
+        let topo = Topology::clos(&ClosConfig::small(4));
+        let mut faults = FaultSchedule::none();
+        faults.link_flap(0, SimTime::from_micros(30), SimDuration::from_micros(200));
+        let cfg = FabricConfig {
+            faults,
+            ..FabricConfig::default()
+        };
+        ShardedFabricSim::new(topo, cfg, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not support the IRN transport")]
+    fn irn_transport_is_refused() {
+        let cfg = FabricConfig {
+            rdma_transport: RdmaTransport::Irn,
             ..FabricConfig::default()
         };
         ShardedFabricSim::new(Topology::clos(&ClosConfig::small(4)), cfg, 2);
@@ -860,7 +828,8 @@ mod tests {
     #[test]
     fn requested_shards_clamp_to_tor_count() {
         let topo = Topology::clos(&ClosConfig::small(2));
-        let sim = ShardedFabricSim::new(topo, FabricConfig::default(), 64);
-        assert_eq!(sim.shards(), 2, "small clos has two ToRs");
+        let mut sim = ShardedFabricSim::new(topo, FabricConfig::default(), 64);
+        sim.run_until_done(SimTime::from_millis(1));
+        assert_eq!(sim.results().shards.len(), 2, "small clos has two ToRs");
     }
 }

@@ -48,20 +48,19 @@ struct LinkState {
     ber: f64,
 }
 
-/// Every wire of the fabric. Topology, routing and link-fault state are
-/// replicated in every shard (they must mutate identically everywhere).
+/// Every wire of the fabric. Each shard of a sharded run holds the
+/// whole topology and routing table.
 #[derive(Debug)]
 pub(crate) struct Wires {
     pub(crate) topo: Topology,
     pub(crate) routes: RoutingTable,
     /// Per-link fault state, indexed by `LinkId::index()`.
     link_state: Vec<LinkState>,
-    /// Corruption-loss RNG streams, one per `(link, direction)` so each
-    /// delivery direction draws from its own stream regardless of how
-    /// the fabric is sharded (indexed `link.index() * 2 + dir`, where
-    /// dir 0 receives at `link.a`). Only populated when the fault
-    /// schedule contains a corruption window — zero-fault runs make no
-    /// draws and allocate nothing.
+    /// Corruption-loss RNG streams, one per `(link, direction)`
+    /// (indexed `link.index() * 2 + dir`, where dir 0 receives at
+    /// `link.a`). Only populated when the fault schedule contains a
+    /// corruption window — zero-fault runs make no draws and allocate
+    /// nothing.
     fault_rng: Vec<SimRng>,
     /// Packets lost on the wire (dead link or corruption) — charged to
     /// the fabric, not any switch's admission counters.
@@ -77,7 +76,7 @@ impl Wires {
         let links = topo.links().len();
         // One independent stream per (link, direction): corruption draws
         // then depend only on the receiving link end, never on how many
-        // other links are corrupting or how the fabric is sharded.
+        // other links are corrupting.
         let corrupts = cfg
             .faults
             .events()
@@ -247,8 +246,7 @@ impl Wires {
             let survive = (1.0 - ber).powi(bits);
             // Draw from this delivery direction's own stream: the draw
             // sequence each packet sees is then independent of every
-            // other link's traffic, so serial and sharded runs corrupt
-            // the same packets.
+            // other link's traffic.
             if self.fault_rng[lid * 2 + usize::from(wire.dir)].uniform_f64() >= survive {
                 return Some(TraceDropCause::Corrupted);
             }

@@ -144,10 +144,9 @@ pub struct World {
 }
 
 impl World {
-    /// Builds the fabric, or one shard's slice of it: topology, routing
-    /// and link-fault state are replicated (they must mutate identically
-    /// in every shard), while switches and hosts are constructed only for
-    /// the nodes this shard owns.
+    /// Builds the fabric, or one shard's slice of it: topology and
+    /// routing are replicated, while switches and hosts are constructed
+    /// only for the nodes this shard owns.
     pub(crate) fn new(
         topo: Topology,
         cfg: &FabricConfig,
@@ -202,17 +201,8 @@ impl World {
                 let l = self.wires.set_up(link, up);
                 // Switch ends of a dead link discharge its queue; host
                 // ends need nothing (their packets die at delivery). A
-                // revived link resets PFC state at both ends. Each shard
-                // handles only the ends it owns, each on its own emission
-                // lane, so end b's stamps order after end a's whichever
-                // subset a shard emits.
-                for (lane, end) in [l.a, l.b].into_iter().enumerate() {
-                    if q.stamps_enabled() {
-                        q.set_stamp_lane(lane as u16);
-                    }
-                    if !self.wires.owns(end.node) {
-                        continue;
-                    }
+                // revived link resets PFC state at both ends.
+                for end in [l.a, l.b] {
                     let wires = &mut self.wires;
                     match (wires.topo.node(end.node).kind, up) {
                         (NodeKind::Switch, false) => self.switches.port_down(now, end, wires, q),
@@ -226,17 +216,14 @@ impl World {
             FaultEvent::CorruptionEnd { link } => self.wires.set_ber(link, 0.0),
             FaultEvent::PauseStuck { node, port, prio }
             | FaultEvent::PauseRelease { node, port, prio } => {
-                // The shard owning the node injects it. A release after
-                // the storm watchdog force-resumed is a no-op pause-wise
-                // but may still start a blocked transmission.
-                let node = NodeId::new(node);
-                if self.wires.owns(node) {
-                    let frame = PfcFrame {
-                        priority: Priority::new(prio),
-                        pause: matches!(fault, FaultEvent::PauseStuck { .. }),
-                    };
-                    self.pfc_in(now, node, PortId::new(port), frame, q);
-                }
+                // A release after the storm watchdog force-resumed is a
+                // no-op pause-wise but may still start a blocked
+                // transmission.
+                let frame = PfcFrame {
+                    priority: Priority::new(prio),
+                    pause: matches!(fault, FaultEvent::PauseStuck { .. }),
+                };
+                self.pfc_in(now, NodeId::new(node), PortId::new(port), frame, q);
             }
         }
     }

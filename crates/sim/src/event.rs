@@ -232,9 +232,7 @@ struct StampState {
     /// from it), held until the next dispatch. `None` until the first
     /// one: admissions before it are setup roots.
     current: Option<u32>,
-    /// Emission lane of the current pop (see [`Stamp::lane_k`]).
-    lane: u16,
-    /// Emissions so far in the current lane of the current pop.
+    /// Emissions so far of the current pop.
     emit_n: u32,
     /// Root ordinal for the next setup (pre-dispatch) admission.
     next_root: u32,
@@ -249,8 +247,7 @@ struct StampState {
 impl StampState {
     /// Consumes the current pop's next emission index.
     fn next_k(&mut self) -> u32 {
-        debug_assert!(self.emit_n < 0x10000, "emission lane overflow");
-        let k = Stamp::lane_k(self.lane, self.emit_n);
+        let k = self.emit_n;
         self.emit_n += 1;
         k
     }
@@ -704,17 +701,11 @@ impl<E> EventQueue<E> {
             free: Vec::new(),
             of_slot: Vec::new(),
             current: None,
-            lane: 0,
             emit_n: 0,
             next_root: 0,
             group: Vec::new(),
             group_live: 0,
         }));
-    }
-
-    /// Whether stamp mode is enabled.
-    pub fn stamps_enabled(&self) -> bool {
-        self.stamp.is_some()
     }
 
     /// Sets the root ordinal assigned to the *next* setup admission
@@ -728,17 +719,6 @@ impl<E> EventQueue<E> {
             "setup roots only before the first pop"
         );
         st.next_root = ordinal;
-    }
-
-    /// Switches the current pop's emission lane and restarts its
-    /// per-lane emission counter. Handlers whose per-shard replicas emit
-    /// different *subsets* of the serial emission sequence (fault
-    /// application touches both link endpoints) assign one lane per
-    /// subset so emission indices stay comparable across shards.
-    pub fn set_stamp_lane(&mut self, lane: u16) {
-        let st = self.stamp.as_deref_mut().expect("stamp mode required");
-        st.lane = lane;
-        st.emit_n = 0;
     }
 
     /// The stamp of the pop currently dispatching, where it lies (valid
@@ -878,7 +858,6 @@ impl<E> EventQueue<E> {
             if let Some(prev) = st.current.replace(st.of_slot[slot as usize]) {
                 st.free.push(prev);
             }
-            st.lane = 0;
             st.emit_n = 0;
         }
         let event = self.slab.take(slot).event;

@@ -59,7 +59,7 @@ mod wheel;
 pub use barrier::SpinBarrier;
 pub use event::{run_until, run_while, EventQueue, QueueStats, Simulation};
 pub use fault::{FaultEvent, FaultSchedule, ScheduledFault};
-pub use par::{default_jobs, effective_jobs, par_map};
+pub use par::{default_jobs, par_map};
 pub use rng::{EmpiricalCdf, SimRng};
 pub use stamp::{ambiguous_comparisons, ShardStats, Stamp, StampKey, STAMP_DEPTH};
 pub use time::{SimDuration, SimTime};

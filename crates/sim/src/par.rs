@@ -29,19 +29,6 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Resolves a user-requested worker/shard count: `0` means "auto"
-/// (the machine's [`default_jobs`]), anything else is taken literally.
-///
-/// This is the single core-detection path shared by sweep `--jobs` and
-/// run `--shards` so the two flags cannot drift apart.
-pub fn effective_jobs(requested: usize) -> usize {
-    if requested == 0 {
-        default_jobs()
-    } else {
-        requested
-    }
-}
-
 /// Maps `f` over `items` on `jobs` worker threads, returning results in
 /// **input order** regardless of which worker finished which item first.
 ///
@@ -184,12 +171,5 @@ mod tests {
     #[test]
     fn default_jobs_is_at_least_one() {
         assert!(default_jobs() >= 1);
-    }
-
-    #[test]
-    fn effective_jobs_resolves_zero_to_auto() {
-        assert_eq!(effective_jobs(0), default_jobs());
-        assert_eq!(effective_jobs(1), 1);
-        assert_eq!(effective_jobs(7), 7);
     }
 }

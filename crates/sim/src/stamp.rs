@@ -75,10 +75,7 @@ pub fn ambiguous_comparisons() -> u64 {
 /// One run of admission levels: `n` consecutive admissions with the
 /// same emission index `k`, at times `t_leaf, t_leaf - step, …,
 /// t_leaf - (n-1)·step` (leaf-most first). A run with `n == 1` has an
-/// undefined `step` (stored 0). The index `k` packs `(lane << 16) | n`
-/// (see [`Stamp::lane_k`]): lanes keep emission indices comparable when
-/// a replicated pop (fault application) runs a different subset of its
-/// emissions on each shard.
+/// undefined `step` (stored 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Run {
     /// Admission time of the run's leaf-most (latest) level, ns.
@@ -290,13 +287,6 @@ impl Stamp {
         // Same root and shared ancestry where compared: the outermost
         // (root-most) diverging emission index decides.
         k_scan(a, b, a.len)
-    }
-
-    /// Packs a lane and an in-lane emission index into the `k` value
-    /// carried by a level: lanes order emissions of replicated pops that
-    /// run different subsets per shard.
-    pub fn lane_k(lane: u16, n: u32) -> u32 {
-        (u32::from(lane) << 16) | (n & 0xFFFF)
     }
 }
 
@@ -547,12 +537,6 @@ mod tests {
         let c0 = p0.child(t(20), 5);
         let c1 = p1.child(t(20), 0);
         assert_eq!(c0.order(&c1), Ordering::Less, "ancestor k decides");
-    }
-
-    #[test]
-    fn lane_packing_preserves_order() {
-        assert!(Stamp::lane_k(0, 7) < Stamp::lane_k(1, 0));
-        assert!(Stamp::lane_k(1, 3) < Stamp::lane_k(1, 4));
     }
 
     #[test]

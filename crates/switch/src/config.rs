@@ -54,9 +54,6 @@ impl EcnConfig {
 pub struct SwitchConfig {
     /// Total shared buffer (the `B` of the threshold formulas). Paper: 4 MB.
     pub total_buffer: Bytes,
-    /// Per-ingress-queue guaranteed (static) buffer, used before the
-    /// shared pool and not counted against it.
-    pub reserved_per_queue: Bytes,
     /// Per-ingress-queue headroom for in-flight lossless bytes after a
     /// pause frame is sent. Sized ≳ 2·BDP + 2·MTU of the attached link.
     pub headroom_per_queue: Bytes,
@@ -84,7 +81,6 @@ impl Default for SwitchConfig {
     fn default() -> Self {
         SwitchConfig {
             total_buffer: Bytes::from_mb(4),
-            reserved_per_queue: Bytes::ZERO,
             headroom_per_queue: Bytes::from_kb(25),
             xon_fraction: 0.5,
             egress_alpha_lossy: 0.5,

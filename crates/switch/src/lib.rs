@@ -9,7 +9,7 @@
 //! when the packet departs.
 //!
 //! * [`MmuState`] — the counter pools: per-(port, priority) ingress
-//!   shared/reserved/headroom charges, egress queue bytes, pause
+//!   shared/headroom charges, egress queue bytes, pause
 //!   bookkeeping. It counts bytes only; policy state lives in policies.
 //! * [`BufferPolicy`] — the pluggable PFC-threshold algorithm evaluated
 //!   by the paper: [`DtPolicy`] (classic Dynamic Threshold, the

@@ -7,10 +7,10 @@
 //! output-queue thresholds and ECN. Both are charged at admission and
 //! discharged at departure.
 //!
-//! Ingress bytes are charged in three layers: the queue's *reserved*
-//! (static) allotment first, then the *shared* pool (bounded by the
-//! policy's PFC threshold), then — for lossless traffic that arrives
-//! after/above the pause threshold — the queue's *headroom*.
+//! Ingress bytes are charged to one of two pools: the *shared* pool
+//! (bounded by the policy's PFC threshold), or — for lossless traffic
+//! that arrives after/above the pause threshold — the queue's
+//! *headroom*.
 
 use dcn_net::{PortId, Priority, MAX_FRAME};
 use dcn_sim::{BitRate, Bytes, SimTime};
@@ -39,7 +39,7 @@ impl QueueIndex {
     }
 }
 
-/// Which pool the non-reserved part of a packet was charged to.
+/// Which pool a packet was charged to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pool {
     /// The shared service pool.
@@ -51,14 +51,13 @@ pub enum Pool {
 /// How one admitted packet's bytes were charged; stored with the packet
 /// and replayed in reverse at departure.
 ///
-/// Six bytes: a charge never exceeds one frame ([`MAX_FRAME`]),
+/// Four bytes: a charge never exceeds one frame ([`MAX_FRAME`]),
 /// and it rides in every queue entry and in-flight record. Built by
 /// [`MmuState::plan_charge`]; read through the [`Bytes`] accessors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Charge {
-    reserved: u16,
-    pooled: u16,
-    /// Pool the non-reserved bytes went to.
+    bytes: u16,
+    /// Pool the bytes went to.
     pub pool: Pool,
 }
 
@@ -66,24 +65,13 @@ impl Charge {
     /// The empty charge: what a host NIC, which has no MMU, files with
     /// its queued packets.
     pub const NONE: Charge = Charge {
-        reserved: 0,
-        pooled: 0,
+        bytes: 0,
         pool: Pool::Shared,
     };
 
-    /// Bytes charged to the queue's reserved allotment.
-    pub fn reserved(&self) -> Bytes {
-        Bytes::from(self.reserved)
-    }
-
     /// Bytes charged to `pool`.
-    pub fn pooled(&self) -> Bytes {
-        Bytes::from(self.pooled)
-    }
-
-    /// Total bytes of the charge.
     pub fn total(&self) -> Bytes {
-        self.reserved() + self.pooled()
+        Bytes::from(self.bytes)
     }
 }
 
@@ -96,7 +84,6 @@ impl Charge {
 pub struct MmuState {
     n_ports: usize,
     total_buffer: Bytes,
-    reserved_cap: Bytes,
     /// Per-port headroom cap (each of the port's queues may hold this
     /// much paused-overflow traffic).
     headroom_cap: Vec<Bytes>,
@@ -104,7 +91,6 @@ pub struct MmuState {
     link_rate: Vec<BitRate>,
 
     // Ingress side, indexed by QueueIndex::flat.
-    in_reserved: Vec<Bytes>,
     in_shared: Vec<Bytes>,
     in_headroom: Vec<Bytes>,
 
@@ -118,7 +104,6 @@ pub struct MmuState {
 
     shared_used: Bytes,
     headroom_used: Bytes,
-    reserved_used: Bytes,
 }
 
 impl MmuState {
@@ -134,11 +119,9 @@ impl MmuState {
         MmuState {
             n_ports,
             total_buffer: cfg.total_buffer,
-            reserved_cap: cfg.reserved_per_queue,
             headroom_cap: vec![cfg.headroom_per_queue; n_ports],
             mtu: cfg.mtu,
             link_rate,
-            in_reserved: vec![Bytes::ZERO; nq],
             in_shared: vec![Bytes::ZERO; nq],
             in_headroom: vec![Bytes::ZERO; nq],
             out_bytes: vec![Bytes::ZERO; nq],
@@ -146,7 +129,6 @@ impl MmuState {
             out_paused: vec![false; nq],
             shared_used: Bytes::ZERO,
             headroom_used: Bytes::ZERO,
-            reserved_used: Bytes::ZERO,
         }
     }
 
@@ -172,9 +154,9 @@ impl MmuState {
         self.total_buffer.saturating_sub(self.shared_used)
     }
 
-    /// Total bytes stored in the switch (reserved + shared + headroom).
+    /// Total bytes stored in the switch (shared + headroom).
     pub fn total_stored(&self) -> Bytes {
-        self.reserved_used + self.shared_used + self.headroom_used
+        self.shared_used + self.headroom_used
     }
 
     /// Total headroom usage.
@@ -204,20 +186,15 @@ impl MmuState {
         self.in_shared[q.flat()]
     }
 
-    /// Total ingress bytes of a queue (reserved + shared + headroom).
+    /// Total ingress bytes of a queue (shared + headroom).
     pub fn ingress_total(&self, q: QueueIndex) -> Bytes {
         let i = q.flat();
-        self.in_reserved[i] + self.in_shared[i] + self.in_headroom[i]
+        self.in_shared[i] + self.in_headroom[i]
     }
 
     /// Headroom bytes of an ingress queue.
     pub fn ingress_headroom(&self, q: QueueIndex) -> Bytes {
         self.in_headroom[q.flat()]
-    }
-
-    /// Reserved allotment still free for an ingress queue.
-    pub fn reserved_available(&self, q: QueueIndex) -> Bytes {
-        self.reserved_cap.saturating_sub(self.in_reserved[q.flat()])
     }
 
     /// Headroom still free for an ingress queue.
@@ -259,18 +236,15 @@ impl MmuState {
 
     // ---- mutation -----------------------------------------------------
 
-    /// Splits `size` into a charge for ingress queue `q` given the pool
-    /// choice for the non-reserved remainder. Does not mutate.
+    /// The charge of `size` bytes into `pool`, whichever ingress queue
+    /// they enter. Does not mutate.
     ///
     /// # Panics
     ///
-    /// Panics if either part of the split exceeds [`MAX_FRAME`], which
-    /// only a `size` above it can cause.
-    pub fn plan_charge(&self, q: QueueIndex, size: Bytes, pool: Pool) -> Charge {
-        let reserved = self.reserved_available(q).min(size);
+    /// Panics if `size` exceeds [`MAX_FRAME`].
+    pub fn plan_charge(&self, _q: QueueIndex, size: Bytes, pool: Pool) -> Charge {
         Charge {
-            reserved: u16::try_from(reserved).expect("charge exceeds one frame"),
-            pooled: u16::try_from(size - reserved).expect("charge exceeds one frame"),
+            bytes: u16::try_from(size).expect("charge exceeds one frame"),
             pool,
         }
     }
@@ -279,16 +253,14 @@ impl MmuState {
     /// queued at egress `q_out`.
     pub fn charge(&mut self, q_in: QueueIndex, q_out: QueueIndex, c: Charge) {
         let i = q_in.flat();
-        self.in_reserved[i] += c.reserved();
-        self.reserved_used += c.reserved();
         match c.pool {
             Pool::Shared => {
-                self.in_shared[i] += c.pooled();
-                self.shared_used += c.pooled();
+                self.in_shared[i] += c.total();
+                self.shared_used += c.total();
             }
             Pool::Headroom => {
-                self.in_headroom[i] += c.pooled();
-                self.headroom_used += c.pooled();
+                self.in_headroom[i] += c.total();
+                self.headroom_used += c.total();
             }
         }
         let o = q_out.flat();
@@ -301,16 +273,14 @@ impl MmuState {
     /// Reverses a charge when the packet departs.
     pub fn discharge(&mut self, _now: SimTime, q_in: QueueIndex, q_out: QueueIndex, c: Charge) {
         let i = q_in.flat();
-        self.in_reserved[i] -= c.reserved();
-        self.reserved_used -= c.reserved();
         match c.pool {
             Pool::Shared => {
-                self.in_shared[i] -= c.pooled();
-                self.shared_used -= c.pooled();
+                self.in_shared[i] -= c.total();
+                self.shared_used -= c.total();
             }
             Pool::Headroom => {
-                self.in_headroom[i] -= c.pooled();
-                self.headroom_used -= c.pooled();
+                self.in_headroom[i] -= c.total();
+                self.headroom_used -= c.total();
             }
         }
         let o = q_out.flat();
@@ -359,7 +329,6 @@ impl MmuState {
     pub fn check_conservation(&self) -> Result<(), String> {
         let sum_sh: Bytes = self.in_shared.iter().copied().sum();
         let sum_hr: Bytes = self.in_headroom.iter().copied().sum();
-        let sum_rs: Bytes = self.in_reserved.iter().copied().sum();
         let sum_out: Bytes = self.out_bytes.iter().copied().sum();
         if sum_sh != self.shared_used {
             return Err(format!("shared {} != sum {}", self.shared_used, sum_sh));
@@ -367,10 +336,7 @@ impl MmuState {
         if sum_hr != self.headroom_used {
             return Err(format!("headroom {} != sum {}", self.headroom_used, sum_hr));
         }
-        if sum_rs != self.reserved_used {
-            return Err(format!("reserved {} != sum {}", self.reserved_used, sum_rs));
-        }
-        let total_in = sum_sh + sum_hr + sum_rs;
+        let total_in = sum_sh + sum_hr;
         if total_in != sum_out {
             return Err(format!(
                 "ingress total {total_in} != egress total {sum_out}"
@@ -386,7 +352,6 @@ mod tests {
 
     fn mmu() -> MmuState {
         let cfg = SwitchConfig {
-            reserved_per_queue: Bytes::new(2_000),
             headroom_per_queue: Bytes::new(10_000),
             ..SwitchConfig::default()
         };
@@ -398,17 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn charge_uses_reserved_first() {
-        let m = mmu();
-        let c = m.plan_charge(q(0, 3), Bytes::new(1_500), Pool::Shared);
-        assert_eq!(c.reserved(), Bytes::new(1_500));
-        assert_eq!(c.pooled(), Bytes::ZERO);
-        let c2 = m.plan_charge(q(0, 3), Bytes::new(3_000), Pool::Shared);
-        assert_eq!(c2.reserved(), Bytes::new(2_000));
-        assert_eq!(c2.pooled(), Bytes::new(1_000));
-    }
-
-    #[test]
     fn charge_discharge_round_trip() {
         let mut m = mmu();
         let qi = q(0, 3);
@@ -416,9 +370,9 @@ mod tests {
         let c = m.plan_charge(qi, Bytes::new(5_000), Pool::Shared);
         m.charge(qi, qo, c);
         assert_eq!(m.ingress_total(qi), Bytes::new(5_000));
-        assert_eq!(m.ingress_shared(qi), Bytes::new(3_000));
+        assert_eq!(m.ingress_shared(qi), Bytes::new(5_000));
         assert_eq!(m.egress_bytes(qo), Bytes::new(5_000));
-        assert_eq!(m.shared_used(), Bytes::new(3_000));
+        assert_eq!(m.shared_used(), Bytes::new(5_000));
         m.check_conservation().unwrap();
         m.discharge(SimTime::from_micros(10), qi, qo, c);
         assert_eq!(m.ingress_total(qi), Bytes::ZERO);
@@ -431,12 +385,11 @@ mod tests {
         let mut m = mmu();
         let qi = q(1, 3);
         let qo = q(2, 3);
-        // Exhaust reserved first so the remainder lands in headroom.
         let c = m.plan_charge(qi, Bytes::new(6_000), Pool::Headroom);
         m.charge(qi, qo, c);
-        assert_eq!(m.ingress_headroom(qi), Bytes::new(4_000));
+        assert_eq!(m.ingress_headroom(qi), Bytes::new(6_000));
         assert_eq!(m.shared_used(), Bytes::ZERO);
-        assert_eq!(m.headroom_available(qi), Bytes::new(6_000));
+        assert_eq!(m.headroom_available(qi), Bytes::new(4_000));
         m.check_conservation().unwrap();
     }
 
@@ -464,29 +417,26 @@ mod tests {
     }
 
     #[test]
-    fn charge_is_six_bytes() {
-        assert_eq!(std::mem::size_of::<Charge>(), 6);
+    fn charge_is_four_bytes() {
+        assert_eq!(std::mem::size_of::<Charge>(), 4);
         assert_eq!(Charge::NONE.total(), Bytes::ZERO);
     }
 
-    /// However the reserve splits a packet, the charge accounts for
-    /// exactly its bytes — up to and including the largest frame.
+    /// The charge accounts for exactly a packet's bytes — up to and
+    /// including the largest frame.
     #[test]
     fn planned_charge_totals_the_packet_size() {
         let mut rng = dcn_sim::SimRng::seed_from_u64(0xC4A6);
         for case in 0..64 {
             let mut m = mmu();
             let (qi, qo) = (q(0, 3), q(1, 3));
-            // Leave anywhere from none to all of the 2 000-byte reserve.
             let prefill = m.plan_charge(qi, Bytes::new(rng.below(2_500)), Pool::Shared);
             m.charge(qi, qo, prefill);
-            let left = m.reserved_available(qi);
             for size in [0, 1, 1_048, 1 + rng.below(65_535), 65_535] {
                 let size = Bytes::new(size);
                 for pool in [Pool::Shared, Pool::Headroom] {
                     let c = m.plan_charge(qi, size, pool);
                     assert_eq!(c.total(), size, "case {case}: {size} into {pool:?}");
-                    assert_eq!(c.reserved(), left.min(size), "case {case}: reserve first");
                     assert_eq!(c.pool, pool);
                     m.charge(qi, qo, c);
                     m.check_conservation().unwrap();
@@ -509,7 +459,6 @@ mod tests {
         let charges = m.charge_bulk(q(0, 3), q(1, 3), Bytes::from_mb(1), Pool::Shared);
         assert_eq!(charges.len(), 16, "15 whole frames and a remainder");
         assert_eq!(m.ingress_total(q(0, 3)), Bytes::from_mb(1));
-        assert_eq!(charges[0].reserved(), Bytes::new(2_000));
         m.check_conservation().unwrap();
         for c in charges {
             m.discharge(SimTime::ZERO, q(0, 3), q(1, 3), c);

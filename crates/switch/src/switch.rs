@@ -261,15 +261,14 @@ impl SharedMemorySwitch {
         let charge = loop {
             let threshold = self.policy.pfc_threshold(&self.mmu, q_in, now);
             let plan = self.mmu.plan_charge(q_in, size, Pool::Shared);
-            let fits_shared = plan.pooled() == Bytes::ZERO
-                || (self.mmu.ingress_shared(q_in) + plan.pooled() <= threshold
-                    && plan.pooled() <= self.mmu.shared_remaining());
+            let fits_shared = self.mmu.ingress_shared(q_in) + size <= threshold
+                && size <= self.mmu.shared_remaining();
 
             let rejection = match packet.class {
                 TrafficClass::Lossless => {
                     if fits_shared {
                         break plan;
-                    } else if plan.pooled() <= self.mmu.headroom_available(q_in) {
+                    } else if size <= self.mmu.headroom_available(q_in) {
                         break self.mmu.plan_charge(q_in, size, Pool::Headroom);
                     } else {
                         TraceDropCause::HeadroomExhausted

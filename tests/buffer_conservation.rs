@@ -37,7 +37,7 @@ fn random_packet(rng: &mut SimRng, seq: u64) -> Packet {
 }
 
 /// Σ per-queue bytes must equal the MMU's pool aggregates (shared pool
-/// occupancy plus reserved and headroom accounting), and the built-in
+/// occupancy plus headroom accounting), and the built-in
 /// conservation check must pass.
 fn assert_conserved(sw: &SharedMemorySwitch, what: &str) {
     let mmu = sw.mmu();

@@ -49,7 +49,6 @@ fn apply_ops(
     policies: &mut [Box<dyn BufferPolicy>],
 ) -> (MmuState, Vec<(QueueIndex, QueueIndex, dcn_switch::Charge)>) {
     let cfg = SwitchConfig {
-        reserved_per_queue: Bytes::new(1_000),
         headroom_per_queue: Bytes::from_kb(50),
         ..SwitchConfig::default()
     };
@@ -64,7 +63,7 @@ fn apply_ops(
             Pool::Shared
         };
         let c = m.plan_charge(qi, Bytes::new(op.size), pool);
-        if c.pool == Pool::Headroom && c.pooled() > m.headroom_available(qi) {
+        if c.pool == Pool::Headroom && c.total() > m.headroom_available(qi) {
             continue; // switch would have dropped it
         }
         m.charge(qi, qo, c);
@@ -113,7 +112,6 @@ fn congested_ingress_counts_match_naive_recomputation() {
         let mut rng = SimRng::seed_from_u64(0x2000 + case);
         let ops = random_ops(&mut rng, 150);
         let cfg = SwitchConfig {
-            reserved_per_queue: Bytes::new(1_000),
             headroom_per_queue: Bytes::from_kb(50),
             ..SwitchConfig::default()
         };
@@ -139,7 +137,7 @@ fn congested_ingress_counts_match_naive_recomputation() {
                 Pool::Shared
             };
             let c = m.plan_charge(qi, Bytes::new(op.size), pool);
-            if c.pool == Pool::Headroom && c.pooled() > m.headroom_available(qi) {
+            if c.pool == Pool::Headroom && c.total() > m.headroom_available(qi) {
                 continue;
             }
             m.charge(qi, qo, c);
@@ -173,7 +171,6 @@ fn incremental_sum_active_tau_matches_naive_recomputation() {
     for case in 0..CASES {
         let mut rng = SimRng::seed_from_u64(0x3000 + case);
         let cfg = SwitchConfig {
-            reserved_per_queue: Bytes::new(1_000),
             headroom_per_queue: Bytes::from_kb(50),
             ..SwitchConfig::default()
         };
@@ -390,7 +387,6 @@ fn bshare_incremental_weight_matches_naive_recomputation() {
     for case in 0..2 * CASES {
         let mut rng = SimRng::seed_from_u64(0xA000 + case / 2);
         let cfg = SwitchConfig {
-            reserved_per_queue: Bytes::new(1_000),
             headroom_per_queue: Bytes::from_kb(50),
             ..SwitchConfig::default()
         };
