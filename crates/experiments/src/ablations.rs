@@ -62,12 +62,7 @@ pub fn ablations(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
     let variants = variants();
     let cells: Vec<HybridConfig> = variants
         .iter()
-        .map(|&(_, policy)| HybridConfig {
-            scale: scale.clone(),
-            policy,
-            rdma_load: 0.4,
-            tcp_load,
-        })
+        .map(|&(_, policy)| HybridConfig::paper(scale, policy, tcp_load))
         .collect();
     let mut cells = run_hybrid_cells(&cells, opts);
     let mut t = Table::new(&[
@@ -90,8 +85,8 @@ pub fn ablations(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
             fmt_f64(p.rdma_p99_slowdown),
             fmt_f64(p.tcp_p99_slowdown),
             fmt_bytes(p.tor_occupancy_p99),
-            p.pause_frames.to_string(),
-            p.lossy_drops.to_string(),
+            p.results.pause_frames().to_string(),
+            p.results.drops.lossy_packets.to_string(),
         ]);
     }
     let text = format!(

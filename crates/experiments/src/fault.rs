@@ -28,16 +28,14 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-use dcn_fabric::{FabricConfig, FabricSim, PolicyChoice, RdmaTransport, RunResults};
+use dcn_fabric::{FabricSim, PolicyChoice, RdmaTransport, RunResults};
 use dcn_net::{NodeId, Topology, TrafficClass};
-use dcn_sim::{
-    par_map, FaultSchedule, SimDuration, SimRng, SimTime, TraceConfig, TraceEvent, TraceTotals,
-};
+use dcn_sim::{FaultSchedule, SimDuration, SimRng, SimTime, TraceConfig, TraceEvent, TraceTotals};
 
-use crate::hybrid::{goodput_gbps, hybrid_flows, p99_slowdown, HybridConfig, RDMA_PRIO};
+use crate::hybrid::{goodput_gbps, hybrid_inputs, p99_slowdown, HybridConfig, RDMA_PRIO};
 use crate::report::{delta_pct, fmt_f64, mean_finite, Outcome, Table};
 use crate::scale::ExperimentScale;
-use crate::sweep::SweepOptions;
+use crate::sweep::{run_fault_cells, sweep_outcome, SweepOptions};
 
 /// Threshold of both watchdogs every fault cell arms. Long enough that
 /// legitimate congestion pauses at these scales resolve first; short
@@ -62,33 +60,24 @@ pub(crate) struct FaultCell {
 
 impl FaultCell {
     /// Every cell of a sweep at RDMA 0.4 / TCP 0.4, in the order policy,
-    /// scale, transport, then the zero-fault baseline followed by one
-    /// cell per fault seed.
+    /// transport, then the zero-fault baseline followed by one cell per
+    /// fault seed.
     pub(crate) fn grid(
         policies: &[PolicyChoice],
-        scales: &[ExperimentScale],
+        scale: &ExperimentScale,
         transports: &[RdmaTransport],
         fault_seeds: &[u64],
     ) -> Vec<FaultCell> {
         let mut cells = Vec::new();
         for &policy in policies {
-            for scale in scales {
-                for &transport in transports {
-                    for fault_seed in
-                        std::iter::once(None).chain(fault_seeds.iter().map(|&s| Some(s)))
-                    {
-                        let hybrid = HybridConfig {
-                            scale: scale.clone(),
-                            policy,
-                            rdma_load: 0.4,
-                            tcp_load: 0.4,
-                        };
-                        cells.push(FaultCell {
-                            hybrid,
-                            transport,
-                            fault_seed,
-                        });
-                    }
+            for &transport in transports {
+                for fault_seed in std::iter::once(None).chain(fault_seeds.iter().map(|&s| Some(s)))
+                {
+                    cells.push(FaultCell {
+                        hybrid: HybridConfig::paper(scale, policy, 0.4),
+                        transport,
+                        fault_seed,
+                    });
                 }
             }
         }
@@ -116,17 +105,6 @@ pub(crate) struct FaultPoint {
 }
 
 impl FaultPoint {
-    /// `policy/transport seed …`: what this run's digest and violations
-    /// are filed under.
-    pub fn name(&self) -> String {
-        format!(
-            "{}/{} seed {:?}",
-            self.cell.hybrid.policy.label(),
-            self.cell.transport.label(),
-            self.cell.fault_seed
-        )
-    }
-
     /// Delivered goodput over the traffic window, Gbit/s.
     pub fn goodput_gbps(&self) -> f64 {
         goodput_gbps(&self.results, self.cell.hybrid.scale.window)
@@ -349,32 +327,27 @@ fn battery(p: &FaultPoint, ev: &Evidence) -> Vec<String> {
 }
 
 /// Runs one cell with the flight recorder on; the battery is not yet
-/// applied.
+/// applied. The cell is its hybrid run with six settings changed: the
+/// transport, both watchdogs, the recorder on, the sampler off and the
+/// fault schedule.
 fn simulate(cell: &FaultCell) -> (FaultPoint, Evidence) {
-    let scale = &cell.hybrid.scale;
-    let topo = Topology::clos(&scale.clos);
-    let flows = hybrid_flows(&cell.hybrid, &topo);
-    let faults = match cell.fault_seed {
-        Some(seed) => sample_fault_schedule(&topo, scale.window, seed),
-        None => FaultSchedule::none(),
-    };
-    let fault_events = faults.len();
-    let mut switch = scale.switch_config();
-    switch.pfc_watchdog = Some(WATCHDOG);
-    let fabric_cfg = FabricConfig {
-        policy: cell.hybrid.policy,
-        rdma_transport: cell.transport,
-        seed: scale.seed,
-        switch,
-        flow_watchdog: Some(WATCHDOG),
-        sample_interval: None,
-        trace: TraceConfig::enabled(),
-        faults,
-        ..FabricConfig::default()
-    };
-    let mut sim = FabricSim::new(topo, fabric_cfg);
-    sim.add_flows(flows.iter().copied());
-    sim.run_until_done(SimTime::ZERO + scale.window + scale.drain);
+    let mut inputs = hybrid_inputs(&cell.hybrid);
+    let cfg = &mut inputs.cfg;
+    cfg.rdma_transport = cell.transport;
+    cfg.switch.pfc_watchdog = Some(WATCHDOG);
+    cfg.flow_watchdog = Some(WATCHDOG);
+    cfg.trace = TraceConfig::enabled();
+    cfg.sample_interval = None;
+    if let Some(seed) = cell.fault_seed {
+        cfg.faults = sample_fault_schedule(&inputs.topo, cell.hybrid.scale.window, seed);
+    }
+    let fault_events = cfg.faults.len();
+    let flows: Vec<(u64, TrafficClass)> = inputs
+        .flows
+        .iter()
+        .map(|s| (s.id.as_u64(), s.class))
+        .collect();
+    let sim = inputs.simulate();
     let results = sim.results();
     let evidence = Evidence::gather(&sim);
     let completed: HashSet<u64> = results
@@ -387,9 +360,8 @@ fn simulate(cell: &FaultCell) -> (FaultPoint, Evidence) {
         cell: cell.clone(),
         fault_events,
         unfinished: flows
-            .iter()
-            .filter(|s| !completed.contains(&s.id.as_u64()))
-            .map(|s| (s.id.as_u64(), s.class))
+            .into_iter()
+            .filter(|(id, _)| !completed.contains(id))
             .collect(),
         victims: evidence.victims.len(),
         results,
@@ -405,28 +377,6 @@ pub(crate) fn run_fault_cell(cell: &FaultCell) -> FaultPoint {
     point
 }
 
-/// The outcome of a fault sweep: `text`, plus every point's digest and
-/// violations filed under its name.
-fn fault_outcome<'a>(
-    text: String,
-    points: impl Iterator<Item = &'a FaultPoint> + Clone,
-) -> Outcome {
-    Outcome {
-        text,
-        digests: points
-            .clone()
-            .map(|p| (p.name(), p.results.digest()))
-            .collect(),
-        violations: points
-            .flat_map(|p| {
-                p.violations
-                    .iter()
-                    .map(move |v| format!("{}: {v}", p.name()))
-            })
-            .collect(),
-    }
-}
-
 /// `repro chaos`: every arena policy under DCQCN, a zero-fault baseline
 /// plus one cell per fixed fault seed, rendered as goodput and tail FCT
 /// under chaos relative to each policy's own baseline. The fault seeds
@@ -434,11 +384,12 @@ fn fault_outcome<'a>(
 pub fn chaos(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
     let cells = FaultCell::grid(
         &crate::all_policies(),
-        std::slice::from_ref(scale),
+        scale,
         &[RdmaTransport::Dcqcn],
         &CHAOS_CHECK_SEEDS,
     );
-    let points = par_map(opts.jobs, &cells, run_fault_cell);
+    let reps = run_fault_cells(&cells, &SweepOptions::new(opts.jobs, 1));
+    let points: Vec<&FaultPoint> = reps.iter().map(|r| &r[0]).collect();
     let mut t = Table::new(&[
         "policy",
         "goodput base",
@@ -453,8 +404,8 @@ pub fn chaos(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
         "violations",
     ]);
     for group in points.chunks(1 + CHAOS_CHECK_SEEDS.len()) {
-        let (base, runs) = (&group[0], &group[1..]);
-        let mean = |f: &dyn Fn(&FaultPoint) -> f64| mean_finite(runs.iter().map(f));
+        let (base, runs) = (group[0], &group[1..]);
+        let mean = |f: &dyn Fn(&FaultPoint) -> f64| mean_finite(runs.iter().map(|p| f(p)));
         let goodput = mean(&FaultPoint::goodput_gbps);
         t.row(vec![
             base.cell.hybrid.policy.label(),
@@ -482,7 +433,7 @@ pub fn chaos(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
         CHAOS_CHECK_SEEDS.len(),
         t.render()
     );
-    fault_outcome(text, points.iter())
+    sweep_outcome(text, &reps, scale.seed)
 }
 
 /// The fault comparison's cells: L2BM under DCQCN, then under IRN,
@@ -490,7 +441,7 @@ pub fn chaos(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
 fn resilience_cells(scale: &ExperimentScale) -> Vec<FaultCell> {
     FaultCell::grid(
         &[PolicyChoice::l2bm()],
-        std::slice::from_ref(scale),
+        scale,
         &[RdmaTransport::Dcqcn, RdmaTransport::Irn],
         &CHAOS_CHECK_SEEDS,
     )
@@ -506,13 +457,14 @@ pub fn irn(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
     let policies = crate::all_policies();
     let mut cells = FaultCell::grid(
         &policies,
-        std::slice::from_ref(scale),
+        scale,
         &[RdmaTransport::Dcqcn, RdmaTransport::Irn],
         &[],
     );
     let healthy = cells.len();
     cells.extend(resilience_cells(scale));
-    let points = par_map(opts.jobs, &cells, run_fault_cell);
+    let reps = run_fault_cells(&cells, &SweepOptions::new(opts.jobs, 1));
+    let points: Vec<&FaultPoint> = reps.iter().map(|r| &r[0]).collect();
     let (grid, faulted) = points.split_at(healthy);
     let (dcqcn, irn) = faulted.split_at(faulted.len() / 2);
     let text = format!(
@@ -521,11 +473,11 @@ pub fn irn(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
         grid_table(grid),
         resilience_table(dcqcn, irn)
     );
-    fault_outcome(text, points.iter())
+    sweep_outcome(text, &reps, scale.seed)
 }
 
 /// The healthy grid's table, one row per cell.
-fn grid_table(points: &[FaultPoint]) -> String {
+fn grid_table(points: &[&FaultPoint]) -> String {
     let mut t = Table::new(&[
         "policy",
         "transport",
@@ -566,7 +518,7 @@ fn grid_table(points: &[FaultPoint]) -> String {
 /// IRN on the identical schedule (both universes register the exact
 /// same flow specs). Each side holds its baseline first, then one point
 /// per fault seed.
-fn rescued(dcqcn: &[FaultPoint], irn: &[FaultPoint]) -> Vec<(u64, usize)> {
+fn rescued(dcqcn: &[&FaultPoint], irn: &[&FaultPoint]) -> Vec<(u64, usize)> {
     dcqcn
         .iter()
         .zip(irn)
@@ -583,7 +535,7 @@ fn rescued(dcqcn: &[FaultPoint], irn: &[FaultPoint]) -> Vec<(u64, usize)> {
 }
 
 /// The fault comparison's side-by-side degradation table.
-fn resilience_table(dcqcn: &[FaultPoint], irn: &[FaultPoint]) -> String {
+fn resilience_table(dcqcn: &[&FaultPoint], irn: &[&FaultPoint]) -> String {
     let mut t = Table::new(&[
         "fault seed",
         "dcqcn goodput Δ%",
@@ -596,8 +548,8 @@ fn resilience_table(dcqcn: &[FaultPoint], irn: &[FaultPoint]) -> String {
         "irn rto",
         "rescued",
     ]);
-    let base_d = dcqcn.first().map_or(f64::NAN, FaultPoint::goodput_gbps);
-    let base_i = irn.first().map_or(f64::NAN, FaultPoint::goodput_gbps);
+    let base_d = dcqcn.first().map_or(f64::NAN, |p| p.goodput_gbps());
+    let base_i = irn.first().map_or(f64::NAN, |p| p.goodput_gbps());
     let rescued = rescued(dcqcn, irn);
     for ((d, i), &(seed, resc)) in dcqcn.iter().zip(irn).skip(1).zip(&rescued) {
         t.row(vec![
@@ -624,19 +576,49 @@ fn resilience_table(dcqcn: &[FaultPoint], irn: &[FaultPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::Replicate;
 
     fn cell(transport: RdmaTransport, fault_seed: Option<u64>) -> FaultCell {
-        let hybrid = HybridConfig {
-            scale: ExperimentScale::tiny(),
-            policy: PolicyChoice::l2bm(),
-            rdma_load: 0.4,
-            tcp_load: 0.4,
-        };
+        let hybrid = HybridConfig::paper(&ExperimentScale::tiny(), PolicyChoice::l2bm(), 0.4);
         FaultCell {
             hybrid,
             transport,
             fault_seed,
         }
+    }
+
+    /// Replicate `r` of a fault cell is the cell run at `seed + r`, as
+    /// for hybrid and incast cells (the tournament's chaos arena relies
+    /// on it).
+    #[test]
+    fn fault_cell_replicate_r_runs_at_seed_plus_r() {
+        let base = cell(RdmaTransport::Dcqcn, Some(CHAOS_CHECK_SEEDS[0]));
+        let reps = run_fault_cells(std::slice::from_ref(&base), &SweepOptions::new(2, 2));
+        assert_eq!(reps.len(), 1);
+        assert_eq!(reps[0].len(), 2, "two replicates");
+        for (r, p) in reps[0].iter().enumerate() {
+            let mut reseeded = base.clone();
+            reseeded.hybrid.scale.seed += r as u64;
+            let want = run_fault_cell(&reseeded);
+            assert_eq!(p.results.digest(), want.results.digest(), "replicate {r}");
+            assert_eq!(p.cell.hybrid.scale.seed, 42 + r as u64);
+        }
+        assert_ne!(reps[0][0].results.digest(), reps[0][1].results.digest());
+    }
+
+    /// A fault point's violations are filed under its digest label.
+    #[test]
+    fn sweep_outcome_files_violations_under_the_point_label() {
+        let mut p = run_fault_cell(&cell(RdmaTransport::Irn, Some(11)));
+        assert_eq!(p.violations, Vec::<String>::new());
+        p.violations.push("doctored".into());
+        let out = sweep_outcome("t".into(), &[vec![p]], 42);
+        assert_eq!(out.digests.len(), 1);
+        assert_eq!(out.digests[0].0, "L2BM/IRN faults=Some(11) seed 42");
+        assert_eq!(
+            out.violations,
+            ["L2BM/IRN faults=Some(11) seed 42: doctored"]
+        );
     }
 
     #[test]
@@ -680,12 +662,12 @@ mod tests {
     fn faulted_cells_pass_the_battery_and_are_jobs_invariant() {
         let cells = FaultCell::grid(
             &[PolicyChoice::l2bm()],
-            &[ExperimentScale::tiny()],
+            &ExperimentScale::tiny(),
             &[RdmaTransport::Dcqcn, RdmaTransport::Irn],
             &CHAOS_CHECK_SEEDS[..2],
         );
-        let serial = par_map(1, &cells, run_fault_cell);
-        let parallel = par_map(8, &cells, run_fault_cell);
+        let serial = run_fault_cells(&cells, &SweepOptions::new(1, 1)).concat();
+        let parallel = run_fault_cells(&cells, &SweepOptions::new(8, 1)).concat();
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.results.digest(), b.results.digest(), "{}", a.name());
             assert_eq!(a.violations, Vec::<String>::new(), "{}", a.name());
@@ -695,8 +677,8 @@ mod tests {
     }
 
     /// Golden digest of the tiny-scale IRN universe cell (L2BM, zero
-    /// faults), the `L2BM/IRN seed None` row of `repro irn --scale
-    /// tiny`: pins the IRN transport's behavior the way the DCQCN
+    /// faults), the `L2BM/IRN faults=None seed 42` row of `repro irn
+    /// --scale tiny`: pins the IRN transport's behavior the way the DCQCN
     /// goldens pin the lossless path.
     const TINY_IRN_GOLDEN_DIGEST: u64 = 0x3e04_2bb5_1e4d_279f;
 
@@ -716,11 +698,9 @@ mod tests {
         // The whole point of IRN: on the eight fixed fault seeds at tiny
         // scale, the lossy universe completes at least one flow DCQCN
         // strands on the identical schedule.
-        let points = par_map(
-            2,
-            &resilience_cells(&ExperimentScale::tiny()),
-            run_fault_cell,
-        );
+        let cells = resilience_cells(&ExperimentScale::tiny());
+        let reps = run_fault_cells(&cells, &SweepOptions::new(2, 1));
+        let points: Vec<&FaultPoint> = reps.iter().map(|r| &r[0]).collect();
         let (dcqcn, irn) = points.split_at(1 + CHAOS_CHECK_SEEDS.len());
         for p in &points {
             assert_eq!(p.violations, Vec::<String>::new(), "{}", p.name());

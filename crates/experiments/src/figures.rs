@@ -5,17 +5,18 @@
 //! [`SWEEPS`] lists the three beyond-paper experiments.
 
 use dcn_fabric::PolicyChoice;
-use dcn_metrics::OccupancySeries;
-use dcn_net::{NodeId, Topology, TrafficClass};
+use dcn_net::TrafficClass;
 
 use crate::ablations::ablations;
 use crate::fault::{chaos, irn};
-use crate::hybrid::{HybridConfig, HybridPoint};
+use crate::hybrid::{tor_occupancy, HybridConfig, HybridPoint};
 use crate::incast::{IncastConfig, IncastPoint};
 use crate::paper_policies;
 use crate::report::{fmt_bytes, fmt_f64, Outcome, Table};
 use crate::scale::ExperimentScale;
-use crate::sweep::{run_hybrid_cells, run_incast_cells, seed_cell, sweep_outcome, SweepOptions};
+use crate::sweep::{
+    run_hybrid_cells, run_incast_cells, seed_cell, sweep_outcome, Replicate, SweepOptions,
+};
 use crate::tournament::tournament;
 
 /// The TCP loads the paper sweeps in Fig. 7 (x-axis 0.1 → 0.8).
@@ -96,22 +97,14 @@ fn render_grid<P>(
 
 /// A pause-frame cell (Fig. 7(d), Table II, Fig. 11(c)): a single run
 /// prints its integer count.
-fn pause_frames<P>(reps: &[P], frames: fn(&P) -> u64) -> String {
-    seed_cell(reps, |p| frames(p) as f64, fmt_f64, |x| x.to_string())
+fn pause_frames<P: Replicate>(reps: &[P]) -> String {
+    let frames = |p: &P| p.results().pause_frames() as f64;
+    seed_cell(reps, frames, fmt_f64, |x| x.to_string())
 }
 
 // --------------------------------------------------------------------
 // Fig. 3(a)
 // --------------------------------------------------------------------
-
-fn first_tor_series(point: &HybridPoint, topo_first_switch: NodeId) -> OccupancySeries {
-    point
-        .results
-        .occupancy
-        .get(&topo_first_switch)
-        .cloned()
-        .unwrap_or_default()
-}
 
 /// Fig. 3(a): switch buffer occupancy of TCP-only vs RDMA-only traffic
 /// under the same web-search workload (motivation: TCP hogs buffers),
@@ -119,8 +112,6 @@ fn first_tor_series(point: &HybridPoint, topo_first_switch: NodeId) -> Occupancy
 /// ToR.
 pub fn fig3a(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
     let load = 0.6;
-    let topo = Topology::clos(&scale.clos);
-    let first = topo.switches().next().expect("clos has switches");
     let cells = run_hybrid_cells(
         &[
             HybridConfig {
@@ -140,7 +131,9 @@ pub fn fig3a(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
     );
     let mut t = Table::new(&["traffic", "mean", "p50", "p90", "p99", "peak"]);
     for (name, reps) in ["TCP", "RDMA"].into_iter().zip(&cells) {
-        let s = first_tor_series(&reps[0], first);
+        // The first ToR's series, the one `tor_occupancy` reads.
+        let occupancy = &reps[0].results.occupancy;
+        let s = occupancy.values().next().cloned().unwrap_or_default();
         t.row(vec![
             name.into(),
             fmt_bytes(s.mean()),
@@ -167,12 +160,7 @@ pub fn fig3b(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
     let mut cells = Vec::new();
     for policy in [PolicyChoice::dt(), PolicyChoice::dt2(), PolicyChoice::abm()] {
         for &load in &FIG7_LOADS {
-            cells.push(HybridConfig {
-                scale: scale.clone(),
-                policy,
-                rdma_load: 0.4,
-                tcp_load: load,
-            });
+            cells.push(HybridConfig::paper(scale, policy, load));
         }
     }
     let cells = run_hybrid_cells(&cells, opts);
@@ -194,12 +182,7 @@ fn fig7_cells(scale: &ExperimentScale, loads: &[f64]) -> Vec<HybridConfig> {
     let mut cells = Vec::new();
     for policy in paper_policies() {
         for &load in loads {
-            cells.push(HybridConfig {
-                scale: scale.clone(),
-                policy,
-                rdma_load: 0.4,
-                tcp_load: load,
-            });
+            cells.push(HybridConfig::paper(scale, policy, load));
         }
     }
     cells
@@ -233,7 +216,7 @@ pub fn fig7(scale: &ExperimentScale, loads: &[f64], opts: &SweepOptions) -> Outc
             fmt_bytes,
         ),
         render_grid("Fig 7(d): PFC pause frames", &cells, BY_LOAD, |reps| {
-            pause_frames(reps, |p| p.pause_frames)
+            pause_frames(reps)
         }),
     ]
     .join("\n");
@@ -248,7 +231,7 @@ pub fn table2(scale: &ExperimentScale, loads: &[f64], opts: &SweepOptions) -> Ou
         "Table II: number of PFC pause frames",
         &cells,
         BY_LOAD,
-        |reps| pause_frames(reps, |p| p.pause_frames),
+        pause_frames,
     );
     sweep_outcome(text, &cells, scale.seed)
 }
@@ -260,13 +243,11 @@ pub fn table2(scale: &ExperimentScale, loads: &[f64], opts: &SweepOptions) -> Ou
 /// Fig. 8: occupancy CDFs of every ToR switch at TCP load 0.8, per
 /// policy: quantiles per (policy, ToR).
 pub fn fig8(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
-    let topo = Topology::clos(&scale.clos);
-    let tors: Vec<NodeId> = topo.switches().take(scale.clos.tors).collect();
     let cells = run_hybrid_cells(&fig7_cells(scale, &[0.8]), opts);
     let mut t = Table::new(&["policy", "tor", "p50", "p90", "p99", "peak"]);
     for p in cells.iter().map(|reps| &reps[0]) {
-        for &tor in &tors {
-            let s = p.results.occupancy.get(&tor).cloned().unwrap_or_default();
+        // Every switch is sampled at once; the ToRs hold the lowest ids.
+        for (tor, s) in p.results.occupancy.iter().take(scale.clos.tors) {
             t.row(vec![
                 p.label.clone(),
                 format!("{tor}"),
@@ -331,13 +312,14 @@ pub fn fig9(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
 /// fabric has): (a) CDF of incast-flow slowdown, (b) query-delay error
 /// bars, (c) ToR occupancy CDF.
 pub fn fig10(scale: &ExperimentScale, fanout: usize, opts: &SweepOptions) -> Outcome {
-    let fanout = fanout.min(scale.host_count() / 2 - 1);
     let cells: Vec<IncastConfig> = paper_policies()
         .into_iter()
         .map(|policy| IncastConfig::paper_defaults(scale.clone(), policy, fanout))
         .collect();
     let cells = run_incast_cells(&cells, opts);
     let points: Vec<&IncastPoint> = cells.iter().map(|reps| &reps[0]).collect();
+    // The fanout the cells ran, clamped to the scale's responder pool.
+    let fanout = points[0].fanout;
     let mut a = Table::new(&["policy", "frac(slowdown<=10)", "p50", "p90", "p99"]);
     for p in &points {
         let q = |v: f64| dcn_metrics::percentile(&p.incast_slowdowns, v).unwrap_or(f64::NAN);
@@ -373,17 +355,15 @@ pub fn fig10(scale: &ExperimentScale, fanout: usize, opts: &SweepOptions) -> Out
     }
     let mut c = Table::new(&["policy", "occ p50", "occ p90", "occ p99"]);
     for p in &points {
-        let tor = p.results.occupancy.values().next();
-        let q = |v: f64| tor.and_then(|s| s.quantile(v)).unwrap_or(0.0);
         c.row(vec![
             p.label.clone(),
-            fmt_bytes(q(0.5)),
-            fmt_bytes(q(0.9)),
+            fmt_bytes(tor_occupancy(&p.results, 0.5)),
+            fmt_bytes(tor_occupancy(&p.results, 0.9)),
             fmt_bytes(p.tor_occupancy_p99),
         ]);
     }
     let text = format!(
-        "Fig 10(a): CDF of incast FCT slowdown (N=5, TCP bg 0.8)\n{}\n\
+        "Fig 10(a): CDF of incast FCT slowdown (N={fanout}, TCP bg 0.8)\n{}\n\
          Fig 10(b): query response delay error bars\n{}\n\
          Fig 10(c): ToR occupancy under incast\n{}",
         a.render(),
@@ -401,17 +381,14 @@ pub fn fig10(scale: &ExperimentScale, fanout: usize, opts: &SweepOptions) -> Out
 /// are [`FIG11_FANOUTS`]): (a) 99% slowdown, (b) average query response
 /// time, (c) PFC pause frames.
 pub fn fig11(scale: &ExperimentScale, fanouts: &[usize], opts: &SweepOptions) -> Outcome {
-    // Degrees larger than the scaled-down responder pool are clamped to
-    // pool − 1 so small fabrics can still run the sweep.
-    let pool = scale.host_count() / 2; // the RDMA half of the servers
-    let mut fanouts: Vec<usize> = fanouts.iter().map(|&n| n.min(pool - 1)).collect();
-    fanouts.dedup();
     let mut cells = Vec::new();
     for policy in paper_policies() {
-        for &n in &fanouts {
+        for &n in fanouts {
             cells.push(IncastConfig::paper_defaults(scale.clone(), policy, n));
         }
     }
+    // Degrees the scale clamps to one fanout run once.
+    cells.dedup_by(|a, b| (a.policy, a.fanout) == (b.policy, b.fanout));
     let cells = run_incast_cells(&cells, opts);
     let query_ms = |x: f64| fmt_f64(x * 1e3);
     let a = render_grid(
@@ -430,7 +407,7 @@ pub fn fig11(scale: &ExperimentScale, fanouts: &[usize], opts: &SweepOptions) ->
         },
     );
     let c = render_grid("Fig 11(c): PFC pause frames", &cells, BY_FANOUT, |reps| {
-        pause_frames(reps, |p| p.pause_frames)
+        pause_frames(reps)
     });
     sweep_outcome(format!("{a}\n{b}\n{c}"), &cells, scale.seed)
 }
@@ -453,6 +430,15 @@ mod tests {
         }
         assert!(out.text.contains("Fig 7(a)"));
         assert!(out.text.contains("Fig 7(d)"));
+    }
+
+    /// Fig. 10(a)'s title names the fanout the cells ran: tiny scale
+    /// clamps the paper's N=5 to its responder pool less one.
+    #[test]
+    fn fig10_title_prints_the_clamped_fanout() {
+        let out = fig10(&ExperimentScale::tiny(), 5, &SweepOptions::default());
+        assert!(out.text.contains("(N=3, TCP bg 0.8)"), "{}", out.text);
+        assert_eq!(out.digests[0].0, "L2BM N=3 seed 42");
     }
 
     #[test]

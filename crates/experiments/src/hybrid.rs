@@ -1,6 +1,6 @@
 //! The hybrid-traffic experiment (paper §IV-A): 16 servers per ToR send
-//! RDMA web-search traffic at load 0.4, the other 16 send TCP web-search
-//! traffic at a swept load, all inter-rack, and the four policies
+//! RDMA web-search traffic at load 0.4 ([`RDMA_LOAD`]), the other 16
+//! send TCP web-search traffic at a swept load, and the four policies
 //! compete on RDMA/TCP tail FCT, buffer occupancy and PFC pause frames.
 
 use dcn_fabric::{FabricConfig, FabricSim, PolicyChoice, RunResults};
@@ -9,6 +9,9 @@ use dcn_sim::{SimDuration, SimRng, SimTime};
 use dcn_workload::{web_search_cdf, FlowSpec, PoissonTraffic};
 
 use crate::scale::ExperimentScale;
+
+/// The RDMA load the paper holds fixed while it sweeps TCP (§IV-A).
+pub(crate) const RDMA_LOAD: f64 = 0.4;
 
 /// One hybrid run's parameters.
 #[derive(Debug, Clone)]
@@ -23,8 +26,21 @@ pub struct HybridConfig {
     pub tcp_load: f64,
 }
 
+impl HybridConfig {
+    /// The paper's hybrid cell: RDMA at [`RDMA_LOAD`], TCP at `tcp_load`.
+    pub(crate) fn paper(scale: &ExperimentScale, policy: PolicyChoice, tcp_load: f64) -> Self {
+        HybridConfig {
+            scale: scale.clone(),
+            policy,
+            rdma_load: RDMA_LOAD,
+            tcp_load,
+        }
+    }
+}
+
 /// Summary of one hybrid run — one x-axis point of Figs. 3(b)/7 and one
-/// cell column of Table II.
+/// cell column of Table II. Counters (pause frames, drops, unfinished
+/// flows) are read from `results`.
 #[derive(Debug, Clone)]
 pub struct HybridPoint {
     /// Policy label (DT / DT2 / ABM / L2BM); an ablation files its runs
@@ -36,27 +52,17 @@ pub struct HybridPoint {
     pub rdma_p99_slowdown: f64,
     /// 99th-percentile FCT slowdown of TCP flows (Fig. 7(b)).
     pub tcp_p99_slowdown: f64,
-    /// Mean slowdowns (for Fig. 9-style summaries).
-    pub rdma_mean_slowdown: f64,
-    /// Mean TCP slowdown.
-    pub tcp_mean_slowdown: f64,
     /// 99th-percentile sampled occupancy of the first ToR switch, bytes
     /// (Fig. 7(c)).
     pub tor_occupancy_p99: f64,
-    /// Total PFC pause frames over the run (Fig. 7(d) / Table II).
-    pub pause_frames: u64,
-    /// Lossy packets dropped.
-    pub lossy_drops: u64,
-    /// Lossless packets dropped (must stay 0).
-    pub lossless_drops: u64,
-    /// Flows that had not finished at the deadline.
-    pub unfinished: usize,
     /// Full results for figure-specific post-processing (CDFs etc.).
     pub results: RunResults,
 }
 
-/// What one hybrid or incast run hands the engine: the fabric, its
-/// configuration, the flows and the deadline.
+/// What one run hands the engine: the fabric, its configuration, the
+/// flows and the deadline. The only place this crate builds a
+/// [`FabricConfig`] or a [`FabricSim`]; a fault cell edits `cfg` before
+/// it runs.
 pub(crate) struct RunInputs {
     pub(crate) topo: Topology,
     pub(crate) cfg: FabricConfig,
@@ -86,12 +92,18 @@ impl RunInputs {
         }
     }
 
-    /// Runs the inputs on the serial engine.
-    pub(crate) fn run(self) -> RunResults {
+    /// Runs the inputs on the serial engine and hands back the finished
+    /// simulation, for callers that read more than its results.
+    pub(crate) fn simulate(self) -> FabricSim {
         let mut sim = FabricSim::new(self.topo, self.cfg);
         sim.add_flows(self.flows);
         sim.run_until_done(self.deadline);
-        sim.results()
+        sim
+    }
+
+    /// Runs the inputs on the serial engine.
+    pub(crate) fn run(self) -> RunResults {
+        self.simulate().results()
     }
 }
 
@@ -123,12 +135,40 @@ pub(crate) const RDMA_PRIO: Priority = Priority::new(3);
 /// The lossy priority.
 pub(crate) const TCP_PRIO: Priority = Priority::new(1);
 
-/// The hybrid mix's flows on `topo`: RDMA web-search traffic among the
+/// p99 FCT slowdown of one class's completed flows (`NaN` if none).
+pub(crate) fn p99_slowdown(results: &RunResults, class: TrafficClass) -> f64 {
+    results
+        .fct
+        .slowdown_percentile(class, 0.99)
+        .unwrap_or(f64::NAN)
+}
+
+/// Delivered goodput in Gbit/s: completed flows' payload over the
+/// traffic window.
+pub(crate) fn goodput_gbps(results: &RunResults, window: SimDuration) -> f64 {
+    let delivered: u64 = results.fct.records().iter().map(|x| x.size.as_u64()).sum();
+    delivered as f64 * 8.0 / window.as_secs_f64() / 1e9
+}
+
+/// Quantile `q` of the first ToR's sampled occupancy in bytes (0 if
+/// nothing was sampled). Every switch is sampled at once and the ToRs
+/// hold the lowest switch ids, so the first series is the first ToR's.
+pub(crate) fn tor_occupancy(results: &RunResults, q: f64) -> f64 {
+    results
+        .occupancy
+        .values()
+        .next()
+        .and_then(|s| s.quantile(q))
+        .unwrap_or(0.0)
+}
+
+/// The inputs of one hybrid run: RDMA web-search traffic among the
 /// RDMA half of each rack, TCP among the other half. §IV-A: "data is
 /// randomly sent to all other servers" — no rack restriction (the
 /// inter-rack restriction belongs to Fig. 3(a)'s motivation setup).
-pub(crate) fn hybrid_flows(cfg: &HybridConfig, topo: &Topology) -> Vec<FlowSpec> {
-    let (rdma_hosts, tcp_hosts, _) = split_hosts(topo, cfg.scale.clos.hosts_per_tor);
+pub(crate) fn hybrid_inputs(cfg: &HybridConfig) -> RunInputs {
+    let topo = Topology::clos(&cfg.scale.clos);
+    let (rdma_hosts, tcp_hosts, _) = split_hosts(&topo, cfg.scale.clos.hosts_per_tor);
     let mut rng = SimRng::seed_from_u64(cfg.scale.seed);
     let mut flows = Vec::new();
     if cfg.rdma_load > 0.0 {
@@ -150,60 +190,18 @@ pub(crate) fn hybrid_flows(cfg: &HybridConfig, topo: &Topology) -> Vec<FlowSpec>
             .build();
         flows.extend(tcp.generate(cfg.scale.window, &mut rng.fork(2)));
     }
-    flows
-}
-
-/// p99 FCT slowdown of one class's completed flows (`NaN` if none).
-pub(crate) fn p99_slowdown(results: &RunResults, class: TrafficClass) -> f64 {
-    results
-        .fct
-        .slowdown_percentile(class, 0.99)
-        .unwrap_or(f64::NAN)
-}
-
-/// Delivered goodput in Gbit/s: completed flows' payload over the
-/// traffic window.
-pub(crate) fn goodput_gbps(results: &RunResults, window: SimDuration) -> f64 {
-    let delivered: u64 = results.fct.records().iter().map(|x| x.size.as_u64()).sum();
-    delivered as f64 * 8.0 / window.as_secs_f64() / 1e9
-}
-
-/// The inputs of one hybrid run.
-pub(crate) fn hybrid_inputs(cfg: &HybridConfig) -> RunInputs {
-    let topo = Topology::clos(&cfg.scale.clos);
-    let flows = hybrid_flows(cfg, &topo);
     RunInputs::new(&cfg.scale, cfg.policy, topo, flows)
 }
 
 /// Runs one hybrid experiment point.
 pub fn run_hybrid(cfg: &HybridConfig) -> HybridPoint {
-    let inputs = hybrid_inputs(cfg);
-    let first_tor = inputs.topo.switches().next().expect("clos has switches");
-    let results = inputs.run();
-    let tor_occupancy_p99 = results
-        .occupancy
-        .get(&first_tor)
-        .and_then(|s| s.quantile(0.99))
-        .unwrap_or(0.0);
-
+    let results = hybrid_inputs(cfg).run();
     HybridPoint {
         label: cfg.policy.label(),
         tcp_load: cfg.tcp_load,
         rdma_p99_slowdown: p99_slowdown(&results, TrafficClass::Lossless),
         tcp_p99_slowdown: p99_slowdown(&results, TrafficClass::Lossy),
-        rdma_mean_slowdown: results
-            .fct
-            .mean_slowdown(TrafficClass::Lossless)
-            .unwrap_or(f64::NAN),
-        tcp_mean_slowdown: results
-            .fct
-            .mean_slowdown(TrafficClass::Lossy)
-            .unwrap_or(f64::NAN),
-        tor_occupancy_p99,
-        pause_frames: results.pause_frames(),
-        lossy_drops: results.drops.lossy_packets,
-        lossless_drops: results.drops.lossless_packets,
-        unfinished: results.unfinished_flows,
+        tor_occupancy_p99: tor_occupancy(&results, 0.99),
         results,
     }
 }
@@ -239,12 +237,7 @@ mod tests {
             ),
         ];
         for (scale, golden) in cells {
-            let cfg = HybridConfig {
-                scale,
-                policy: PolicyChoice::l2bm(),
-                rdma_load: 0.4,
-                tcp_load: 0.8,
-            };
+            let cfg = HybridConfig::paper(&scale, PolicyChoice::l2bm(), 0.8);
             let seed = cfg.scale.seed;
             let serial = run_hybrid(&cfg).results;
             assert!(!serial.fct.is_empty(), "cell carried traffic");
@@ -276,12 +269,7 @@ mod tests {
     #[test]
     fn table2_cells_digest_is_shard_invariant() {
         for policy in crate::paper_policies() {
-            let cfg = HybridConfig {
-                scale: ExperimentScale::tiny(),
-                policy,
-                rdma_load: 0.4,
-                tcp_load: 0.6,
-            };
+            let cfg = HybridConfig::paper(&ExperimentScale::tiny(), policy, 0.6);
             let serial = run_hybrid(&cfg).results.digest();
             let inputs = hybrid_inputs(&cfg);
             for shards in [1, 2] {
@@ -297,17 +285,15 @@ mod tests {
 
     #[test]
     fn tiny_hybrid_run_produces_both_classes() {
-        let cfg = HybridConfig {
-            scale: ExperimentScale::tiny(),
-            policy: PolicyChoice::l2bm(),
-            rdma_load: 0.4,
-            tcp_load: 0.4,
-        };
+        let cfg = HybridConfig::paper(&ExperimentScale::tiny(), PolicyChoice::l2bm(), 0.4);
         let p = run_hybrid(&cfg);
         assert_eq!(p.label, "L2BM");
         assert!(p.results.fct.by_class(TrafficClass::Lossless).count() > 0);
         assert!(p.results.fct.by_class(TrafficClass::Lossy).count() > 0);
-        assert_eq!(p.lossless_drops, 0, "lossless class must not drop");
+        assert_eq!(
+            p.results.drops.lossless_packets, 0,
+            "lossless class must not drop"
+        );
         assert!(p.rdma_p99_slowdown >= 1.0);
     }
 
@@ -325,12 +311,7 @@ mod tests {
 
     #[test]
     fn rdma_only_run() {
-        let cfg = HybridConfig {
-            scale: ExperimentScale::tiny(),
-            policy: PolicyChoice::dt(),
-            rdma_load: 0.4,
-            tcp_load: 0.0,
-        };
+        let cfg = HybridConfig::paper(&ExperimentScale::tiny(), PolicyChoice::dt(), 0.0);
         let p = run_hybrid(&cfg);
         assert_eq!(p.results.fct.by_class(TrafficClass::Lossy).count(), 0);
         assert!(!p.results.fct.is_empty());

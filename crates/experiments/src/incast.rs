@@ -10,7 +10,7 @@ use dcn_net::{Topology, TrafficClass};
 use dcn_sim::{Bytes, SimDuration, SimRng};
 use dcn_workload::{web_search_cdf, IncastQuery, IncastWorkload, PoissonTraffic};
 
-use crate::hybrid::{split_hosts, RunInputs, RDMA_PRIO, TCP_PRIO};
+use crate::hybrid::{split_hosts, tor_occupancy, RunInputs, RDMA_PRIO, TCP_PRIO};
 use crate::scale::ExperimentScale;
 
 /// One incast run's parameters.
@@ -34,13 +34,16 @@ impl IncastConfig {
     /// Paper §IV-B defaults at the given scale, policy and fanout. The
     /// request size is 25% of the switch buffer (1 MB of 4 MB in the
     /// paper), which keeps the burst-to-buffer pressure constant across
-    /// scales.
+    /// scales. A fanout larger than the scale's RDMA half allows is
+    /// clamped to that half less one (the workload needs strictly more
+    /// responder candidates than `N`), so small fabrics still run the
+    /// paper's degrees.
     pub fn paper_defaults(scale: ExperimentScale, policy: PolicyChoice, fanout: usize) -> Self {
         let request_size = (scale.total_buffer() / 4).max(Bytes::from_kb(100));
         IncastConfig {
+            fanout: fanout.min(scale.host_count() / 2 - 1),
             scale,
             policy,
-            fanout,
             request_size,
             query_gap: SimDuration::from_micros(1_330),
             tcp_load: 0.8,
@@ -64,12 +67,9 @@ pub struct IncastPoint {
     /// Per-query response time = max FCT of its flows; error-bar summary
     /// in seconds (Fig. 10(b) / Fig. 11(b)).
     pub query_delay: Option<ErrorBarStats>,
-    /// 99th-percentile sampled ToR occupancy in bytes (Fig. 10(c)).
+    /// 99th-percentile sampled occupancy of the first ToR switch, bytes
+    /// (Fig. 10(c)).
     pub tor_occupancy_p99: f64,
-    /// Total PFC pause frames (Fig. 11(c)).
-    pub pause_frames: u64,
-    /// Lossless drops (must stay 0).
-    pub lossless_drops: u64,
     /// Queries whose flows all finished.
     pub completed_queries: usize,
     /// Full results for figure-specific post-processing.
@@ -116,7 +116,6 @@ pub fn run_incast(cfg: &IncastConfig) -> IncastPoint {
     let (inputs, queries) = incast_inputs(cfg);
     let incast_flows: HashSet<dcn_net::FlowId> =
         queries.iter().flat_map(|q| q.flow_ids()).collect();
-    let first_tor = inputs.topo.switches().next().expect("clos has switches");
     let results = inputs.run();
 
     // Per-flow records of incast flows, in record order (the map is
@@ -155,12 +154,6 @@ pub fn run_incast(cfg: &IncastConfig) -> IncastPoint {
         }
     }
 
-    let tor_occupancy_p99 = results
-        .occupancy
-        .get(&first_tor)
-        .and_then(|s| s.quantile(0.99))
-        .unwrap_or(0.0);
-
     let frac_le_10 = if incast_slowdowns.is_empty() {
         0.0
     } else {
@@ -175,9 +168,7 @@ pub fn run_incast(cfg: &IncastConfig) -> IncastPoint {
         incast_p99_slowdown: dcn_metrics::percentile(&incast_slowdowns, 0.99).unwrap_or(f64::NAN),
         frac_slowdown_le_10: frac_le_10,
         query_delay: ErrorBarStats::from_samples(&query_delays_s),
-        tor_occupancy_p99,
-        pause_frames: results.pause_frames(),
-        lossless_drops: results.drops.lossless_packets,
+        tor_occupancy_p99: tor_occupancy(&results, 0.99),
         completed_queries,
         results,
         query_delays_s,
@@ -207,7 +198,7 @@ mod tests {
         let p = run_incast(&tiny_cell());
         assert!(p.queries > 0);
         assert!(p.completed_queries > 0);
-        assert_eq!(p.lossless_drops, 0);
+        assert_eq!(p.results.drops.lossless_packets, 0);
         let eb = p.query_delay.expect("completed queries have stats");
         assert!(eb.mean > 0.0);
         assert!(eb.max >= eb.mean);

@@ -1,8 +1,8 @@
 //! The parallel sweep engine: fans independent experiment cells across
 //! worker threads and replicates each cell over multiple seeds.
 //!
-//! Every figure/table of the paper is a sweep over independent cells
-//! (one `(policy, load)` or `(policy, fanout)` simulation each). The
+//! Every experiment is a sweep over independent cells (one `(policy,
+//! load)`, `(policy, fanout)` or fault-cell simulation each). The
 //! engine runs the flattened `(cell, replicate)` grid through
 //! [`dcn_sim::par_map`], whose output is ordered by **input index**
 //! regardless of which worker finished first, and hands back every
@@ -22,9 +22,11 @@ use dcn_fabric::RunResults;
 use dcn_metrics::SeedStats;
 use dcn_sim::par_map;
 
+use crate::fault::{run_fault_cell, FaultCell, FaultPoint};
 use crate::hybrid::{run_hybrid, HybridConfig, HybridPoint};
 use crate::incast::{run_incast, IncastConfig, IncastPoint};
 use crate::report::Outcome;
+use crate::scale::ExperimentScale;
 
 /// How a sweep's cells are executed: worker threads and seed
 /// replicates. The default (`jobs = 1`, `seeds = 1`) is the historical
@@ -86,6 +88,10 @@ pub(crate) trait Replicate {
     fn results(&self) -> &RunResults;
     /// The cell's coordinates, e.g. `L2BM load=0.4`.
     fn name(&self) -> String;
+    /// Invariant violations the run's battery found (none without one).
+    fn violations(&self) -> &[String] {
+        &[]
+    }
 }
 
 impl Replicate for HybridPoint {
@@ -106,42 +112,63 @@ impl Replicate for IncastPoint {
     }
 }
 
-/// An experiment's outcome: `text` plus every replicate's digest, filed
-/// as `{name} seed {s}` where replicate `r` of each cell ran at
-/// `seed + r`.
-pub(crate) fn sweep_outcome<P: Replicate>(text: String, cells: &[Vec<P>], seed: u64) -> Outcome {
-    let digests = cells
-        .iter()
-        .flat_map(|reps| {
-            reps.iter().zip(0..).map(move |(p, r)| {
-                let s = seed.wrapping_add(r);
-                (format!("{} seed {s}", p.name()), p.results().digest())
-            })
-        })
-        .collect();
-    Outcome {
-        text,
-        digests,
-        violations: Vec::new(),
+impl Replicate for FaultPoint {
+    fn results(&self) -> &RunResults {
+        &self.results
+    }
+    fn name(&self) -> String {
+        let cell = &self.cell;
+        let (policy, transport) = (cell.hybrid.policy.label(), cell.transport.label());
+        format!("{policy}/{transport} faults={:?}", cell.fault_seed)
+    }
+    fn violations(&self) -> &[String] {
+        &self.violations
     }
 }
 
-/// Runs the flattened `(cell, replicate)` grid in parallel. Output `i`
+/// An experiment's outcome: `text` plus every replicate's digest and
+/// violations, filed as `{name} seed {s}` where replicate `r` of each
+/// cell ran at `seed + r`.
+pub(crate) fn sweep_outcome<P: Replicate>(text: String, cells: &[Vec<P>], seed: u64) -> Outcome {
+    let mut out = Outcome {
+        text,
+        ..Outcome::default()
+    };
+    for reps in cells {
+        for (p, r) in reps.iter().zip(0..) {
+            let label = format!("{} seed {}", p.name(), seed.wrapping_add(r));
+            let violations = p.violations().iter().map(|v| format!("{label}: {v}"));
+            out.violations.extend(violations);
+            out.digests.push((label, p.results().digest()));
+        }
+    }
+    out
+}
+
+/// Runs the flattened `(cell, replicate)` grid in parallel, replicate
+/// `r` with the seed of the cell's `scale` advanced by `r`. Output `i`
 /// holds `cells[i]`'s replicates in seed order — never completion order.
 fn run_replicated<C, P>(
     cells: &[C],
     opts: &SweepOptions,
-    reseed: impl Fn(&C, u64) -> C,
+    scale: fn(&mut C) -> &mut ExperimentScale,
     run: impl Fn(&C) -> P + Sync,
 ) -> Vec<Vec<P>>
 where
-    C: Sync,
+    C: Clone + Sync,
     P: Send,
 {
     let seeds = opts.seeds_or(1);
     let work: Vec<C> = cells
         .iter()
-        .flat_map(|cell| (0..seeds).map(|rep| reseed(cell, rep)))
+        .flat_map(|cell| {
+            (0..seeds).map(|rep| {
+                let mut cell = cell.clone();
+                let s = scale(&mut cell);
+                s.seed = s.seed.wrapping_add(rep);
+                cell
+            })
+        })
         .collect();
     let mut runs = par_map(opts.jobs, &work, run).into_iter();
     cells
@@ -153,21 +180,19 @@ where
 /// Runs a set of hybrid cells through the parallel engine. Output `i`
 /// holds `cells[i]`'s replicates, base seed first.
 pub fn run_hybrid_cells(cells: &[HybridConfig], opts: &SweepOptions) -> Vec<Vec<HybridPoint>> {
-    let reseed = |c: &HybridConfig, rep: u64| HybridConfig {
-        scale: c.scale.clone().with_seed(c.scale.seed.wrapping_add(rep)),
-        ..c.clone()
-    };
-    run_replicated(cells, opts, reseed, run_hybrid)
+    run_replicated(cells, opts, |c| &mut c.scale, run_hybrid)
 }
 
 /// Runs a set of incast cells through the parallel engine (see
 /// [`run_hybrid_cells`]).
 pub fn run_incast_cells(cells: &[IncastConfig], opts: &SweepOptions) -> Vec<Vec<IncastPoint>> {
-    let reseed = |c: &IncastConfig, rep: u64| IncastConfig {
-        scale: c.scale.clone().with_seed(c.scale.seed.wrapping_add(rep)),
-        ..c.clone()
-    };
-    run_replicated(cells, opts, reseed, run_incast)
+    run_replicated(cells, opts, |c| &mut c.scale, run_incast)
+}
+
+/// Runs a set of fault cells, each with its invariant battery, through
+/// the parallel engine (see [`run_hybrid_cells`]).
+pub(crate) fn run_fault_cells(cells: &[FaultCell], opts: &SweepOptions) -> Vec<Vec<FaultPoint>> {
+    run_replicated(cells, opts, |c| &mut c.hybrid.scale, run_fault_cell)
 }
 
 #[cfg(test)]
@@ -178,12 +203,7 @@ mod tests {
     use dcn_fabric::PolicyChoice;
 
     fn tiny_cell(policy: PolicyChoice, tcp_load: f64) -> HybridConfig {
-        HybridConfig {
-            scale: ExperimentScale::tiny(),
-            policy,
-            rdma_load: 0.4,
-            tcp_load,
-        }
+        HybridConfig::paper(&ExperimentScale::tiny(), policy, tcp_load)
     }
 
     fn digests(cells: &[Vec<HybridPoint>]) -> Vec<Vec<u64>> {
@@ -200,7 +220,10 @@ mod tests {
         let par = run_hybrid_cells(std::slice::from_ref(&cell), &SweepOptions::new(4, 1));
         assert_eq!(par.len(), 1);
         assert_eq!(par[0].len(), 1, "one seed, one replicate");
-        assert_eq!(par[0][0].pause_frames, serial.pause_frames);
+        assert_eq!(
+            par[0][0].results.pause_frames(),
+            serial.results.pause_frames()
+        );
         assert_eq!(
             par[0][0].results.events_processed,
             serial.results.events_processed
@@ -236,7 +259,7 @@ mod tests {
         let cell = |cells: &[Vec<HybridPoint>]| {
             seed_cell(
                 &cells[0],
-                |p| p.pause_frames as f64,
+                |p| p.results.pause_frames() as f64,
                 fmt_f64,
                 |x| x.to_string(),
             )

@@ -5,24 +5,24 @@
 //! p99 slowdown vs goodput vs pause frames vs fault degradation.
 //!
 //! The tournament rides the existing sweep engine: its hybrid and
-//! incast arenas are one cell per policy, replicated by
-//! [`run_hybrid_cells`] / [`run_incast_cells`]; the chaos arena fans
-//! every `(policy, replicate, fault seed)` cell through
-//! [`run_fault_cell`]. So the jobs-invariance contract carries over
+//! incast arenas are one cell per policy and its chaos arena one cell
+//! per `(policy, fault seed)`, replicated by [`run_hybrid_cells`],
+//! [`run_incast_cells`] and [`run_fault_cells`] with replicate `r` at
+//! `seed + r`. So the jobs-invariance contract carries over
 //! verbatim — the same tournament specification renders a
 //! byte-identical report (and the same per-cell digests) at any
 //! `--jobs` value.
 
 use dcn_fabric::{RdmaTransport, RunResults};
 use dcn_net::TrafficClass;
-use dcn_sim::{par_map, SimDuration};
+use dcn_sim::SimDuration;
 
-use crate::fault::{run_fault_cell, FaultCell, FaultPoint, CHAOS_CHECK_SEEDS};
+use crate::fault::{FaultCell, FaultPoint, CHAOS_CHECK_SEEDS};
 use crate::hybrid::{goodput_gbps, HybridConfig};
 use crate::incast::IncastConfig;
 use crate::report::{delta_pct, fmt_f64, mean_finite, Outcome, Table};
 use crate::scale::ExperimentScale;
-use crate::sweep::{run_hybrid_cells, run_incast_cells, seed_cell, SweepOptions};
+use crate::sweep::{run_fault_cells, run_hybrid_cells, run_incast_cells, seed_cell, SweepOptions};
 
 /// Responders per incast query in the incast arena (the paper's
 /// headline fanout).
@@ -206,12 +206,7 @@ fn play(scale: &ExperimentScale, opts: &SweepOptions) -> Vec<TournamentRow> {
     for (arena, tcp_load) in [("hybrid", 0.4), ("websearch", 0.8)] {
         let cells: Vec<HybridConfig> = policies
             .iter()
-            .map(|&policy| HybridConfig {
-                scale: scale.clone(),
-                policy,
-                rdma_load: 0.4,
-                tcp_load,
-            })
+            .map(|&policy| HybridConfig::paper(scale, policy, tcp_load))
             .collect();
         for reps in run_hybrid_cells(&cells, opts) {
             rows.push(TournamentRow::fault_free(
@@ -223,13 +218,11 @@ fn play(scale: &ExperimentScale, opts: &SweepOptions) -> Vec<TournamentRow> {
         }
     }
 
-    // Incast arena: paper §IV-B defaults at the headline fanout,
-    // clamped so the fanout fits the scale's RDMA host pool (the
-    // workload requires strictly more responder candidates than N).
-    let fanout = FANOUT.min(scale.host_count() / 2 - 1).max(1);
+    // Incast arena: paper §IV-B defaults at the headline fanout
+    // (clamped to the scale's RDMA host pool by `paper_defaults`).
     let cells: Vec<IncastConfig> = policies
         .iter()
-        .map(|&policy| IncastConfig::paper_defaults(scale.clone(), policy, fanout))
+        .map(|&policy| IncastConfig::paper_defaults(scale.clone(), policy, FANOUT))
         .collect();
     for reps in run_incast_cells(&cells, opts) {
         rows.push(TournamentRow::fault_free(
@@ -242,22 +235,18 @@ fn play(scale: &ExperimentScale, opts: &SweepOptions) -> Vec<TournamentRow> {
 
     // Chaos arena: per replicate, a zero-fault baseline plus one cell
     // per fault seed; the reported metrics come from the fault cells,
-    // the degradation is relative to the same replicate's baseline.
-    // Replicate `rep` runs at `seed + rep`, as in the sweep engine. The
+    // the degradation is relative to the same replicate's baseline. The
     // arena injects the first two of `repro chaos`'s fault seeds (the
     // full battery is its job).
-    let scales: Vec<ExperimentScale> = (0..opts.seeds)
-        .map(|rep| scale.clone().with_seed(scale.seed.wrapping_add(rep)))
-        .collect();
     let fault_seeds = &CHAOS_CHECK_SEEDS[..2];
-    let block = 1 + fault_seeds.len();
-    let cells = FaultCell::grid(&policies, &scales, &[RdmaTransport::Dcqcn], fault_seeds);
-    let points = par_map(opts.jobs, &cells, run_fault_cell);
-    for (runs, policy) in points.chunks(opts.seeds as usize * block).zip(&policies) {
+    let cells = FaultCell::grid(&policies, scale, &[RdmaTransport::Dcqcn], fault_seeds);
+    let points = run_fault_cells(&cells, opts);
+    for (cells, policy) in points.chunks(1 + fault_seeds.len()).zip(&policies) {
         let mut row = TournamentRow::new("chaos", policy.label());
-        for rep in runs.chunks(block) {
-            let (base, faulted) = (&rep[0], &rep[1..]);
-            let mean = |f: &dyn Fn(&FaultPoint) -> f64| mean_finite(faulted.iter().map(f));
+        for rep in 0..opts.seeds as usize {
+            let (base, faulted) = (&cells[0][rep], &cells[1..]);
+            let mean =
+                |f: &dyn Fn(&FaultPoint) -> f64| mean_finite(faulted.iter().map(|c| f(&c[rep])));
             let goodput = mean(&FaultPoint::goodput_gbps);
             row.p99_slowdown
                 .push(mean(&|p| p.p99(TrafficClass::Lossless)));
@@ -266,7 +255,7 @@ fn play(scale: &ExperimentScale, opts: &SweepOptions) -> Vec<TournamentRow> {
                 .push(mean(&|p| p.results.pause_frames() as f64));
             row.fault_delta_pct
                 .push(delta_pct(goodput, base.goodput_gbps()));
-            for p in rep {
+            for p in cells.iter().map(|c| &c[rep]) {
                 row.digests.push(p.results.digest());
                 row.violations.extend(
                     p.violations

@@ -36,14 +36,18 @@ fn main() {
             rdma_load: 0.4,
             tcp_load: 0.8,
         });
-        assert_eq!(point.lossless_drops, 0, "lossless traffic must never drop");
+        let r = &point.results;
+        assert_eq!(
+            r.drops.lossless_packets, 0,
+            "lossless traffic must never drop"
+        );
         table.row(vec![
             point.label.clone(),
             fmt_f64(point.rdma_p99_slowdown),
             fmt_f64(point.tcp_p99_slowdown),
             fmt_bytes(point.tor_occupancy_p99),
-            point.pause_frames.to_string(),
-            point.lossy_drops.to_string(),
+            r.pause_frames().to_string(),
+            r.drops.lossy_packets.to_string(),
         ]);
     }
     println!("{}", table.render());

@@ -36,7 +36,7 @@ fn main() {
             fmt_f64(eb.median * 1e3),
             fmt_f64(eb.max * 1e3),
             fmt_f64(point.incast_p99_slowdown),
-            point.pause_frames.to_string(),
+            point.results.pause_frames().to_string(),
         ]);
     }
     println!("{}", table.render());

@@ -43,7 +43,10 @@ fn small_hybrid_cell_peaks_under_four_fifths_of_per_fifo_buffers() {
     });
     let peak = vm_hwm_mb();
     eprintln!("small L2BM cell, RDMA 0.4 + TCP 0.8, 10 ms: VmHWM {peak:.1} MB");
-    assert_eq!(point.unfinished, 0, "the cell must run to completion");
+    assert_eq!(
+        point.results.unfinished_flows, 0,
+        "the cell must run to completion"
+    );
     assert!(
         peak < BOUND_MB,
         "peaked at {peak:.1} MB, bound {BOUND_MB} MB"
