@@ -48,7 +48,7 @@ use std::process::ExitCode;
 use dcn_experiments::{ExperimentScale, SweepOptions, FIGURES, SWEEPS};
 use dcn_fabric::{FabricConfig, FabricSim, PolicyChoice};
 use dcn_net::{ClosConfig, Priority, Topology, TrafficClass};
-use dcn_sim::{BitRate, Bytes, SimDuration, SimRng, SimTime, TraceConfig};
+use dcn_sim::{BitRate, Bytes, SimDuration, SimRng, SimTime, TraceConfig, TraceDropCause};
 use dcn_switch::SwitchConfig;
 use dcn_workload::{web_search_cdf, PoissonTraffic};
 
@@ -117,9 +117,9 @@ fn trace() -> ExitCode {
                 rec.len(),
                 rec.evicted(),
                 t.drops(),
-                t.drops_ingress,
-                t.drops_egress,
-                t.drops_headroom,
+                t.drops_by(TraceDropCause::AdmissionDeniedIngress),
+                t.drops_by(TraceDropCause::AdmissionDeniedEgress),
+                t.drops_by(TraceDropCause::HeadroomExhausted),
                 t.pfc_pauses,
                 t.pfc_resumes,
                 t.rto_fires,
@@ -152,7 +152,7 @@ fn main() -> ExitCode {
 
     let mut scale = ExperimentScale::small();
     let mut seed: Option<u64> = None;
-    let mut window: Option<SimDuration> = None;
+    let mut window_ms: Option<u64> = None;
     let mut jobs = 1;
     let mut check = false;
     let mut seeds: Option<u64> = None;
@@ -206,7 +206,7 @@ fn main() -> ExitCode {
                     eprintln!("--window-ms must be at least 1: a 0 ms window generates no flows");
                     return usage();
                 }
-                window = Some(SimDuration::from_millis(v));
+                window_ms = Some(v);
             }
             other => {
                 eprintln!("unknown flag '{other}'");
@@ -262,8 +262,17 @@ fn main() -> ExitCode {
     if let Some(seed) = seed {
         scale = scale.with_seed(seed);
     }
-    if let Some(window) = window {
-        scale = scale.with_window(window);
+    if let Some(ms) = window_ms {
+        // The run ends at window + drain nanoseconds: both must fit a
+        // `SimTime`, or the window silently wraps.
+        let end_ns = ms
+            .checked_mul(1_000_000)
+            .and_then(|ns| ns.checked_add(scale.drain.as_nanos()));
+        if end_ns.is_none() {
+            eprintln!("--window-ms {ms} overflows the simulated clock with the scale's drain");
+            return usage();
+        }
+        scale = scale.with_window(SimDuration::from_millis(ms));
     }
 
     eprintln!(

@@ -164,8 +164,9 @@ pub(crate) fn tor_occupancy(results: &RunResults, q: f64) -> f64 {
 
 /// The inputs of one hybrid run: RDMA web-search traffic among the
 /// RDMA half of each rack, TCP among the other half. §IV-A: "data is
-/// randomly sent to all other servers" — no rack restriction (the
-/// inter-rack restriction belongs to Fig. 3(a)'s motivation setup).
+/// randomly sent to all other servers" — no rack restriction, for
+/// every caller including both Fig. 3(a) cells; only the incast
+/// background TCP (`incast_inputs`) is kept inter-rack.
 pub(crate) fn hybrid_inputs(cfg: &HybridConfig) -> RunInputs {
     let topo = Topology::clos(&cfg.scale.clos);
     let (rdma_hosts, tcp_hosts, _) = split_hosts(&topo, cfg.scale.clos.hosts_per_tor);

@@ -31,6 +31,8 @@ pub(crate) struct Switches {
     pfc_watchdog: Option<SimDuration>,
     /// Occupancy sampling period (`None` = no sampling).
     sample_interval: Option<SimDuration>,
+    /// IRN NACKs the switches generated toward senders.
+    nacks: u64,
 }
 
 impl Switches {
@@ -74,6 +76,7 @@ impl Switches {
             occupancy: vec![OccupancySeries::new(); topo.node_count()],
             pfc_watchdog: cfg.switch.pfc_watchdog,
             sample_interval: cfg.sample_interval,
+            nacks: 0,
         }
     }
 
@@ -86,8 +89,8 @@ impl Switches {
         self.switches[id.index()].as_mut().expect("not a switch")
     }
 
-    /// Forwards a packet arriving on `in_port`. Returns whether the
-    /// switch generated an IRN NACK toward the packet's sender.
+    /// Forwards a packet arriving on `in_port`, and any IRN NACK the
+    /// switch generates toward its sender.
     pub fn receive(
         &mut self,
         now: SimTime,
@@ -96,7 +99,7 @@ impl Switches {
         packet: Packet,
         wires: &mut Wires,
         q: &mut Queue,
-    ) -> bool {
+    ) {
         let sw = self.switches[node.index()].as_mut().expect("not a switch");
         let Some(out_port) = wires.routes.next_port(node, packet.dst, packet.flow) else {
             // Every candidate next hop is down (or the destination is
@@ -104,7 +107,7 @@ impl Switches {
             // survives injected failures. TCP retransmits after
             // recovery; a lossless flow hit here becomes a victim flow.
             sw.record_drop(now, &packet, in_port, TraceDropCause::NoRoute);
-            return false;
+            return;
         };
         let res = sw.receive(now, packet, in_port, out_port);
         if let Some(e) = res.pfc {
@@ -115,15 +118,14 @@ impl Switches {
         }
         // Other drops need no action here: lossy transports recover via
         // dup-ACKs/RTO, and lossless drops are counted as config failures.
-        let Some(nack) = res.nack else {
-            return false;
-        };
         // An out-of-order lossy-RDMA arrival: the switch generated an
         // IRN NACK toward the sender. Inject it here as if it entered
         // on the same port the offending data packet used. Recursion is
         // depth-1: only Data packets trigger NACK generation.
-        self.receive(now, node, in_port, nack, wires, q);
-        true
+        if let Some(nack) = res.nack {
+            self.nacks += 1;
+            self.receive(now, node, in_port, nack, wires, q);
+        }
     }
 
     /// A port finished serializing: start the next packet, and send any
@@ -252,12 +254,14 @@ impl Switches {
         }
     }
 
-    /// Folds PFC and drop counters and occupancy series into `r`.
+    /// Folds PFC and drop counters, switch-generated NACKs and
+    /// occupancy series into `r`.
     pub fn fold_into(&self, r: &mut RunResults) {
         for sw in self.switches.iter().flatten() {
             r.pfc.merge(sw.pfc_counters());
             r.drops.merge(sw.drop_counters());
         }
+        r.irn.nacks_switch += self.nacks;
         for (i, series) in self.occupancy.iter().enumerate() {
             if !series.is_empty() {
                 r.occupancy.insert(NodeId::new(i as u32), series.clone());

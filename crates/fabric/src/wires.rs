@@ -5,11 +5,9 @@
 use std::sync::Arc;
 
 use dcn_metrics::DropCounters;
-use dcn_net::{
-    Link, LinkId, NodeId, Packet, Partition, PortId, RoutingTable, Topology, TrafficClass, Wire,
-};
-use dcn_sim::{FaultEvent, SimRng, SimTime, Stamp, TraceDropCause, TraceEvent, TraceHandle};
-use dcn_switch::{PfcEmit, TxStart};
+use dcn_net::{Link, LinkId, NodeId, Packet, Partition, PortId, RoutingTable, Topology, Wire};
+use dcn_sim::{FaultEvent, SimRng, SimTime, Stamp, TraceDropCause, TraceHandle};
+use dcn_switch::{record_loss, PfcEmit, TxStart};
 
 use crate::config::FabricConfig;
 use crate::world::{Event, Queue};
@@ -221,63 +219,49 @@ impl Wires {
         self.link_state[link as usize].ber = ber;
     }
 
-    /// Applies link faults to an arriving packet: delivery over a dead
-    /// link is lost (events already on the wire cannot be retracted, so
-    /// the check happens at arrival), and a corrupting link discards the
-    /// packet with probability `1 - (1-ber)^bits`. Returns why the
-    /// packet is lost, or `None` if it survives. The fast path — every
-    /// link up, no corruption — reads the port's wire slot and the
-    /// link's fault record, touches no RNG and is byte-identical to a
-    /// faultless build.
-    pub fn wire_filter(
-        &mut self,
-        node: NodeId,
-        in_port: PortId,
-        packet: &Packet,
-    ) -> Option<TraceDropCause> {
-        let wire = self.topo.wire(node, in_port);
-        let lid = wire.link.index();
-        let LinkState { up, ber } = self.link_state[lid];
-        if !up {
-            return Some(TraceDropCause::LinkDown);
-        }
-        if ber > 0.0 {
-            let bits = (packet.size().as_u64() * 8).min(i32::MAX as u64) as i32;
-            let survive = (1.0 - ber).powi(bits);
-            // Draw from this delivery direction's own stream: the draw
-            // sequence each packet sees is then independent of every
-            // other link's traffic.
-            if self.fault_rng[lid * 2 + usize::from(wire.dir)].uniform_f64() >= survive {
-                return Some(TraceDropCause::Corrupted);
-            }
-        }
-        None
-    }
-
-    /// Counts a packet lost on the wire (dead link or corruption) and
-    /// records the drop in the trace against the receiving node.
-    pub fn wire_drop(
+    /// Applies link faults to a packet arriving at `node`: delivery over
+    /// a dead link is lost (events already on the wire cannot be
+    /// retracted, so the check happens at arrival), and a corrupting
+    /// link discards the packet with probability `1 - (1-ber)^bits`. A
+    /// lost packet is counted and traced ([`record_loss`]); returns
+    /// whether the packet survives. The fast path — every link up, no
+    /// corruption — reads the port's wire slot and the link's fault
+    /// record, touches no RNG and is byte-identical to a faultless build.
+    pub fn survives(
         &mut self,
         now: SimTime,
         node: NodeId,
         in_port: PortId,
         packet: &Packet,
-        cause: TraceDropCause,
-    ) {
-        match packet.class {
-            TrafficClass::Lossless => self.wire_drops.record_lossless(packet.size()),
-            TrafficClass::Lossy => self.wire_drops.record_lossy(packet.size()),
-            TrafficClass::LossyRdma => self.wire_drops.record_lossy_rdma(packet.size()),
-        }
-        self.trace.record_with(now, || TraceEvent::Drop {
-            node: node.index() as u32,
-            in_port: in_port.index() as u16,
-            prio: packet.priority.index() as u8,
-            flow: packet.flow.as_u64(),
-            seq: packet.seq,
-            size: packet.size().as_u64(),
-            lossless: packet.class == TrafficClass::Lossless,
+    ) -> bool {
+        let wire = self.topo.wire(node, in_port);
+        let lid = wire.link.index();
+        let LinkState { up, ber } = self.link_state[lid];
+        let lost = if !up {
+            Some(TraceDropCause::LinkDown)
+        } else if ber > 0.0 {
+            let bits = (packet.size().as_u64() * 8).min(i32::MAX as u64) as i32;
+            let survive = (1.0 - ber).powi(bits);
+            // Draw from this delivery direction's own stream: the draw
+            // sequence each packet sees is then independent of every
+            // other link's traffic.
+            let draw = self.fault_rng[lid * 2 + usize::from(wire.dir)].uniform_f64();
+            (draw >= survive).then_some(TraceDropCause::Corrupted)
+        } else {
+            None
+        };
+        let Some(cause) = lost else {
+            return true;
+        };
+        record_loss(
+            &mut self.wire_drops,
+            &self.trace,
+            now,
+            node,
+            in_port,
+            packet,
             cause,
-        });
+        );
+        false
     }
 }

@@ -275,12 +275,12 @@ impl Simulation for World {
                 in_port,
                 packet,
             } => {
-                if let Some(cause) = wires.wire_filter(node, in_port, &packet) {
-                    wires.wire_drop(now, node, in_port, &packet, cause);
+                if !wires.survives(now, node, in_port, &packet) {
+                    // Lost on the wire: `survives` counted and traced it.
                 } else if wires.topo.node(node).kind == NodeKind::Host {
                     self.hosts.receive(now, node, packet, wires, q);
-                } else if self.switches.receive(now, node, in_port, packet, wires, q) {
-                    self.hosts.irn.nacks_switch += 1;
+                } else {
+                    self.switches.receive(now, node, in_port, packet, wires, q);
                 }
             }
             Event::PfcDeliver {

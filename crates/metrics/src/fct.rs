@@ -90,15 +90,6 @@ impl FctSet {
         percentile(&s, p)
     }
 
-    /// Mean slowdown of a class, or `None` if no such flows completed.
-    pub fn mean_slowdown(&self, class: TrafficClass) -> Option<f64> {
-        let s = self.slowdowns(class);
-        if s.is_empty() {
-            return None;
-        }
-        Some(s.iter().sum::<f64>() / s.len() as f64)
-    }
-
     /// CDF over raw FCTs (seconds) of a class — Fig. 9's series.
     pub fn fct_cdf(&self, class: TrafficClass) -> Cdf {
         self.by_class(class)
@@ -176,8 +167,6 @@ mod tests {
             .unwrap();
         assert!((p99 - 99.01).abs() < 1e-6);
         assert!(set.slowdown_percentile(TrafficClass::Lossy, 0.99).is_none());
-        let mean = set.mean_slowdown(TrafficClass::Lossless).unwrap();
-        assert!((mean - 50.5).abs() < 1e-9);
     }
 
     #[test]

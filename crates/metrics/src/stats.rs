@@ -160,14 +160,12 @@ impl Extend<f64> for Cdf {
     }
 }
 
-/// Box-plot style summary: mean, median, quartiles, 1.5·IQR whisker range
-/// and extremes — what the paper's Fig. 10(b) error bars show.
+/// Box-plot style summary: mean, median, quartiles and extremes — what
+/// the paper's Fig. 10(b) error bars show.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorBarStats {
     /// Sample mean.
     pub mean: f64,
-    /// Sample standard deviation (population, n denominator).
-    pub std_dev: f64,
     /// Minimum sample.
     pub min: f64,
     /// 25th percentile.
@@ -178,10 +176,6 @@ pub struct ErrorBarStats {
     pub q75: f64,
     /// Maximum sample.
     pub max: f64,
-    /// Low end of the 1.5·IQR whisker (smallest sample ≥ q25 − 1.5·IQR).
-    pub whisker_lo: f64,
-    /// High end of the 1.5·IQR whisker (largest sample ≤ q75 + 1.5·IQR).
-    pub whisker_hi: f64,
 }
 
 impl ErrorBarStats {
@@ -196,34 +190,13 @@ impl ErrorBarStats {
         }
         let mut v = samples.to_vec();
         v.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-        let n = v.len() as f64;
-        let mean = v.iter().sum::<f64>() / n;
-        let var = v.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
-        let q25 = percentile_sorted(&v, 0.25);
-        let median = percentile_sorted(&v, 0.5);
-        let q75 = percentile_sorted(&v, 0.75);
-        let iqr = q75 - q25;
-        let lo_limit = q25 - 1.5 * iqr;
-        let hi_limit = q75 + 1.5 * iqr;
-        let whisker_lo = *v
-            .iter()
-            .find(|&&x| x >= lo_limit)
-            .expect("non-empty sorted set");
-        let whisker_hi = *v
-            .iter()
-            .rev()
-            .find(|&&x| x <= hi_limit)
-            .expect("non-empty sorted set");
         Some(ErrorBarStats {
-            mean,
-            std_dev: var.sqrt(),
+            mean: v.iter().sum::<f64>() / v.len() as f64,
             min: v[0],
-            q25,
-            median,
-            q75,
-            max: *v.last().expect("non-empty"),
-            whisker_lo,
-            whisker_hi,
+            q25: percentile_sorted(&v, 0.25),
+            median: percentile_sorted(&v, 0.5),
+            q75: percentile_sorted(&v, 0.75),
+            max: v[v.len() - 1],
         })
     }
 }
@@ -246,9 +219,8 @@ fn t_critical_975(df: usize) -> f64 {
     }
 }
 
-/// Replication summary over the N seeded runs of one sweep cell: mean,
-/// sample standard deviation, 95% confidence interval on the mean
-/// (Student-t for small N), p99 and extremes.
+/// Replication summary over the N seeded runs of one sweep cell: mean
+/// and 95% confidence interval on the mean (Student-t for small N).
 ///
 /// Construction sorts the samples before any arithmetic, so the summary
 /// is **bit-identical under any permutation of the input** — the
@@ -270,17 +242,9 @@ pub struct SeedStats {
     pub n: usize,
     /// Sample mean.
     pub mean: f64,
-    /// Sample standard deviation (n − 1 denominator; 0 for n = 1).
-    pub std_dev: f64,
-    /// Half-width of the 95% confidence interval on the mean
-    /// (t·s/√n; 0 for n = 1).
+    /// Half-width of the 95% confidence interval on the mean (t·s/√n,
+    /// with s the n − 1 sample standard deviation; 0 for n = 1).
     pub ci95_half: f64,
-    /// 99th percentile of the samples.
-    pub p99: f64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
 }
 
 impl SeedStats {
@@ -297,25 +261,13 @@ impl SeedStats {
         v.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
         let n = v.len();
         let mean = v.iter().sum::<f64>() / n as f64;
-        let std_dev = if n > 1 {
-            (v.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64).sqrt()
-        } else {
-            0.0
-        };
         let ci95_half = if n > 1 {
-            t_critical_975(n - 1) * std_dev / (n as f64).sqrt()
+            let var = v.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64;
+            t_critical_975(n - 1) * var.sqrt() / (n as f64).sqrt()
         } else {
             0.0
         };
-        Some(SeedStats {
-            n,
-            mean,
-            std_dev,
-            ci95_half,
-            p99: percentile_sorted(&v, 0.99),
-            min: v[0],
-            max: v[n - 1],
-        })
+        Some(SeedStats { n, mean, ci95_half })
     }
 }
 
@@ -363,9 +315,7 @@ mod tests {
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 100.0);
         assert_eq!(s.median, 3.0);
-        // 100 is far outside 1.5*IQR of [2,4]: whisker stops at 4.
-        assert_eq!(s.whisker_hi, 4.0);
-        assert_eq!(s.whisker_lo, 1.0);
+        assert_eq!((s.q25, s.q75), (2.0, 4.0));
         assert!((s.mean - 22.0).abs() < 1e-9);
     }
 
@@ -377,9 +327,10 @@ mod tests {
     #[test]
     fn error_bars_constant_samples() {
         let s = ErrorBarStats::from_samples(&[5.0; 10]).unwrap();
-        assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.whisker_lo, 5.0);
-        assert_eq!(s.whisker_hi, 5.0);
+        assert_eq!(
+            (s.min, s.q25, s.median, s.q75, s.max),
+            (5.0, 5.0, 5.0, 5.0, 5.0)
+        );
     }
 
     /// Deterministic synthetic noise: a fixed zig-zag around zero whose
@@ -398,17 +349,14 @@ mod tests {
         let s = SeedStats::from_samples(&[1.0, 2.0, 3.0]).unwrap();
         assert_eq!(s.n, 3);
         assert!((s.mean - 2.0).abs() < 1e-12);
-        assert!((s.std_dev - 1.0).abs() < 1e-12);
-        // df = 2 -> t = 4.303; half-width = 4.303 / sqrt(3).
+        // s = 1, df = 2 -> t = 4.303; half-width = 4.303 / sqrt(3).
         assert!((s.ci95_half - 4.303 / 3f64.sqrt()).abs() < 1e-9);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
     }
 
     #[test]
     fn seed_stats_single_sample_and_empty() {
         let s = SeedStats::from_samples(&[7.0]).unwrap();
-        assert_eq!((s.n, s.std_dev, s.ci95_half), (1, 0.0, 0.0));
+        assert_eq!((s.n, s.ci95_half), (1, 0.0));
         assert_eq!(s.mean, 7.0);
         assert!(SeedStats::from_samples(&[]).is_none());
         assert!(SeedStats::from_samples(&[f64::NAN]).is_none());

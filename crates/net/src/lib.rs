@@ -40,7 +40,7 @@ mod routing;
 mod topology;
 
 pub use ids::{FlowId, NodeId, PortId, Priority, TrafficClass};
-pub use link::{Link, LinkEnd, LinkId, NotAttached};
+pub use link::{Link, LinkEnd, LinkId};
 pub use packet::{
     EcnCodepoint, Packet, PacketKind, PfcFrame, ACK_SIZE, CNP_SIZE, MAX_FRAME, NACK_SIZE,
     PFC_FRAME_SIZE,

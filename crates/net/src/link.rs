@@ -44,26 +44,6 @@ impl LinkEnd {
     }
 }
 
-/// A lookup named a node that is not an endpoint of the link — a wiring
-/// defect. Returned (not panicked) so a corrupted or fault-injected
-/// lookup can be recorded as a `Defect` trace event instead of aborting
-/// a whole sweep worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NotAttached {
-    /// The node that was looked up.
-    pub node: NodeId,
-    /// The link it is not attached to.
-    pub link: LinkId,
-}
-
-impl fmt::Display for NotAttached {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} is not attached to {}", self.node, self.link)
-    }
-}
-
-impl std::error::Error for NotAttached {}
-
 /// A full-duplex point-to-point link. Both directions share the same rate
 /// and propagation delay; each direction serializes independently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,86 +58,4 @@ pub struct Link {
     pub rate: BitRate,
     /// One-way propagation delay.
     pub propagation: SimDuration,
-}
-
-impl Link {
-    /// The endpoint opposite `node`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NotAttached`] if `node` is not an endpoint.
-    pub fn peer_of(&self, node: NodeId) -> Result<LinkEnd, NotAttached> {
-        if self.a.node == node {
-            Ok(self.b)
-        } else if self.b.node == node {
-            Ok(self.a)
-        } else {
-            Err(NotAttached {
-                node,
-                link: self.id,
-            })
-        }
-    }
-
-    /// The local attachment point for `node`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NotAttached`] if `node` is not an endpoint.
-    pub fn end_of(&self, node: NodeId) -> Result<LinkEnd, NotAttached> {
-        if self.a.node == node {
-            Ok(self.a)
-        } else if self.b.node == node {
-            Ok(self.b)
-        } else {
-            Err(NotAttached {
-                node,
-                link: self.id,
-            })
-        }
-    }
-
-    /// Whether `node` is one of the endpoints.
-    pub fn touches(&self, node: NodeId) -> bool {
-        self.a.node == node || self.b.node == node
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn link() -> Link {
-        Link {
-            id: LinkId::new(0),
-            a: LinkEnd::new(NodeId::new(1), PortId::new(0)),
-            b: LinkEnd::new(NodeId::new(2), PortId::new(3)),
-            rate: BitRate::from_gbps(100),
-            propagation: SimDuration::from_micros(1),
-        }
-    }
-
-    #[test]
-    fn peer_lookup() {
-        let l = link();
-        assert_eq!(l.peer_of(NodeId::new(1)).unwrap().node, NodeId::new(2));
-        assert_eq!(l.peer_of(NodeId::new(2)).unwrap().port, PortId::new(0));
-        assert_eq!(l.end_of(NodeId::new(2)).unwrap().port, PortId::new(3));
-        assert!(l.touches(NodeId::new(1)));
-        assert!(!l.touches(NodeId::new(9)));
-    }
-
-    #[test]
-    fn unattached_lookup_is_a_typed_error_not_a_panic() {
-        let err = link().peer_of(NodeId::new(7)).unwrap_err();
-        assert_eq!(
-            err,
-            NotAttached {
-                node: NodeId::new(7),
-                link: LinkId::new(0),
-            }
-        );
-        assert_eq!(err.to_string(), "n7 is not attached to l0");
-        assert_eq!(link().end_of(NodeId::new(7)).unwrap_err(), err);
-    }
 }

@@ -657,7 +657,7 @@ mod tests {
                     let port = routes
                         .next_port(at, dst, FlowId::new(7))
                         .unwrap_or_else(|| panic!("no route {src:?}->{dst:?} at {at:?}"));
-                    at = t.link_at(at, port).peer_of(at).unwrap().node;
+                    at = t.wire(at, port).peer.node;
                     hops += 1;
                     assert!(hops <= 6, "route too long {src:?}->{dst:?}");
                 }

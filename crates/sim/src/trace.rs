@@ -53,6 +53,17 @@ pub enum TraceDropCause {
 }
 
 impl TraceDropCause {
+    /// Every cause, in declaration order.
+    pub const ALL: [TraceDropCause; 7] = [
+        TraceDropCause::AdmissionDeniedIngress,
+        TraceDropCause::AdmissionDeniedEgress,
+        TraceDropCause::HeadroomExhausted,
+        TraceDropCause::LinkDown,
+        TraceDropCause::NoRoute,
+        TraceDropCause::Corrupted,
+        TraceDropCause::Evicted,
+    ];
+
     /// Stable machine-readable name (used in JSONL and summaries).
     pub const fn name(self) -> &'static str {
         match self {
@@ -472,20 +483,9 @@ impl TraceConfig {
 /// Aggregate counters maintained outside the ring (never evicted).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceTotals {
-    /// Drops recorded with cause [`TraceDropCause::AdmissionDeniedIngress`].
-    pub drops_ingress: u64,
-    /// Drops recorded with cause [`TraceDropCause::AdmissionDeniedEgress`].
-    pub drops_egress: u64,
-    /// Drops recorded with cause [`TraceDropCause::HeadroomExhausted`].
-    pub drops_headroom: u64,
-    /// Drops recorded with cause [`TraceDropCause::LinkDown`].
-    pub drops_link_down: u64,
-    /// Drops recorded with cause [`TraceDropCause::NoRoute`].
-    pub drops_no_route: u64,
-    /// Drops recorded with cause [`TraceDropCause::Corrupted`].
-    pub drops_corrupted: u64,
-    /// Drops recorded with cause [`TraceDropCause::Evicted`].
-    pub drops_evicted: u64,
+    /// Drops per cause, indexed by `TraceDropCause as usize`: read
+    /// through [`TraceTotals::drops_by`].
+    drops: [u64; TraceDropCause::ALL.len()],
     /// PFC pause edges recorded.
     pub pfc_pauses: u64,
     /// PFC resume edges recorded.
@@ -507,15 +507,14 @@ pub struct TraceTotals {
 }
 
 impl TraceTotals {
+    /// Drops recorded with `cause`.
+    pub fn drops_by(&self, cause: TraceDropCause) -> u64 {
+        self.drops[cause as usize]
+    }
+
     /// Total drops across every cause.
     pub fn drops(&self) -> u64 {
-        self.drops_ingress
-            + self.drops_egress
-            + self.drops_headroom
-            + self.drops_link_down
-            + self.drops_no_route
-            + self.drops_corrupted
-            + self.drops_evicted
+        self.drops.iter().sum()
     }
 }
 
@@ -553,15 +552,7 @@ impl FlightRecorder {
                 lossless,
                 ..
             } => {
-                match cause {
-                    TraceDropCause::AdmissionDeniedIngress => self.totals.drops_ingress += 1,
-                    TraceDropCause::AdmissionDeniedEgress => self.totals.drops_egress += 1,
-                    TraceDropCause::HeadroomExhausted => self.totals.drops_headroom += 1,
-                    TraceDropCause::LinkDown => self.totals.drops_link_down += 1,
-                    TraceDropCause::NoRoute => self.totals.drops_no_route += 1,
-                    TraceDropCause::Corrupted => self.totals.drops_corrupted += 1,
-                    TraceDropCause::Evicted => self.totals.drops_evicted += 1,
-                }
+                self.totals.drops[cause as usize] += 1;
                 if lossless {
                     self.lossless_victims.insert(flow);
                 }
@@ -861,7 +852,7 @@ mod tests {
             [7],
             "the aggregate victim set must outlive the ring"
         );
-        assert_eq!(rec.totals().drops_link_down, 1);
+        assert_eq!(rec.totals().drops_by(TraceDropCause::LinkDown), 1);
     }
 
     #[test]
@@ -993,9 +984,9 @@ mod tests {
             },
         );
         let t = rec.totals();
-        assert_eq!(t.drops_link_down, 1);
-        assert_eq!(t.drops_no_route, 1);
-        assert_eq!(t.drops_corrupted, 1);
+        assert_eq!(t.drops_by(TraceDropCause::LinkDown), 1);
+        assert_eq!(t.drops_by(TraceDropCause::NoRoute), 1);
+        assert_eq!(t.drops_by(TraceDropCause::Corrupted), 1);
         assert_eq!(t.drops(), 3, "fault causes join the drop total");
         assert_eq!(t.watchdog_fires, 1);
         assert_eq!(t.defects, 1);
@@ -1015,6 +1006,31 @@ mod tests {
             None,
             "watchdog fires are not flow-scoped"
         );
+    }
+
+    #[test]
+    fn every_drop_cause_has_its_own_count() {
+        let mut rec = FlightRecorder::new(TraceConfig::enabled());
+        for (i, cause) in TraceDropCause::ALL.into_iter().enumerate() {
+            rec.record(
+                SimTime::from_nanos(i as u64),
+                TraceEvent::Drop {
+                    node: 1,
+                    in_port: 0,
+                    prio: 0,
+                    flow: i as u64,
+                    seq: 0,
+                    size: 1_000,
+                    lossless: false,
+                    cause,
+                },
+            );
+        }
+        let t = rec.totals();
+        for cause in TraceDropCause::ALL {
+            assert_eq!(t.drops_by(cause), 1, "{}", cause.name());
+        }
+        assert_eq!(t.drops(), 7);
     }
 
     #[test]

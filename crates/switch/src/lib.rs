@@ -24,6 +24,13 @@
 //!   [`SharedMemorySwitch::tx_complete`] and
 //!   [`SharedMemorySwitch::handle_pfc`] and acts on the returned
 //!   [`TxStart`] / [`PfcEmit`] instructions.
+//! * [`record_loss`] — the one path for a lost packet anywhere in the
+//!   fabric: it counts the packet in a [`DropCounters`] and records its
+//!   `Drop` trace event. The switch calls it for admission, eviction,
+//!   link-down and no-route drops, the fabric's wires for dead-link and
+//!   corrupted packets.
+//!
+//! [`DropCounters`]: dcn_metrics::DropCounters
 //!
 //! # Example
 //!
@@ -66,5 +73,6 @@ pub use mmu::{Charge, MmuState, Pool, QueueIndex};
 pub use policy::{BufferPolicy, DtPolicy};
 pub use queue::{EgressPort, InFlight, PacketPool, QueuedPacket};
 pub use switch::{
-    PfcEmit, ReceiveOutcome, ReceiveResult, SharedMemorySwitch, TxCompleteResult, TxStart,
+    record_loss, PfcEmit, ReceiveOutcome, ReceiveResult, SharedMemorySwitch, TxCompleteResult,
+    TxStart,
 };

@@ -14,6 +14,35 @@ use crate::mmu::{Charge, MmuState, Pool, QueueIndex};
 use crate::policy::BufferPolicy;
 use crate::queue::{EgressPort, InFlight, PacketPool, QueuedPacket};
 
+/// The one path for a lost packet, wherever it was lost: classifies it
+/// into `counters` ([`DropCounters::record`]) and records the `Drop`
+/// trace event against `node`, the node it was arriving at or queued
+/// in. A switch calls it for its admission, eviction, link-down and
+/// no-route drops, the fabric's wires for dead-link and corrupted
+/// packets; every lost packet thus reconciles with both the counters and
+/// the recorder's drop totals.
+pub fn record_loss(
+    counters: &mut DropCounters,
+    trace: &TraceHandle,
+    now: SimTime,
+    node: NodeId,
+    in_port: PortId,
+    packet: &Packet,
+    cause: TraceDropCause,
+) {
+    counters.record(packet.class, packet.size(), cause);
+    trace.record_with(now, || TraceEvent::Drop {
+        node: node.index() as u32,
+        in_port: in_port.index() as u16,
+        prio: packet.priority.index() as u8,
+        flow: packet.flow.as_u64(),
+        seq: packet.seq,
+        size: packet.size().as_u64(),
+        lossless: packet.class.is_lossless(),
+        cause,
+    });
+}
+
 /// A PFC frame the switch wants transmitted out of `port` (to the
 /// upstream device attached there).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -581,12 +610,9 @@ impl SharedMemorySwitch {
         changed
     }
 
-    /// Counts and traces a dropped packet that arrived on `in_port`: the
-    /// switch's own admission drops, evictions and link-down drains, and
-    /// packets the event loop had to discard while forwarding on this
-    /// switch's behalf (no live route), so every drop reconciles with
-    /// both [`DropCounters`] and the trace totals. A lossy-RDMA drop
-    /// refines the lossy totals, and an eviction refines those again.
+    /// Counts and traces a packet lost at this switch (see
+    /// [`record_loss`]): its own admission drops, evictions and
+    /// link-down drains, and packets the fabric found no live route for.
     pub fn record_drop(
         &mut self,
         now: SimTime,
@@ -594,32 +620,15 @@ impl SharedMemorySwitch {
         in_port: PortId,
         cause: TraceDropCause,
     ) {
-        let size = packet.size();
-        let counters = &mut self.drop_counters;
-        match packet.class {
-            TrafficClass::Lossless => counters.record_lossless(size),
-            TrafficClass::Lossy => counters.record_lossy(size),
-            TrafficClass::LossyRdma => counters.record_lossy_rdma(size),
-        }
-        if cause == TraceDropCause::Evicted {
-            counters.record_evicted(size);
-        }
-        let t_node = self.id.index() as u32;
-        let t_in = in_port.index() as u16;
-        let t_prio = packet.priority.index() as u8;
-        let t_flow = packet.flow.as_u64();
-        let t_seq = packet.seq;
-        let t_lossless = packet.class.is_lossless();
-        self.trace.record_with(now, || TraceEvent::Drop {
-            node: t_node,
-            in_port: t_in,
-            prio: t_prio,
-            flow: t_flow,
-            seq: t_seq,
-            size: size.as_u64(),
-            lossless: t_lossless,
+        record_loss(
+            &mut self.drop_counters,
+            &self.trace,
+            now,
+            self.id,
+            in_port,
+            packet,
             cause,
-        });
+        );
     }
 
     /// Starts the next eligible transmission on `port`, if it is idle.
@@ -1027,7 +1036,7 @@ mod tests {
         // Drained packets were counted as lossless drops and traced.
         assert_eq!(sw.drop_counters().lossless_packets, 7);
         let totals = trace.with(|r| r.totals()).unwrap();
-        assert_eq!(totals.drops_link_down, 7);
+        assert_eq!(totals.drops_by(TraceDropCause::LinkDown), 7);
         assert_eq!(
             totals.drops(),
             sw.drop_counters().lossless_packets + sw.drop_counters().lossy_packets
@@ -1146,8 +1155,77 @@ mod tests {
         sw.record_drop(SimTime::ZERO, &pkt, PortId::new(2), TraceDropCause::NoRoute);
         assert_eq!(sw.drop_counters().lossy_packets, 1);
         let totals = trace.with(|r| r.totals()).unwrap();
-        assert_eq!(totals.drops_no_route, 1);
+        assert_eq!(totals.drops_by(TraceDropCause::NoRoute), 1);
         assert_eq!(totals.drops(), 1);
+    }
+
+    #[test]
+    fn record_loss_classifies_counts_and_traces_each_class() {
+        use dcn_sim::{TraceConfig, TraceHandle};
+        let trace = TraceHandle::from_config(&TraceConfig::enabled());
+        let b = MTU_PAYLOAD + HDR;
+        let lossy = DropCounters {
+            lossy_packets: 1,
+            lossy_bytes: b,
+            ..DropCounters::new()
+        };
+        for (pkt, cause, expect) in [
+            (
+                lossless_pkt(0),
+                TraceDropCause::HeadroomExhausted,
+                DropCounters {
+                    lossless_packets: 1,
+                    lossless_bytes: b,
+                    ..DropCounters::new()
+                },
+            ),
+            (lossy_pkt(0), TraceDropCause::AdmissionDeniedIngress, lossy),
+            (
+                lossy_rdma_pkt(0),
+                TraceDropCause::Corrupted,
+                DropCounters {
+                    lossy_rdma_packets: 1,
+                    lossy_rdma_bytes: b,
+                    ..lossy
+                },
+            ),
+            (
+                lossy_pkt(1),
+                TraceDropCause::Evicted,
+                DropCounters {
+                    evicted_packets: 1,
+                    evicted_bytes: b,
+                    ..lossy
+                },
+            ),
+        ] {
+            let mut counters = DropCounters::new();
+            let (node, port) = (NodeId::new(9), PortId::new(2));
+            record_loss(
+                &mut counters,
+                &trace,
+                SimTime::ZERO,
+                node,
+                port,
+                &pkt,
+                cause,
+            );
+            assert_eq!(counters, expect, "{}", cause.name());
+            let last = trace.with(|r| r.records().last().unwrap().event).unwrap();
+            let TraceEvent::Drop {
+                node: 9,
+                in_port: 2,
+                cause: traced,
+                lossless,
+                ..
+            } = last
+            else {
+                panic!("{}: not a drop at n9 port 2: {last:?}", cause.name());
+            };
+            assert_eq!(traced, cause);
+            assert_eq!(lossless, pkt.class.is_lossless(), "{}", cause.name());
+        }
+        assert_eq!(trace.with(|r| r.totals().drops()), Some(4));
     }
 
     fn occamy_switch(buffer: Bytes) -> SharedMemorySwitch {
@@ -1209,7 +1287,10 @@ mod tests {
         );
         sw.mmu().check_conservation().unwrap();
         let totals = trace.with(|r| r.totals()).unwrap();
-        assert_eq!(totals.drops_evicted, sw.drop_counters().evicted_packets);
+        assert_eq!(
+            totals.drops_by(TraceDropCause::Evicted),
+            sw.drop_counters().evicted_packets
+        );
         assert_eq!(
             totals.drops(),
             sw.drop_counters().lossy_packets + sw.drop_counters().lossless_packets,
@@ -1291,7 +1372,8 @@ mod tests {
         }
         assert!(sw.drop_counters().lossy_packets > 0);
         assert_eq!(sw.drop_counters().evicted_packets, 0);
-        assert_eq!(trace.with(|r| r.totals()).unwrap().drops_evicted, 0);
+        let evicted = trace.with(|r| r.totals().drops_by(TraceDropCause::Evicted));
+        assert_eq!(evicted, Some(0));
     }
 
     fn lossy_rdma_pkt(seq: u64) -> Packet {

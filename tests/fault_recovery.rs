@@ -2,10 +2,12 @@
 //! routing blackouts must be survivable, counted, and deterministic.
 
 use dcn_fabric::{FabricConfig, FabricSim, PolicyChoice, RunResults};
-use dcn_net::{ClosConfig, FlowId, LinkId, NodeId, NodeKind, Priority, Topology, TrafficClass};
+use dcn_net::{
+    ClosConfig, FlowId, LinkId, NodeId, NodeKind, PortId, Priority, Topology, TrafficClass,
+};
 use dcn_sim::{
     par_map, BitRate, Bytes, FaultEvent, FaultSchedule, SimDuration, SimRng, SimTime, TraceConfig,
-    TraceEvent,
+    TraceDropCause, TraceEvent,
 };
 use dcn_switch::SwitchConfig;
 use dcn_workload::{web_search_cdf, FlowSpec, PoissonTraffic};
@@ -211,14 +213,10 @@ fn stuck_pause_is_bounded_by_the_watchdog() {
         .switches()
         .next()
         .expect("single_switch has one switch");
-    let to_receiver = topo
-        .links()
-        .iter()
-        .find(|l| l.a.node == NodeId::new(1) || l.b.node == NodeId::new(1))
-        .expect("receiver is attached")
-        .end_of(sw)
-        .expect("switch end")
-        .port;
+    // The receiver's one port faces the switch port we want.
+    let end = topo.wire(NodeId::new(1), PortId::new(0)).peer;
+    assert_eq!(end.node, sw, "the receiver hangs off the switch");
+    let to_receiver = end.port;
 
     let mut faults = FaultSchedule::none();
     let pause_at = SimTime::from_micros(50);
@@ -318,7 +316,7 @@ fn routing_blackout_counts_no_route_drops_and_recovers() {
     assert_eq!(r.unfinished_flows, 0);
     let totals = sim.trace().with(|rec| rec.totals()).expect("trace enabled");
     assert!(
-        totals.drops_no_route > 0,
+        totals.drops_by(TraceDropCause::NoRoute) > 0,
         "the blackout must surface as counted NoRoute drops"
     );
     assert_eq!(
@@ -392,14 +390,9 @@ fn zero_fault_schedule_matches_golden_digest() {
 fn late_release_after_watchdog_is_a_noop() {
     let topo = Topology::single_switch(2, BitRate::from_gbps(25), SimDuration::from_micros(1));
     let sw = topo.switches().next().expect("switch");
-    let port = topo
-        .links()
-        .iter()
-        .find(|l| l.a.node == NodeId::new(1) || l.b.node == NodeId::new(1))
-        .expect("receiver link")
-        .end_of(sw)
-        .expect("switch end")
-        .port;
+    let end = topo.wire(NodeId::new(1), PortId::new(0)).peer;
+    assert_eq!(end.node, sw, "the receiver hangs off the switch");
+    let port = end.port;
     let mut faults = FaultSchedule::none();
     // Watchdog (200 µs) fires first; the scheduled release lands at
     // 2 ms on an already-resumed queue.

@@ -20,7 +20,7 @@ use dcn_fabric::{FabricConfig, FabricSim, PolicyChoice, RdmaTransport, RunResult
 use dcn_net::{ClosConfig, FlowId, NodeId, PortId, Priority, Topology, TrafficClass};
 use dcn_sim::{
     BitRate, Bytes, FaultEvent, FaultSchedule, SimDuration, SimRng, SimTime, TraceConfig,
-    TraceTotals,
+    TraceDropCause, TraceTotals,
 };
 use dcn_switch::SwitchConfig;
 use dcn_workload::{web_search_cdf, FlowSpec, PoissonTraffic};
@@ -65,7 +65,8 @@ fn incast_small_golden_digest_is_unchanged() {
 /// hand-written schedule holding every `FaultEvent` kind, with both
 /// watchdogs armed, sampling on, a TCP + RDMA Poisson mix and `policy`
 /// over a 96 KB buffer (Occamy's eviction path runs there), plus the
-/// `extra` flows. Returns the results and the flight recorder's totals.
+/// `extra` flows. Returns the results and the flight recorder's totals,
+/// after asserting that the recorder saw exactly the counted drops.
 fn run_faulted(
     policy: PolicyChoice,
     transport: RdmaTransport,
@@ -170,15 +171,25 @@ fn run_faulted(
     sim.add_flows(extra);
     sim.run_until_done(SimTime::ZERO + window + SimDuration::from_millis(10));
     let totals = sim.trace().with(|rec| rec.totals()).expect("trace enabled");
-    (sim.results(), totals)
+    let r = sim.results();
+    assert_eq!(
+        totals.drops(),
+        r.drops.lossy_packets + r.drops.lossless_packets,
+        "every lost packet is counted and traced once"
+    );
+    (r, totals)
 }
 
 /// The paths only a faulted run reaches: the storm watchdog, both wire
 /// drop causes, eviction and timer cancellation.
 fn assert_fault_paths_reached(r: &RunResults, t: &TraceTotals) {
     assert!(r.pfc.watchdog_fires() > 0, "storm watchdog fired");
-    assert!(t.drops_link_down > 0, "a packet died on a dead link");
-    assert!(t.drops_corrupted > 0, "a packet was corrupted");
+    let died = |cause| t.drops_by(cause) > 0;
+    assert!(
+        died(TraceDropCause::LinkDown),
+        "a packet died on a dead link"
+    );
+    assert!(died(TraceDropCause::Corrupted), "a packet was corrupted");
     assert!(r.drops.evicted_packets > 0, "Occamy evicted");
     assert!(r.queue.timer_cancels > 0, "a timer was cancelled");
     assert!(r.flow_stalls > 0, "the flow watchdog saw a stall");
