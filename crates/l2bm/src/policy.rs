@@ -9,20 +9,27 @@ use crate::sojourn::SojournModule;
 
 /// BShare's control factor for queues that miss the delay target.
 const BSHARE_ALPHA: f64 = 0.5;
-/// BShare's absolute queueing-delay target, in seconds.
-const BSHARE_DELAY_TARGET: f64 = 50e-6;
+/// BShare's absolute queueing-delay target, 50 µs in the sojourn
+/// module's ns.
+const BSHARE_DELAY_TARGET_NS: f64 = 50_000.0;
 /// BShare's weight floor, so even the worst hog keeps a trickle of
 /// admission.
 const BSHARE_MIN_WEIGHT: f64 = 1.0 / 64.0;
 /// BShare's weight for queues meeting the delay target: at most the
 /// whole remaining buffer.
 const BSHARE_MAX_WEIGHT: f64 = 1.0;
+/// `τ` or `C` at or below `f64::EPSILON` seconds, in ns, counts as zero.
+const ZERO_NS: f64 = f64::EPSILON * 1e9;
 
 /// How the sojourn signal becomes a control weight.
 #[derive(Debug, Clone, Copy)]
 enum Rule {
-    /// L2BM (Eq. 4): `w(q) = min(α · C / τ(q), w_max)`.
-    L2bm(L2bmConfig),
+    /// L2BM (Eq. 4): `w(q) = min(α · C / τ(q), w_max)`; `fixed_c` is
+    /// `Normalization::Fixed`'s `C` in ns.
+    L2bm {
+        cfg: L2bmConfig,
+        fixed_c: Option<f64>,
+    },
     /// BShare (PAPERS.md), adapted to the ingress pool: a queue whose
     /// average sojourn `τ(q)` meets the delay target keeps `w_max`;
     /// otherwise `w(q) = max(w_min, α · (1 − τ(q)/C))`. Where L2BM
@@ -48,6 +55,9 @@ enum Rule {
 #[derive(Debug)]
 pub struct L2bmPolicy {
     rule: Rule,
+    /// Whether packets behind a paused egress stop decaying (§III-D),
+    /// decided once for the enqueue, dequeue and pause hooks.
+    freeze: bool,
     sojourn: SojournModule,
 }
 
@@ -59,8 +69,14 @@ impl L2bmPolicy {
     /// Panics if `cfg` fails validation.
     pub fn new(cfg: L2bmConfig) -> Self {
         cfg.validate().expect("invalid L2BM config");
+        let fixed_c = match cfg.normalization {
+            Normalization::SumActiveTau => None,
+            // The one conversion of a configured time to the module's ns.
+            Normalization::Fixed(c) => Some(c * 1e9),
+        };
         L2bmPolicy {
-            rule: Rule::L2bm(cfg),
+            rule: Rule::L2bm { cfg, fixed_c },
+            freeze: cfg.pause_freeze,
             sojourn: SojournModule::new(),
         }
     }
@@ -69,25 +85,21 @@ impl L2bmPolicy {
     pub fn bshare() -> Self {
         L2bmPolicy {
             rule: Rule::BShare,
+            freeze: true,
             sojourn: SojournModule::new(),
         }
     }
 
-    /// Read access to the sojourn module (for introspection/tests).
-    pub fn sojourn(&self) -> &SojournModule {
-        &self.sojourn
-    }
-
     /// The control weight `w(q)` at `now` (Eq. 4 for L2BM).
     pub fn weight(&self, q: QueueIndex, now: SimTime) -> f64 {
-        self.weight_with(q, now, SojournModule::sum_active_tau)
+        self.weight_with(q, now, SojournModule::sum_tau_ns)
     }
 
     /// Reference recomputation of [`L2bmPolicy::weight`] using the
     /// sojourn module's full-scan `C` instead of the incremental one.
     /// Kept for differential testing — not for the admission path.
     pub fn weight_naive(&self, q: QueueIndex, now: SimTime) -> f64 {
-        self.weight_with(q, now, SojournModule::sum_active_tau_naive)
+        self.weight_with(q, now, |s, now| s.sum_active_tau_naive(now) * 1e9)
     }
 
     fn weight_with(
@@ -96,14 +108,11 @@ impl L2bmPolicy {
         now: SimTime,
         sum_tau: fn(&SojournModule, SimTime) -> f64,
     ) -> f64 {
-        let tau = self.sojourn.tau(q, now);
+        let tau = self.sojourn.tau_ns(q, now);
         match self.rule {
-            Rule::L2bm(cfg) => {
-                let c = match cfg.normalization {
-                    Normalization::SumActiveTau => sum_tau(&self.sojourn, now),
-                    Normalization::Fixed(c) => c,
-                };
-                if tau <= f64::EPSILON || c <= f64::EPSILON {
+            Rule::L2bm { cfg, fixed_c } => {
+                let c = fixed_c.unwrap_or_else(|| sum_tau(&self.sojourn, now));
+                if tau <= ZERO_NS || c <= ZERO_NS {
                     return cfg.max_weight;
                 }
                 (cfg.alpha * c / tau).min(cfg.max_weight)
@@ -112,7 +121,7 @@ impl L2bmPolicy {
                 // Read C even when the target is met: each read advances
                 // the aggregate, and a skipped advance rounds differently.
                 let c = sum_tau(&self.sojourn, now);
-                if tau <= BSHARE_DELAY_TARGET {
+                if tau <= BSHARE_DELAY_TARGET_NS {
                     return BSHARE_MAX_WEIGHT;
                 }
                 // The queue's share of the aggregate delay: 1 when it *is*
@@ -143,27 +152,32 @@ impl BufferPolicy for L2bmPolicy {
         q_out: QueueIndex,
         _size: Bytes,
     ) {
-        self.sojourn.on_enqueue(mmu, now, q_in, q_out);
+        let frozen = self.freeze && mmu.egress_paused(q_out);
+        self.sojourn.on_enqueue(mmu, now, q_in, q_out, frozen);
     }
 
     fn on_dequeue(
         &mut self,
-        _mmu: &MmuState,
+        mmu: &MmuState,
         now: SimTime,
         q_in: QueueIndex,
         q_out: QueueIndex,
         _size: Bytes,
     ) {
-        self.sojourn.on_dequeue(now, q_in, q_out);
+        let frozen = self.freeze && mmu.egress_paused(q_out);
+        self.sojourn.on_dequeue(now, q_in, frozen);
     }
 
-    fn on_egress_pause_changed(&mut self, now: SimTime, q_out: QueueIndex, paused: bool) {
-        let freeze = match self.rule {
-            Rule::L2bm(cfg) => cfg.pause_freeze,
-            Rule::BShare => true,
-        };
-        if freeze {
-            self.sojourn.on_pause_changed(now, q_out, paused);
+    fn on_egress_pause_changed(
+        &mut self,
+        now: SimTime,
+        q_out: QueueIndex,
+        paused: bool,
+        queued_from: &[u32],
+    ) {
+        if self.freeze {
+            self.sojourn
+                .on_pause_changed(now, q_out, paused, queued_from);
         }
     }
 }

@@ -13,7 +13,9 @@
 //! *not* count — those packets are excluded from the decay term, and the
 //! enqueue estimate uses the pause-free drain rate. Without this rule,
 //! back-pressure from elsewhere would masquerade as local congestion and
-//! make L2BM spread the pause further upstream.
+//! make L2BM spread the pause further upstream. The caller names each
+//! packet's pause state, and at a pause edge the per-port counts of the
+//! packets behind that egress.
 //!
 //! The paper's Algorithm 1 as printed updates `t_total` on dequeue with
 //! `t_total − (t_now − t_prev)`; we implement the self-consistent version
@@ -21,22 +23,20 @@
 //! departing packet, whose remaining estimate has already decayed to
 //! ≈ 0), and clamp `t_total ≥ 0` against estimator error.
 //!
-//! # Hot-path complexity
+//! # Layout and hot-path complexity
 //!
-//! `pfc_threshold` runs per packet, so the normalization constant
-//! `C = Σ τ` must not be recomputed by scanning every queue. Each
-//! queue's unclamped contribution is linear in time — value
-//! `t_total/N`, slope `active/N` — so the module keeps the aggregate
-//! `Σ τ` and `Σ active/N` and advances them lazily by elapsed time.
-//! Clamping at zero is handled by an *indexed* expiry min-heap keyed on
-//! each record's zero-crossing instant (`t_prev + t_total/active`): a
-//! counted, draining record owns exactly one entry, found through a
-//! back-index and replaced whenever the record is touched, so the heap
-//! is bounded by the ingress-queue count and every pop is a real zero
-//! crossing. [`SojournModule::sum_active_tau`] is then O(log k)
-//! amortized in the number of records that expired since the last call
-//! — O(1) when nothing crossed zero — instead of O(#queues). The
-//! aggregate lives in a `RefCell` because threshold reads take `&self`.
+//! One 32-byte record per ingress queue *in use*, allocated on its first
+//! packet and found through a flat-index → slot map. Totals are integer
+//! nanoseconds, so every record is exact; `τ` and `C` are ns too.
+//! `pfc_threshold` runs per packet, so `C = Σ τ` is not rescanned: each
+//! record's unclamped contribution is linear in time (value `t_total/N`,
+//! slope `active/N`), and the module advances `Σ τ` and `Σ active/N`
+//! lazily. Clamping at zero uses an *indexed* min-heap of zero crossings
+//! (`t_prev + ⌈t_total/active⌉`, ties in flat queue order): a counted,
+//! draining record owns one entry, re-keyed in place on every touch, so
+//! every pop is a real crossing and [`SojournModule::sum_active_tau`] is
+//! O(1) when nothing crossed zero. Threshold reads take `&self`, so the
+//! records and the aggregate live in a `RefCell`.
 
 use std::cell::RefCell;
 
@@ -44,158 +44,167 @@ use dcn_net::Priority;
 use dcn_sim::{SimDuration, SimTime};
 use dcn_switch::{MmuState, QueueIndex};
 
-/// Per-ingress-queue sojourn record.
+/// `Record::pos` of a record with no expiry-heap entry, and the slot of
+/// a queue that has no record.
+const UNFILED: u32 = u32::MAX;
+
+/// One ingress queue's sojourn record.
 #[derive(Debug, Clone, Copy, Default)]
 struct Record {
-    /// Σ estimated remaining residence time of buffered packets, seconds.
-    total: f64,
-    /// Buffered packet count `N`.
-    n: u64,
-    /// Packets currently sitting in paused egress queues (excluded from
-    /// the decay term).
-    paused_n: u64,
+    /// Σ estimated remaining residence time of buffered packets, ns.
+    total: u64,
     /// Last settle instant.
     t_prev: SimTime,
+    /// Buffered packet count `N`.
+    n: u32,
+    /// Packets sitting behind paused egress queues (excluded from the
+    /// decay term).
+    paused_n: u32,
+    /// This record's position in the expiry heap, or [`UNFILED`].
+    pos: u32,
+    /// Whether this record is included in the aggregate.
+    counted: bool,
 }
 
 impl Record {
-    fn settle(&mut self, now: SimTime) {
-        let dt = now.saturating_since(self.t_prev).as_secs_f64();
-        if dt > 0.0 {
-            let active = self.n.saturating_sub(self.paused_n) as f64;
-            self.total = (self.total - active * dt).max(0.0);
-        }
-        self.t_prev = now;
+    /// Packets whose residence estimate is decaying.
+    fn active(&self) -> u64 {
+        u64::from(self.n.saturating_sub(self.paused_n))
+    }
+
+    /// Decay since `t_prev` at `t`, ns.
+    fn decayed(&self, t: SimTime) -> u64 {
+        let dt = t.saturating_since(self.t_prev).as_nanos();
+        self.active().saturating_mul(dt)
+    }
+
+    /// `τ` at `t`, ns, with the decay since the last touch applied
+    /// virtually. Zero for an empty queue, whose total is zero.
+    fn tau(&self, t: SimTime) -> f64 {
+        self.total.saturating_sub(self.decayed(t)) as f64 / f64::from(self.n.max(1))
     }
 
     /// The record's *unclamped* contribution to `Σ τ` at `t`:
-    /// `(value, decay slope per second)`. Only meaningful while the
-    /// record is counted in the aggregate (i.e. before its zero
-    /// crossing).
+    /// `(value, decay slope per ns)`. Only meaningful while the record is
+    /// counted (i.e. before its zero crossing).
     fn linear_contribution(&self, t: SimTime) -> (f64, f64) {
-        let n = self.n as f64;
-        let active = self.n.saturating_sub(self.paused_n) as f64;
-        let dt = t.saturating_since(self.t_prev).as_secs_f64();
-        ((self.total - active * dt) / n, active / n)
+        let n = f64::from(self.n);
+        let value = self.total as f64 - self.decayed(t) as f64;
+        (value / n, self.active() as f64 / n)
     }
 }
 
-/// `AggState::pos` value of a record with no expiry-heap entry.
-const UNFILED: u32 = u32::MAX;
+/// One expiry-heap entry: `(zero-crossing ns, flat queue index, record
+/// slot)`. Flat indices are distinct, so the order is total and the slot
+/// never decides it.
+type Expiry = (u64, u32, u32);
 
-/// `x.ceil() as u64` for every `f64` (NaN and negatives give 0, values
-/// past `u64::MAX` saturate) without the libm `ceil` call that baseline
-/// x86-64 compiles `f64::ceil` to.
-fn ceil_u64(x: f64) -> u64 {
-    let t = x as u64;
-    t.saturating_add(u64::from((t as f64) < x))
-}
-
-/// One expiry-heap entry: `(zero-crossing ns, record)`. Records are
-/// distinct, so the tuple order is total.
-type Expiry = (u64, u32);
-
-/// The lazily-advanced aggregate `C = Σ τ` and its bookkeeping.
+/// Every record of one switch and the lazily-advanced `C = Σ τ`.
 #[derive(Debug, Default)]
-struct AggState {
-    /// `Σ τ_i` over counted records, valid at `t`.
+struct Table {
+    records: Vec<Record>,
+    /// `Σ τ_i` over counted records, ns, valid at `t`.
     sum: f64,
     /// `Σ active_i/n_i` over counted records — d(sum)/dt.
     decay: f64,
     /// Instant at which `sum` is valid.
     t: SimTime,
-    /// Number of counted records (for snapping float drift to zero).
+    /// Number of counted records (to snap float drift to zero).
     live: usize,
-    /// Whether each record is currently included in `sum`/`decay`.
-    counted: Vec<bool>,
-    /// Each record's position in `expiry`, or [`UNFILED`].
-    pos: Vec<u32>,
     /// Binary min-heap of zero crossings: one entry per counted record
-    /// with `active > 0`, and `pos[expiry[p].1] == p` for every `p`.
+    /// with `active > 0`, and `records[e.2].pos` is entry `e`'s position.
     expiry: Vec<Expiry>,
 }
 
-impl AggState {
+impl Table {
     /// Advances `sum` to `now`, retiring every record whose unclamped
     /// contribution crossed zero on the way.
-    fn advance(&mut self, records: &[Record], now: SimTime) {
+    fn advance(&mut self, now: SimTime) {
         if now <= self.t {
             return;
         }
-        while let Some(&(tz_ns, i)) = self.expiry.first() {
+        while let Some(&(tz_ns, _, slot)) = self.expiry.first() {
             if tz_ns > now.as_nanos() {
                 break;
             }
             let tz = SimTime::from_nanos(tz_ns);
-            let dt = tz.saturating_since(self.t).as_secs_f64();
-            self.sum -= self.decay * dt;
+            self.sum -= self.decay * tz.saturating_since(self.t).as_nanos() as f64;
             self.t = self.t.max(tz);
-            self.retire(&records[i as usize], i as usize);
+            self.unfile(0);
+            self.uncount(slot as usize);
         }
-        let dt = now.saturating_since(self.t).as_secs_f64();
-        self.sum -= self.decay * dt;
+        self.sum -= self.decay * now.saturating_since(self.t).as_nanos() as f64;
         self.t = now;
     }
 
-    /// Removes a counted record's contribution at the current `t`, and
-    /// its expiry entry with it.
-    fn retire(&mut self, rec: &Record, i: usize) {
-        if !self.counted[i] {
+    /// Removes a counted record's contribution at the current `t`.
+    fn uncount(&mut self, slot: usize) {
+        let rec = &mut self.records[slot];
+        if !rec.counted {
             return;
         }
-        self.counted[i] = false;
-        self.unfile(i);
+        rec.counted = false;
         let (value, slope) = rec.linear_contribution(self.t);
         self.sum -= value;
         self.decay -= slope;
         self.live -= 1;
         if self.live == 0 {
-            // No records counted: the true sum is exactly zero; snap away
-            // any accumulated float drift.
+            // The true sum is exactly zero: snap away float drift.
             self.sum = 0.0;
             self.decay = 0.0;
         }
     }
 
-    /// (Re-)enters a just-settled record (`rec.t_prev == self.t`) into
-    /// the aggregate.
-    fn enroll(&mut self, rec: &Record, i: usize) {
-        if rec.n == 0 || rec.total <= 0.0 {
-            // Empty or fully-decayed records contribute exactly zero
-            // until the next enqueue; keep them out of the aggregate.
-            return;
+    /// Settles record `slot` (flat queue index `flat`) at `now`, applies
+    /// `change`, and re-enters it into the aggregate, re-keying its
+    /// expiry entry in place.
+    fn touch(&mut self, slot: usize, flat: usize, now: SimTime, change: impl FnOnce(&mut Record)) {
+        self.advance(now);
+        self.uncount(slot);
+        let rec = &mut self.records[slot];
+        rec.total = rec.total.saturating_sub(rec.decayed(now));
+        rec.t_prev = now;
+        change(rec);
+        let (n, active) = (f64::from(rec.n), rec.active());
+        // Empty or fully-decayed records contribute exactly zero until
+        // the next enqueue; keep them out of the aggregate.
+        let mut key = None;
+        if rec.n > 0 && rec.total > 0 {
+            rec.counted = true;
+            self.live += 1;
+            self.sum += rec.total as f64 / n;
+            if active > 0 {
+                self.decay += active as f64 / n;
+                let tz_ns = now.as_nanos().saturating_add(rec.total.div_ceil(active));
+                key = Some((tz_ns, flat as u32, slot as u32));
+            }
         }
-        self.counted[i] = true;
-        self.live += 1;
-        self.sum += rec.total / rec.n as f64;
-        let active = rec.n.saturating_sub(rec.paused_n);
-        if active > 0 {
-            self.decay += active as f64 / rec.n as f64;
-            // Ceil so the heap never fires before the true crossing; the
-            // ≤ 1 ns overshoot is absorbed by `retire`'s exact subtraction.
-            let tz_s = rec.total / active as f64;
-            let tz_ns = rec.t_prev.as_nanos().saturating_add(ceil_u64(tz_s * 1e9));
-            let entry = (tz_ns, i as u32);
-            self.expiry.push(entry);
-            self.sift_up(self.expiry.len() - 1, entry);
+        match (self.records[slot].pos as usize, key) {
+            (p, None) if p != UNFILED as usize => self.unfile(p),
+            (_, None) => {}
+            (p, Some(e)) if p != UNFILED as usize => self.resift(p, e),
+            (_, Some(e)) => {
+                self.expiry.push(e);
+                self.sift_up(self.expiry.len() - 1, e);
+            }
         }
     }
 
-    /// Removes record `i`'s expiry entry, if it has one.
-    fn unfile(&mut self, i: usize) {
-        let p = std::mem::replace(&mut self.pos[i], UNFILED) as usize;
-        if p == UNFILED as usize {
-            return;
-        }
+    /// Removes the expiry entry at position `p`.
+    fn unfile(&mut self, p: usize) {
+        self.records[self.expiry[p].2 as usize].pos = UNFILED;
         let last = self.expiry.pop().expect("a filed record has an entry");
-        if p == self.expiry.len() {
-            return;
+        if p < self.expiry.len() {
+            self.resift(p, last);
         }
-        // `last` fills the hole; it may belong above or below it.
-        if p > 0 && last < self.expiry[(p - 1) / 2] {
-            self.sift_up(p, last);
+    }
+
+    /// Puts `e` in the hole at `p`; it may belong above or below it.
+    fn resift(&mut self, p: usize, e: Expiry) {
+        if p > 0 && e < self.expiry[(p - 1) / 2] {
+            self.sift_up(p, e);
         } else {
-            self.sift_down(p, last);
+            self.sift_down(p, e);
         }
     }
 
@@ -230,7 +239,7 @@ impl AggState {
 
     fn place(&mut self, p: usize, e: Expiry) {
         self.expiry[p] = e;
-        self.pos[e.1 as usize] = p as u32;
+        self.records[e.2 as usize].pos = p as u32;
     }
 }
 
@@ -238,8 +247,8 @@ impl AggState {
 ///
 /// Drive it with [`SojournModule::on_enqueue`] /
 /// [`SojournModule::on_dequeue`] / [`SojournModule::on_pause_changed`]
-/// and read [`SojournModule::tau`] (one queue) or
-/// [`SojournModule::sum_active_tau`] (the normalization constant `C`).
+/// and read [`SojournModule::sum_active_tau`] (the normalization
+/// constant `C`).
 ///
 /// `now` must be non-decreasing across calls — including the read-only
 /// [`SojournModule::sum_active_tau`], which advances the incremental
@@ -247,187 +256,133 @@ impl AggState {
 /// simulation.
 #[derive(Debug, Default)]
 pub struct SojournModule {
-    records: Vec<Record>,
-    /// Packets per (egress queue, ingress queue), densely indexed by
-    /// `QueueIndex::flat` on both axes — needed to freeze the right
-    /// ingress records when an egress queue pauses.
-    by_egress: Vec<Vec<u32>>,
-    /// Our own view of egress pause state (kept so settling uses the
-    /// state that held *during* the elapsed interval).
-    egress_paused: Vec<bool>,
-    /// The incremental `Σ τ` aggregate; interior mutability because
-    /// threshold reads (`sum_active_tau`) take `&self`.
-    agg: RefCell<AggState>,
+    /// Flat ingress-queue index → record slot, or [`UNFILED`]; sized from
+    /// the MMU on the first packet.
+    slots: Vec<u32>,
+    /// The records and the `Σ τ` aggregate; interior mutability because
+    /// threshold reads advance the aggregate through `&self`.
+    table: RefCell<Table>,
 }
 
 impl SojournModule {
-    /// An empty module; per-queue state is sized from the MMU on first
-    /// enqueue.
+    /// An empty module; it allocates as its queues receive packets.
     pub fn new() -> Self {
         SojournModule::default()
     }
 
-    /// Sizes every per-queue table for the switch's full radix, so the
-    /// steady-state path neither reallocates nor re-checks lengths.
-    fn size_for(&mut self, nq: usize) {
-        self.records.resize(nq, Record::default());
-        self.by_egress.resize_with(nq, Vec::new);
-        // Pause edges may have arrived (and grown this) before any packet.
-        self.egress_paused
-            .resize(nq.max(self.egress_paused.len()), false);
-        let state = self.agg.get_mut();
-        state.counted.resize(nq, false);
-        state.pos.resize(nq, UNFILED);
+    /// The record slot of flat ingress queue `flat`, if it has had a packet.
+    fn slot(&self, flat: usize) -> Option<usize> {
+        let s = *self.slots.get(flat)?;
+        (s != UNFILED).then_some(s as usize)
     }
 
-    /// Records a packet entering via `q_in`, queued at `q_out`. Call
-    /// after the MMU charge, so `mmu.egress_bytes(q_out)` includes the
-    /// packet.
+    /// Records a packet entering via `q_in`, queued at `q_out`; `frozen`
+    /// says whether `q_out` is paused (and the pause counts). Call after
+    /// the MMU charge, so `mmu.egress_bytes(q_out)` includes the packet.
     pub fn on_enqueue(
         &mut self,
         mmu: &MmuState,
         now: SimTime,
         q_in: QueueIndex,
         q_out: QueueIndex,
+        frozen: bool,
     ) {
         // Estimated residence: output queue depth over its pause-free
         // drain share (pause time must not count — §III-D).
         let mu = mmu.egress_drain_rate_ignoring_pause(q_out);
-        let q_bytes = mmu.egress_bytes(q_out);
-        let wait = mu.tx_time(q_bytes);
-        let wait_s = if wait == SimDuration::MAX {
-            0.0
-        } else {
-            wait.as_secs_f64()
-        };
-
-        if self.records.is_empty() {
-            self.size_for(mmu.port_count() * Priority::COUNT);
+        let wait = mu.tx_time(mmu.egress_bytes(q_out));
+        let wait_ns = (wait != SimDuration::MAX).then(|| wait.as_nanos());
+        if self.slots.is_empty() {
+            self.slots = vec![UNFILED; mmu.port_count() * Priority::COUNT];
         }
-        let i = q_in.flat();
-        let of = q_out.flat();
-        let out_paused = self.egress_paused[of];
-        let state = self.agg.get_mut();
-        state.advance(&self.records, now);
-        let rec = &mut self.records[i];
-        state.retire(rec, i);
-        rec.settle(now);
-        rec.total += wait_s;
-        rec.n += 1;
-        if out_paused {
-            rec.paused_n += 1;
+        let table = self.table.get_mut();
+        let flat = q_in.flat();
+        let slot = &mut self.slots[flat];
+        if *slot == UNFILED {
+            *slot = u32::try_from(table.records.len()).expect("under 2^32 queues");
+            table.records.push(Record {
+                pos: UNFILED,
+                ..Record::default()
+            });
         }
-        state.enroll(rec, i);
-
-        // One row per egress queue actually used, not radix² up front.
-        let row = &mut self.by_egress[of];
-        if row.is_empty() {
-            row.resize(self.records.len(), 0);
-        }
-        row[i] += 1;
+        table.touch(*slot as usize, flat, now, |rec| {
+            rec.total += wait_ns.unwrap_or(0);
+            rec.n += 1;
+            rec.paused_n += u32::from(frozen);
+        });
     }
 
-    /// Records a packet leaving `q_in` through `q_out`. A dequeue with
-    /// no matching enqueue is ignored.
-    pub fn on_dequeue(&mut self, now: SimTime, q_in: QueueIndex, q_out: QueueIndex) {
-        let i = q_in.flat();
-        let of = q_out.flat();
-        let Some(c) = self.by_egress.get_mut(of).and_then(|row| row.get_mut(i)) else {
+    /// Records a packet leaving ingress queue `q_in`; `frozen` says
+    /// whether its egress queue is paused (and the pause counts). A
+    /// dequeue with no matching enqueue is ignored.
+    pub fn on_dequeue(&mut self, now: SimTime, q_in: QueueIndex, frozen: bool) {
+        let held = |&s: &usize| self.table.borrow().records[s].n > 0;
+        let Some(slot) = self.slot(q_in.flat()).filter(held) else {
             return;
         };
-        *c = c.saturating_sub(1);
-        let out_paused = self.egress_paused[of];
-        let state = self.agg.get_mut();
-        state.advance(&self.records, now);
-        let rec = &mut self.records[i];
-        state.retire(rec, i);
-        rec.settle(now);
-        rec.n = rec.n.saturating_sub(1);
-        if out_paused {
-            rec.paused_n = rec.paused_n.saturating_sub(1);
-        }
-        if rec.n == 0 {
-            rec.total = 0.0;
-            rec.paused_n = 0;
-        }
-        state.enroll(rec, i);
+        self.table.get_mut().touch(slot, q_in.flat(), now, |rec| {
+            rec.n -= 1;
+            rec.paused_n = rec.paused_n.saturating_sub(u32::from(frozen));
+            if rec.n == 0 {
+                rec.total = 0;
+                rec.paused_n = 0;
+            }
+        });
     }
 
-    /// Records a downstream pause/resume of egress queue `q_out`:
-    /// settles every ingress queue holding packets behind it (under the
-    /// *old* state), then freezes/unfreezes those packets.
-    pub fn on_pause_changed(&mut self, now: SimTime, q_out: QueueIndex, paused: bool) {
-        let flat = q_out.flat();
-        if self.egress_paused.len() <= flat {
-            self.egress_paused.resize(flat + 1, false);
-        }
-        if self.egress_paused[flat] == paused {
-            return;
-        }
-        self.egress_paused[flat] = paused;
-        let Some(counts) = self.by_egress.get(flat) else {
-            return;
-        };
-        let state = self.agg.get_mut();
-        state.advance(&self.records, now);
-        for (i, &count) in counts.iter().enumerate() {
-            if count == 0 {
+    /// Records a downstream pause (`paused`) or resume of egress queue
+    /// `q_out`, behind which `queued_from[p]` packets of ingress port `p`
+    /// wait: settles each of those ingress queues under the *old* state,
+    /// in ascending port order, then freezes/unfreezes its packets.
+    pub fn on_pause_changed(
+        &mut self,
+        now: SimTime,
+        q_out: QueueIndex,
+        paused: bool,
+        queued_from: &[u32],
+    ) {
+        for (port, &count) in queued_from.iter().enumerate() {
+            let flat = port * Priority::COUNT + q_out.priority.index();
+            let Some(slot) = self.slot(flat).filter(|_| count > 0) else {
                 continue;
-            }
-            let rec = &mut self.records[i];
-            state.retire(rec, i);
-            rec.settle(now);
-            if paused {
-                rec.paused_n += u64::from(count);
-            } else {
-                rec.paused_n = rec.paused_n.saturating_sub(u64::from(count));
-            }
-            state.enroll(rec, i);
+            };
+            self.table.get_mut().touch(slot, flat, now, |rec| {
+                if paused {
+                    rec.paused_n += count;
+                } else {
+                    rec.paused_n = rec.paused_n.saturating_sub(count);
+                }
+            });
         }
     }
 
     /// The average sojourn time `τ` of ingress queue `q` at `now`
-    /// (Eq. 2), with the decay since the last event applied virtually.
-    /// Zero for an empty queue.
-    pub fn tau(&self, q: QueueIndex, now: SimTime) -> f64 {
-        match self.records.get(q.flat()) {
-            Some(rec) if rec.n > 0 => {
-                let dt = now.saturating_since(rec.t_prev).as_secs_f64();
-                let active = rec.n.saturating_sub(rec.paused_n) as f64;
-                let total = (rec.total - active * dt).max(0.0);
-                total / rec.n as f64
-            }
-            _ => 0.0,
-        }
+    /// (Eq. 2), in ns.
+    pub(crate) fn tau_ns(&self, q: QueueIndex, now: SimTime) -> f64 {
+        self.slot(q.flat())
+            .map_or(0.0, |s| self.table.borrow().records[s].tau(now))
     }
 
-    /// Buffered packet count of ingress queue `q`.
-    pub fn packet_count(&self, q: QueueIndex) -> u64 {
-        self.records.get(q.flat()).map_or(0, |r| r.n)
+    /// `C = Σ τ` at `now`, in ns; see [`SojournModule::sum_active_tau`].
+    pub(crate) fn sum_tau_ns(&self, now: SimTime) -> f64 {
+        let mut table = self.table.borrow_mut();
+        table.advance(now);
+        table.sum.max(0.0)
     }
 
     /// `Σ τ` over all queues currently holding packets — the paper's
-    /// normalization constant `C`. O(1) amortized: reads the incremental
-    /// aggregate instead of scanning every queue.
+    /// normalization constant `C` — in seconds. O(1) amortized: reads the
+    /// incremental aggregate instead of scanning every queue.
     pub fn sum_active_tau(&self, now: SimTime) -> f64 {
-        let mut state = self.agg.borrow_mut();
-        state.advance(&self.records, now);
-        state.sum.max(0.0)
+        self.sum_tau_ns(now) / 1e9
     }
 
     /// Reference implementation of [`SojournModule::sum_active_tau`] by
     /// full scan. Kept for differential testing of the incremental
     /// aggregate — not for the admission path.
     pub fn sum_active_tau_naive(&self, now: SimTime) -> f64 {
-        (0..self.records.len())
-            .filter(|&i| self.records[i].n > 0)
-            .map(|i| {
-                let rec = &self.records[i];
-                let dt = now.saturating_since(rec.t_prev).as_secs_f64();
-                let active = rec.n.saturating_sub(rec.paused_n) as f64;
-                ((rec.total - active * dt).max(0.0)) / rec.n as f64
-            })
-            .sum()
+        let table = self.table.borrow();
+        table.records.iter().map(|rec| rec.tau(now)).sum::<f64>() / 1e9
     }
 }
 
@@ -438,15 +393,22 @@ mod tests {
     use dcn_sim::{BitRate, Bytes};
     use dcn_switch::{Pool, SwitchConfig};
 
+    fn mmu_of(ports: usize) -> MmuState {
+        MmuState::new(
+            &SwitchConfig::default(),
+            vec![BitRate::from_gbps(25); ports],
+        )
+    }
+
     fn mmu() -> MmuState {
-        MmuState::new(&SwitchConfig::default(), vec![BitRate::from_gbps(25); 4])
+        mmu_of(4)
     }
 
     fn q(port: u16, prio: u8) -> QueueIndex {
         QueueIndex::new(PortId::new(port), Priority::new(prio))
     }
 
-    /// Charges the MMU and informs the module, like the switch does.
+    /// Charges the MMU and informs the module, like the policy does.
     fn enqueue(
         m: &mut MmuState,
         s: &mut SojournModule,
@@ -456,7 +418,7 @@ mod tests {
         bytes: u64,
     ) {
         m.charge_bulk(qi, qo, Bytes::new(bytes), Pool::Shared);
-        s.on_enqueue(m, now, qi, qo);
+        s.on_enqueue(m, now, qi, qo, m.egress_paused(qo));
     }
 
     fn dequeue(
@@ -475,13 +437,37 @@ mod tests {
             m.discharge(now, qi, qo, c);
             left -= c.total();
         }
-        s.on_dequeue(now, qi, qo);
+        s.on_dequeue(now, qi, m.egress_paused(qo));
+    }
+
+    /// A pause edge of `qo`, with the per-ingress-port counts the switch
+    /// would pass: the packets of `queued` bound for `qo`.
+    fn set_paused(
+        m: &mut MmuState,
+        s: &mut SojournModule,
+        now: SimTime,
+        qo: QueueIndex,
+        paused: bool,
+        queued: &[(QueueIndex, QueueIndex, u64)],
+    ) {
+        if m.set_egress_paused(qo, paused) {
+            let mut from = vec![0; m.port_count()];
+            for &(qi, _, _) in queued.iter().filter(|e| e.1 == qo) {
+                from[qi.port.index()] += 1;
+            }
+            s.on_pause_changed(now, qo, paused, &from);
+        }
+    }
+
+    fn packet_count(s: &SojournModule, q: QueueIndex) -> u32 {
+        s.slot(q.flat())
+            .map_or(0, |i| s.table.borrow().records[i].n)
     }
 
     #[test]
     fn empty_queue_has_zero_tau() {
         let s = SojournModule::new();
-        assert_eq!(s.tau(q(0, 3), SimTime::from_micros(5)), 0.0);
+        assert_eq!(s.tau_ns(q(0, 3), SimTime::from_micros(5)), 0.0);
         assert_eq!(s.sum_active_tau(SimTime::ZERO), 0.0);
     }
 
@@ -489,10 +475,10 @@ mod tests {
     fn single_packet_estimate_matches_queue_over_rate() {
         let mut m = mmu();
         let mut s = SojournModule::new();
-        // 12_500 bytes at 25 Gbps (sole active priority) = 4 µs.
+        // 12_500 bytes at 25 Gbps (sole active priority) = 4 µs, exactly.
         enqueue(&mut m, &mut s, SimTime::ZERO, q(0, 3), q(1, 3), 12_500);
-        let tau = s.tau(q(0, 3), SimTime::ZERO);
-        assert!((tau - 4e-6).abs() < 1e-8, "tau {tau}");
+        assert_eq!(s.tau_ns(q(0, 3), SimTime::ZERO), 4_000.0);
+        assert_eq!(s.sum_active_tau(SimTime::ZERO), 4e-6);
     }
 
     #[test]
@@ -500,11 +486,9 @@ mod tests {
         let mut m = mmu();
         let mut s = SojournModule::new();
         enqueue(&mut m, &mut s, SimTime::ZERO, q(0, 3), q(1, 3), 12_500);
-        let t0 = s.tau(q(0, 3), SimTime::ZERO);
-        let t1 = s.tau(q(0, 3), SimTime::from_micros(2));
-        assert!(t1 < t0);
+        assert_eq!(s.tau_ns(q(0, 3), SimTime::from_micros(1)), 3_000.0);
         // Fully decayed after the estimated 4 µs.
-        assert_eq!(s.tau(q(0, 3), SimTime::from_micros(10)), 0.0);
+        assert_eq!(s.tau_ns(q(0, 3), SimTime::from_micros(10)), 0.0);
     }
 
     #[test]
@@ -517,8 +501,8 @@ mod tests {
         enqueue(&mut m, &mut s, SimTime::ZERO, q(0, 3), q(1, 3), 1_048);
         // ...while one to an empty egress (3,3) would wait almost nothing.
         enqueue(&mut m, &mut s, SimTime::ZERO, q(0, 1), q(3, 1), 1_048);
-        let hot = s.tau(q(0, 3), SimTime::ZERO);
-        let cold = s.tau(q(0, 1), SimTime::ZERO);
+        let hot = s.tau_ns(q(0, 3), SimTime::ZERO);
+        let cold = s.tau_ns(q(0, 1), SimTime::ZERO);
         assert!(hot > 10.0 * cold, "hot {hot} vs cold {cold}");
     }
 
@@ -527,38 +511,27 @@ mod tests {
         let mut m = mmu();
         let mut s = SojournModule::new();
         enqueue(&mut m, &mut s, SimTime::ZERO, q(0, 3), q(1, 3), 1_048);
-        assert_eq!(s.packet_count(q(0, 3)), 1);
-        dequeue(
-            &mut m,
-            &mut s,
-            SimTime::from_micros(1),
-            q(0, 3),
-            q(1, 3),
-            1_048,
-        );
-        assert_eq!(s.packet_count(q(0, 3)), 0);
-        assert_eq!(s.tau(q(0, 3), SimTime::from_micros(1)), 0.0);
+        assert_eq!(packet_count(&s, q(0, 3)), 1);
+        let t = SimTime::from_micros(1);
+        dequeue(&mut m, &mut s, t, q(0, 3), q(1, 3), 1_048);
+        assert_eq!(packet_count(&s, q(0, 3)), 0);
+        assert_eq!(s.tau_ns(q(0, 3), t), 0.0);
     }
 
     #[test]
     fn paused_time_does_not_decay_tau() {
         let mut m = mmu();
         let mut s = SojournModule::new();
+        let queued = [(q(0, 3), q(1, 3), 125_000)];
         enqueue(&mut m, &mut s, SimTime::ZERO, q(0, 3), q(1, 3), 125_000);
-        let before = s.tau(q(0, 3), SimTime::ZERO);
+        let before = s.tau_ns(q(0, 3), SimTime::ZERO);
         // Downstream pauses egress (1,3): τ freezes.
-        m.set_egress_paused(q(1, 3), true);
-        s.on_pause_changed(SimTime::ZERO, q(1, 3), true);
-        let frozen = s.tau(q(0, 3), SimTime::from_micros(30));
-        assert!(
-            (frozen - before).abs() < 1e-9,
-            "frozen {frozen} vs {before}"
-        );
+        set_paused(&mut m, &mut s, SimTime::ZERO, q(1, 3), true, &queued);
+        assert_eq!(s.tau_ns(q(0, 3), SimTime::from_micros(30)), before);
         // Resume: decay continues.
-        m.set_egress_paused(q(1, 3), false);
-        s.on_pause_changed(SimTime::from_micros(30), q(1, 3), false);
-        let later = s.tau(q(0, 3), SimTime::from_micros(50));
-        assert!(later < before);
+        let t = SimTime::from_micros(30);
+        set_paused(&mut m, &mut s, t, q(1, 3), false, &queued);
+        assert!(s.tau_ns(q(0, 3), SimTime::from_micros(50)) < before);
     }
 
     #[test]
@@ -567,33 +540,56 @@ mod tests {
         let mut s = SojournModule::new();
         enqueue(&mut m, &mut s, SimTime::ZERO, q(0, 3), q(1, 3), 12_500);
         enqueue(&mut m, &mut s, SimTime::ZERO, q(2, 3), q(3, 3), 12_500);
-        let c = s.sum_active_tau(SimTime::ZERO);
-        let t0 = s.tau(q(0, 3), SimTime::ZERO);
-        let t2 = s.tau(q(2, 3), SimTime::ZERO);
-        assert!((c - (t0 + t2)).abs() < 1e-12);
+        let c = s.sum_tau_ns(SimTime::ZERO);
+        let t0 = s.tau_ns(q(0, 3), SimTime::ZERO);
+        let t2 = s.tau_ns(q(2, 3), SimTime::ZERO);
+        assert_eq!(c, t0 + t2);
     }
 
     #[test]
-    fn enqueue_during_pause_marks_packet_frozen() {
+    fn pause_before_first_packet_freezes_later_arrivals() {
         let mut m = mmu();
         let mut s = SojournModule::new();
-        m.set_egress_paused(q(1, 3), true);
-        s.on_pause_changed(SimTime::ZERO, q(1, 3), true);
+        // The edge finds nothing queued, and the module holds no record.
+        set_paused(&mut m, &mut s, SimTime::ZERO, q(1, 3), true, &[]);
         enqueue(&mut m, &mut s, SimTime::ZERO, q(0, 3), q(1, 3), 12_500);
-        let t0 = s.tau(q(0, 3), SimTime::ZERO);
-        let t1 = s.tau(q(0, 3), SimTime::from_micros(100));
-        assert!((t0 - t1).abs() < 1e-12, "paused packet must not decay");
+        let t0 = s.tau_ns(q(0, 3), SimTime::ZERO);
+        let t100 = SimTime::from_micros(100);
+        assert_eq!(s.tau_ns(q(0, 3), t100), t0, "paused packet must not decay");
+        let queued = [(q(0, 3), q(1, 3), 12_500)];
+        set_paused(&mut m, &mut s, t100, q(1, 3), false, &queued);
+        let later = s.tau_ns(q(0, 3), SimTime::from_micros(101));
+        assert_eq!(later, t0 - 1_000.0, "decays once resumed");
     }
 
     #[test]
-    fn redundant_pause_events_are_ignored() {
+    fn pause_edges_with_nothing_queued_change_nothing() {
         let mut s = SojournModule::new();
-        s.on_pause_changed(SimTime::ZERO, q(1, 3), true);
-        s.on_pause_changed(SimTime::from_micros(1), q(1, 3), true);
-        s.on_pause_changed(SimTime::from_micros(2), q(1, 3), false);
-        s.on_pause_changed(SimTime::from_micros(3), q(1, 3), false);
-        // No packets involved — just must not panic or corrupt state.
+        s.on_pause_changed(SimTime::ZERO, q(1, 3), true, &[0; 4]);
+        s.on_pause_changed(SimTime::from_micros(2), q(1, 3), false, &[]);
         assert_eq!(s.sum_active_tau(SimTime::from_micros(4)), 0.0);
+        assert!(s.table.borrow().records.is_empty());
+    }
+
+    #[test]
+    fn records_are_sized_by_use() {
+        let mut m = mmu_of(36);
+        let mut s = SojournModule::new();
+        for k in 0..100 {
+            let t = SimTime::from_nanos(k * 50);
+            enqueue(&mut m, &mut s, t, q(4, 3), q(30, 3), 1_048);
+            enqueue(&mut m, &mut s, t, q(35, 1), q(0, 1), 1_048);
+        }
+        assert_eq!(s.table.borrow().records.len(), 2);
+        assert_eq!(s.slots.len(), 36 * Priority::COUNT);
+        assert_eq!(packet_count(&s, q(4, 3)), 100);
+    }
+
+    /// Growing the record is a deliberate edit of this bound: a switch
+    /// holds one per ingress queue in use.
+    #[test]
+    fn record_stays_small() {
+        assert_eq!(std::mem::size_of::<Record>(), 32);
     }
 
     #[test]
@@ -618,27 +614,19 @@ mod tests {
     fn incremental_sum_matches_naive_across_pause_cycle() {
         let mut m = mmu();
         let mut s = SojournModule::new();
+        let mut queued = vec![(q(0, 3), q(1, 3), 125_000)];
         enqueue(&mut m, &mut s, SimTime::ZERO, q(0, 3), q(1, 3), 125_000);
-        enqueue(
-            &mut m,
-            &mut s,
-            SimTime::from_micros(1),
-            q(2, 3),
-            q(1, 3),
-            12_500,
-        );
-        s.on_pause_changed(SimTime::from_micros(2), q(1, 3), true);
+        let t1 = SimTime::from_micros(1);
+        enqueue(&mut m, &mut s, t1, q(2, 3), q(1, 3), 12_500);
+        queued.push((q(2, 3), q(1, 3), 12_500));
+        let t2 = SimTime::from_micros(2);
+        set_paused(&mut m, &mut s, t2, q(1, 3), true, &queued);
         let t = SimTime::from_micros(10);
         assert!((s.sum_active_tau(t) - s.sum_active_tau_naive(t)).abs() < 1e-9);
-        s.on_pause_changed(SimTime::from_micros(12), q(1, 3), false);
-        dequeue(
-            &mut m,
-            &mut s,
-            SimTime::from_micros(14),
-            q(0, 3),
-            q(1, 3),
-            125_000,
-        );
+        let t12 = SimTime::from_micros(12);
+        set_paused(&mut m, &mut s, t12, q(1, 3), false, &queued);
+        let t14 = SimTime::from_micros(14);
+        dequeue(&mut m, &mut s, t14, q(0, 3), q(1, 3), 125_000);
         for us in [14u64, 15, 30, 60, 200] {
             let t = SimTime::from_micros(us);
             let inc = s.sum_active_tau(t);
@@ -651,31 +639,36 @@ mod tests {
     }
 
     /// The indexed expiry heap holds exactly the counted records that
-    /// are still draining, ordered, with the back-index exact both ways.
+    /// are still draining, ordered and keyed on their zero crossings,
+    /// with positions exact both ways; the slot map is a bijection onto
+    /// the records.
     fn check_expiry_index(s: &SojournModule, ctx: &str) {
-        let st = s.agg.borrow();
-        assert!(st.expiry.len() <= st.live, "{ctx}: heap exceeds live");
-        assert_eq!(
-            st.live,
-            st.counted.iter().filter(|&&c| c).count(),
-            "{ctx}: live count"
-        );
-        for (p, &(_, i)) in st.expiry.iter().enumerate() {
-            assert_eq!(st.pos[i as usize], p as u32, "{ctx}: pos of heap[{p}]");
+        let t = s.table.borrow();
+        assert!(t.expiry.len() <= t.live, "{ctx}: heap exceeds live");
+        let counted = t.records.iter().filter(|r| r.counted).count();
+        assert_eq!(t.live, counted, "{ctx}: live count");
+        for (p, &(tz, flat, slot)) in t.expiry.iter().enumerate() {
+            let rec = &t.records[slot as usize];
+            assert_eq!(rec.pos, p as u32, "{ctx}: pos of heap[{p}]");
+            assert_eq!(s.slots[flat as usize], slot, "{ctx}: queue of heap[{p}]");
+            let crossing = rec.t_prev.as_nanos() + rec.total.div_ceil(rec.active());
+            assert_eq!(tz, crossing, "{ctx}: key of heap[{p}]");
             if p > 0 {
-                assert!(st.expiry[(p - 1) / 2] < st.expiry[p], "{ctx}: order at {p}");
+                assert!(t.expiry[(p - 1) / 2] < t.expiry[p], "{ctx}: order at {p}");
             }
         }
-        for (i, rec) in s.records.iter().enumerate() {
-            let draining = st.counted[i] && rec.n > rec.paused_n;
-            assert_eq!(st.pos[i] != UNFILED, draining, "{ctx}: record {i} filed");
+        for (i, rec) in t.records.iter().enumerate() {
+            let draining = rec.counted && rec.n > rec.paused_n;
+            assert_eq!(rec.pos != UNFILED, draining, "{ctx}: record {i} filed");
             if draining {
-                assert_eq!(
-                    st.expiry[st.pos[i] as usize].1, i as u32,
-                    "{ctx}: heap[pos[{i}]]"
-                );
+                let at = t.expiry[rec.pos as usize].2;
+                assert_eq!(at, i as u32, "{ctx}: heap[pos of {i}]");
             }
         }
+        let mut mapped: Vec<u32> = s.slots.iter().copied().filter(|&x| x != UNFILED).collect();
+        mapped.sort_unstable();
+        let all: Vec<u32> = (0..t.records.len() as u32).collect();
+        assert_eq!(mapped, all, "{ctx}: slot map");
     }
 
     #[test]
@@ -706,9 +699,7 @@ mod tests {
                     5 | 6 => {
                         let qo = q(rng.below(4) as u16, prio);
                         let paused = rng.below(2) == 1;
-                        if m.set_egress_paused(qo, paused) {
-                            s.on_pause_changed(t, qo, paused);
-                        }
+                        set_paused(&mut m, &mut s, t, qo, paused, &queued);
                     }
                     // A bare read also advances the aggregate.
                     _ => {}
@@ -725,56 +716,15 @@ mod tests {
     fn repeated_enqueues_keep_one_expiry_entry_per_record() {
         // One ingress queue feeding an ever-deeper egress queue: its zero
         // crossing moves further out with every packet and is never
-        // reached. The lazily-invalidated heap kept all 10 000 entries.
+        // reached, so its one entry is re-keyed in place each time.
         let mut m = mmu();
         let mut s = SojournModule::new();
         for k in 0..10_000u64 {
-            enqueue(
-                &mut m,
-                &mut s,
-                SimTime::from_nanos(k),
-                q(0, 3),
-                q(1, 3),
-                100,
-            );
+            let t = SimTime::from_nanos(k);
+            enqueue(&mut m, &mut s, t, q(0, 3), q(1, 3), 100);
         }
-        assert_eq!(s.packet_count(q(0, 3)), 10_000);
-        assert_eq!(s.agg.borrow().expiry.len(), 1);
+        assert_eq!(packet_count(&s, q(0, 3)), 10_000);
+        assert_eq!(s.table.borrow().expiry.len(), 1);
         check_expiry_index(&s, "after 10 000 enqueues");
-    }
-
-    #[test]
-    fn integer_ceiling_matches_f64_ceil() {
-        let two53 = 9_007_199_254_740_992.0;
-        let two64 = 18_446_744_073_709_551_616.0;
-        let mut xs = vec![
-            0.0,
-            -0.0,
-            f64::MIN_POSITIVE,
-            0.5,
-            1.0,
-            1.0 + f64::EPSILON,
-            -0.5,
-            -1.0,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            two53 - 1.0,
-            two53 - 0.5,
-            two53,
-            two53 + 2.0,
-            two64,
-            two64 * 2.0,
-            f64::MAX,
-        ];
-        let mut rng = dcn_sim::SimRng::seed_from_u64(0xCE11);
-        for _ in 0..100_000 {
-            // Every magnitude from 2^-20 to 2^70, and its integer neighbours.
-            let x = rng.uniform_f64() * 2f64.powi(rng.below(90) as i32 - 20);
-            xs.extend([x, x.floor(), x.ceil(), x.floor() + 0.5]);
-        }
-        for x in xs {
-            assert_eq!(ceil_u64(x), x.ceil() as u64, "x = {x:e}");
-        }
     }
 }

@@ -51,8 +51,17 @@ pub trait BufferPolicy: Debug {
     }
 
     /// The downstream pause state of egress queue `q_out` changed.
-    fn on_egress_pause_changed(&mut self, now: SimTime, q_out: QueueIndex, paused: bool) {
-        let _ = (now, q_out, paused);
+    /// `queued_from[p]` counts the packets of ingress port `p` (at
+    /// `q_out`'s priority) charged to `q_out` and not yet departed: its
+    /// FIFO plus the packet on the wire.
+    fn on_egress_pause_changed(
+        &mut self,
+        now: SimTime,
+        q_out: QueueIndex,
+        paused: bool,
+        queued_from: &[u32],
+    ) {
+        let _ = (now, q_out, paused, queued_from);
     }
 
     /// Plans a preemptive eviction after admission has rejected an

@@ -243,6 +243,24 @@ impl EgressPort {
         Some(qp)
     }
 
+    /// Adds one to `from[in_port]` for every packet of `priority` still
+    /// charged to this port: its FIFO and, if of that priority, the
+    /// packet being serialized.
+    pub(crate) fn count_by_ingress(&self, pool: &PacketPool, priority: Priority, from: &mut [u32]) {
+        let fifo = &self.queues[priority.index()];
+        let (mut chunk, mut at) = (fifo.head as usize, usize::from(fifo.first));
+        for _ in 0..fifo.len {
+            if at == CHUNK {
+                (chunk, at) = (pool.links[chunk][1] as usize, 0);
+            }
+            from[pool.slots[chunk * CHUNK + at].in_port.index()] += 1;
+            at += 1;
+        }
+        if let Some(inf) = self.in_flight.filter(|inf| inf.priority == priority) {
+            from[inf.in_port.index()] += 1;
+        }
+    }
+
     /// Bookkeeping of the packet currently being serialized, if any.
     pub fn in_flight(&self) -> Option<&InFlight> {
         self.in_flight.as_ref()

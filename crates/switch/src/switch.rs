@@ -140,6 +140,9 @@ pub struct SharedMemorySwitch {
     pause_generation: Vec<u64>,
     pfc_counters: PfcCounters,
     drop_counters: DropCounters,
+    /// Scratch for the pause hook's per-ingress-port counts; allocated
+    /// at the first pause edge.
+    queued_from: Vec<u32>,
     /// Per-flow next-expected sequence offset of lossy-RDMA (IRN) data
     /// transiting this switch, updated on *every* arrival — admitted or
     /// dropped — so a gap opened by a drop at an upstream hop is
@@ -180,6 +183,7 @@ impl SharedMemorySwitch {
             pause_generation: vec![0; n * dcn_net::Priority::COUNT],
             pfc_counters: PfcCounters::new(),
             drop_counters: DropCounters::new(),
+            queued_from: Vec::new(),
             irn_expected: HashMap::new(),
             rng: SimRng::seed_from_u64(seed ^ (id.index() as u64).wrapping_mul(0xA5A5_5A5A)),
             trace: TraceHandle::disabled(),
@@ -600,12 +604,18 @@ impl SharedMemorySwitch {
         self.try_start(port)
     }
 
-    /// Sets the downstream pause state of an egress queue and tells the
-    /// policy on an edge. Returns whether the state changed.
+    /// Sets the downstream pause state of an egress queue and, on an
+    /// edge, tells the policy how many packets of each ingress port wait
+    /// behind it. Returns whether the state changed.
     fn set_egress_paused(&mut self, now: SimTime, q_out: QueueIndex, paused: bool) -> bool {
         let changed = self.mmu.set_egress_paused(q_out, paused);
         if changed {
-            self.policy.on_egress_pause_changed(now, q_out, paused);
+            let from = &mut self.queued_from;
+            from.clear();
+            from.resize(self.ports.len(), 0);
+            self.ports[q_out.port.index()].count_by_ingress(&self.pool, q_out.priority, from);
+            self.policy
+                .on_egress_pause_changed(now, q_out, paused, &self.queued_from);
         }
         changed
     }
@@ -643,12 +653,6 @@ impl SharedMemorySwitch {
             packet,
             serialize,
         })
-    }
-
-    /// Whether an outstanding XOFF exists for an ingress queue (testing
-    /// and introspection).
-    pub fn is_pause_sent(&self, q: QueueIndex) -> bool {
-        self.pause_sent[q.flat()]
     }
 }
 
@@ -773,7 +777,7 @@ mod tests {
         assert!(paused_at.is_some(), "threshold crossing must emit XOFF");
         assert_eq!(sw.pfc_counters().pause_frames(), 1, "one XOFF per episode");
         assert!(sw.mmu().headroom_used() > Bytes::ZERO);
-        assert!(sw.is_pause_sent(QueueIndex::new(PortId::new(0), Priority::new(3))));
+        assert!(sw.pause_sent[QueueIndex::new(PortId::new(0), Priority::new(3)).flat()]);
         sw.mmu().check_conservation().unwrap();
     }
 
@@ -839,7 +843,7 @@ mod tests {
                 PortId::new(1),
             );
         }
-        assert!(sw.is_pause_sent(QueueIndex::new(PortId::new(0), Priority::new(3))));
+        assert!(sw.pause_sent[QueueIndex::new(PortId::new(0), Priority::new(3)).flat()]);
         // Drain everything; XON must appear before the queue is empty or
         // at worst on the last departure.
         let mut resumed = false;
@@ -856,7 +860,7 @@ mod tests {
             }
         }
         assert!(resumed, "draining must emit XON");
-        assert!(!sw.is_pause_sent(QueueIndex::new(PortId::new(0), Priority::new(3))));
+        assert!(!sw.pause_sent[QueueIndex::new(PortId::new(0), Priority::new(3)).flat()]);
         assert_eq!(sw.pfc_counters().resume_frames(), 1);
     }
 
@@ -1013,7 +1017,7 @@ mod tests {
                 PortId::new(1),
             );
         }
-        assert!(sw.is_pause_sent(QueueIndex::new(PortId::new(0), Priority::new(3))));
+        assert!(sw.pause_sent[QueueIndex::new(PortId::new(0), Priority::new(3)).flat()]);
         let queued_before = sw.occupancy();
         assert!(queued_before > Bytes::ZERO);
 
@@ -1029,7 +1033,7 @@ mod tests {
         let done = sw.tx_complete(SimTime::from_nanos(600), PortId::new(1));
         let xon = done.pfc.expect("final departure clears the pause");
         assert!(!xon.frame.pause);
-        assert!(!sw.is_pause_sent(QueueIndex::new(PortId::new(0), Priority::new(3))));
+        assert!(!sw.pause_sent[QueueIndex::new(PortId::new(0), Priority::new(3)).flat()]);
         assert_eq!(sw.occupancy(), Bytes::ZERO);
         sw.mmu().check_conservation().unwrap();
 
@@ -1130,7 +1134,7 @@ mod tests {
             PortId::new(0),
             PfcFrame::pause(Priority::new(3)),
         );
-        assert!(sw.is_pause_sent(QueueIndex::new(PortId::new(0), Priority::new(3))));
+        assert!(sw.pause_sent[QueueIndex::new(PortId::new(0), Priority::new(3)).flat()]);
         assert!(sw
             .mmu()
             .egress_paused(QueueIndex::new(PortId::new(0), Priority::new(3))));
@@ -1138,7 +1142,7 @@ mod tests {
         // Port 0's link renegotiates: both the XOFF we sent and the
         // pause we honour across it are forgotten.
         sw.reset_port_pfc(SimTime::from_micros(1), PortId::new(0));
-        assert!(!sw.is_pause_sent(QueueIndex::new(PortId::new(0), Priority::new(3))));
+        assert!(!sw.pause_sent[QueueIndex::new(PortId::new(0), Priority::new(3)).flat()]);
         assert!(!sw
             .mmu()
             .egress_paused(QueueIndex::new(PortId::new(0), Priority::new(3))));

@@ -162,6 +162,16 @@ fn congested_ingress_counts_match_naive_recomputation() {
     }
 }
 
+/// What the switch passes the pause hook of egress queue `qo`: per
+/// ingress port, the packets of `queued` charged to `qo`.
+fn queued_from<T>(queued: &[(QueueIndex, QueueIndex, T)], qo: QueueIndex) -> Vec<u32> {
+    let mut from = vec![0; N_PORTS];
+    for (qi, _, _) in queued.iter().filter(|e| e.1 == qo) {
+        from[qi.port.index()] += 1;
+    }
+    from
+}
+
 #[test]
 fn incremental_sum_active_tau_matches_naive_recomputation() {
     // Arbitrary interleavings of enqueue / dequeue / pause / resume with
@@ -189,7 +199,7 @@ fn incremental_sum_active_tau_matches_naive_recomputation() {
                     let qo = qix(op.out_port, op.prio);
                     let c = m.plan_charge(qi, Bytes::new(op.size), Pool::Shared);
                     m.charge(qi, qo, c);
-                    sojourn.on_enqueue(&m, t, qi, qo);
+                    sojourn.on_enqueue(&m, t, qi, qo, m.egress_paused(qo));
                     queued.push((qi, qo, c));
                 }
                 2 => {
@@ -197,14 +207,14 @@ fn incremental_sum_active_tau_matches_naive_recomputation() {
                         let ix = rng.below(queued.len() as u64) as usize;
                         let (qi, qo, c) = queued.remove(ix);
                         m.discharge(t, qi, qo, c);
-                        sojourn.on_dequeue(t, qi, qo);
+                        sojourn.on_dequeue(t, qi, m.egress_paused(qo));
                     }
                 }
                 _ => {
                     let qo = qix(rng.below(N_PORTS as u64) as u16, rng.below(8) as u8);
                     let paused = rng.below(2) == 1;
                     if m.set_egress_paused(qo, paused) {
-                        sojourn.on_pause_changed(t, qo, paused);
+                        sojourn.on_pause_changed(t, qo, paused, &queued_from(&queued, qo));
                     }
                 }
             }
@@ -423,7 +433,7 @@ fn bshare_incremental_weight_matches_naive_recomputation() {
                     let qo = qix(rng.below(N_PORTS as u64) as u16, rng.below(8) as u8);
                     let paused = rng.below(2) == 1;
                     if m.set_egress_paused(qo, paused) {
-                        policy.on_egress_pause_changed(t, qo, paused);
+                        policy.on_egress_pause_changed(t, qo, paused, &queued_from(&queued, qo));
                     }
                 }
             }
