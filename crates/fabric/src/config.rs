@@ -177,14 +177,16 @@ impl Default for FabricConfig {
 impl FabricConfig {
     /// Rejects, at construction rather than mid-run, a configuration
     /// whose frames would not fit a [`dcn_net::Packet`]'s two-byte size
-    /// fields, or whose fault schedule names a link, node, port or
-    /// priority `topo` lacks or a bit-error rate outside `[0, 1]`.
+    /// fields, whose sampler or flow watchdog would re-arm at the same
+    /// instant forever, or whose fault schedule names a link, node, port
+    /// or priority `topo` lacks or a bit-error rate outside `[0, 1]`.
     ///
     /// # Panics
     ///
     /// Panics naming the offending field: `dctcp.mss + header`,
     /// `dcqcn.mtu + header`, `irn.mtu + header` or `switch.mtu` above
-    /// [`dcn_net::MAX_FRAME`], or `faults[i].link|node|port|prio|ber`.
+    /// [`dcn_net::MAX_FRAME`], a zero `sample_interval` or
+    /// `flow_watchdog`, or `faults[i].link|node|port|prio|ber`.
     pub(crate) fn assert_valid(&self, topo: &Topology) {
         let frames = [
             (
@@ -205,6 +207,16 @@ impl FabricConfig {
             assert!(
                 frame <= MAX_FRAME,
                 "{field} = {frame} exceeds the largest frame a packet can describe ({MAX_FRAME})"
+            );
+        }
+        let periods = [
+            ("sample_interval", self.sample_interval),
+            ("flow_watchdog", self.flow_watchdog),
+        ];
+        for (field, period) in periods {
+            assert!(
+                period != Some(SimDuration::ZERO),
+                "{field} must be non-zero: a zero period never advances the clock"
             );
         }
         let (links, nodes) = (topo.links().len(), topo.node_count());

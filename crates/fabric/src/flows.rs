@@ -2,7 +2,7 @@
 //! and the dense flow-id → flow-index table the per-packet hot path
 //! uses.
 
-use dcn_net::FlowId;
+use dcn_net::{FlowId, NodeId};
 use dcn_sim::{SimDuration, SimTime, TimerHandle};
 use dcn_transport::{
     DcqcnReceiver, DcqcnSender, DctcpReceiver, DctcpSender, IrnReceiver, IrnSender, RpTimerKind,
@@ -76,6 +76,8 @@ pub(crate) struct FlowState {
     pub(crate) timers: FlowTimers,
     /// Whether the FCT record has been emitted.
     pub(crate) recorded: bool,
+    /// Whether the flow has been counted toward the done total.
+    pub(crate) counted: bool,
     /// Ideal (empty-network) FCT, computed at registration while every
     /// route is healthy so a mid-run link failure cannot poison the
     /// slowdown denominator of flows that finish after it.
@@ -90,15 +92,29 @@ pub(crate) struct FlowState {
 }
 
 impl FlowState {
-    /// Whether both endpoints consider the flow finished (receiver got
-    /// every byte; sender has nothing outstanding).
+    /// Whether the flow is finished, as its
+    /// [counting endpoint](FlowState::counting_endpoint) sees it: a
+    /// DCQCN receiver that took the last byte (its sender drained
+    /// before, as the lossless path has no retransmission), or a DCTCP
+    /// or IRN sender whose final cumulative ACK arrived (which its
+    /// receiver only emits after taking the last byte). Either flips at
+    /// the event where both endpoints first agree, and reads only state
+    /// that a shard owning that endpoint holds.
     pub(crate) fn is_done(&self) -> bool {
-        let sent = match &self.runtime {
+        match &self.runtime {
+            FlowRuntime::Rdma { receiver, .. } => receiver.finished_at().is_some(),
             FlowRuntime::Tcp { sender, .. } => sender.is_completed(),
-            FlowRuntime::Rdma { sender, .. } => !sender.has_more(),
             FlowRuntime::Irn { sender, .. } => sender.is_completed(),
-        };
-        sent && self.finished_at().is_some()
+        }
+    }
+
+    /// The host whose half of the flow decides [`FlowState::is_done`]:
+    /// the receiver of a DCQCN flow, the sender of a DCTCP or IRN one.
+    pub(crate) fn counting_endpoint(&self) -> NodeId {
+        match self.runtime {
+            FlowRuntime::Rdma { .. } => self.spec.dst,
+            FlowRuntime::Tcp { .. } | FlowRuntime::Irn { .. } => self.spec.src,
+        }
     }
 
     /// When the receiver got the last byte, if it has.

@@ -96,7 +96,6 @@ pub(crate) struct Hosts {
     pub(crate) fct: Vec<FctRecord>,
     /// Completed flows this world counts.
     pub(crate) done_flows: usize,
-    counted_done: Vec<bool>,
     /// Reusable buffer for the packets a transport endpoint emits while
     /// handling one event. Taken (`std::mem::take`), drained, and put
     /// back by each handler, so the per-packet hot path never allocates.
@@ -135,7 +134,6 @@ impl Hosts {
             flow_ix: FlowTable::new(),
             fct: Vec::new(),
             done_flows: 0,
-            counted_done: Vec::new(),
             outs_scratch: Vec::new(),
             irn: IrnCounters::new(),
             rdma_stranded: 0,
@@ -157,7 +155,6 @@ impl Hosts {
     /// Makes room for `additional` more [`Hosts::register_flow`] calls.
     pub fn reserve_flows(&mut self, additional: usize) {
         self.flows.reserve(additional);
-        self.counted_done.reserve(additional);
     }
 
     /// Builds a flow's transport endpoints and returns its index.
@@ -205,79 +202,47 @@ impl Hosts {
             runtime,
             timers: FlowTimers::default(),
             recorded: false,
+            counted: false,
             ideal,
             watchdog_progress: 0,
             stall_flagged: false,
         });
-        self.counted_done.push(false);
         ix
     }
 
-    /// The endpoint whose local state flips at the same event where the
-    /// serial `is_done()` flips (see [`Hosts::flow_done_proxy`]): a
-    /// sharded world counts flow `ix` toward the done total only if it
-    /// owns that endpoint, so exactly one shard counts each flow.
-    fn counting_endpoint(&self, ix: usize) -> NodeId {
-        let spec = &self.flows[ix].spec;
-        match self.flows[ix].runtime {
-            FlowRuntime::Rdma { .. } => spec.dst,
-            FlowRuntime::Tcp { .. } | FlowRuntime::Irn { .. } => spec.src,
-        }
-    }
-
     /// How many registered flows this world counts toward the global
-    /// done total (all of them for the serial engine).
+    /// done total: those whose counting endpoint it owns (all of them
+    /// for the serial engine).
     pub fn counting_flows(&self, wires: &Wires) -> usize {
-        (0..self.flows.len())
-            .filter(|&ix| wires.owns(self.counting_endpoint(ix)))
+        self.flows
+            .iter()
+            .filter(|f| wires.owns(f.counting_endpoint()))
             .count()
     }
 
-    /// Completion as observable from the counting endpoint's half of the
-    /// flow. A DCQCN receiver only finishes after the sender drained
-    /// (there is no retransmission on the lossless path), and a DCTCP or
-    /// IRN sender only completes on the final cumulative ACK, which the
-    /// receiver emits after taking the last byte — so each proxy flips
-    /// at the *same event* as the serial two-sided `is_done()`, even
-    /// when the far endpoint is a never-touched replica in another
-    /// shard. The serial engine keeps the exact predicate.
-    fn flow_done_proxy(&self, ix: usize, wires: &Wires) -> bool {
-        if !wires.sharded() {
-            return self.flows[ix].is_done();
-        }
-        match &self.flows[ix].runtime {
-            FlowRuntime::Rdma { receiver, .. } => receiver.finished_at().is_some(),
-            FlowRuntime::Tcp { sender, .. } => sender.is_completed(),
-            FlowRuntime::Irn { sender, .. } => sender.is_completed(),
-        }
-    }
-
-    fn update_done(&mut self, ix: usize, wires: &Wires) {
-        if !self.counted_done[ix]
-            && wires.owns(self.counting_endpoint(ix))
-            && self.flow_done_proxy(ix, wires)
-        {
-            self.counted_done[ix] = true;
-            self.done_flows += 1;
-        }
-    }
-
-    fn record_if_finished(&mut self, ix: usize) {
+    /// Settles flow `ix` after a delivery: emits its FCT record once the
+    /// receiver holds the last byte, and counts it done once
+    /// [`FlowState::is_done`] holds, in the one world that owns its
+    /// counting endpoint.
+    fn settle(&mut self, ix: usize, wires: &Wires) {
         let flow = &mut self.flows[ix];
-        if flow.recorded {
-            return;
+        if !flow.recorded {
+            if let Some(finish) = flow.finished_at() {
+                let spec = flow.spec;
+                self.fct.push(FctRecord {
+                    flow: spec.id,
+                    class: spec.class,
+                    size: spec.size,
+                    start: spec.start,
+                    finish,
+                    ideal: flow.ideal,
+                });
+                flow.recorded = true;
+            }
         }
-        if let Some(finish) = flow.finished_at() {
-            let spec = flow.spec;
-            self.fct.push(FctRecord {
-                flow: spec.id,
-                class: spec.class,
-                size: spec.size,
-                start: spec.start,
-                finish,
-                ideal: flow.ideal,
-            });
-            flow.recorded = true;
+        if !flow.counted && flow.is_done() && wires.owns(flow.counting_endpoint()) {
+            flow.counted = true;
+            self.done_flows += 1;
         }
     }
 
@@ -471,8 +436,7 @@ impl Hosts {
         if let Some(watermark) = irn_watermark {
             self.count_irn_retransmits(now, &outs, watermark);
         }
-        self.record_if_finished(ix);
-        self.update_done(ix, wires);
+        self.settle(ix, wires);
 
         let flow = packet.flow;
         let timers = &mut self.flows[ix].timers;
@@ -565,7 +529,6 @@ impl Hosts {
                 });
             }
         }
-        self.update_done(ix, wires);
     }
 
     /// A DCTCP or IRN retransmission timer fired.

@@ -18,12 +18,11 @@ pub(crate) struct Switches {
     /// Indexed by `NodeId::index()`; `None` for hosts and for switches
     /// another shard owns.
     switches: Vec<Option<SharedMemorySwitch>>,
-    /// Outstanding storm-watchdog deadlines, indexed
-    /// `[NodeId::index()][QueueIndex::flat()]` (empty where `switches`
-    /// is `None`). Each
-    /// slot holds the newest armed deadline's handle plus the
-    /// pause-episode generation it was armed for.
-    watchdog_timers: Vec<Vec<Option<(TimerHandle, u64)>>>,
+    /// Storm-watchdog deadlines, indexed
+    /// `[NodeId::index()][QueueIndex::flat()]`: a queue holds one
+    /// exactly while its egress is paused ([`Switches::sync_watchdog`]).
+    /// Empty without a watchdog and where `switches` is `None`.
+    watchdog_timers: Vec<Vec<Option<TimerHandle>>>,
     /// Per-switch occupancy series, indexed by `NodeId::index()` (empty
     /// for hosts and for switches never sampled).
     occupancy: Vec<OccupancySeries>,
@@ -39,6 +38,11 @@ impl Switches {
     /// Builds the switches `wires` says this world owns.
     pub fn new(wires: &Wires, cfg: &FabricConfig) -> Switches {
         let topo = &wires.topo;
+        let slots_per_port = if cfg.switch.pfc_watchdog.is_some() {
+            Priority::COUNT
+        } else {
+            0
+        };
         let (switches, watchdog_timers) = topo
             .nodes()
             .iter()
@@ -67,7 +71,7 @@ impl Switches {
                     let cap = auto.max(cfg.switch.headroom_per_queue);
                     sw.set_port_headroom(PortId::new(pix as u16), cap);
                 }
-                (Some(sw), vec![None; ports.len() * Priority::COUNT])
+                (Some(sw), vec![None; ports.len() * slots_per_port])
             })
             .unzip();
         Switches {
@@ -147,9 +151,9 @@ impl Switches {
         }
     }
 
-    /// Applies a PFC frame to the egress queue behind `port`, arming the
-    /// storm watchdog on each new pause episode. Real `PfcDeliver`
-    /// frames and injected stuck pauses both come through here.
+    /// Applies a PFC frame to the egress queue behind `port`. Real
+    /// `PfcDeliver` frames and injected stuck pauses both come through
+    /// here.
     pub fn pfc(
         &mut self,
         now: SimTime,
@@ -159,63 +163,54 @@ impl Switches {
         wires: &mut Wires,
         q: &mut Queue,
     ) {
-        let q_out = QueueIndex::new(port, frame.priority);
-        let sw = self.switches[node.index()].as_mut().expect("not a switch");
-        let was_paused = sw.mmu().egress_paused(q_out);
-        let tx = sw.handle_pfc(now, port, frame);
-        let slot = &mut self.watchdog_timers[node.index()][q_out.flat()];
-        if frame.pause && !was_paused {
-            if let Some(threshold) = self.pfc_watchdog {
-                let generation = sw.pause_generation(q_out);
-                let handle = q.schedule_timer_after(
-                    now,
-                    threshold,
-                    Event::PfcWatchdog {
-                        node,
-                        port,
-                        prio: frame.priority,
-                        generation,
-                    },
-                );
-                // This new episode bumped the generation, so any older
-                // deadline still armed on this queue could only fire as
-                // a stale no-op — cancelling it is behaviour-preserving.
-                if let Some((old, _)) = slot.replace((handle, generation)) {
-                    q.cancel_timer(old);
-                }
-            }
-        } else if !frame.pause && was_paused {
-            // Resumed: a later pause starts a fresh generation, so the
-            // pending deadline can never fire meaningfully again.
-            if let Some((old, _)) = slot.take() {
-                q.cancel_timer(old);
-            }
-        }
+        let tx = self.get_mut(node).handle_pfc(now, port, frame);
+        self.sync_watchdog(now, node, QueueIndex::new(port, frame.priority), q);
         if let Some(tx) = tx {
             wires.schedule_switch_tx(now, node, tx, q);
         }
     }
 
-    /// A storm-watchdog deadline fired: force-resume `queue` if it is
-    /// still in the pause episode the deadline was armed for.
+    /// A storm-watchdog deadline fired: force-resume `queue`, which the
+    /// watchdog rule says is still paused.
     pub fn watchdog_fire(
         &mut self,
         now: SimTime,
         node: NodeId,
         queue: QueueIndex,
-        generation: u64,
         wires: &mut Wires,
         q: &mut Queue,
     ) {
-        // If this very deadline is the one on record, firing consumed
-        // its wheel entry — forget the dead handle.
-        let slot = &mut self.watchdog_timers[node.index()][queue.flat()];
-        if slot.is_some_and(|(_, g)| g == generation) {
-            *slot = None;
-        }
-        let sw = self.get_mut(node);
-        if let Some(tx) = sw.pfc_watchdog_fire(now, queue.port, queue.priority, generation) {
+        // Firing consumed the wheel entry; the stored handle is dead.
+        self.watchdog_timers[node.index()][queue.flat()] = None;
+        let tx = self
+            .get_mut(node)
+            .pfc_watchdog_fire(now, queue.port, queue.priority);
+        self.sync_watchdog(now, node, queue, q);
+        if let Some(tx) = tx {
             wires.schedule_switch_tx(now, node, tx, q);
+        }
+    }
+
+    /// The watchdog rule: `queue` of `node` holds a deadline exactly
+    /// while its egress is paused. Arms one on a pause and cancels it on
+    /// a resume; does nothing without a watchdog.
+    fn sync_watchdog(&mut self, now: SimTime, node: NodeId, queue: QueueIndex, q: &mut Queue) {
+        let Some(threshold) = self.pfc_watchdog else {
+            return;
+        };
+        let paused = self.get_mut(node).mmu().egress_paused(queue);
+        let slot = &mut self.watchdog_timers[node.index()][queue.flat()];
+        match (paused, *slot) {
+            (true, None) => {
+                let (port, prio) = (queue.port, queue.priority);
+                let ev = Event::PfcWatchdog { node, port, prio };
+                *slot = Some(q.schedule_timer_after(now, threshold, ev));
+            }
+            (false, Some(h)) => {
+                q.cancel_timer(h);
+                *slot = None;
+            }
+            _ => {}
         }
     }
 
@@ -231,15 +226,11 @@ impl Switches {
     /// The link behind `end` came back: port renegotiation forgets the
     /// pauses sent and received on it.
     pub fn port_up(&mut self, now: SimTime, end: LinkEnd, wires: &mut Wires, q: &mut Queue) {
-        // Any later pause starts a fresh generation, so every pending
-        // storm deadline on the port is now a guaranteed no-op.
+        let tx = self.get_mut(end.node).reset_port_pfc(now, end.port);
         for prio in Priority::all() {
-            let flat = QueueIndex::new(end.port, prio).flat();
-            if let Some((h, _)) = self.watchdog_timers[end.node.index()][flat].take() {
-                q.cancel_timer(h);
-            }
+            self.sync_watchdog(now, end.node, QueueIndex::new(end.port, prio), q);
         }
-        if let Some(tx) = self.get_mut(end.node).reset_port_pfc(now, end.port) {
+        if let Some(tx) = tx {
             wires.schedule_switch_tx(now, end.node, tx, q);
         }
     }
@@ -267,5 +258,38 @@ impl Switches {
                 r.occupancy.insert(NodeId::new(i as u32), series.clone());
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcn_net::{ClosConfig, Topology};
+
+    /// Deadline slots per switch: one per queue with a watchdog, none
+    /// without.
+    fn slots(pfc_watchdog: Option<SimDuration>) -> Vec<usize> {
+        let mut cfg = FabricConfig::default();
+        cfg.switch.pfc_watchdog = pfc_watchdog;
+        let wires = Wires::new(Topology::clos(&ClosConfig::small(4)), &cfg, None);
+        let switches = Switches::new(&wires, &cfg);
+        let topo = &wires.topo;
+        topo.nodes()
+            .iter()
+            .filter(|n| n.kind == NodeKind::Switch)
+            .map(|n| switches.watchdog_timers[n.id.index()].len())
+            .collect()
+    }
+
+    #[test]
+    fn no_switch_holds_a_deadline_slot_without_a_watchdog() {
+        let off = slots(None);
+        assert!(!off.is_empty());
+        assert!(off.iter().all(|&n| n == 0), "{off:?}");
+        let on = slots(Some(SimDuration::from_micros(500)));
+        assert!(
+            on.iter().all(|&n| n > 0 && n % Priority::COUNT == 0),
+            "{on:?}"
+        );
     }
 }

@@ -110,11 +110,6 @@ impl Wires {
             .is_none_or(|ctx| ctx.part.shard_of(node) == ctx.shard as usize)
     }
 
-    /// Whether this world is one shard of a sharded run.
-    pub fn sharded(&self) -> bool {
-        self.shard.is_some()
-    }
-
     /// The cross-shard messages generated since the executor last
     /// emptied them, indexed by destination shard (no batches for the
     /// serial engine).

@@ -97,13 +97,10 @@ pub enum Event {
         /// The fault to apply.
         fault: FaultEvent,
     },
-    /// A PFC storm-watchdog deadline: if the egress queue is still
-    /// paused and still in the same pause episode, force-resume it.
-    /// Also wheel-armed; deadlines are cancelled at every point where a
-    /// fire is provably a no-op (resume, re-pause, port reset). The
-    /// generation stamp stays as defence in depth: a deadline that
-    /// survives to fire against a later episode degrades to exactly the
-    /// legacy stale no-op.
+    /// A PFC storm-watchdog deadline: force-resume the paused egress
+    /// queue. Wheel-armed like [`Event::Rto`]; a queue holds one exactly
+    /// while it is paused (armed at the pause, cancelled at a resume or
+    /// port reset), so a deadline that fires finds its queue paused.
     PfcWatchdog {
         /// The switch.
         node: NodeId,
@@ -111,8 +108,6 @@ pub enum Event {
         port: PortId,
         /// The paused priority.
         prio: Priority,
-        /// Pause-episode stamp; stale deadlines are no-ops.
-        generation: u64,
     },
 }
 
@@ -304,15 +299,9 @@ impl Simulation for World {
             Event::RpTimer { flow, kind } => self.hosts.rp_timer(now, flow, kind, q),
             Event::Sample => self.switches.sample(now, q),
             Event::Fault { fault } => self.apply_fault(now, fault, q),
-            Event::PfcWatchdog {
-                node,
-                port,
-                prio,
-                generation,
-            } => {
+            Event::PfcWatchdog { node, port, prio } => {
                 let queue = QueueIndex::new(port, prio);
-                self.switches
-                    .watchdog_fire(now, node, queue, generation, wires, q);
+                self.switches.watchdog_fire(now, node, queue, wires, q);
             }
         }
     }
@@ -503,6 +492,26 @@ mod tests {
         let mut cfg = FabricConfig::default();
         cfg.switch.mtu = Bytes::new(70_000);
         let _ = FabricSim::new(topo, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample_interval must be non-zero")]
+    fn zero_sample_interval_is_refused_at_construction() {
+        let cfg = FabricConfig {
+            sample_interval: Some(SimDuration::ZERO),
+            ..FabricConfig::default()
+        };
+        let _ = FabricSim::new(two_hosts(), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow_watchdog must be non-zero")]
+    fn zero_flow_watchdog_is_refused_at_construction() {
+        let cfg = FabricConfig {
+            flow_watchdog: Some(SimDuration::ZERO),
+            ..FabricConfig::default()
+        };
+        let _ = FabricSim::new(two_hosts(), cfg);
     }
 
     /// Two hosts (nodes 0–1, one port each) on a two-port switch (node

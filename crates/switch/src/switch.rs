@@ -132,12 +132,6 @@ pub struct SharedMemorySwitch {
     policy: Box<dyn BufferPolicy>,
     /// Ingress queues that have an outstanding XOFF, by flat queue index.
     pause_sent: Vec<bool>,
-    /// Per-egress-queue pause-episode counter (bumped on each pause
-    /// edge), by flat queue index. The PFC storm watchdog uses it to
-    /// recognize stale deadlines: a watchdog armed for episode `g`
-    /// only fires if the queue is still paused *and* still in episode
-    /// `g`.
-    pause_generation: Vec<u64>,
     pfc_counters: PfcCounters,
     drop_counters: DropCounters,
     /// Scratch for the pause hook's per-ingress-port counts; allocated
@@ -180,7 +174,6 @@ impl SharedMemorySwitch {
             pool: PacketPool::default(),
             policy,
             pause_sent: vec![false; n * dcn_net::Priority::COUNT],
-            pause_generation: vec![0; n * dcn_net::Priority::COUNT],
             pfc_counters: PfcCounters::new(),
             drop_counters: DropCounters::new(),
             queued_from: Vec::new(),
@@ -515,12 +508,7 @@ impl SharedMemorySwitch {
     /// `port` (pausing or resuming one egress priority). A resume may
     /// immediately start a transmission.
     pub fn handle_pfc(&mut self, now: SimTime, port: PortId, frame: PfcFrame) -> Option<TxStart> {
-        let q_out = QueueIndex::new(port, frame.priority);
-        if self.set_egress_paused(now, q_out, frame.pause) && frame.pause {
-            // A new pause episode begins; stale watchdog deadlines
-            // armed for earlier episodes must not fire into it.
-            self.pause_generation[q_out.flat()] += 1;
-        }
+        self.set_egress_paused(now, QueueIndex::new(port, frame.priority), frame.pause);
         if frame.pause {
             None
         } else {
@@ -528,28 +516,19 @@ impl SharedMemorySwitch {
         }
     }
 
-    /// The current pause episode of an egress queue. Bumped on every
-    /// pause edge; pass it back to
-    /// [`SharedMemorySwitch::pfc_watchdog_fire`] so the watchdog can
-    /// tell a still-stuck pause from a new, unrelated episode.
-    pub fn pause_generation(&self, q: QueueIndex) -> u64 {
-        self.pause_generation[q.flat()]
-    }
-
     /// Fires the PFC storm watchdog for one egress queue: if the queue
-    /// is still paused *and* still in pause episode `generation`, the
-    /// pause is force-cleared (as real ASIC pause watchdogs do), a
-    /// `PfcWatchdogFired` trace event and counter are recorded, and a
-    /// blocked transmission may start. Stale deadlines are no-ops.
+    /// is paused, the pause is force-cleared (as real ASIC pause
+    /// watchdogs do), a `PfcWatchdogFired` trace event and counter are
+    /// recorded, and a blocked transmission may start. On a queue that
+    /// is not paused it is a no-op.
     pub fn pfc_watchdog_fire(
         &mut self,
         now: SimTime,
         port: PortId,
         prio: dcn_net::Priority,
-        generation: u64,
     ) -> Option<TxStart> {
         let q_out = QueueIndex::new(port, prio);
-        if !self.mmu.egress_paused(q_out) || self.pause_generation[q_out.flat()] != generation {
+        if !self.mmu.egress_paused(q_out) {
             return None;
         }
         self.set_egress_paused(now, q_out, false);
@@ -606,10 +585,9 @@ impl SharedMemorySwitch {
 
     /// Sets the downstream pause state of an egress queue and, on an
     /// edge, tells the policy how many packets of each ingress port wait
-    /// behind it. Returns whether the state changed.
-    fn set_egress_paused(&mut self, now: SimTime, q_out: QueueIndex, paused: bool) -> bool {
-        let changed = self.mmu.set_egress_paused(q_out, paused);
-        if changed {
+    /// behind it.
+    fn set_egress_paused(&mut self, now: SimTime, q_out: QueueIndex, paused: bool) {
+        if self.mmu.set_egress_paused(q_out, paused) {
             let from = &mut self.queued_from;
             from.clear();
             from.resize(self.ports.len(), 0);
@@ -617,7 +595,6 @@ impl SharedMemorySwitch {
             self.policy
                 .on_egress_pause_changed(now, q_out, paused, &self.queued_from);
         }
-        changed
     }
 
     /// Counts and traces a packet lost at this switch (see
@@ -1048,7 +1025,7 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_force_resumes_stuck_pause_and_ignores_stale_deadlines() {
+    fn watchdog_force_resumes_stuck_pause_and_is_a_noop_when_not_paused() {
         use dcn_sim::{TraceConfig, TraceHandle};
         let mut sw = small_switch(0.5, Bytes::from_mb(4));
         let trace = TraceHandle::from_config(&TraceConfig::enabled());
@@ -1073,47 +1050,21 @@ mod tests {
             PortId::new(1),
             PfcFrame::pause(Priority::new(3)),
         );
-        let generation = sw.pause_generation(q);
         sw.tx_complete(SimTime::from_nanos(336), PortId::new(1));
         assert!(sw.mmu().egress_paused(q));
 
         // The watchdog fires: pause cleared, blocked packet starts.
-        let tx = sw.pfc_watchdog_fire(
-            SimTime::from_micros(10),
-            PortId::new(1),
-            Priority::new(3),
-            generation,
-        );
+        let tx = sw.pfc_watchdog_fire(SimTime::from_micros(10), PortId::new(1), Priority::new(3));
         assert_eq!(tx.expect("forced resume starts tx").packet.seq, 1);
         assert!(!sw.mmu().egress_paused(q));
         assert_eq!(sw.pfc_counters().watchdog_fires(), 1);
         assert_eq!(trace.with(|r| r.totals()).unwrap().watchdog_fires, 1);
 
-        // A stale deadline (same generation, already resumed) is a no-op,
-        // and so is one against a later pause episode.
-        assert!(sw
-            .pfc_watchdog_fire(
-                SimTime::from_micros(11),
-                PortId::new(1),
-                Priority::new(3),
-                generation
-            )
-            .is_none());
-        sw.handle_pfc(
-            SimTime::from_micros(12),
-            PortId::new(1),
-            PfcFrame::pause(Priority::new(3)),
-        );
-        assert_eq!(sw.pause_generation(q), generation + 1);
-        assert!(sw
-            .pfc_watchdog_fire(
-                SimTime::from_micros(13),
-                PortId::new(1),
-                Priority::new(3),
-                generation
-            )
-            .is_none());
+        // A fire on a queue that is not paused changes nothing.
+        let tx = sw.pfc_watchdog_fire(SimTime::from_micros(11), PortId::new(1), Priority::new(3));
+        assert!(tx.is_none());
         assert_eq!(sw.pfc_counters().watchdog_fires(), 1);
+        assert_eq!(trace.with(|r| r.totals()).unwrap().watchdog_fires, 1);
     }
 
     #[test]

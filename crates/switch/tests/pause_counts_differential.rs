@@ -160,10 +160,7 @@ fn pause_hook_counts_match_charged_packets() {
                     };
                     started(&mut wire, sw.handle_pfc(t, port, frame));
                 }
-                13 => {
-                    let generation = sw.pause_generation(QueueIndex::new(port, prio));
-                    started(&mut wire, sw.pfc_watchdog_fire(t, port, prio, generation));
-                }
+                13 => started(&mut wire, sw.pfc_watchdog_fire(t, port, prio)),
                 14 if rng.below(4) == 0 => {
                     sw.port_down(t, port);
                     drains += 1;

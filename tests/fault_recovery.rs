@@ -280,6 +280,58 @@ fn stuck_pause_is_bounded_by_the_watchdog() {
     }
 }
 
+/// A pause that is released and later re-asserted: the resume retires
+/// the first pause's watchdog deadline, so the one fire comes a full
+/// threshold after the *second* XOFF, not after the first.
+#[test]
+fn watchdog_deadline_restarts_after_resume_and_re_pause() {
+    const WATCHDOG: SimDuration = SimDuration::from_micros(200);
+    let topo = Topology::single_switch(2, BitRate::from_gbps(25), SimDuration::from_micros(1));
+    let end = topo.wire(NodeId::new(1), PortId::new(0)).peer;
+    let (node, port) = (end.node.index() as u32, end.port.index() as u16);
+    let mut faults = FaultSchedule::none();
+    // Held 50 µs, well inside the threshold; then held for 20 ms.
+    faults.pause_stuck(
+        node,
+        port,
+        3,
+        SimTime::from_micros(50),
+        SimDuration::from_micros(50),
+    );
+    let re_pause = SimTime::from_micros(200);
+    faults.pause_stuck(node, port, 3, re_pause, SimDuration::from_millis(20));
+    let cfg = FabricConfig {
+        switch: SwitchConfig {
+            pfc_watchdog: Some(WATCHDOG),
+            ..SwitchConfig::default()
+        },
+        sample_interval: None,
+        trace: TraceConfig::enabled(),
+        faults,
+        ..FabricConfig::default()
+    };
+    let mut sim = FabricSim::new(topo, cfg);
+    sim.add_flow(flow(1, 0, 1, 1_000_000, TrafficClass::Lossless));
+    assert!(sim.run_until_done(SimTime::from_millis(10)));
+    let r = sim.results();
+    assert_eq!(r.pfc.watchdog_fires(), 1, "exactly one forced resume");
+    assert_eq!(r.drops.lossless_packets, 0);
+    let fires: Vec<SimTime> = sim
+        .trace()
+        .with(|rec| {
+            rec.records()
+                .filter(|x| matches!(x.event, TraceEvent::PfcWatchdogFired { .. }))
+                .map(|x| x.at)
+                .collect()
+        })
+        .expect("trace enabled");
+    let due = re_pause + WATCHDOG;
+    assert!(
+        fires.len() == 1 && fires[0] >= due && fires[0] <= due + SimDuration::from_micros(1),
+        "watchdog fired at {fires:?}, want one fire at {due} (+1 µs)"
+    );
+}
+
 /// All uplinks of a ToR go down: cross-rack packets reaching it have no
 /// route and must be *counted* drops (`DropCause::NoRoute`), not a
 /// panic; once the uplinks return, RTO retransmission completes the
