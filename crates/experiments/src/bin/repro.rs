@@ -33,7 +33,7 @@
 //! scale (2 seeds unless `--seeds` says otherwise) at `--jobs 1` and
 //! `--jobs 8`, and fails unless both outcomes are equal and carry no
 //! invariant violation. It refuses every flag that picks a scale or a
-//! worker count, as `repro` refuses a zero `--window-ms`.
+//! worker count, as `repro` refuses a zero `--window-ms` or `--seeds`.
 //!
 //! `repro trace` is the flight-recorder dump: one fixed-seed hybrid run
 //! with the recorder on, every lifecycle event as JSON Lines on stdout,
@@ -179,6 +179,10 @@ fn main() -> ExitCode {
                 let Ok(v) = v.parse::<u64>() else {
                     return usage();
                 };
+                if v == 0 {
+                    eprintln!("--seeds must be at least 1");
+                    return usage();
+                }
                 seeds = Some(v);
             }
             "--scale" => {
@@ -254,7 +258,7 @@ fn main() -> ExitCode {
     }
     // Two replicates under `--check`, else the experiment's own default
     // (`SweepOptions::seeds == 0`), unless `--seeds` says otherwise.
-    let opts = SweepOptions::new(jobs, seeds.map_or(if check { 2 } else { 0 }, |n| n.max(1)));
+    let opts = SweepOptions::new(jobs, seeds.unwrap_or(if check { 2 } else { 0 }));
     if check {
         scale = ExperimentScale::tiny();
     }

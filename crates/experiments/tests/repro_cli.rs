@@ -1,7 +1,8 @@
 //! `repro` refuses arguments it would otherwise silently ignore: a
 //! `--check` on an experiment that has no check mode used to run the
 //! plain sweep and exit 0 (a gate that gates nothing), a zero
-//! `--window-ms` used to print an all-zero table, one whose nanoseconds
+//! `--window-ms` used to print an all-zero table, a zero `--seeds` used
+//! to run one seed and print its table, one `--window-ms` whose nanoseconds
 //! overflow a `u64` used to run a wrapped window, `chaos`/`irn` used to
 //! run their fixed fault seeds whatever `--seeds` asked for, and
 //! `--check` used to run at tiny scale at jobs 1 and 8 whatever
@@ -28,6 +29,10 @@ fn meaningless_arguments_exit_1_with_a_message() {
         (
             &["fig7", "--scale", "tiny", "--window-ms", "0"][..],
             "--window-ms must be at least 1",
+        ),
+        (
+            &["fig3a", "--scale", "tiny", "--seeds", "0"][..],
+            "--seeds must be at least 1",
         ),
         (
             &["fig3a", "--scale", "tiny", "--window-ms", "18446744073710"][..],

@@ -4,9 +4,12 @@
 //! The NIC reuses the switch crate's [`EgressPort`] (eight priority
 //! FIFOs, round-robin, one packet in flight) but has no buffer limits —
 //! host memory is not the bottleneck the paper studies. Every NIC of a
-//! world queues into the one [`PacketPool`] [`Hosts`] owns. It honours PFC
-//! pause frames from its ToR per priority, which is how switch-side
-//! back-pressure reaches DCQCN/DCTCP senders.
+//! world queues into the one [`PacketPool`] [`Hosts`] owns, and queues a
+//! transport's consecutive data segments as one run entry
+//! ([`EgressPort::enqueue_run`]): a DCTCP window released at once costs
+//! one 48-byte entry, not one per segment, and is sent exactly as before.
+//! It honours PFC pause frames from its ToR per priority, which is how
+//! switch-side back-pressure reaches DCQCN/DCTCP senders.
 
 use dcn_metrics::{FctRecord, IrnCounters};
 use dcn_net::{
@@ -49,14 +52,11 @@ impl Host {
         self.paused[priority.index()] = paused;
     }
 
-    /// Queues a packet for transmission in `pool`.
+    /// Queues a packet for transmission in `pool`, as part of the tail
+    /// entry's run when it is the data segment that run sends next.
     pub fn enqueue(&mut self, pool: &mut PacketPool, packet: Packet) {
-        let qp = QueuedPacket {
-            packet,
-            in_port: PortId::new(0),
-            charge: Charge::NONE,
-        };
-        self.nic.enqueue(pool, qp);
+        let qp = QueuedPacket::new(packet, PortId::new(0), Charge::NONE);
+        self.nic.enqueue_run(pool, qp);
     }
 
     /// Starts the next transmission if the NIC is idle and an unpaused

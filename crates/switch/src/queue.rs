@@ -7,6 +7,14 @@
 //! queue packets through Round Robin").
 //!
 //! The FIFOs of all of one owner's ports share one [`PacketPool`].
+//!
+//! A host NIC's FIFO entry may be a *run*: a data segment plus the
+//! segments behind it that continue it byte for byte
+//! ([`EgressPort::enqueue_run`]). The scheduler hands a run out one
+//! packet at a time, so it serves exactly the packets a one-entry-per-
+//! packet FIFO serves; a transport's window then costs one entry, not
+//! one per segment. Switches never build runs: each of their entries
+//! carries its own in-port, charge and ECN mark.
 
 use dcn_net::{FlowId, Packet, PortId, Priority};
 use dcn_sim::Bytes;
@@ -25,6 +33,29 @@ pub struct QueuedPacket {
     pub in_port: PortId,
     /// How its bytes were charged at admission.
     pub charge: Charge,
+    /// Segments queued behind `packet` in this entry, each one payload
+    /// further into the flow; zero except in a host NIC's runs. Fits
+    /// the struct's padding.
+    behind: u16,
+}
+
+impl QueuedPacket {
+    /// A single queued packet.
+    pub fn new(packet: Packet, in_port: PortId, charge: Charge) -> QueuedPacket {
+        QueuedPacket {
+            packet,
+            in_port,
+            charge,
+            behind: 0,
+        }
+    }
+
+    /// The `n`th packet of this entry's run (0 is `packet` itself).
+    fn nth(&self, n: u16) -> QueuedPacket {
+        let mut qp = QueuedPacket { behind: 0, ..*self };
+        qp.packet.seq += u64::from(n) * qp.packet.payload().as_u64();
+        qp
+    }
 }
 
 /// Bookkeeping for the packet being serialized. The packet itself is
@@ -96,8 +127,8 @@ impl PacketPool {
 }
 
 /// One priority FIFO: a chain of pool chunks from `head` to `tail`, its
-/// packets at `first..` in `head` through `..end` in `tail`. Holds no
-/// chunk while empty.
+/// `len` entries at `first..` in `head` through `..end` in `tail`. Holds
+/// no chunk while empty.
 #[derive(Debug, Default, Clone, Copy)]
 struct Fifo {
     head: u32,
@@ -108,6 +139,22 @@ struct Fifo {
 }
 
 impl Fifo {
+    /// Folds `qp` into the tail entry if it is the data segment that
+    /// entry's run would send next and the run has room; reports whether
+    /// it did.
+    #[inline]
+    fn extend_tail(&mut self, pool: &mut PacketPool, qp: &QueuedPacket) -> bool {
+        if self.len == 0 || !qp.packet.is_data() {
+            return false;
+        }
+        let tail = &mut pool.slots[self.tail as usize * CHUNK + usize::from(self.end) - 1];
+        if tail.behind == u16::MAX || tail.nth(tail.behind + 1) != *qp {
+            return false;
+        }
+        tail.behind += 1;
+        true
+    }
+
     #[inline]
     fn push_back(&mut self, pool: &mut PacketPool, qp: QueuedPacket) {
         if self.len == 0 {
@@ -125,8 +172,18 @@ impl Fifo {
 
     #[inline]
     fn pop_front(&mut self, pool: &mut PacketPool) -> Option<QueuedPacket> {
-        self.len = self.len.checked_sub(1)?;
-        let qp = pool.slots[self.head as usize * CHUNK + usize::from(self.first)];
+        if self.len == 0 {
+            return None;
+        }
+        let head = &mut pool.slots[self.head as usize * CHUNK + usize::from(self.first)];
+        if head.behind > 0 {
+            let qp = head.nth(0);
+            head.packet.seq += head.packet.payload().as_u64();
+            head.behind -= 1;
+            return Some(qp);
+        }
+        let qp = *head;
+        self.len -= 1;
         self.first += 1;
         if self.len == 0 || usize::from(self.first) == CHUNK {
             pool.free.push(self.head);
@@ -137,9 +194,17 @@ impl Fifo {
 
     #[inline]
     fn pop_back(&mut self, pool: &mut PacketPool) -> Option<QueuedPacket> {
-        self.len = self.len.checked_sub(1)?;
+        if self.len == 0 {
+            return None;
+        }
+        let tail = &mut pool.slots[self.tail as usize * CHUNK + usize::from(self.end) - 1];
+        if tail.behind > 0 {
+            tail.behind -= 1;
+            return Some(tail.nth(tail.behind + 1));
+        }
+        let qp = *tail;
+        self.len -= 1;
         self.end -= 1;
-        let qp = pool.slots[self.tail as usize * CHUNK + usize::from(self.end)];
         if self.len == 0 || self.end == 0 {
             pool.free.push(self.tail);
             (self.tail, self.end) = (pool.links[self.tail as usize][0], CHUNK as u16);
@@ -176,6 +241,21 @@ impl EgressPort {
         self.nonempty |= 1 << prio;
     }
 
+    /// Appends a packet to its priority FIFO, folding it into the tail
+    /// entry's run when it is the data segment that run would send next
+    /// (equal in every field, `seq` one payload on). The port then
+    /// serves exactly what [`EgressPort::enqueue`] would have queued. For
+    /// a host NIC, whose packets carry no in-port, charge or mark of
+    /// their own.
+    #[inline]
+    pub fn enqueue_run(&mut self, pool: &mut PacketPool, qp: QueuedPacket) {
+        let prio = qp.packet.priority.index();
+        if !self.queues[prio].extend_tail(pool, &qp) {
+            self.queues[prio].push_back(pool, qp);
+        }
+        self.nonempty |= 1 << prio;
+    }
+
     /// Clears `queues[ix]`'s `nonempty` bit if a pop emptied it.
     fn after_pop(&mut self, ix: usize) {
         if self.queues[ix].len == 0 {
@@ -183,8 +263,9 @@ impl EgressPort {
         }
     }
 
-    /// Total queued packets (excluding any in flight).
-    pub fn queued_total(&self) -> usize {
+    /// Queue entries held (excluding any packet in flight): one per
+    /// queued packet, except that a run counts once.
+    pub fn queued_entries(&self) -> usize {
         self.queues.iter().map(|q| q.len as usize).sum()
     }
 
@@ -253,7 +334,8 @@ impl EgressPort {
             if at == CHUNK {
                 (chunk, at) = (pool.links[chunk][1] as usize, 0);
             }
-            from[pool.slots[chunk * CHUNK + at].in_port.index()] += 1;
+            let qp = &pool.slots[chunk * CHUNK + at];
+            from[qp.in_port.index()] += 1 + u32::from(qp.behind);
             at += 1;
         }
         if let Some(inf) = self.in_flight.filter(|inf| inf.priority == priority) {
@@ -271,7 +353,7 @@ impl EgressPort {
     /// charges. Any in-flight packet is left alone: its serialization
     /// already started and its `tx_complete` will discharge it normally.
     pub fn drain_all(&mut self, pool: &mut PacketPool) -> Vec<QueuedPacket> {
-        let mut out = Vec::with_capacity(self.queued_total());
+        let mut out = Vec::with_capacity(self.queued_entries());
         for q in &mut self.queues {
             out.extend(std::iter::from_fn(|| q.pop_front(pool)));
         }
@@ -288,20 +370,17 @@ mod tests {
     use std::collections::VecDeque;
 
     fn qp(prio: u8, seq: u64) -> QueuedPacket {
-        QueuedPacket {
-            packet: Packet::data(
-                FlowId::new(seq),
-                NodeId::new(0),
-                NodeId::new(1),
-                Priority::new(prio),
-                TrafficClass::Lossless,
-                seq,
-                Bytes::new(1_000),
-                Bytes::new(48),
-            ),
-            in_port: PortId::new(0),
-            charge: Charge::NONE,
-        }
+        let packet = Packet::data(
+            FlowId::new(seq),
+            NodeId::new(0),
+            NodeId::new(1),
+            Priority::new(prio),
+            TrafficClass::Lossless,
+            seq,
+            Bytes::new(1_000),
+            Bytes::new(48),
+        );
+        QueuedPacket::new(packet, PortId::new(0), Charge::NONE)
     }
 
     /// Chunks some FIFO holds.
@@ -346,7 +425,7 @@ mod tests {
         p.finish_tx();
         // Everything eligible is paused: nothing starts.
         assert!(p.start_next(&mut pool, |_| true).is_none());
-        assert_eq!(p.queued_total(), 1);
+        assert_eq!(p.queued_entries(), 1);
     }
 
     #[test]
@@ -411,7 +490,7 @@ mod tests {
         let drained = p.drain_all(&mut pool);
         let seqs: Vec<u64> = drained.iter().map(|q| q.packet.seq).collect();
         assert_eq!(seqs, vec![1, 3], "priority-then-FIFO order");
-        assert_eq!(p.queued_total(), 0);
+        assert_eq!(p.queued_entries(), 0);
         assert!(p.in_flight().is_some(), "in-flight record untouched");
         assert_eq!(p.finish_tx().seq, 2);
     }
@@ -457,7 +536,16 @@ mod tests {
         }
     }
 
-    fn assert_same_state(port: &EgressPort, model: &Model, ctx: &str) {
+    /// Packets queued at priority `ix` of `port`, a run counting its
+    /// length.
+    fn depth(port: &EgressPort, pool: &PacketPool, ix: usize) -> usize {
+        let mut from = [0u32; 4];
+        port.count_by_ingress(pool, Priority::new(ix as u8), &mut from);
+        let in_flight = port.in_flight().filter(|inf| inf.priority.index() == ix);
+        from.iter().sum::<u32>() as usize - usize::from(in_flight.is_some())
+    }
+
+    fn assert_same_state(port: &EgressPort, pool: &PacketPool, model: &Model, ctx: &str) {
         assert_eq!(port.rr_next, model.rr_next, "{ctx}: rr_next");
         assert_eq!(port.nonempty, model.nonempty(), "{ctx}: nonempty");
         assert_eq!(
@@ -467,7 +555,7 @@ mod tests {
         );
         for ix in 0..Priority::COUNT {
             let want = model.queues[ix].len();
-            assert_eq!(port.queues[ix].len as usize, want, "{ctx}: depth of {ix}");
+            assert_eq!(depth(port, pool, ix), want, "{ctx}: depth of {ix}");
         }
     }
 
@@ -544,7 +632,7 @@ mod tests {
                     }
                 }
                 for (port, model) in ports.iter().zip(&models) {
-                    assert_same_state(port, model, &ctx);
+                    assert_same_state(port, &pool, model, &ctx);
                 }
                 let bound: usize = ports
                     .iter()
@@ -553,7 +641,7 @@ mod tests {
                     .map(|q| (q.len as usize).div_ceil(CHUNK) + 1)
                     .sum();
                 assert!(chunks_in_use(&pool) <= bound, "{ctx}: chunks over {bound}");
-                if ports.iter().all(|p| p.queued_total() == 0) {
+                if ports.iter().all(|p| p.queued_entries() == 0) {
                     assert_eq!(chunks_in_use(&pool), 0, "{ctx}: all chunks free");
                 }
             }
@@ -561,5 +649,210 @@ mod tests {
         // The battery must exercise what it is a test of.
         assert!(front_crossings >= 500, "{front_crossings} front crossings");
         assert!(back_crossings >= 50, "{back_crossings} back crossings");
+    }
+
+    const MSS: u64 = 1_000;
+
+    /// A host NIC's data segment of `flow`.
+    fn seg(flow: u64, prio: u8, seq: u64, payload: u64) -> QueuedPacket {
+        let packet = Packet::data(
+            FlowId::new(flow),
+            NodeId::new(flow as u32),
+            NodeId::new(9),
+            Priority::new(prio),
+            TrafficClass::Lossy,
+            seq,
+            Bytes::new(payload),
+            Bytes::new(48),
+        );
+        QueuedPacket::new(packet, PortId::new(0), Charge::NONE)
+    }
+
+    /// Data segment `next` with exactly one field changed, `which` of ten.
+    fn mutant(next: QueuedPacket, which: u64) -> QueuedPacket {
+        use dcn_net::EcnCodepoint;
+        let (mut m, p) = (next, next.packet);
+        let rebuilt = |payload: Bytes, header: Bytes| {
+            let (cls, prio) = (p.class, p.priority);
+            Packet::data(p.flow, p.src, p.dst, prio, cls, p.seq, payload, header)
+        };
+        let (payload, header) = (p.payload(), p.size() - p.payload());
+        let one = Bytes::new(1);
+        match which {
+            0 => m.packet.flow = FlowId::new(p.flow.as_u64() + 1_000),
+            1 => m.packet.src = NodeId::new(p.src.index() as u32 + 1),
+            2 => m.packet.dst = NodeId::new(p.dst.index() as u32 + 1),
+            3 if p.ecn.is_ce() => m.packet.ecn = EcnCodepoint::Ect,
+            3 => m.packet.ecn = EcnCodepoint::Ce,
+            4 if p.class == TrafficClass::Lossless => m.packet.class = TrafficClass::Lossy,
+            4 => m.packet.class = TrafficClass::Lossless,
+            5 => m.packet.ack += 1,
+            6 => m.packet.seq += 1,
+            7 => m.packet = rebuilt(payload + one, header - one),
+            8 => m.packet = rebuilt(payload, header + one),
+            _ => m.in_port = PortId::new(m.in_port.index() as u16 + 1),
+        }
+        assert_ne!(m, next, "mutation {which} changes a field");
+        m
+    }
+
+    /// The packet priority `ix`'s tail entry would send after its run.
+    fn next_of_tail(port: &EgressPort, pool: &PacketPool, ix: usize) -> Option<QueuedPacket> {
+        let q = &port.queues[ix];
+        (q.len > 0).then(|| {
+            let tail = &pool.slots[q.tail as usize * CHUNK + usize::from(q.end) - 1];
+            tail.nth(tail.behind + 1)
+        })
+    }
+
+    /// NIC-style traffic through [`EgressPort::enqueue_run`] against the
+    /// one-entry-per-packet `Model`: windows of 1–3 flows on two
+    /// priorities, interleaved or not, short last segments, ACKs, CNPs
+    /// and NACKs, re-sent old segments and one-field mutants of the
+    /// tail's next segment. Every service, eviction and drain returns
+    /// what the model does; a mutant never joins a run.
+    #[test]
+    fn nic_runs_are_invisible_to_the_scheduler() {
+        use dcn_sim::SimRng;
+        let (mut coalesced, mut mutants) = (0u32, 0u32);
+        for case in 0..64u64 {
+            let mut rng = SimRng::seed_from_u64(0x4E1C_0000 + case);
+            let (mut pool, mut port, mut model) =
+                (PacketPool::default(), EgressPort::new(), Model::default());
+            let flows = 1 + rng.below(3);
+            let prio: Vec<u8> = (0..flows).map(|_| [1, 3][rng.below(2) as usize]).collect();
+            let mut next_seq = vec![0u64; flows as usize];
+            for step in 0..80 + rng.below(80) {
+                let ctx = format!("case {case} step {step}");
+                let mut push = |port: &mut EgressPort, pool: &mut PacketPool, qp: QueuedPacket| {
+                    let before = port.queued_entries();
+                    port.enqueue_run(pool, qp);
+                    model.queues[qp.packet.priority.index()].push_back(qp);
+                    let joined = port.queued_entries() == before;
+                    coalesced += u32::from(joined);
+                    joined
+                };
+                let f = rng.below(flows) as usize;
+                match rng.below(10) {
+                    // A window: one flow's, or two flows' packet by packet.
+                    0..=3 => {
+                        let g = if rng.below(3) == 0 {
+                            rng.below(flows) as usize
+                        } else {
+                            f
+                        };
+                        let burst = 1 + rng.below(80);
+                        for i in 0..burst {
+                            let h = if i % 2 == 0 { f } else { g };
+                            let short = i + 2 >= burst && rng.below(4) == 0;
+                            let payload = if short { 1 + rng.below(MSS - 1) } else { MSS };
+                            push(
+                                &mut port,
+                                &mut pool,
+                                seg(h as u64, prio[h], next_seq[h], payload),
+                            );
+                            next_seq[h] += payload;
+                        }
+                    }
+                    // Feedback: an ACK, a CNP or a NACK, twice in a row.
+                    4 => {
+                        let (id, p) = (FlowId::new(f as u64), Priority::new(prio[f]));
+                        let (a, b) = (NodeId::new(9), NodeId::new(f as u32));
+                        let packet = match rng.below(3) {
+                            0 => Packet::ack(id, a, b, p, TrafficClass::Lossy, next_seq[f], false),
+                            1 => Packet::cnp(id, a, b, p),
+                            _ => Packet::nack(id, a, b, p, next_seq[f], 0),
+                        };
+                        for _ in 0..2 {
+                            let qp = QueuedPacket::new(packet, PortId::new(0), Charge::NONE);
+                            assert!(!push(&mut port, &mut pool, qp), "{ctx}: feedback joined");
+                        }
+                    }
+                    // A re-sent window from an old `seq`.
+                    5 => {
+                        let mut seq = rng.below(next_seq[f] / MSS + 1) * MSS;
+                        for _ in 0..1 + rng.below(4) {
+                            push(&mut port, &mut pool, seg(f as u64, prio[f], seq, MSS));
+                            seq += MSS;
+                        }
+                    }
+                    // The tail's next segment with one field changed.
+                    6 => {
+                        let ix = Priority::new(prio[f]).index();
+                        let next = next_of_tail(&port, &pool, ix).filter(|n| n.packet.is_data());
+                        if let Some(next) = next {
+                            let m = mutant(next, rng.below(10));
+                            assert!(!push(&mut port, &mut pool, m), "{ctx}: {m:?} joined");
+                            mutants += 1;
+                        }
+                    }
+                    // Serve for a while under a random pause mask.
+                    7 | 8 => {
+                        let paused = if rng.below(3) == 0 {
+                            rng.below(256) as u8
+                        } else {
+                            0
+                        };
+                        for _ in 0..rng.below(150) {
+                            let got =
+                                port.start_next(&mut pool, |p| paused & (1 << p.index()) != 0);
+                            assert_eq!(got, model.start_next(paused), "{ctx}: served");
+                            if got.is_none() {
+                                break;
+                            }
+                            assert_eq!(Some(port.finish_tx().seq), model.in_flight.take());
+                        }
+                    }
+                    // Evictions from the tail, then the port goes down.
+                    _ => {
+                        let p = Priority::new(prio[f]);
+                        for _ in 0..rng.below(5) {
+                            let got = port.pop_back(&mut pool, p);
+                            assert_eq!(got, model.queues[p.index()].pop_back(), "{ctx}: evicted");
+                        }
+                        if rng.below(3) == 0 {
+                            let want: Vec<QueuedPacket> =
+                                model.queues.iter_mut().flat_map(|q| q.drain(..)).collect();
+                            assert_eq!(port.drain_all(&mut pool), want, "{ctx}: drained");
+                        }
+                    }
+                }
+                assert_same_state(&port, &pool, &model, &ctx);
+                if port.queued_entries() == 0 {
+                    assert_eq!(chunks_in_use(&pool), 0, "{ctx}: all chunks free");
+                }
+            }
+        }
+        // The battery must exercise what it is a test of.
+        assert!(coalesced >= 50_000, "{coalesced} pushes joined a run");
+        assert!(mutants >= 300, "{mutants} mutants pushed");
+    }
+
+    /// A window of one flow is one entry, and a run stops at `u16::MAX`
+    /// segments behind its head.
+    #[test]
+    fn a_run_takes_one_entry_up_to_its_limit() {
+        let (mut pool, mut port) = (PacketPool::default(), EgressPort::new());
+        for i in 0..64 {
+            port.enqueue_run(&mut pool, seg(1, 3, i * MSS, MSS));
+        }
+        assert_eq!(port.queued_entries(), 1);
+        assert_eq!(chunks_in_use(&pool), 1);
+        let _ = port.drain_all(&mut pool);
+
+        let n = 65_537;
+        for i in 0..n {
+            port.enqueue_run(&mut pool, seg(1, 3, i * MSS, MSS));
+        }
+        assert_eq!(port.queued_entries(), 2, "65 536 segments, then one more");
+        assert_eq!(depth(&port, &pool, 3), n as usize);
+        let mut want = 0;
+        while let Some(p) = port.start_next(&mut pool, |_| false) {
+            assert_eq!(p.seq, want * MSS);
+            port.finish_tx();
+            want += 1;
+        }
+        assert_eq!(want, n);
+        assert_eq!(chunks_in_use(&pool), 0);
     }
 }

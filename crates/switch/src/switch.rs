@@ -389,11 +389,7 @@ impl SharedMemorySwitch {
             seq: t_seq,
             size: size.as_u64(),
         });
-        let qp = QueuedPacket {
-            packet,
-            in_port,
-            charge,
-        };
+        let qp = QueuedPacket::new(packet, in_port, charge);
         self.ports[out_port.index()].enqueue(&mut self.pool, qp);
         let tx = self.try_start(out_port);
 

@@ -172,20 +172,17 @@ fn egress_port_is_work_conserving_and_fifo() {
         let prios: Vec<u8> = (0..n).map(|_| rng.below(8) as u8).collect();
         let (mut pool, mut port) = (PacketPool::default(), EgressPort::new());
         for (i, &p) in prios.iter().enumerate() {
-            let qp = QueuedPacket {
-                packet: Packet::data(
-                    FlowId::new(i as u64),
-                    NodeId::new(0),
-                    NodeId::new(1),
-                    Priority::new(p),
-                    TrafficClass::Lossless,
-                    i as u64,
-                    Bytes::new(1_000),
-                    Bytes::new(48),
-                ),
-                in_port: PortId::new(0),
-                charge: Charge::NONE,
-            };
+            let packet = Packet::data(
+                FlowId::new(i as u64),
+                NodeId::new(0),
+                NodeId::new(1),
+                Priority::new(p),
+                TrafficClass::Lossless,
+                i as u64,
+                Bytes::new(1_000),
+                Bytes::new(48),
+            );
+            let qp = QueuedPacket::new(packet, PortId::new(0), Charge::NONE);
             port.enqueue(&mut pool, qp);
         }
         // Drain with nothing paused: must serve every packet exactly
