@@ -177,16 +177,18 @@ impl Default for FabricConfig {
 impl FabricConfig {
     /// Rejects, at construction rather than mid-run, a configuration
     /// whose frames would not fit a [`dcn_net::Packet`]'s two-byte size
-    /// fields, whose sampler or flow watchdog would re-arm at the same
-    /// instant forever, or whose fault schedule names a link, node, port
-    /// or priority `topo` lacks or a bit-error rate outside `[0, 1]`.
+    /// fields, whose flows would be cut into empty segments, whose
+    /// sampler or flow watchdog would re-arm at the same instant forever,
+    /// or whose fault schedule names a link, node, port or priority
+    /// `topo` lacks or a bit-error rate outside `[0, 1]`.
     ///
     /// # Panics
     ///
     /// Panics naming the offending field: `dctcp.mss + header`,
     /// `dcqcn.mtu + header`, `irn.mtu + header` or `switch.mtu` above
-    /// [`dcn_net::MAX_FRAME`], a zero `sample_interval` or
-    /// `flow_watchdog`, or `faults[i].link|node|port|prio|ber`.
+    /// [`dcn_net::MAX_FRAME`], a zero `dctcp.mss`, `dcqcn.mtu`, `irn.mtu`,
+    /// `sample_interval` or `flow_watchdog`, or
+    /// `faults[i].link|node|port|prio|ber`.
     pub(crate) fn assert_valid(&self, topo: &Topology) {
         let frames = [
             (
@@ -207,6 +209,17 @@ impl FabricConfig {
             assert!(
                 frame <= MAX_FRAME,
                 "{field} = {frame} exceeds the largest frame a packet can describe ({MAX_FRAME})"
+            );
+        }
+        let segments = [
+            ("dctcp.mss", self.dctcp.mss),
+            ("dcqcn.mtu", self.dcqcn.mtu),
+            ("irn.mtu", self.irn.mtu),
+        ];
+        for (field, segment) in segments {
+            assert!(
+                segment > 0,
+                "{field} must be non-zero: a flow is cut into segments of this size"
             );
         }
         let periods = [

@@ -1,9 +1,9 @@
 //! Per-flow transport runtime: one DCTCP, DCQCN or IRN endpoint pair,
-//! and the dense flow-id → flow-index table the per-packet hot path
-//! uses.
+//! the packets a host NIC builds from a flow's fixed wire shape, and the
+//! dense flow-id → flow-index table the per-packet hot path uses.
 
-use dcn_net::{FlowId, NodeId};
-use dcn_sim::{SimDuration, SimTime, TimerHandle};
+use dcn_net::{FlowId, NodeId, Packet, TrafficClass};
+use dcn_sim::{Bytes, SimDuration, SimTime, TimerHandle};
 use dcn_transport::{
     DcqcnReceiver, DcqcnSender, DctcpReceiver, DctcpSender, IrnReceiver, IrnSender, RpTimerKind,
 };
@@ -89,6 +89,13 @@ pub(crate) struct FlowState {
     /// counted; cleared when progress resumes, so a flow stalling twice
     /// counts two stall episodes, not one per watchdog fire.
     pub(crate) stall_flagged: bool,
+    /// Payload bytes per full segment (the transport's MSS or MTU).
+    pub(crate) mss: u16,
+    /// Header bytes of a data segment.
+    pub(crate) header: u16,
+    /// The class the transport's packets carry, which for an IRN flow
+    /// of a lossless spec is not `spec.class`.
+    pub(crate) wire_class: TrafficClass,
 }
 
 impl FlowState {
@@ -124,6 +131,30 @@ impl FlowState {
             FlowRuntime::Rdma { receiver, .. } => receiver.finished_at(),
             FlowRuntime::Irn { receiver, .. } => receiver.finished_at(),
         }
+    }
+
+    /// The sender's data segment at `seq`: `min(mss, size − seq)`
+    /// payload bytes, the rule every sender cuts a flow by.
+    pub(crate) fn data(&self, seq: u64) -> Packet {
+        let FlowSpec {
+            id, src, dst, size, ..
+        } = self.spec;
+        let payload = Bytes::new(u64::from(self.mss).min(size.as_u64() - seq));
+        let (prio, class, header) = (self.spec.priority, self.wire_class, self.header);
+        Packet::data(id, src, dst, prio, class, seq, payload, Bytes::from(header))
+    }
+
+    /// The receiver's ACK of every byte below `cumulative`.
+    pub(crate) fn ack(&self, cumulative: u64, ecn_echo: bool) -> Packet {
+        let FlowSpec { id, src, dst, .. } = self.spec;
+        let (prio, class) = (self.spec.priority, self.wire_class);
+        Packet::ack(id, dst, src, prio, class, cumulative, ecn_echo)
+    }
+
+    /// The receiver's DCQCN congestion notification.
+    pub(crate) fn cnp(&self) -> Packet {
+        let FlowSpec { id, src, dst, .. } = self.spec;
+        Packet::cnp(id, dst, src, self.spec.priority)
     }
 
     /// In-order bytes delivered to the receiver so far (the liveness

@@ -495,6 +495,30 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "dctcp.mss must be non-zero")]
+    fn zero_mss_is_refused_at_construction() {
+        let mut cfg = FabricConfig::default();
+        cfg.dctcp.mss = 0;
+        let _ = FabricSim::new(two_hosts(), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "dcqcn.mtu must be non-zero")]
+    fn zero_dcqcn_mtu_is_refused_at_construction() {
+        let mut cfg = FabricConfig::default();
+        cfg.dcqcn.mtu = 0;
+        let _ = FabricSim::new(two_hosts(), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "irn.mtu must be non-zero")]
+    fn zero_irn_mtu_is_refused_at_construction() {
+        let mut cfg = FabricConfig::default();
+        cfg.irn.mtu = 0;
+        let _ = FabricSim::new(two_hosts(), cfg);
+    }
+
+    #[test]
     #[should_panic(expected = "sample_interval must be non-zero")]
     fn zero_sample_interval_is_refused_at_construction() {
         let cfg = FabricConfig {

@@ -71,7 +71,7 @@ pub use abm::AbmPolicy;
 pub use config::{EcnConfig, SwitchConfig};
 pub use mmu::{Charge, MmuState, Pool, QueueIndex};
 pub use policy::{BufferPolicy, DtPolicy};
-pub use queue::{EgressPort, InFlight, PacketPool, QueuedPacket};
+pub use queue::{ChunkPool, EgressPort, InFlight, PacketPool, PriorityFifos, QueuedPacket};
 pub use switch::{
     record_loss, PfcEmit, ReceiveOutcome, ReceiveResult, SharedMemorySwitch, TxCompleteResult,
     TxStart,

@@ -4,8 +4,10 @@
 //! up to 30 905 packets wait in host FIFOs at once, 29 098 of them TCP
 //! data. With one entry per packet this test peaked at 5.38–5.70 MB,
 //! test harness included; with each run of consecutive segments in one
-//! entry it peaks at 4.29–4.50 MB (13 runs each, alternated, release
-//! build, 2-core x86-64 host). The bound sits between the two.
+//! entry it peaked at 4.29–4.50 MB (13 runs each, alternated, release
+//! build, 2-core x86-64 host). The bound sits between the two. Measured
+//! again, 6 runs each: 4.33–4.39 MB with 48-byte run entries, 4.16–4.27
+//! MB with 16-byte NIC send records.
 //!
 //! Alone in its file on purpose: `VmHWM` is the process's high-water
 //! mark, so any other test in this binary would be charged to it.
