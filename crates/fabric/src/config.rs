@@ -178,16 +178,18 @@ impl FabricConfig {
     /// Rejects, at construction rather than mid-run, a configuration
     /// whose frames would not fit a [`dcn_net::Packet`]'s two-byte size
     /// fields, whose flows would be cut into empty segments, whose
-    /// sampler or flow watchdog would re-arm at the same instant forever,
-    /// or whose fault schedule names a link, node, port or priority
-    /// `topo` lacks or a bit-error rate outside `[0, 1]`.
+    /// sampler, flow watchdog or retransmission timers would re-arm at
+    /// the same instant forever, whose IRN window holds no segment, or
+    /// whose fault schedule names a link, node, port or priority `topo`
+    /// lacks or a bit-error rate outside `[0, 1]`.
     ///
     /// # Panics
     ///
     /// Panics naming the offending field: `dctcp.mss + header`,
     /// `dcqcn.mtu + header`, `irn.mtu + header` or `switch.mtu` above
     /// [`dcn_net::MAX_FRAME`], a zero `dctcp.mss`, `dcqcn.mtu`, `irn.mtu`,
-    /// `sample_interval` or `flow_watchdog`, or
+    /// `sample_interval`, `flow_watchdog`, `dctcp.rto`, `dctcp.max_rto`,
+    /// `irn.rto` or `irn.max_rto`, an `irn.window` below `irn.mtu`, or
     /// `faults[i].link|node|port|prio|ber`.
     pub(crate) fn assert_valid(&self, topo: &Topology) {
         let frames = [
@@ -225,6 +227,10 @@ impl FabricConfig {
         let periods = [
             ("sample_interval", self.sample_interval),
             ("flow_watchdog", self.flow_watchdog),
+            ("dctcp.rto", Some(self.dctcp.rto)),
+            ("dctcp.max_rto", Some(self.dctcp.max_rto)),
+            ("irn.rto", Some(self.irn.rto)),
+            ("irn.max_rto", Some(self.irn.max_rto)),
         ];
         for (field, period) in periods {
             assert!(
@@ -232,6 +238,11 @@ impl FabricConfig {
                 "{field} must be non-zero: a zero period never advances the clock"
             );
         }
+        let (window, mtu) = (self.irn.window, self.irn.mtu);
+        assert!(
+            window.as_u64() >= mtu,
+            "irn.window = {window} is below irn.mtu = {mtu}: a full segment never fits it"
+        );
         let (links, nodes) = (topo.links().len(), topo.node_count());
         for (i, sf) in self.faults.events().iter().enumerate() {
             match sf.fault {

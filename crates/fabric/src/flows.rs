@@ -1,11 +1,13 @@
-//! Per-flow transport runtime: one DCTCP, DCQCN or IRN endpoint pair,
-//! the packets a host NIC builds from a flow's fixed wire shape, and the
-//! dense flow-id → flow-index table the per-packet hot path uses.
+//! Per-flow transport runtime: one DCTCP, DCQCN or IRN endpoint pair
+//! behind one poll, one feedback and one data dispatch, the packets a host NIC builds
+//! from a flow's fixed wire shape, and the dense flow-id → flow-index
+//! table the per-packet hot path uses.
 
-use dcn_net::{FlowId, NodeId, Packet, TrafficClass};
-use dcn_sim::{Bytes, SimDuration, SimTime, TimerHandle};
+use dcn_net::{FlowId, NodeId, Packet, PacketKind, TrafficClass};
+use dcn_sim::{Bytes, SimDuration, SimTime, TimerHandle, TraceEvent, TraceHandle};
 use dcn_transport::{
-    DcqcnReceiver, DcqcnSender, DctcpReceiver, DctcpSender, IrnReceiver, IrnSender, RpTimerKind,
+    AckAction, DcqcnReceiver, DcqcnSender, DctcpReceiver, DctcpSender, IrnReceiver, IrnSender,
+    Poll, RpTimerKind,
 };
 use dcn_workload::FlowSpec;
 
@@ -35,6 +37,125 @@ pub(crate) enum FlowRuntime {
         /// Receiver state machine.
         receiver: IrnReceiver,
     },
+}
+
+/// What a sender's feedback asks of its host's timers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Reaction {
+    /// A DCTCP or IRN sender's verdict on its retransmission timer.
+    Rto(AckAction),
+    /// A DCQCN sender cut its rate: re-arm both reaction-point timers.
+    RateCut,
+}
+
+/// A DCTCP or IRN sender's retransmission state.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Window {
+    /// The RTO to arm next.
+    pub(crate) rto: SimDuration,
+    /// Consecutive timeouts since the last progress.
+    pub(crate) backoff: u32,
+    /// Whether every byte is acknowledged.
+    pub(crate) completed: bool,
+}
+
+impl FlowRuntime {
+    /// What the sender would transmit at `now` (see [`Poll`]).
+    pub(crate) fn poll(&mut self, now: SimTime) -> Poll {
+        match self {
+            FlowRuntime::Tcp { sender, .. } => sender.poll(now),
+            FlowRuntime::Rdma { sender, .. } => sender.poll(now),
+            FlowRuntime::Irn { sender, .. } => sender.poll(now),
+        }
+    }
+
+    /// The sender takes feedback `p` (an ACK, NACK or CNP), tracing
+    /// what it did; `None` if its transport takes no such feedback.
+    pub(crate) fn feedback(
+        &mut self,
+        now: SimTime,
+        p: &Packet,
+        trace: &TraceHandle,
+    ) -> Option<Reaction> {
+        let flow = p.flow.as_u64();
+        match (self, p.kind) {
+            (FlowRuntime::Tcp { sender, .. }, PacketKind::Ack { ecn_echo }) => {
+                let action = sender.process_ack(now, p.ack, ecn_echo);
+                if let Some(ev) = action.transition {
+                    trace.record_with(now, || ev);
+                }
+                // `as` saturates: an unset (`f64::MAX`) ssthresh reads u64::MAX.
+                trace.record_with(now, || TraceEvent::TcpCwnd {
+                    flow,
+                    cwnd: sender.cwnd() as u64,
+                    ssthresh: sender.ssthresh() as u64,
+                    in_recovery: sender.in_recovery(),
+                });
+                Some(Reaction::Rto(action))
+            }
+            (FlowRuntime::Irn { sender, .. }, PacketKind::Ack { .. } | PacketKind::Nack) => {
+                Some(Reaction::Rto(match p.kind {
+                    PacketKind::Nack => sender.on_nack(now, p.seq, p.ack),
+                    _ => sender.on_ack(now, p.ack),
+                }))
+            }
+            (FlowRuntime::Rdma { sender, .. }, PacketKind::Cnp) => {
+                sender.on_cnp(now);
+                trace.record_with(now, || TraceEvent::RdmaRate {
+                    flow,
+                    rate_bps: sender.rate().as_bps(),
+                });
+                Some(Reaction::RateCut)
+            }
+            _ => None,
+        }
+    }
+
+    /// A DCTCP or IRN sender's retransmission timer fired: go back N.
+    /// `None` for DCQCN, which arms no such timer.
+    pub(crate) fn on_timeout(&mut self, now: SimTime) -> Option<AckAction> {
+        match self {
+            FlowRuntime::Tcp { sender, .. } => Some(sender.on_timeout(now)),
+            FlowRuntime::Irn { sender, .. } => Some(sender.on_timeout(now)),
+            _ => None,
+        }
+    }
+
+    /// The receiver takes data packet `p`; returns the feedback it sends
+    /// back, if any.
+    pub(crate) fn on_data(&mut self, now: SimTime, p: &Packet) -> Option<Packet> {
+        let (seq, payload, ce) = (p.seq, p.payload(), p.ecn.is_ce());
+        match self {
+            FlowRuntime::Tcp { receiver, .. } => Some(receiver.on_data(now, seq, payload, ce)),
+            FlowRuntime::Rdma { receiver, .. } => receiver.on_data(now, payload, ce),
+            FlowRuntime::Irn { receiver, .. } => Some(receiver.on_data(now, seq, payload, ce)),
+        }
+    }
+
+    /// The receiver's in-order bytes (the liveness watchdog's progress
+    /// measure), and when it got the last one.
+    pub(crate) fn progress(&self) -> (u64, Option<SimTime>) {
+        match self {
+            FlowRuntime::Tcp { receiver, .. } => (receiver.received(), receiver.finished_at()),
+            FlowRuntime::Rdma { receiver, .. } => (receiver.received(), receiver.finished_at()),
+            FlowRuntime::Irn { receiver, .. } => (receiver.received(), receiver.finished_at()),
+        }
+    }
+
+    /// The sender's retransmission state; `None` for DCQCN, which never
+    /// retransmits.
+    pub(crate) fn window(&self) -> Option<Window> {
+        let (rto, backoff, completed) = match self {
+            FlowRuntime::Tcp { sender: s, .. } => (s.rto(), s.backoff(), s.is_completed()),
+            FlowRuntime::Irn { sender: s, .. } => (s.rto(), s.backoff(), s.is_completed()),
+            _ => return None,
+        };
+        Some(Window {
+            rto,
+            backoff,
+            completed,
+        })
+    }
 }
 
 /// Wheel-timer handles owned by one flow's sender. Each slot is the
@@ -108,28 +229,18 @@ impl FlowState {
     /// the event where both endpoints first agree, and reads only state
     /// that a shard owning that endpoint holds.
     pub(crate) fn is_done(&self) -> bool {
-        match &self.runtime {
-            FlowRuntime::Rdma { receiver, .. } => receiver.finished_at().is_some(),
-            FlowRuntime::Tcp { sender, .. } => sender.is_completed(),
-            FlowRuntime::Irn { sender, .. } => sender.is_completed(),
+        match self.runtime.window() {
+            Some(window) => window.completed,
+            None => self.runtime.progress().1.is_some(),
         }
     }
 
     /// The host whose half of the flow decides [`FlowState::is_done`]:
     /// the receiver of a DCQCN flow, the sender of a DCTCP or IRN one.
     pub(crate) fn counting_endpoint(&self) -> NodeId {
-        match self.runtime {
-            FlowRuntime::Rdma { .. } => self.spec.dst,
-            FlowRuntime::Tcp { .. } | FlowRuntime::Irn { .. } => self.spec.src,
-        }
-    }
-
-    /// When the receiver got the last byte, if it has.
-    pub(crate) fn finished_at(&self) -> Option<SimTime> {
-        match &self.runtime {
-            FlowRuntime::Tcp { receiver, .. } => receiver.finished_at(),
-            FlowRuntime::Rdma { receiver, .. } => receiver.finished_at(),
-            FlowRuntime::Irn { receiver, .. } => receiver.finished_at(),
+        match self.runtime.window() {
+            Some(_) => self.spec.src,
+            None => self.spec.dst,
         }
     }
 
@@ -155,16 +266,6 @@ impl FlowState {
     pub(crate) fn cnp(&self) -> Packet {
         let FlowSpec { id, src, dst, .. } = self.spec;
         Packet::cnp(id, dst, src, self.spec.priority)
-    }
-
-    /// In-order bytes delivered to the receiver so far (the liveness
-    /// watchdog's progress measure, comparable across transports).
-    pub(crate) fn received(&self) -> u64 {
-        match &self.runtime {
-            FlowRuntime::Tcp { receiver, .. } => receiver.received(),
-            FlowRuntime::Rdma { receiver, .. } => receiver.received(),
-            FlowRuntime::Irn { receiver, .. } => receiver.received(),
-        }
     }
 }
 

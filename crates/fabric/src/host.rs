@@ -1,5 +1,7 @@
 //! End hosts: a PFC-reactive NIC per host, and the flows whose transport
-//! endpoints run on them.
+//! endpoints run on them. A NIC takes what a sender's `poll` yields at
+//! flow start, after feedback or an RTO, and at each DCQCN pacing slot
+//! (an `RdmaPace` event armed where `poll` answers `At`).
 //!
 //! A NIC schedules like a switch port (eight priority FIFOs,
 //! round-robin, one packet in flight: the switch crate's
@@ -10,13 +12,13 @@
 //! builds the packet from its flow's fixed wire shape
 //! ([`FlowState::data`], [`FlowState::ack`], [`FlowState::cnp`]) when it
 //! starts it, so it sends the packet the transport emitted, bit for bit.
-//! A record extends into a run when a transport pushes the data segment
-//! that continues it, so a DCTCP window released at once costs one
-//! record. The one packet a record cannot describe, an IRN receiver's
-//! NACK, waits whole in a side table. Every NIC of a world queues into
-//! the one [`Sends`] that [`Hosts`] owns. A NIC honours PFC pause frames
-//! from its ToR per priority, which is how switch-side back-pressure
-//! reaches DCQCN/DCTCP senders.
+//! A record extends into a run when a sender polls the data segment that
+//! continues it, so a DCTCP window released at once costs one record.
+//! The one packet a record cannot describe, an IRN receiver's NACK,
+//! waits whole in a side table. Every NIC of a world queues into the one
+//! [`Sends`] that [`Hosts`] owns. A NIC honours PFC pause frames from its
+//! ToR per priority, which is how switch-side back-pressure reaches
+//! DCQCN/DCTCP senders.
 
 use dcn_metrics::{FctRecord, IrnCounters};
 use dcn_net::{
@@ -25,13 +27,13 @@ use dcn_net::{
 use dcn_sim::{BitRate, Bytes, SimDuration, SimTime, TraceEvent, TraceHandle};
 use dcn_switch::{ChunkPool, PriorityFifos, TxStart};
 use dcn_transport::{
-    AckAction, DcqcnConfig, DcqcnReceiver, DcqcnSender, DctcpConfig, DctcpReceiver, DctcpSender,
-    IrnConfig, IrnReceiver, IrnSender, RpTimerKind, TcpEvent,
+    DcqcnConfig, DcqcnReceiver, DcqcnSender, DctcpConfig, DctcpReceiver, DctcpSender, IrnConfig,
+    IrnReceiver, IrnSender, Poll, RpTimerKind,
 };
 use dcn_workload::FlowSpec;
 
 use crate::config::{FabricConfig, RdmaTransport};
-use crate::flows::{FlowRuntime, FlowState, FlowTable, FlowTimers};
+use crate::flows::{FlowRuntime, FlowState, FlowTable, FlowTimers, Reaction};
 use crate::results::RunResults;
 use crate::wires::Wires;
 use crate::world::{Event, Queue};
@@ -246,10 +248,6 @@ pub(crate) struct Hosts {
     pub(crate) fct: Vec<FctRecord>,
     /// Completed flows this world counts.
     pub(crate) done_flows: usize,
-    /// Reusable buffer for the packets a transport endpoint emits while
-    /// handling one event. Taken (`std::mem::take`), drained, and put
-    /// back by each handler, so the per-packet hot path never allocates.
-    outs_scratch: Vec<Packet>,
     /// IRN transport counters (all zero in a DCQCN-only run).
     pub(crate) irn: IrnCounters,
     /// DCQCN senders found stranded (see [`Hosts::rdma_pace`]) — a
@@ -284,7 +282,6 @@ impl Hosts {
             flow_ix: FlowTable::new(),
             fct: Vec::new(),
             done_flows: 0,
-            outs_scratch: Vec::new(),
             irn: IrnCounters::new(),
             rdma_stranded: 0,
             flow_stalls: 0,
@@ -383,7 +380,7 @@ impl Hosts {
     fn settle(&mut self, ix: usize, wires: &Wires) {
         let flow = &mut self.flows[ix];
         if !flow.recorded {
-            if let Some(finish) = flow.finished_at() {
+            if let Some(finish) = flow.runtime.progress().1 {
                 let spec = flow.spec;
                 self.fct.push(FctRecord {
                     flow: spec.id,
@@ -411,67 +408,50 @@ impl Hosts {
         }
     }
 
-    /// Hands `p`, which flow `ix` emitted, to `host`'s NIC.
-    fn inject(
-        &mut self,
-        now: SimTime,
-        host: NodeId,
-        ix: usize,
-        p: Packet,
-        wires: &mut Wires,
-        q: &mut Queue,
-    ) {
-        let nic = self.nics[host.index()].as_mut().expect("not a host");
-        nic.enqueue(&mut self.sends, &self.flows, ix, p);
-        self.start(now, host, wires, q);
-    }
-
-    /// Injects every packet of `outs`, which flow `ix` emitted, in
-    /// order, then puts the emptied buffer back as the scratch.
-    fn inject_all(
-        &mut self,
-        now: SimTime,
-        host: NodeId,
-        ix: usize,
-        mut outs: Vec<Packet>,
-        wires: &mut Wires,
-        q: &mut Queue,
-    ) {
-        for p in outs.drain(..) {
-            self.inject(now, host, ix, p, wires, q);
+    /// Queues at its host's NIC what flow `ix`'s sender has ready at
+    /// `now`, counting IRN resends (data below the sender's high-water
+    /// mark), and wakes a paced sender at its slot; returns its last
+    /// answer. Callers arm timers before they start the NIC: schedule
+    /// order is in every digest.
+    fn send(&mut self, now: SimTime, ix: usize, q: &mut Queue) -> Poll {
+        let (flow, host) = (self.flows[ix].spec.id, self.flows[ix].spec.src);
+        loop {
+            let runtime = &mut self.flows[ix].runtime;
+            let mark = match runtime {
+                FlowRuntime::Irn { sender, .. } => sender.snd_max(),
+                _ => 0,
+            };
+            let p = match runtime.poll(now) {
+                Poll::Ready(p) => p,
+                Poll::At(slot) => {
+                    q.schedule_at(slot, Event::RdmaPace { flow });
+                    return Poll::At(slot);
+                }
+                Poll::Idle => return Poll::Idle,
+            };
+            if p.seq < mark {
+                self.irn.retransmitted_packets += 1;
+                self.irn.retransmitted_bytes += p.payload().as_u64();
+                let (flow, seq) = (flow.as_u64(), p.seq);
+                self.trace
+                    .record_with(now, || TraceEvent::IrnRetransmit { flow, seq });
+            }
+            let nic = self.nics[host.index()].as_mut().expect("not a host");
+            nic.enqueue(&mut self.sends, &self.flows, ix, p);
         }
-        self.outs_scratch = outs;
     }
 
-    /// A pre-registered flow starts sending.
+    /// A pre-registered flow starts sending: a window sender under an
+    /// RTO, a DCQCN sender one packet and then at its pacing slots.
     pub fn start_flow(&mut self, now: SimTime, ix: usize, wires: &mut Wires, q: &mut Queue) {
-        let mut burst = std::mem::take(&mut self.outs_scratch);
         let flow = &mut self.flows[ix];
         let spec = flow.spec;
-        // Window transports send what the window allows under an RTO;
-        // DCQCN sends one packet and paces the rest.
-        let rto = match &mut flow.runtime {
-            FlowRuntime::Tcp { sender, .. } => {
-                sender.take_ready(now, &mut burst);
-                Some(sender.rto())
-            }
-            FlowRuntime::Irn { sender, .. } => {
-                sender.take_ready(now, &mut burst);
-                Some(sender.rto())
-            }
-            FlowRuntime::Rdma { sender, .. } => {
-                if let Some(p) = sender.emit_next(now) {
-                    let gap = sender.gap_for(p.size());
-                    q.schedule_after(now, gap, Event::RdmaPace { flow: spec.id });
-                    burst.push(p);
-                }
-                None
-            }
-        };
-        if let Some(rto) = rto {
-            flow.timers.rto = Some(q.schedule_timer_after(now, rto, Event::Rto { flow: spec.id }));
+        if let Some(window) = flow.runtime.window() {
+            let rto = Event::Rto { flow: spec.id };
+            flow.timers.rto = Some(q.schedule_timer_after(now, window.rto, rto));
         }
-        self.inject_all(now, spec.src, ix, burst, wires, q);
+        self.send(now, ix, q);
+        self.start(now, spec.src, wires, q);
         // Opt-in liveness watchdog covers RDMA flows of both universes
         // (DCQCN and IRN); DCTCP's own RTO machinery already guarantees
         // liveness for the lossy class. Serial runs only: the sharded
@@ -479,14 +459,16 @@ impl Hosts {
         let Some(interval) = self.flow_watchdog else {
             return;
         };
-        if matches!(self.flows[ix].runtime, FlowRuntime::Tcp { .. }) {
+        if self.flows[ix].wire_class == TrafficClass::Lossy {
             return;
         }
         self.flows[ix].timers.flow_watchdog =
             Some(q.schedule_timer_after(now, interval, Event::FlowWatchdog { flow: spec.id }));
     }
 
-    /// A packet reaches its destination host's transport endpoint.
+    /// A packet reaches its destination host's transport endpoint: data
+    /// goes to the receiver, whose feedback `host` sends back; feedback
+    /// goes to the sender, whose host then sends what it has ready.
     pub fn receive(
         &mut self,
         now: SimTime,
@@ -499,156 +481,84 @@ impl Hosts {
         let Some(ix) = self.flow_ix.get(packet.flow) else {
             return; // stray packet from an unregistered flow
         };
-        let mut outs = std::mem::take(&mut self.outs_scratch);
-        // A window sender's verdict on its RTO, and the RTO to re-arm.
-        let mut rto_action: Option<(AckAction, SimDuration)> = None;
-        let mut arm_rp: Option<[(RpTimerKind, SimDuration); 2]> = None;
-        let mut irn_watermark: Option<u64> = None;
-        let t_flow = packet.flow.as_u64();
-
-        match (&mut self.flows[ix].runtime, packet.kind) {
-            (FlowRuntime::Tcp { receiver, .. }, PacketKind::Data) => {
-                let ack = receiver.on_data(now, packet.seq, packet.payload(), packet.ecn.is_ce());
-                outs.push(ack);
-            }
-            (FlowRuntime::Tcp { sender, .. }, PacketKind::Ack { ecn_echo }) => {
-                let action = sender.on_ack(now, packet.ack, ecn_echo, &mut outs);
-                if let Some(tr) = action.transition {
-                    let ev = match tr {
-                        TcpEvent::EnterRecovery { recover_seq } => TraceEvent::TcpEnterRecovery {
-                            flow: t_flow,
-                            recover_seq,
-                        },
-                        TcpEvent::PartialAckRetransmit { snd_una } => {
-                            TraceEvent::TcpPartialAckRetransmit {
-                                flow: t_flow,
-                                snd_una,
-                            }
-                        }
-                        TcpEvent::ExitRecovery => TraceEvent::TcpExitRecovery { flow: t_flow },
-                    };
-                    self.trace.record_with(now, || ev);
-                }
-                // `as` saturates: an unset (`f64::MAX`) ssthresh reads u64::MAX.
-                self.trace.record_with(now, || TraceEvent::TcpCwnd {
-                    flow: t_flow,
-                    cwnd: sender.cwnd() as u64,
-                    ssthresh: sender.ssthresh() as u64,
-                    in_recovery: sender.in_recovery(),
-                });
-                rto_action = Some((action, sender.rto()));
-            }
-            (FlowRuntime::Rdma { receiver, .. }, PacketKind::Data) => {
-                if let Some(cnp) = receiver.on_data(now, packet.payload(), packet.ecn.is_ce()) {
-                    outs.push(cnp);
-                }
-            }
-            (FlowRuntime::Irn { receiver, .. }, PacketKind::Data) => {
-                let fb = receiver.on_data(now, packet.seq, packet.payload(), packet.ecn.is_ce());
+        let runtime = &mut self.flows[ix].runtime;
+        let reaction = if packet.kind == PacketKind::Data {
+            if let Some(fb) = runtime.on_data(now, &packet) {
                 if fb.kind == PacketKind::Nack {
                     // A new gap at the receiver that no switch on the
-                    // path spotted first (e.g. the loss was on the
-                    // last hop).
+                    // path spotted first (e.g. the loss was on the last
+                    // hop).
                     self.irn.nacks_receiver += 1;
                     self.trace.record_with(now, || TraceEvent::IrnNack {
-                        flow: t_flow,
+                        flow: fb.flow.as_u64(),
                         nack_seq: fb.seq,
                         node: host.index() as u32,
                         from_switch: false,
                     });
                 }
-                outs.push(fb);
+                let nic = self.nics[host.index()].as_mut().expect("not a host");
+                nic.enqueue(&mut self.sends, &self.flows, ix, fb);
             }
-            (FlowRuntime::Irn { sender, .. }, PacketKind::Ack { .. }) => {
-                irn_watermark = Some(sender.snd_max());
-                let action = sender.on_ack(now, packet.ack, &mut outs);
-                rto_action = Some((action, sender.rto()));
-            }
-            (FlowRuntime::Irn { sender, .. }, PacketKind::Nack) => {
-                irn_watermark = Some(sender.snd_max());
-                let action = sender.on_nack(now, packet.seq, packet.ack, &mut outs);
-                rto_action = Some((action, sender.rto()));
-            }
-            (FlowRuntime::Rdma { sender, .. }, PacketKind::Cnp) => {
-                if sender.on_cnp(now) {
-                    let cfg = sender.config();
-                    arm_rp = Some([
-                        (RpTimerKind::Alpha, cfg.alpha_timer),
-                        (RpTimerKind::Rate, cfg.rate_timer),
-                    ]);
-                }
-                self.trace.record_with(now, || TraceEvent::RdmaRate {
-                    flow: t_flow,
-                    rate_bps: sender.rate().as_bps(),
-                });
-            }
-            // Cross-protocol packets (e.g. an ACK for an RDMA flow)
-            // indicate a wiring bug or a corrupted delivery. Recorded
-            // as a Defect and dropped rather than panicking, so one bad
-            // packet cannot abort a whole sweep worker.
-            _ => {
+            None
+        } else {
+            let Some(reaction) = runtime.feedback(now, &packet, &self.trace) else {
+                // Cross-protocol packets (e.g. an ACK for an RDMA flow)
+                // indicate a wiring bug or a corrupted delivery. Recorded
+                // as a Defect and dropped rather than panicking, so one
+                // bad packet cannot abort a whole sweep worker.
                 self.trace.record_with(now, || TraceEvent::Defect {
                     what: "unexpected_packet_kind",
                     node: host.index() as u32,
-                    flow: t_flow,
+                    flow: packet.flow.as_u64(),
                 });
-                outs.clear();
-                self.outs_scratch = outs;
                 return;
+            };
+            // A window sender sends what its feedback released; a paced
+            // one waits for its slot.
+            if let Reaction::Rto(_) = reaction {
+                self.send(now, ix, q);
             }
-        }
-
-        if let Some(watermark) = irn_watermark {
-            self.count_irn_retransmits(now, &outs, watermark);
-        }
+            Some(reaction)
+        };
         self.settle(ix, wires);
 
         let flow = packet.flow;
-        let timers = &mut self.flows[ix].timers;
-        if let Some((action, rto)) = rto_action {
-            // A re-arm removes the old deadline from the wheel (no
-            // tombstone left behind) and arms a fresh one; the last byte
-            // ACKed only retires the outstanding deadline.
-            if action.rearm_timer || action.completed {
-                if let Some(h) = timers.rto.take() {
-                    q.cancel_timer(h);
+        let FlowState {
+            runtime, timers, ..
+        } = &mut self.flows[ix];
+        match reaction {
+            Some(Reaction::Rto(action)) => {
+                // A re-arm removes the old deadline from the wheel (no
+                // tombstone left behind) and arms a fresh one; the last
+                // byte ACKed only retires the outstanding deadline.
+                if action.rearm_timer || action.completed {
+                    if let Some(h) = timers.rto.take() {
+                        q.cancel_timer(h);
+                    }
+                }
+                if action.rearm_timer {
+                    let rto = runtime.window().expect("a window sender").rto;
+                    timers.rto = Some(q.schedule_timer_after(now, rto, Event::Rto { flow }));
                 }
             }
-            if action.rearm_timer {
-                timers.rto = Some(q.schedule_timer_after(now, rto, Event::Rto { flow }));
-            }
-        }
-        if let Some(rp) = arm_rp {
-            for (kind, _) in rp {
-                if let Some(h) = timers.rp(kind).take() {
-                    q.cancel_timer(h);
+            Some(Reaction::RateCut) => {
+                let rp = [
+                    (RpTimerKind::Alpha, self.dcqcn.alpha_timer),
+                    (RpTimerKind::Rate, self.dcqcn.rate_timer),
+                ];
+                for (kind, _) in rp {
+                    if let Some(h) = timers.rp(kind).take() {
+                        q.cancel_timer(h);
+                    }
+                }
+                for (kind, after) in rp {
+                    let ev = Event::RpTimer { flow, kind };
+                    *timers.rp(kind) = Some(q.schedule_timer_after(now, after, ev));
                 }
             }
-            for (kind, after) in rp {
-                let ev = Event::RpTimer { flow, kind };
-                *timers.rp(kind) = Some(q.schedule_timer_after(now, after, ev));
-            }
+            _ => {}
         }
-        self.inject_all(now, host, ix, outs, wires, q);
-    }
-
-    /// Counts and traces the retransmissions in an IRN sender's output
-    /// burst: any data packet at a sequence below the sender's pre-call
-    /// `snd_max` re-covers previously sent bytes. Called with the burst
-    /// produced by `on_ack`/`on_nack`/`on_timeout`, so every counted
-    /// retransmission is causally downstream of a NACK or RTO event —
-    /// the invariant the flight-recorder causality check verifies.
-    fn count_irn_retransmits(&mut self, now: SimTime, outs: &[Packet], watermark: u64) {
-        for p in outs {
-            if p.is_data() && p.seq < watermark {
-                self.irn.retransmitted_packets += 1;
-                self.irn.retransmitted_bytes += p.payload().as_u64();
-                self.trace.record_with(now, || TraceEvent::IrnRetransmit {
-                    flow: p.flow.as_u64(),
-                    seq: p.seq,
-                });
-            }
-        }
+        self.start(now, host, wires, q);
     }
 
     /// A host NIC finished serializing: start the next packet.
@@ -660,82 +570,57 @@ impl Hosts {
         self.start(now, host, wires, q);
     }
 
-    /// A DCQCN sender's pacing tick: emit the next packet.
+    /// A DCQCN sender's pacing slot: send the next packet.
     pub fn rdma_pace(&mut self, now: SimTime, flow: FlowId, wires: &mut Wires, q: &mut Queue) {
         let Some(ix) = self.flow_ix.get(flow) else {
             return;
         };
-        let src = self.flows[ix].spec.src;
-        let FlowRuntime::Rdma { sender, .. } = &mut self.flows[ix].runtime else {
-            return;
-        };
-        if let Some(p) = sender.emit_next(now) {
-            let gap = sender.gap_for(p.size());
-            q.schedule_after(now, gap, Event::RdmaPace { flow });
-            self.inject(now, src, ix, p, wires, q);
-        } else {
-            // Dropping the pacing chain is only legal once every payload
-            // byte has been emitted (retransmission is not modelled for
-            // the lossless class; CNPs only modulate the rate). A sender
-            // with bytes still unsent and no future RdmaPace scheduled
-            // would be silently stranded — flag it loudly so a future
-            // sender change can't stall lossless flows undetected.
-            let stranded = sender.has_more();
-            debug_assert!(
-                !stranded,
-                "DCQCN sender of flow {flow} stranded at snd_nxt={} with no pacing event",
-                sender.snd_nxt(),
-            );
-            if stranded {
+        // A paced sender answers `Idle` once every byte has left (the
+        // lossless class never retransmits). One with bytes unsent and no
+        // pacing slot is stranded: flag it loudly, so no sender change
+        // can stall lossless flows undetected.
+        let idle = self.send(now, ix, q) == Poll::Idle;
+        if let (true, FlowRuntime::Rdma { sender, .. }) = (idle, &self.flows[ix].runtime) {
+            let snd_nxt = sender.snd_nxt();
+            debug_assert!(!sender.has_more(), "flow {flow} stranded at {snd_nxt}");
+            if sender.has_more() {
                 self.rdma_stranded += 1;
-                self.trace.record_with(now, || TraceEvent::RdmaStranded {
-                    flow: flow.as_u64(),
-                    snd_nxt: sender.snd_nxt(),
-                });
+                let flow = flow.as_u64();
+                let ev = TraceEvent::RdmaStranded { flow, snd_nxt };
+                self.trace.record_with(now, || ev);
             }
         }
+        self.start(now, self.flows[ix].spec.src, wires, q);
     }
 
-    /// A DCTCP or IRN retransmission timer fired.
+    /// A DCTCP or IRN retransmission timer fired: go back N.
     pub fn rto(&mut self, now: SimTime, flow: FlowId, wires: &mut Wires, q: &mut Queue) {
         let Some(ix) = self.flow_ix.get(flow) else {
             return;
         };
-        let src = self.flows[ix].spec.src;
+        let f = &mut self.flows[ix];
+        let src = f.spec.src;
         // Firing consumed the wheel entry; the stored handle is dead.
-        self.flows[ix].timers.rto = None;
-        let mut outs = std::mem::take(&mut self.outs_scratch);
+        f.timers.rto = None;
         // A wheel timer only fires while live, so every arrival here is
-        // a real timeout; `fired` records exactly the RTOs that fired.
-        let mut fired: Option<(SimDuration, u32)> = None;
-        let mut irn_watermark: Option<u64> = None;
-        match &mut self.flows[ix].runtime {
-            FlowRuntime::Tcp { sender, .. } => {
-                if sender.on_timeout(now, &mut outs).rearm_timer {
-                    fired = Some((sender.rto(), sender.backoff()));
-                }
+        // a real timeout; a re-arm records exactly the RTOs that fired.
+        let Some(action) = f.runtime.on_timeout(now) else {
+            return;
+        };
+        let window = f.runtime.window().expect("a window sender timed out");
+        if action.rearm_timer {
+            if f.wire_class == TrafficClass::LossyRdma {
+                self.irn.rto_fires += 1;
             }
-            FlowRuntime::Irn { sender, .. } => {
-                irn_watermark = Some(sender.snd_max());
-                if sender.on_timeout(now, &mut outs).rearm_timer {
-                    fired = Some((sender.rto(), sender.backoff()));
-                    self.irn.rto_fires += 1;
-                }
-            }
-            FlowRuntime::Rdma { .. } => {}
-        }
-        if let Some((rto, backoff)) = fired {
             self.trace.record_with(now, || TraceEvent::RtoFire {
                 flow: flow.as_u64(),
-                backoff,
-                next_rto_ns: rto.as_nanos(),
+                backoff: window.backoff,
+                next_rto_ns: window.rto.as_nanos(),
             });
-            self.flows[ix].timers.rto = Some(q.schedule_timer_after(now, rto, Event::Rto { flow }));
+            f.timers.rto = Some(q.schedule_timer_after(now, window.rto, Event::Rto { flow }));
         }
-        if let Some(watermark) = irn_watermark {
-            self.count_irn_retransmits(now, &outs, watermark);
-        }
-        self.inject_all(now, src, ix, outs, wires, q);
+        self.send(now, ix, q);
+        self.start(now, src, wires, q);
     }
 
     /// Opt-in RDMA liveness watchdog: fires every `flow_watchdog`
@@ -753,7 +638,7 @@ impl Hosts {
         if f.is_done() {
             return;
         }
-        let received = f.received();
+        let received = f.runtime.progress().0;
         if received > f.watchdog_progress {
             f.watchdog_progress = received;
             f.stall_flagged = false;
@@ -783,8 +668,8 @@ impl Hosts {
         };
         if sender.on_timer(kind) {
             let period = match kind {
-                RpTimerKind::Alpha => sender.config().alpha_timer,
-                RpTimerKind::Rate => sender.config().rate_timer,
+                RpTimerKind::Alpha => self.dcqcn.alpha_timer,
+                RpTimerKind::Rate => self.dcqcn.rate_timer,
             };
             *f.timers.rp(kind) =
                 Some(q.schedule_timer_after(now, period, Event::RpTimer { flow, kind }));
@@ -1209,64 +1094,41 @@ mod tests {
     }
 
     /// One step of a flow's exchange: the receiver takes the next data
-    /// packet unless it is `lost` on a lossy path; else the sender takes the next
-    /// feedback; else a DCQCN sender paces its next packet and a window
-    /// sender times out. What either end emits goes to `out`. Returns
+    /// packet, `ce`-marked, unless it is `lost` on a lossy path; else
+    /// the sender takes the next feedback, or times out if it is a
+    /// window sender with bytes unacknowledged. Then whatever the sender
+    /// has ready goes to `out`, as does the receiver's feedback. Returns
     /// whether the flow is done.
     fn step(
-        runtime: &mut FlowRuntime,
+        flow: &mut FlowState,
         (now, ce, lost): (SimTime, bool, bool),
         (to_rx, to_tx): (&mut VecDeque<Packet>, &mut VecDeque<Packet>),
         out: &mut Vec<Packet>,
     ) -> bool {
-        if let Some(d) = to_rx.pop_front() {
-            match runtime {
-                // The lossless class loses nothing.
-                FlowRuntime::Tcp { .. } | FlowRuntime::Irn { .. } if lost => {}
-                FlowRuntime::Tcp { receiver, .. } => {
-                    out.push(receiver.on_data(now, d.seq, d.payload(), ce))
+        let runtime = &mut flow.runtime;
+        if let Some(mut d) = to_rx.pop_front() {
+            // The lossless class loses nothing.
+            if !lost || d.class == TrafficClass::Lossless {
+                if ce {
+                    d.mark_ce();
                 }
-                FlowRuntime::Irn { receiver, .. } => {
-                    out.push(receiver.on_data(now, d.seq, d.payload(), ce))
-                }
-                FlowRuntime::Rdma { receiver, .. } => {
-                    out.extend(receiver.on_data(now, d.payload(), ce))
-                }
+                out.extend(runtime.on_data(now, &d));
             }
             return false;
         }
         if let Some(fb) = to_tx.pop_front() {
-            match (runtime, fb.kind) {
-                (FlowRuntime::Tcp { sender, .. }, PacketKind::Ack { ecn_echo }) => {
-                    sender.on_ack(now, fb.ack, ecn_echo, out);
-                }
-                (FlowRuntime::Irn { sender, .. }, PacketKind::Nack) => {
-                    sender.on_nack(now, fb.seq, fb.ack, out);
-                }
-                (FlowRuntime::Irn { sender, .. }, _) => {
-                    sender.on_ack(now, fb.ack, out);
-                }
-                (FlowRuntime::Rdma { sender, .. }, _) => {
-                    sender.on_cnp(now);
-                }
-                (_, kind) => panic!("a DCTCP sender got {kind:?}"),
-            }
-            return false;
+            let trace = TraceHandle::disabled();
+            runtime
+                .feedback(now, &fb, &trace)
+                .expect("feedback its sender takes");
+        } else if runtime.window().is_some_and(|w| !w.completed) {
+            runtime.on_timeout(now);
         }
-        match runtime {
-            FlowRuntime::Rdma { sender, receiver } => match sender.emit_next(now) {
-                Some(p) => out.push(p),
-                None => return receiver.finished_at().is_some(),
-            },
-            FlowRuntime::Tcp { sender, .. } if !sender.is_completed() => {
-                sender.on_timeout(now, out);
-            }
-            FlowRuntime::Irn { sender, .. } if !sender.is_completed() => {
-                sender.on_timeout(now, out);
-            }
-            _ => return true,
+        let before = out.len();
+        while let Poll::Ready(p) = runtime.poll(now) {
+            out.push(p);
         }
-        false
+        out.len() == before && flow.is_done()
     }
 
     /// Runs flow `ix` to completion between its two endpoints over a
@@ -1276,10 +1138,8 @@ mod tests {
     fn exchange(hosts: &mut Hosts, ix: usize, rng: &mut SimRng, seen: &mut Seen) {
         let (mut sent, mut now, mut out) = (0, SimTime::ZERO, Vec::new());
         let (mut to_rx, mut to_tx) = (VecDeque::new(), VecDeque::new());
-        match &mut hosts.flows[ix].runtime {
-            FlowRuntime::Tcp { sender, .. } => sender.take_ready(now, &mut out),
-            FlowRuntime::Irn { sender, .. } => sender.take_ready(now, &mut out),
-            FlowRuntime::Rdma { .. } => {}
+        while let Poll::Ready(p) = hosts.flows[ix].runtime.poll(now) {
+            out.push(p);
         }
         for _ in 0..100_000 {
             for p in out.drain(..) {
@@ -1288,8 +1148,8 @@ mod tests {
             }
             now += SimDuration::from_micros(5);
             let (ce, lost) = (rng.below(3) == 0, rng.below(10) == 0);
-            let runtime = &mut hosts.flows[ix].runtime;
-            if step(runtime, (now, ce, lost), (&mut to_rx, &mut to_tx), &mut out) {
+            let flow = &mut hosts.flows[ix];
+            if step(flow, (now, ce, lost), (&mut to_rx, &mut to_tx), &mut out) {
                 return;
             }
         }

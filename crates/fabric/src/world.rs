@@ -503,6 +503,46 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "dctcp.rto must be non-zero")]
+    fn zero_dctcp_rto_is_refused_at_construction() {
+        let mut cfg = FabricConfig::default();
+        cfg.dctcp.rto = SimDuration::ZERO;
+        let _ = FabricSim::new(two_hosts(), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "dctcp.max_rto must be non-zero")]
+    fn zero_dctcp_max_rto_is_refused_at_construction() {
+        let mut cfg = FabricConfig::default();
+        cfg.dctcp.max_rto = SimDuration::ZERO;
+        let _ = FabricSim::new(two_hosts(), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "irn.rto must be non-zero")]
+    fn zero_irn_rto_is_refused_at_construction() {
+        let mut cfg = FabricConfig::default();
+        cfg.irn.rto = SimDuration::ZERO;
+        let _ = FabricSim::new(two_hosts(), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "irn.max_rto must be non-zero")]
+    fn zero_irn_max_rto_is_refused_at_construction() {
+        let mut cfg = FabricConfig::default();
+        cfg.irn.max_rto = SimDuration::ZERO;
+        let _ = FabricSim::new(two_hosts(), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "irn.window = 500B is below irn.mtu = 1000")]
+    fn irn_window_below_one_segment_is_refused_at_construction() {
+        let mut cfg = FabricConfig::default();
+        cfg.irn.window = Bytes::new(500);
+        let _ = FabricSim::new(two_hosts(), cfg);
+    }
+
+    #[test]
     #[should_panic(expected = "dcqcn.mtu must be non-zero")]
     fn zero_dcqcn_mtu_is_refused_at_construction() {
         let mut cfg = FabricConfig::default();

@@ -11,6 +11,8 @@
 use dcn_net::{FlowId, NodeId, Packet, Priority, TrafficClass};
 use dcn_sim::{BitRate, Bytes, SimDuration, SimTime};
 
+use crate::Poll;
+
 /// DCQCN tunables (paper-standard defaults, scaled for 25 G links).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DcqcnConfig {
@@ -78,6 +80,9 @@ pub struct DcqcnSender {
     line_rate: BitRate,
 
     snd_nxt: u64,
+    /// The next pacing slot: the last packet's start plus its
+    /// serialization at the rate after it.
+    next_send: SimTime,
     rc: BitRate,
     rt: BitRate,
     alpha: f64,
@@ -114,6 +119,7 @@ impl DcqcnSender {
             size: size.as_u64(),
             line_rate,
             snd_nxt: 0,
+            next_send: SimTime::ZERO,
             rc: line_rate,
             rt: line_rate,
             alpha: 1.0,
@@ -122,11 +128,6 @@ impl DcqcnSender {
             bytes_since_stage: 0,
             ever_cut: false,
         }
-    }
-
-    /// The flow id.
-    pub fn flow(&self) -> FlowId {
-        self.flow
     }
 
     /// Current sending rate `Rc`.
@@ -149,14 +150,22 @@ impl DcqcnSender {
         self.snd_nxt
     }
 
-    /// The configuration (for timer periods).
-    pub fn config(&self) -> &DcqcnConfig {
-        &self.cfg
+    /// The next packet once its pacing slot has come: `At` the slot
+    /// until then (the last packet's slot too), `Idle` once everything
+    /// is sent.
+    pub fn poll(&mut self, now: SimTime) -> Poll {
+        if now < self.next_send {
+            return Poll::At(self.next_send);
+        }
+        let Some(pkt) = self.emit_next(now) else {
+            return Poll::Idle;
+        };
+        self.next_send = now + self.rc.tx_time(pkt.size());
+        Poll::Ready(pkt)
     }
 
-    /// Emits the next paced packet, or `None` when the flow has sent
-    /// everything. The caller transmits it and schedules the next
-    /// emission after [`DcqcnSender::gap_for`] of it.
+    /// Emits the next packet regardless of pacing, or `None` when the
+    /// flow has sent everything: the step [`DcqcnSender::poll`] paces.
     pub fn emit_next(&mut self, _now: SimTime) -> Option<Packet> {
         if !self.has_more() {
             return None;
@@ -183,16 +192,9 @@ impl DcqcnSender {
         Some(pkt)
     }
 
-    /// Inter-packet pacing gap for a packet of `size` wire bytes at the
-    /// current rate.
-    pub fn gap_for(&self, size: Bytes) -> SimDuration {
-        self.rc.tx_time(size)
-    }
-
-    /// Reacts to a CNP: multiplicative cut, α refresh, stage reset.
-    /// Returns `true` when the caller must cancel any outstanding RP
-    /// timers and (re)arm both afresh.
-    pub fn on_cnp(&mut self, _now: SimTime) -> bool {
+    /// Reacts to a CNP: multiplicative cut, α refresh, stage reset. The
+    /// caller cancels any outstanding RP timers and arms both afresh.
+    pub fn on_cnp(&mut self, _now: SimTime) {
         self.rt = self.rc;
         self.rc = self.rc.scale(1.0 - self.alpha / 2.0).max(self.cfg.min_rate);
         self.alpha = (1.0 - self.cfg.g) * self.alpha + self.cfg.g;
@@ -200,7 +202,6 @@ impl DcqcnSender {
         self.b_stage = 0;
         self.bytes_since_stage = 0;
         self.ever_cut = true;
-        true
     }
 
     /// Handles an RP timer firing. Returns whether to rearm. With
@@ -252,7 +253,8 @@ pub struct DcqcnReceiver {
     priority: Priority,
     size: u64,
     received: u64,
-    last_cnp: Option<SimTime>,
+    /// When the CNP filter next lets a CNP through.
+    cnp_open: SimTime,
     finished_at: Option<SimTime>,
 }
 
@@ -266,7 +268,7 @@ impl DcqcnReceiver {
             priority,
             size: size.as_u64(),
             received: 0,
-            last_cnp: None,
+            cnp_open: SimTime::ZERO,
             finished_at: None,
         }
     }
@@ -292,19 +294,11 @@ impl DcqcnReceiver {
         if self.received >= self.size && self.finished_at.is_none() {
             self.finished_at = Some(now);
         }
-        if !ce {
+        if !ce || now < self.cnp_open {
             return None;
         }
-        let allow = match self.last_cnp {
-            None => true,
-            Some(t) => now.saturating_since(t) >= Self::CNP_INTERVAL,
-        };
-        if allow {
-            self.last_cnp = Some(now);
-            Some(Packet::cnp(self.flow, self.host, self.peer, self.priority))
-        } else {
-            None
-        }
+        self.cnp_open = now + Self::CNP_INTERVAL;
+        Some(Packet::cnp(self.flow, self.host, self.peer, self.priority))
     }
 }
 
@@ -328,11 +322,15 @@ mod tests {
     fn starts_at_line_rate_and_paces() {
         let mut s = sender(5_000);
         assert_eq!(s.rate(), BitRate::from_gbps(25));
-        let p = s.emit_next(SimTime::ZERO).unwrap();
+        let Poll::Ready(p) = s.poll(SimTime::ZERO) else {
+            panic!("the first packet leaves at once");
+        };
         assert_eq!(p.seq, 0);
         assert_eq!(p.size(), Bytes::new(1_048));
         // Gap at 25 Gbps for 1048 B = 336 ns (rounded up).
-        assert_eq!(s.gap_for(p.size()).as_nanos(), 336);
+        let slot = SimTime::from_nanos(336);
+        assert_eq!(s.poll(SimTime::from_nanos(335)), Poll::At(slot));
+        assert!(matches!(s.poll(slot), Poll::Ready(p) if p.seq == 1_000));
     }
 
     #[test]
@@ -350,7 +348,7 @@ mod tests {
     fn cnp_cuts_rate_multiplicatively() {
         let mut s = sender(1_000_000);
         let r0 = s.rate();
-        assert!(s.on_cnp(SimTime::from_micros(10)));
+        s.on_cnp(SimTime::from_micros(10));
         // α starts at 1: first cut halves.
         assert_eq!(s.rate().as_bps(), r0.as_bps() / 2);
         let a1 = s.alpha();

@@ -2,9 +2,10 @@
 //! SIGCOMM 2010), plus NewReno-style loss recovery for the lossy class.
 
 use dcn_net::{FlowId, NodeId, Packet, Priority, TrafficClass};
-use dcn_sim::{Bytes, SimDuration, SimTime};
+use dcn_sim::{Bytes, SimDuration, SimTime, TraceEvent};
 
 use crate::recovery::{Reassembly, RtoBackoff};
+use crate::Poll;
 
 /// DCTCP tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,42 +38,19 @@ impl Default for DctcpConfig {
     }
 }
 
-/// A loss-recovery state transition that happened while processing an
-/// ACK, reported so the caller can log or trace it. At most one
-/// transition can happen per ACK, so it travels as an `Option` and the
-/// common no-transition ACK stays allocation-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TcpEvent {
-    /// Third duplicate ACK: entered fast recovery.
-    EnterRecovery {
-        /// `snd_nxt` at entry; recovery ends once this is acked.
-        recover_seq: u64,
-    },
-    /// Partial ACK inside recovery: the hole at the new `snd_una` was
-    /// retransmitted (NewReno).
-    PartialAckRetransmit {
-        /// The retransmitted hole.
-        snd_una: u64,
-    },
-    /// Cumulative ACK covered `recover_seq`: left fast recovery.
-    ExitRecovery,
-}
-
-/// What the sender wants done after processing an ACK.
-///
-/// Segments to transmit are appended to the `out` buffer the caller
-/// passes to [`DctcpSender::on_ack`] / [`DctcpSender::on_timeout`], so
-/// the per-ACK hot path allocates nothing; this struct carries only the
-/// plain-data side effects.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// What the sender wants done after processing feedback or a timeout.
+/// The segments it decided to send come out of its next `poll`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AckAction {
     /// Whether the retransmission timer should be (re)armed at
     /// `now + rto` (the caller cancels and re-arms its wheel timer).
     pub rearm_timer: bool,
     /// All data acknowledged — the flow is complete at the sender.
     pub completed: bool,
-    /// Recovery-state transition taken by this ACK, if any.
-    pub transition: Option<TcpEvent>,
+    /// The loss-recovery transition this ACK took, if any, as the
+    /// flight recorder files it: entering fast recovery, a NewReno
+    /// partial-ACK resend, or leaving recovery.
+    pub transition: Option<TraceEvent>,
 }
 
 /// Sender-side DCTCP state machine for one flow.
@@ -100,6 +78,12 @@ pub struct DctcpSender {
     // Loss recovery.
     dup_acks: u32,
     in_recovery: bool,
+    /// The segment at `snd_una` leads the next poll.
+    resend: bool,
+    /// No new data until the next progress ACK or timeout: set on
+    /// entering recovery, whose window can exceed the one it replaced
+    /// (`cwnd < 2·mss` after an RTO).
+    held: bool,
     recover_seq: u64,
     backoff: RtoBackoff,
 
@@ -142,15 +126,12 @@ impl DctcpSender {
             cut_this_window: false,
             dup_acks: 0,
             in_recovery: false,
+            resend: false,
+            held: false,
             recover_seq: 0,
             backoff: RtoBackoff::default(),
             completed: false,
         }
-    }
-
-    /// The flow id.
-    pub fn flow(&self) -> FlowId {
-        self.flow
     }
 
     /// Current congestion window in bytes.
@@ -203,28 +184,41 @@ impl DctcpSender {
         )
     }
 
-    /// Appends every segment the window currently allows to `out`.
-    /// Called at flow start and internally after each ACK ([`on_ack`]
-    /// pushes the ready batch into its own `out` buffer).
-    ///
-    /// [`on_ack`]: DctcpSender::on_ack
-    pub fn take_ready(&mut self, _now: SimTime, out: &mut Vec<Packet>) {
+    /// The next segment to send: a retransmission the last feedback
+    /// decided, else the next one the window allows. `Idle` until
+    /// feedback or a timeout changes that; DCTCP never paces.
+    pub fn poll(&mut self, _now: SimTime) -> Poll {
+        if self.completed {
+            return Poll::Idle;
+        }
+        if std::mem::take(&mut self.resend) {
+            return Poll::Ready(self.segment(self.snd_una));
+        }
         let limit = (self.snd_una as f64 + self.cwnd) as u64;
-        while self.snd_nxt < self.size
+        if !self.held
+            && self.snd_nxt < self.size
             && self.snd_nxt + self.cfg.mss.min(self.size - self.snd_nxt) <= limit
         {
             let pkt = self.segment(self.snd_nxt);
             self.snd_nxt += pkt.payload().as_u64();
-            out.push(pkt);
+            return Poll::Ready(pkt);
         }
         if self.window_end == 0 {
             self.window_end = self.snd_nxt;
         }
+        Poll::Idle
     }
 
-    /// Processes a cumulative ACK with its ECN-echo bit, appending any
-    /// segments to transmit (retransmissions and newly allowed data) to
-    /// `out`.
+    /// Appends every segment [`DctcpSender::poll`] has ready to `out`.
+    /// Kept for perfbench's transport driver.
+    pub fn take_ready(&mut self, now: SimTime, out: &mut Vec<Packet>) {
+        while let Poll::Ready(p) = self.poll(now) {
+            out.push(p);
+        }
+    }
+
+    /// [`DctcpSender::process_ack`], then [`DctcpSender::take_ready`]:
+    /// perfbench's per-ACK driver, to go once it polls.
     pub fn on_ack(
         &mut self,
         now: SimTime,
@@ -232,6 +226,15 @@ impl DctcpSender {
         ecn_echo: bool,
         out: &mut Vec<Packet>,
     ) -> AckAction {
+        let action = self.process_ack(now, cumulative_ack, ecn_echo);
+        self.take_ready(now, out);
+        action
+    }
+
+    /// Processes a cumulative ACK with its ECN-echo bit. What it lets
+    /// the sender transmit (a retransmission, newly allowed data) comes
+    /// out of the next [`DctcpSender::poll`].
+    pub fn process_ack(&mut self, _now: SimTime, cumulative_ack: u64, ecn_echo: bool) -> AckAction {
         let mut action = AckAction::default();
         if self.completed {
             return action;
@@ -241,6 +244,7 @@ impl DctcpSender {
             let newly = cumulative_ack - self.snd_una;
             self.snd_una = cumulative_ack;
             self.dup_acks = 0;
+            self.held = false;
             self.backoff.reset();
             self.acked_bytes += newly;
             if ecn_echo {
@@ -253,14 +257,16 @@ impl DctcpSender {
                     // repaired — leave recovery at the halved window.
                     self.in_recovery = false;
                     self.cwnd = self.ssthresh.max(self.cfg.mss as f64);
-                    action.transition = Some(TcpEvent::ExitRecovery);
+                    let flow = self.flow.as_u64();
+                    action.transition = Some(TraceEvent::TcpExitRecovery { flow });
                 } else {
                     // Partial ACK (NewReno): the ACK advanced but did not
                     // cover the recovery point, so the next hole starts at
                     // the new snd_una — retransmit it immediately instead
                     // of stalling until the RTO.
-                    out.push(self.segment(self.snd_una));
-                    action.transition = Some(TcpEvent::PartialAckRetransmit {
+                    self.resend = true;
+                    action.transition = Some(TraceEvent::TcpPartialAckRetransmit {
+                        flow: self.flow.as_u64(),
                         snd_una: self.snd_una,
                     });
                 }
@@ -300,7 +306,6 @@ impl DctcpSender {
                 return action;
             }
             action.rearm_timer = true;
-            self.take_ready(now, out);
         } else {
             // Duplicate ACK.
             self.dup_acks += 1;
@@ -309,8 +314,10 @@ impl DctcpSender {
                 self.recover_seq = self.snd_nxt;
                 self.ssthresh = (self.cwnd / 2.0).max(2.0 * self.cfg.mss as f64);
                 self.cwnd = self.ssthresh;
-                out.push(self.segment(self.snd_una));
-                action.transition = Some(TcpEvent::EnterRecovery {
+                self.resend = true;
+                self.held = true;
+                action.transition = Some(TraceEvent::TcpEnterRecovery {
+                    flow: self.flow.as_u64(),
                     recover_seq: self.recover_seq,
                 });
                 action.rearm_timer = true;
@@ -319,11 +326,11 @@ impl DctcpSender {
         action
     }
 
-    /// Handles a retransmission timeout, appending the go-back-N resend
-    /// to `out`. With wheel-armed timers every progress ACK cancels and
-    /// re-arms the deadline, so a firing timer is live by construction;
-    /// the completed guard is defence in depth only.
-    pub fn on_timeout(&mut self, now: SimTime, out: &mut Vec<Packet>) -> AckAction {
+    /// Handles a retransmission timeout: go-back-N, whose resend leads
+    /// the next poll. With wheel-armed timers every progress ACK cancels
+    /// and re-arms the deadline, so a firing timer is live by
+    /// construction; the completed guard is defence in depth only.
+    pub fn on_timeout(&mut self, _now: SimTime) -> AckAction {
         let mut action = AckAction::default();
         if self.completed {
             return action;
@@ -333,9 +340,9 @@ impl DctcpSender {
         self.cwnd = self.cfg.mss as f64;
         self.in_recovery = false;
         self.dup_acks = 0;
+        (self.resend, self.held) = (false, false);
         self.snd_nxt = self.snd_una;
         self.backoff.timed_out();
-        self.take_ready(now, out);
         action.rearm_timer = true;
         action
     }
@@ -406,26 +413,25 @@ mod tests {
         )
     }
 
-    /// Collects the ready batch into a fresh Vec (test convenience for
-    /// the buffer-filling API).
+    /// Polls `s` until it has nothing ready.
     fn ready(s: &mut DctcpSender, now: SimTime) -> Vec<Packet> {
-        let mut out = Vec::new();
-        s.take_ready(now, &mut out);
-        out
+        std::iter::from_fn(|| match s.poll(now) {
+            Poll::Ready(p) => Some(p),
+            _ => None,
+        })
+        .collect()
     }
 
-    /// Runs one ACK and returns the action plus the emitted segments.
+    /// Runs one ACK and returns the action plus the segments it released.
     fn ack(s: &mut DctcpSender, now: SimTime, cum: u64, ecn: bool) -> (AckAction, Vec<Packet>) {
-        let mut out = Vec::new();
-        let a = s.on_ack(now, cum, ecn, &mut out);
-        (a, out)
+        let a = s.process_ack(now, cum, ecn);
+        (a, ready(s, now))
     }
 
     /// Runs one timeout and returns the action plus the resent segments.
     fn timeout(s: &mut DctcpSender, now: SimTime) -> (AckAction, Vec<Packet>) {
-        let mut out = Vec::new();
-        let a = s.on_timeout(now, &mut out);
-        (a, out)
+        let a = s.on_timeout(now);
+        (a, ready(s, now))
     }
 
     #[test]
@@ -499,7 +505,7 @@ mod tests {
             |s: &mut DctcpSender, inflight: &mut Vec<Packet>, t: &mut SimTime, marked: bool| {
                 let pkts = std::mem::take(inflight);
                 for p in pkts {
-                    s.on_ack(*t, p.seq + p.payload().as_u64(), marked, inflight);
+                    inflight.extend(ack(s, *t, p.seq + p.payload().as_u64(), marked).1);
                     *t += SimDuration::from_nanos(100);
                 }
             };
@@ -571,7 +577,8 @@ mod tests {
         assert_eq!(third_out[0].seq, 0);
         assert!(matches!(
             third.transition,
-            Some(TcpEvent::EnterRecovery {
+            Some(TraceEvent::TcpEnterRecovery {
+                flow: 1,
                 recover_seq: 10_000
             })
         ));
@@ -583,13 +590,19 @@ mod tests {
         assert_eq!(partial_out[0].seq, 5_000, "retransmit new snd_una");
         assert!(matches!(
             partial.transition,
-            Some(TcpEvent::PartialAckRetransmit { snd_una: 5_000 })
+            Some(TraceEvent::TcpPartialAckRetransmit {
+                flow: 1,
+                snd_una: 5_000
+            })
         ));
         assert!(partial.rearm_timer, "progress re-arms the timer");
         // The full ACK exits recovery.
         let (full, _) = ack(&mut s, t, 10_000, false);
         assert!(!s.in_recovery());
-        assert!(matches!(full.transition, Some(TcpEvent::ExitRecovery)));
+        assert!(matches!(
+            full.transition,
+            Some(TraceEvent::TcpExitRecovery { flow: 1 })
+        ));
     }
 
     #[test]
@@ -618,9 +631,9 @@ mod tests {
             let delivered = std::mem::take(&mut inflight);
             assert!(!delivered.is_empty(), "stalled with nothing in flight");
             for p in delivered {
-                let ack = r.on_data(t, p.seq, p.payload(), false);
-                assert!(matches!(ack.kind, dcn_net::PacketKind::Ack { .. }));
-                s.on_ack(t, ack.ack, false, &mut inflight);
+                let fb = r.on_data(t, p.seq, p.payload(), false);
+                assert!(matches!(fb.kind, dcn_net::PacketKind::Ack { .. }));
+                inflight.extend(ack(&mut s, t, fb.ack, false).1);
                 t += SimDuration::from_nanos(100);
             }
         }

@@ -20,6 +20,7 @@ use std::collections::BTreeSet;
 
 use crate::dctcp::AckAction;
 use crate::recovery::{Reassembly, RtoBackoff};
+use crate::Poll;
 
 /// IRN tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,8 +66,8 @@ pub struct IrnSender {
 
     snd_una: u64,
     snd_nxt: u64,
-    /// High-water mark of first-time transmissions: any emitted segment
-    /// with `seq < snd_max` at call entry is a retransmission.
+    /// High-water mark of first-time transmissions: a polled segment
+    /// with `seq` below it is a retransmission.
     snd_max: u64,
 
     /// Holes already rewound to — duplicate NACKs for the same gap from
@@ -109,11 +110,6 @@ impl IrnSender {
         }
     }
 
-    /// The flow id.
-    pub fn flow(&self) -> FlowId {
-        self.flow
-    }
-
     /// Whether all payload has been acknowledged.
     pub fn is_completed(&self) -> bool {
         self.completed
@@ -124,7 +120,7 @@ impl IrnSender {
         self.snd_una
     }
 
-    /// High-water mark of first-time transmissions; segments emitted
+    /// High-water mark of first-time transmissions; segments polled
     /// below it are retransmissions.
     pub fn snd_max(&self) -> u64 {
         self.snd_max
@@ -156,25 +152,21 @@ impl IrnSender {
         )
     }
 
-    /// Appends every segment the BDP window currently allows to `out`.
-    /// Called at flow start; [`on_ack`], [`on_nack`] and [`on_timeout`]
-    /// refill through it internally.
-    ///
-    /// [`on_ack`]: IrnSender::on_ack
-    /// [`on_nack`]: IrnSender::on_nack
-    /// [`on_timeout`]: IrnSender::on_timeout
-    pub fn take_ready(&mut self, _now: SimTime, out: &mut Vec<Packet>) {
-        let window = self.cfg.window.as_u64();
-        while self.snd_nxt < self.size {
-            let payload = self.cfg.mtu.min(self.size - self.snd_nxt);
-            if self.snd_nxt - self.snd_una + payload > window {
-                break;
-            }
-            let pkt = self.segment(self.snd_nxt);
-            self.snd_nxt += payload;
-            out.push(pkt);
+    /// The segment at `snd_nxt` if the BDP window allows it, else
+    /// `Idle` until feedback or a timeout moves the window. After a
+    /// rewind this resends, go-back-N, before it sends new data.
+    pub fn poll(&mut self, _now: SimTime) -> Poll {
+        if self.completed || self.snd_nxt >= self.size {
+            return Poll::Idle;
         }
+        let payload = self.cfg.mtu.min(self.size - self.snd_nxt);
+        if self.snd_nxt - self.snd_una + payload > self.cfg.window.as_u64() {
+            return Poll::Idle;
+        }
+        let pkt = self.segment(self.snd_nxt);
+        self.snd_nxt += payload;
         self.snd_max = self.snd_max.max(self.snd_nxt);
+        Poll::Ready(pkt)
     }
 
     /// Applies cumulative progress shared by ACK and NACK processing.
@@ -195,15 +187,9 @@ impl IrnSender {
         true
     }
 
-    /// Processes a cumulative ACK, appending any newly allowed segments
-    /// to `out`. Duplicate ACKs are ignored: IRN recovery is driven by
-    /// NACKs and the RTO, not dup-ack counting.
-    pub fn on_ack(
-        &mut self,
-        now: SimTime,
-        cumulative_ack: u64,
-        out: &mut Vec<Packet>,
-    ) -> AckAction {
+    /// Processes a cumulative ACK. Duplicate ACKs are ignored: IRN
+    /// recovery is driven by NACKs and the RTO, not dup-ack counting.
+    pub fn on_ack(&mut self, _now: SimTime, cumulative_ack: u64) -> AckAction {
         let mut action = AckAction::default();
         if self.completed {
             return action;
@@ -215,24 +201,16 @@ impl IrnSender {
                 return action;
             }
             action.rearm_timer = true;
-            self.take_ready(now, out);
         }
         action
     }
 
-    /// Processes a NACK for the gap starting at `nack_seq`, appending
-    /// retransmissions (and any newly allowed data) to `out`.
+    /// Processes a NACK for the gap starting at `nack_seq`.
     ///
     /// Go-back-N: `snd_nxt` rewinds to the hole. A given hole is acted
     /// on once — duplicate NACKs from other path observers are ignored
     /// until progress proves the repair lost.
-    pub fn on_nack(
-        &mut self,
-        now: SimTime,
-        nack_seq: u64,
-        cumulative_ack: u64,
-        out: &mut Vec<Packet>,
-    ) -> AckAction {
+    pub fn on_nack(&mut self, _now: SimTime, nack_seq: u64, cumulative_ack: u64) -> AckAction {
         let mut action = AckAction::default();
         if self.completed {
             return action;
@@ -253,7 +231,6 @@ impl IrnSender {
             self.snd_nxt = self.snd_nxt.min(nack_seq);
             action.rearm_timer = true;
         }
-        self.take_ready(now, out);
         action
     }
 
@@ -261,7 +238,7 @@ impl IrnSender {
     /// RTO is the last-resort repair for lost NACKs/ACKs), with
     /// exponential backoff until the next forward progress — mirroring
     /// [`crate::DctcpSender::on_timeout`].
-    pub fn on_timeout(&mut self, now: SimTime, out: &mut Vec<Packet>) -> AckAction {
+    pub fn on_timeout(&mut self, _now: SimTime) -> AckAction {
         let mut action = AckAction::default();
         if self.completed {
             return action;
@@ -269,7 +246,6 @@ impl IrnSender {
         self.snd_nxt = self.snd_una;
         self.handled_holes.clear();
         self.backoff.timed_out();
-        self.take_ready(now, out);
         action.rearm_timer = true;
         action
     }
@@ -389,28 +365,28 @@ mod tests {
         )
     }
 
+    /// Polls `s` until it has nothing ready.
     fn ready(s: &mut IrnSender, now: SimTime) -> Vec<Packet> {
-        let mut out = Vec::new();
-        s.take_ready(now, &mut out);
-        out
+        std::iter::from_fn(|| match s.poll(now) {
+            Poll::Ready(p) => Some(p),
+            _ => None,
+        })
+        .collect()
     }
 
     fn ack(s: &mut IrnSender, now: SimTime, cum: u64) -> (AckAction, Vec<Packet>) {
-        let mut out = Vec::new();
-        let a = s.on_ack(now, cum, &mut out);
-        (a, out)
+        let a = s.on_ack(now, cum);
+        (a, ready(s, now))
     }
 
     fn nack(s: &mut IrnSender, now: SimTime, seq: u64, cum: u64) -> (AckAction, Vec<Packet>) {
-        let mut out = Vec::new();
-        let a = s.on_nack(now, seq, cum, &mut out);
-        (a, out)
+        let a = s.on_nack(now, seq, cum);
+        (a, ready(s, now))
     }
 
     fn timeout(s: &mut IrnSender, now: SimTime) -> (AckAction, Vec<Packet>) {
-        let mut out = Vec::new();
-        let a = s.on_timeout(now, &mut out);
-        (a, out)
+        let a = s.on_timeout(now);
+        (a, ready(s, now))
     }
 
     #[test]
@@ -477,16 +453,14 @@ mod tests {
             Bytes::new(100_000),
         );
         let _ = ready(&mut irn, SimTime::ZERO);
-        let mut tcp_out = Vec::new();
-        tcp.take_ready(SimTime::ZERO, &mut tcp_out);
+        while let Poll::Ready(_) = tcp.poll(SimTime::ZERO) {}
         assert_eq!(irn.rto(), tcp.rto(), "same base RTO");
         let mut t = SimTime::from_millis(3);
         for i in 1..=8u32 {
             let (a, resent) = timeout(&mut irn, t);
             assert!(a.rearm_timer);
             assert_eq!(resent[0].seq, 0, "go-back-N from snd_una");
-            let mut out = Vec::new();
-            tcp.on_timeout(t, &mut out);
+            tcp.on_timeout(t);
             assert_eq!(irn.backoff(), i);
             assert_eq!(
                 irn.rto(),
@@ -497,8 +471,7 @@ mod tests {
         }
         // Forward progress resets the backoff on both.
         let _ = ack(&mut irn, t, 1_000);
-        let mut out = Vec::new();
-        tcp.on_ack(t, 1_000, false, &mut out);
+        tcp.process_ack(t, 1_000, false);
         assert_eq!(irn.backoff(), 0);
         assert_eq!(irn.rto(), tcp.rto());
         assert_eq!(irn.rto(), SimDuration::from_millis(2));
@@ -592,15 +565,12 @@ mod tests {
             assert!(!delivered.is_empty(), "stalled with nothing in flight");
             for p in delivered {
                 let fb = r.on_data(t, p.seq, p.payload(), false);
-                match fb.kind {
-                    PacketKind::Ack { .. } => {
-                        s.on_ack(t, fb.ack, &mut inflight);
-                    }
-                    PacketKind::Nack => {
-                        s.on_nack(t, fb.seq, fb.ack, &mut inflight);
-                    }
+                let (_, out) = match fb.kind {
+                    PacketKind::Ack { .. } => ack(&mut s, t, fb.ack),
+                    PacketKind::Nack => nack(&mut s, t, fb.seq, fb.ack),
                     _ => unreachable!(),
-                }
+                };
+                inflight.extend(out);
                 t += SimDuration::from_nanos(100);
             }
         }

@@ -5,8 +5,9 @@
 //! the RDMA/lossless class (§IV), both reacting to ECN set by the
 //! switches. This crate implements them — plus IRN-style lossy RDMA for
 //! the lossless-vs-lossy resilience comparison — as passive state
-//! machines: the fabric event loop feeds them arrivals/timers and
-//! transmits the packets they emit.
+//! machines. Every sender answers `poll(now)` with a [`Poll`]; feedback
+//! and timer calls only update state, and a retransmission they decide
+//! leads the next poll, ahead of new data.
 //!
 //! * [`DctcpSender`] / [`DctcpReceiver`] — window-based congestion
 //!   control with the DCTCP fraction-of-marked-bytes `α`, slow start,
@@ -20,15 +21,15 @@
 //!   backed-off RTO; packets ride the droppable
 //!   `LossyRdma` class, so no PFC is ever generated for them.
 //!
-//! All senders are deterministic; all pacing/timers surface as explicit
-//! "call me back at T" values the event loop schedules.
+//! All senders are deterministic; pacing surfaces as [`Poll::At`] and
+//! retransmission timers as RTO values the event loop schedules.
 //!
 //! # Example
 //!
 //! ```
 //! use dcn_net::{FlowId, NodeId, Priority};
 //! use dcn_sim::{Bytes, SimTime};
-//! use dcn_transport::{DctcpConfig, DctcpSender};
+//! use dcn_transport::{DctcpConfig, DctcpSender, Poll};
 //!
 //! let mut s = DctcpSender::new(
 //!     DctcpConfig::default(),
@@ -38,12 +39,12 @@
 //!     Priority::new(1),
 //!     Bytes::new(30_000),
 //! );
-//! // Initial window: packets ready to hand to the NIC. The sender
-//! // appends into a caller-owned buffer so the per-ACK hot path can
-//! // reuse one scratch Vec instead of allocating.
-//! let mut burst = Vec::new();
-//! s.take_ready(SimTime::ZERO, &mut burst);
-//! assert!(!burst.is_empty());
+//! // The initial window, one segment per poll.
+//! let mut sent = 0;
+//! while let Poll::Ready(_) = s.poll(SimTime::ZERO) {
+//!     sent += 1;
+//! }
+//! assert_eq!(sent, 10);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,5 +56,16 @@ mod irn;
 mod recovery;
 
 pub use dcqcn::{DcqcnConfig, DcqcnReceiver, DcqcnSender, RpTimerKind};
-pub use dctcp::{AckAction, DctcpConfig, DctcpReceiver, DctcpSender, TcpEvent};
+pub use dctcp::{AckAction, DctcpConfig, DctcpReceiver, DctcpSender};
 pub use irn::{IrnConfig, IrnReceiver, IrnSender};
+
+/// A sender's answer to "what would you send now?".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Poll {
+    /// Send this packet now.
+    Ready(dcn_net::Packet),
+    /// Nothing before this pacing slot.
+    At(dcn_sim::SimTime),
+    /// Nothing until feedback or a timer changes the sender's state.
+    Idle,
+}

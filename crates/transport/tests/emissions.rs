@@ -4,10 +4,10 @@
 //! Only the drain helpers (`dctcp`, `irn`, `dcqcn`) touch the sender
 //! API; the tables are the behaviour a change of that API must keep.
 
-use dcn_net::{FlowId, NodeId, Packet, PacketKind, Priority};
+use dcn_net::{FlowId, NodeId, PacketKind, Priority};
 use dcn_sim::{BitRate, Bytes, SimDuration, SimTime};
 use dcn_transport::{
-    DcqcnConfig, DcqcnSender, DctcpConfig, DctcpSender, IrnConfig, IrnSender, RpTimerKind,
+    DcqcnConfig, DcqcnSender, DctcpConfig, DctcpSender, IrnConfig, IrnSender, Poll, RpTimerKind,
 };
 
 /// One scripted input.
@@ -48,10 +48,13 @@ fn cat(mut a: Emitted, b: Emitted) -> Emitted {
     a
 }
 
-fn window_rows(out: Vec<Packet>) -> Emitted {
-    out.iter()
-        .map(|p| (p.kind, p.seq, p.payload().as_u64(), 0))
-        .collect()
+/// Every packet `poll` has ready, until it answers `At` or `Idle`.
+fn drain(mut poll: impl FnMut() -> Poll) -> Emitted {
+    std::iter::from_fn(|| match poll() {
+        Poll::Ready(p) => Some((p.kind, p.seq, p.payload().as_u64(), 0)),
+        _ => None,
+    })
+    .collect()
 }
 
 fn ids() -> (FlowId, NodeId, NodeId, Priority) {
@@ -65,41 +68,39 @@ fn ids() -> (FlowId, NodeId, NodeId, Priority) {
 
 /// Drives a DCTCP sender through one step.
 fn dctcp(s: &mut DctcpSender, now: SimTime, step: Step) -> Emitted {
-    let mut out = Vec::new();
     match step {
-        Step::Send => s.take_ready(now, &mut out),
-        Step::Ack(cum, ece) => drop(s.on_ack(now, cum, ece, &mut out)),
-        Step::Timeout => drop(s.on_timeout(now, &mut out)),
+        Step::Send => {}
+        Step::Ack(cum, ece) => drop(s.process_ack(now, cum, ece)),
+        Step::Timeout => drop(s.on_timeout(now)),
         other => panic!("DCTCP takes no {other:?}"),
     }
-    window_rows(out)
+    drain(|| s.poll(now))
 }
 
 /// Drives an IRN sender through one step.
 fn irn(s: &mut IrnSender, now: SimTime, step: Step) -> Emitted {
-    let mut out = Vec::new();
     match step {
-        Step::Send => s.take_ready(now, &mut out),
-        Step::Ack(cum, _) => drop(s.on_ack(now, cum, &mut out)),
-        Step::Nack(hole, cum) => drop(s.on_nack(now, hole, cum, &mut out)),
-        Step::Timeout => drop(s.on_timeout(now, &mut out)),
+        Step::Send => {}
+        Step::Ack(cum, _) => drop(s.on_ack(now, cum)),
+        Step::Nack(hole, cum) => drop(s.on_nack(now, hole, cum)),
+        Step::Timeout => drop(s.on_timeout(now)),
         other => panic!("IRN takes no {other:?}"),
     }
-    window_rows(out)
+    drain(|| s.poll(now))
 }
 
 /// Drives a DCQCN sender through one step: a pacing tick releases one
 /// packet and the gap to the next tick.
 fn dcqcn(s: &mut DcqcnSender, now: SimTime, step: Step) -> Emitted {
     match step {
-        Step::Send => s
-            .emit_next(now)
-            .map(|p| {
-                let gap = s.gap_for(p.size()).as_nanos();
-                (p.kind, p.seq, p.payload().as_u64(), gap)
-            })
-            .into_iter()
-            .collect(),
+        Step::Send => match (s.poll(now), s.poll(now)) {
+            (Poll::Ready(p), Poll::At(slot)) => {
+                let gap = slot.saturating_since(now).as_nanos();
+                vec![(p.kind, p.seq, p.payload().as_u64(), gap)]
+            }
+            (Poll::Idle, Poll::Idle) => Vec::new(),
+            other => panic!("a pacing tick answered {other:?}"),
+        },
         Step::Cnp => {
             s.on_cnp(now);
             Vec::new()
