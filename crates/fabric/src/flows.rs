@@ -1,7 +1,7 @@
 //! Per-flow transport runtime: one DCTCP, DCQCN or IRN endpoint pair
-//! behind one poll, one feedback and one data dispatch, the packets a host NIC builds
-//! from a flow's fixed wire shape, and the dense flow-id → flow-index
-//! table the per-packet hot path uses.
+//! behind one poll, one feedback and one data dispatch, the packets a
+//! host NIC builds from a flow's fixed wire shape, and the dense flow-id
+//! → flow-index table the per-packet hot path uses.
 
 use dcn_net::{FlowId, NodeId, Packet, PacketKind, TrafficClass};
 use dcn_sim::{Bytes, SimDuration, SimTime, TimerHandle, TraceEvent, TraceHandle};
