@@ -210,7 +210,7 @@ impl DctcpSender {
     }
 
     /// Appends every segment [`DctcpSender::poll`] has ready to `out`.
-    /// Kept for perfbench's transport driver.
+    /// Kept for perfbench, which times it.
     pub fn take_ready(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         while let Poll::Ready(p) = self.poll(now) {
             out.push(p);
@@ -218,7 +218,7 @@ impl DctcpSender {
     }
 
     /// [`DctcpSender::process_ack`], then [`DctcpSender::take_ready`]:
-    /// perfbench's per-ACK driver, to go once it polls.
+    /// kept for perfbench's per-ACK timing until it polls.
     pub fn on_ack(
         &mut self,
         now: SimTime,
