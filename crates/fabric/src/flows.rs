@@ -1,13 +1,14 @@
 //! Per-flow transport runtime: one DCTCP, DCQCN or IRN endpoint pair
-//! behind one poll, one feedback and one data dispatch, the packets a
-//! host NIC builds from a flow's fixed wire shape, and the dense flow-id
-//! → flow-index table the per-packet hot path uses.
+//! behind one poll, one feedback and one data dispatch; the only
+//! builders of a flow's packets, which turn the numbers its endpoints
+//! yield into packets of the flow's fixed wire shape; and the dense
+//! flow-id → flow-index table the per-packet hot path uses.
 
 use dcn_net::{FlowId, NodeId, Packet, PacketKind, TrafficClass};
 use dcn_sim::{Bytes, SimDuration, SimTime, TimerHandle, TraceEvent, TraceHandle};
 use dcn_transport::{
-    AckAction, DcqcnReceiver, DcqcnSender, DctcpReceiver, DctcpSender, IrnReceiver, IrnSender,
-    Poll, RpTimerKind,
+    AckAction, DcqcnReceiver, DcqcnSender, DctcpReceiver, DctcpSender, Feedback, IrnReceiver,
+    IrnSender, Poll, RpTimerKind,
 };
 use dcn_workload::FlowSpec;
 
@@ -123,7 +124,7 @@ impl FlowRuntime {
 
     /// The receiver takes data packet `p`; returns the feedback it sends
     /// back, if any.
-    pub(crate) fn on_data(&mut self, now: SimTime, p: &Packet) -> Option<Packet> {
+    pub(crate) fn on_data(&mut self, now: SimTime, p: &Packet) -> Option<Feedback> {
         let (seq, payload, ce) = (p.seq, p.payload(), p.ecn.is_ce());
         match self {
             FlowRuntime::Tcp { receiver, .. } => Some(receiver.on_data(now, seq, payload, ce)),
@@ -214,8 +215,8 @@ pub(crate) struct FlowState {
     pub(crate) mss: u16,
     /// Header bytes of a data segment.
     pub(crate) header: u16,
-    /// The class the transport's packets carry, which for an IRN flow
-    /// of a lossless spec is not `spec.class`.
+    /// The class the flow's packets carry, which for an IRN flow of a
+    /// lossless spec is not `spec.class`.
     pub(crate) wire_class: TrafficClass,
 }
 
@@ -244,8 +245,9 @@ impl FlowState {
         }
     }
 
-    /// The sender's data segment at `seq`: `min(mss, size − seq)`
-    /// payload bytes, the rule every sender cuts a flow by.
+    /// The data packet of the segment the sender yields at `seq`:
+    /// `min(mss, size − seq)` payload bytes, the rule every sender cuts
+    /// a flow by.
     pub(crate) fn data(&self, seq: u64) -> Packet {
         let FlowSpec {
             id, src, dst, size, ..
@@ -266,6 +268,13 @@ impl FlowState {
     pub(crate) fn cnp(&self) -> Packet {
         let FlowSpec { id, src, dst, .. } = self.spec;
         Packet::cnp(id, dst, src, self.spec.priority)
+    }
+
+    /// The IRN receiver's NACK of the gap at `seq`, with its cumulative
+    /// ack.
+    pub(crate) fn nack(&self, seq: u64, cumulative: u64) -> Packet {
+        let FlowSpec { id, src, dst, .. } = self.spec;
+        Packet::nack(id, dst, src, self.spec.priority, seq, cumulative)
     }
 }
 

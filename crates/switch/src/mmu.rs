@@ -62,8 +62,8 @@ pub struct Charge {
 }
 
 impl Charge {
-    /// The empty charge: what a host NIC, which has no MMU, files with
-    /// its queued packets.
+    /// The empty charge: a queue entry that holds no buffer bytes. Only
+    /// tests file it.
     pub const NONE: Charge = Charge {
         bytes: 0,
         pool: Pool::Shared,

@@ -8,10 +8,10 @@
 //! fast-recovery / additive-increase / hyper-increase stages driven by a
 //! timer and a byte counter.
 
-use dcn_net::{FlowId, NodeId, Packet, Priority, TrafficClass};
+use dcn_net::{FlowId, NodeId, Priority};
 use dcn_sim::{BitRate, Bytes, SimDuration, SimTime};
 
-use crate::Poll;
+use crate::{Feedback, Poll, Segment};
 
 /// DCQCN tunables (paper-standard defaults, scaled for 25 G links).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,8 +37,6 @@ pub struct DcqcnConfig {
     pub rai: BitRate,
     /// Hyper increase step.
     pub rhai: BitRate,
-    /// Minimum spacing between CNPs at the notification point.
-    pub cnp_interval: SimDuration,
 }
 
 impl Default for DcqcnConfig {
@@ -54,7 +52,6 @@ impl Default for DcqcnConfig {
             f: 5,
             rai: BitRate::from_mbps(100),
             rhai: BitRate::from_mbps(500),
-            cnp_interval: SimDuration::from_micros(50),
         }
     }
 }
@@ -72,10 +69,6 @@ pub enum RpTimerKind {
 #[derive(Debug, Clone)]
 pub struct DcqcnSender {
     cfg: DcqcnConfig,
-    flow: FlowId,
-    src: NodeId,
-    dst: NodeId,
-    priority: Priority,
     size: u64,
     line_rate: BitRate,
 
@@ -94,17 +87,20 @@ pub struct DcqcnSender {
 
 impl DcqcnSender {
     /// Creates a sender for a flow of `size` payload bytes, starting at
-    /// `line_rate` (RoCEv2 NICs start at line rate).
+    /// `line_rate` (RoCEv2 NICs start at line rate). The sender builds
+    /// no packet, so it reads neither the flow id, its endpoints nor its
+    /// priority. They stay in the signature for perfbench, which calls
+    /// it as it stands.
     ///
     /// # Panics
     ///
     /// Panics if `size` is zero or `line_rate` is zero.
     pub fn new(
         cfg: DcqcnConfig,
-        flow: FlowId,
-        src: NodeId,
-        dst: NodeId,
-        priority: Priority,
+        _flow: FlowId,
+        _src: NodeId,
+        _dst: NodeId,
+        _priority: Priority,
         size: Bytes,
         line_rate: BitRate,
     ) -> DcqcnSender {
@@ -112,10 +108,6 @@ impl DcqcnSender {
         assert!(!line_rate.is_zero(), "line rate must be positive");
         DcqcnSender {
             cfg,
-            flow,
-            src,
-            dst,
-            priority,
             size: size.as_u64(),
             line_rate,
             snd_nxt: 0,
@@ -150,46 +142,37 @@ impl DcqcnSender {
         self.snd_nxt
     }
 
-    /// The next packet once its pacing slot has come: `At` the slot
-    /// until then (the last packet's slot too), `Idle` once everything
+    /// The next segment once its pacing slot has come: `At` the slot
+    /// until then (the last segment's slot too), `Idle` once everything
     /// is sent.
     pub fn poll(&mut self, now: SimTime) -> Poll {
         if now < self.next_send {
             return Poll::At(self.next_send);
         }
-        let Some(pkt) = self.emit_next(now) else {
+        let Some(seg) = self.emit_next(now) else {
             return Poll::Idle;
         };
-        self.next_send = now + self.rc.tx_time(pkt.size());
-        Poll::Ready(pkt)
+        self.next_send = now + self.rc.tx_time(seg.payload + self.cfg.header);
+        Poll::Ready(seg)
     }
 
-    /// Emits the next packet regardless of pacing, or `None` when the
+    /// Emits the next segment regardless of pacing, or `None` when the
     /// flow has sent everything: the step [`DcqcnSender::poll`] paces.
-    pub fn emit_next(&mut self, _now: SimTime) -> Option<Packet> {
+    /// Public for perfbench, which times it.
+    pub fn emit_next(&mut self, _now: SimTime) -> Option<Segment> {
         if !self.has_more() {
             return None;
         }
-        let payload = self.cfg.mtu.min(self.size - self.snd_nxt);
-        let pkt = Packet::data(
-            self.flow,
-            self.src,
-            self.dst,
-            self.priority,
-            TrafficClass::Lossless,
-            self.snd_nxt,
-            Bytes::new(payload),
-            self.cfg.header,
-        );
-        self.snd_nxt += payload;
-        // Byte-counter stage events.
-        self.bytes_since_stage += pkt.size().as_u64();
+        let seg = Segment::cut(self.snd_nxt, self.cfg.mtu, self.size);
+        self.snd_nxt += seg.payload.as_u64();
+        // Byte-counter stage events count wire bytes.
+        self.bytes_since_stage += (seg.payload + self.cfg.header).as_u64();
         if self.ever_cut && self.bytes_since_stage >= self.cfg.byte_counter.as_u64() {
             self.bytes_since_stage = 0;
             self.b_stage += 1;
             self.increase_rate();
         }
-        Some(pkt)
+        Some(seg)
     }
 
     /// Reacts to a CNP: multiplicative cut, α refresh, stage reset. The
@@ -247,10 +230,6 @@ impl DcqcnSender {
 /// and reflects CE marks as CNPs with the 50 µs filter.
 #[derive(Debug, Clone)]
 pub struct DcqcnReceiver {
-    flow: FlowId,
-    host: NodeId,
-    peer: NodeId,
-    priority: Priority,
     size: u64,
     received: u64,
     /// When the CNP filter next lets a CNP through.
@@ -260,12 +239,8 @@ pub struct DcqcnReceiver {
 
 impl DcqcnReceiver {
     /// Creates receiver state for a flow of `size` payload bytes.
-    pub fn new(flow: FlowId, host: NodeId, peer: NodeId, priority: Priority, size: Bytes) -> Self {
+    pub fn new(size: Bytes) -> Self {
         DcqcnReceiver {
-            flow,
-            host,
-            peer,
-            priority,
             size: size.as_u64(),
             received: 0,
             cnp_open: SimTime::ZERO,
@@ -283,13 +258,13 @@ impl DcqcnReceiver {
         self.finished_at
     }
 
-    /// Cnp interval used by this receiver (from its sender's config at
-    /// wiring time; the default matches the DCQCN paper).
+    /// The minimum spacing between two CNPs of one flow, the DCQCN
+    /// paper's 50 µs; every receiver uses it, and no setting changes it.
     const CNP_INTERVAL: SimDuration = SimDuration::from_micros(50);
 
     /// Processes a data packet; returns a CNP to send if the packet was
     /// CE-marked and the 50 µs filter allows one.
-    pub fn on_data(&mut self, now: SimTime, payload: Bytes, ce: bool) -> Option<Packet> {
+    pub fn on_data(&mut self, now: SimTime, payload: Bytes, ce: bool) -> Option<Feedback> {
         self.received += payload.as_u64();
         if self.received >= self.size && self.finished_at.is_none() {
             self.finished_at = Some(now);
@@ -298,7 +273,7 @@ impl DcqcnReceiver {
             return None;
         }
         self.cnp_open = now + Self::CNP_INTERVAL;
-        Some(Packet::cnp(self.flow, self.host, self.peer, self.priority))
+        Some(Feedback::Cnp)
     }
 }
 
@@ -326,7 +301,7 @@ mod tests {
             panic!("the first packet leaves at once");
         };
         assert_eq!(p.seq, 0);
-        assert_eq!(p.size(), Bytes::new(1_048));
+        assert_eq!(p.payload, Bytes::new(1_000));
         // Gap at 25 Gbps for 1048 B = 336 ns (rounded up).
         let slot = SimTime::from_nanos(336);
         assert_eq!(s.poll(SimTime::from_nanos(335)), Poll::At(slot));
@@ -337,7 +312,7 @@ mod tests {
     fn emits_whole_flow_then_stops() {
         let mut s = sender(2_500);
         let sizes: Vec<u64> = std::iter::from_fn(|| s.emit_next(SimTime::ZERO))
-            .map(|p| p.payload().as_u64())
+            .map(|p| p.payload.as_u64())
             .collect();
         assert_eq!(sizes, vec![1_000, 1_000, 500]);
         assert!(!s.has_more());
@@ -416,13 +391,7 @@ mod tests {
 
     #[test]
     fn np_cnp_filter() {
-        let mut r = DcqcnReceiver::new(
-            FlowId::new(1),
-            NodeId::new(1),
-            NodeId::new(0),
-            Priority::new(3),
-            Bytes::new(10_000),
-        );
+        let mut r = DcqcnReceiver::new(Bytes::new(10_000));
         assert!(r
             .on_data(SimTime::from_micros(0), Bytes::new(1_000), true)
             .is_some());
@@ -442,13 +411,7 @@ mod tests {
 
     #[test]
     fn receiver_completion() {
-        let mut r = DcqcnReceiver::new(
-            FlowId::new(1),
-            NodeId::new(1),
-            NodeId::new(0),
-            Priority::new(3),
-            Bytes::new(2_000),
-        );
+        let mut r = DcqcnReceiver::new(Bytes::new(2_000));
         r.on_data(SimTime::from_micros(1), Bytes::new(1_000), false);
         assert!(r.finished_at().is_none());
         r.on_data(SimTime::from_micros(2), Bytes::new(1_000), false);

@@ -1,11 +1,11 @@
 //! DCTCP: TCP with ECN-fraction congestion control (Alizadeh et al.,
 //! SIGCOMM 2010), plus NewReno-style loss recovery for the lossy class.
 
-use dcn_net::{FlowId, NodeId, Packet, Priority, TrafficClass};
+use dcn_net::{FlowId, NodeId, Priority};
 use dcn_sim::{Bytes, SimDuration, SimTime, TraceEvent};
 
 use crate::recovery::{Reassembly, RtoBackoff};
-use crate::Poll;
+use crate::{Feedback, Poll, Segment};
 
 /// DCTCP tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,9 +58,6 @@ pub struct AckAction {
 pub struct DctcpSender {
     cfg: DctcpConfig,
     flow: FlowId,
-    src: NodeId,
-    dst: NodeId,
-    priority: Priority,
     size: u64,
 
     snd_nxt: u64,
@@ -91,7 +88,10 @@ pub struct DctcpSender {
 }
 
 impl DctcpSender {
-    /// Creates a sender for a flow of `size` payload bytes.
+    /// Creates a sender for a flow of `size` payload bytes. `flow`
+    /// names it in the trace; the sender builds no packet, so it reads
+    /// neither endpoint nor the priority. They stay in the signature
+    /// for perfbench, which calls it as it stands.
     ///
     /// # Panics
     ///
@@ -99,9 +99,9 @@ impl DctcpSender {
     pub fn new(
         cfg: DctcpConfig,
         flow: FlowId,
-        src: NodeId,
-        dst: NodeId,
-        priority: Priority,
+        _src: NodeId,
+        _dst: NodeId,
+        _priority: Priority,
         size: Bytes,
     ) -> DctcpSender {
         assert!(size > Bytes::ZERO, "flow must carry at least one byte");
@@ -109,9 +109,6 @@ impl DctcpSender {
         DctcpSender {
             cfg,
             flow,
-            src,
-            dst,
-            priority,
             size: size.as_u64(),
             snd_nxt: 0,
             snd_una: 0,
@@ -170,20 +167,6 @@ impl DctcpSender {
         self.backoff.rto(self.cfg.rto, self.cfg.max_rto)
     }
 
-    fn segment(&self, seq: u64) -> Packet {
-        let payload = self.cfg.mss.min(self.size - seq);
-        Packet::data(
-            self.flow,
-            self.src,
-            self.dst,
-            self.priority,
-            TrafficClass::Lossy,
-            seq,
-            Bytes::new(payload),
-            self.cfg.header,
-        )
-    }
-
     /// The next segment to send: a retransmission the last feedback
     /// decided, else the next one the window allows. `Idle` until
     /// feedback or a timeout changes that; DCTCP never paces.
@@ -192,16 +175,15 @@ impl DctcpSender {
             return Poll::Idle;
         }
         if std::mem::take(&mut self.resend) {
-            return Poll::Ready(self.segment(self.snd_una));
+            return Poll::Ready(Segment::cut(self.snd_una, self.cfg.mss, self.size));
         }
-        let limit = (self.snd_una as f64 + self.cwnd) as u64;
-        if !self.held
-            && self.snd_nxt < self.size
-            && self.snd_nxt + self.cfg.mss.min(self.size - self.snd_nxt) <= limit
-        {
-            let pkt = self.segment(self.snd_nxt);
-            self.snd_nxt += pkt.payload().as_u64();
-            return Poll::Ready(pkt);
+        if !self.held && self.snd_nxt < self.size {
+            let seg = Segment::cut(self.snd_nxt, self.cfg.mss, self.size);
+            let end = self.snd_nxt + seg.payload.as_u64();
+            if end <= (self.snd_una as f64 + self.cwnd) as u64 {
+                self.snd_nxt = end;
+                return Poll::Ready(seg);
+            }
         }
         if self.window_end == 0 {
             self.window_end = self.snd_nxt;
@@ -211,7 +193,7 @@ impl DctcpSender {
 
     /// Appends every segment [`DctcpSender::poll`] has ready to `out`.
     /// Kept for perfbench, which times it.
-    pub fn take_ready(&mut self, now: SimTime, out: &mut Vec<Packet>) {
+    pub fn take_ready(&mut self, now: SimTime, out: &mut Vec<Segment>) {
         while let Poll::Ready(p) = self.poll(now) {
             out.push(p);
         }
@@ -224,7 +206,7 @@ impl DctcpSender {
         now: SimTime,
         cumulative_ack: u64,
         ecn_echo: bool,
-        out: &mut Vec<Packet>,
+        out: &mut Vec<Segment>,
     ) -> AckAction {
         let action = self.process_ack(now, cumulative_ack, ecn_echo);
         self.take_ready(now, out);
@@ -353,22 +335,13 @@ impl DctcpSender {
 /// the CE state of each segment).
 #[derive(Debug, Clone)]
 pub struct DctcpReceiver {
-    flow: FlowId,
-    host: NodeId,
-    peer: NodeId,
-    priority: Priority,
     stream: Reassembly,
 }
 
 impl DctcpReceiver {
-    /// Creates receiver state for a flow of `size` payload bytes
-    /// arriving at `host` from `peer`.
-    pub fn new(flow: FlowId, host: NodeId, peer: NodeId, priority: Priority, size: Bytes) -> Self {
+    /// Creates receiver state for a flow of `size` payload bytes.
+    pub fn new(size: Bytes) -> Self {
         DctcpReceiver {
-            flow,
-            host,
-            peer,
-            priority,
             stream: Reassembly::new(size.as_u64()),
         }
     }
@@ -384,17 +357,12 @@ impl DctcpReceiver {
     }
 
     /// Processes a data segment; returns the ACK to send back.
-    pub fn on_data(&mut self, now: SimTime, seq: u64, payload: Bytes, ce: bool) -> Packet {
+    pub fn on_data(&mut self, now: SimTime, seq: u64, payload: Bytes, ce: bool) -> Feedback {
         self.stream.insert(now, seq, seq + payload.as_u64());
-        Packet::ack(
-            self.flow,
-            self.host,
-            self.peer,
-            self.priority,
-            TrafficClass::Lossy,
-            self.stream.rcv_nxt(),
-            ce,
-        )
+        Feedback::Ack {
+            cumulative: self.stream.rcv_nxt(),
+            ecn_echo: ce,
+        }
     }
 }
 
@@ -414,7 +382,7 @@ mod tests {
     }
 
     /// Polls `s` until it has nothing ready.
-    fn ready(s: &mut DctcpSender, now: SimTime) -> Vec<Packet> {
+    fn ready(s: &mut DctcpSender, now: SimTime) -> Vec<Segment> {
         std::iter::from_fn(|| match s.poll(now) {
             Poll::Ready(p) => Some(p),
             _ => None,
@@ -423,13 +391,13 @@ mod tests {
     }
 
     /// Runs one ACK and returns the action plus the segments it released.
-    fn ack(s: &mut DctcpSender, now: SimTime, cum: u64, ecn: bool) -> (AckAction, Vec<Packet>) {
+    fn ack(s: &mut DctcpSender, now: SimTime, cum: u64, ecn: bool) -> (AckAction, Vec<Segment>) {
         let a = s.process_ack(now, cum, ecn);
         (a, ready(s, now))
     }
 
     /// Runs one timeout and returns the action plus the resent segments.
-    fn timeout(s: &mut DctcpSender, now: SimTime) -> (AckAction, Vec<Packet>) {
+    fn timeout(s: &mut DctcpSender, now: SimTime) -> (AckAction, Vec<Segment>) {
         let a = s.on_timeout(now);
         (a, ready(s, now))
     }
@@ -450,7 +418,7 @@ mod tests {
         let mut s = sender(500);
         let burst = ready(&mut s, SimTime::ZERO);
         assert_eq!(burst.len(), 1);
-        assert_eq!(burst[0].payload(), Bytes::new(500));
+        assert_eq!(burst[0].payload, Bytes::new(500));
         let (a, _) = ack(&mut s, SimTime::from_micros(10), 500, false);
         assert!(a.completed);
         assert!(s.is_completed());
@@ -463,7 +431,7 @@ mod tests {
         let burst = ready(&mut s, SimTime::ZERO);
         let mut t = SimTime::from_micros(10);
         for p in &burst {
-            ack(&mut s, t, p.seq + p.payload().as_u64(), false);
+            ack(&mut s, t, p.seq + p.payload.as_u64(), false);
             t += SimDuration::from_nanos(100);
         }
         assert!(
@@ -485,7 +453,7 @@ mod tests {
         let mut cut_seen = 0;
         let mut last_cwnd = before;
         for p in &burst {
-            ack(&mut s, t, p.seq + p.payload().as_u64(), true);
+            ack(&mut s, t, p.seq + p.payload.as_u64(), true);
             if s.cwnd() < last_cwnd {
                 cut_seen += 1;
             }
@@ -502,10 +470,10 @@ mod tests {
         let mut t = SimTime::from_micros(1);
         let mut inflight = ready(&mut s, SimTime::ZERO);
         let ack_all =
-            |s: &mut DctcpSender, inflight: &mut Vec<Packet>, t: &mut SimTime, marked: bool| {
+            |s: &mut DctcpSender, inflight: &mut Vec<Segment>, t: &mut SimTime, marked: bool| {
                 let pkts = std::mem::take(inflight);
                 for p in pkts {
-                    inflight.extend(ack(s, *t, p.seq + p.payload().as_u64(), marked).1);
+                    inflight.extend(ack(s, *t, p.seq + p.payload.as_u64(), marked).1);
                     *t += SimDuration::from_nanos(100);
                 }
             };
@@ -612,13 +580,7 @@ mod tests {
         // complete without on_timeout ever being called — the stall
         // this regression test pins down previously needed an RTO.
         let mut s = sender(10_000);
-        let mut r = DctcpReceiver::new(
-            FlowId::new(1),
-            NodeId::new(1),
-            NodeId::new(0),
-            Priority::new(1),
-            Bytes::new(10_000),
-        );
+        let mut r = DctcpReceiver::new(Bytes::new(10_000));
         let mut inflight = ready(&mut s, SimTime::ZERO);
         assert_eq!(inflight.len(), 10);
         // Lose seq 0 and seq 5000 on the first pass.
@@ -631,9 +593,10 @@ mod tests {
             let delivered = std::mem::take(&mut inflight);
             assert!(!delivered.is_empty(), "stalled with nothing in flight");
             for p in delivered {
-                let fb = r.on_data(t, p.seq, p.payload(), false);
-                assert!(matches!(fb.kind, dcn_net::PacketKind::Ack { .. }));
-                inflight.extend(ack(&mut s, t, fb.ack, false).1);
+                let Feedback::Ack { cumulative, .. } = r.on_data(t, p.seq, p.payload, false) else {
+                    panic!("a DCTCP receiver only ACKs");
+                };
+                inflight.extend(ack(&mut s, t, cumulative, false).1);
                 t += SimDuration::from_nanos(100);
             }
         }
@@ -669,20 +632,16 @@ mod tests {
 
     #[test]
     fn receiver_cumulative_and_ooo() {
-        let mut r = DctcpReceiver::new(
-            FlowId::new(1),
-            NodeId::new(1),
-            NodeId::new(0),
-            Priority::new(1),
-            Bytes::new(3_000),
-        );
+        let mut r = DctcpReceiver::new(Bytes::new(3_000));
+        let ack = |cumulative| Feedback::Ack {
+            cumulative,
+            ecn_echo: false,
+        };
         // Segment 1 (1000..2000) arrives before segment 0.
         let a1 = r.on_data(SimTime::from_micros(1), 1_000, Bytes::new(1_000), false);
-        assert!(matches!(a1.kind, dcn_net::PacketKind::Ack { .. }));
-        assert_eq!(a1.ack, 0);
+        assert_eq!(a1, ack(0));
         let a0 = r.on_data(SimTime::from_micros(2), 0, Bytes::new(1_000), false);
-        assert!(matches!(a0.kind, dcn_net::PacketKind::Ack { .. }));
-        assert_eq!(a0.ack, 2_000);
+        assert_eq!(a0, ack(2_000));
         assert!(r.finished_at().is_none());
         let _ = r.on_data(SimTime::from_micros(3), 2_000, Bytes::new(1_000), true);
         assert_eq!(r.finished_at(), Some(SimTime::from_micros(3)));
@@ -690,30 +649,25 @@ mod tests {
 
     #[test]
     fn receiver_echoes_ce() {
-        let mut r = DctcpReceiver::new(
-            FlowId::new(1),
-            NodeId::new(1),
-            NodeId::new(0),
-            Priority::new(1),
-            Bytes::new(2_000),
-        );
+        let mut r = DctcpReceiver::new(Bytes::new(2_000));
         let ack = r.on_data(SimTime::ZERO, 0, Bytes::new(1_000), true);
-        assert_eq!(ack.kind, dcn_net::PacketKind::Ack { ecn_echo: true });
+        let echoed = Feedback::Ack {
+            cumulative: 1_000,
+            ecn_echo: true,
+        };
+        assert_eq!(ack, echoed);
     }
 
     #[test]
     fn duplicate_data_does_not_regress() {
-        let mut r = DctcpReceiver::new(
-            FlowId::new(1),
-            NodeId::new(1),
-            NodeId::new(0),
-            Priority::new(1),
-            Bytes::new(2_000),
-        );
+        let mut r = DctcpReceiver::new(Bytes::new(2_000));
         r.on_data(SimTime::ZERO, 0, Bytes::new(1_000), false);
         let again = r.on_data(SimTime::from_micros(1), 0, Bytes::new(1_000), false);
-        assert!(matches!(again.kind, dcn_net::PacketKind::Ack { .. }));
-        assert_eq!(again.ack, 1_000);
+        let ack = Feedback::Ack {
+            cumulative: 1_000,
+            ecn_echo: false,
+        };
+        assert_eq!(again, ack);
         assert_eq!(r.received(), 1_000);
     }
 }

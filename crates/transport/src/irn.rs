@@ -4,23 +4,22 @@
 //! exponential backoff/reset discipline as [`crate::DctcpSender`].
 //!
 //! Unlike DCQCN, an IRN flow's packets travel in the droppable
-//! [`TrafficClass::LossyRdma`] class: switches never pause for them and
-//! may drop or evict them under pressure. Recovery is end-to-end:
-//! switches and the receiver generate [`dcn_net::PacketKind::Nack`]s when an
-//! out-of-order arrival exposes a sequence gap, and the sender
-//! retransmits. The receiver keeps the out-of-order byte-range set (the
+//! [`dcn_net::TrafficClass::LossyRdma`] class: switches never pause for
+//! them and may drop or evict them under pressure. Recovery is
+//! end-to-end: switches and the receiver NACK (a receiver's is a
+//! [`Feedback::Nack`]) when an out-of-order arrival exposes a sequence
+//! gap, and the sender retransmits. The receiver keeps the out-of-order byte-range set (the
 //! simulator's equivalent of IRN's per-packet sack bitmap); the sender
 //! keeps cumulative state plus per-hole retransmit dedup so duplicate
 //! NACKs from multiple observers (every switch on the path plus the
 //! receiver) trigger exactly one recovery each.
 
-use dcn_net::{FlowId, NodeId, Packet, Priority, TrafficClass};
 use dcn_sim::{Bytes, SimDuration, SimTime};
 use std::collections::BTreeSet;
 
 use crate::dctcp::AckAction;
 use crate::recovery::{Reassembly, RtoBackoff};
-use crate::Poll;
+use crate::{Feedback, Poll, Segment};
 
 /// IRN tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,10 +57,6 @@ impl Default for IrnConfig {
 #[derive(Debug, Clone)]
 pub struct IrnSender {
     cfg: IrnConfig,
-    flow: FlowId,
-    src: NodeId,
-    dst: NodeId,
-    priority: Priority,
     size: u64,
 
     snd_una: u64,
@@ -85,21 +80,10 @@ impl IrnSender {
     /// # Panics
     ///
     /// Panics if `size` is zero.
-    pub fn new(
-        cfg: IrnConfig,
-        flow: FlowId,
-        src: NodeId,
-        dst: NodeId,
-        priority: Priority,
-        size: Bytes,
-    ) -> IrnSender {
+    pub fn new(cfg: IrnConfig, size: Bytes) -> IrnSender {
         assert!(size > Bytes::ZERO, "flow must carry at least one byte");
         IrnSender {
             cfg,
-            flow,
-            src,
-            dst,
-            priority,
             size: size.as_u64(),
             snd_una: 0,
             snd_nxt: 0,
@@ -138,20 +122,6 @@ impl IrnSender {
         self.backoff.rto(self.cfg.rto, self.cfg.max_rto)
     }
 
-    fn segment(&self, seq: u64) -> Packet {
-        let payload = self.cfg.mtu.min(self.size - seq);
-        Packet::data(
-            self.flow,
-            self.src,
-            self.dst,
-            self.priority,
-            TrafficClass::LossyRdma,
-            seq,
-            Bytes::new(payload),
-            self.cfg.header,
-        )
-    }
-
     /// The segment at `snd_nxt` if the BDP window allows it, else
     /// `Idle` until feedback or a timeout moves the window. After a
     /// rewind this resends, go-back-N, before it sends new data.
@@ -159,14 +129,14 @@ impl IrnSender {
         if self.completed || self.snd_nxt >= self.size {
             return Poll::Idle;
         }
-        let payload = self.cfg.mtu.min(self.size - self.snd_nxt);
-        if self.snd_nxt - self.snd_una + payload > self.cfg.window.as_u64() {
+        let seg = Segment::cut(self.snd_nxt, self.cfg.mtu, self.size);
+        let end = self.snd_nxt + seg.payload.as_u64();
+        if end - self.snd_una > self.cfg.window.as_u64() {
             return Poll::Idle;
         }
-        let pkt = self.segment(self.snd_nxt);
-        self.snd_nxt += payload;
-        self.snd_max = self.snd_max.max(self.snd_nxt);
-        Poll::Ready(pkt)
+        self.snd_nxt = end;
+        self.snd_max = self.snd_max.max(end);
+        Poll::Ready(seg)
     }
 
     /// Applies cumulative progress shared by ACK and NACK processing.
@@ -256,10 +226,6 @@ impl IrnSender {
 /// every in-order arrival and a NACK whenever a new gap appears.
 #[derive(Debug, Clone)]
 pub struct IrnReceiver {
-    flow: FlowId,
-    host: NodeId,
-    peer: NodeId,
-    priority: Priority,
     stream: Reassembly,
     /// Highest byte end ever seen; an arrival starting beyond it is the
     /// first evidence of a new gap (retransmissions and duplicates stay
@@ -268,14 +234,9 @@ pub struct IrnReceiver {
 }
 
 impl IrnReceiver {
-    /// Creates receiver state for a flow of `size` payload bytes
-    /// arriving at `host` from `peer`.
-    pub fn new(flow: FlowId, host: NodeId, peer: NodeId, priority: Priority, size: Bytes) -> Self {
+    /// Creates receiver state for a flow of `size` payload bytes.
+    pub fn new(size: Bytes) -> Self {
         IrnReceiver {
-            flow,
-            host,
-            peer,
-            priority,
             stream: Reassembly::new(size.as_u64()),
             high_water: 0,
         }
@@ -291,10 +252,10 @@ impl IrnReceiver {
         self.stream.finished_at()
     }
 
-    /// Processes a data segment; returns the feedback packet to send:
-    /// a NACK for the adjacent hole when this arrival exposes a new
-    /// gap, a cumulative ACK otherwise.
-    pub fn on_data(&mut self, now: SimTime, seq: u64, payload: Bytes, ce: bool) -> Packet {
+    /// Processes a data segment; returns the feedback to send: a NACK
+    /// for the adjacent hole when this arrival exposes a new gap, a
+    /// cumulative ACK otherwise.
+    pub fn on_data(&mut self, now: SimTime, seq: u64, payload: Bytes, ce: bool) -> Feedback {
         let end = seq + payload.as_u64();
         let new_gap = seq > self.stream.rcv_nxt() && seq > self.high_water;
         self.high_water = self.high_water.max(end);
@@ -317,24 +278,15 @@ impl IrnReceiver {
                 .map(|(_, &e)| e)
                 .unwrap_or(rcv_nxt)
                 .max(rcv_nxt);
-            return Packet::nack(
-                self.flow,
-                self.host,
-                self.peer,
-                self.priority,
-                nack_seq,
-                rcv_nxt,
-            );
+            return Feedback::Nack {
+                seq: nack_seq,
+                cumulative: rcv_nxt,
+            };
         }
-        Packet::ack(
-            self.flow,
-            self.host,
-            self.peer,
-            self.priority,
-            TrafficClass::LossyRdma,
-            rcv_nxt,
-            ce,
-        )
+        Feedback::Ack {
+            cumulative: rcv_nxt,
+            ecn_echo: ce,
+        }
     }
 }
 
@@ -342,31 +294,25 @@ impl IrnReceiver {
 mod tests {
     use super::*;
     use crate::dctcp::{DctcpConfig, DctcpSender};
-    use dcn_net::PacketKind;
+    use dcn_net::{FlowId, NodeId, Priority};
 
     fn sender(size: u64) -> IrnSender {
-        IrnSender::new(
-            IrnConfig::default(),
-            FlowId::new(1),
-            NodeId::new(0),
-            NodeId::new(1),
-            Priority::new(3),
-            Bytes::new(size),
-        )
+        IrnSender::new(IrnConfig::default(), Bytes::new(size))
     }
 
     fn receiver(size: u64) -> IrnReceiver {
-        IrnReceiver::new(
-            FlowId::new(1),
-            NodeId::new(1),
-            NodeId::new(0),
-            Priority::new(3),
-            Bytes::new(size),
-        )
+        IrnReceiver::new(Bytes::new(size))
+    }
+
+    fn ack_of(cumulative: u64) -> Feedback {
+        Feedback::Ack {
+            cumulative,
+            ecn_echo: false,
+        }
     }
 
     /// Polls `s` until it has nothing ready.
-    fn ready(s: &mut IrnSender, now: SimTime) -> Vec<Packet> {
+    fn ready(s: &mut IrnSender, now: SimTime) -> Vec<Segment> {
         std::iter::from_fn(|| match s.poll(now) {
             Poll::Ready(p) => Some(p),
             _ => None,
@@ -374,17 +320,17 @@ mod tests {
         .collect()
     }
 
-    fn ack(s: &mut IrnSender, now: SimTime, cum: u64) -> (AckAction, Vec<Packet>) {
+    fn ack(s: &mut IrnSender, now: SimTime, cum: u64) -> (AckAction, Vec<Segment>) {
         let a = s.on_ack(now, cum);
         (a, ready(s, now))
     }
 
-    fn nack(s: &mut IrnSender, now: SimTime, seq: u64, cum: u64) -> (AckAction, Vec<Packet>) {
+    fn nack(s: &mut IrnSender, now: SimTime, seq: u64, cum: u64) -> (AckAction, Vec<Segment>) {
         let a = s.on_nack(now, seq, cum);
         (a, ready(s, now))
     }
 
-    fn timeout(s: &mut IrnSender, now: SimTime) -> (AckAction, Vec<Packet>) {
+    fn timeout(s: &mut IrnSender, now: SimTime) -> (AckAction, Vec<Segment>) {
         let a = s.on_timeout(now);
         (a, ready(s, now))
     }
@@ -395,7 +341,6 @@ mod tests {
         let burst = ready(&mut s, SimTime::ZERO);
         assert_eq!(burst.len(), 25, "window 25 KB / mtu 1 KB");
         assert_eq!(burst[0].seq, 0);
-        assert_eq!(burst[0].class, TrafficClass::LossyRdma);
         assert!(ready(&mut s, SimTime::ZERO).is_empty(), "window is full");
         // Progress slides the window.
         let (a, more) = ack(&mut s, SimTime::from_micros(5), 1_000);
@@ -499,24 +444,22 @@ mod tests {
         let t = SimTime::from_micros(1);
         // In-order arrival: plain cumulative ACK.
         let a = r.on_data(t, 0, Bytes::new(1_000), false);
-        assert_eq!(a.ack, 1_000, "in-order data acks cumulatively");
-        assert!(matches!(a.kind, PacketKind::Ack { .. }));
-        assert_eq!(a.class, TrafficClass::LossyRdma);
+        assert_eq!(a, ack_of(1_000), "in-order data acks cumulatively");
         // 1000..2000 lost; 2000 arrives: a new gap → NACK(1000).
         let n = r.on_data(t, 2_000, Bytes::new(1_000), false);
-        assert_eq!((n.kind, n.seq, n.ack), (PacketKind::Nack, 1_000, 1_000));
+        let nack = |seq, cumulative| Feedback::Nack { seq, cumulative };
+        assert_eq!(n, nack(1_000, 1_000));
         // The next in-sequence arrival beyond the gap is not a new gap.
         let a = r.on_data(t, 3_000, Bytes::new(1_000), false);
-        assert!(matches!(a.kind, PacketKind::Ack { .. }));
+        assert_eq!(a, ack_of(1_000));
         // A second hole at 4000: arrival of 5000 NACKs that hole, not
         // the first one (its NACK is already out).
         let n = r.on_data(t, 5_000, Bytes::new(1_000), false);
-        assert_eq!((n.kind, n.seq, n.ack), (PacketKind::Nack, 4_000, 1_000));
+        assert_eq!(n, nack(4_000, 1_000));
         // The retransmission filling the first hole merges everything
         // up to the second hole.
         let a = r.on_data(t, 1_000, Bytes::new(1_000), false);
-        assert_eq!(a.ack, 4_000);
-        assert!(matches!(a.kind, PacketKind::Ack { .. }));
+        assert_eq!(a, ack_of(4_000));
         assert!(r.finished_at().is_none());
         // Fill the second hole and the tail.
         let _ = r.on_data(t, 4_000, Bytes::new(1_000), false);
@@ -535,15 +478,14 @@ mod tests {
         let t = SimTime::ZERO;
         let _ = r.on_data(t, 0, Bytes::new(1_000), false);
         let n = r.on_data(t, 2_000, Bytes::new(1_000), false);
-        assert_eq!(n.kind, PacketKind::Nack);
+        assert!(matches!(n, Feedback::Nack { .. }));
         // A duplicate of the out-of-order block stays below the high
         // water mark: ACK, not another NACK.
         let a = r.on_data(t, 2_000, Bytes::new(1_000), false);
-        assert!(matches!(a.kind, PacketKind::Ack { .. }));
+        assert_eq!(a, ack_of(1_000));
         // A go-back-N resend of already-delivered data likewise.
         let a = r.on_data(t, 0, Bytes::new(1_000), false);
-        assert!(matches!(a.kind, PacketKind::Ack { .. }));
-        assert_eq!(a.ack, 1_000);
+        assert_eq!(a, ack_of(1_000));
     }
 
     #[test]
@@ -564,11 +506,10 @@ mod tests {
             let delivered = std::mem::take(&mut inflight);
             assert!(!delivered.is_empty(), "stalled with nothing in flight");
             for p in delivered {
-                let fb = r.on_data(t, p.seq, p.payload(), false);
-                let (_, out) = match fb.kind {
-                    PacketKind::Ack { .. } => ack(&mut s, t, fb.ack),
-                    PacketKind::Nack => nack(&mut s, t, fb.seq, fb.ack),
-                    _ => unreachable!(),
+                let (_, out) = match r.on_data(t, p.seq, p.payload, false) {
+                    Feedback::Ack { cumulative, .. } => ack(&mut s, t, cumulative),
+                    Feedback::Nack { seq, cumulative } => nack(&mut s, t, seq, cumulative),
+                    Feedback::Cnp => unreachable!("an IRN receiver sends no CNP"),
                 };
                 inflight.extend(out);
                 t += SimDuration::from_nanos(100);
