@@ -75,7 +75,7 @@ pub fn ablations(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
     ]);
     for (reps, (name, _)) in cells.iter_mut().zip(variants) {
         // Variants share policy labels; each run is filed under its
-        // variant's name instead.
+        // variant's name instead, on this row's copies of the points.
         for p in reps.iter_mut() {
             p.label.clone_from(&name);
         }

@@ -10,10 +10,15 @@
 //! ```
 //!
 //! Scaled-down runs (`--scale small`, the default) preserve the
-//! qualitative ordering: `repro all --scale small` takes about 9 s on
-//! one core of a 2-core host. `--scale paper` uses the full 128-server
+//! qualitative ordering: `repro all --scale small` takes about 3.5 s
+//! on one core of a 2-core host. `--scale paper` uses the full 128-server
 //! fabric of the paper's §IV setup: `repro fig7 --scale paper --jobs 2`
 //! took 71–97 s (136 s CPU) on the same host.
+//!
+//! The rows of one invocation share a store of runs keyed by each
+//! cell's complete input, so a cell several figures show (Fig. 7's 0.8
+//! column is also Table II's, Fig. 8's and Fig. 9's) is simulated once;
+//! stderr reports `# N simulations for M cells`.
 //!
 //! `--jobs N` fans the independent sweep cells across N worker threads
 //! (`--jobs 0` = all available cores); the output is bit-identical at
@@ -45,7 +50,7 @@ use std::env;
 use std::io::Write;
 use std::process::ExitCode;
 
-use dcn_experiments::{ExperimentScale, SweepOptions, FIGURES, SWEEPS};
+use dcn_experiments::{ExperimentScale, Runs, SweepOptions, FIGURES, SWEEPS};
 use dcn_fabric::{FabricConfig, FabricSim, PolicyChoice};
 use dcn_net::{ClosConfig, Priority, Topology, TrafficClass};
 use dcn_sim::{BitRate, Bytes, SimDuration, SimRng, SimTime, TraceConfig, TraceDropCause};
@@ -258,7 +263,9 @@ fn main() -> ExitCode {
     }
     // Two replicates under `--check`, else the experiment's own default
     // (`SweepOptions::seeds == 0`), unless `--seeds` says otherwise.
-    let opts = SweepOptions::new(jobs, seeds.unwrap_or(if check { 2 } else { 0 }));
+    // Every row shares one store: a cell another row ran is not rerun.
+    let runs = Runs::default();
+    let opts = SweepOptions::new(jobs, seeds.unwrap_or(if check { 2 } else { 0 })).sharing(&runs);
     if check {
         scale = ExperimentScale::tiny();
     }
@@ -293,7 +300,8 @@ fn main() -> ExitCode {
         }
         let out = run(&scale, &opts);
         if check {
-            let par = run(&scale, &SweepOptions { jobs: 8, ..opts });
+            // A store of its own, or the second run would read the first's.
+            let par = run(&scale, &SweepOptions::new(8, opts.seeds));
             let diverged = out.digests.iter().zip(&par.digests).find(|(a, b)| a != b);
             match (out == par, diverged) {
                 (true, _) => eprintln!("# {name} --check: {} digests", out.digests.len()),
@@ -311,6 +319,9 @@ fn main() -> ExitCode {
                 .map(|v| format!("invariant violation: {v}")),
         );
         println!("{}", out.text);
+    }
+    if runs.cells() > 0 {
+        eprintln!("# {}", runs.summary());
     }
     for f in &failed {
         eprintln!("FAIL: {f}");

@@ -3,12 +3,15 @@
 //! send TCP web-search traffic at a swept load, and the four policies
 //! compete on RDMA/TCP tail FCT, buffer occupancy and PFC pause frames.
 
+use std::sync::Arc;
+
 use dcn_fabric::{FabricConfig, FabricSim, PolicyChoice, RunResults};
 use dcn_net::{NodeId, Priority, Topology, TrafficClass};
 use dcn_sim::{SimDuration, SimRng, SimTime};
 use dcn_workload::{web_search_cdf, FlowSpec, PoissonTraffic};
 
 use crate::scale::ExperimentScale;
+use crate::sweep::{CellKey, RunKey};
 
 /// The RDMA load the paper holds fixed while it sweeps TCP (§IV-A).
 pub(crate) const RDMA_LOAD: f64 = 0.4;
@@ -36,6 +39,21 @@ impl HybridConfig {
             tcp_load,
         }
     }
+
+    /// The run's complete input.
+    pub(crate) fn key(&self) -> RunKey {
+        let HybridConfig {
+            scale,
+            policy,
+            rdma_load,
+            tcp_load,
+        } = self;
+        let cell = CellKey::Hybrid {
+            rdma_load: rdma_load.to_bits(),
+            tcp_load: tcp_load.to_bits(),
+        };
+        RunKey::new(scale, *policy, cell)
+    }
 }
 
 /// Summary of one hybrid run — one x-axis point of Figs. 3(b)/7 and one
@@ -55,8 +73,9 @@ pub struct HybridPoint {
     /// 99th-percentile sampled occupancy of the first ToR switch, bytes
     /// (Fig. 7(c)).
     pub tor_occupancy_p99: f64,
-    /// Full results for figure-specific post-processing (CDFs etc.).
-    pub results: RunResults,
+    /// Full results for figure-specific post-processing (CDFs etc.),
+    /// shared by every copy of the point.
+    pub results: Arc<RunResults>,
 }
 
 /// What one run hands the engine: the fabric, its configuration, the
@@ -203,7 +222,7 @@ pub fn run_hybrid(cfg: &HybridConfig) -> HybridPoint {
         rdma_p99_slowdown: p99_slowdown(&results, TrafficClass::Lossless),
         tcp_p99_slowdown: p99_slowdown(&results, TrafficClass::Lossy),
         tor_occupancy_p99: tor_occupancy(&results, 0.99),
-        results,
+        results: Arc::new(results),
     }
 }
 

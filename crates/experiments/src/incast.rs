@@ -3,6 +3,7 @@
 //! traffic at load 0.8.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use dcn_fabric::{PolicyChoice, RunResults};
 use dcn_metrics::ErrorBarStats;
@@ -12,6 +13,7 @@ use dcn_workload::{web_search_cdf, IncastQuery, IncastWorkload, PoissonTraffic};
 
 use crate::hybrid::{split_hosts, tor_occupancy, RunInputs, RDMA_PRIO, TCP_PRIO};
 use crate::scale::ExperimentScale;
+use crate::sweep::{CellKey, RunKey};
 
 /// One incast run's parameters.
 #[derive(Debug, Clone)]
@@ -49,6 +51,25 @@ impl IncastConfig {
             tcp_load: 0.8,
         }
     }
+
+    /// The run's complete input.
+    pub(crate) fn key(&self) -> RunKey {
+        let IncastConfig {
+            scale,
+            policy,
+            fanout,
+            request_size,
+            query_gap,
+            tcp_load,
+        } = self;
+        let cell = CellKey::Incast {
+            fanout: *fanout,
+            request_size: request_size.as_u64(),
+            query_gap: *query_gap,
+            tcp_load: tcp_load.to_bits(),
+        };
+        RunKey::new(scale, *policy, cell)
+    }
 }
 
 /// Summary of one incast run.
@@ -72,8 +93,9 @@ pub struct IncastPoint {
     pub tor_occupancy_p99: f64,
     /// Queries whose flows all finished.
     pub completed_queries: usize,
-    /// Full results for figure-specific post-processing.
-    pub results: RunResults,
+    /// Full results for figure-specific post-processing, shared by
+    /// every copy of the point.
+    pub results: Arc<RunResults>,
     /// Raw per-query response times in seconds (completed queries only).
     pub query_delays_s: Vec<f64>,
     /// Raw slowdowns of all completed incast flows, in FCT-record
@@ -170,7 +192,7 @@ pub fn run_incast(cfg: &IncastConfig) -> IncastPoint {
         query_delay: ErrorBarStats::from_samples(&query_delays_s),
         tor_occupancy_p99: tor_occupancy(&results, 0.99),
         completed_queries,
-        results,
+        results: Arc::new(results),
         query_delays_s,
         incast_slowdowns,
     }

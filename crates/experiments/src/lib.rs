@@ -22,7 +22,8 @@
 //!
 //! A sweep keeps every seed replicate ([`run_hybrid_cells`],
 //! [`run_incast_cells`]); `mean±CI` is computed where a table cell is
-//! rendered.
+//! rendered. Rows given one [`Runs`] store through their
+//! [`SweepOptions`] simulate a cell they share once.
 //!
 //! # Example
 //!
@@ -58,7 +59,7 @@ pub use hybrid::{run_hybrid, HybridConfig, HybridPoint};
 pub use incast::{run_incast, IncastConfig, IncastPoint};
 pub use report::{fmt_bytes, fmt_f64, Outcome, Table};
 pub use scale::ExperimentScale;
-pub use sweep::{run_hybrid_cells, run_incast_cells, SweepOptions};
+pub use sweep::{run_hybrid_cells, run_incast_cells, Runs, SweepOptions};
 pub use tournament::tournament;
 
 /// The four policies every comparison sweeps, in the paper's order.

@@ -17,10 +17,22 @@
 //! Replicate `r` of a cell reruns it with `scale.seed + r`, so
 //! `--seeds 1` (the default) reproduces the historical single-seed
 //! output exactly.
+//!
+//! Hybrid and incast cells go through a [`Runs`] store, keyed by their
+//! complete input: a cell whose key has run is answered from the
+//! store, so rows that share cells (Fig. 3(b)'s are Fig. 7's, Table II
+//! repeats three of its columns) simulate each once. `repro` keeps one
+//! store for its whole invocation; a sweep given none uses its own.
 
-use dcn_fabric::RunResults;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
+use std::fmt;
+
+use dcn_fabric::{PolicyChoice, RunResults};
 use dcn_metrics::SeedStats;
-use dcn_sim::par_map;
+use dcn_net::ClosConfig;
+use dcn_sim::{par_map, SimDuration};
+use l2bm::{L2bmConfig, Normalization};
 
 use crate::fault::{run_fault_cell, FaultCell, FaultPoint};
 use crate::hybrid::{run_hybrid, HybridConfig, HybridPoint};
@@ -28,11 +40,12 @@ use crate::incast::{run_incast, IncastConfig, IncastPoint};
 use crate::report::Outcome;
 use crate::scale::ExperimentScale;
 
-/// How a sweep's cells are executed: worker threads and seed
-/// replicates. The default (`jobs = 1`, `seeds = 1`) is the historical
-/// serial, single-seed behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepOptions {
+/// How a sweep's cells are executed: worker threads, seed replicates
+/// and the store runs are shared through. The default (`jobs = 1`,
+/// `seeds = 1`, no store) is the historical serial, single-seed
+/// behaviour.
+#[derive(Debug, Clone, Copy)]
+pub struct SweepOptions<'a> {
     /// Worker threads the cells are fanned across (0 is treated as 1).
     pub jobs: usize,
     /// Seed replicates per cell; 0 asks for the experiment's own
@@ -40,18 +53,36 @@ pub struct SweepOptions {
     /// more than one replicate each swept table cell reads `mean ± 95%
     /// CI` over the replicates.
     pub seeds: u64,
+    /// The store hybrid and incast runs are kept in and looked up from;
+    /// `None` gives each sweep a store of its own.
+    pub runs: Option<&'a Runs>,
 }
 
-impl Default for SweepOptions {
+impl Default for SweepOptions<'_> {
     fn default() -> Self {
-        SweepOptions { jobs: 1, seeds: 1 }
+        SweepOptions::new(1, 1)
     }
 }
 
-impl SweepOptions {
-    /// Options with the given worker count and replicate count.
+impl SweepOptions<'_> {
+    /// Options with the given worker count and replicate count, and no
+    /// shared store.
     pub fn new(jobs: usize, seeds: u64) -> Self {
-        SweepOptions { jobs, seeds }
+        SweepOptions {
+            jobs,
+            seeds,
+            runs: None,
+        }
+    }
+
+    /// These options with every hybrid and incast run going through
+    /// `runs`.
+    pub fn sharing(self, runs: &Runs) -> SweepOptions<'_> {
+        SweepOptions {
+            jobs: self.jobs,
+            seeds: self.seeds,
+            runs: Some(runs),
+        }
     }
 
     /// The replicate count, `default` if none was asked for.
@@ -61,6 +92,126 @@ impl SweepOptions {
         } else {
             self.seeds
         }
+    }
+}
+
+/// The complete input of one stored run, every float as its bits:
+/// cells with equal keys are one simulation.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct RunKey {
+    clos: ClosConfig,
+    window: SimDuration,
+    drain: SimDuration,
+    seed: u64,
+    policy: PolicyKey,
+    cell: CellKey,
+}
+
+/// A [`PolicyChoice`] with its floats as bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum PolicyKey {
+    Dt(u64),
+    Abm,
+    L2bm {
+        alpha: u64,
+        max_weight: u64,
+        fixed_c: Option<u64>,
+        pause_freeze: bool,
+    },
+    Occamy,
+    BShare,
+}
+
+/// What a cell adds to its scale and policy, floats as bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum CellKey {
+    Hybrid {
+        rdma_load: u64,
+        tcp_load: u64,
+    },
+    Incast {
+        fanout: usize,
+        request_size: u64,
+        query_gap: SimDuration,
+        tcp_load: u64,
+    },
+}
+
+impl RunKey {
+    pub(crate) fn new(scale: &ExperimentScale, policy: PolicyChoice, cell: CellKey) -> RunKey {
+        let ExperimentScale {
+            clos,
+            window,
+            drain,
+            seed,
+        } = scale;
+        let policy = match policy {
+            PolicyChoice::Dt(alpha) => PolicyKey::Dt(alpha.to_bits()),
+            PolicyChoice::Abm => PolicyKey::Abm,
+            PolicyChoice::L2bm(L2bmConfig {
+                alpha,
+                max_weight,
+                normalization,
+                pause_freeze,
+            }) => PolicyKey::L2bm {
+                alpha: alpha.to_bits(),
+                max_weight: max_weight.to_bits(),
+                fixed_c: match normalization {
+                    Normalization::SumActiveTau => None,
+                    Normalization::Fixed(c) => Some(c.to_bits()),
+                },
+                pause_freeze,
+            },
+            PolicyChoice::Occamy => PolicyKey::Occamy,
+            PolicyChoice::BShare => PolicyKey::BShare,
+        };
+        RunKey {
+            clos: clos.clone(),
+            window: *window,
+            drain: *drain,
+            seed: *seed,
+            policy,
+            cell,
+        }
+    }
+}
+
+/// Every hybrid and incast simulation a sweep, or a whole `repro`
+/// invocation, ran, by its complete input, and the key of every cell
+/// asked for. A stored point is handed out as a copy that shares its
+/// [`RunResults`], so a row may relabel its points without touching
+/// another row's.
+#[derive(Default)]
+pub struct Runs {
+    hybrid: RefCell<HashMap<RunKey, HybridPoint>>,
+    incast: RefCell<HashMap<RunKey, IncastPoint>>,
+    asked: RefCell<Vec<RunKey>>,
+}
+
+impl Runs {
+    /// Simulations run: one per distinct key.
+    pub fn simulations(&self) -> usize {
+        self.hybrid.borrow().len() + self.incast.borrow().len()
+    }
+
+    /// Cells asked for, each replicate counted.
+    pub fn cells(&self) -> usize {
+        self.asked.borrow().len()
+    }
+
+    /// `N simulations for M cells`.
+    pub fn summary(&self) -> String {
+        format!(
+            "{} simulations for {} cells",
+            self.simulations(),
+            self.cells()
+        )
+    }
+}
+
+impl fmt::Debug for Runs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.summary())
     }
 }
 
@@ -145,8 +296,37 @@ pub(crate) fn sweep_outcome<P: Replicate>(text: String, cells: &[Vec<P>], seed: 
     out
 }
 
-/// Runs the flattened `(cell, replicate)` grid in parallel, replicate
-/// `r` with the seed of the cell's `scale` advanced by `r`. Output `i`
+/// The flattened `(cell, replicate)` grid: replicate `r` of each cell
+/// with the seed of its `scale` advanced by `r`.
+fn replicate<C: Clone>(
+    cells: &[C],
+    seeds: u64,
+    scale: fn(&mut C) -> &mut ExperimentScale,
+) -> Vec<C> {
+    cells
+        .iter()
+        .flat_map(|cell| {
+            (0..seeds).map(|rep| {
+                let mut cell = cell.clone();
+                let s = scale(&mut cell);
+                s.seed = s.seed.wrapping_add(rep);
+                cell
+            })
+        })
+        .collect()
+}
+
+/// A flattened grid's runs, `seeds` to a cell, back in cells.
+fn regroup<P>(runs: impl IntoIterator<Item = P>, seeds: u64) -> Vec<Vec<P>> {
+    let mut runs = runs.into_iter().peekable();
+    let mut cells = Vec::new();
+    while runs.peek().is_some() {
+        cells.push(runs.by_ref().take(seeds as usize).collect());
+    }
+    cells
+}
+
+/// Runs the flattened `(cell, replicate)` grid in parallel. Output `i`
 /// holds `cells[i]`'s replicates in seed order — never completion order.
 fn run_replicated<C, P>(
     cells: &[C],
@@ -159,34 +339,77 @@ where
     P: Send,
 {
     let seeds = opts.seeds_or(1);
-    let work: Vec<C> = cells
-        .iter()
-        .flat_map(|cell| {
-            (0..seeds).map(|rep| {
-                let mut cell = cell.clone();
-                let s = scale(&mut cell);
-                s.seed = s.seed.wrapping_add(rep);
-                cell
-            })
-        })
-        .collect();
-    let mut runs = par_map(opts.jobs, &work, run).into_iter();
-    cells
-        .iter()
-        .map(|_| runs.by_ref().take(seeds as usize).collect())
-        .collect()
+    regroup(
+        par_map(opts.jobs, &replicate(cells, seeds, scale), run),
+        seeds,
+    )
 }
 
-/// Runs a set of hybrid cells through the parallel engine. Output `i`
-/// holds `cells[i]`'s replicates, base seed first.
+/// [`run_replicated`] through the options' store (or one of its own):
+/// each key of the grid that `table` lacks runs once, in parallel, and
+/// every replicate is a copy of its key's stored point.
+fn run_stored<C, P>(
+    cells: &[C],
+    opts: &SweepOptions,
+    scale: fn(&mut C) -> &mut ExperimentScale,
+    key: fn(&C) -> RunKey,
+    run: fn(&C) -> P,
+    table: fn(&Runs) -> &RefCell<HashMap<RunKey, P>>,
+) -> Vec<Vec<P>>
+where
+    C: Clone + Sync,
+    P: Clone + Send,
+{
+    let own = Runs::default();
+    let runs = opts.runs.unwrap_or(&own);
+    let seeds = opts.seeds_or(1);
+    let grid = replicate(cells, seeds, scale);
+    let keys: Vec<RunKey> = grid.iter().map(key).collect();
+    let mut table = table(runs).borrow_mut();
+    let mut fresh = HashSet::new();
+    let (todo, todo_keys): (Vec<C>, Vec<&RunKey>) = grid
+        .into_iter()
+        .zip(&keys)
+        .filter(|&(_, k)| !table.contains_key(k) && fresh.insert(k))
+        .unzip();
+    table.extend(
+        todo_keys
+            .into_iter()
+            .cloned()
+            .zip(par_map(opts.jobs, &todo, run)),
+    );
+    let points = regroup(keys.iter().map(|k| table[k].clone()), seeds);
+    runs.asked.borrow_mut().extend(keys);
+    points
+}
+
+/// Runs a set of hybrid cells through the parallel engine and the
+/// options' store. Output `i` holds `cells[i]`'s replicates, base seed
+/// first.
 pub fn run_hybrid_cells(cells: &[HybridConfig], opts: &SweepOptions) -> Vec<Vec<HybridPoint>> {
-    run_replicated(cells, opts, |c| &mut c.scale, run_hybrid)
+    let key = HybridConfig::key;
+    run_stored(
+        cells,
+        opts,
+        |c| &mut c.scale,
+        key,
+        run_hybrid,
+        |r| &r.hybrid,
+    )
 }
 
-/// Runs a set of incast cells through the parallel engine (see
-/// [`run_hybrid_cells`]).
+/// Runs a set of incast cells through the parallel engine and the
+/// options' store (see [`run_hybrid_cells`]).
 pub fn run_incast_cells(cells: &[IncastConfig], opts: &SweepOptions) -> Vec<Vec<IncastPoint>> {
-    run_replicated(cells, opts, |c| &mut c.scale, run_incast)
+    let key = IncastConfig::key;
+    run_stored(
+        cells,
+        opts,
+        |c| &mut c.scale,
+        key,
+        run_incast,
+        |r| &r.incast,
+    )
 }
 
 /// Runs a set of fault cells, each with its invariant battery, through
@@ -306,5 +529,38 @@ mod tests {
         let dash = |samples: &[f64]| seed_cell(samples, |&v| v, fmt_f64, fmt_f64);
         assert_eq!(dash(&[f64::NAN, 5.0]), "-", "an undefined base is a dash");
         assert_eq!(dash(&[]), "-", "so is no replicate at all");
+    }
+
+    /// Every `FIGURES` cell files one digest under one key, and cells
+    /// that share a key, each run by its row alone, share a digest: the
+    /// key holds every input a run reads. One store over all rows then
+    /// runs one simulation per key, and says so.
+    #[test]
+    fn every_figure_cell_has_one_key_and_equal_keys_equal_digests() {
+        let scale = ExperimentScale::tiny().with_window(SimDuration::from_millis(1));
+        let shared = Runs::default();
+        let mut digest_of: HashMap<RunKey, (String, u64)> = HashMap::new();
+        let mut cells = 0;
+        for (name, run) in crate::FIGURES {
+            let alone = Runs::default();
+            let out = run(&scale, &SweepOptions::new(2, 2).sharing(&alone));
+            let asked = alone.asked.borrow();
+            assert_eq!(asked.len(), out.digests.len(), "{name}: one key per cell");
+            for (key, (label, digest)) in asked.iter().zip(&out.digests) {
+                let (first, d) = digest_of
+                    .entry(key.clone())
+                    .or_insert_with(|| (format!("{name} {label}"), *digest));
+                assert_eq!(d, digest, "{name} {label} and {first} share a key");
+            }
+            cells += asked.len();
+            run(&scale, &SweepOptions::new(2, 2).sharing(&shared));
+        }
+        assert_eq!(shared.cells(), cells);
+        assert_eq!(shared.simulations(), digest_of.len());
+        assert!(shared.simulations() < cells, "{}", shared.summary());
+        assert_eq!(
+            shared.summary(),
+            format!("{} simulations for {cells} cells", digest_of.len())
+        );
     }
 }

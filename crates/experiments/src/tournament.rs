@@ -212,7 +212,7 @@ fn play(scale: &ExperimentScale, opts: &SweepOptions) -> Vec<TournamentRow> {
             rows.push(TournamentRow::fault_free(
                 arena,
                 reps[0].label.clone(),
-                reps.iter().map(|p| (p.rdma_p99_slowdown, &p.results)),
+                reps.iter().map(|p| (p.rdma_p99_slowdown, &*p.results)),
                 scale.window,
             ));
         }
@@ -228,7 +228,7 @@ fn play(scale: &ExperimentScale, opts: &SweepOptions) -> Vec<TournamentRow> {
         rows.push(TournamentRow::fault_free(
             "incast",
             reps[0].label.clone(),
-            reps.iter().map(|p| (p.incast_p99_slowdown, &p.results)),
+            reps.iter().map(|p| (p.incast_p99_slowdown, &*p.results)),
             scale.window,
         ));
     }

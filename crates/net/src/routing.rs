@@ -18,12 +18,20 @@
 //! pointing into an arena of interned sets — a node has at most
 //! radix + 1 distinct ones — make a k = 16 fat-tree's table
 //! 1344 × 128 × 4 B = 688 KB where a `Vec` per (node, host) took 77 MB.
-
-use std::collections::VecDeque;
+//!
+//! Leaf rows are filled, not searched. A leaf forwards nothing, so BFS
+//! never enters one and no switch scans a port facing one; a leaf's row
+//! holds its one port toward every anchor its switch reaches, and the
+//! empty set elsewhere. On that fat-tree, 1 024 of the 1 344 nodes are
+//! leaves.
 
 use crate::ids::{FlowId, NodeId, PortId};
 use crate::link::{Link, LinkEnd};
 use crate::topology::{NodeKind, Topology};
+
+/// Where in `arena` the one set of a leaf's row starts: `[port 0]`,
+/// its only port, toward every anchor its switch reaches.
+const LEAF_UPLINK: u32 = 1;
 
 /// How a destination host is reached.
 #[derive(Debug, Clone, Copy)]
@@ -55,7 +63,8 @@ pub struct RoutingTable {
     /// set at `node` toward that anchor starts.
     offsets: Vec<u32>,
     /// Interned candidate sets, each stored as `[len, p0, p1, …]` with
-    /// the ports in port order. Offset 0 is the shared empty set.
+    /// the ports in port order. Offset 0 is the shared empty set and
+    /// [`LEAF_UPLINK`] the `[port 0]` set of every leaf's reached rows.
     arena: Vec<PortId>,
     /// Number of anchors (columns of `offsets`).
     anchors: usize,
@@ -75,16 +84,19 @@ pub struct RoutingTable {
 
 impl RoutingTable {
     /// Builds shortest-path next-hop sets for every destination host by
-    /// BFS from each anchor over the topology.
+    /// BFS from each anchor over the forwarding nodes (every node but
+    /// the leaves), then fills each leaf's row from its switch's.
     pub fn shortest_paths(topo: &Topology) -> RoutingTable {
         let n = topo.node_count();
-        let mut arena = vec![PortId::new(0)];
+        // The shared empty set, then the `[port 0]` set of every leaf.
+        let mut arena = vec![PortId::new(0), PortId::new(1), PortId::new(0)];
         // Offsets of the sets interned so far for each node; a linear
-        // scan, since a node has at most radix + 1 of them.
+        // scan, since a node has at most radix + 1 of them; newest first,
+        // because consecutive anchors often share a set.
         let mut sets_of: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut intern = |node: NodeId, set: &[PortId]| {
             let sets = &mut sets_of[node.index()];
-            let known = sets.iter().copied().find(|&off| {
+            let known = sets.iter().rev().copied().find(|&off| {
                 let len = arena[off as usize].index();
                 arena[off as usize + 1..off as usize + 1 + len] == *set
             });
@@ -100,9 +112,14 @@ impl RoutingTable {
         let mut dst = vec![None; n];
         let mut anchors: Vec<NodeId> = Vec::new();
         let mut rank_of = vec![u32::MAX; n];
+        // Each leaf with its switch, and a flag per node.
+        let mut leaves: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut is_leaf = vec![false; n];
         for h in topo.hosts() {
             let (anchor, at_anchor) = match topo.wires_of(h) {
                 [w] if topo.node(w.peer.node).kind == NodeKind::Switch => {
+                    leaves.push((h, w.peer.node));
+                    is_leaf[h.index()] = true;
                     (w.peer.node, intern(w.peer.node, &[w.peer.port]))
                 }
                 _ => (h, 0),
@@ -119,40 +136,74 @@ impl RoutingTable {
             });
         }
 
-        let mut offsets = vec![0u32; n * anchors.len()];
+        // The forwarding graph: each node's wires to nodes that are not
+        // leaves, as (peer, port) in port order; a leaf's run is empty.
+        let mut hops_from = vec![0u32; n + 1];
+        let mut hops: Vec<(NodeId, PortId)> = Vec::new();
+        for node in topo.nodes() {
+            let v = node.id.index();
+            if !is_leaf[v] {
+                for (pix, w) in topo.wires_of(node.id).iter().enumerate() {
+                    if !is_leaf[w.peer.node.index()] {
+                        hops.push((w.peer.node, PortId::new(pix as u16)));
+                    }
+                }
+            }
+            hops_from[v + 1] = hops.len() as u32;
+        }
+
+        let cols = anchors.len();
+        let mut offsets = vec![0u32; n * cols];
         let mut dist = vec![u32::MAX; n];
-        let mut q = VecDeque::new();
+        let mut queue: Vec<NodeId> = Vec::with_capacity(n);
         let mut cand = Vec::new();
         for (rank, &anchor) in anchors.iter().enumerate() {
-            // BFS from the anchor; dist[v] = hops from v to it.
+            // BFS from the anchor over the forwarding graph; dist[v] =
+            // hops from v to it. When v is dequeued, every node one hop
+            // closer has been reached, so the scan that finds the next
+            // level also finds v's next hops: the ports whose peer is one
+            // hop closer.
             dist.fill(u32::MAX);
             dist[anchor.index()] = 0;
-            q.push_back(anchor);
-            while let Some(v) = q.pop_front() {
+            queue.clear();
+            queue.push(anchor);
+            let mut head = 0;
+            while let Some(&v) = queue.get(head) {
+                head += 1;
                 let dv = dist[v.index()];
-                for w in topo.wires_of(v) {
-                    let peer = w.peer.node;
-                    if dist[peer.index()] == u32::MAX {
-                        dist[peer.index()] = dv + 1;
-                        q.push_back(peer);
-                    }
-                }
-            }
-            // Next hops: every port whose peer is strictly closer.
-            for node in topo.nodes() {
-                let dn = dist[node.id.index()];
-                if dn == u32::MAX || dn == 0 {
-                    continue;
-                }
+                let run = hops_from[v.index()] as usize..hops_from[v.index() + 1] as usize;
                 cand.clear();
-                for (pix, w) in topo.wires_of(node.id).iter().enumerate() {
-                    // A reached node's neighbours are all reached.
-                    if dist[w.peer.node.index()] + 1 == dn {
-                        cand.push(PortId::new(pix as u16));
+                for &(peer, port) in &hops[run] {
+                    let dp = &mut dist[peer.index()];
+                    if *dp == u32::MAX {
+                        *dp = dv + 1;
+                        queue.push(peer);
+                    } else if *dp + 1 == dv {
+                        cand.push(port);
                     }
                 }
-                offsets[node.id.index() * anchors.len() + rank] = intern(node.id, &cand);
+                if dv > 0 {
+                    offsets[v.index() * cols + rank] = intern(v, &cand);
+                }
             }
+        }
+
+        // A leaf's row is filled, not searched: its one port toward each
+        // anchor its switch reaches, which are the switch itself (the
+        // leaf's own anchor) and every anchor toward which the switch's
+        // row holds a set. All leaves of one switch share the row.
+        let mut row = vec![0u32; cols];
+        let mut row_of = None;
+        for &(leaf, switch) in &leaves {
+            if row_of != Some(switch) {
+                let sets = &offsets[switch.index() * cols..][..cols];
+                for (cell, &set) in row.iter_mut().zip(sets) {
+                    *cell = if set == 0 { 0 } else { LEAF_UPLINK };
+                }
+                row[rank_of[switch.index()] as usize] = LEAF_UPLINK;
+                row_of = Some(switch);
+            }
+            offsets[leaf.index() * cols..][..cols].copy_from_slice(&row);
         }
 
         let port_base = topo.port_base().to_vec();
@@ -160,7 +211,7 @@ impl RoutingTable {
         RoutingTable {
             offsets,
             arena,
-            anchors: anchors.len(),
+            anchors: cols,
             dst,
             salt: 0x005E_ED0F_ECA7,
             port_base,

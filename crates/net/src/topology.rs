@@ -66,7 +66,7 @@ pub struct Topology {
 }
 
 /// Configuration for the 3-layer clos fabric of the paper's Fig. 6.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ClosConfig {
     /// Number of ToR (leaf) switches.
     pub tors: usize,

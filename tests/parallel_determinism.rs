@@ -4,7 +4,9 @@
 //! [`RunResults`](dcn_fabric::RunResults) digest and the rendered
 //! report must match exactly.
 
-use dcn_experiments::{fig7, table2, tournament, ExperimentScale, SweepOptions, FIGURES, SWEEPS};
+use dcn_experiments::{
+    fig7, table2, tournament, ExperimentScale, Runs, SweepOptions, FIGURES, SWEEPS,
+};
 use dcn_sim::SimDuration;
 
 #[test]
@@ -67,11 +69,24 @@ fn every_figure_outcome_is_jobs_invariant() {
     // skipped here.
     let scale = ExperimentScale::tiny().with_window(SimDuration::from_millis(1));
     let rows = FIGURES.iter().chain(SWEEPS);
+    let mut alone = Vec::new();
     for (name, run) in rows.filter(|(name, _)| *name != "tournament") {
         let serial = run(&scale, &SweepOptions::new(1, 2));
         assert!(!serial.digests.is_empty(), "{name} ran no cell");
         assert_eq!(serial.violations, Vec::<String>::new(), "{name}");
         assert_eq!(serial, run(&scale, &SweepOptions::new(4, 2)), "{name}");
+        alone.push(serial);
+    }
+    // As `repro all` runs them: every paper row through one store, where
+    // a cell another row ran is not rerun. Each row's outcome is the one
+    // it has run alone.
+    for jobs in [1, 4] {
+        let runs = Runs::default();
+        for ((name, run), alone) in FIGURES.iter().zip(&alone) {
+            let shared = run(&scale, &SweepOptions::new(jobs, 2).sharing(&runs));
+            assert_eq!(shared, *alone, "{name} through a shared store, {jobs} jobs");
+        }
+        assert!(runs.simulations() < runs.cells(), "{}", runs.summary());
     }
 }
 
