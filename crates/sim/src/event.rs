@@ -15,8 +15,8 @@
 //!   non-empty one, so schedule and pop are O(1). Every entry of a bucket
 //!   has the same time and joined it in `seq` order, so FIFO order *is*
 //!   `(time, seq)` order: nothing is sorted. The FIFO link and the
-//!   sequence number sit beside the payload in its slab slot, so a
-//!   pop touches one line.
+//!   64-bit insertion number sit beside the payload in its slab slot,
+//!   so a pop touches one line.
 //! * **Cancellable timers** (RTO deadlines, DCQCN rate/alpha timers, PFC
 //!   watchdogs) go to a hierarchical timing wheel ([`crate::wheel`]) via
 //!   [`EventQueue::schedule_timer_at`], which returns a [`TimerHandle`]
@@ -52,41 +52,21 @@ pub trait Simulation {
     fn handle(&mut self, now: SimTime, event: Self::Event, queue: &mut EventQueue<Self::Event>);
 }
 
-/// One dispatch key, packed into 16 bytes as `at << 64 | ord` so that
-/// one integer comparison orders by `(at, ord)`.
-///
-/// `ord` packs `(seq << 32) | slot`: the high 32 bits are the insertion
-/// sequence number (the FIFO tie-break for equal times), the low 32 bits
-/// address the payload's slab slot. Live entries always differ in `seq`,
-/// so the total order is exactly `(at, seq)`.
+/// One dispatch key, packed into 16 bytes as `at << 64 | seq` so that
+/// one integer comparison orders by `(at, seq)`. `seq` is the entry's
+/// insertion number, read from its slab slot: live entries always
+/// differ in it, and a `u64` never wraps, so no key is ever rewritten.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Entry(u128);
 
 impl Entry {
-    fn new(at: SimTime, ord: u64) -> Entry {
-        Entry((u128::from(at.as_nanos()) << 64) | u128::from(ord))
+    fn new(at: SimTime, seq: u64) -> Entry {
+        Entry((u128::from(at.as_nanos()) << 64) | u128::from(seq))
     }
 
     fn at(self) -> SimTime {
         SimTime::from_nanos((self.0 >> 64) as u64)
     }
-
-    fn ord(self) -> u64 {
-        self.0 as u64
-    }
-
-    fn slot(self) -> u32 {
-        self.0 as u32
-    }
-
-    fn set_ord(&mut self, ord: u64) {
-        *self = Entry::new(self.at(), ord);
-    }
-}
-
-/// Packs an insertion sequence number and a slab slot into an `ord`.
-fn ord_of(seq: u32, slot: u32) -> u64 {
-    (u64::from(seq) << 32) | u64::from(slot)
 }
 
 /// Calendar buckets, one per nanosecond of `[now, now + SPAN)`. A
@@ -99,10 +79,10 @@ const WORDS: usize = SPAN / 64;
 const NIL: u32 = u32::MAX;
 
 /// A pending event in its slab slot: the payload, its insertion
-/// sequence number, and the next slot of its calendar bucket.
+/// number (the only copy), and the next slot of its calendar bucket.
 #[derive(Debug)]
 struct Pending<E> {
-    seq: u32,
+    seq: u64,
     /// [`NIL`] at a bucket's tail; unused while the event is in the wheel.
     next: u32,
     event: E,
@@ -177,11 +157,13 @@ impl Calendar {
     }
 }
 
-/// A staged wheel entry awaiting dispatch. Node and generation only
-/// validate it against cancel-after-staging at pop time.
+/// A staged wheel entry awaiting dispatch: its key, its payload's slab
+/// slot, and the node and generation that validate it against
+/// cancel-after-staging at pop time.
 #[derive(Debug, Clone, Copy)]
 struct Due {
     key: Entry,
+    slot: u32,
     node: u32,
     generation: u32,
 }
@@ -201,7 +183,7 @@ enum GroupSrc {
 #[derive(Debug, Clone, Copy)]
 struct GroupMember {
     at: SimTime,
-    ord: u64,
+    slot: u32,
     src: GroupSrc,
 }
 
@@ -319,8 +301,8 @@ pub struct EventQueue<E> {
     due_live: usize,
     /// Stamp-mode state; `None` (and untouched) on serial runs.
     stamp: Option<Box<StampState>>,
-    /// Next insertion sequence number (the FIFO tie-break).
-    seq: u32,
+    /// Next insertion number (the FIFO tie-break).
+    seq: u64,
     now: SimTime,
     processed: u64,
     timer_cancels: u64,
@@ -367,9 +349,9 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Allocates the payload slot and packed `(seq, slot)` key for one
-    /// scheduled entry — shared by events and timers so both consume
-    /// insertion numbers from the same sequence.
+    /// Stores one scheduled entry's payload and insertion number in a
+    /// slab slot and returns the slot — shared by events and timers so
+    /// both consume insertion numbers from the same sequence.
     ///
     /// In stamp mode (`carried` or an enabled [`StampState`]) the slot's
     /// admission stamp is recorded: `carried` verbatim (cross-shard
@@ -377,16 +359,12 @@ impl<E> EventQueue<E> {
     /// root before the first dispatch. Whichever it is, it is written
     /// straight into its table slot.
     #[inline]
-    fn admit(&mut self, event: E, carried: Option<&Stamp>) -> u64 {
-        if self.seq == u32::MAX {
-            self.renumber();
-        }
+    fn admit(&mut self, event: E, carried: Option<&Stamp>) -> u32 {
         let slot = self.slab.insert(Pending {
             seq: self.seq,
             next: NIL,
             event,
         });
-        let ord = ord_of(self.seq, slot);
         self.seq += 1;
         if let Some(st) = self.stamp.as_deref_mut() {
             let ix = st.free.pop().unwrap_or_else(|| {
@@ -408,15 +386,15 @@ impl<E> EventQueue<E> {
                     st.next_root += 1;
                 }
             }
-            let slot = slot as usize;
-            if st.of_slot.len() <= slot {
-                st.of_slot.resize(slot + 1, 0);
+            let i = slot as usize;
+            if st.of_slot.len() <= i {
+                st.of_slot.resize(i + 1, 0);
             }
-            st.of_slot[slot] = ix;
+            st.of_slot[i] = ix;
         } else {
             debug_assert!(carried.is_none(), "stamped admission without stamp mode");
         }
-        ord
+        slot
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -432,10 +410,9 @@ impl<E> EventQueue<E> {
     fn schedule_entry(&mut self, at: SimTime, event: E, carried: Option<&Stamp>) {
         let at = self.clamp_time(at);
         self.assert_future_in_stamp_mode(at);
-        let ord = self.admit(event, carried);
+        let slot = self.admit(event, carried);
         match self.cal.as_mut() {
             Some(cal) if at.as_nanos() - self.now.as_nanos() < SPAN as u64 => {
-                let slot = ord as u32;
                 if let Some(tail) = cal.push(at.as_nanos() as usize % SPAN, slot) {
                     self.slab.get_mut(tail).next = slot;
                 }
@@ -444,7 +421,7 @@ impl<E> EventQueue<E> {
             // Beyond the horizon or before the first dispatch: filed in
             // the wheel and never cancelled, so the handle is dropped.
             _ => {
-                self.wheel.insert(at, ord);
+                self.wheel.insert(at, slot);
             }
         }
         self.max_pending = self.max_pending.max(self.len());
@@ -463,8 +440,8 @@ impl<E> EventQueue<E> {
     pub fn schedule_timer_at(&mut self, at: SimTime, event: E) -> TimerHandle {
         let at = self.clamp_time(at);
         self.assert_future_in_stamp_mode(at);
-        let ord = self.admit(event, None);
-        let handle = self.wheel.insert(at, ord);
+        let slot = self.admit(event, None);
+        let handle = self.wheel.insert(at, slot);
         self.max_pending = self.max_pending.max(self.len());
         handle
     }
@@ -483,16 +460,15 @@ impl<E> EventQueue<E> {
     /// the handle is stale (the timer already fired or was cancelled).
     /// In stamp mode the timer's stamp slot is freed at once.
     pub fn cancel_timer(&mut self, handle: TimerHandle) -> Option<E> {
-        let ord = match self.wheel.cancel(handle) {
+        let slot = match self.wheel.cancel(handle) {
             Cancelled::Invalid => return None,
-            Cancelled::Filed { ord } => ord,
-            Cancelled::Staged { ord } => {
+            Cancelled::Filed { slot } => slot,
+            Cancelled::Staged { slot } => {
                 self.due_live -= 1;
-                ord
+                slot
             }
         };
         self.timer_cancels += 1;
-        let slot = ord as u32;
         if let Some(st) = self.stamp.as_deref_mut() {
             st.free.push(st.of_slot[slot as usize]);
         }
@@ -518,11 +494,11 @@ impl<E> EventQueue<E> {
                 Some((key, _)) if key.at() < self.wheel.bound() => return next,
                 next => next.map(|(key, _)| key.at()),
             };
-            let due = &mut self.due;
-            let due_live = &mut self.due_live;
-            let stage = |at, ord, node, generation| {
+            let (due, due_live, slab) = (&mut self.due, &mut self.due_live, &self.slab);
+            let stage = |at, slot, node, generation| {
                 due.push(Due {
-                    key: Entry::new(at, ord),
+                    key: Entry::new(at, slab.get(slot).seq),
+                    slot,
                     node,
                     generation,
                 });
@@ -561,9 +537,8 @@ impl<E> EventQueue<E> {
         let now = self.now.as_nanos();
         let b = cal.first_from(now as usize % SPAN)?;
         let at = now + (b.wrapping_sub(now as usize) % SPAN) as u64;
-        let head = cal.fifo[b][0];
-        let ord = ord_of(self.slab.get(head).seq, head);
-        Some(Entry::new(SimTime::from_nanos(at), ord))
+        let seq = self.slab.get(cal.fifo[b][0]).seq;
+        Some(Entry::new(SimTime::from_nanos(at), seq))
     }
 
     /// Pops the earliest event, advancing the queue's clock to its time.
@@ -586,9 +561,10 @@ impl<E> EventQueue<E> {
     }
 
     fn pop_cal_front(&mut self, key: Entry) -> (SimTime, E) {
-        let p = self.slab.take(key.slot());
+        let b = key.at().as_nanos() as usize % SPAN;
         let cal = self.cal.as_mut().expect("calendar front");
-        cal.advance(key.at().as_nanos() as usize % SPAN, p.next);
+        let p = self.slab.take(cal.fifo[b][0]);
+        cal.advance(b, p.next);
         self.cal_len -= 1;
         self.finish_pop(key.at());
         (key.at(), p.event)
@@ -596,9 +572,8 @@ impl<E> EventQueue<E> {
 
     fn pop_due_top(&mut self) -> (SimTime, E) {
         let d = self.due.pop().expect("settled due top");
-        let (at, ord) = (d.key.at(), d.key.ord());
         match self.wheel.release_staged(d.node, d.generation) {
-            Some(released) => debug_assert_eq!(released, ord),
+            Some(released) => debug_assert_eq!(released, d.slot),
             None => {
                 // Unreachable by construction: settle() just validated
                 // this entry. Counted rather than ignored so tombstoning
@@ -607,9 +582,9 @@ impl<E> EventQueue<E> {
             }
         }
         self.due_live -= 1;
-        let event = self.slab.take(ord as u32).event;
-        self.finish_pop(at);
-        (at, event)
+        let event = self.slab.take(d.slot).event;
+        self.finish_pop(d.key.at());
+        (d.key.at(), event)
     }
 
     /// Advances the clock and counts the dispatch. The first dispatch
@@ -784,13 +759,12 @@ impl<E> EventQueue<E> {
             let mut slot = cal.fifo[b][0];
             cal.advance(b, NIL);
             while slot != NIL {
-                let p = self.slab.get(slot);
                 group.push(GroupMember {
                     at: t,
-                    ord: ord_of(p.seq, slot),
+                    slot,
                     src: GroupSrc::Calendar,
                 });
-                slot = p.next;
+                slot = self.slab.get(slot).next;
             }
             self.cal_len -= group.len();
         }
@@ -803,7 +777,7 @@ impl<E> EventQueue<E> {
             if self.wheel.is_staged_live(d.node, d.generation) {
                 group.push(GroupMember {
                     at: t,
-                    ord: d.key.ord(),
+                    slot: d.slot,
                     src: GroupSrc::Due {
                         node: d.node,
                         generation: d.generation,
@@ -814,11 +788,8 @@ impl<E> EventQueue<E> {
         }
         let st = self.stamp.as_deref_mut().expect("stamp mode required");
         st.group_live = cal_members;
-        // Borrowed stamps: the sort moves 32-byte members only.
-        let stamp_of = |m: &GroupMember| {
-            let slot = (m.ord & u64::from(u32::MAX)) as usize;
-            &st.stamps[st.of_slot[slot] as usize]
-        };
+        // Borrowed stamps: the sort moves 24-byte members only.
+        let stamp_of = |m: &GroupMember| &st.stamps[st.of_slot[m.slot as usize] as usize];
         group.sort_by(|a, b| stamp_of(a).order(stamp_of(b)));
         let n = group.len();
         st.group = group;
@@ -842,7 +813,7 @@ impl<E> EventQueue<E> {
             GroupSrc::Due { node, generation } => {
                 match self.wheel.release_staged(node, generation) {
                     Some(released) => {
-                        debug_assert_eq!(released, m.ord);
+                        debug_assert_eq!(released, m.slot);
                         self.due_live -= 1;
                     }
                     // Cancelled mid-group; cancel_timer already took the
@@ -851,75 +822,17 @@ impl<E> EventQueue<E> {
                 }
             }
         }
-        let slot = m.ord as u32;
         {
             let st = self.stamp.as_deref_mut().expect("stamp mode required");
             // The previous pop's stamp can have no more children.
-            if let Some(prev) = st.current.replace(st.of_slot[slot as usize]) {
+            if let Some(prev) = st.current.replace(st.of_slot[m.slot as usize]) {
                 st.free.push(prev);
             }
             st.emit_n = 0;
         }
-        let event = self.slab.take(slot).event;
+        let event = self.slab.take(m.slot).event;
         self.finish_pop(m.at);
         Some((m.at, event))
-    }
-
-    /// Compacts the 32-bit sequence counter by reassigning every pending
-    /// key — calendar entries, wheel entries and staged entries — the
-    /// numbers `0..n` in their existing order.
-    ///
-    /// Triggered once per 2³² insertions — in practice never for the
-    /// workloads in this repository, but it makes the u32 tie-break safe
-    /// at any run length. The reassignment is monotone in `seq`, so every
-    /// pairwise `(time, seq)` comparison (and thus pop order and bucket
-    /// FIFO order) is unchanged; covered by
-    /// `force_renumber` tests and both differential oracles.
-    fn renumber(&mut self) {
-        #[derive(Clone, Copy)]
-        enum Src {
-            Slot(u32),
-            Node(u32),
-        }
-        let mut all: Vec<(u64, Src)> =
-            Vec::with_capacity(self.cal_len + self.wheel.len() + self.due_live);
-        if let Some(cal) = &self.cal {
-            for b in (0..SPAN).filter(|&b| cal.is_set(b)) {
-                let mut slot = cal.fifo[b][0];
-                while slot != NIL {
-                    let p = self.slab.get(slot);
-                    all.push((ord_of(p.seq, slot), Src::Slot(slot)));
-                    slot = p.next;
-                }
-            }
-        }
-        for (node, ord) in self.wheel.live_nodes() {
-            all.push((ord, Src::Node(node)));
-        }
-        // Distinct live seqs: sorting by ord sorts by insertion order.
-        all.sort_unstable_by_key(|&(ord, _)| ord);
-        for (i, &(old, src)) in all.iter().enumerate() {
-            let new_ord = ord_of(i as u32, old as u32);
-            match src {
-                Src::Slot(slot) => self.slab.get_mut(slot).seq = i as u32,
-                Src::Node(node) => self.wheel.set_node_ord(node, new_ord),
-            }
-        }
-        self.seq = u32::try_from(all.len()).expect("pending fits u32");
-        // A monotone ord remap preserves every pairwise ordering, so the
-        // bucket FIFOs stay in order; only the due stage, which copied
-        // ords, needs rebuilding.
-        self.due
-            .retain(|d| self.wheel.is_staged_live(d.node, d.generation));
-        for d in &mut self.due {
-            d.key.set_ord(self.wheel.node_ord(d.node));
-        }
-    }
-
-    /// Test hook: forces the rare sequence-renumber path.
-    #[doc(hidden)]
-    pub fn force_renumber(&mut self) {
-        self.renumber();
     }
 }
 
@@ -1145,46 +1058,39 @@ mod tests {
     }
 
     #[test]
-    fn renumber_preserves_pop_order() {
-        // Heavy ties across a forced renumber: FIFO order must survive
-        // the seq compaction.
+    fn insertion_numbers_order_across_2_pow_32() {
+        // 2³² is where a 32-bit counter would wrap: ties on both sides
+        // of it must still break in insertion order.
         let mut q = EventQueue::new();
-        let t = SimTime::from_nanos(50);
-        for i in 0..40 {
-            q.schedule_at(t, i);
-            if i == 17 {
-                q.force_renumber();
-            }
-        }
-        q.force_renumber();
-        for i in 40..60 {
+        q.schedule_at(SimTime::from_nanos(1), 0);
+        q.pop(); // near events take the calendar from here on
+        let wrap = 1u64 << 32;
+        // Calendar ties: seqs 2³² − 3 ..= 2³² + 2 in one bucket.
+        q.seq = wrap - 3;
+        let t = SimTime::from_nanos(100);
+        for i in 1..=6 {
             q.schedule_at(t, i);
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..60).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn renumber_with_mixed_times_keeps_total_order() {
-        let mut q = EventQueue::new();
-        for i in 0..100u64 {
-            q.schedule_at(SimTime::from_nanos((i * 37) % 10), i);
-        }
-        q.force_renumber();
-        for i in 100..200u64 {
-            q.schedule_at(SimTime::from_nanos((i * 37) % 10), i);
-        }
-        let mut popped = Vec::new();
-        while let Some((at, ev)) = q.pop() {
-            popped.push((at, ev));
-        }
-        // Reference: stable sort by time of the same schedule (insertion
-        // order is the tie-break, which a stable sort preserves).
-        let mut expect: Vec<(SimTime, u64)> = (0..200u64)
-            .map(|i| (SimTime::from_nanos((i * 37) % 10), i))
-            .collect();
-        expect.sort_by_key(|&(at, _)| at);
-        assert_eq!(popped, expect);
+        assert_eq!(order, vec![1, 2, 3, 4, 5, 6]);
+        // Calendar entries tying with staged timers on both sides of
+        // 2³², then a cancel after staging.
+        q.seq = wrap - 2;
+        let t = SimTime::from_nanos(200);
+        q.schedule_timer_at(t, 1);
+        q.schedule_at(t, 2);
+        q.schedule_timer_at(t, 3);
+        q.schedule_at(t, 4);
+        let h = q.schedule_timer_at(t, 5);
+        q.schedule_at(t, 6);
+        assert_eq!(q.peek_time(), Some(t));
+        assert_eq!((q.due_live, q.cal_len), (3, 3), "the timers are staged");
+        assert_eq!(q.seq, wrap + 4);
+        assert_eq!(q.cancel_timer(h), Some(5));
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 2, 3, 4, 6]);
+        let s = q.stats();
+        assert_eq!((s.pending, s.timer_cancels, s.stale_timer_pops), (0, 1, 0));
     }
 
     #[test]
@@ -1291,29 +1197,6 @@ mod tests {
         q.cancel_timer(h);
         assert_eq!(q.pop(), Some((SimTime::from_micros(1), 2)));
         assert_eq!(q.stats().stale_timer_pops, 0);
-    }
-
-    #[test]
-    fn renumber_covers_timers_and_cancels() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_micros(3);
-        let mut handles = Vec::new();
-        for i in 0..20 {
-            if i % 2 == 0 {
-                handles.push(Some(q.schedule_timer_at(t, i)));
-            } else {
-                q.schedule_at(t, i);
-                handles.push(None);
-            }
-        }
-        // Cancel a few timers, then force the renumber.
-        assert_eq!(q.cancel_timer(handles[4].unwrap()), Some(4));
-        assert_eq!(q.cancel_timer(handles[10].unwrap()), Some(10));
-        q.force_renumber();
-        q.schedule_at(t, 20);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        let expect: Vec<i32> = (0..21).filter(|&i| i != 4 && i != 10).collect();
-        assert_eq!(order, expect, "FIFO ties survive renumber across sources");
     }
 
     /// A deterministic branching workload driven identically through the

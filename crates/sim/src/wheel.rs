@@ -22,10 +22,11 @@
 //!
 //! # Determinism contract
 //!
-//! The wheel stores the same `(time, ord)` key the calendar orders by and
-//! never *orders* anything itself: entries that come due are staged into
-//! the dispatcher's sorted `due` stage (see `EventQueue::settle`) and
-//! merged with calendar pops in exact `(time, seq)` order. Slot-list
+//! The wheel files each entry as `(time, slot)` and holds no ordering
+//! data at all: entries that come due are staged into the dispatcher's
+//! `due` stage (see `EventQueue::settle`), which reads each one's
+//! insertion number from its slab slot, sorts, and merges with calendar
+//! pops in exact `(time, seq)` order. Slot-list
 //! order is therefore irrelevant to dispatch order — the wheel only needs
 //! to deliver every entry with `at <= target` when asked to advance to
 //! `target` (delivering more is harmless), which the cascade structure
@@ -67,11 +68,12 @@ pub struct TimerHandle {
     pub(crate) generation: u32,
 }
 
-/// One timer node: the `(at, ord)` dispatch key plus intrusive links.
+/// One timer node: its time and the payload's slab slot, plus
+/// intrusive links.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     at: SimTime,
-    ord: u64,
+    slot: u32,
     prev: u32,
     next: u32,
     generation: u32,
@@ -86,15 +88,15 @@ struct Node {
 pub(crate) enum Cancelled {
     /// Handle was stale (already fired, cancelled, or re-armed).
     Invalid,
-    /// Timer was still filed in the wheel; its `(seq, slot)` ord is returned.
-    Filed { ord: u64 },
+    /// Timer was still filed in the wheel; its slab slot is returned.
+    Filed { slot: u32 },
     /// Timer had already been staged for dispatch; the stale due entry
     /// will be skipped at pop via the generation check.
-    Staged { ord: u64 },
+    Staged { slot: u32 },
 }
 
 /// The hierarchical wheel. Owns timer nodes; payloads stay in the
-/// dispatcher's slab, addressed by the low 32 bits of `ord`.
+/// dispatcher's slab, addressed by each node's `slot`.
 #[derive(Debug)]
 pub(crate) struct Wheel {
     nodes: Vec<Node>,
@@ -148,17 +150,17 @@ impl Wheel {
         self.nodes.len()
     }
 
-    /// Files a timer with dispatch key `(at, ord)`. `at` must not precede
+    /// Files a timer at `at` for the payload in `slot`. `at` must not precede
     /// the dispatcher's clock (the caller clamps); times before the
     /// cursor's tick are tolerated: they file into the cursor's slot and
     /// lower the bound, so the next drain stages them at their own key.
-    pub(crate) fn insert(&mut self, at: SimTime, ord: u64) -> TimerHandle {
+    pub(crate) fn insert(&mut self, at: SimTime, slot: u32) -> TimerHandle {
         let idx = self.alloc();
         let t_ticks = at.as_nanos() >> GRAIN_BITS;
         let home = self.file_home(t_ticks);
         let node = &mut self.nodes[idx as usize];
         node.at = at;
-        node.ord = ord;
+        node.slot = slot;
         node.home = home;
         let generation = node.generation;
         self.link(idx, home);
@@ -178,10 +180,10 @@ impl Wheel {
         if node.generation != h.generation || node.home == HOME_FREE {
             return Cancelled::Invalid;
         }
-        let (ord, home) = (node.ord, node.home);
+        let (slot, home) = (node.slot, node.home);
         if home == HOME_DUE {
             self.release(h.node);
-            return Cancelled::Staged { ord };
+            return Cancelled::Staged { slot };
         }
         self.unlink(h.node, home);
         self.len -= 1;
@@ -189,7 +191,7 @@ impl Wheel {
             self.bound = SimTime::MAX;
         }
         self.release(h.node);
-        Cancelled::Filed { ord }
+        Cancelled::Filed { slot }
     }
 
     /// Whether a due entry `(node, generation)` still refers to a
@@ -200,40 +202,19 @@ impl Wheel {
             .is_some_and(|n| n.generation == generation && n.home == HOME_DUE)
     }
 
-    /// Consumes a staged timer at dispatch, returning its `ord` (whose
-    /// low 32 bits address the payload slab slot). `None` if the entry
-    /// went stale (cancelled after staging).
-    pub(crate) fn release_staged(&mut self, node: u32, generation: u32) -> Option<u64> {
+    /// Consumes a staged timer at dispatch, returning its payload's slab
+    /// slot. `None` if the entry went stale (cancelled after staging).
+    pub(crate) fn release_staged(&mut self, node: u32, generation: u32) -> Option<u32> {
         if !self.is_staged_live(node, generation) {
             return None;
         }
-        let ord = self.nodes[node as usize].ord;
+        let slot = self.nodes[node as usize].slot;
         self.release(node);
-        Some(ord)
-    }
-
-    /// The staged/filed node's current `ord` (renumber support).
-    pub(crate) fn node_ord(&self, node: u32) -> u64 {
-        self.nodes[node as usize].ord
-    }
-
-    /// Rewrites one node's `ord` (renumber support).
-    pub(crate) fn set_node_ord(&mut self, node: u32, ord: u64) {
-        self.nodes[node as usize].ord = ord;
-    }
-
-    /// Every live node as `(index, ord)` — filed and staged alike
-    /// (renumber support).
-    pub(crate) fn live_nodes(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.home != HOME_FREE)
-            .map(|(i, n)| (i as u32, n.ord))
+        Some(slot)
     }
 
     /// Advances the cursor to `target`'s tick, staging every filed entry
-    /// up to that tick's end via `sink(at, ord, node, generation)` — and
+    /// up to that tick's end via `sink(at, slot, node, generation)` — and
     /// every entry of a level-1 window the cursor enters. Whole ticks, so
     /// a crowded tick is walked once, not once per target inside it.
     /// Afterwards [`Wheel::bound`] strictly exceeds `target`, so the
@@ -242,7 +223,7 @@ impl Wheel {
     pub(crate) fn drain_to(
         &mut self,
         target: SimTime,
-        mut sink: impl FnMut(SimTime, u64, u32, u32),
+        mut sink: impl FnMut(SimTime, u32, u32, u32),
     ) {
         let target_ticks = target.as_nanos() >> GRAIN_BITS;
         loop {
@@ -265,7 +246,7 @@ impl Wheel {
     /// cascade and drains that tick, which guarantees progress when only
     /// wheel entries remain; a tick (or a level-1 window) at a time keeps
     /// the dispatcher's due stage small. No-op on an empty wheel.
-    pub(crate) fn drain_next(&mut self, mut sink: impl FnMut(SimTime, u64, u32, u32)) {
+    pub(crate) fn drain_next(&mut self, mut sink: impl FnMut(SimTime, u32, u32, u32)) {
         if self.occupancy[0] & (1 << (self.cursor & (SLOTS as u64 - 1))) == 0 {
             let Some(tick) = self.next_interesting_tick() else {
                 return;
@@ -279,7 +260,7 @@ impl Wheel {
     /// stages all of it; entering a coarser window cascades its entries
     /// down toward level 0. Boundaries the jump skipped had empty slots,
     /// so skipping their (no-op) cascades is sound.
-    fn advance(&mut self, tick: u64, sink: &mut impl FnMut(SimTime, u64, u32, u32)) {
+    fn advance(&mut self, tick: u64, sink: &mut impl FnMut(SimTime, u32, u32, u32)) {
         self.cursor = tick;
         for level in 1..LEVELS {
             if self.cursor & ((1u64 << (SLOT_BITS * level as u32)) - 1) != 0 {
@@ -344,7 +325,7 @@ impl Wheel {
 
     /// Stages every entry of slot `home`. The list is detached whole, so
     /// staging a node never touches its neighbours.
-    fn stage_slot(&mut self, home: usize, sink: &mut impl FnMut(SimTime, u64, u32, u32)) {
+    fn stage_slot(&mut self, home: usize, sink: &mut impl FnMut(SimTime, u32, u32, u32)) {
         if self.occupancy[home / SLOTS] & (1 << (home % SLOTS)) == 0 {
             return;
         }
@@ -354,7 +335,7 @@ impl Wheel {
             let node = self.nodes[idx as usize];
             self.len -= 1;
             self.nodes[idx as usize].home = HOME_DUE;
-            sink(node.at, node.ord, idx, node.generation);
+            sink(node.at, node.slot, idx, node.generation);
             idx = node.next;
         }
     }
@@ -387,7 +368,7 @@ impl Wheel {
             let idx = u32::try_from(self.nodes.len()).expect("timer nodes fit u32");
             self.nodes.push(Node {
                 at: SimTime::ZERO,
-                ord: 0,
+                slot: NIL,
                 prev: NIL,
                 next: NIL,
                 generation: 0,
@@ -444,30 +425,27 @@ impl Wheel {
 mod tests {
     use super::*;
 
-    fn drain_all(w: &mut Wheel, target: SimTime) -> Vec<(SimTime, u64)> {
+    fn drain_all(w: &mut Wheel, target: SimTime) -> Vec<(SimTime, u32)> {
         let mut out = Vec::new();
-        w.drain_to(target, |at, ord, _, _| out.push((at, ord)));
+        w.drain_to(target, |at, slot, _, _| out.push((at, slot)));
         out.sort();
         out
     }
 
     #[test]
-    fn fires_in_key_order_after_sort() {
+    fn fires_in_time_order_after_sort() {
         let mut w = Wheel::new();
-        w.insert(SimTime::from_micros(5), 1 << 32);
-        w.insert(SimTime::from_micros(3), 2 << 32);
-        w.insert(SimTime::from_micros(900), 3 << 32);
+        w.insert(SimTime::from_micros(5), 1);
+        w.insert(SimTime::from_micros(3), 2);
+        w.insert(SimTime::from_micros(900), 3);
         let fired = drain_all(&mut w, SimTime::from_micros(10));
         assert_eq!(
             fired,
-            vec![
-                (SimTime::from_micros(3), 2 << 32),
-                (SimTime::from_micros(5), 1 << 32),
-            ]
+            vec![(SimTime::from_micros(3), 2), (SimTime::from_micros(5), 1),]
         );
         assert_eq!(w.len(), 1);
         let fired = drain_all(&mut w, SimTime::from_millis(1));
-        assert_eq!(fired, vec![(SimTime::from_micros(900), 3 << 32)]);
+        assert_eq!(fired, vec![(SimTime::from_micros(900), 3)]);
         assert!(w.is_empty());
         assert_eq!(w.bound(), SimTime::MAX);
     }
@@ -475,17 +453,17 @@ mod tests {
     #[test]
     fn cancel_filed_and_staged() {
         let mut w = Wheel::new();
-        let a = w.insert(SimTime::from_micros(50), 1 << 32);
-        let b = w.insert(SimTime::from_micros(50), 2 << 32);
+        let a = w.insert(SimTime::from_micros(50), 1);
+        let b = w.insert(SimTime::from_micros(50), 2);
         assert!(matches!(w.cancel(a), Cancelled::Filed { .. }));
         assert!(matches!(w.cancel(a), Cancelled::Invalid), "double cancel");
         let mut staged = Vec::new();
-        w.drain_to(SimTime::from_micros(60), |at, ord, node, generation| {
-            staged.push((at, ord, node, generation));
+        w.drain_to(SimTime::from_micros(60), |at, slot, node, generation| {
+            staged.push((at, slot, node, generation));
         });
         assert_eq!(staged.len(), 1);
-        let (_, ord, node, generation) = staged[0];
-        assert_eq!(ord, 2 << 32);
+        let (_, slot, node, generation) = staged[0];
+        assert_eq!(slot, 2);
         assert!(w.is_staged_live(node, generation));
         assert!(matches!(w.cancel(b), Cancelled::Staged { .. }));
         assert!(!w.is_staged_live(node, generation));
@@ -493,15 +471,15 @@ mod tests {
     }
 
     #[test]
-    fn release_staged_returns_ord_once() {
+    fn release_staged_returns_slot_once() {
         let mut w = Wheel::new();
-        w.insert(SimTime::from_micros(2), 7 << 32);
+        w.insert(SimTime::from_micros(2), 7);
         let mut staged = Vec::new();
         w.drain_to(SimTime::from_micros(4), |_, _, node, generation| {
             staged.push((node, generation));
         });
         let (node, generation) = staged[0];
-        assert_eq!(w.release_staged(node, generation), Some(7 << 32));
+        assert_eq!(w.release_staged(node, generation), Some(7));
         assert_eq!(w.release_staged(node, generation), None);
     }
 
@@ -520,14 +498,14 @@ mod tests {
             SimTime::from_nanos(1 << 47),
         ];
         for (i, &t) in times.iter().enumerate() {
-            w.insert(t, (i as u64) << 32);
+            w.insert(t, i as u32);
         }
         for (i, &t) in times.iter().enumerate() {
             // Draining to just before the deadline must not fire it...
             let before = SimTime::from_nanos(t.as_nanos() - 1);
             assert!(drain_all(&mut w, before).is_empty(), "early fire at {i}");
             // ...and draining to the deadline fires exactly it.
-            assert_eq!(drain_all(&mut w, t), vec![(t, (i as u64) << 32)]);
+            assert_eq!(drain_all(&mut w, t), vec![(t, i as u32)]);
         }
         assert!(w.is_empty());
     }
@@ -535,7 +513,7 @@ mod tests {
     #[test]
     fn bound_allows_skipping_the_wheel() {
         let mut w = Wheel::new();
-        w.insert(SimTime::from_millis(2), 1 << 32);
+        w.insert(SimTime::from_millis(2), 1);
         assert!(w.bound() <= SimTime::from_millis(2));
         assert!(w.bound() > SimTime::ZERO);
         drain_all(&mut w, SimTime::from_micros(100));
@@ -547,19 +525,19 @@ mod tests {
     #[test]
     fn same_tick_rearm_fires_at_new_key() {
         let mut w = Wheel::new();
-        let h = w.insert(SimTime::from_nanos(1500), 1 << 32);
+        let h = w.insert(SimTime::from_nanos(1500), 1);
         assert!(matches!(w.cancel(h), Cancelled::Filed { .. }));
-        w.insert(SimTime::from_nanos(1600), 2 << 32);
+        w.insert(SimTime::from_nanos(1600), 2);
         let fired = drain_all(&mut w, SimTime::from_micros(2));
-        assert_eq!(fired, vec![(SimTime::from_nanos(1600), 2 << 32)]);
+        assert_eq!(fired, vec![(SimTime::from_nanos(1600), 2)]);
     }
 
     #[test]
     fn node_recycling_goes_stale() {
         let mut w = Wheel::new();
-        let a = w.insert(SimTime::from_micros(1), 1 << 32);
+        let a = w.insert(SimTime::from_micros(1), 1);
         assert!(matches!(w.cancel(a), Cancelled::Filed { .. }));
-        let b = w.insert(SimTime::from_micros(1), 2 << 32);
+        let b = w.insert(SimTime::from_micros(1), 2);
         assert_eq!(a.node, b.node, "node recycled LIFO");
         assert!(matches!(w.cancel(a), Cancelled::Invalid));
         assert!(matches!(w.cancel(b), Cancelled::Filed { .. }));
@@ -573,7 +551,7 @@ mod tests {
         // window, one two levels out and one three levels out.
         let times = [7_000_000, 7_000_005, 7_001_024, 9_000_000, 300_000_000];
         for (i, &t) in times.iter().enumerate() {
-            w.insert(SimTime::from_nanos(t), (i as u64) << 32);
+            w.insert(SimTime::from_nanos(t), i as u32);
         }
         let mut fired = Vec::new();
         for _ in 0..16 {

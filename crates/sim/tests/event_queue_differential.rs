@@ -5,8 +5,8 @@
 //! push/pop, heavy time ties, spans on both sides of the calendar's
 //! horizon and exactly at its edge, events scheduled before the first
 //! pop, past-time clamping, bucket shapes (many entries in one
-//! nanosecond, runs straddling a bitmap word, the ring wrap), times with
-//! the packed key's top bit set, and sequence renumbering in mid-stream.
+//! nanosecond, runs straddling a bitmap word, the ring wrap) and times
+//! with the packed key's top bit set.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -90,9 +90,6 @@ struct Case {
     past_bias: bool,
     /// Clock position of the first pop.
     base: u64,
-    /// Compact the real queue's sequence numbers every this many steps
-    /// (0 = never; the reference's `u64` sequence never renumbers).
-    renumber_every: u64,
     /// One push in eight lands exactly at `now + SPAN - 1` or `now + SPAN`.
     edges: bool,
     /// Events scheduled before the first pop, inside the first window.
@@ -118,10 +115,7 @@ fn run_case(seed: u64, case: Case) {
     ref_q.schedule_at(SimTime::from_nanos(base), 0);
     assert_eq!(new_q.pop(), ref_q.pop());
 
-    for step in 1..=600 {
-        if case.renumber_every > 0 && step % case.renumber_every == 0 {
-            new_q.force_renumber();
-        }
+    for _ in 0..600 {
         let push = new_q.is_empty() || rng.uniform_f64() < 0.6;
         if push {
             let now = new_q.now().as_nanos();
@@ -253,20 +247,6 @@ fn differential_packed_key_high_bit_64_seeds() {
 }
 
 #[test]
-fn differential_renumber_mid_stream_64_seeds() {
-    // Compaction between pops, with entries of both numberings pending,
-    // in calendar buckets and in the wheel.
-    for seed in 0..64 {
-        let case = Case {
-            tie_span: if seed % 2 == 0 { 20 } else { 20_000 },
-            renumber_every: 37,
-            ..Case::default()
-        };
-        run_case(0x5E9_0000 + seed, case);
-    }
-}
-
-#[test]
 fn differential_bucket_shapes() {
     // 1..=N entries in one nanosecond (pure FIFO within a bucket), then
     // interleaved with a neighbour bucket.
@@ -333,35 +313,4 @@ fn differential_all_identical_times() {
         assert_eq!(new_q.pop(), ref_q.pop());
     }
     assert_eq!(new_q.pop(), None);
-}
-
-#[test]
-fn differential_across_forced_renumber() {
-    // The rare u32-seq compaction must not reorder anything relative to
-    // the reference (whose u64 seq never renumbers), before and after the
-    // first pop, with entries in the calendar and beyond it.
-    for seed in 0..16 {
-        let mut rng = SimRng::seed_from_u64(0x5E0_u64 ^ seed);
-        let mut new_q: EventQueue<u64> = EventQueue::new();
-        let mut ref_q: ReferenceQueue<u64> = ReferenceQueue::new();
-        for v in 0..400 {
-            let span = if v % 3 == 0 { 20_000 } else { 20 };
-            let at = SimTime::from_nanos(new_q.now().as_nanos() + rng.below(span));
-            new_q.schedule_at(at, v);
-            ref_q.schedule_at(at, v);
-            if v % 97 == 0 {
-                new_q.force_renumber();
-            }
-            if v % 5 == 4 {
-                assert_eq!(new_q.pop(), ref_q.pop(), "renumber mismatch (seed {seed})");
-            }
-        }
-        loop {
-            let (a, b) = (new_q.pop(), ref_q.pop());
-            assert_eq!(a, b, "renumber mismatch (seed {seed})");
-            if a.is_none() {
-                break;
-            }
-        }
-    }
 }

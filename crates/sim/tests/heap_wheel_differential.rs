@@ -345,32 +345,3 @@ fn wheel_differential_long_cancel_storm() {
         assert!(cancels > 5_000, "only {cancels} cancels: no storm");
     }
 }
-
-#[test]
-fn wheel_differential_survives_renumber() {
-    // The u32-seq compaction renumbers calendar entries, filed and
-    // staged wheel entries in one monotone pass; pop order must be
-    // unaffected even mid-storm.
-    for seed in 0..16 {
-        let mut rng = SimRng::seed_from_u64(0x0EE4_0000 + seed);
-        let mut h = Harness::new();
-        for step in 0..400 {
-            let t = SimTime::from_nanos(h.real.now().as_nanos() + rng.below(50));
-            match rng.below(6) {
-                0 | 1 => h.push_event(t),
-                2 | 3 => h.arm_timer(t),
-                4 if !h.armed.is_empty() => {
-                    let ix = rng.below(h.armed.len() as u64) as usize;
-                    h.cancel_at(ix);
-                }
-                _ => {
-                    h.pop_both(&format!("renumber seed {seed} step {step}"));
-                }
-            }
-            if step % 61 == 0 {
-                h.real.force_renumber();
-            }
-        }
-        h.drain_and_check(&format!("renumber seed {seed}"));
-    }
-}
