@@ -15,10 +15,12 @@
 //! fabric of the paper's §IV setup: `repro fig7 --scale paper --jobs 2`
 //! took 71–97 s (136 s CPU) on the same host.
 //!
-//! The rows of one invocation share a store of runs keyed by each
-//! cell's complete input, so a cell several figures show (Fig. 7's 0.8
-//! column is also Table II's, Fig. 8's and Fig. 9's) is simulated once;
-//! stderr reports `# N simulations for M cells`.
+//! The rows of one invocation share a store of runs in which each cell
+//! is its own key, so a cell several figures show (Fig. 7's 0.8 column
+//! is also Table II's, Fig. 8's and Fig. 9's) is simulated once, as is
+//! each fault cell `irn` asks for twice; stderr reports `# N
+//! simulations for M cells` (`all --scale small`: 39 for 78; `irn`: 28
+//! for 30).
 //!
 //! `--jobs N` fans the independent sweep cells across N worker threads
 //! (`--jobs 0` = all available cores); the output is bit-identical at

@@ -27,6 +27,7 @@
 //! digest is bit-identical at any `--jobs` value.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 use dcn_fabric::{FabricSim, PolicyChoice, RdmaTransport, RunResults};
 use dcn_net::{NodeId, Topology, TrafficClass};
@@ -48,7 +49,7 @@ pub(crate) const CHAOS_CHECK_SEEDS: [u64; 8] = [11, 23, 37, 41, 53, 67, 79, 97];
 /// One fault cell: a hybrid mix, the universe carrying its RDMA half,
 /// and the seed its fault schedule is sampled from (`None` = the
 /// zero-fault baseline).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FaultCell {
     /// Scale, policy and the two loads.
     pub hybrid: HybridConfig,
@@ -98,8 +99,8 @@ pub(crate) struct FaultPoint {
     /// Flows that lost a lossless-class packet (DCQCN has no
     /// retransmission, so these may legitimately never finish).
     pub victims: usize,
-    /// The run's merged results.
-    pub results: RunResults,
+    /// The run's merged results, shared by every copy of the point.
+    pub results: Arc<RunResults>,
     /// Invariant violations (empty = the battery passed).
     pub violations: Vec<String>,
 }
@@ -364,7 +365,7 @@ fn simulate(cell: &FaultCell) -> (FaultPoint, Evidence) {
             .filter(|(id, _)| !completed.contains(id))
             .collect(),
         victims: evidence.victims.len(),
-        results,
+        results: Arc::new(results),
         violations: Vec::new(),
     };
     (point, evidence)
@@ -380,7 +381,7 @@ pub(crate) fn run_fault_cell(cell: &FaultCell) -> FaultPoint {
 /// `repro chaos`: every arena policy under DCQCN, a zero-fault baseline
 /// plus one cell per fixed fault seed, rendered as goodput and tail FCT
 /// under chaos relative to each policy's own baseline. The fault seeds
-/// are fixed and every cell is traced, so only `opts.jobs` is read.
+/// are fixed and every cell is traced, so `opts.seeds` is not read.
 pub fn chaos(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
     let cells = FaultCell::grid(
         &crate::all_policies(),
@@ -388,7 +389,7 @@ pub fn chaos(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
         &[RdmaTransport::Dcqcn],
         &CHAOS_CHECK_SEEDS,
     );
-    let reps = run_fault_cells(&cells, &SweepOptions::new(opts.jobs, 1));
+    let reps = run_fault_cells(&cells, &SweepOptions { seeds: 1, ..*opts });
     let points: Vec<&FaultPoint> = reps.iter().map(|r| &r[0]).collect();
     let mut t = Table::new(&[
         "policy",
@@ -452,7 +453,8 @@ fn resilience_cells(scale: &ExperimentScale) -> Vec<FaultCell> {
 /// with no faults. The fault comparison runs L2BM in both universes on
 /// the *same* sampled schedule per fixed fault seed, plus one zero-fault
 /// baseline per universe, and counts the flows IRN rescues. Every cell
-/// is traced, so only `opts.jobs` is read.
+/// is traced, so `opts.seeds` is not read; the two L2BM zero-fault
+/// baselines are healthy-grid cells, so a shared store runs each once.
 pub fn irn(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
     let policies = crate::all_policies();
     let mut cells = FaultCell::grid(
@@ -463,7 +465,7 @@ pub fn irn(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
     );
     let healthy = cells.len();
     cells.extend(resilience_cells(scale));
-    let reps = run_fault_cells(&cells, &SweepOptions::new(opts.jobs, 1));
+    let reps = run_fault_cells(&cells, &SweepOptions { seeds: 1, ..*opts });
     let points: Vec<&FaultPoint> = reps.iter().map(|r| &r[0]).collect();
     let (grid, faulted) = points.split_at(healthy);
     let (dcqcn, irn) = faulted.split_at(faulted.len() / 2);
@@ -729,7 +731,9 @@ mod tests {
             assert!(got[0].contains(want), "{want}: {got:?}");
         };
         only(
-            fires(&dcqcn, &|p, _| p.results.drops.lossy_packets += 1),
+            fires(&dcqcn, &|p, _| {
+                Arc::make_mut(&mut p.results).drops.lossy_packets += 1
+            }),
             "trace drops",
         );
         only(
@@ -741,7 +745,9 @@ mod tests {
             "trace NACKs",
         );
         only(
-            fires(&dcqcn, &|p, _| p.results.rdma_stranded = 1),
+            fires(&dcqcn, &|p, _| {
+                Arc::make_mut(&mut p.results).rdma_stranded = 1
+            }),
             "1 stranded DCQCN senders",
         );
         only(
@@ -756,13 +762,15 @@ mod tests {
         );
         only(
             fires(&irn, &|p, ev| {
-                p.results.pfc.record_pause();
+                Arc::make_mut(&mut p.results).pfc.record_pause();
                 ev.totals.pfc_pauses += 1;
             }),
             "IRN universe emitted 1 PFC pause frames",
         );
         only(
-            fires(&dcqcn, &|p, _| p.results.queue.past_clamps = 1),
+            fires(&dcqcn, &|p, _| {
+                Arc::make_mut(&mut p.results).queue.past_clamps = 1
+            }),
             "1 past-time clamps",
         );
         only(

@@ -11,13 +11,12 @@ use dcn_sim::{SimDuration, SimRng, SimTime};
 use dcn_workload::{web_search_cdf, FlowSpec, PoissonTraffic};
 
 use crate::scale::ExperimentScale;
-use crate::sweep::{CellKey, RunKey};
 
 /// The RDMA load the paper holds fixed while it sweeps TCP (§IV-A).
 pub(crate) const RDMA_LOAD: f64 = 0.4;
 
 /// One hybrid run's parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HybridConfig {
     /// The scale (topology, window, seed).
     pub scale: ExperimentScale,
@@ -38,21 +37,6 @@ impl HybridConfig {
             rdma_load: RDMA_LOAD,
             tcp_load,
         }
-    }
-
-    /// The run's complete input.
-    pub(crate) fn key(&self) -> RunKey {
-        let HybridConfig {
-            scale,
-            policy,
-            rdma_load,
-            tcp_load,
-        } = self;
-        let cell = CellKey::Hybrid {
-            rdma_load: rdma_load.to_bits(),
-            tcp_load: tcp_load.to_bits(),
-        };
-        RunKey::new(scale, *policy, cell)
     }
 }
 

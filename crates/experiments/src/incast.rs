@@ -13,10 +13,9 @@ use dcn_workload::{web_search_cdf, IncastQuery, IncastWorkload, PoissonTraffic};
 
 use crate::hybrid::{split_hosts, tor_occupancy, RunInputs, RDMA_PRIO, TCP_PRIO};
 use crate::scale::ExperimentScale;
-use crate::sweep::{CellKey, RunKey};
 
 /// One incast run's parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IncastConfig {
     /// The scale (topology, window, seed).
     pub scale: ExperimentScale,
@@ -50,25 +49,6 @@ impl IncastConfig {
             query_gap: SimDuration::from_micros(1_330),
             tcp_load: 0.8,
         }
-    }
-
-    /// The run's complete input.
-    pub(crate) fn key(&self) -> RunKey {
-        let IncastConfig {
-            scale,
-            policy,
-            fanout,
-            request_size,
-            query_gap,
-            tcp_load,
-        } = self;
-        let cell = CellKey::Incast {
-            fanout: *fanout,
-            request_size: request_size.as_u64(),
-            query_gap: *query_gap,
-            tcp_load: tcp_load.to_bits(),
-        };
-        RunKey::new(scale, *policy, cell)
     }
 }
 

@@ -23,7 +23,8 @@
 //! A sweep keeps every seed replicate ([`run_hybrid_cells`],
 //! [`run_incast_cells`]); `mean±CI` is computed where a table cell is
 //! rendered. Rows given one [`Runs`] store through their
-//! [`SweepOptions`] simulate a cell they share once.
+//! [`SweepOptions`] simulate a cell they share once, fault cells
+//! included: a cell is its own key.
 //!
 //! # Example
 //!

@@ -8,7 +8,7 @@ use dcn_switch::SwitchConfig;
 /// hundreds of milliseconds) takes minutes of wall time per data point;
 /// the `small` scale preserves the topology shape and oversubscription
 /// while finishing in seconds, and is what the benches and tests use.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentScale {
     /// The clos fabric to build.
     pub clos: ClosConfig,

@@ -18,21 +18,19 @@
 //! `--seeds 1` (the default) reproduces the historical single-seed
 //! output exactly.
 //!
-//! Hybrid and incast cells go through a [`Runs`] store, keyed by their
-//! complete input: a cell whose key has run is answered from the
-//! store, so rows that share cells (Fig. 3(b)'s are Fig. 7's, Table II
-//! repeats three of its columns) simulate each once. `repro` keeps one
+//! Every cell, hybrid, incast or fault, goes through a [`Runs`] store,
+//! where the cell is its own key: a cell equal to one that has run is
+//! answered from the store, so rows that share cells (Fig. 3(b)'s are
+//! Fig. 7's, Table II repeats three of its columns, `irn` reruns
+//! `chaos`'s L2BM/DCQCN cells) simulate each once. `repro` keeps one
 //! store for its whole invocation; a sweep given none uses its own.
 
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::cell::{Cell, RefCell};
 use std::fmt;
 
-use dcn_fabric::{PolicyChoice, RunResults};
+use dcn_fabric::RunResults;
 use dcn_metrics::SeedStats;
-use dcn_net::ClosConfig;
-use dcn_sim::{par_map, SimDuration};
-use l2bm::{L2bmConfig, Normalization};
+use dcn_sim::par_map;
 
 use crate::fault::{run_fault_cell, FaultCell, FaultPoint};
 use crate::hybrid::{run_hybrid, HybridConfig, HybridPoint};
@@ -53,8 +51,8 @@ pub struct SweepOptions<'a> {
     /// more than one replicate each swept table cell reads `mean ± 95%
     /// CI` over the replicates.
     pub seeds: u64,
-    /// The store hybrid and incast runs are kept in and looked up from;
-    /// `None` gives each sweep a store of its own.
+    /// The store runs are kept in and looked up from; `None` gives each
+    /// sweep a store of its own.
     pub runs: Option<&'a Runs>,
 }
 
@@ -75,8 +73,7 @@ impl SweepOptions<'_> {
         }
     }
 
-    /// These options with every hybrid and incast run going through
-    /// `runs`.
+    /// These options with every run going through `runs`.
     pub fn sharing(self, runs: &Runs) -> SweepOptions<'_> {
         SweepOptions {
             jobs: self.jobs,
@@ -95,108 +92,36 @@ impl SweepOptions<'_> {
     }
 }
 
-/// The complete input of one stored run, every float as its bits:
-/// cells with equal keys are one simulation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct RunKey {
-    clos: ClosConfig,
-    window: SimDuration,
-    drain: SimDuration,
-    seed: u64,
-    policy: PolicyKey,
-    cell: CellKey,
-}
-
-/// A [`PolicyChoice`] with its floats as bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PolicyKey {
-    Dt(u64),
-    Abm,
-    L2bm {
-        alpha: u64,
-        max_weight: u64,
-        fixed_c: Option<u64>,
-        pause_freeze: bool,
-    },
-    Occamy,
-    BShare,
-}
-
-/// What a cell adds to its scale and policy, floats as bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum CellKey {
-    Hybrid {
-        rdma_load: u64,
-        tcp_load: u64,
-    },
-    Incast {
-        fanout: usize,
-        request_size: u64,
-        query_gap: SimDuration,
-        tcp_load: u64,
-    },
-}
-
-impl RunKey {
-    pub(crate) fn new(scale: &ExperimentScale, policy: PolicyChoice, cell: CellKey) -> RunKey {
-        let ExperimentScale {
-            clos,
-            window,
-            drain,
-            seed,
-        } = scale;
-        let policy = match policy {
-            PolicyChoice::Dt(alpha) => PolicyKey::Dt(alpha.to_bits()),
-            PolicyChoice::Abm => PolicyKey::Abm,
-            PolicyChoice::L2bm(L2bmConfig {
-                alpha,
-                max_weight,
-                normalization,
-                pause_freeze,
-            }) => PolicyKey::L2bm {
-                alpha: alpha.to_bits(),
-                max_weight: max_weight.to_bits(),
-                fixed_c: match normalization {
-                    Normalization::SumActiveTau => None,
-                    Normalization::Fixed(c) => Some(c.to_bits()),
-                },
-                pause_freeze,
-            },
-            PolicyChoice::Occamy => PolicyKey::Occamy,
-            PolicyChoice::BShare => PolicyKey::BShare,
-        };
-        RunKey {
-            clos: clos.clone(),
-            window: *window,
-            drain: *drain,
-            seed: *seed,
-            policy,
-            cell,
-        }
-    }
-}
-
-/// Every hybrid and incast simulation a sweep, or a whole `repro`
-/// invocation, ran, by its complete input, and the key of every cell
-/// asked for. A stored point is handed out as a copy that shares its
-/// [`RunResults`], so a row may relabel its points without touching
-/// another row's.
+/// Every hybrid, incast and fault simulation a sweep, or a whole
+/// `repro` invocation, ran, each filed under its cell, and the count of
+/// cells asked for. A cell is its own key: a stored cell answers every
+/// cell `==` to it. Loads compare as `f64 ==`, so `0.0` and `-0.0` are
+/// one cell (they run the same simulation: every load is read through
+/// `> 0.0`), and a cell holding a NaN equals nothing, so it is rerun
+/// each time it is asked for, never shared. A table holds at most a few
+/// hundred cells, so a lookup scans it. A stored point is handed out as
+/// a copy that shares its [`RunResults`], so a row may relabel its
+/// points without touching another row's.
 #[derive(Default)]
 pub struct Runs {
-    hybrid: RefCell<HashMap<RunKey, HybridPoint>>,
-    incast: RefCell<HashMap<RunKey, IncastPoint>>,
-    asked: RefCell<Vec<RunKey>>,
+    hybrid: Stored<HybridConfig, HybridPoint>,
+    incast: Stored<IncastConfig, IncastPoint>,
+    fault: Stored<FaultCell, FaultPoint>,
+    asked: Cell<usize>,
 }
 
+/// One cell type's runs, each beside its cell, in the order they ran.
+type Stored<C, P> = RefCell<Vec<(C, P)>>;
+
 impl Runs {
-    /// Simulations run: one per distinct key.
+    /// Simulations run: one per distinct cell.
     pub fn simulations(&self) -> usize {
-        self.hybrid.borrow().len() + self.incast.borrow().len()
+        self.hybrid.borrow().len() + self.incast.borrow().len() + self.fault.borrow().len()
     }
 
     /// Cells asked for, each replicate counted.
     pub fn cells(&self) -> usize {
-        self.asked.borrow().len()
+        self.asked.get()
     }
 
     /// `N simulations for M cells`.
@@ -326,104 +251,83 @@ fn regroup<P>(runs: impl IntoIterator<Item = P>, seeds: u64) -> Vec<Vec<P>> {
     cells
 }
 
-/// Runs the flattened `(cell, replicate)` grid in parallel. Output `i`
-/// holds `cells[i]`'s replicates in seed order — never completion order.
-fn run_replicated<C, P>(
-    cells: &[C],
-    opts: &SweepOptions,
-    scale: fn(&mut C) -> &mut ExperimentScale,
-    run: impl Fn(&C) -> P + Sync,
-) -> Vec<Vec<P>>
-where
-    C: Clone + Sync,
-    P: Send,
-{
-    let seeds = opts.seeds_or(1);
-    regroup(
-        par_map(opts.jobs, &replicate(cells, seeds, scale), run),
-        seeds,
-    )
-}
-
-/// [`run_replicated`] through the options' store (or one of its own):
-/// each key of the grid that `table` lacks runs once, in parallel, and
-/// every replicate is a copy of its key's stored point.
+/// Runs the flattened `(cell, replicate)` grid through the options'
+/// store (or one of its own): each cell that `table` lacks runs once, in
+/// parallel, and every replicate is a copy of its cell's stored point.
+/// Output `i` holds `cells[i]`'s replicates in seed order — never
+/// completion order.
 fn run_stored<C, P>(
     cells: &[C],
     opts: &SweepOptions,
     scale: fn(&mut C) -> &mut ExperimentScale,
-    key: fn(&C) -> RunKey,
     run: fn(&C) -> P,
-    table: fn(&Runs) -> &RefCell<HashMap<RunKey, P>>,
+    table: fn(&Runs) -> &Stored<C, P>,
 ) -> Vec<Vec<P>>
 where
-    C: Clone + Sync,
+    C: Clone + PartialEq + Sync,
     P: Clone + Send,
 {
     let own = Runs::default();
     let runs = opts.runs.unwrap_or(&own);
     let seeds = opts.seeds_or(1);
     let grid = replicate(cells, seeds, scale);
-    let keys: Vec<RunKey> = grid.iter().map(key).collect();
     let mut table = table(runs).borrow_mut();
-    let mut fresh = HashSet::new();
-    let (todo, todo_keys): (Vec<C>, Vec<&RunKey>) = grid
-        .into_iter()
-        .zip(&keys)
-        .filter(|&(_, k)| !table.contains_key(k) && fresh.insert(k))
-        .unzip();
-    table.extend(
-        todo_keys
-            .into_iter()
-            .cloned()
-            .zip(par_map(opts.jobs, &todo, run)),
-    );
-    let points = regroup(keys.iter().map(|k| table[k].clone()), seeds);
-    runs.asked.borrow_mut().extend(keys);
-    points
+    let stored = table.len();
+    let mut todo: Vec<C> = Vec::new();
+    let at: Vec<usize> = grid
+        .iter()
+        .map(|cell| {
+            let found = table
+                .iter()
+                .map(|(c, _)| c)
+                .chain(&todo)
+                .position(|c| c == cell);
+            found.unwrap_or_else(|| {
+                todo.push(cell.clone());
+                stored + todo.len() - 1
+            })
+        })
+        .collect();
+    let points = par_map(opts.jobs, &todo, run);
+    table.extend(todo.into_iter().zip(points));
+    runs.asked.set(runs.asked.get() + grid.len());
+    regroup(at.into_iter().map(|i| table[i].1.clone()), seeds)
 }
 
 /// Runs a set of hybrid cells through the parallel engine and the
 /// options' store. Output `i` holds `cells[i]`'s replicates, base seed
 /// first.
 pub fn run_hybrid_cells(cells: &[HybridConfig], opts: &SweepOptions) -> Vec<Vec<HybridPoint>> {
-    let key = HybridConfig::key;
-    run_stored(
-        cells,
-        opts,
-        |c| &mut c.scale,
-        key,
-        run_hybrid,
-        |r| &r.hybrid,
-    )
+    run_stored(cells, opts, |c| &mut c.scale, run_hybrid, |r| &r.hybrid)
 }
 
 /// Runs a set of incast cells through the parallel engine and the
 /// options' store (see [`run_hybrid_cells`]).
 pub fn run_incast_cells(cells: &[IncastConfig], opts: &SweepOptions) -> Vec<Vec<IncastPoint>> {
-    let key = IncastConfig::key;
-    run_stored(
-        cells,
-        opts,
-        |c| &mut c.scale,
-        key,
-        run_incast,
-        |r| &r.incast,
-    )
+    run_stored(cells, opts, |c| &mut c.scale, run_incast, |r| &r.incast)
 }
 
 /// Runs a set of fault cells, each with its invariant battery, through
-/// the parallel engine (see [`run_hybrid_cells`]).
+/// the parallel engine and the options' store (see
+/// [`run_hybrid_cells`]).
 pub(crate) fn run_fault_cells(cells: &[FaultCell], opts: &SweepOptions) -> Vec<Vec<FaultPoint>> {
-    run_replicated(cells, opts, |c| &mut c.hybrid.scale, run_fault_cell)
+    run_stored(
+        cells,
+        opts,
+        |c| &mut c.hybrid.scale,
+        run_fault_cell,
+        |r| &r.fault,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::report::fmt_f64;
-    use crate::scale::ExperimentScale;
-    use dcn_fabric::PolicyChoice;
+    use dcn_fabric::{PolicyChoice, RdmaTransport};
+    use dcn_net::ClosConfig;
+    use dcn_sim::SimDuration;
+    use l2bm::{L2bmConfig, Normalization};
 
     fn tiny_cell(policy: PolicyChoice, tcp_load: f64) -> HybridConfig {
         HybridConfig::paper(&ExperimentScale::tiny(), policy, tcp_load)
@@ -531,36 +435,303 @@ mod tests {
         assert_eq!(dash(&[]), "-", "so is no replicate at all");
     }
 
-    /// Every `FIGURES` cell files one digest under one key, and cells
-    /// that share a key, each run by its row alone, share a digest: the
-    /// key holds every input a run reads. One store over all rows then
-    /// runs one simulation per key, and says so.
+    /// Every `FIGURES` row alone counts one cell per filed digest, and
+    /// gives the outcome it gives through one store shared by all rows,
+    /// where it may be answered from another row's runs. That store runs
+    /// fewer simulations than cells, and says so.
     #[test]
-    fn every_figure_cell_has_one_key_and_equal_keys_equal_digests() {
+    fn every_figure_cell_is_counted_and_a_shared_store_changes_no_outcome() {
         let scale = ExperimentScale::tiny().with_window(SimDuration::from_millis(1));
         let shared = Runs::default();
-        let mut digest_of: HashMap<RunKey, (String, u64)> = HashMap::new();
         let mut cells = 0;
         for (name, run) in crate::FIGURES {
             let alone = Runs::default();
             let out = run(&scale, &SweepOptions::new(2, 2).sharing(&alone));
-            let asked = alone.asked.borrow();
-            assert_eq!(asked.len(), out.digests.len(), "{name}: one key per cell");
-            for (key, (label, digest)) in asked.iter().zip(&out.digests) {
-                let (first, d) = digest_of
-                    .entry(key.clone())
-                    .or_insert_with(|| (format!("{name} {label}"), *digest));
-                assert_eq!(d, digest, "{name} {label} and {first} share a key");
-            }
-            cells += asked.len();
-            run(&scale, &SweepOptions::new(2, 2).sharing(&shared));
+            assert_eq!(
+                alone.cells(),
+                out.digests.len(),
+                "{name}: one cell per digest"
+            );
+            cells += alone.cells();
+            let through_shared = run(&scale, &SweepOptions::new(2, 2).sharing(&shared));
+            assert_eq!(through_shared, out, "{name}");
         }
         assert_eq!(shared.cells(), cells);
-        assert_eq!(shared.simulations(), digest_of.len());
         assert!(shared.simulations() < cells, "{}", shared.summary());
         assert_eq!(
             shared.summary(),
-            format!("{} simulations for {cells} cells", digest_of.len())
+            format!("{} simulations for {cells} cells", shared.simulations())
         );
+    }
+
+    /// A scale short enough that each store test's dozen runs are cheap.
+    fn short_scale() -> ExperimentScale {
+        ExperimentScale::tiny().with_window(SimDuration::from_micros(300))
+    }
+
+    /// Asks one store for `base` twice, then for each variant (a copy of
+    /// `base` with one input changed, named by it) between two copies of
+    /// itself and one of `base`: an equal copy runs nothing, each variant
+    /// runs once.
+    fn assert_one_simulation_per_variant<C: Clone, P>(
+        base: &C,
+        variants: &[(&str, C)],
+        run: fn(&[C], &SweepOptions) -> Vec<Vec<P>>,
+    ) {
+        let runs = Runs::default();
+        let opts = SweepOptions::new(2, 1).sharing(&runs);
+        run(&[base.clone(), base.clone()], &opts);
+        assert_eq!(runs.summary(), "1 simulations for 2 cells");
+        for (i, (field, cell)) in variants.iter().enumerate() {
+            run(&[cell.clone(), base.clone(), cell.clone()], &opts);
+            assert_eq!(runs.simulations(), 2 + i, "another {field} is another run");
+        }
+        assert_eq!(runs.cells(), 2 + 3 * variants.len());
+    }
+
+    /// Copies of `cell` with one input changed each: every field of the
+    /// scale and of the L2BM configuration (the destructuring fails to
+    /// compile until a new field is listed), two other policies, and
+    /// both loads.
+    fn hybrid_variants(cell: &HybridConfig) -> Vec<(&'static str, HybridConfig)> {
+        let HybridConfig {
+            scale,
+            policy,
+            rdma_load,
+            tcp_load,
+        } = cell;
+        assert_eq!(*policy, PolicyChoice::l2bm(), "the variants vary L2BM");
+        let ExperimentScale {
+            clos,
+            window,
+            drain,
+            seed,
+        } = scale;
+        let base = L2bmConfig::default();
+        let L2bmConfig {
+            alpha,
+            max_weight,
+            normalization: _,
+            pause_freeze,
+        } = base;
+        let scales = [
+            (
+                "clos",
+                ExperimentScale {
+                    clos: ClosConfig {
+                        hosts_per_tor: clos.hosts_per_tor + 2,
+                        ..clos.clone()
+                    },
+                    ..scale.clone()
+                },
+            ),
+            ("window", scale.clone().with_window(*window * 2)),
+            (
+                "drain",
+                ExperimentScale {
+                    drain: *drain * 2,
+                    ..scale.clone()
+                },
+            ),
+            ("seed", scale.clone().with_seed(seed + 1)),
+        ];
+        let l2bm = PolicyChoice::L2bm;
+        let policies = [
+            ("policy", PolicyChoice::dt()),
+            ("DT alpha", PolicyChoice::dt2()),
+            (
+                "L2BM alpha",
+                l2bm(L2bmConfig {
+                    alpha: alpha * 2.0,
+                    ..base
+                }),
+            ),
+            (
+                "L2BM max_weight",
+                l2bm(L2bmConfig {
+                    max_weight: max_weight / 2.0,
+                    ..base
+                }),
+            ),
+            (
+                "L2BM normalization",
+                l2bm(L2bmConfig {
+                    normalization: Normalization::Fixed(1e-4),
+                    ..base
+                }),
+            ),
+            (
+                "L2BM pause_freeze",
+                l2bm(L2bmConfig {
+                    pause_freeze: !pause_freeze,
+                    ..base
+                }),
+            ),
+        ];
+        let mut out: Vec<_> = scales
+            .into_iter()
+            .map(|(f, scale)| {
+                (
+                    f,
+                    HybridConfig {
+                        scale,
+                        ..cell.clone()
+                    },
+                )
+            })
+            .chain(policies.map(|(f, policy)| {
+                (
+                    f,
+                    HybridConfig {
+                        policy,
+                        ..cell.clone()
+                    },
+                )
+            }))
+            .collect();
+        out.push((
+            "rdma_load",
+            HybridConfig {
+                rdma_load: rdma_load / 2.0,
+                ..cell.clone()
+            },
+        ));
+        out.push((
+            "tcp_load",
+            HybridConfig {
+                tcp_load: tcp_load * 2.0,
+                ..cell.clone()
+            },
+        ));
+        out
+    }
+
+    #[test]
+    fn a_hybrid_cell_differing_in_one_input_is_one_more_simulation() {
+        let base = HybridConfig::paper(&short_scale(), PolicyChoice::l2bm(), 0.4);
+        assert_one_simulation_per_variant(&base, &hybrid_variants(&base), run_hybrid_cells);
+
+        // Loads compare as `f64`: -0.0 is 0.0's cell, a NaN cell is
+        // nobody's. Both read as "no TCP", so all four run alike.
+        let runs = Runs::default();
+        let opts = SweepOptions::new(1, 1).sharing(&runs);
+        let tcp = |tcp_load| HybridConfig {
+            tcp_load,
+            ..base.clone()
+        };
+        let zeros = run_hybrid_cells(&[tcp(0.0), tcp(-0.0)], &opts);
+        assert_eq!(runs.summary(), "1 simulations for 2 cells");
+        let nans = run_hybrid_cells(&[tcp(f64::NAN), tcp(f64::NAN)], &opts);
+        assert_eq!(runs.summary(), "3 simulations for 4 cells");
+        let digest = |p: &Vec<HybridPoint>| p[0].results.digest();
+        let all: Vec<u64> = zeros.iter().chain(&nans).map(digest).collect();
+        assert!(all.iter().all(|&d| d == all[0]), "{all:?}");
+    }
+
+    #[test]
+    fn an_incast_cell_differing_in_one_input_is_one_more_simulation() {
+        let base = IncastConfig::paper_defaults(short_scale(), PolicyChoice::l2bm(), 3);
+        let IncastConfig {
+            scale: _,
+            policy: _,
+            fanout,
+            request_size,
+            query_gap,
+            tcp_load,
+        } = &base;
+        let mut variants: Vec<(&str, IncastConfig)> =
+            hybrid_variants(&HybridConfig::paper(&base.scale, base.policy, *tcp_load))
+                .into_iter()
+                .filter(|(f, _)| !f.ends_with("_load"))
+                .map(|(f, h)| {
+                    let cell = IncastConfig {
+                        scale: h.scale,
+                        policy: h.policy,
+                        ..base.clone()
+                    };
+                    (f, cell)
+                })
+                .collect();
+        variants.extend([
+            (
+                "fanout",
+                IncastConfig {
+                    fanout: fanout - 1,
+                    ..base.clone()
+                },
+            ),
+            (
+                "request_size",
+                IncastConfig {
+                    request_size: *request_size * 2,
+                    ..base.clone()
+                },
+            ),
+            (
+                "query_gap",
+                IncastConfig {
+                    query_gap: *query_gap / 2,
+                    ..base.clone()
+                },
+            ),
+            (
+                "tcp_load",
+                IncastConfig {
+                    tcp_load: tcp_load / 2.0,
+                    ..base.clone()
+                },
+            ),
+        ]);
+        assert_one_simulation_per_variant(&base, &variants, run_incast_cells);
+    }
+
+    #[test]
+    fn a_fault_cell_differing_in_one_input_is_one_more_simulation() {
+        let base = FaultCell {
+            hybrid: HybridConfig::paper(&short_scale(), PolicyChoice::l2bm(), 0.4),
+            transport: RdmaTransport::Dcqcn,
+            fault_seed: Some(11),
+        };
+        let FaultCell {
+            hybrid,
+            transport: _,
+            fault_seed: _,
+        } = &base;
+        let mut variants: Vec<(&str, FaultCell)> = hybrid_variants(hybrid)
+            .into_iter()
+            .map(|(f, hybrid)| {
+                (
+                    f,
+                    FaultCell {
+                        hybrid,
+                        ..base.clone()
+                    },
+                )
+            })
+            .collect();
+        variants.extend([
+            (
+                "transport",
+                FaultCell {
+                    transport: RdmaTransport::Irn,
+                    ..base.clone()
+                },
+            ),
+            (
+                "fault_seed",
+                FaultCell {
+                    fault_seed: Some(23),
+                    ..base.clone()
+                },
+            ),
+            (
+                "no fault_seed",
+                FaultCell {
+                    fault_seed: None,
+                    ..base.clone()
+                },
+            ),
+        ]);
+        assert_one_simulation_per_variant(&base, &variants, run_fault_cells);
     }
 }

@@ -8,8 +8,9 @@
 //! incast arenas are one cell per policy and its chaos arena one cell
 //! per `(policy, fault seed)`, replicated by [`run_hybrid_cells`],
 //! [`run_incast_cells`] and [`run_fault_cells`] with replicate `r` at
-//! `seed + r`. So the jobs-invariance contract carries over
-//! verbatim — the same tournament specification renders a
+//! `seed + r`, all through the options' store (so the chaos arena's
+//! base-seed cells are `repro chaos`'s). So the jobs-invariance contract
+//! carries over verbatim — the same tournament specification renders a
 //! byte-identical report (and the same per-cell digests) at any
 //! `--jobs` value.
 
@@ -191,7 +192,10 @@ fn render(rows: &[TournamentRow], seeds: u64) -> Outcome {
 /// table. Row order (and therefore the rendered report and the digest
 /// vector) depends only on the specification.
 pub fn tournament(scale: &ExperimentScale, opts: &SweepOptions) -> Outcome {
-    let opts = SweepOptions::new(opts.jobs, opts.seeds_or(DEFAULT_SEEDS));
+    let opts = SweepOptions {
+        seeds: opts.seeds_or(DEFAULT_SEEDS),
+        ..*opts
+    };
     render(&play(scale, &opts), opts.seeds)
 }
 

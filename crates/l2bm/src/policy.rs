@@ -90,28 +90,30 @@ impl L2bmPolicy {
         }
     }
 
-    /// The control weight `w(q)` at `now` (Eq. 4 for L2BM).
-    pub fn weight(&self, q: QueueIndex, now: SimTime) -> f64 {
-        self.weight_with(q, now, SojournModule::sum_tau_ns)
+    /// The control weight `w(q)` at `now` (Eq. 4 for L2BM). Reading `C`
+    /// advances the sojourn module's aggregate.
+    pub fn weight(&mut self, q: QueueIndex, now: SimTime) -> f64 {
+        let tau = self.sojourn.tau_ns(q, now);
+        self.rule.weight(tau, || self.sojourn.sum_tau_ns(now))
     }
 
     /// Reference recomputation of [`L2bmPolicy::weight`] using the
     /// sojourn module's full-scan `C` instead of the incremental one.
     /// Kept for differential testing — not for the admission path.
     pub fn weight_naive(&self, q: QueueIndex, now: SimTime) -> f64 {
-        self.weight_with(q, now, |s, now| s.sum_active_tau_naive(now) * 1e9)
-    }
-
-    fn weight_with(
-        &self,
-        q: QueueIndex,
-        now: SimTime,
-        sum_tau: fn(&SojournModule, SimTime) -> f64,
-    ) -> f64 {
         let tau = self.sojourn.tau_ns(q, now);
-        match self.rule {
+        self.rule
+            .weight(tau, || self.sojourn.sum_active_tau_naive(now) * 1e9)
+    }
+}
+
+impl Rule {
+    /// The weight of a queue whose average sojourn is `tau` ns, reading
+    /// `C` (ns) from `sum_tau` only where the rule needs it.
+    fn weight(self, tau: f64, sum_tau: impl FnOnce() -> f64) -> f64 {
+        match self {
             Rule::L2bm { cfg, fixed_c } => {
-                let c = fixed_c.unwrap_or_else(|| sum_tau(&self.sojourn, now));
+                let c = fixed_c.unwrap_or_else(sum_tau);
                 if tau <= ZERO_NS || c <= ZERO_NS {
                     return cfg.max_weight;
                 }
@@ -120,7 +122,7 @@ impl L2bmPolicy {
             Rule::BShare => {
                 // Read C even when the target is met: each read advances
                 // the aggregate, and a skipped advance rounds differently.
-                let c = sum_tau(&self.sojourn, now);
+                let c = sum_tau();
                 if tau <= BSHARE_DELAY_TARGET_NS {
                     return BSHARE_MAX_WEIGHT;
                 }
@@ -140,7 +142,7 @@ impl Default for L2bmPolicy {
 }
 
 impl BufferPolicy for L2bmPolicy {
-    fn pfc_threshold(&self, mmu: &MmuState, q: QueueIndex, now: SimTime) -> Bytes {
+    fn pfc_threshold(&mut self, mmu: &MmuState, q: QueueIndex, now: SimTime) -> Bytes {
         mmu.shared_remaining().scale(self.weight(q, now))
     }
 
@@ -211,7 +213,7 @@ mod tests {
 
     #[test]
     fn idle_queue_gets_capped_weight() {
-        let p = L2bmPolicy::default();
+        let mut p = L2bmPolicy::default();
         let m = mmu();
         // No packets anywhere: weight = w_max = 1 -> whole remaining pool.
         assert_eq!(
@@ -302,7 +304,7 @@ mod tests {
 
     #[test]
     fn bshare_queue_under_target_gets_full_weight() {
-        let p = L2bmPolicy::bshare();
+        let mut p = L2bmPolicy::bshare();
         let m = mmu();
         // Idle queue: τ = 0 ≤ target -> the whole remaining pool.
         assert_eq!(

@@ -35,10 +35,8 @@
 //! (`t_prev + ⌈t_total/active⌉`, ties in flat queue order): a counted,
 //! draining record owns one entry, re-keyed in place on every touch, so
 //! every pop is a real crossing and [`SojournModule::sum_active_tau`] is
-//! O(1) when nothing crossed zero. Threshold reads take `&self`, so the
-//! records and the aggregate live in a `RefCell`.
-
-use std::cell::RefCell;
+//! O(1) when nothing crossed zero. Reading `C` advances the aggregate,
+//! so it takes `&mut self`, as the threshold read that calls it does.
 
 use dcn_net::Priority;
 use dcn_sim::{SimDuration, SimTime};
@@ -250,18 +248,15 @@ impl Table {
 /// and read [`SojournModule::sum_active_tau`] (the normalization
 /// constant `C`).
 ///
-/// `now` must be non-decreasing across calls — including the read-only
-/// [`SojournModule::sum_active_tau`], which advances the incremental
-/// aggregate — as is naturally the case inside a discrete-event
-/// simulation.
+/// `now` must be non-decreasing across calls, as is naturally the case
+/// inside a discrete-event simulation.
 #[derive(Debug, Default)]
 pub struct SojournModule {
     /// Flat ingress-queue index → record slot, or [`UNFILED`]; sized from
     /// the MMU on the first packet.
     slots: Vec<u32>,
-    /// The records and the `Σ τ` aggregate; interior mutability because
-    /// threshold reads advance the aggregate through `&self`.
-    table: RefCell<Table>,
+    /// The records and the `Σ τ` aggregate.
+    table: Table,
 }
 
 impl SojournModule {
@@ -295,7 +290,7 @@ impl SojournModule {
         if self.slots.is_empty() {
             self.slots = vec![UNFILED; mmu.port_count() * Priority::COUNT];
         }
-        let table = self.table.get_mut();
+        let table = &mut self.table;
         let flat = q_in.flat();
         let slot = &mut self.slots[flat];
         if *slot == UNFILED {
@@ -316,11 +311,11 @@ impl SojournModule {
     /// whether its egress queue is paused (and the pause counts). A
     /// dequeue with no matching enqueue is ignored.
     pub fn on_dequeue(&mut self, now: SimTime, q_in: QueueIndex, frozen: bool) {
-        let held = |&s: &usize| self.table.borrow().records[s].n > 0;
+        let held = |&s: &usize| self.table.records[s].n > 0;
         let Some(slot) = self.slot(q_in.flat()).filter(held) else {
             return;
         };
-        self.table.get_mut().touch(slot, q_in.flat(), now, |rec| {
+        self.table.touch(slot, q_in.flat(), now, |rec| {
             rec.n -= 1;
             rec.paused_n = rec.paused_n.saturating_sub(u32::from(frozen));
             if rec.n == 0 {
@@ -346,7 +341,7 @@ impl SojournModule {
             let Some(slot) = self.slot(flat).filter(|_| count > 0) else {
                 continue;
             };
-            self.table.get_mut().touch(slot, flat, now, |rec| {
+            self.table.touch(slot, flat, now, |rec| {
                 if paused {
                     rec.paused_n += count;
                 } else {
@@ -360,20 +355,19 @@ impl SojournModule {
     /// (Eq. 2), in ns.
     pub(crate) fn tau_ns(&self, q: QueueIndex, now: SimTime) -> f64 {
         self.slot(q.flat())
-            .map_or(0.0, |s| self.table.borrow().records[s].tau(now))
+            .map_or(0.0, |s| self.table.records[s].tau(now))
     }
 
     /// `C = Σ τ` at `now`, in ns; see [`SojournModule::sum_active_tau`].
-    pub(crate) fn sum_tau_ns(&self, now: SimTime) -> f64 {
-        let mut table = self.table.borrow_mut();
-        table.advance(now);
-        table.sum.max(0.0)
+    pub(crate) fn sum_tau_ns(&mut self, now: SimTime) -> f64 {
+        self.table.advance(now);
+        self.table.sum.max(0.0)
     }
 
     /// `Σ τ` over all queues currently holding packets — the paper's
     /// normalization constant `C` — in seconds. O(1) amortized: reads the
     /// incremental aggregate instead of scanning every queue.
-    pub fn sum_active_tau(&self, now: SimTime) -> f64 {
+    pub fn sum_active_tau(&mut self, now: SimTime) -> f64 {
         self.sum_tau_ns(now) / 1e9
     }
 
@@ -381,8 +375,8 @@ impl SojournModule {
     /// full scan. Kept for differential testing of the incremental
     /// aggregate — not for the admission path.
     pub fn sum_active_tau_naive(&self, now: SimTime) -> f64 {
-        let table = self.table.borrow();
-        table.records.iter().map(|rec| rec.tau(now)).sum::<f64>() / 1e9
+        let records = &self.table.records;
+        records.iter().map(|rec| rec.tau(now)).sum::<f64>() / 1e9
     }
 }
 
@@ -460,13 +454,12 @@ mod tests {
     }
 
     fn packet_count(s: &SojournModule, q: QueueIndex) -> u32 {
-        s.slot(q.flat())
-            .map_or(0, |i| s.table.borrow().records[i].n)
+        s.slot(q.flat()).map_or(0, |i| s.table.records[i].n)
     }
 
     #[test]
     fn empty_queue_has_zero_tau() {
-        let s = SojournModule::new();
+        let mut s = SojournModule::new();
         assert_eq!(s.tau_ns(q(0, 3), SimTime::from_micros(5)), 0.0);
         assert_eq!(s.sum_active_tau(SimTime::ZERO), 0.0);
     }
@@ -568,7 +561,7 @@ mod tests {
         s.on_pause_changed(SimTime::ZERO, q(1, 3), true, &[0; 4]);
         s.on_pause_changed(SimTime::from_micros(2), q(1, 3), false, &[]);
         assert_eq!(s.sum_active_tau(SimTime::from_micros(4)), 0.0);
-        assert!(s.table.borrow().records.is_empty());
+        assert!(s.table.records.is_empty());
     }
 
     #[test]
@@ -580,7 +573,7 @@ mod tests {
             enqueue(&mut m, &mut s, t, q(4, 3), q(30, 3), 1_048);
             enqueue(&mut m, &mut s, t, q(35, 1), q(0, 1), 1_048);
         }
-        assert_eq!(s.table.borrow().records.len(), 2);
+        assert_eq!(s.table.records.len(), 2);
         assert_eq!(s.slots.len(), 36 * Priority::COUNT);
         assert_eq!(packet_count(&s, q(4, 3)), 100);
     }
@@ -643,7 +636,7 @@ mod tests {
     /// with positions exact both ways; the slot map is a bijection onto
     /// the records.
     fn check_expiry_index(s: &SojournModule, ctx: &str) {
-        let t = s.table.borrow();
+        let t = &s.table;
         assert!(t.expiry.len() <= t.live, "{ctx}: heap exceeds live");
         let counted = t.records.iter().filter(|r| r.counted).count();
         assert_eq!(t.live, counted, "{ctx}: live count");
@@ -724,7 +717,7 @@ mod tests {
             enqueue(&mut m, &mut s, t, q(0, 3), q(1, 3), 100);
         }
         assert_eq!(packet_count(&s, q(0, 3)), 10_000);
-        assert_eq!(s.table.borrow().expiry.len(), 1);
+        assert_eq!(s.table.expiry.len(), 1);
         check_expiry_index(&s, "after 10 000 enqueues");
     }
 }

@@ -113,7 +113,7 @@ impl AbmPolicy {
 }
 
 impl BufferPolicy for AbmPolicy {
-    fn pfc_threshold(&self, mmu: &MmuState, q: QueueIndex, _now: SimTime) -> Bytes {
+    fn pfc_threshold(&mut self, mmu: &MmuState, q: QueueIndex, _now: SimTime) -> Bytes {
         let n_p = self.congested_count(q.priority).max(1) as f64;
         let drain = self.normalized_drain(mmu, q).max(ABM_DRAIN_FLOOR);
         let factor = self.alpha / n_p * drain;

@@ -22,8 +22,9 @@ use crate::mmu::{MmuState, QueueIndex};
 /// that charges or discharges.
 pub trait BufferPolicy: Debug {
     /// The current shared-pool threshold for ingress queue `q` at
-    /// simulated time `now`.
-    fn pfc_threshold(&self, mmu: &MmuState, q: QueueIndex, now: SimTime) -> Bytes;
+    /// simulated time `now`. A read may advance the policy's own
+    /// time-driven state (L2BM's `Σ τ` aggregate).
+    fn pfc_threshold(&mut self, mmu: &MmuState, q: QueueIndex, now: SimTime) -> Bytes;
 
     /// A packet of `size` bytes entered via `q_in`, queued at `q_out`.
     /// MMU counters already include it.
@@ -141,7 +142,7 @@ impl DtPolicy {
 }
 
 impl BufferPolicy for DtPolicy {
-    fn pfc_threshold(&self, mmu: &MmuState, _q: QueueIndex, _now: SimTime) -> Bytes {
+    fn pfc_threshold(&mut self, mmu: &MmuState, _q: QueueIndex, _now: SimTime) -> Bytes {
         mmu.shared_remaining().scale(self.alpha)
     }
 
@@ -190,7 +191,7 @@ mod tests {
     #[test]
     fn dt_threshold_tracks_remaining() {
         let mut m = mmu();
-        let dt = DtPolicy::new(0.125);
+        let mut dt = DtPolicy::new(0.125);
         // Empty switch: T = 0.125 × 4 MB = 500 KB.
         assert_eq!(
             dt.pfc_threshold(&m, q(0, 3), SimTime::ZERO),
@@ -207,7 +208,7 @@ mod tests {
     #[test]
     fn dt_threshold_is_queue_independent() {
         let m = mmu();
-        let dt = DtPolicy::new(0.5);
+        let mut dt = DtPolicy::new(0.5);
         assert_eq!(
             dt.pfc_threshold(&m, q(0, 1), SimTime::ZERO),
             dt.pfc_threshold(&m, q(3, 7), SimTime::ZERO)

@@ -39,7 +39,7 @@ struct Recording {
 }
 
 impl BufferPolicy for Recording {
-    fn pfc_threshold(&self, mmu: &MmuState, q: QueueIndex, now: SimTime) -> Bytes {
+    fn pfc_threshold(&mut self, mmu: &MmuState, q: QueueIndex, now: SimTime) -> Bytes {
         self.inner.pfc_threshold(mmu, q, now)
     }
 

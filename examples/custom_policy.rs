@@ -20,7 +20,7 @@ use l2bm::L2bmPolicy;
 struct StaticThreshold;
 
 impl BufferPolicy for StaticThreshold {
-    fn pfc_threshold(&self, mmu: &MmuState, _q: QueueIndex, _now: SimTime) -> Bytes {
+    fn pfc_threshold(&mut self, mmu: &MmuState, _q: QueueIndex, _now: SimTime) -> Bytes {
         mmu.shared_capacity() / 16
     }
 }

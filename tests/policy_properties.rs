@@ -246,10 +246,10 @@ fn thresholds_are_bounded_by_remaining_buffer() {
         let alpha = 0.01 + rng.uniform_f64() * 0.98;
         let mut abm: [Box<dyn BufferPolicy>; 1] = [Box::new(AbmPolicy::new(alpha))];
         let (m, _) = apply_ops(&ops, &mut abm);
-        let abm = &abm[0];
+        let abm = &mut abm[0];
         let now = SimTime::from_micros(50);
-        let dt = DtPolicy::new(alpha);
-        let l2bm = L2bmPolicy::new(L2bmConfig::default());
+        let mut dt = DtPolicy::new(alpha);
+        let mut l2bm = L2bmPolicy::new(L2bmConfig::default());
         for port in 0..N_PORTS as u16 {
             for prio in 0..8u8 {
                 let q = qix(port, prio);
@@ -341,7 +341,7 @@ fn dt_threshold_decreases_as_buffer_fills() {
         let sizes: Vec<u64> = (0..n).map(|_| 1_000 + rng.below(49_000)).collect();
         let cfg = SwitchConfig::default();
         let mut m = MmuState::new(&cfg, vec![BitRate::from_gbps(25); N_PORTS]);
-        let dt = DtPolicy::new(0.5);
+        let mut dt = DtPolicy::new(0.5);
         let now = SimTime::ZERO;
         let mut last = dt.pfc_threshold(&m, qix(0, 3), now);
         for (i, size) in sizes.iter().enumerate() {
@@ -371,7 +371,7 @@ fn all_six_policy_thresholds_are_bounded() {
         let mut policies: Vec<Box<dyn BufferPolicy>> = choices.iter().map(|c| c.build()).collect();
         let (m, _) = apply_ops(&ops, &mut policies);
         let now = SimTime::from_micros(50);
-        for (choice, p) in choices.iter().zip(&policies) {
+        for (choice, p) in choices.iter().zip(&mut policies) {
             for port in 0..N_PORTS as u16 {
                 for prio in 0..8u8 {
                     let t = p.pfc_threshold(&m, qix(port, prio), now);
@@ -516,7 +516,7 @@ fn l2bm_single_active_queue_degenerates_to_dt() {
     let mut m = MmuState::new(&cfg, vec![BitRate::from_gbps(25); N_PORTS]);
     m.charge_bulk(qix(0, 3), qix(1, 3), Bytes::new(100_000), Pool::Shared);
     policy.on_enqueue(&m, SimTime::ZERO, qix(0, 3), qix(1, 3), Bytes::new(100_000));
-    let dt = DtPolicy::new(0.125);
+    let mut dt = DtPolicy::new(0.125);
     assert_eq!(
         policy.pfc_threshold(&m, qix(0, 3), SimTime::ZERO),
         dt.pfc_threshold(&m, qix(0, 3), SimTime::ZERO)
